@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-wire bench-baseline bench-compare clean
+.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-wire bench-baseline bench-compare bench-host clean
 
 all: build test
 
@@ -156,6 +156,23 @@ bench-wire:
 # answer across the two sides.
 bench-mqo:
 	$(GO) run ./cmd/apuama-bench -exp mqo -quick -quiet -json BENCH_10.json
+
+# The host-clock benchmark (BENCHMARK.json, bench/) exactly as the driver
+# runs it: every workload once untraced and once traced. It fails on the
+# first run that exits non-zero or reports "correct":false — a change can
+# pass every test above and still break the harness's own traced run
+# (slow-log size, phase cover), which nothing else in CI executes.
+bench-host:
+	@for w in olap_isolated olap_refresh wide_fetch oltp_point; do \
+		for t in 0 1; do \
+			echo "== bench-host: $$w --trace $$t"; \
+			out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 15 --trace $$t) || \
+				{ echo "$$out" | tail -3; echo "FAIL: $$w --trace $$t exited non-zero"; exit 1; }; \
+			echo "$$out" | tail -1 | grep -q '"correct":true' || \
+				{ echo "$$out" | tail -3; echo "FAIL: $$w --trace $$t is not correct"; exit 1; }; \
+			echo "$$out" | tail -1 | cut -c1-160; \
+		done; \
+	done
 
 # Result-cache experiment: cold vs warm vs shared-concurrent latency,
 # written as JSON for plotting.

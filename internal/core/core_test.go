@@ -37,6 +37,14 @@ func buildStack(t *testing.T, n int, opts Options) *stack {
 	}
 	eng := New(db, nodes, TPCHCatalog(), opts)
 	ctl := cluster.New(db, eng.Backends(), cluster.Options{})
+	// Every test that builds a stack also checks the composer's lifetime
+	// rule: whatever the queries did — succeed, fail, time out, roll a
+	// hedge back, stop at a LIMIT — no composition table outlives them.
+	t.Cleanup(func() {
+		if live, _ := eng.mem.Stats(); live != 0 {
+			t.Errorf("memdb still holds %d composition table(s) after the test", live)
+		}
+	})
 	return &stack{db: db, nodes: nodes, eng: eng, ctl: ctl}
 }
 

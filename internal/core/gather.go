@@ -7,7 +7,7 @@ import (
 
 	"apuama/internal/admission"
 	"apuama/internal/engine"
-	"apuama/internal/memdb"
+	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
 )
 
@@ -27,12 +27,12 @@ type gatherMsg struct {
 	dur     time.Duration // with a successful fin: the attempt's stream time
 }
 
-// composeSink consumes partial batches incrementally as the gather loop
-// receives them, so composition overlaps the slowest sub-queries instead
-// of starting after the last one. Attempts stream independently; commit
-// fixes one attempt as a partition's winner (partition-order composition
-// is the sink's responsibility), abort discards a failed or losing
-// attempt, and finish produces the final result.
+// composeSink receives partial batches from the gather loop as they
+// arrive. Attempts stream independently; commit fixes one attempt as a
+// partition's winner, abort discards a failed or losing attempt, and
+// finish composes the winners in partition order (floating-point
+// composition is not associative across orderings, and LIMIT without
+// ORDER BY takes the leading rows).
 //
 // All methods are called from the single gather goroutine; sinks need no
 // locking. observe takes ownership of the batch and must return it to
@@ -44,13 +44,13 @@ type composeSink interface {
 	finish(ctx context.Context) (*engine.Result, error)
 }
 
-// newComposeSink picks the composer route: the paper's memdb (HSQLDB
-// stand-in) load for the default path and for plain rewrites, the
-// streaming fold for aggregate rewrites under the StreamCompose
-// ablation. Both begin consuming on the first arriving batch.
-// Every sink charges the memory it retains — buffered attempt rows,
-// fold-table groups — against the query's admission reservation (a nil
-// reservation is a no-op, so the sinks charge unconditionally).
+// newComposeSink picks the composer route: the streaming fold for
+// aggregate rewrites under the StreamCompose ablation, otherwise the
+// paper's memdb (HSQLDB stand-in) load — skipped when the composition
+// query has nothing to do. Every sink charges the memory it retains —
+// buffered attempt rows, fold-table groups — against the query's
+// admission reservation (a nil reservation is a no-op, so the sinks
+// charge unconditionally).
 func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) composeSink {
 	if e.opts.StreamCompose && len(rw.ComposeOps) > 0 {
 		return &foldSink{
@@ -60,13 +60,9 @@ func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) 
 			committed: make([]bool, n),
 		}
 	}
-	prefix := "svp"
-	if e.opts.StreamCompose {
-		prefix = "svpfold"
-	}
 	return &memdbSink{
-		e: e, rw: rw, n: n, res: res,
-		ld:        e.mem.NewLoader(prefix, rw.PartialCols),
+		e: e, rw: rw, res: res,
+		identity:  identityCompose(rw),
 		bufs:      map[attemptKey][]sqltypes.Row{},
 		winner:    make([]int64, n),
 		committed: make([]bool, n),
@@ -78,74 +74,66 @@ type attemptKey struct {
 	attempt int64
 }
 
-// memdbSink streams partial rows into the composition database as they
-// arrive. Rows must land in partition order (floating-point composition
-// is not associative across orderings, and LIMIT without ORDER BY takes
-// the leading rows), so the sink feeds the loader frontier-optimistically:
-// the frontier partition's first-observed attempt streams straight into
-// the table while later partitions buffer. When a partition commits with
-// the streamed attempt as its winner — the common case — its rows are
-// already loaded; when a retry or hedge twin won instead, the table is
-// rebuilt from the retained winner buffers (rare: it takes a mid-stream
-// failure or a lost race at the frontier).
+// memdbSink buffers every live attempt's rows and composes once, at
+// finish: the committed prefix's winners are loaded in partition order
+// into one composition table that is dropped as soon as the composition
+// query has run over it, so no relation outlives its query and an
+// abandoned gather (error, deadline) never creates one.
 type memdbSink struct {
 	e   *Engine
 	rw  *Rewrite
-	n   int
-	ld  *memdb.Loader
 	res *admission.Reservation // memory-budget account for retained rows
 
-	// bufs retains every live attempt's rows: the frontier needs them to
-	// adopt a partition mid-stream, rebuilds need the winners.
+	// identity marks a composition that is the concatenation itself; the
+	// winners are then returned as they are, without a memdb round trip.
+	identity bool
+
 	bufs      map[attemptKey][]sqltypes.Row
 	winner    []int64
 	committed []bool
-	frontier  int   // partitions [0, frontier) are fully loaded
-	source    int64 // attempt streaming into the loader at the frontier (0 = none)
+}
+
+// identityCompose reports whether the composition query has nothing to
+// do — it projects every partial column bare and in order, with no
+// re-aggregation, DISTINCT, ordering or HAVING (what buildPlainRewrite
+// emits for an unordered fetch) — so the result is the partial rows in
+// partition order under the compose aliases, cut at LIMIT.
+func identityCompose(rw *Rewrite) bool {
+	c := rw.Compose
+	if len(rw.ComposeOps) > 0 || c.Distinct || c.Where != nil || c.Having != nil ||
+		len(c.OrderBy) > 0 || len(c.GroupBy) > 0 || len(c.Items) != len(rw.PartialCols) {
+		return false
+	}
+	for i, it := range c.Items {
+		cr, ok := it.Expr.(*sql.ColumnRef)
+		if !ok || cr.Table != "" || cr.Name != rw.PartialCols[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *memdbSink) observe(idx int, attempt int64, b *sqltypes.Batch) error {
-	// The sink retains every row it buffers (and the loader copies the
-	// frontier stream), so each arriving batch grows the query's memory
-	// reservation before it is kept.
+	// The sink retains every row it buffers, so each arriving batch grows
+	// the query's memory reservation before it is kept.
 	if err := s.res.Grow(rowsBytes(b.Rows)); err != nil {
 		sqltypes.PutBatch(b)
 		return err
 	}
 	k := attemptKey{idx, attempt}
-	buf := append(s.bufs[k], b.Rows...)
-	s.bufs[k] = buf
-	fresh := buf[len(buf)-b.Len():]
+	s.bufs[k] = append(s.bufs[k], b.Rows...)
 	sqltypes.PutBatch(b)
-	if idx != s.frontier {
-		return nil
-	}
-	if s.source == attempt {
-		return s.ld.Append(fresh)
-	}
-	if s.source == 0 {
-		return s.adopt()
-	}
 	return nil
 }
 
 func (s *memdbSink) commit(idx int, attempt int64) error {
 	s.winner[idx] = attempt
 	s.committed[idx] = true
-	return s.advance()
+	return nil
 }
 
 func (s *memdbSink) abort(idx int, attempt int64) error {
 	delete(s.bufs, attemptKey{idx, attempt})
-	if idx == s.frontier && s.source == attempt {
-		// The attempt being streamed died mid-flight: rewind to the
-		// committed prefix and re-adopt among surviving attempts.
-		s.source = 0
-		if err := s.rebuildPrefix(s.frontier); err != nil {
-			return err
-		}
-		return s.adopt()
-	}
 	return nil
 }
 
@@ -153,62 +141,32 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	name, err := s.ld.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return s.e.composeLoaded(s.rw, name)
-}
-
-// advance resolves committed partitions at the frontier. A worker's fin
-// message follows all its batches (one FIFO channel, one consumer), so
-// when the streamed attempt is the winner its rows are fully loaded.
-func (s *memdbSink) advance() error {
-	for s.frontier < s.n && s.committed[s.frontier] {
-		if s.source != s.winner[s.frontier] {
-			if err := s.rebuildPrefix(s.frontier + 1); err != nil {
-				return err
-			}
-		}
-		s.frontier++
-		s.source = 0
-	}
-	if s.frontier < s.n {
-		return s.adopt()
-	}
-	return nil
-}
-
-// adopt starts streaming the best buffered attempt of the (uncommitted)
-// frontier partition, preferring the one furthest along.
-func (s *memdbSink) adopt() error {
-	best := int64(0)
-	var bestRows []sqltypes.Row
-	for k, rows := range s.bufs {
-		if k.idx != s.frontier {
-			continue
-		}
-		if best == 0 || len(rows) > len(bestRows) {
-			best, bestRows = k.attempt, rows
+	// The committed prefix: every partition, unless a settled LIMIT stopped
+	// the gather early — then the prefix already holds the leading k rows.
+	var parts [][]sqltypes.Row
+	total := 0
+	for p := 0; p < len(s.committed) && s.committed[p]; p++ {
+		if rows := s.bufs[attemptKey{p, s.winner[p]}]; len(rows) > 0 {
+			parts = append(parts, rows)
+			total += len(rows)
 		}
 	}
-	s.source = best
-	if best == 0 {
-		return nil
+	if !s.identity {
+		return s.e.composeRows(ctx, s.rw, parts)
 	}
-	return s.ld.Append(bestRows)
-}
-
-// rebuildPrefix reloads the table with the winners of partitions
-// [0, upto) in partition order.
-func (s *memdbSink) rebuildPrefix(upto int) error {
-	s.ld.Reset()
-	for p := 0; p < upto; p++ {
-		if err := s.ld.Append(s.bufs[attemptKey{p, s.winner[p]}]); err != nil {
-			return err
-		}
+	c := s.rw.Compose
+	res := &engine.Result{Cols: make([]string, len(c.Items))}
+	for i, it := range c.Items {
+		res.Cols[i] = itemName(it)
 	}
-	return nil
+	if c.Limit != nil && *c.Limit < int64(total) {
+		total = int(max(*c.Limit, 0))
+	}
+	res.Rows = make([]sqltypes.Row, 0, total)
+	for _, rows := range parts {
+		res.Rows = append(res.Rows, rows[:min(len(rows), total-len(res.Rows))]...)
+	}
+	return res, nil
 }
 
 // foldSink is the StreamCompose route for aggregate rewrites: each
@@ -324,5 +282,5 @@ func (s *foldSink) finish(ctx context.Context) (*engine.Result, error) {
 	}
 	// A scalar-aggregate query with no matching rows anywhere still
 	// produces its single empty-aggregate row in the final projection.
-	return s.e.composeRows(ctx, s.rw, folded, "svpfold")
+	return s.e.composeRows(ctx, s.rw, [][]sqltypes.Row{folded})
 }

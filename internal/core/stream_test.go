@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
-	"apuama/internal/engine"
 	"apuama/internal/fault"
 	"apuama/internal/obs"
 	"apuama/internal/tpch"
@@ -193,7 +193,8 @@ func TestStreamingRollbackOnMidStreamCrash(t *testing.T) {
 }
 
 // TestComposerHonoursDeadline: a context cancelled before composition
-// aborts the materialized composers and counts a deadline abort.
+// makes both sinks refuse to compose, and neither leaves a composition
+// table behind.
 func TestComposerHonoursDeadline(t *testing.T) {
 	for _, streamCompose := range []bool{false, true} {
 		opts := DefaultOptions()
@@ -205,13 +206,16 @@ func TestComposerHonoursDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partial := s.single(t, rw.Partial.SQL())
-		before := s.eng.Snapshot().DeadlineAborts
-		if _, err := s.eng.compose(ctx, rw, []*engine.Result{partial}); err == nil {
-			t.Fatalf("streamCompose=%v: compose ignored cancelled context", streamCompose)
+		sink := s.eng.newComposeSink(rw, 1, nil)
+		feedSink(t, sink, 0, 1, s.single(t, rw.Partial.SQL()).Rows)
+		if err := sink.commit(0, 1); err != nil {
+			t.Fatal(err)
 		}
-		if got := s.eng.Snapshot().DeadlineAborts; got != before+1 {
-			t.Fatalf("streamCompose=%v: DeadlineAborts = %d, want %d", streamCompose, got, before+1)
+		if _, err := sink.finish(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("streamCompose=%v: finish under a cancelled context returned %v", streamCompose, err)
+		}
+		if live, created := s.eng.mem.Stats(); live != 0 || created != 0 {
+			t.Fatalf("streamCompose=%v: memdb holds %d relations, created %d; want none", streamCompose, live, created)
 		}
 	}
 }

@@ -72,6 +72,15 @@ func (db *Database) CreateTable(st *sql.CreateTableStmt) (*storage.Relation, err
 	return rel, nil
 }
 
+// DropTable removes a relation from the catalog, releasing its heap and
+// indexes to the collector once in-flight scans let go of them. Dropping
+// a name that does not exist is a no-op.
+func (db *Database) DropTable(name string) {
+	db.mu.Lock()
+	delete(db.relations, name)
+	db.mu.Unlock()
+}
+
 // CreateIndex adds an index from a parsed declaration.
 func (db *Database) CreateIndex(st *sql.CreateIndexStmt) error {
 	rel, err := db.Relation(st.Table)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"apuama/internal/costmodel"
+	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
 	"apuama/internal/storage"
 )
@@ -173,17 +174,85 @@ func (s *seqScanOp) close() { s.pages = nil }
 
 // --- index range scan ---
 
+// scanBound is one bound candidate of an index scan: a literal folded at
+// plan time or a runtime constant (correlation parameter).
+type scanBound struct {
+	e    bexpr    // a *litExpr for a folded literal
+	src  sql.Expr // a runtime constant as written, for EXPLAIN
+	incl bool
+	eq   bool // from an equality conjunct
+}
+
+// scanBounds is an index scan's key interval on the index's leading
+// column, as candidates per side (nil = open). Literal candidates were
+// already intersected by the planner; whatever is left is resolved by the
+// same rule (tighter) each time the scan opens.
+type scanBounds struct {
+	col    string
+	lo, hi []scanBound
+	empty  bool // proven empty at plan time
+}
+
+// resolveSide evaluates one side's candidates down to its tightest bound.
+// A NULL candidate can satisfy no comparison, so it empties the interval.
+func resolveSide(ec *evalCtx, low bool, cands []scanBound) (key sqltypes.Row, incl, empty bool, err error) {
+	for _, c := range cands {
+		v, err := c.e.eval(ec)
+		if err != nil {
+			return nil, false, false, err
+		}
+		if v.IsNull() {
+			return nil, false, true, nil
+		}
+		if key == nil {
+			key, incl = sqltypes.Row{v}, c.incl
+		} else if tighter(low, key[0], incl, v, c.incl) {
+			key[0], incl = v, c.incl
+		}
+	}
+	return key, incl, false, nil
+}
+
+// collect resolves the bounds under ec and appends the RowIDs of every
+// index entry inside them to rids, charging the B-tree walk to the
+// execution's meter (B-tree pages are assumed cached; heap dominates, as
+// on a warm PostgreSQL instance). It is the one place serial,
+// morsel-parallel and DML index scans turn bounds into entries; an empty
+// interval walks nothing and charges nothing.
+func (sb *scanBounds) collect(ec *evalCtx, index *storage.Index, rids []storage.RowID) ([]storage.RowID, error) {
+	if sb.empty {
+		return rids, nil
+	}
+	lo, loIncl, empty, err := resolveSide(ec, true, sb.lo)
+	if err != nil || empty {
+		return rids, err
+	}
+	hi, hiIncl, empty, err := resolveSide(ec, false, sb.hi)
+	if err != nil || empty {
+		return rids, err
+	}
+	if lo != nil && hi != nil && emptyInterval(lo[0], loIncl, hi[0], hiIncl) {
+		return rids, nil
+	}
+	before := len(rids)
+	index.Tree.AscendRange(lo, hi, loIncl, hiIncl, func(e storage.Entry) bool {
+		rids = append(rids, e.RID)
+		return true
+	})
+	ec.ex.meter.Charge(time.Duration(len(rids)-before) * ec.ex.meter.Config().CPUOperator)
+	return rids, nil
+}
+
 // indexScanOp walks a B-tree range, fetching heap rows in index order.
 // Bounds are expressions so correlated parameters work as runtime keys
 // (index nested-loop sub-queries). A scan over the clustered index is
 // charged sequential IO — its heap accesses are physically contiguous —
 // while secondary-index fetches pay random IO.
 type indexScanOp struct {
-	rel            *storage.Relation
-	index          *storage.Index
-	lo, hi         []bexpr // key prefix bounds; nil slice = open
-	loIncl, hiIncl bool
-	filter         bexpr
+	rel    *storage.Relation
+	index  *storage.Index
+	bounds *scanBounds
+	filter bexpr
 
 	rids   []storage.RowID
 	pos    int
@@ -193,40 +262,11 @@ type indexScanOp struct {
 
 func (s *indexScanOp) open(ex *execCtx) error {
 	s.ec = evalCtx{ex: ex}
-	evalBound := func(bs []bexpr) (sqltypes.Row, error) {
-		if bs == nil {
-			return nil, nil
-		}
-		key := make(sqltypes.Row, len(bs))
-		for i, b := range bs {
-			v, err := b.eval(&s.ec)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		return key, nil
-	}
-	lo, err := evalBound(s.lo)
-	if err != nil {
-		return err
-	}
-	hi, err := evalBound(s.hi)
-	if err != nil {
-		return err
-	}
-	s.rids = s.rids[:0]
 	s.pos = 0
 	s.lastPg = -1
-	cfg := ex.meter.Config()
-	s.index.Tree.AscendRange(lo, hi, s.loIncl, s.hiIncl, func(e storage.Entry) bool {
-		s.rids = append(s.rids, e.RID)
-		return true
-	})
-	// Index traversal CPU cost (B-tree pages are assumed cached; heap
-	// dominates, as on a warm PostgreSQL instance).
-	ex.meter.Charge(time.Duration(len(s.rids)) * cfg.CPUOperator)
-	return nil
+	var err error
+	s.rids, err = s.bounds.collect(&s.ec, s.index, s.rids[:0])
+	return err
 }
 
 func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
@@ -327,12 +367,13 @@ type hashJoinOp struct {
 	probe, build         op
 	probeKeys, buildKeys []bexpr
 
-	table   map[uint64][]sqltypes.Row // hash -> build rows
-	keysOf  map[uint64][]sqltypes.Row // hash -> build keys, parallel to table
-	matches []sqltypes.Row            // pending matches for current probe row
-	current sqltypes.Row
-	cs      childStream
-	ec      evalCtx
+	table    map[uint64][]sqltypes.Row // hash -> build rows
+	keysOf   map[uint64][]sqltypes.Row // hash -> build keys, parallel to table
+	matches  []sqltypes.Row            // pending matches for current probe row
+	current  sqltypes.Row
+	probeKey sqltypes.Row // scratch: a probe key is dead after its bucket lookup
+	cs       childStream
+	ec       evalCtx
 }
 
 func (j *hashJoinOp) open(ex *execCtx) error {
@@ -357,7 +398,9 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 		if row == nil {
 			break
 		}
-		key, null, err := evalKeys(&j.ec, j.buildKeys, row)
+		// Build keys are retained beside their rows, so each gets its own Row.
+		key := make(sqltypes.Row, len(j.buildKeys))
+		null, err := evalKeys(&j.ec, j.buildKeys, row, key)
 		if err != nil {
 			return err
 		}
@@ -369,24 +412,26 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 		j.keysOf[h] = append(j.keysOf[h], key)
 		ex.meter.Charge(cfg.CPUOperator)
 	}
+	j.probeKey = make(sqltypes.Row, len(j.probeKeys))
 	j.cs.open(ex)
 	return j.probe.open(ex)
 }
 
-func evalKeys(ec *evalCtx, keys []bexpr, row sqltypes.Row) (sqltypes.Row, bool, error) {
+// evalKeys evaluates the join keys of row into out (len(keys) wide) and
+// reports whether any is NULL.
+func evalKeys(ec *evalCtx, keys []bexpr, row, out sqltypes.Row) (null bool, err error) {
 	ec.row = row
-	out := make(sqltypes.Row, len(keys))
 	for i, k := range keys {
 		v, err := k.eval(ec)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if v.IsNull() {
-			return nil, true, nil
+			return true, nil
 		}
 		out[i] = v
 	}
-	return out, false, nil
+	return false, nil
 }
 
 func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
@@ -409,7 +454,8 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			return nil
 		}
 		ex.meter.Charge(cfg.CPUOperator)
-		key, null, err := evalKeys(&j.ec, j.probeKeys, row)
+		key := j.probeKey
+		null, err := evalKeys(&j.ec, j.probeKeys, row, key)
 		if err != nil {
 			return err
 		}

@@ -53,8 +53,7 @@ func describe(o op, depth int, out *[]string) {
 		}
 		add("Seq Scan on %s%s", o.rel.Name, f)
 	case *indexScanOp:
-		bound := describeBounds(o)
-		add("Index Scan using %s on %s%s", o.index.Name, o.rel.Name, bound)
+		add("Index Scan using %s on %s%s", o.index.Name, o.rel.Name, describeBounds(o.bounds))
 	case *colScanOp:
 		add("Columnar Seq Scan on %s (%s)", o.rel.Name, staticPrune(o))
 	case *sharedScanOp:
@@ -136,18 +135,7 @@ func describeFragment(f *fragSpec, depth int, out *[]string) {
 		line("Parallel Seq Scan on %s%s", f.rel.Name, flt)
 		return
 	}
-	var bound string
-	switch {
-	case f.lo != nil && f.hi != nil:
-		bound = " (range)"
-	case f.lo != nil:
-		bound = " (lower bound)"
-	case f.hi != nil:
-		bound = " (upper bound)"
-	default:
-		bound = " (full)"
-	}
-	line("Parallel Index Scan using %s on %s%s", f.index.Name, f.rel.Name, bound)
+	line("Parallel Index Scan using %s on %s%s", f.index.Name, f.rel.Name, describeBounds(f.bounds))
 }
 
 // staticPrune renders a columnar scan's zone-map pruning against the
@@ -165,15 +153,39 @@ func staticPrune(o *colScanOp) string {
 	return fmt.Sprintf("segments pruned %d/%d", pruned, len(set.Segments))
 }
 
-func describeBounds(o *indexScanOp) string {
-	switch {
-	case o.lo != nil && o.hi != nil:
-		return " (range)"
-	case o.lo != nil:
-		return " (lower bound)"
-	case o.hi != nil:
-		return " (upper bound)"
-	default:
-		return " (full)"
+// describeBounds renders an index scan's effective key interval — the
+// planner's intersection of every sargable conjunct — as the predicate it
+// amounts to, so "why did this scan touch N pages" reads off the plan.
+func describeBounds(sb *scanBounds) string {
+	if sb.empty {
+		return " (empty range)"
 	}
+	text := func(b scanBound) string {
+		if l, ok := b.e.(*litExpr); ok {
+			return (&sql.Literal{Val: l.v}).SQL()
+		}
+		return b.src.SQL()
+	}
+	var parts []string
+	for _, b := range sb.lo {
+		op := " > "
+		switch {
+		case b.eq:
+			op = " = "
+		case b.incl:
+			op = " >= "
+		}
+		parts = append(parts, sb.col+op+text(b))
+	}
+	for _, b := range sb.hi {
+		if b.eq {
+			continue // rendered once, with the low side
+		}
+		op := " < "
+		if b.incl {
+			op = " <= "
+		}
+		parts = append(parts, sb.col+op+text(b))
+	}
+	return " (" + strings.Join(parts, " and ") + ")"
 }

@@ -648,17 +648,16 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 	var rids []storage.RowID
 	best := chooseAccessPath(rel, filters, nameScope)
 	if best != nil && (best.selectivity <= 0.2 || !nd.EnableSeqscan()) {
-		scan := &indexScanOp{rel: rel, index: best.index, loIncl: best.loIncl, hiIncl: best.hiIncl, filter: nil}
-		lo, hi, err := bindBounds(b, best, nameScope)
+		bounds, err := bindBounds(b, best, nameScope)
 		if err != nil {
 			return nil, nil, err
 		}
-		scan.lo, scan.hi = lo, hi
-		if err := scan.open(ex); err != nil {
+		matches, err := bounds.collect(&evalCtx{ex: ex}, best.index, nil)
+		if err != nil {
 			return nil, nil, err
 		}
 		lastPg := int64(-1)
-		for _, rid := range scan.rids {
+		for _, rid := range matches {
 			p := rel.PageOf(rid)
 			if p == nil {
 				continue
@@ -686,7 +685,6 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 			}
 			rids = append(rids, rid)
 		}
-		scan.close()
 		return rids, rel, nil
 	}
 	for pi, p := range rel.PageSnapshot() {

@@ -53,13 +53,12 @@ var _ [0]struct{} = [storage.SegmentSpanPages - morselPages]struct{}{}
 // workers; every bound expression in it passed parallelSafeExpr, so
 // evaluation needs only a private evalCtx.
 type fragSpec struct {
-	rel            *storage.Relation
-	index          *storage.Index // nil = sequential heap scan
-	lo, hi         []bexpr        // index key bounds (evaluated once, by the coordinator)
-	loIncl, hiIncl bool
-	scanFilter     bexpr   // pushed-down scan predicate (may be nil)
-	filters        []bexpr // stacked filter conditions, innermost first
-	project        []bexpr // nil: emit raw scan rows
+	rel        *storage.Relation
+	index      *storage.Index // nil = sequential heap scan
+	bounds     *scanBounds    // index key bounds (resolved once, by the coordinator)
+	scanFilter bexpr          // pushed-down scan predicate (may be nil)
+	filters    []bexpr        // stacked filter conditions, innermost first
+	project    []bexpr        // nil: emit raw scan rows
 
 	// columnar switches a sequential fragment to the segment store: one
 	// morsel per column segment (storage.SegmentSpanPages equals
@@ -107,34 +106,10 @@ func (f *fragSpec) decompose(ex *execCtx) (pages []*storage.Page, rids []storage
 		}
 		return pages, nil, morsels, nil
 	}
-	ec := evalCtx{ex: ex}
-	evalBound := func(bs []bexpr) (sqltypes.Row, error) {
-		if bs == nil {
-			return nil, nil
-		}
-		key := make(sqltypes.Row, len(bs))
-		for i, b := range bs {
-			v, err := b.eval(&ec)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		return key, nil
-	}
-	lo, err := evalBound(f.lo)
+	rids, err = f.bounds.collect(&evalCtx{ex: ex}, f.index, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	hi, err := evalBound(f.hi)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	f.index.Tree.AscendRange(lo, hi, f.loIncl, f.hiIncl, func(e storage.Entry) bool {
-		rids = append(rids, e.RID)
-		return true
-	})
-	ex.meter.Charge(time.Duration(len(rids)) * ex.meter.Config().CPUOperator)
 	for l := 0; l < len(rids); l += morselRids {
 		morsels = append(morsels, morsel{l, min(l+morselRids, len(rids))})
 	}
@@ -815,15 +790,11 @@ func extractFragment(o op, gated bool) (*fragSpec, bool) {
 			if gated && v.rel.LiveRows() < parallelMinRows {
 				return nil, false
 			}
-			if !parallelSafeExpr(v.filter) || !exprsParallelSafe(v.lo) || !exprsParallelSafe(v.hi) {
+			if !parallelSafeExpr(v.filter) {
 				return nil, false
 			}
 			reverseExprs(filters)
-			return &fragSpec{
-				rel: v.rel, index: v.index,
-				lo: v.lo, hi: v.hi, loIncl: v.loIncl, hiIncl: v.hiIncl,
-				scanFilter: v.filter, filters: filters,
-			}, true
+			return &fragSpec{rel: v.rel, index: v.index, bounds: v.bounds, scanFilter: v.filter, filters: filters}, true
 		default:
 			return nil, false
 		}

@@ -281,15 +281,11 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	}
 	var scanOp op
 	if useIndex {
-		lo, hi, err := bindBounds(b, best, nameScope)
+		bounds, err := bindBounds(b, best, nameScope)
 		if err != nil {
 			return nil, err
 		}
-		scanOp = &indexScanOp{
-			rel: tb.rel, index: best.index,
-			lo: lo, hi: hi, loIncl: best.loIncl, hiIncl: best.hiIncl,
-			filter: filter,
-		}
+		scanOp = &indexScanOp{rel: tb.rel, index: best.index, bounds: bounds, filter: filter}
 		// Columnar replacement of a clustered index range scan: every
 		// conjunct is already in the scan filter (the bounds above are
 		// redundant with it), so a columnar scan produces the same row
@@ -322,12 +318,30 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	return &plannedScan{t: t, rel: tb.rel, op: scanOp, layout: layout, est: math.Max(rows*sel, 1)}, nil
 }
 
-// accessPath is a candidate index range.
+// keyBound is one sargable bound on an index's leading column: the
+// constant side of `col op const`. A literal bound carries its folded
+// value so it intersects with the others at plan time; the rest are
+// runtime constants (correlation parameters), resolved when the scan
+// opens.
+type keyBound struct {
+	expr sql.Expr
+	val  sqltypes.Value // folded literal, valid when lit
+	lit  bool
+	incl bool
+	eq   bool // from an equality conjunct (EXPLAIN renders `col = x` once)
+}
+
+// accessPath is a candidate index range: the intersection of every
+// sargable conjunct on the index's leading column.
 type accessPath struct {
-	index          *storage.Index
-	lo, hi         sql.Expr // bound on the first index column; nil = open
-	loIncl, hiIncl bool
-	selectivity    float64
+	index *storage.Index
+	col   string // the index's leading column
+	// lo, hi are the bound candidates per side (nil = open): at most one
+	// literal — the tightest — plus every runtime constant.
+	lo, hi      []keyBound
+	eq          bool // some conjunct pins the column to one value
+	empty       bool // the literal bounds prove no key qualifies
+	selectivity float64
 }
 
 // chooseAccessPath finds the most selective index range constrained by
@@ -348,11 +362,13 @@ func chooseAccessPath(rel *storage.Relation, filters []sql.Expr, sc *scope) *acc
 	return best
 }
 
+// buildPath intersects the filters' bounds on the index's leading column.
+// Every conjunct also stays in the scan filter, so the bounds only ever
+// narrow which entries are visited, never which rows qualify.
 func buildPath(rel *storage.Relation, ix *storage.Index, filters []sql.Expr, sc *scope) *accessPath {
 	col := ix.Cols[0]
 	name := rel.Schema.Cols[col].Name
-	ap := &accessPath{index: ix, loIncl: true, hiIncl: true, selectivity: 1}
-	constrained := false
+	ap := &accessPath{index: ix, col: name, selectivity: 1}
 	for _, f := range filters {
 		switch e := f.(type) {
 		case *sql.CompareExpr:
@@ -362,38 +378,103 @@ func buildPath(rel *storage.Relation, ix *storage.Index, filters []sql.Expr, sc 
 			}
 			switch op {
 			case "=":
-				ap.lo, ap.hi = constSide, constSide
-				ap.loIncl, ap.hiIncl = true, true
-				constrained = true
+				ap.eq = true
+				ap.narrow(true, keyBound{expr: constSide, incl: true, eq: true})
+				ap.narrow(false, keyBound{expr: constSide, incl: true, eq: true})
 			case ">":
-				ap.lo, ap.loIncl = constSide, false
-				constrained = true
+				ap.narrow(true, keyBound{expr: constSide})
 			case ">=":
-				ap.lo, ap.loIncl = constSide, true
-				constrained = true
+				ap.narrow(true, keyBound{expr: constSide, incl: true})
 			case "<":
-				ap.hi, ap.hiIncl = constSide, false
-				constrained = true
+				ap.narrow(false, keyBound{expr: constSide})
 			case "<=":
-				ap.hi, ap.hiIncl = constSide, true
-				constrained = true
+				ap.narrow(false, keyBound{expr: constSide, incl: true})
 			}
 		case *sql.BetweenExpr:
 			if e.Not {
 				continue
 			}
 			if cr, ok := e.E.(*sql.ColumnRef); ok && cr.Name == name && isConstInScope(e.Lo, sc) && isConstInScope(e.Hi, sc) {
-				ap.lo, ap.loIncl = e.Lo, true
-				ap.hi, ap.hiIncl = e.Hi, true
-				constrained = true
+				ap.narrow(true, keyBound{expr: e.Lo, incl: true})
+				ap.narrow(false, keyBound{expr: e.Hi, incl: true})
 			}
 		}
 	}
-	if !constrained {
+	if ap.lo == nil && ap.hi == nil && !ap.empty {
 		return nil
+	}
+	if lo, hi := literalBound(ap.lo), literalBound(ap.hi); lo != nil && hi != nil {
+		ap.empty = ap.empty || emptyInterval(lo.val, lo.incl, hi.val, hi.incl)
 	}
 	ap.selectivity = rangeSelectivity(rel, col, ap)
 	return ap
+}
+
+// narrow folds one bound into its side. Literals (folded with
+// literalValue, so date arithmetic counts) intersect at plan time — only
+// the tightest survives; runtime constants are kept as extra candidates.
+// A NULL literal can satisfy no comparison, so it empties the range.
+func (ap *accessPath) narrow(low bool, b keyBound) {
+	side := &ap.hi
+	if low {
+		side = &ap.lo
+	}
+	if b.val, b.lit = literalValue(b.expr); b.lit {
+		if b.val.IsNull() {
+			ap.empty = true
+			return
+		}
+		if cur := literalBound(*side); cur != nil {
+			if tighter(low, cur.val, cur.incl, b.val, b.incl) {
+				*cur = b
+			}
+			return
+		}
+	}
+	*side = append(*side, b)
+}
+
+// literalBound returns the side's literal candidate, if it has one.
+func literalBound(side []keyBound) *keyBound {
+	for i := range side {
+		if side[i].lit {
+			return &side[i]
+		}
+	}
+	return nil
+}
+
+// tighter reports whether the candidate bound (v, incl) narrows a side
+// currently bounded by (cur, curIncl): a higher low or a lower high wins,
+// and on the same value an exclusive bound beats an inclusive one. Values
+// from different comparison families (string against numeric) leave the
+// bound alone. The same rule runs at plan time over literals and at scan
+// open over evaluated runtime constants.
+func tighter(low bool, cur sqltypes.Value, curIncl bool, v sqltypes.Value, incl bool) bool {
+	if !sameFamily(cur, v) {
+		return false
+	}
+	c := sqltypes.Compare(v, cur)
+	if !low {
+		c = -c
+	}
+	return c > 0 || (c == 0 && curIncl && !incl)
+}
+
+// emptyInterval reports whether no key lies between the two bounds.
+func emptyInterval(lo sqltypes.Value, loIncl bool, hi sqltypes.Value, hiIncl bool) bool {
+	if !sameFamily(lo, hi) {
+		return false
+	}
+	c := sqltypes.Compare(lo, hi)
+	return c > 0 || (c == 0 && !(loIncl && hiIncl))
+}
+
+// sameFamily reports whether two bound values order against each other
+// the way a predicate means them to: strings with strings, everything
+// numeric (ints, floats, dates) with everything numeric.
+func sameFamily(a, b sqltypes.Value) bool {
+	return (a.K == sqltypes.KindString) == (b.K == sqltypes.KindString)
 }
 
 // sargSides matches `col op const` or `const op col` (flipping the
@@ -403,10 +484,24 @@ func sargSides(e *sql.CompareExpr, name string, sc *scope) (col *sql.ColumnRef, 
 		return cr, e.R, e.Op
 	}
 	if cr, ok := e.R.(*sql.ColumnRef); ok && cr.Name == name && isConstInScope(e.L, sc) {
-		flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-		return cr, e.L, flip[e.Op]
+		return cr, e.L, flipCompare(e.Op)
 	}
 	return nil, nil, ""
+}
+
+// flipCompare mirrors a comparison operator across its operands.
+func flipCompare(op string) string {
+	switch op {
+	case "<":
+		return ">"
+	case "<=":
+		return ">="
+	case ">":
+		return "<"
+	case ">=":
+		return "<="
+	}
+	return op
 }
 
 // isConstInScope reports whether the expression contains no column
@@ -422,12 +517,12 @@ func isConstInScope(e sql.Expr, sc *scope) bool {
 
 // rangeSelectivity estimates the fraction of rows in the access path's
 // range using column min/max statistics. Non-literal bounds (correlated
-// parameters) are treated as point lookups.
+// parameters) are assumed selective.
 func rangeSelectivity(rel *storage.Relation, col int, ap *accessPath) float64 {
-	loLit, loOK := literalValue(ap.lo)
-	hiLit, hiOK := literalValue(ap.hi)
-	if ap.lo != nil && ap.hi != nil && ap.lo == ap.hi {
-		// Equality.
+	if ap.empty {
+		return 0
+	}
+	if ap.eq {
 		if ap.index.Unique && len(ap.index.Cols) == 1 {
 			rows := float64(rel.LiveRows())
 			if rows < 1 {
@@ -447,17 +542,17 @@ func rangeSelectivity(rel *storage.Relation, col int, ap *accessPath) float64 {
 	}
 	lo := min.AsFloat()
 	hi := max.AsFloat()
-	if ap.lo != nil {
-		if !loOK {
+	for _, b := range ap.lo {
+		if !b.lit {
 			return 0.01 // parameterized bound: assume selective
 		}
-		lo = loLit.AsFloat()
+		lo = b.val.AsFloat()
 	}
-	if ap.hi != nil {
-		if !hiOK {
+	for _, b := range ap.hi {
+		if !b.lit {
 			return 0.01
 		}
-		hi = hiLit.AsFloat()
+		hi = b.val.AsFloat()
 	}
 	frac := (hi - lo) / span
 	return math.Min(math.Max(frac, 0.0005), 1)
@@ -508,26 +603,38 @@ func literalValue(e sql.Expr) (sqltypes.Value, bool) {
 	}
 }
 
-// bindBounds binds the access path's bound expressions (constants or
+// bindBounds binds the access path's bound candidates (constants or
 // correlation parameters) for runtime evaluation.
-func bindBounds(b *binder, ap *accessPath, nameScope *scope) (lo, hi []bexpr, err error) {
+func bindBounds(b *binder, ap *accessPath, nameScope *scope) (*scanBounds, error) {
 	constScope := nameScope.withOutputs(nil)
 	constScope.tables = nil
-	if ap.lo != nil {
-		e, err := b.bind(ap.lo, constScope)
-		if err != nil {
-			return nil, nil, err
-		}
-		lo = []bexpr{e}
+	sb := &scanBounds{col: ap.col, empty: ap.empty}
+	if sb.empty {
+		return sb, nil
 	}
-	if ap.hi != nil {
-		e, err := b.bind(ap.hi, constScope)
-		if err != nil {
-			return nil, nil, err
+	bindSide := func(side []keyBound) ([]scanBound, error) {
+		var out []scanBound
+		for _, kb := range side {
+			if kb.lit {
+				out = append(out, scanBound{e: &litExpr{v: kb.val}, incl: kb.incl, eq: kb.eq})
+				continue
+			}
+			e, err := b.bind(kb.expr, constScope)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, scanBound{e: e, src: kb.expr, incl: kb.incl, eq: kb.eq})
 		}
-		hi = []bexpr{e}
+		return out, nil
 	}
-	return lo, hi, nil
+	var err error
+	if sb.lo, err = bindSide(ap.lo); err != nil {
+		return nil, err
+	}
+	if sb.hi, err = bindSide(ap.hi); err != nil {
+		return nil, err
+	}
+	return sb, nil
 }
 
 // filterSelectivity multiplies per-conjunct guesses for cardinality

@@ -27,42 +27,28 @@ type MemDB struct {
 
 // New creates an empty in-memory database.
 func New() *MemDB {
+	// Zero latencies: an in-memory database pays no IO whatever its pool
+	// holds. The pool only has to stay small — composition tables come
+	// and go with their queries, each on fresh page IDs, and an unbounded
+	// pool would remember every one of them forever.
 	cfg := costmodel.Config{
 		PageSize:   64 * 1024,
-		CachePages: 1 << 30, // everything stays "in RAM": no IO charges
+		CachePages: 1 << 10,
 	}
 	db := engine.NewDatabase(cfg)
 	return &MemDB{db: db, node: engine.NewNode(0, db)}
 }
 
-// LoadResult creates (or replaces nothing — names must be fresh) a table
-// holding the given rows. Column kinds are inferred from the data, with
-// numeric columns widened to float when any row requires it. The unique
-// table name is returned so concurrent compositions never collide.
+// LoadResult creates a table holding the given rows in one shot. Column
+// kinds are inferred from the data, with numeric columns widened to float
+// when any row requires it. The unique table name is returned so
+// concurrent compositions never collide.
 func (m *MemDB) LoadResult(prefix string, cols []string, rows []sqltypes.Row) (string, error) {
-	if len(cols) == 0 {
-		return "", fmt.Errorf("memdb: result has no columns")
-	}
-	name := fmt.Sprintf("%s_%d", prefix, m.seq.Add(1))
-	kinds := inferKinds(len(cols), rows)
-	st := &sql.CreateTableStmt{Name: name}
-	for i, c := range cols {
-		st.Columns = append(st.Columns, sql.ColumnDef{Name: c, Type: kinds[i]})
-	}
-	rel, err := m.db.CreateTable(st)
-	if err != nil {
+	ld := m.NewLoader(prefix, cols)
+	if err := ld.Append(rows); err != nil {
 		return "", err
 	}
-	for _, row := range rows {
-		conv := make(sqltypes.Row, len(row))
-		for i, v := range row {
-			conv[i] = widen(v, kinds[i])
-		}
-		if _, err := rel.Insert(0, conv); err != nil {
-			return "", err
-		}
-	}
-	return name, nil
+	return ld.Finish()
 }
 
 // Loader loads partial rows into a composition table incrementally, so
@@ -79,7 +65,7 @@ type Loader struct {
 	name   string
 	rel    *storage.Relation
 	kinds  []sqltypes.Kind
-	rows   []sqltypes.Row // everything appended, for rebuilds and Reset replays
+	rows   []sqltypes.Row // everything appended, for rebuilds
 }
 
 // NewLoader prepares an incremental load; the table is created lazily on
@@ -117,14 +103,12 @@ func (l *Loader) widens(rows []sqltypes.Row) bool {
 	return false
 }
 
-// Reset discards the table and every retained row: the rollback path
-// when a streamed attempt turns out not to be the partition's winner.
-// The next Append starts a fresh table.
-func (l *Loader) Reset() {
-	l.rows = nil
-	l.rel = nil
-	l.name = ""
-	l.kinds = nil
+// Drop removes the loader's table from the database and releases the
+// retained rows: a composition table lives only as long as the query it
+// serves. Safe to call at any point, more than once.
+func (l *Loader) Drop() {
+	l.m.db.DropTable(l.name) // no table yet: no such name, a no-op
+	l.rows, l.rel, l.name, l.kinds = nil, nil, "", nil
 }
 
 // Finish returns the loaded table's name, creating an empty table if no
@@ -142,12 +126,13 @@ func (l *Loader) Finish() (string, error) {
 func (l *Loader) Rows() int { return len(l.rows) }
 
 // rebuild (re)creates the table with kinds inferred over every retained
-// row and re-inserts them. Fresh names keep concurrent compositions and
-// abandoned predecessors from colliding.
+// row and re-inserts them, dropping the narrower predecessor. Fresh names
+// keep concurrent compositions from colliding.
 func (l *Loader) rebuild() error {
 	if len(l.cols) == 0 {
 		return fmt.Errorf("memdb: result has no columns")
 	}
+	l.m.db.DropTable(l.name)
 	l.name = fmt.Sprintf("%s_%d", l.prefix, l.m.seq.Add(1))
 	l.kinds = inferKinds(len(l.cols), l.rows)
 	st := &sql.CreateTableStmt{Name: l.name}
@@ -173,6 +158,12 @@ func (l *Loader) insert(rows []sqltypes.Row) error {
 		}
 	}
 	return nil
+}
+
+// Stats reports how many tables the database holds right now and how
+// many it has ever created — the pair the leak tests assert on.
+func (m *MemDB) Stats() (live int, created int64) {
+	return len(m.db.Relations()), m.seq.Load()
 }
 
 // Query runs a SELECT against the composition database.

@@ -112,3 +112,41 @@ func TestUniqueNames(t *testing.T) {
 		t.Error("names must be unique")
 	}
 }
+
+// TestLoaderDropsWhatItCreates: a composition table lives as long as its
+// query. A kind-widening rebuild drops the narrower table it replaces,
+// and Drop removes the survivor; the database ends up empty.
+func TestLoaderDropsWhatItCreates(t *testing.T) {
+	m := New()
+	ld := m.NewLoader("p", []string{"x"})
+	if err := ld.Append([]sqltypes.Row{{sqltypes.NewInt(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ld.Append([]sqltypes.Row{{sqltypes.NewFloat(2.5)}}); err != nil { // widens: rebuild
+		t.Fatal(err)
+	}
+	name, err := ld.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, created := m.Stats(); live != 1 || created != 2 {
+		t.Fatalf("after a widening rebuild: %d live, %d created; want 1 and 2", live, created)
+	}
+	res, err := m.Query("select sum(x) from " + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].AsFloat() != 3.5 {
+		t.Fatalf("widened sum: %v", res.Rows[0])
+	}
+	ld.Drop()
+	ld.Drop() // idempotent
+	if live, _ := m.Stats(); live != 0 {
+		t.Fatalf("%d tables survive Drop", live)
+	}
+	if _, err := m.Query("select sum(x) from " + name); err == nil {
+		t.Fatal("a dropped table still answers queries")
+	}
+	// A loader that never received a row has nothing to drop.
+	m.NewLoader("p", []string{"x"}).Drop()
+}
