@@ -98,11 +98,14 @@ bench:
 
 # Microbenchmarks of the batch execution path: allocation rate per row
 # (the vectorization win), time-to-first-batch (the streaming win), the
-# morsel-driven degree sweep (the intra-node parallelism win), and the
+# morsel-driven degree sweep (the intra-node parallelism win), the three
+# inner loops of an SVP sub-query on the host clock (Q6's predicate per
+# lineitem row, Q3's hash join, the index range walk per entry), and the
 # wire codecs (pooled gob drain allocations; binary columnar stream and
 # 16-in-flight multiplexing throughput).
 bench-micro:
-	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
 	$(GO) test -bench 'WireDrainAllocs' -benchmem -run=^$$ ./internal/wire/
 	$(GO) test -bench 'WireStream|WireMux' -benchmem -run=^$$ ./internal/proto/
 

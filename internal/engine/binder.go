@@ -69,7 +69,8 @@ func (sc *scope) resolve(table, name string) (int, error, bool) {
 }
 
 // binder binds sql.Expr trees into bexpr trees. It needs the node for
-// planning nested sub-queries.
+// planning nested sub-queries; one without a node binds everything else
+// (literalValue folds constants through one).
 type binder struct {
 	node *Node
 }
@@ -91,13 +92,13 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &binExpr{op: e.Op, l: l, r: r}, nil
+		return foldConst(&binExpr{op: e.Op, l: l, r: r}, l, r), nil
 	case *sql.NegExpr:
 		x, err := b.bind(e.E, sc)
 		if err != nil {
 			return nil, err
 		}
-		return &negExpr{e: x}, nil
+		return foldConst(&negExpr{e: x}, x), nil
 	case *sql.CompareExpr:
 		l, err := b.bind(e.L, sc)
 		if err != nil {
@@ -107,7 +108,7 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cmpExpr{op: e.Op, l: l, r: r}, nil
+		return newCmp(e.Op, l, r), nil
 	case *sql.AndExpr:
 		l, err := b.bind(e.L, sc)
 		if err != nil {
@@ -240,6 +241,24 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 	}
 }
 
+// foldConst replaces an arithmetic node whose operands are all literals
+// by the literal it evaluates to, so `date '1994-01-01' + interval '1'
+// year` costs a row nothing. A node whose evaluation fails (1/0) stays in
+// place: its error must surface when, and only if, a row is evaluated.
+// Parameters are runtime values and never fold.
+func foldConst(e bexpr, operands ...bexpr) bexpr {
+	for _, o := range operands {
+		if _, ok := o.(*litExpr); !ok {
+			return e
+		}
+	}
+	v, err := e.eval(nil) // literals read no evaluation context
+	if err != nil {
+		return e
+	}
+	return &litExpr{v: v}
+}
+
 // bindColumn resolves a column locally, falling back to the enclosing
 // query: a reference to the outer query becomes a correlation parameter
 // of the subquery being bound (one level of correlation is supported,
@@ -271,6 +290,9 @@ func (b *binder) bindColumn(e *sql.ColumnRef, sc *scope) (bexpr, error) {
 // bindSubplan plans a nested SELECT, collecting its correlation
 // parameters against the enclosing scope.
 func (b *binder) bindSubplan(stmt *sql.SelectStmt, enclosing *scope) (*subplan, error) {
+	if b.node == nil {
+		return nil, fmt.Errorf("sub-query is not allowed in a constant expression")
+	}
 	var paramBinds []bexpr
 	root, cols, err := b.node.planSelectScoped(stmt, enclosing, &paramBinds)
 	if err != nil {

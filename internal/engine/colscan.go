@@ -138,7 +138,7 @@ func resolveZoneChecks(preds []zonePred, ec *evalCtx) []zoneCheck {
 //
 // Rules (sqltypes.Compare is the same total order row-level cmpExpr
 // uses, so no type gating is needed): a NULL constant makes the
-// predicate NULL for every row, and filterTrue(NULL) is false, so the
+// predicate NULL for every row, and a NULL predicate keeps no row, so the
 // segment prunes; an all-NULL column (zone-map Min is NULL) likewise
 // compares to NULL everywhere. Zone maps cover every stored row (dead
 // ones included), so a visible qualifying row always lands in a kept
@@ -275,15 +275,11 @@ func (s *colScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			row := seg.Rows[i]
 			if s.filter != nil {
 				s.ec.row = row
-				v, err := s.filter.eval(&s.ec)
+				keep, err := truthOf(s.filter, &s.ec)
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
+				if keep != triTrue {
 					continue
 				}
 			}

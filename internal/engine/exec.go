@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sort"
+	"sync"
 	"time"
 
 	"apuama/internal/costmodel"
@@ -146,15 +147,11 @@ func (s *seqScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			row := p.Row(slot)
 			if s.filter != nil {
 				s.ec.row = row
-				v, err := s.filter.eval(&s.ec)
+				keep, err := truthOf(s.filter, &s.ec)
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
+				if keep != triTrue {
 					continue
 				}
 			}
@@ -254,7 +251,8 @@ type indexScanOp struct {
 	bounds *scanBounds
 	filter bexpr
 
-	rids   []storage.RowID
+	rids   *[]storage.RowID // from ridPool between open and close
+	pages  []*storage.Page  // taken after rids: covers every page they name
 	pos    int
 	lastPg int64
 	ec     evalCtx
@@ -264,23 +262,33 @@ func (s *indexScanOp) open(ex *execCtx) error {
 	s.ec = evalCtx{ex: ex}
 	s.pos = 0
 	s.lastPg = -1
+	if s.rids == nil {
+		s.rids = ridPool.get()
+	}
 	var err error
-	s.rids, err = s.bounds.collect(&s.ec, s.index, s.rids[:0])
+	*s.rids, err = s.bounds.collect(&s.ec, s.index, (*s.rids)[:0])
+	// Pages are append-only and an entry is indexed only after its page is
+	// in the list, so a snapshot taken now resolves every collected RID
+	// without a relation-lock round trip per row.
+	if len(*s.rids) > 0 {
+		s.pages = s.rel.PageSnapshot()
+	}
 	return err
 }
 
 func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	cfg := ex.meter.Config()
-	for s.pos < len(s.rids) {
+	rids := *s.rids
+	for s.pos < len(rids) {
 		if out.Full() {
 			return nil
 		}
-		rid := s.rids[s.pos]
+		rid := rids[s.pos]
 		s.pos++
-		p := s.rel.PageOf(rid)
-		if p == nil {
+		if int(rid.Page) >= len(s.pages) {
 			continue
 		}
+		p := s.pages[rid.Page]
 		if p.ID != s.lastPg {
 			ex.touch(p.ID, s.index.Clustered)
 			s.lastPg = p.ID
@@ -293,15 +301,11 @@ func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 		row := p.Row(rid.Slot)
 		if s.filter != nil {
 			s.ec.row = row
-			v, err := s.filter.eval(&s.ec)
+			keep, err := truthOf(s.filter, &s.ec)
 			if err != nil {
 				return err
 			}
-			keep, err := filterTrue(v)
-			if err != nil {
-				return err
-			}
-			if !keep {
+			if keep != triTrue {
 				continue
 			}
 		}
@@ -310,7 +314,40 @@ func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	return nil
 }
 
-func (s *indexScanOp) close() { s.rids = nil }
+func (s *indexScanOp) close() {
+	ridPool.put(s.rids)
+	s.rids, s.pages = nil, nil
+}
+
+// bufPool recycles []T scratch buffers between queries. A buffer travels
+// as *[]T, the same pointer out and back, so in steady state neither get
+// nor put allocates (boxing a slice header into a sync.Pool would).
+type bufPool[T any] struct{ pool sync.Pool }
+
+// get returns an empty buffer with whatever capacity its last user grew.
+func (bp *bufPool[T]) get() *[]T {
+	if b, ok := bp.pool.Get().(*[]T); ok {
+		return b
+	}
+	return new([]T)
+}
+
+// put takes back a buffer nothing reads any more (nil is a no-op).
+func (bp *bufPool[T]) put(b *[]T) {
+	if b != nil {
+		*b = (*b)[:0]
+		bp.pool.Put(b)
+	}
+}
+
+// ridPool holds the RID lists index scans collect — a sub-query's range is
+// thousands of entries — and rowBufPool the per-morsel output buffers of
+// parallelScanOp: re-growing each by append for every sub-query and morsel
+// was half of what an OLAP query allocated outside its joins.
+var (
+	ridPool    bufPool[storage.RowID]
+	rowBufPool bufPool[sqltypes.Row]
+)
 
 // --- filter ---
 
@@ -338,15 +375,11 @@ func (f *filterOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			return nil
 		}
 		f.ec.row = row
-		v, err := f.cond.eval(&f.ec)
+		keep, err := truthOf(f.cond, &f.ec)
 		if err != nil {
 			return err
 		}
-		keep, err := filterTrue(v)
-		if err != nil {
-			return err
-		}
-		if keep {
+		if keep == triTrue {
 			out.Append(row)
 		}
 	}
@@ -361,20 +394,29 @@ func (f *filterOp) close() {
 // --- hash join ---
 
 // hashJoinOp equi-joins probe (streamed) against build (materialized into
-// a hash table). Output tuples are probe columns followed by build
-// columns. Only inner joins exist in the dialect.
+// a hash table). An output tuple carries only the input columns something
+// above the join reads: the probeSel positions of the probe row followed
+// by the buildSel positions of the build row (the planner's narrowed
+// layout; see neededCols). Only inner joins exist in the dialect.
 type hashJoinOp struct {
 	probe, build         op
 	probeKeys, buildKeys []bexpr
+	probeSel, buildSel   []int
+	inCols               int // probe + build input width, for EXPLAIN
 
 	table    map[uint64][]sqltypes.Row // hash -> build rows
 	keysOf   map[uint64][]sqltypes.Row // hash -> build keys, parallel to table
-	matches  []sqltypes.Row            // pending matches for current probe row
+	matches  []sqltypes.Row            // matches for current probe row
+	mpos     int                       // next match to emit
 	current  sqltypes.Row
-	probeKey sqltypes.Row // scratch: a probe key is dead after its bucket lookup
+	probeKey sqltypes.Row     // scratch: a probe key is dead after its bucket lookup
+	slab     []sqltypes.Value // output tuples are cut from it, joinSlabRows per allocation
 	cs       childStream
 	ec       evalCtx
 }
+
+// joinSlabRows is how many output tuples share one allocation.
+const joinSlabRows = 256
 
 func (j *hashJoinOp) open(ex *execCtx) error {
 	if err := j.build.open(ex); err != nil {
@@ -384,7 +426,7 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 	j.ec = evalCtx{ex: ex}
 	j.table = map[uint64][]sqltypes.Row{}
 	j.keysOf = map[uint64][]sqltypes.Row{}
-	j.matches = nil
+	j.matches, j.mpos = j.matches[:0], 0
 	j.current = nil
 	cfg := ex.meter.Config()
 	var bs childStream
@@ -437,13 +479,9 @@ func evalKeys(ec *evalCtx, keys []bexpr, row, out sqltypes.Row) (null bool, err 
 func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	cfg := ex.meter.Config()
 	for !out.Full() {
-		if len(j.matches) > 0 {
-			b := j.matches[0]
-			j.matches = j.matches[1:]
-			joined := make(sqltypes.Row, 0, len(j.current)+len(b))
-			joined = append(joined, j.current...)
-			joined = append(joined, b...)
-			out.Append(joined)
+		if j.mpos < len(j.matches) {
+			out.Append(j.joined(j.current, j.matches[j.mpos]))
+			j.mpos++
 			continue
 		}
 		row, err := j.cs.nextRow(j.probe, ex)
@@ -469,7 +507,7 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 		}
 		bkeys := j.keysOf[h]
 		j.current = row
-		j.matches = j.matches[:0]
+		j.matches, j.mpos = j.matches[:0], 0
 		for i, b := range bucket {
 			if sqltypes.RowsEqual(bkeys[i], key) {
 				j.matches = append(j.matches, b)
@@ -479,11 +517,30 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	return nil
 }
 
+// joined cuts one output tuple from the slab and fills it with the
+// selected columns of a probe row and a build row.
+func (j *hashJoinOp) joined(p, b sqltypes.Row) sqltypes.Row {
+	w := len(j.probeSel) + len(j.buildSel)
+	if len(j.slab) < w {
+		j.slab = make([]sqltypes.Value, w*joinSlabRows)
+	}
+	row := sqltypes.Row(j.slab[:w:w])
+	j.slab = j.slab[w:]
+	for i, pos := range j.probeSel {
+		row[i] = p[pos]
+	}
+	for i, pos := range j.buildSel {
+		row[len(j.probeSel)+i] = b[pos]
+	}
+	return row
+}
+
 func (j *hashJoinOp) close() {
 	j.probe.close()
 	j.cs.close()
 	j.table = nil
 	j.keysOf = nil
+	j.slab = nil
 }
 
 // --- nested-loop join (cartesian with optional condition) ---
@@ -545,15 +602,11 @@ func (n *nestedLoopOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			n.scratch = append(append(n.scratch[:0], n.cur...), b...)
 			if n.cond != nil {
 				n.ec.row = n.scratch
-				v, err := n.cond.eval(&n.ec)
+				keep, err := truthOf(n.cond, &n.ec)
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
+				if keep != triTrue {
 					continue
 				}
 			}
@@ -619,10 +672,37 @@ func (p *projectOp) close() {
 
 // --- aggregation ---
 
-// aggDef is one aggregate computation. fn is sum/count/avg/min/max; a nil
-// arg means count(*).
+// aggFn is an aggregate function, resolved from its name when the aggDef
+// is built so the per-row accumulate switches on a byte.
+type aggFn uint8
+
+const (
+	aggCount aggFn = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+// aggFnOf maps a (lower-case) aggregate name — sql.AggregateFuncs is the
+// set — to its code.
+func aggFnOf(name string) aggFn {
+	switch name {
+	case "sum":
+		return aggSum
+	case "avg":
+		return aggAvg
+	case "min":
+		return aggMin
+	case "max":
+		return aggMax
+	}
+	return aggCount
+}
+
+// aggDef is one aggregate computation; a nil arg means count(*).
 type aggDef struct {
-	fn       string
+	fn       aggFn
 	arg      bexpr
 	distinct bool
 }
@@ -655,18 +735,18 @@ func (st *aggState) add(def *aggDef, v sqltypes.Value) {
 	}
 	st.count++
 	switch def.fn {
-	case "sum", "avg":
+	case aggSum, aggAvg:
 		if v.K == sqltypes.KindFloat {
 			st.isFloat = true
 			st.sumF += v.F
 		} else {
 			st.sumI += v.I
 		}
-	case "min":
+	case aggMin:
 		if st.min.IsNull() || sqltypes.Compare(v, st.min) < 0 {
 			st.min = v
 		}
-	case "max":
+	case aggMax:
 		if st.max.IsNull() || sqltypes.Compare(v, st.max) > 0 {
 			st.max = v
 		}
@@ -681,17 +761,17 @@ func (st *aggState) add(def *aggDef, v sqltypes.Value) {
 func (st *aggState) merge(def *aggDef, other *aggState) {
 	st.count += other.count
 	switch def.fn {
-	case "sum", "avg":
+	case aggSum, aggAvg:
 		st.sumI += other.sumI
 		if other.isFloat {
 			st.isFloat = true
 			st.sumF += other.sumF
 		}
-	case "min":
+	case aggMin:
 		if !other.min.IsNull() && (st.min.IsNull() || sqltypes.Compare(other.min, st.min) < 0) {
 			st.min = other.min
 		}
-	case "max":
+	case aggMax:
 		if !other.max.IsNull() && (st.max.IsNull() || sqltypes.Compare(other.max, st.max) > 0) {
 			st.max = other.max
 		}
@@ -700,9 +780,9 @@ func (st *aggState) merge(def *aggDef, other *aggState) {
 
 func (st *aggState) result(def *aggDef) sqltypes.Value {
 	switch def.fn {
-	case "count":
+	case aggCount:
 		return sqltypes.NewInt(st.count)
-	case "sum":
+	case aggSum:
 		if st.count == 0 {
 			return sqltypes.Null()
 		}
@@ -710,24 +790,95 @@ func (st *aggState) result(def *aggDef) sqltypes.Value {
 			return sqltypes.NewFloat(st.sumF + float64(st.sumI))
 		}
 		return sqltypes.NewInt(st.sumI)
-	case "avg":
+	case aggAvg:
 		if st.count == 0 {
 			return sqltypes.Null()
 		}
 		return sqltypes.NewFloat((st.sumF + float64(st.sumI)) / float64(st.count))
-	case "min":
+	case aggMin:
 		return st.min
-	case "max":
+	case aggMax:
 		return st.max
 	}
 	return sqltypes.Null()
 }
 
-// aggOp computes grouped aggregates. Output tuples are the group keys
-// followed by aggregate results, in definition order. With no GROUP BY it
-// emits exactly one row (SQL scalar-aggregate semantics). Group keys are
-// evaluated into a reused scratch row and only cloned when they start a
-// new group, so the ungrouped Q1/Q6 paths accumulate allocation-free.
+// aggTable is hash-aggregation state: groups bucketed by key hash plus
+// their first-appearance order, which is the output order. The serial
+// aggOp fills one; the parallel path fills one per morsel and merges them
+// in morsel-index order.
+type aggTable struct {
+	buckets map[uint64][]*aggGroup
+	order   []*aggGroup
+}
+
+type aggGroup struct {
+	keys   sqltypes.Row
+	states []aggState
+}
+
+// add folds the tuple in ec.row into the table. Group keys are evaluated
+// into the caller's scratch keybuf and only cloned when they start a new
+// group, so the ungrouped Q1/Q6 paths accumulate allocation-free. The
+// row's aggregates are charged in one call — opCost each, also for the
+// ones evaluated before an argument fails.
+func (t *aggTable) add(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sqltypes.Row, opCost time.Duration) error {
+	for i, g := range groups {
+		v, err := g.eval(ec)
+		if err != nil {
+			return err
+		}
+		keybuf[i] = v
+	}
+	h := sqltypes.HashRow(keybuf)
+	var grp *aggGroup
+	for _, g := range t.buckets[h] {
+		if sqltypes.RowsEqual(g.keys, keybuf) {
+			grp = g
+			break
+		}
+	}
+	if grp == nil {
+		grp = &aggGroup{keys: keybuf.Clone(), states: make([]aggState, len(aggs))}
+		t.buckets[h] = append(t.buckets[h], grp)
+		t.order = append(t.order, grp)
+	}
+	for i, def := range aggs {
+		var v sqltypes.Value
+		if def.arg != nil {
+			var err error
+			if v, err = def.arg.eval(ec); err != nil {
+				ec.ex.meter.Charge(time.Duration(i) * opCost)
+				return err
+			}
+		}
+		grp.states[i].add(def, v)
+	}
+	ec.ex.meter.Charge(time.Duration(len(aggs)) * opCost)
+	return nil
+}
+
+// rows renders the groups in order as output tuples, group keys followed
+// by aggregate results in definition order, appending to out. With no
+// GROUP BY there is exactly one row even over no input (SQL
+// scalar-aggregate semantics).
+func (t *aggTable) rows(nGroups int, aggs []*aggDef, out []sqltypes.Row) []sqltypes.Row {
+	order := t.order
+	if nGroups == 0 && len(order) == 0 {
+		order = []*aggGroup{{keys: sqltypes.Row{}, states: make([]aggState, len(aggs))}}
+	}
+	for _, g := range order {
+		row := make(sqltypes.Row, 0, len(g.keys)+len(aggs))
+		row = append(row, g.keys...)
+		for i, def := range aggs {
+			row = append(row, g.states[i].result(def))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// aggOp computes grouped aggregates over its child's whole output.
 type aggOp struct {
 	child  op
 	groups []bexpr
@@ -738,19 +889,13 @@ type aggOp struct {
 	keybuf sqltypes.Row
 }
 
-type aggGroup struct {
-	keys   sqltypes.Row
-	states []aggState
-}
-
 func (a *aggOp) open(ex *execCtx) error {
 	if err := a.child.open(ex); err != nil {
 		return err
 	}
 	defer a.child.close()
-	cfg := ex.meter.Config()
-	buckets := map[uint64][]*aggGroup{}
-	var order []*aggGroup
+	opCost := ex.meter.Config().CPUOperator
+	table := aggTable{buckets: map[uint64][]*aggGroup{}}
 	ec := evalCtx{ex: ex}
 	var cs childStream
 	cs.open(ex)
@@ -767,52 +912,12 @@ func (a *aggOp) open(ex *execCtx) error {
 			break
 		}
 		ec.row = row
-		keys := a.keybuf
-		for i, g := range a.groups {
-			v, err := g.eval(&ec)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		h := sqltypes.HashRow(keys)
-		var grp *aggGroup
-		for _, g := range buckets[h] {
-			if sqltypes.RowsEqual(g.keys, keys) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &aggGroup{keys: keys.Clone(), states: make([]aggState, len(a.aggs))}
-			buckets[h] = append(buckets[h], grp)
-			order = append(order, grp)
-		}
-		for i, def := range a.aggs {
-			var v sqltypes.Value
-			if def.arg != nil {
-				v, err = def.arg.eval(&ec)
-				if err != nil {
-					return err
-				}
-			}
-			grp.states[i].add(def, v)
-			ex.meter.Charge(cfg.CPUOperator)
+		if err := table.add(&ec, a.groups, a.aggs, a.keybuf, opCost); err != nil {
+			return err
 		}
 		ex.meter.MaybeFlush()
 	}
-	if len(a.groups) == 0 && len(order) == 0 {
-		order = append(order, &aggGroup{keys: sqltypes.Row{}, states: make([]aggState, len(a.aggs))})
-	}
-	a.out = a.out[:0]
-	for _, g := range order {
-		row := make(sqltypes.Row, 0, len(g.keys)+len(a.aggs))
-		row = append(row, g.keys...)
-		for i, def := range a.aggs {
-			row = append(row, g.states[i].result(def))
-		}
-		a.out = append(a.out, row)
-	}
+	a.out = table.rows(len(a.groups), a.aggs, a.out[:0])
 	a.pos = 0
 	return nil
 }

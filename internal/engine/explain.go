@@ -66,7 +66,7 @@ func describe(o op, depth int, out *[]string) {
 		add("Filter")
 		describe(o.child, depth+1, out)
 	case *hashJoinOp:
-		add("Hash Join (%d key[s])", len(o.probeKeys))
+		add("Hash Join (%d key[s], %d of %d cols)", len(o.probeKeys), len(o.probeSel)+len(o.buildSel), o.inCols)
 		describe(o.probe, depth+1, out)
 		*out = append(*out, pad+"  Hash (build)")
 		describe(o.build, depth+2, out)

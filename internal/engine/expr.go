@@ -77,149 +77,248 @@ func (e *negExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 	return sqltypes.Neg(v)
 }
 
+// tri is a SQL truth value. Boolean nodes compute it natively instead of
+// boxing a KindBool Value for the parent to unbox.
+type tri uint8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triNull
+)
+
+func triOf(b bool) tri {
+	if b {
+		return triTrue
+	}
+	return triFalse
+}
+
+// value is the truth value as the SQL datum eval returns.
+func (t tri) value() sqltypes.Value {
+	if t == triNull {
+		return sqltypes.Null()
+	}
+	return sqltypes.NewBool(t == triTrue)
+}
+
+// boolExpr is a bexpr whose native result is a truth value: comparisons,
+// connectives and the other predicates. Their eval is evalTruth.
+type boolExpr interface {
+	bexpr
+	truth(ec *evalCtx) (tri, error)
+}
+
+func evalTruth(e boolExpr, ec *evalCtx) (sqltypes.Value, error) {
+	t, err := e.truth(ec)
+	if err != nil {
+		return sqltypes.Null(), err
+	}
+	return t.value(), nil
+}
+
+// truthOf is the one way a value enters boolean context (connective
+// operands, row filters, CASE WHEN). A boolean node answers natively; any
+// other expression is evaluated and must yield a boolean or NULL.
+// Non-boolean kinds are a type error rather than a truthiness coercion: a
+// bare string column used as a predicate must fail the same way
+// everywhere, or paths that AND extra conjuncts onto a query (the SVP
+// range rewrite) would silently disagree with the original about which
+// rows qualify. A row filter keeps a row on triTrue only (NULL means "not
+// true").
+func truthOf(e bexpr, ec *evalCtx) (tri, error) {
+	if b, ok := e.(boolExpr); ok {
+		return b.truth(ec)
+	}
+	v, err := e.eval(ec)
+	if err != nil {
+		return triNull, err
+	}
+	switch v.K {
+	case sqltypes.KindBool:
+		return triOf(v.I != 0), nil
+	case sqltypes.KindNull:
+		return triNull, nil
+	}
+	return triNull, fmt.Errorf("boolean condition expected, got %s value %s", v.K, v)
+}
+
+// operand returns e's value by pointer so comparison nodes copy no Value
+// where one already has a home: the tuple slot for a column, the node
+// itself for a literal. Anything else is evaluated into the caller's
+// scratch slot (on the caller's stack: bound trees are shared by parallel
+// workers and hold no per-evaluation state).
+func operand(e bexpr, ec *evalCtx, scratch *sqltypes.Value) (*sqltypes.Value, error) {
+	switch x := e.(type) {
+	case *colExpr:
+		return &ec.row[x.pos], nil
+	case *litExpr:
+		return &x.v, nil
+	}
+	v, err := e.eval(ec)
+	*scratch = v
+	return scratch, err
+}
+
+// compareFast is sqltypes.Compare with the same-kind pairs a scan filter
+// meets decided inline; every other pairing (mixed numeric kinds, NULLs,
+// intervals) is Compare's call, so the ordering is Compare's by
+// construction.
+func compareFast(a, b *sqltypes.Value) int {
+	if a.K == b.K {
+		switch a.K {
+		case sqltypes.KindInt, sqltypes.KindDate, sqltypes.KindBool:
+			switch {
+			case a.I < b.I:
+				return -1
+			case a.I > b.I:
+				return 1
+			}
+			return 0
+		case sqltypes.KindFloat:
+			switch {
+			case a.F < b.F:
+				return -1
+			case a.F > b.F:
+				return 1
+			}
+			return 0
+		case sqltypes.KindString:
+			return strings.Compare(a.S, b.S)
+		}
+	}
+	return sqltypes.Compare(*a, *b)
+}
+
+// cmpOp is a comparison operator resolved from its SQL spelling when the
+// node is built, so evaluation switches on a byte, not a string.
+type cmpOp uint8
+
+const (
+	cmpUnknown cmpOp = iota
+	cmpEq
+	cmpNe
+	cmpLt
+	cmpLe
+	cmpGt
+	cmpGe
+)
+
 // cmpExpr is a comparison with SQL three-valued logic: NULL operands
 // yield NULL.
 type cmpExpr struct {
 	op   string
+	code cmpOp
 	l, r bexpr
 }
 
-func (e *cmpExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	l, err := e.l.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	r, err := e.r.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	if l.IsNull() || r.IsNull() {
-		return sqltypes.Null(), nil
-	}
-	c := sqltypes.Compare(l, r)
-	var ok bool
-	switch e.op {
+// newCmp builds a comparison node; both binders go through it.
+func newCmp(op string, l, r bexpr) *cmpExpr {
+	e := &cmpExpr{op: op, l: l, r: r}
+	switch op {
 	case "=":
-		ok = c == 0
+		e.code = cmpEq
 	case "<>":
-		ok = c != 0
+		e.code = cmpNe
 	case "<":
-		ok = c < 0
+		e.code = cmpLt
 	case "<=":
-		ok = c <= 0
+		e.code = cmpLe
 	case ">":
-		ok = c > 0
+		e.code = cmpGt
 	case ">=":
-		ok = c >= 0
-	default:
-		return sqltypes.Null(), fmt.Errorf("unknown comparison %q", e.op)
+		e.code = cmpGe
 	}
-	return sqltypes.NewBool(ok), nil
+	return e
 }
 
-// Three-valued AND/OR/NOT (Kleene logic).
+func (e *cmpExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
 
-// boolOperand classifies a value feeding a boolean connective or a row
-// filter under SQL's three-valued logic. Non-boolean kinds are a type
-// error rather than a truthiness coercion: a bare string column used as
-// a predicate must fail the same way everywhere, or paths that AND
-// extra conjuncts onto a query (the SVP range rewrite) would silently
-// disagree with the original about which rows qualify.
-func boolOperand(v sqltypes.Value) (isTrue, isNull bool, err error) {
-	switch v.K {
-	case sqltypes.KindBool:
-		return v.I != 0, false, nil
-	case sqltypes.KindNull:
-		return false, true, nil
-	default:
-		return false, false, fmt.Errorf("boolean condition expected, got %s value %s", v.K, v)
+func (e *cmpExpr) truth(ec *evalCtx) (tri, error) {
+	var ls, rs sqltypes.Value
+	l, err := operand(e.l, ec, &ls)
+	if err != nil {
+		return triNull, err
 	}
+	r, err := operand(e.r, ec, &rs)
+	if err != nil {
+		return triNull, err
+	}
+	if l.K == sqltypes.KindNull || r.K == sqltypes.KindNull {
+		return triNull, nil
+	}
+	c := compareFast(l, r)
+	switch e.code {
+	case cmpEq:
+		return triOf(c == 0), nil
+	case cmpNe:
+		return triOf(c != 0), nil
+	case cmpLt:
+		return triOf(c < 0), nil
+	case cmpLe:
+		return triOf(c <= 0), nil
+	case cmpGt:
+		return triOf(c > 0), nil
+	case cmpGe:
+		return triOf(c >= 0), nil
+	}
+	return triNull, fmt.Errorf("unknown comparison %q", e.op)
 }
 
-// filterTrue reports whether a predicate value keeps a row (NULL means
-// "not true").
-func filterTrue(v sqltypes.Value) (bool, error) {
-	t, _, err := boolOperand(v)
-	return t, err
-}
+// Three-valued AND/OR/NOT (Kleene logic). Evaluation order is part of
+// the contract: a FALSE left operand of AND (TRUE of OR) decides without
+// evaluating the right one, while a NULL left operand does evaluate it, so
+// the right side's errors surface for exactly the same rows either way
+// the connective is reached.
 
 type andExpr struct{ l, r bexpr }
 
-func (e *andExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	l, err := e.l.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
+func (e *andExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *andExpr) truth(ec *evalCtx) (tri, error) {
+	l, err := truthOf(e.l, ec)
+	if err != nil || l == triFalse {
+		return triFalse, err
 	}
-	lt, ln, err := boolOperand(l)
-	if err != nil {
-		return sqltypes.Null(), err
+	r, err := truthOf(e.r, ec)
+	if err != nil || r == triFalse {
+		return triFalse, err
 	}
-	if !lt && !ln {
-		return sqltypes.NewBool(false), nil
+	if l == triNull || r == triNull {
+		return triNull, nil
 	}
-	r, err := e.r.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	rt, rn, err := boolOperand(r)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	if !rt && !rn {
-		return sqltypes.NewBool(false), nil
-	}
-	if ln || rn {
-		return sqltypes.Null(), nil
-	}
-	return sqltypes.NewBool(true), nil
+	return triTrue, nil
 }
 
 type orExpr struct{ l, r bexpr }
 
-func (e *orExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	l, err := e.l.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
+func (e *orExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *orExpr) truth(ec *evalCtx) (tri, error) {
+	l, err := truthOf(e.l, ec)
+	if err != nil || l == triTrue {
+		return l, err
 	}
-	lt, ln, err := boolOperand(l)
-	if err != nil {
-		return sqltypes.Null(), err
+	r, err := truthOf(e.r, ec)
+	if err != nil || r == triTrue {
+		return r, err
 	}
-	if lt {
-		return sqltypes.NewBool(true), nil
+	if l == triNull || r == triNull {
+		return triNull, nil
 	}
-	r, err := e.r.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	rt, rn, err := boolOperand(r)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	if rt {
-		return sqltypes.NewBool(true), nil
-	}
-	if ln || rn {
-		return sqltypes.Null(), nil
-	}
-	return sqltypes.NewBool(false), nil
+	return triFalse, nil
 }
 
 type notExpr struct{ e bexpr }
 
-func (e *notExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	v, err := e.e.eval(ec)
-	if err != nil {
-		return sqltypes.Null(), err
+func (e *notExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *notExpr) truth(ec *evalCtx) (tri, error) {
+	t, err := truthOf(e.e, ec)
+	if err != nil || t == triNull {
+		return triNull, err
 	}
-	t, n, err := boolOperand(v)
-	if err != nil {
-		return sqltypes.Null(), err
-	}
-	if n {
-		return sqltypes.Null(), nil
-	}
-	return sqltypes.NewBool(!t), nil
+	return triOf(t == triFalse), nil
 }
 
 // betweenExpr is lo <= e <= hi with 3VL.
@@ -228,27 +327,27 @@ type betweenExpr struct {
 	not       bool
 }
 
-func (e *betweenExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	v, err := e.e.eval(ec)
+func (e *betweenExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *betweenExpr) truth(ec *evalCtx) (tri, error) {
+	var vs, los, his sqltypes.Value
+	v, err := operand(e.e, ec, &vs)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	lo, err := e.lo.eval(ec)
+	lo, err := operand(e.lo, ec, &los)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	hi, err := e.hi.eval(ec)
+	hi, err := operand(e.hi, ec, &his)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return sqltypes.Null(), nil
+	if v.K == sqltypes.KindNull || lo.K == sqltypes.KindNull || hi.K == sqltypes.KindNull {
+		return triNull, nil
 	}
-	in := sqltypes.Compare(v, lo) >= 0 && sqltypes.Compare(v, hi) <= 0
-	if e.not {
-		in = !in
-	}
-	return sqltypes.NewBool(in), nil
+	in := compareFast(v, lo) >= 0 && compareFast(v, hi) <= 0
+	return triOf(in != e.not), nil
 }
 
 // inListExpr is e IN (v1, v2, ...). NULL semantics: if no match and any
@@ -259,37 +358,37 @@ type inListExpr struct {
 	not  bool
 }
 
-func (e *inListExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	v, err := e.e.eval(ec)
+func (e *inListExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *inListExpr) truth(ec *evalCtx) (tri, error) {
+	var vs, ms sqltypes.Value
+	v, err := operand(e.e, ec, &vs)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	if v.IsNull() {
-		return sqltypes.Null(), nil
+	if v.K == sqltypes.KindNull {
+		return triNull, nil
 	}
 	sawNull := false
 	found := false
 	for _, le := range e.list {
-		m, err := le.eval(ec)
+		m, err := operand(le, ec, &ms)
 		if err != nil {
-			return sqltypes.Null(), err
+			return triNull, err
 		}
-		if m.IsNull() {
+		if m.K == sqltypes.KindNull {
 			sawNull = true
 			continue
 		}
-		if sqltypes.Compare(v, m) == 0 {
+		if compareFast(v, m) == 0 {
 			found = true
 			break
 		}
 	}
 	if !found && sawNull {
-		return sqltypes.Null(), nil
+		return triNull, nil
 	}
-	if e.not {
-		found = !found
-	}
-	return sqltypes.NewBool(found), nil
+	return triOf(found != e.not), nil
 }
 
 // likeExpr matches SQL LIKE patterns (% and _ wildcards).
@@ -299,23 +398,22 @@ type likeExpr struct {
 	not     bool
 }
 
-func (e *likeExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	v, err := e.e.eval(ec)
+func (e *likeExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *likeExpr) truth(ec *evalCtx) (tri, error) {
+	var vs, ps sqltypes.Value
+	v, err := operand(e.e, ec, &vs)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	p, err := e.pattern.eval(ec)
+	p, err := operand(e.pattern, ec, &ps)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	if v.IsNull() || p.IsNull() {
-		return sqltypes.Null(), nil
+	if v.K == sqltypes.KindNull || p.K == sqltypes.KindNull {
+		return triNull, nil
 	}
-	ok := likeMatch(v.S, p.S)
-	if e.not {
-		ok = !ok
-	}
-	return sqltypes.NewBool(ok), nil
+	return triOf(likeMatch(v.S, p.S) != e.not), nil
 }
 
 // likeMatch implements %/_ pattern matching with the classic two-pointer
@@ -351,16 +449,15 @@ type isNullExpr struct {
 	not bool
 }
 
-func (e *isNullExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
-	v, err := e.e.eval(ec)
+func (e *isNullExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *isNullExpr) truth(ec *evalCtx) (tri, error) {
+	var vs sqltypes.Value
+	v, err := operand(e.e, ec, &vs)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	isNull := v.IsNull()
-	if e.not {
-		isNull = !isNull
-	}
-	return sqltypes.NewBool(isNull), nil
+	return triOf((v.K == sqltypes.KindNull) != e.not), nil
 }
 
 // caseExpr evaluates WHEN arms in order.
@@ -373,15 +470,11 @@ type boundWhen struct{ cond, then bexpr }
 
 func (e *caseExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 	for _, w := range e.whens {
-		c, err := w.cond.eval(ec)
+		c, err := truthOf(w.cond, ec)
 		if err != nil {
 			return sqltypes.Null(), err
 		}
-		ct, err := filterTrue(c)
-		if err != nil {
-			return sqltypes.Null(), err
-		}
-		if ct {
+		if c == triTrue {
 			return w.then.eval(ec)
 		}
 	}
@@ -430,15 +523,14 @@ type existsExpr struct {
 	not bool
 }
 
-func (e *existsExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
+func (e *existsExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *existsExpr) truth(ec *evalCtx) (tri, error) {
 	found, err := e.sub.hasRow(ec)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
-	if e.not {
-		found = !found
-	}
-	return sqltypes.NewBool(found), nil
+	return triOf(found != e.not), nil
 }
 
 // inSubExpr is e IN (SELECT ...). Uncorrelated sub-plans are materialized
@@ -449,25 +541,24 @@ type inSubExpr struct {
 	not bool
 }
 
-func (e *inSubExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
+func (e *inSubExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(e, ec) }
+
+func (e *inSubExpr) truth(ec *evalCtx) (tri, error) {
 	v, err := e.e.eval(ec)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
 	if v.IsNull() {
-		return sqltypes.Null(), nil
+		return triNull, nil
 	}
 	found, sawNull, err := e.sub.contains(ec, v)
 	if err != nil {
-		return sqltypes.Null(), err
+		return triNull, err
 	}
 	if !found && sawNull {
-		return sqltypes.Null(), nil
+		return triNull, nil
 	}
-	if e.not {
-		found = !found
-	}
-	return sqltypes.NewBool(found), nil
+	return triOf(found != e.not), nil
 }
 
 // scalarSubExpr is (SELECT single-value ...).

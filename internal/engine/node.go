@@ -671,15 +671,11 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 				continue
 			}
 			if filter != nil {
-				v, err := filter.eval(&evalCtx{ex: ex, row: p.Row(rid.Slot)})
+				keep, err := truthOf(filter, &evalCtx{ex: ex, row: p.Row(rid.Slot)})
 				if err != nil {
 					return nil, nil, err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !keep {
+				if keep != triTrue {
 					continue
 				}
 			}
@@ -696,15 +692,11 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 				continue
 			}
 			if filter != nil {
-				v, err := filter.eval(&evalCtx{ex: ex, row: p.Row(s)})
+				keep, err := truthOf(filter, &evalCtx{ex: ex, row: p.Row(s)})
 				if err != nil {
 					return nil, nil, err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !keep {
+				if keep != triTrue {
 					continue
 				}
 			}

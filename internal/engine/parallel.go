@@ -78,7 +78,10 @@ type morsel struct{ lo, hi int }
 // cuts it into fixed-size morsels. Index bounds are evaluated here (they
 // may reference correlation parameters) and the B-tree walk is charged
 // to the coordinator's meter exactly as the serial indexScanOp charges it.
-func (f *fragSpec) decompose(ex *execCtx) (pages []*storage.Page, rids []storage.RowID, morsels []morsel, err error) {
+// An index fragment's RIDs are collected into the caller's buffer (from
+// ridPool; the caller returns it once its workers have exited) and its
+// page snapshot is taken after the walk, so it resolves every one of them.
+func (f *fragSpec) decompose(ex *execCtx, rids *[]storage.RowID) (pages []*storage.Page, morsels []morsel, err error) {
 	if f.columnar {
 		set, built := f.rel.Segments(ex.snapshot)
 		if built {
@@ -97,46 +100,41 @@ func (f *fragSpec) decompose(ex *execCtx) (pages []*storage.Page, rids []storage
 		for i := range kept {
 			morsels = append(morsels, morsel{i, i + 1})
 		}
-		return nil, nil, morsels, nil
+		return nil, morsels, nil
 	}
 	if f.index == nil {
 		pages = f.rel.PageSnapshot()
 		for lo := 0; lo < len(pages); lo += morselPages {
 			morsels = append(morsels, morsel{lo, min(lo+morselPages, len(pages))})
 		}
-		return pages, nil, morsels, nil
+		return pages, morsels, nil
 	}
-	rids, err = f.bounds.collect(&evalCtx{ex: ex}, f.index, nil)
+	*rids, err = f.bounds.collect(&evalCtx{ex: ex}, f.index, (*rids)[:0])
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	for l := 0; l < len(rids); l += morselRids {
-		morsels = append(morsels, morsel{l, min(l+morselRids, len(rids))})
+	if len(*rids) == 0 {
+		return nil, nil, nil // nothing to resolve: leave the relation's lock alone
 	}
-	return nil, rids, morsels, nil
+	for l := 0; l < len(*rids); l += morselRids {
+		morsels = append(morsels, morsel{l, min(l+morselRids, len(*rids))})
+	}
+	return f.rel.PageSnapshot(), morsels, nil
 }
 
 // keep applies the fragment's scan filter and stacked filters to row.
 func (f *fragSpec) keep(ec *evalCtx, row sqltypes.Row) (bool, error) {
 	ec.row = row
 	if f.scanFilter != nil {
-		v, err := f.scanFilter.eval(ec)
-		if err != nil {
-			return false, err
-		}
-		ok, err := filterTrue(v)
-		if err != nil || !ok {
+		ok, err := truthOf(f.scanFilter, ec)
+		if err != nil || ok != triTrue {
 			return false, err
 		}
 	}
 	for _, c := range f.filters {
 		ec.row = row
-		v, err := c.eval(ec)
-		if err != nil {
-			return false, err
-		}
-		ok, err := filterTrue(v)
-		if err != nil || !ok {
+		ok, err := truthOf(c, ec)
+		if err != nil || ok != triTrue {
 			return false, err
 		}
 	}
@@ -145,9 +143,19 @@ func (f *fragSpec) keep(ec *evalCtx, row sqltypes.Row) (bool, error) {
 
 // runMorsel scans one morsel under the worker's execution context,
 // charging the worker's meter with the same IO/CPU the serial operators
-// charge, and hands each surviving (pre-projection) row to emit.
+// charge, and hands each surviving (pre-projection) row to emit. Per-tuple
+// CPU is charged once per page, not once per row: visited counts the
+// tuples seen since the last charge and settle pays for them — at every
+// page boundary before the MaybeFlush there, so each flush point sees the
+// balance it always saw, and on every way out.
 func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storage.Page, rids []storage.RowID, emit func(sqltypes.Row) error) error {
-	cfg := ex.meter.Config()
+	tupleCost := ex.meter.Config().CPUTuple
+	visited := 0
+	settle := func() {
+		ex.meter.Charge(time.Duration(visited) * tupleCost)
+		visited = 0
+	}
+	defer settle()
 	if f.columnar {
 		for si := m.lo; si < m.hi; si++ {
 			seg := f.segs[si]
@@ -155,7 +163,7 @@ func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storag
 			for k, end := range seg.PageEnds {
 				ex.touch(seg.PageIDs[k], true)
 				for i := start; i < end; i++ {
-					ex.meter.Charge(cfg.CPUTuple)
+					visited++
 					if !seg.Visible(int(i), ex.snapshot) {
 						continue
 					}
@@ -172,6 +180,7 @@ func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storag
 					}
 				}
 				start = end
+				settle()
 				ex.meter.MaybeFlush()
 			}
 		}
@@ -183,7 +192,7 @@ func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storag
 			ex.touch(p.ID, true)
 			n := int32(p.Count())
 			for slot := int32(0); slot < n; slot++ {
-				ex.meter.Charge(cfg.CPUTuple)
+				visited++
 				if !p.Visible(slot, ex.snapshot) {
 					continue
 				}
@@ -199,6 +208,7 @@ func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storag
 					return err
 				}
 			}
+			settle()
 			ex.meter.MaybeFlush()
 		}
 		return nil
@@ -206,16 +216,17 @@ func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storag
 	lastPg := int64(-1)
 	for i := m.lo; i < m.hi; i++ {
 		rid := rids[i]
-		p := f.rel.PageOf(rid)
-		if p == nil {
+		if int(rid.Page) >= len(pages) {
 			continue
 		}
+		p := pages[rid.Page]
 		if p.ID != lastPg {
+			settle()
 			ex.touch(p.ID, f.index.Clustered)
 			lastPg = p.ID
 			ex.meter.MaybeFlush()
 		}
-		ex.meter.Charge(cfg.CPUTuple)
+		visited++
 		if !p.Visible(rid.Slot, ex.snapshot) {
 			continue
 		}
@@ -401,18 +412,11 @@ func (r *fragRun) start(ex *execCtx, handle func(wex *execCtx, wec *evalCtx, mi 
 
 // --- parallel partial aggregation (merge point: aggregate) ---
 
-// morselAgg is one morsel's private aggregation partial: the same
-// bucket-plus-first-appearance-order structure the serial aggOp builds,
-// but scoped to a single morsel so partials merge deterministically.
-type morselAgg struct {
-	buckets map[uint64][]*aggGroup
-	order   []*aggGroup
-}
-
 // parallelAggOp replaces an aggOp whose input is a parallel-safe
 // fragment. open runs the fragment to completion across the workers
-// (aggregation is a pipeline breaker anyway), merges per-morsel partials
-// in morsel-index order, and streams the merged groups like aggOp.
+// (aggregation is a pipeline breaker anyway), each morsel accumulating a
+// private aggTable so partials merge deterministically, merges them in
+// morsel-index order, and streams the merged groups like aggOp.
 type parallelAggOp struct {
 	frag   *fragSpec
 	groups []bexpr
@@ -424,54 +428,24 @@ type parallelAggOp struct {
 }
 
 func (a *parallelAggOp) open(ex *execCtx) error {
-	pages, rids, morsels, err := a.frag.decompose(ex)
+	rids := ridPool.get()
+	defer ridPool.put(rids) // every worker has exited by the time open returns
+	pages, morsels, err := a.frag.decompose(ex, rids)
 	if err != nil {
 		return err
 	}
 	ex.node.pstats.addQuery()
 	ex.node.pstats.addMorsels(int64(len(morsels)))
 
-	partials := make([]*morselAgg, len(morsels))
+	partials := make([]*aggTable, len(morsels))
 	run := &fragRun{queue: newMorselQueue(len(morsels), a.degree), degree: a.degree}
 	run.start(ex, func(wex *execCtx, wec *evalCtx, mi int) error {
-		cfg := wex.meter.Config()
-		pa := &morselAgg{buckets: map[uint64][]*aggGroup{}}
+		opCost := wex.meter.Config().CPUOperator
+		pa := &aggTable{buckets: map[uint64][]*aggGroup{}}
 		keybuf := make(sqltypes.Row, len(a.groups))
-		err := a.frag.runMorsel(wex, wec, morsels[mi], pages, rids, func(row sqltypes.Row) error {
+		err := a.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(row sqltypes.Row) error {
 			wec.row = row
-			for i, g := range a.groups {
-				v, err := g.eval(wec)
-				if err != nil {
-					return err
-				}
-				keybuf[i] = v
-			}
-			h := sqltypes.HashRow(keybuf)
-			var grp *aggGroup
-			for _, g := range pa.buckets[h] {
-				if sqltypes.RowsEqual(g.keys, keybuf) {
-					grp = g
-					break
-				}
-			}
-			if grp == nil {
-				grp = &aggGroup{keys: keybuf.Clone(), states: make([]aggState, len(a.aggs))}
-				pa.buckets[h] = append(pa.buckets[h], grp)
-				pa.order = append(pa.order, grp)
-			}
-			for i, def := range a.aggs {
-				var v sqltypes.Value
-				if def.arg != nil {
-					var err error
-					v, err = def.arg.eval(wec)
-					if err != nil {
-						return err
-					}
-				}
-				grp.states[i].add(def, v)
-				wex.meter.Charge(cfg.CPUOperator)
-			}
-			return nil
+			return pa.add(wec, a.groups, a.aggs, keybuf, opCost)
 		})
 		if err != nil {
 			return err
@@ -487,8 +461,7 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 	// Merge in morsel-index order: group order is first appearance across
 	// ordered morsels (exactly the serial visit order), float partials
 	// fold in one deterministic sequence.
-	buckets := map[uint64][]*aggGroup{}
-	var order []*aggGroup
+	merged := aggTable{buckets: map[uint64][]*aggGroup{}}
 	for _, pa := range partials {
 		if pa == nil {
 			continue
@@ -496,15 +469,15 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 		for _, g := range pa.order {
 			h := sqltypes.HashRow(g.keys)
 			var dst *aggGroup
-			for _, d := range buckets[h] {
+			for _, d := range merged.buckets[h] {
 				if sqltypes.RowsEqual(d.keys, g.keys) {
 					dst = d
 					break
 				}
 			}
 			if dst == nil {
-				buckets[h] = append(buckets[h], g)
-				order = append(order, g)
+				merged.buckets[h] = append(merged.buckets[h], g)
+				merged.order = append(merged.order, g)
 				continue
 			}
 			for i, def := range a.aggs {
@@ -512,18 +485,7 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 			}
 		}
 	}
-	if len(a.groups) == 0 && len(order) == 0 {
-		order = append(order, &aggGroup{keys: sqltypes.Row{}, states: make([]aggState, len(a.aggs))})
-	}
-	a.out = a.out[:0]
-	for _, g := range order {
-		row := make(sqltypes.Row, 0, len(g.keys)+len(a.aggs))
-		row = append(row, g.keys...)
-		for i, def := range a.aggs {
-			row = append(row, g.states[i].result(def))
-		}
-		a.out = append(a.out, row)
-	}
+	a.out = merged.rows(len(a.groups), a.aggs, a.out[:0])
 	a.pos = 0
 	return nil
 }
@@ -557,10 +519,11 @@ type parallelScanOp struct {
 
 	run     *fragRun
 	morsels []morsel
+	rids    *[]storage.RowID // from ridPool; close returns it, after the workers exit
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	results  [][]sqltypes.Row
+	results  []*[]sqltypes.Row // per morsel, buffers from rowBufPool
 	done     []bool
 	consumed int // next morsel index to stream from
 	rowPos   int // offset within the current morsel's rows
@@ -568,7 +531,11 @@ type parallelScanOp struct {
 }
 
 func (s *parallelScanOp) open(ex *execCtx) error {
-	pages, rids, morsels, err := s.frag.decompose(ex)
+	if s.rids == nil {
+		s.rids = ridPool.get()
+	}
+	rids := s.rids
+	pages, morsels, err := s.frag.decompose(ex, rids)
 	if err != nil {
 		return err
 	}
@@ -576,7 +543,7 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 	ex.node.pstats.addMorsels(int64(len(morsels)))
 
 	s.morsels = morsels
-	s.results = make([][]sqltypes.Row, len(morsels))
+	s.results = make([]*[]sqltypes.Row, len(morsels))
 	s.done = make([]bool, len(morsels))
 	s.consumed, s.rowPos = 0, 0
 	s.stopped = false
@@ -611,8 +578,9 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 		if stopped || run.stop.Load() {
 			return nil
 		}
-		var rows []sqltypes.Row
-		err := s.frag.runMorsel(wex, wec, morsels[mi], pages, rids, func(row sqltypes.Row) error {
+		buf := rowBufPool.get()
+		rows := *buf
+		err := s.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(row sqltypes.Row) error {
 			if s.frag.project == nil {
 				rows = append(rows, row)
 				return nil
@@ -631,8 +599,9 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 		if err != nil {
 			return err
 		}
+		*buf = rows
 		s.mu.Lock()
-		s.results[mi] = rows
+		s.results[mi] = buf
 		s.done[mi] = true
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -663,13 +632,18 @@ func (s *parallelScanOp) next(_ *execCtx, out *sqltypes.Batch) error {
 			}
 			s.cond.Wait()
 		}
-		rows := s.results[s.consumed]
+		rows := *s.results[s.consumed]
 		for s.rowPos < len(rows) && !out.Full() {
 			out.Append(rows[s.rowPos])
 			s.rowPos++
 		}
 		if s.rowPos >= len(rows) {
-			s.results[s.consumed] = nil // morsel fully streamed; release it
+			// Morsel fully streamed: the batch holds its own copies of the
+			// Row headers, so the buffer itself is dead. Cleared, it pins
+			// no row while pooled.
+			clear(rows)
+			rowBufPool.put(s.results[s.consumed])
+			s.results[s.consumed] = nil
 			s.consumed++
 			s.rowPos = 0
 			s.cond.Broadcast() // admit backpressured workers
@@ -688,7 +662,8 @@ func (s *parallelScanOp) close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.run.wg.Wait()
-	s.results = nil
+	ridPool.put(s.rids)
+	s.results, s.rids = nil, nil
 	s.run = nil
 }
 

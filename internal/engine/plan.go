@@ -41,83 +41,180 @@ func (n *Node) planSelect(stmt *sql.SelectStmt) (op, []string, error) {
 // (correlated sub-query); correlation parameter bindings are appended to
 // params.
 func (n *Node) planSelectScoped(stmt *sql.SelectStmt, outer *scope, params *[]bexpr) (op, []string, error) {
-	if len(stmt.From) == 0 {
-		return nil, nil, fmt.Errorf("FROM clause is required")
+	var fp fromPlan
+	if err := n.planFrom(&fp, stmt, outer, params); err != nil {
+		return nil, nil, err
 	}
-	b := &binder{node: n}
+	return n.planOver(stmt, &fp, fp.neededCols(stmt))
+}
+
+// fromPlan is a SELECT's FROM/WHERE analysis: the name scope, one planned
+// scan per table with that table's own filters pushed into it, and the
+// conjuncts left for the join tree. It holds the binder and scope by
+// value and lives in its caller's frame, so planning a statement does not
+// put them on the heap.
+type fromPlan struct {
+	b         binder
+	scope     scope
+	scans     []*plannedScan
+	joinPreds []joinPred
+	residuals []residual
+}
+
+// planFrom resolves the FROM list, classifies the WHERE conjuncts and
+// picks an access path per table.
+func (n *Node) planFrom(fp *fromPlan, stmt *sql.SelectStmt, outer *scope, params *[]bexpr) error {
+	if len(stmt.From) == 0 {
+		return fmt.Errorf("FROM clause is required")
+	}
+	fp.b = binder{node: n}
 
 	// Resolve FROM entries.
 	tables := make([]tableBinding, len(stmt.From))
 	for i, tr := range stmt.From {
 		rel, err := n.db.Relation(tr.Name)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		ref := tr.RefName()
 		for j := 0; j < i; j++ {
 			if tables[j].ref == ref {
-				return nil, nil, fmt.Errorf("duplicate table name %q in FROM", ref)
+				return fmt.Errorf("duplicate table name %q in FROM", ref)
 			}
 		}
 		tables[i] = tableBinding{ref: ref, rel: rel}
 	}
-	nameScope := &scope{tables: tables, outer: outer, params: params}
+	fp.scope = scope{tables: tables, outer: outer, params: params}
 
 	// Classify WHERE conjuncts.
-	conjuncts := splitConjuncts(stmt.Where)
-	var (
-		tableFilters = make([][]sql.Expr, len(tables))
-		joinPreds    []joinPred
-		residuals    []residual
-	)
-	for _, c := range conjuncts {
+	tableFilters := make([][]sql.Expr, len(tables))
+	for _, c := range splitConjuncts(stmt.Where) {
 		if containsSubquery(c) {
-			residuals = append(residuals, residual{expr: c, tables: allTables(len(tables))})
+			fp.residuals = append(fp.residuals, residual{expr: c, tables: allTables(len(tables))})
 			continue
 		}
-		refs, err := localTables(c, nameScope)
+		refs, err := localTables(c, &fp.scope)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		switch len(refs) {
 		case 0:
 			// Constant (or purely-correlated) condition: apply at top.
-			residuals = append(residuals, residual{expr: c})
+			fp.residuals = append(fp.residuals, residual{expr: c})
 		case 1:
 			tableFilters[refs[0]] = append(tableFilters[refs[0]], c)
 		case 2:
-			if l, r, ok := equiJoinSides(c, nameScope); ok {
-				joinPreds = append(joinPreds, joinPred{expr: c, tables: refs, l: l, r: r})
+			if l, r, ok := equiJoinSides(c, &fp.scope); ok {
+				fp.joinPreds = append(fp.joinPreds, joinPred{expr: c, tables: refs, l: l, r: r})
 				continue
 			}
-			residuals = append(residuals, residual{expr: c, tables: refs})
+			fp.residuals = append(fp.residuals, residual{expr: c, tables: refs})
 		default:
-			residuals = append(residuals, residual{expr: c, tables: refs})
+			fp.residuals = append(fp.residuals, residual{expr: c, tables: refs})
 		}
 	}
 
 	// Build scans with access paths.
-	scans := make([]*plannedScan, len(tables))
+	fp.scans = make([]*plannedScan, len(tables))
 	for i := range tables {
-		ps, err := n.planScan(b, i, tables[i], tableFilters[i], nameScope)
+		ps, err := n.planScan(&fp.b, i, tables[i], tableFilters[i], &fp.scope)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		scans[i] = ps
+		fp.scans[i] = ps
 	}
+	return nil
+}
 
+// planOver plans everything above the scans: the join tree, carrying
+// only the needed columns (nil = all) from join to join, then aggregation
+// or projection.
+func (n *Node) planOver(stmt *sql.SelectStmt, fp *fromPlan, needed colSet) (op, []string, error) {
 	// Greedy left-deep join order.
-	root, layout, err := n.planJoins(b, scans, joinPreds, residuals, nameScope)
+	root, layout, err := n.planJoins(&fp.b, fp.scans, fp.joinPreds, fp.residuals, &fp.scope, needed)
 	if err != nil {
 		return nil, nil, err
 	}
-	joinScope := nameScope.withOutputs(layout)
+	joinScope := fp.scope.withOutputs(layout)
 
 	// Aggregation?
 	if hasAggregates(stmt) {
-		return n.planAggregate(b, stmt, root, joinScope)
+		return n.planAggregate(&fp.b, stmt, root, joinScope)
 	}
-	return n.planProjection(b, stmt, root, joinScope)
+	return n.planProjection(&fp.b, stmt, root, joinScope)
+}
+
+// colSet is a set of columns; nil means every column.
+type colSet map[colID]bool
+
+func (cs colSet) has(id colID) bool { return cs == nil || cs[id] }
+
+// neededCols computes, once per SELECT, the columns anything above the
+// scans reads — select items, GROUP BY, HAVING, ORDER BY, join predicates
+// and residuals — so hash joins copy only those into their output tuples
+// instead of every column of every input. Single-table filters are not in
+// it: they run inside the scans, on stored rows. The walk goes into
+// sub-selects and marks every FROM table that has a column of the
+// referenced name, so a correlated reference is at worst over-approximated;
+// a column it missed would fail loudly at bind time ("not available at
+// this point in the plan"), never silently. SELECT * needs everything, and
+// one table has no join to narrow: nil, at no cost to the point lookup
+// that is planned once per partition.
+func (fp *fromPlan) neededCols(stmt *sql.SelectStmt) colSet {
+	if len(fp.scans) == 1 {
+		return nil
+	}
+	for _, it := range stmt.Items {
+		if it.Star {
+			return nil
+		}
+	}
+	needed := colSet{}
+	mark := func(x sql.Expr) bool {
+		cr, ok := x.(*sql.ColumnRef)
+		if !ok {
+			return true
+		}
+		for t, tb := range fp.scope.tables {
+			if cr.Table != "" && tb.ref != cr.Table {
+				continue
+			}
+			if c := tb.rel.Schema.ColIndex(cr.Name); c >= 0 {
+				needed[colID{t: t, c: c}] = true
+			}
+		}
+		return true
+	}
+	for _, it := range stmt.Items {
+		sql.WalkExpr(it.Expr, mark)
+	}
+	for _, g := range stmt.GroupBy {
+		sql.WalkExpr(g, mark)
+	}
+	sql.WalkExpr(stmt.Having, mark)
+	for _, oi := range stmt.OrderBy {
+		sql.WalkExpr(oi.Expr, mark)
+	}
+	for _, p := range fp.joinPreds {
+		sql.WalkExpr(p.expr, mark)
+	}
+	for _, r := range fp.residuals {
+		sql.WalkExpr(r.expr, mark)
+	}
+	return needed
+}
+
+// project returns the positions of the layout's needed columns and
+// appends their ids to out.
+func (cs colSet) project(layout, out []colID) ([]int, []colID) {
+	sel := make([]int, 0, len(layout))
+	for pos, id := range layout {
+		if cs.has(id) {
+			sel = append(sel, pos)
+			out = append(out, id)
+		}
+	}
+	return sel, out
 }
 
 // --- conjunct analysis ---
@@ -558,49 +655,21 @@ func rangeSelectivity(rel *storage.Relation, col int, ap *accessPath) float64 {
 	return math.Min(math.Max(frac, 0.0005), 1)
 }
 
-// literalValue folds literal-only expressions (date arithmetic included)
-// to a value at plan time.
+// literalValue folds a literal-only expression (date arithmetic included)
+// to a value at plan time: whatever the binder folds to a literal in a
+// scope with no columns. A bare literal, the common bound, skips the bind.
 func literalValue(e sql.Expr) (sqltypes.Value, bool) {
 	switch e := e.(type) {
-	case nil:
-		return sqltypes.Null(), false
 	case *sql.Literal:
 		return e.Val, true
-	case *sql.BinaryExpr:
-		l, lok := literalValue(e.L)
-		r, rok := literalValue(e.R)
-		if !lok || !rok {
-			return sqltypes.Null(), false
+	case *sql.BinaryExpr, *sql.NegExpr:
+		if be, err := (&binder{}).bind(e, &scope{}); err == nil {
+			if lit, ok := be.(*litExpr); ok {
+				return lit.v, true
+			}
 		}
-		var v sqltypes.Value
-		var err error
-		switch e.Op {
-		case '+':
-			v, err = sqltypes.Add(l, r)
-		case '-':
-			v, err = sqltypes.Sub(l, r)
-		case '*':
-			v, err = sqltypes.Mul(l, r)
-		case '/':
-			v, err = sqltypes.Div(l, r)
-		}
-		if err != nil {
-			return sqltypes.Null(), false
-		}
-		return v, true
-	case *sql.NegExpr:
-		v, ok := literalValue(e.E)
-		if !ok {
-			return sqltypes.Null(), false
-		}
-		nv, err := sqltypes.Neg(v)
-		if err != nil {
-			return sqltypes.Null(), false
-		}
-		return nv, true
-	default:
-		return sqltypes.Null(), false
 	}
+	return sqltypes.Null(), false
 }
 
 // bindBounds binds the access path's bound candidates (constants or
@@ -665,8 +734,9 @@ func filterSelectivity(rel *storage.Relation, filters []sql.Expr) float64 {
 // --- join planning ---
 
 // planJoins builds a left-deep join tree over the scans, applying
-// residual filters as soon as their tables are available.
-func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, residuals []residual, nameScope *scope) (op, []colID, error) {
+// residual filters as soon as their tables are available. A hash join's
+// output layout is its inputs' narrowed to the needed columns (nil = all).
+func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, residuals []residual, nameScope *scope, needed colSet) (op, []colID, error) {
 	remaining := map[int]*plannedScan{}
 	for _, s := range scans {
 		remaining[s.t] = s
@@ -796,8 +866,13 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 		if err != nil {
 			return nil, nil, err
 		}
-		root = &hashJoinOp{probe: probeOp, build: buildOp, probeKeys: probeKeys, buildKeys: buildKeys}
-		layout = append(append([]colID(nil), probeLayout...), buildLayout...)
+		// The join's own key columns are in needed (join predicates count),
+		// so the narrowed tuple is never empty.
+		probeSel, narrowed := needed.project(probeLayout, nil)
+		buildSel, narrowed := needed.project(buildLayout, narrowed)
+		root = &hashJoinOp{probe: probeOp, build: buildOp, probeKeys: probeKeys, buildKeys: buildKeys,
+			probeSel: probeSel, buildSel: buildSel, inCols: len(probeLayout) + len(buildLayout)}
+		layout = narrowed
 		joined[next.t] = true
 		est = math.Max(est, next.est) // FK-join cardinality heuristic
 		if err := applyResiduals(); err != nil {
@@ -1002,9 +1077,9 @@ func (n *Node) planAggregate(b *binder, stmt *sql.SelectStmt, root op, joinScope
 			if _, dup := aggMap[key]; dup {
 				return false
 			}
-			def := &aggDef{fn: strings.ToLower(f.Name), distinct: f.Distinct}
+			def := &aggDef{fn: aggFnOf(strings.ToLower(f.Name)), distinct: f.Distinct}
 			if f.Star {
-				if def.fn != "count" {
+				if def.fn != aggCount {
 					werr = fmt.Errorf("%s(*) is not valid", f.Name)
 					return false
 				}
@@ -1125,13 +1200,13 @@ func bindAggSpace(b *binder, e sql.Expr, groupMap, aggMap map[string]int, nGroup
 		if err != nil {
 			return nil, err
 		}
-		return &binExpr{op: e.Op, l: l, r: r}, nil
+		return foldConst(&binExpr{op: e.Op, l: l, r: r}, l, r), nil
 	case *sql.NegExpr:
 		x, err := bindAggSpace(b, e.E, groupMap, aggMap, nGroups)
 		if err != nil {
 			return nil, err
 		}
-		return &negExpr{e: x}, nil
+		return foldConst(&negExpr{e: x}, x), nil
 	case *sql.CompareExpr:
 		l, err := bindAggSpace(b, e.L, groupMap, aggMap, nGroups)
 		if err != nil {
@@ -1141,7 +1216,7 @@ func bindAggSpace(b *binder, e sql.Expr, groupMap, aggMap map[string]int, nGroup
 		if err != nil {
 			return nil, err
 		}
-		return &cmpExpr{op: e.Op, l: l, r: r}, nil
+		return newCmp(e.Op, l, r), nil
 	case *sql.AndExpr:
 		l, err := bindAggSpace(b, e.L, groupMap, aggMap, nGroups)
 		if err != nil {

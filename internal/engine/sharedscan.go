@@ -262,15 +262,11 @@ func (s *sharedScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			ex.meter.MaybeFlush()
 			if s.filter != nil {
 				s.ec.row = row
-				v, err := s.filter.eval(&s.ec)
+				keep, err := truthOf(s.filter, &s.ec)
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
+				if keep != triTrue {
 					continue
 				}
 			}

@@ -36,6 +36,31 @@ func BenchmarkBTreeRangeScan(b *testing.B) {
 	}
 }
 
+// BenchmarkAscendRange is an SVP sub-query's index walk: lineitem-shaped
+// composite keys (orderkey, linenumber), 120 k entries, a half-open
+// orderkey-prefix range holding 4 k of them, RIDs collected as
+// scanBounds.collect does.
+func BenchmarkAscendRange(b *testing.B) {
+	tree := NewBTree()
+	for i := int64(0); i < 120_000; i++ {
+		tree.Insert(sqltypes.Row{sqltypes.NewInt(i / 4), sqltypes.NewInt(i % 4)}, RowID{Page: int32(i / 64), Slot: int32(i % 64)})
+	}
+	rids := make([]RowID, 0, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i%29) * 1000
+		rids = rids[:0]
+		tree.AscendRange(intKey(lo), intKey(lo+1000), true, false, func(e Entry) bool {
+			rids = append(rids, e.RID)
+			return true
+		})
+		if len(rids) != 4000 {
+			b.Fatalf("%d entries", len(rids))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4000, "ns/entry")
+}
+
 func BenchmarkBTreeDelete(b *testing.B) {
 	tree := NewBTree()
 	for i := int64(0); i < int64(b.N)+1; i++ {

@@ -304,36 +304,49 @@ func (t *BTree) AscendRange(lo, hi sqltypes.Row, loIncl, hiIncl bool, fn func(En
 	t.ascend(t.root, lo, hi, loIncl, hiIncl, fn)
 }
 
+// ascend walks the subtree's entries inside the interval, in order, paying
+// for a bound only where the bound can still bite: both ends of the
+// in-range run of n's entries are found by binary search, lo travels on
+// only into the leftmost child of that run and hi only into the rightmost,
+// and everything between is walked with no comparison at all (a nil bound
+// means the path taken already proves it). It returns false — stop — when
+// fn said so or when the run ended before the node did, i.e. the next
+// entry in key order is already beyond hi.
 func (t *BTree) ascend(n *btreeNode, lo, hi sqltypes.Row, loIncl, hiIncl bool, fn func(Entry) bool) bool {
-	if n == nil {
-		return true
-	}
-	// Find the first entry that can be in range.
-	start := 0
+	start, end := 0, len(n.entries)
 	if lo != nil {
 		start = firstAtLeast(n.entries, lo, loIncl)
 	}
-	for i := start; i <= len(n.entries); i++ {
-		if !n.leaf() {
-			if !t.ascend(n.children[i], lo, hi, loIncl, hiIncl, fn) {
+	if hi != nil {
+		end = start + firstBeyond(n.entries[start:], hi, hiIncl)
+	}
+	if n.leaf() {
+		for _, e := range n.entries[start:end] {
+			if !fn(e) {
 				return false
 			}
 		}
-		if i == len(n.entries) {
-			break
+		return end == len(n.entries)
+	}
+	// children[i] holds the keys between entries[i-1] and entries[i]: only
+	// children[start] can hold keys below lo, only children[end] keys
+	// beyond hi.
+	for i := start; i <= end; i++ {
+		clo, chi := lo, hi
+		if i > start {
+			clo = nil
 		}
-		e := n.entries[i]
-		if hi != nil {
-			c := comparePrefix(e.Key, hi)
-			if c > 0 || (c == 0 && !hiIncl) {
-				return false
-			}
+		if i < end {
+			chi = nil
 		}
-		if !fn(e) {
+		if !t.ascend(n.children[i], clo, chi, loIncl, hiIncl, fn) {
+			return false
+		}
+		if i < end && !fn(n.entries[i]) {
 			return false
 		}
 	}
-	return true
+	return end == len(n.entries)
 }
 
 // firstAtLeast finds the first entry whose key-prefix is >= lo (or > lo
@@ -350,6 +363,12 @@ func firstAtLeast(entries []Entry, lo sqltypes.Row, incl bool) int {
 		}
 	}
 	return loIdx
+}
+
+// firstBeyond finds the first entry whose key-prefix is > hi (or >= hi
+// when exclusive): the mirror of firstAtLeast.
+func firstBeyond(entries []Entry, hi sqltypes.Row, incl bool) int {
+	return firstAtLeast(entries, hi, !incl)
 }
 
 // Ascend walks all entries in order.
