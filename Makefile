@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-wire bench-baseline bench-compare bench-host clean
+.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-baseline bench-compare bench-host loc clean
 
 all: build test
 
@@ -71,12 +71,19 @@ fuzz-replay:
 # corpus replay.
 tier1: vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay
 
-# Short live fuzzing of each target (30s apiece) — a smoke pass, not a
-# campaign; run the targets individually with -fuzztime for longer.
+# Short live fuzzing of each of the eight targets (30s apiece) — a smoke
+# pass, not a campaign; run the targets individually with -fuzztime for
+# longer. -run '^$' keeps the package's plain tests out of it: they are
+# `make test`'s job, and a red one would stop the fuzzing before it starts.
 fuzz-smoke:
-	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/sql/
-	$(GO) test -fuzz FuzzParseAll -fuzztime 30s ./internal/sql/
-	$(GO) test -fuzz FuzzDecompose -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz FuzzParseAll -fuzztime 30s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzPartitionRanges -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSubplanFingerprint -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzZoneMapPrune -fuzztime 30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/proto/
 
 # Coverage with per-package floors on the engine-critical packages. The
 # floors are set a few points under current coverage so regressions
@@ -101,12 +108,10 @@ bench:
 # morsel-driven degree sweep (the intra-node parallelism win), the three
 # inner loops of an SVP sub-query on the host clock (Q6's predicate per
 # lineitem row, Q3's hash join, the index range walk per entry), and the
-# wire codecs (pooled gob drain allocations; binary columnar stream and
-# 16-in-flight multiplexing throughput).
+# wire protocol (single-stream and 16-in-flight multiplexing throughput).
 bench-micro:
 	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3' -benchmem -run=^$$ ./internal/engine/
 	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
-	$(GO) test -bench 'WireDrainAllocs' -benchmem -run=^$$ ./internal/wire/
 	$(GO) test -bench 'WireStream|WireMux' -benchmem -run=^$$ ./internal/proto/
 
 # Regenerate the checked-in benchmark baseline: the standard experiment
@@ -141,15 +146,6 @@ bench-avp:
 # engages on the selective shape.
 bench-columnar:
 	$(GO) run ./cmd/apuama-bench -exp columnar -quick -quiet -json bench-columnar.json
-
-# Binary wire protocol study: gob vs binary columnar codec over a real
-# socket — single-stream rows/sec on a Q1-shaped result (cold and warm)
-# and aggregate queries/sec at 16 concurrent in-flight queries (16 gob
-# connections vs ONE multiplexed binary connection), as JSON for
-# plotting and CI diffing. The experiment itself fails below a 3x
-# single-stream or 5x in-flight speedup.
-bench-wire:
-	$(GO) run ./cmd/apuama-bench -exp wire -quick -quiet -json bench-wire.json
 
 # Multi-query-optimization study: 64 concurrent distinct-but-
 # overlapping clients, shared vs unshared, recording queries/minute and
@@ -187,6 +183,14 @@ bench-cache:
 # plotting. Goodput should hold roughly flat past 1x.
 bench-overload:
 	$(GO) run ./cmd/apuama-bench -exp overload -quick -json bench-overload.json
+
+# The ruler for collapse PRs: product lines are every *.go outside
+# bench/ that is not a test; test lines are every *_test.go.
+loc:
+	@printf 'product lines (non-test *.go outside bench/): %s\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test lines (*_test.go): %s\n' \
+		"$$(find . -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -424,7 +424,7 @@ func (c *Cluster) InjectFaults(i int, inj *FaultInjector) error {
 	return nil
 }
 
-// AttachWireServer mirrors a binary wire server's transport counters
+// AttachWireServer mirrors a wire server's transport counters
 // (frames, bytes, streams, cancels, negotiated version) into this
 // cluster's Stats snapshot. The daemon calls it after starting a
 // proto.Server over the cluster; passing nil detaches.

@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "fig2|fig3a|fig3b|fig4a|fig4b|all|ablations|freshness|strategy|skew|cache|overload|steal|columnar|wire|mqo")
+		exp      = flag.String("exp", "all", "fig2|fig3a|fig3b|fig4a|fig4b|all|ablations|freshness|strategy|skew|cache|overload|steal|columnar|mqo")
 		sf       = flag.Float64("sf", 0, "TPC-H scale factor (0 = default)")
 		nodesArg = flag.String("nodes", "", "comma-separated node counts (default 1,2,4,8,16,32)")
 		repeats  = flag.Int("repeats", 0, "runs per isolated query (default 5)")
@@ -128,8 +128,6 @@ func main() {
 		figs, err = one(experiments.StealExperiment, cfg, progress)
 	case "columnar":
 		figs, err = one(experiments.ColumnarExperiment, cfg, progress)
-	case "wire":
-		figs, err = one(experiments.WireExperiment, cfg, progress)
 	case "mqo":
 		figs, err = one(experiments.MQOExperiment, cfg, progress)
 	default:

@@ -18,7 +18,7 @@ import (
 
 	apuama "apuama"
 	"apuama/internal/engine"
-	"apuama/internal/wire"
+	"apuama/internal/proto"
 )
 
 // session abstracts local vs remote execution.
@@ -29,8 +29,8 @@ type session interface {
 
 func main() {
 	var (
-		addr  = flag.String("addr", "", "apuamad address (empty with -local)")
-		local = flag.Bool("local", false, "run an in-process cluster instead of dialing")
+		addr     = flag.String("addr", "", "apuamad address (empty with -local)")
+		local    = flag.Bool("local", false, "run an in-process cluster instead of dialing")
 		nodes    = flag.Int("nodes", 4, "nodes for -local")
 		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor for -local")
 		columnar = flag.Bool("columnar", false, "enable the columnar segment store for -local")
@@ -53,7 +53,7 @@ func main() {
 		}
 		sess = c
 	case *addr != "":
-		c, err := wire.Dial(*addr)
+		c, err := proto.Dial(*addr)
 		if err != nil {
 			log.Fatalf("apuama-sql: %v", err)
 		}

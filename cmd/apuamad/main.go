@@ -2,16 +2,13 @@
 //
 // It assembles the full paper stack — n replicated node engines, the
 // C-JDBC-equivalent controller, and the Apuama Engine — optionally
-// pre-loaded with TPC-H data, and listens with the wire protocols that
-// internal/driver's database/sql driver speaks: by default the binary
-// columnar protocol with per-connection fallback to the legacy gob
-// codec (-proto pins one or the other).
+// pre-loaded with TPC-H data, and listens with the wire protocol
+// (internal/proto) that internal/driver's database/sql driver speaks.
 //
 // Usage:
 //
 //	apuamad -nodes 8 -sf 0.01 -addr 127.0.0.1:7654
 //	apuamad -nodes 8 -sf 0.01 -baseline   # inter-query parallelism only
-//	apuamad -nodes 8 -proto gob           # legacy gob-only listener
 //
 // With -metrics-addr it additionally serves observability over HTTP:
 //
@@ -35,7 +32,6 @@ import (
 
 	apuama "apuama"
 	"apuama/internal/proto"
-	"apuama/internal/wire"
 )
 
 // serveObs starts the observability HTTP listener: /metrics in
@@ -117,8 +113,6 @@ func main() {
 		cacheTTL     = flag.Duration("cache-ttl", 0, "result-cache entry TTL (0 = no expiry)")
 		cacheStale   = flag.Int64("cache-stale", 0, "serve cached results up to this many committed writes behind the head")
 
-		protoFlag = flag.String("proto", "auto", "wire protocol to serve: auto (binary with gob fallback per connection), binary, or gob only")
-
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/slowlog and /debug/cache on this address (e.g. 127.0.0.1:7655; empty = off)")
 		trace       = flag.Bool("trace", false, "record per-query lifecycle span trees into the slow-query log")
 		slowLogSize = flag.Int("slowlog-size", 128, "slow-query log ring size")
@@ -157,30 +151,11 @@ func main() {
 			log.Printf("  %-10s %6d pages", table, pages)
 		}
 	}
-	var srv interface {
-		Addr() string
-		Close() error
-	}
-	switch mode, err := proto.ParseMode(*protoFlag); {
-	case err != nil:
+	srv, err := proto.Serve(*addr, c, proto.Options{Metrics: c.Metrics()})
+	if err != nil {
 		log.Fatalf("apuamad: %v", err)
-	case mode == proto.ModeGob:
-		s, err := wire.Serve(*addr, c)
-		if err != nil {
-			log.Fatalf("apuamad: %v", err)
-		}
-		srv = s
-	default:
-		s, err := proto.Serve(*addr, c, proto.Options{
-			Metrics:    c.Metrics(),
-			BinaryOnly: mode == proto.ModeBinary,
-		})
-		if err != nil {
-			log.Fatalf("apuamad: %v", err)
-		}
-		c.AttachWireServer(s)
-		srv = s
 	}
+	c.AttachWireServer(srv)
 	var obsSrv *http.Server
 	if *metricsAddr != "" {
 		obsSrv, err = serveObs(*metricsAddr, c)

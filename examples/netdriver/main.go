@@ -14,7 +14,7 @@ import (
 
 	apuama "apuama"
 	_ "apuama/internal/driver" // registers the "apuama" database/sql driver
-	"apuama/internal/wire"
+	"apuama/internal/proto"
 )
 
 func main() {
@@ -26,10 +26,11 @@ func main() {
 	if err := c.LoadTPCH(0.002, 1); err != nil {
 		log.Fatal(err)
 	}
-	srv, err := wire.Serve("127.0.0.1:0", c)
+	srv, err := proto.Serve("127.0.0.1:0", c, proto.Options{Metrics: c.Metrics()})
 	if err != nil {
 		log.Fatal(err)
 	}
+	c.AttachWireServer(srv)
 	defer srv.Close()
 	fmt.Printf("cluster serving on %s\n", srv.Addr())
 

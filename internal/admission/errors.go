@@ -89,10 +89,10 @@ func RetryAfter(err error) time.Duration {
 	return 0
 }
 
-// Wire codes for the typed admission errors. The gob wire protocol
-// ships errors as strings; these structured codes ride alongside the
-// message so a client can rebuild the typed error and errors.Is works
-// across the socket (see internal/wire).
+// Wire codes for the typed admission errors. The wire protocol ships
+// errors as strings; these structured codes ride alongside the message
+// in the trailer frame so a client can rebuild the typed error and
+// errors.Is works across the socket (see internal/proto).
 const (
 	CodeOverloaded   = "overloaded"
 	CodeMemoryBudget = "memory-budget"

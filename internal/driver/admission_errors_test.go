@@ -8,37 +8,14 @@ import (
 	"time"
 
 	apuama "apuama"
-	"apuama/internal/wire"
 )
-
-// startClusterCfg serves a cluster with the given config over the wire
-// protocol and returns it alongside the address.
-func startClusterCfg(t *testing.T, cfg apuama.Config) (*apuama.Cluster, string) {
-	t.Helper()
-	cfg.Cost = apuama.DefaultCost()
-	cfg.Cost.RealSleep = false
-	c, err := apuama.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if err := c.LoadTPCH(0.001, 1); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := wire.Serve("127.0.0.1:0", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return c, srv.Addr()
-}
 
 // TestShedErrorTypedAcrossSocket is the wire-protocol regression test
 // for typed admission errors: a load-shed produced inside the server
 // must arrive at a database/sql client still matching ErrOverloaded
 // (with its retry-after hint), not as an opaque string.
 func TestShedErrorTypedAcrossSocket(t *testing.T) {
-	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, MaxConcurrent: 1, MaxQueue: 1})
+	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, MaxConcurrent: 1, MaxQueue: 1}, tinySF)
 	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +80,7 @@ func TestShedErrorTypedAcrossSocket(t *testing.T) {
 // every SVP query server-side, and the client still sees the typed
 // (non-retryable) ErrMemoryBudget.
 func TestMemoryBudgetErrorTypedAcrossSocket(t *testing.T) {
-	_, addr := startClusterCfg(t, apuama.Config{Nodes: 2, MaxConcurrent: 4, MemoryBudget: 1024})
+	_, addr := startClusterCfg(t, apuama.Config{Nodes: 2, MaxConcurrent: 4, MemoryBudget: 1024}, tinySF)
 	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)

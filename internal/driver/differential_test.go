@@ -9,36 +9,31 @@ import (
 	"time"
 
 	apuama "apuama"
-	"apuama/internal/proto"
 )
 
-// startBothProtoCluster serves one real cluster through the sniffing
-// proto server, which speaks both the binary frame protocol and legacy
-// gob on the same listener.
-func startBothProtoCluster(t *testing.T) string {
-	t.Helper()
-	cfg := apuama.Config{Nodes: 2}
-	cfg.Cost = apuama.DefaultCost()
-	cfg.Cost.RealSleep = false
-	c, err := apuama.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
+// renderRow appends one row of database/sql values in an exact textual
+// form: floats render as their IEEE bit pattern, so comparing renderings
+// is bit-identical, not approximately-equal.
+func renderRow(b *strings.Builder, vals []any) {
+	for i, v := range vals {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		switch x := v.(type) {
+		case float64:
+			fmt.Fprintf(b, "f:%016x", math.Float64bits(x))
+		case time.Time:
+			fmt.Fprintf(b, "d:%s", x.Format("2006-01-02"))
+		case nil:
+			b.WriteString("null")
+		default:
+			fmt.Fprintf(b, "%T:%v", v, v)
+		}
 	}
-	if err := c.LoadTPCH(0.001, 1); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := proto.Serve("127.0.0.1:0", c, proto.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.AttachWireServer(srv)
-	t.Cleanup(func() { srv.Close() })
-	return srv.Addr()
+	b.WriteByte('\n')
 }
 
-// renderRows scans every row of a query into an exact textual form:
-// floats render as their IEEE bit pattern, so the comparison is
-// bit-identical, not approximately-equal.
+// renderRows scans every row of a query through database/sql.
 func renderRows(t *testing.T, db *sql.DB, query string) string {
 	t.Helper()
 	rows, err := db.Query(query)
@@ -61,22 +56,7 @@ func renderRows(t *testing.T, db *sql.DB, query string) string {
 		if err := rows.Scan(ptrs...); err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
-		for i, v := range vals {
-			if i > 0 {
-				b.WriteByte('|')
-			}
-			switch x := v.(type) {
-			case float64:
-				fmt.Fprintf(&b, "f:%016x", math.Float64bits(x))
-			case time.Time:
-				fmt.Fprintf(&b, "d:%s", x.Format("2006-01-02"))
-			case nil:
-				b.WriteString("null")
-			default:
-				fmt.Fprintf(&b, "%T:%v", v, v)
-			}
-		}
-		b.WriteByte('\n')
+		renderRow(&b, vals)
 	}
 	if err := rows.Err(); err != nil {
 		t.Fatalf("%s: %v", query, err)
@@ -84,23 +64,39 @@ func renderRows(t *testing.T, db *sql.DB, query string) string {
 	return b.String()
 }
 
-// TestDifferentialBinaryVsGob is the transport oracle: the same queries
-// through ?proto=binary and ?proto=gob DSNs against ONE cluster must
-// produce bit-identical results — cold (first execution) and warm
-// (result-cache hits) — or the columnar codec has corrupted a value in
-// flight.
-func TestDifferentialBinaryVsGob(t *testing.T) {
-	addr := startBothProtoCluster(t)
-	gob, err := sql.Open("apuama", addr+"?proto=gob")
+// renderResult is renderRows for a result that never left the process.
+func renderResult(t *testing.T, c *apuama.Cluster, query string) string {
+	t.Helper()
+	res, err := c.Query(query)
+	if err != nil {
+		t.Fatalf("%s: %v", query, err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "cols=%v\n", res.Cols)
+	vals := make([]any, len(res.Cols))
+	for _, row := range res.Rows {
+		for i, v := range row {
+			if vals[i], err = toDriverValue(v); err != nil {
+				t.Fatalf("%s: %v", query, err)
+			}
+		}
+		renderRow(&b, vals)
+	}
+	return b.String()
+}
+
+// TestDifferentialSocketVsInProcess is the transport oracle: the same
+// queries through the database/sql driver and straight through
+// Cluster.Query on ONE cluster must produce bit-identical results — cold
+// (first execution) and warm (result-cache hits) — or the columnar codec
+// has corrupted a value in flight.
+func TestDifferentialSocketVsInProcess(t *testing.T) {
+	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, Cache: apuama.CacheConfig{Entries: 64}}, tinySF)
+	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gob.Close()
-	bin, err := sql.Open("apuama", addr+"?proto=binary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bin.Close()
+	defer db.Close()
 
 	queries := []string{
 		"select count(*) from orders",
@@ -122,14 +118,17 @@ func TestDifferentialBinaryVsGob(t *testing.T) {
 	}
 	for _, label := range []string{"cold", "warm"} {
 		for _, q := range queries {
-			got := renderRows(t, bin, q)
-			want := renderRows(t, gob, q)
+			want := renderResult(t, c, q)
+			got := renderRows(t, db, q)
 			if got != want {
-				t.Errorf("%s %q:\nbinary:\n%s\ngob:\n%s", label, q, got, want)
+				t.Errorf("%s %q:\nsocket:\n%s\nin-process:\n%s", label, q, got, want)
 			}
 			if strings.Count(got, "\n") < 2 {
 				t.Fatalf("%s %q returned no rows — oracle is vacuous", label, q)
 			}
 		}
+	}
+	if st := c.CacheStats(); st.Hits == 0 {
+		t.Fatalf("no result-cache hit — the warm round is vacuous: %+v", st)
 	}
 }

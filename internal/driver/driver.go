@@ -12,11 +12,6 @@
 //
 //	sql.Open("apuama", "127.0.0.1:7654?nocache=1")     // bypass the result cache
 //	sql.Open("apuama", "127.0.0.1:7654?maxstale=8")    // accept results ≤ 8 writes stale
-//	sql.Open("apuama", "127.0.0.1:7654?proto=binary")  // pin the binary wire protocol
-//
-// proto selects the wire transport: auto (the default) tries the binary
-// columnar protocol and transparently falls back to gob against an old
-// server; binary and gob pin one transport.
 //
 // The dialect has no placeholder support; statements with bind arguments
 // are rejected.
@@ -33,9 +28,9 @@ import (
 	"strings"
 	"time"
 
+	"apuama/internal/cache"
 	"apuama/internal/proto"
 	"apuama/internal/sqltypes"
-	"apuama/internal/wire"
 )
 
 func init() {
@@ -46,31 +41,30 @@ func init() {
 type Driver struct{}
 
 // Open dials a wire server; the DSN is its host:port, optionally
-// followed by ?nocache=1, ?maxstale=N and/or ?proto=auto|binary|gob.
+// followed by ?nocache=1 and/or ?maxstale=N.
 func (d *Driver) Open(dsn string) (driver.Conn, error) {
-	addr, opt, mode, err := parseDSN(dsn)
+	addr, opt, err := parseDSN(dsn)
 	if err != nil {
 		return nil, err
 	}
-	c, err := proto.DialMode(addr, mode)
+	c, err := proto.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	return &conn{c: c, opt: opt}, nil
 }
 
-// parseDSN splits "host:port?k=v&..." into the dial address, the
-// connection's cache directives and the wire transport mode.
-func parseDSN(dsn string) (string, wire.QueryOptions, proto.Mode, error) {
-	var opt wire.QueryOptions
-	mode := proto.ModeAuto
+// parseDSN splits "host:port?k=v&..." into the dial address and the
+// connection's cache directives.
+func parseDSN(dsn string) (string, cache.Control, error) {
+	var opt cache.Control
 	addr, rawQuery, found := strings.Cut(dsn, "?")
 	if !found {
-		return addr, opt, mode, nil
+		return addr, opt, nil
 	}
 	q, err := url.ParseQuery(rawQuery)
 	if err != nil {
-		return "", opt, mode, fmt.Errorf("apuama: bad DSN parameters %q: %w", rawQuery, err)
+		return "", opt, fmt.Errorf("apuama: bad DSN parameters %q: %w", rawQuery, err)
 	}
 	for k, vs := range q {
 		v := vs[len(vs)-1]
@@ -78,30 +72,25 @@ func parseDSN(dsn string) (string, wire.QueryOptions, proto.Mode, error) {
 		case "nocache":
 			on, err := strconv.ParseBool(v)
 			if err != nil {
-				return "", opt, mode, fmt.Errorf("apuama: bad nocache value %q", v)
+				return "", opt, fmt.Errorf("apuama: bad nocache value %q", v)
 			}
 			opt.NoCache = on
 		case "maxstale":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < 0 {
-				return "", opt, mode, fmt.Errorf("apuama: bad maxstale value %q", v)
+				return "", opt, fmt.Errorf("apuama: bad maxstale value %q", v)
 			}
 			opt.MaxStaleEpochs = n
-		case "proto":
-			mode, err = proto.ParseMode(v)
-			if err != nil {
-				return "", opt, mode, err
-			}
 		default:
-			return "", opt, mode, fmt.Errorf("apuama: unknown DSN parameter %q", k)
+			return "", opt, fmt.Errorf("apuama: unknown DSN parameter %q", k)
 		}
 	}
-	return addr, opt, mode, nil
+	return addr, opt, nil
 }
 
 type conn struct {
 	c   *proto.Client
-	opt wire.QueryOptions
+	opt cache.Control
 }
 
 func (c *conn) Prepare(query string) (driver.Stmt, error) {
@@ -122,7 +111,7 @@ func (c *conn) Ping() error { return c.c.Ping() }
 type stmt struct {
 	c     *proto.Client
 	query string
-	opt   wire.QueryOptions
+	opt   cache.Control
 }
 
 func (s *stmt) Close() error { return nil }
@@ -162,8 +151,7 @@ func (r result) RowsAffected() (int64, error) { return r.n, nil }
 // rows adapts a wire cursor to driver.Rows: each Next decodes at most
 // one batch frame from the socket, so large results stream instead of
 // being materialized client-side. database/sql keeps the connection
-// checked out until Close, which drains (gob) or cancels (binary) the
-// cursor and frees it.
+// checked out until Close, which cancels the cursor and frees it.
 type rows struct {
 	rd *proto.Rows
 }

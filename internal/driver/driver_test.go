@@ -6,28 +6,39 @@ import (
 	"time"
 
 	apuama "apuama"
-	"apuama/internal/wire"
+	"apuama/internal/proto"
 )
 
-// startCluster serves a tiny real cluster over the wire protocol.
-func startCluster(t *testing.T) string {
+// tinySF loads in well under a second: 1 500 orders, ≈ 6 000 lineitems.
+const tinySF = 0.001
+
+// startClusterCfg serves a real cluster with the given config and TPC-H
+// scale factor over the wire protocol, the way apuamad does, and returns
+// it alongside the address.
+func startClusterCfg(t *testing.T, cfg apuama.Config, sf float64) (*apuama.Cluster, string) {
 	t.Helper()
-	cfg := apuama.Config{Nodes: 2}
 	cfg.Cost = apuama.DefaultCost()
 	cfg.Cost.RealSleep = false
 	c, err := apuama.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LoadTPCH(0.001, 1); err != nil {
+	t.Cleanup(c.Close)
+	if err := c.LoadTPCH(sf, 1); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := wire.Serve("127.0.0.1:0", c)
+	srv, err := proto.Serve("127.0.0.1:0", c, proto.Options{Metrics: c.Metrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.AttachWireServer(srv)
 	t.Cleanup(func() { srv.Close() })
-	return srv.Addr()
+	return c, srv.Addr()
+}
+
+func startCluster(t *testing.T) string {
+	_, addr := startClusterCfg(t, apuama.Config{Nodes: 2}, tinySF)
+	return addr
 }
 
 func TestDatabaseSQLRoundTrip(t *testing.T) {
@@ -79,11 +90,13 @@ func TestDatabaseSQLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamingCursorThroughDriver walks a result far larger than one
-// chunk frame, then abandons a second cursor early — the drained
-// connection must serve the follow-up query correctly.
+// TestStreamingCursorThroughDriver walks a result spanning several
+// batch frames, then abandons a second cursor early — the connection
+// must serve the follow-up query correctly.
 func TestStreamingCursorThroughDriver(t *testing.T) {
-	addr := startCluster(t)
+	// lineitem holds ≈ 6 000 000 rows per unit of scale factor.
+	const frames = 3
+	_, addr := startClusterCfg(t, apuama.Config{Nodes: 2}, (frames+0.5)*proto.DefaultBatchRows/6e6)
 	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +104,15 @@ func TestStreamingCursorThroughDriver(t *testing.T) {
 	defer db.Close()
 	db.SetMaxOpenConns(1) // force cursor and follow-up onto one conn
 
-	var want int64
+	var want, orders int64
 	if err := db.QueryRow("select count(*) from lineitem").Scan(&want); err != nil {
 		t.Fatal(err)
 	}
-	if want <= wire.DefaultChunkRows {
-		t.Fatalf("lineitem too small to span chunks: %d rows", want)
+	if err := db.QueryRow("select count(*) from orders").Scan(&orders); err != nil {
+		t.Fatal(err)
+	}
+	if want <= frames*proto.DefaultBatchRows {
+		t.Fatalf("lineitem too small to span %d batch frames: %d rows", frames+1, want)
 	}
 	rows, err := db.Query("select l_orderkey from lineitem")
 	if err != nil {
@@ -125,13 +141,13 @@ func TestStreamingCursorThroughDriver(t *testing.T) {
 	if !rows.Next() {
 		t.Fatal("no first row")
 	}
-	rows.Close() // abandon mid-stream; driver must drain the frames
+	rows.Close() // abandon mid-stream; the driver cancels the stream
 	var cnt int64
 	if err := db.QueryRow("select count(*) from orders").Scan(&cnt); err != nil {
 		t.Fatal(err)
 	}
-	if cnt != 1500 {
-		t.Fatalf("follow-up after abandoned cursor: %d", cnt)
+	if cnt != orders {
+		t.Fatalf("follow-up after abandoned cursor: %d orders, want %d", cnt, orders)
 	}
 }
 

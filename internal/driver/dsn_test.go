@@ -4,35 +4,29 @@ import (
 	"database/sql"
 	"testing"
 
-	"apuama/internal/proto"
-	"apuama/internal/wire"
+	"apuama/internal/cache"
 )
 
 func TestParseDSN(t *testing.T) {
 	cases := []struct {
 		dsn     string
 		addr    string
-		opt     wire.QueryOptions
-		mode    proto.Mode
+		opt     cache.Control
 		wantErr bool
 	}{
 		{dsn: "127.0.0.1:7654", addr: "127.0.0.1:7654"},
-		{dsn: "host:1?nocache=1", addr: "host:1", opt: wire.QueryOptions{NoCache: true}},
-		{dsn: "host:1?nocache=true", addr: "host:1", opt: wire.QueryOptions{NoCache: true}},
+		{dsn: "host:1?nocache=1", addr: "host:1", opt: cache.Control{NoCache: true}},
+		{dsn: "host:1?nocache=true", addr: "host:1", opt: cache.Control{NoCache: true}},
 		{dsn: "host:1?nocache=0", addr: "host:1"},
-		{dsn: "host:1?maxstale=8", addr: "host:1", opt: wire.QueryOptions{MaxStaleEpochs: 8}},
+		{dsn: "host:1?maxstale=8", addr: "host:1", opt: cache.Control{MaxStaleEpochs: 8}},
 		{
 			dsn: "host:1?nocache=1&maxstale=3", addr: "host:1",
-			opt: wire.QueryOptions{NoCache: true, MaxStaleEpochs: 3},
+			opt: cache.Control{NoCache: true, MaxStaleEpochs: 3},
 		},
-		{dsn: "host:1?proto=binary", addr: "host:1", mode: proto.ModeBinary},
-		{dsn: "host:1?proto=gob", addr: "host:1", mode: proto.ModeGob},
-		{dsn: "host:1?proto=auto", addr: "host:1"},
-		{
-			dsn: "host:1?proto=binary&nocache=1", addr: "host:1",
-			opt: wire.QueryOptions{NoCache: true}, mode: proto.ModeBinary,
-		},
-		{dsn: "host:1?proto=carrier-pigeon", wantErr: true},
+		// There is one transport: proto= went with the other one and
+		// is an unknown parameter like any other.
+		{dsn: "host:1?proto=binary", wantErr: true},
+		{dsn: "host:1?proto=binary&nocache=1", wantErr: true},
 		{dsn: "host:1?nocache=maybe", wantErr: true},
 		{dsn: "host:1?maxstale=-2", wantErr: true},
 		{dsn: "host:1?maxstale=soon", wantErr: true},
@@ -40,10 +34,7 @@ func TestParseDSN(t *testing.T) {
 		{dsn: "host:1?nocache=%zz", wantErr: true},
 	}
 	for _, tc := range cases {
-		if tc.mode == "" {
-			tc.mode = proto.ModeAuto
-		}
-		addr, opt, mode, err := parseDSN(tc.dsn)
+		addr, opt, err := parseDSN(tc.dsn)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("%q: expected error, got addr=%q opt=%+v", tc.dsn, addr, opt)
@@ -54,9 +45,8 @@ func TestParseDSN(t *testing.T) {
 			t.Errorf("%q: %v", tc.dsn, err)
 			continue
 		}
-		if addr != tc.addr || opt != tc.opt || mode != tc.mode {
-			t.Errorf("%q: got (%q, %+v, %s), want (%q, %+v, %s)",
-				tc.dsn, addr, opt, mode, tc.addr, tc.opt, tc.mode)
+		if addr != tc.addr || opt != tc.opt {
+			t.Errorf("%q: got (%q, %+v), want (%q, %+v)", tc.dsn, addr, opt, tc.addr, tc.opt)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import "context"
 // request into the handler's context.
 type transportKey struct{}
 
-// WithTransport tags ctx with the transport ("gob", "binary") a request
-// arrived on, so the query layer can annotate its span with the wire
-// phase without the servers importing the engine.
+// WithTransport tags ctx with the transport ("binary") a request arrived
+// on, so the query layer can annotate its span with the wire phase
+// without the server importing the engine.
 func WithTransport(ctx context.Context, name string) context.Context {
 	return context.WithValue(ctx, transportKey{}, name)
 }

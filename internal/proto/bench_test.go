@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"testing"
 
-	"apuama/internal/wire"
+	"apuama/internal/cache"
 )
 
 // benchDrain streams one query and counts rows.
 func benchDrain(b *testing.B, c *Client, q string, want int) {
-	rows, err := c.QueryStreamContext(context.Background(), q, wire.QueryOptions{})
+	rows, err := c.QueryStreamContext(context.Background(), q, cache.Control{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +27,8 @@ func benchDrain(b *testing.B, c *Client, q string, want int) {
 	}
 }
 
-func benchStream(b *testing.B, mode Mode) {
+// BenchmarkWireStreamBinary drains a Q1-shaped 40960-row stream.
+func BenchmarkWireStreamBinary(b *testing.B) {
 	const rows = 40960
 	h := &fakeHandler{}
 	s, err := Serve("127.0.0.1:0", h, Options{})
@@ -35,7 +36,7 @@ func benchStream(b *testing.B, mode Mode) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialMode(s.Addr(), mode)
+	c, err := Dial(s.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,15 +51,8 @@ func benchStream(b *testing.B, mode Mode) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkWireStreamBinary / BenchmarkWireStreamGob drain a Q1-shaped
-// 40960-row stream through each codec — the microbenchmark behind the
-// -exp wire figure.
-func BenchmarkWireStreamBinary(b *testing.B) { benchStream(b, ModeBinary) }
-func BenchmarkWireStreamGob(b *testing.B)    { benchStream(b, ModeGob) }
-
-// BenchmarkWireMux16 is the 16-in-flight half of the -exp wire figure:
-// 16 workers issuing small queries through ONE multiplexed binary
-// connection; b.N counts individual queries.
+// BenchmarkWireMux16 is 16 workers issuing small queries through ONE
+// multiplexed connection; b.N counts individual queries.
 func BenchmarkWireMux16(b *testing.B) {
 	const rows, workers = 256, 16
 	h := &fakeHandler{}
@@ -67,7 +61,7 @@ func BenchmarkWireMux16(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialMode(s.Addr(), ModeBinary)
+	c, err := Dial(s.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

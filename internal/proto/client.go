@@ -11,33 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"apuama/internal/cache"
 	"apuama/internal/engine"
 	"apuama/internal/sqltypes"
-	"apuama/internal/wire"
 )
-
-// Mode selects the transport a client dials.
-type Mode string
-
-// Dial modes: auto tries the binary handshake and transparently redials
-// the legacy gob protocol when the server does not speak it; binary and
-// gob pin one transport.
-const (
-	ModeAuto   Mode = "auto"
-	ModeBinary Mode = "binary"
-	ModeGob    Mode = "gob"
-)
-
-// ParseMode validates a -proto / DSN proto value.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case ModeAuto, ModeBinary, ModeGob:
-		return Mode(s), nil
-	case "":
-		return ModeAuto, nil
-	}
-	return "", fmt.Errorf("proto: unknown protocol %q (want auto, binary or gob)", s)
-}
 
 // DefaultWindow is the per-query flow-control window: how many batch
 // frames the server may have in flight before the client's consumption
@@ -45,21 +22,10 @@ func ParseMode(s string) (Mode, error) {
 // the engine's GatherBudget bounds the in-process gather channel.
 const DefaultWindow = 32
 
-// handshakeTimeout bounds the binary hello round-trip; a legacy gob
-// server fails the hello decode and closes the connection well before
-// this (the hello is padded to parse as one whole gob message), so the
-// timeout only bites on unresponsive networks.
-const handshakeTimeout = 2 * time.Second
-
-// Client is one connection to a server. In binary mode any number of
-// queries may be in flight concurrently, multiplexed over the single
-// TCP connection; in gob mode it wraps the legacy wire.Client with its
-// one-query-at-a-time discipline. All methods are safe for concurrent
-// use.
+// Client is one connection to a server. Any number of queries may be in
+// flight concurrently, multiplexed over the single TCP connection; all
+// methods are safe for concurrent use.
 type Client struct {
-	gob *wire.Client // non-nil ⇒ gob fallback mode
-
-	// Binary mode state.
 	nc      net.Conn
 	bw      *bufio.Writer
 	wmu     sync.Mutex
@@ -117,35 +83,8 @@ type hdrCache struct {
 	cols []string
 }
 
-// Dial connects in ModeAuto.
-func Dial(addr string) (*Client, error) { return DialMode(addr, ModeAuto) }
-
-// DialMode connects with an explicit transport choice.
-func DialMode(addr string, mode Mode) (*Client, error) {
-	if mode == ModeGob {
-		gc, err := wire.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		return &Client{gob: gc}, nil
-	}
-	c, err := dialBinary(addr)
-	if err != nil {
-		if mode == ModeBinary {
-			return nil, err
-		}
-		// Auto: the peer is (or behaved like) a legacy gob server;
-		// redial speaking gob.
-		gc, gerr := wire.Dial(addr)
-		if gerr != nil {
-			return nil, gerr
-		}
-		return &Client{gob: gc}, nil
-	}
-	return c, nil
-}
-
-func dialBinary(addr string) (*Client, error) {
+// Dial connects to a server and negotiates the frame-format version.
+func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -180,16 +119,7 @@ func dialBinary(addr string) (*Client, error) {
 	return c, nil
 }
 
-// Proto reports the negotiated transport: "binary" or "gob".
-func (c *Client) Proto() string {
-	if c.gob != nil {
-		return "gob"
-	}
-	return "binary"
-}
-
-// Version reports the negotiated binary frame-format version (0 in gob
-// mode).
+// Version reports the negotiated frame-format version.
 func (c *Client) Version() int { return int(c.version) }
 
 // readLoop demultiplexes server frames to their streams. Stream
@@ -271,10 +201,6 @@ func (c *Client) writeFrame(typ byte, id uint32, payload []byte) error {
 	c.wpend.Add(1)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.bw == nil {
-		c.wpend.Add(-1)
-		return errClosed
-	}
 	err := writeFrame(c.bw, typ, id, payload)
 	if c.wpend.Add(-1) == 0 && err == nil {
 		err = c.bw.Flush()
@@ -334,14 +260,14 @@ func (c *Client) connError() error {
 
 // Query runs a read-only statement and materializes the whole result.
 func (c *Client) Query(sqlText string) (*engine.Result, error) {
-	return c.QueryContext(context.Background(), sqlText, wire.QueryOptions{})
+	return c.QueryContext(context.Background(), sqlText, cache.Control{})
 }
 
 // QueryContext is Query with a context (a done context cancels the
 // query on the server through a wire-level cancel frame, leaving the
 // shared connection usable) and per-request cache directives.
-func (c *Client) QueryContext(ctx context.Context, sqlText string, opt wire.QueryOptions) (*engine.Result, error) {
-	rows, err := c.QueryStreamContext(ctx, sqlText, opt)
+func (c *Client) QueryContext(ctx context.Context, sqlText string, ctl cache.Control) (*engine.Result, error) {
+	rows, err := c.QueryStreamContext(ctx, sqlText, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -363,22 +289,14 @@ func (c *Client) QueryContext(ctx context.Context, sqlText string, opt wire.Quer
 // QueryStreamContext runs a read-only statement as a cursor: batches
 // are decoded from the shared connection as the caller consumes them,
 // with credit-based flow control bounding how far the server can run
-// ahead. Unlike the gob protocol, a streaming read does not reserve the
-// connection — any number of cursors from any goroutines proceed
-// concurrently.
-func (c *Client) QueryStreamContext(ctx context.Context, sqlText string, opt wire.QueryOptions) (*Rows, error) {
-	if c.gob != nil {
-		rd, err := c.gob.QueryStreamOpt(sqlText, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &Rows{gr: rd}, nil
-	}
+// ahead. A streaming read does not reserve the connection — any number
+// of cursors from any goroutines proceed concurrently.
+func (c *Client) QueryStreamContext(ctx context.Context, sqlText string, ctl cache.Control) (*Rows, error) {
 	st, err := c.openStream()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.writeFrame(fQuery, st.id, encodeQuery(DefaultWindow, opt, sqlText)); err != nil {
+	if err := c.writeFrame(fQuery, st.id, encodeQuery(DefaultWindow, ctl, sqlText)); err != nil {
 		c.dropStream(st)
 		return nil, err
 	}
@@ -417,9 +335,6 @@ func (c *Client) Exec(sqlText string) (int64, error) {
 
 // ExecContext is Exec with a context.
 func (c *Client) ExecContext(ctx context.Context, sqlText string) (int64, error) {
-	if c.gob != nil {
-		return c.gob.Exec(sqlText)
-	}
 	st, err := c.openStream()
 	if err != nil {
 		return 0, err
@@ -433,9 +348,6 @@ func (c *Client) ExecContext(ctx context.Context, sqlText string) (int64, error)
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	if c.gob != nil {
-		return c.gob.Ping()
-	}
 	st, err := c.openStream()
 	if err != nil {
 		return err
@@ -470,9 +382,6 @@ func (c *Client) awaitEnd(ctx context.Context, st *cliStream) (int64, error) {
 // Close closes the connection; in-flight streams fail with a closed
 // error.
 func (c *Client) Close() error {
-	if c.gob != nil {
-		return c.gob.Close()
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -483,9 +392,7 @@ func (c *Client) Close() error {
 	return c.nc.Close()
 }
 
-// Rows is a streaming cursor over one query's result — the binary
-// protocol's counterpart of wire.RowReader (which backs it in gob
-// fallback mode).
+// Rows is a streaming cursor over one query's result.
 //
 // A Row returned by Next is valid until the next Next or Close call:
 // the cursor recycles its decode slab across batches. Copy Values out
@@ -493,8 +400,6 @@ func (c *Client) Close() error {
 // since string contents alias the (immutable, never recycled) frame
 // payload rather than the slab.
 type Rows struct {
-	gr *wire.RowReader // gob fallback
-
 	c        *Client
 	st       *cliStream
 	ctx      context.Context
@@ -509,19 +414,11 @@ type Rows struct {
 }
 
 // Cols returns the result schema.
-func (r *Rows) Cols() []string {
-	if r.gr != nil {
-		return r.gr.Cols()
-	}
-	return r.cols
-}
+func (r *Rows) Cols() []string { return r.cols }
 
 // Next returns the next row, or io.EOF after the last one. Any
 // mid-stream server error surfaces here once and is sticky.
 func (r *Rows) Next() (sqltypes.Row, error) {
-	if r.gr != nil {
-		return r.gr.Next()
-	}
 	for {
 		if r.err != nil {
 			return nil, r.err
@@ -602,9 +499,6 @@ func (r *Rows) fail(err error) {
 // frame aborts it without disturbing the other queries multiplexed on
 // the connection; no draining is needed.
 func (r *Rows) Close() error {
-	if r.gr != nil {
-		return r.gr.Close()
-	}
 	if !r.done {
 		r.done = true
 		r.st.once.Do(func() { close(r.st.cancel) })

@@ -1,10 +1,10 @@
-// Package proto is the binary columnar wire protocol: a length-prefixed
-// frame format carrying columnar batch blocks in the ColVec layout,
-// multiplexed so many in-flight queries share one TCP connection with
-// per-query stream IDs, credit-based flow control and wire-level
-// cancellation. Version negotiation at handshake lets old gob peers
-// transparently fall back to the internal/wire protocol (gob stays the
-// compatibility codec); see DESIGN.md "Wire protocol" for the grammar.
+// Package proto is the wire protocol — the stand-in for the paper's JDBC
+// transport between applications and the C-JDBC controller, and the only
+// one: a length-prefixed frame format carrying columnar batch blocks in
+// the ColVec layout, multiplexed so many in-flight queries share one TCP
+// connection with per-query stream IDs, credit-based flow control and
+// wire-level cancellation. A database/sql driver over it lives in
+// internal/driver; see DESIGN.md "Wire protocol" for the grammar.
 //
 // Frame layout (integers little-endian):
 //
@@ -26,16 +26,10 @@
 //	                       ok=0: i64 retryAfterMs, u16 len + code,
 //	                       u32 len + message
 //
-// Handshake: the client opens with a 70-byte hello — magic 0xFF 'A' 'P'
-// 'U', u16 maxVersion, 64 zero pad — and the server answers with 8
-// bytes: magic, u16 chosenVersion, u16 reserved. The hello is padded so
-// a legacy gob server, which reads the 0xFF lead byte as a one-byte gob
-// length prefix ('A' = a 65-byte message), consumes the whole hello,
-// fails to decode it as a Request and closes the connection immediately
-// — the dialer detects the close and redials speaking gob. A new server
-// sniffs the first four bytes of every accepted connection: the magic
-// selects the binary path, anything else is replayed into the legacy
-// gob handler.
+// Handshake (not a frame): the client opens with 6 bytes — magic 0xFF
+// 'A' 'P' 'U', u16 maxVersion — and the server answers with 8: magic,
+// u16 chosenVersion, u16 reserved. A peer that does not open with the
+// magic, or sends nothing within handshakeTimeout, is closed.
 package proto
 
 import (
@@ -44,8 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
-	"apuama/internal/wire"
+	"apuama/internal/admission"
+	"apuama/internal/cache"
 )
 
 // ProtoVersion is the highest frame-format version this build speaks.
@@ -70,12 +66,18 @@ const maxFramePayload = 64 << 20
 // frameHeaderSize is u32 len + u8 type + u32 streamID.
 const frameHeaderSize = 9
 
-// Handshake sizes; see the package comment for the rationale behind the
-// hello padding.
+// Handshake sizes: magic + u16 version, and the reply's extra u16
+// reserved.
 const (
-	helloSize      = 70
+	helloSize      = 6
 	helloReplySize = 8
 )
+
+// handshakeTimeout bounds the handshake on both ends: the dialer's
+// hello round-trip, and the server's wait for a peer's hello — so a
+// connection that opens and says nothing costs a goroutine and a
+// descriptor for this long, not until Close.
+const handshakeTimeout = 2 * time.Second
 
 var magic = [4]byte{0xFF, 'A', 'P', 'U'}
 
@@ -109,11 +111,10 @@ func readFrame(r *bufio.Reader) (typ byte, stream uint32, payload []byte, err er
 	return typ, stream, payload, nil
 }
 
-// writeFrame writes one frame and flushes. Callers serialize with their
-// connection's write mutex.
 // writeFrame copies one frame into w without flushing: flush policy —
 // coalescing bursts from many streams into one syscall — belongs to the
-// connection owners on both sides.
+// connection owners on both sides, who also serialize calls with their
+// write mutex.
 func writeFrame(w *bufio.Writer, typ byte, stream uint32, payload []byte) error {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
@@ -128,23 +129,22 @@ func writeFrame(w *bufio.Writer, typ byte, stream uint32, payload []byte) error 
 
 // queryReq is a decoded fQuery payload.
 type queryReq struct {
-	credits  uint32
-	noCache  bool
-	maxStale int64
-	sql      string
+	credits uint32
+	ctl     cache.Control
+	sql     string
 }
 
 const flagNoCache = 1 << 0
 
-func encodeQuery(credits uint32, opt wire.QueryOptions, sql string) []byte {
+func encodeQuery(credits uint32, ctl cache.Control, sql string) []byte {
 	b := make([]byte, 0, 17+len(sql))
 	b = binary.LittleEndian.AppendUint32(b, credits)
 	var flags byte
-	if opt.NoCache {
+	if ctl.NoCache {
 		flags |= flagNoCache
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, uint64(opt.MaxStaleEpochs))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ctl.MaxStaleEpochs))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sql)))
 	return append(b, sql...)
 }
@@ -154,9 +154,11 @@ func decodeQuery(p []byte) (queryReq, error) {
 		return queryReq{}, errBadFrame
 	}
 	q := queryReq{
-		credits:  binary.LittleEndian.Uint32(p),
-		noCache:  p[4]&flagNoCache != 0,
-		maxStale: int64(binary.LittleEndian.Uint64(p[5:])),
+		credits: binary.LittleEndian.Uint32(p),
+		ctl: cache.Control{
+			NoCache:        p[4]&flagNoCache != 0,
+			MaxStaleEpochs: int64(binary.LittleEndian.Uint64(p[5:])),
+		},
 	}
 	n := binary.LittleEndian.Uint32(p[13:])
 	if uint32(len(p)-17) != n {
@@ -236,16 +238,22 @@ func decodeHeader(p []byte) ([]string, error) {
 
 // encodeEnd renders a stream trailer. err == nil means success with the
 // given affected count; otherwise the error travels as its verbatim
-// message plus the structured admission code and retry-after hint, the
-// same scheme the gob protocol uses (wire.EncodeErr), so errors.Is
-// against admission's sentinels holds across either transport.
+// message plus the structured admission code and shed retry-after hint
+// (in whole milliseconds, at least one, so a sub-millisecond hint is not
+// truncated to "no hint"), so errors.Is against admission's sentinels
+// holds across the socket.
 func encodeEnd(affected int64, err error) []byte {
 	if err == nil {
 		b := make([]byte, 0, 9)
 		b = append(b, 1)
 		return binary.LittleEndian.AppendUint64(b, uint64(affected))
 	}
-	msg, code, retryMs := wire.EncodeErr(err)
+	msg := err.Error()
+	code, ra := admission.Code(err)
+	var retryMs int64
+	if ra > 0 {
+		retryMs = max(int64(ra/time.Millisecond), 1)
+	}
 	b := make([]byte, 0, 15+len(code)+len(msg))
 	b = append(b, 0)
 	b = binary.LittleEndian.AppendUint64(b, uint64(retryMs))
@@ -255,8 +263,9 @@ func encodeEnd(affected int64, err error) []byte {
 	return append(b, msg...)
 }
 
-// decodeEnd is encodeEnd's inverse; a non-nil error reproduces the
-// typed admission error when a structured code rode along.
+// decodeEnd is encodeEnd's inverse; a non-nil err is the typed
+// admission error when a structured code rode along, a plain string
+// error otherwise — including for codes this client does not know.
 func decodeEnd(p []byte) (affected int64, err error, ferr error) {
 	if len(p) < 1 {
 		return 0, nil, errBadFrame
@@ -283,10 +292,14 @@ func decodeEnd(p []byte) (affected int64, err error, ferr error) {
 	if len(p) != ml {
 		return 0, nil, errBadFrame
 	}
-	return 0, wire.DecodeErr(string(p), code, retryMs), nil
+	msg := string(p)
+	if err = admission.Remote(code, msg, time.Duration(retryMs)*time.Millisecond); err == nil {
+		err = errors.New(msg)
+	}
+	return 0, err, nil
 }
 
-// clientHello builds the padded 70-byte hello.
+// clientHello builds the 6-byte hello.
 func clientHello() []byte {
 	b := make([]byte, helloSize)
 	copy(b, magic[:])

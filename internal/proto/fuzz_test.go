@@ -7,8 +7,8 @@ import (
 	"math"
 	"testing"
 
+	"apuama/internal/cache"
 	"apuama/internal/sqltypes"
-	"apuama/internal/wire"
 )
 
 // FuzzFrameDecode drives arbitrary bytes through every wire decoder —
@@ -24,7 +24,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeBlock(nil, 7, q1Rows(200), nil))
 	f.Add(encodeBlock(nil, 1, intRows(300), nil))
 	f.Add(encodeBlock(nil, 2, nil, nil))
-	f.Add(encodeQuery(32, wire.QueryOptions{NoCache: true, MaxStaleEpochs: 9}, "select l_returnflag from lineitem"))
+	f.Add(encodeQuery(32, cache.Control{NoCache: true, MaxStaleEpochs: 9}, "select l_returnflag from lineitem"))
 	f.Add(encodeHeader([]string{"a", "b", "c"}))
 	f.Add(encodeEnd(42, nil))
 	f.Add(encodeEnd(0, errBadFrame))

@@ -9,15 +9,15 @@ import (
 	"time"
 
 	"apuama/internal/admission"
-	"apuama/internal/wire"
+	"apuama/internal/cache"
 )
 
-// TestMuxConcurrentQueries runs 64 concurrent queries over ONE binary
+// TestMuxConcurrentQueries runs 64 concurrent queries over ONE
 // connection, a third of them cancelled mid-stream, and checks every
 // surviving result is complete and correct. Run under -race this is the
 // protocol's interleaving stress test.
 func TestMuxConcurrentQueries(t *testing.T) {
-	_, c, _ := startPair(t, Options{ChunkRows: 32}, ModeBinary)
+	_, c, _ := startPair(t, Options{ChunkRows: 32})
 	const workers = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -30,7 +30,7 @@ func TestMuxConcurrentQueries(t *testing.T) {
 			if i%3 == 0 {
 				// Interleaved cancels: a third of the streams abort
 				// after the first row.
-				rows, err := c.QueryStreamContext(ctx, fmt.Sprintf("select rows %d", n), wire.QueryOptions{})
+				rows, err := c.QueryStreamContext(ctx, fmt.Sprintf("select rows %d", n), cache.Control{})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d open: %w", i, err)
 					return
@@ -41,7 +41,7 @@ func TestMuxConcurrentQueries(t *testing.T) {
 				rows.Close()
 				return
 			}
-			res, err := c.QueryContext(ctx, fmt.Sprintf("select rows %d", n), wire.QueryOptions{})
+			res, err := c.QueryContext(ctx, fmt.Sprintf("select rows %d", n), cache.Control{})
 			if err != nil {
 				errs <- fmt.Errorf("worker %d: %w", i, err)
 				return
@@ -70,7 +70,7 @@ func TestMuxConcurrentQueries(t *testing.T) {
 // TestMuxInterleavedExecAndPing mixes queries, execs and pings on one
 // connection.
 func TestMuxInterleavedExecAndPing(t *testing.T) {
-	_, c, _ := startPair(t, Options{}, ModeBinary)
+	_, c, _ := startPair(t, Options{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 48)
 	for i := 0; i < 16; i++ {
@@ -98,126 +98,6 @@ func TestMuxInterleavedExecAndPing(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestCompatBinaryClientGobServer checks the dialer's fallback: a
-// ModeAuto client against a legacy gob-only wire.Server negotiates down
-// and the whole query surface still works.
-func TestCompatBinaryClientGobServer(t *testing.T) {
-	h := &fakeHandler{}
-	s, err := wire.Serve("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr()) // ModeAuto
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Proto() != "gob" {
-		t.Fatalf("proto: %s (want gob fallback)", c.Proto())
-	}
-	res, err := c.Query("select rows 300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, res, q1Result(300))
-	if _, err := c.Query("boom"); err == nil {
-		t.Fatal("want error")
-	}
-	n, err := c.Exec("write")
-	if err != nil || n != int64(len("write")) {
-		t.Fatalf("exec: %d %v", n, err)
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	// Streaming works through the fallback path too.
-	rows, err := c.QueryStreamContext(context.Background(), "select rows 600", wire.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		if _, err := rows.Next(); err != nil {
-			break
-		}
-		count++
-	}
-	rows.Close()
-	if count != 600 {
-		t.Fatalf("streamed rows: %d", count)
-	}
-}
-
-// TestCompatGobClientBinaryServer checks the server's sniffing: a
-// legacy wire.Client against a proto.Server is replayed into the gob
-// handler and passes its usual exchanges.
-func TestCompatGobClientBinaryServer(t *testing.T) {
-	h := &fakeHandler{}
-	s, err := Serve("127.0.0.1:0", h, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := wire.Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Query("select rows 300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, res, q1Result(300))
-	rd, err := c.QueryStream("select rows 600")
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		if _, err := rd.Next(); err != nil {
-			break
-		}
-		count++
-	}
-	rd.Close()
-	if count != 600 {
-		t.Fatalf("streamed rows: %d", count)
-	}
-	if _, err := c.Exec("write"); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.GobConns != 1 || st.BinaryConns != 0 {
-		t.Fatalf("conns: %+v", st)
-	}
-}
-
-// TestBinaryOnlyRefusesGob pins the -proto binary server behaviour.
-func TestBinaryOnlyRefusesGob(t *testing.T) {
-	h := &fakeHandler{}
-	s, err := Serve("127.0.0.1:0", h, Options{BinaryOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := wire.Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err == nil {
-		t.Fatal("gob ping against a binary-only server should fail")
-	}
-	bc, err := DialMode(s.Addr(), ModeBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
-	if err := bc.Ping(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -249,7 +129,7 @@ func TestAdmissionErrorsSurviveBinaryFrames(t *testing.T) {
 		}
 	}
 
-	bc, err := DialMode(s.Addr(), ModeBinary)
+	bc, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,17 +137,8 @@ func TestAdmissionErrorsSurviveBinaryFrames(t *testing.T) {
 	_, qerr := bc.Query("select rows 1")
 	check(t, qerr)
 	// And through a stream open.
-	_, serr := bc.QueryStreamContext(context.Background(), "select rows 1", wire.QueryOptions{})
+	_, serr := bc.QueryStreamContext(context.Background(), "select rows 1", cache.Control{})
 	check(t, serr)
-
-	// Same guarantees through the gob fallback on the same server.
-	gc, err := DialMode(s.Addr(), ModeGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gc.Close()
-	_, gerr := gc.Query("select rows 1")
-	check(t, gerr)
 }
 
 // TestServerCloseCancelsInflight: closing the server releases blocked
@@ -278,7 +149,7 @@ func TestServerCloseCancelsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialMode(s.Addr(), ModeBinary)
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,12 @@ import (
 	"apuama/internal/engine"
 	"apuama/internal/obs"
 	"apuama/internal/sqltypes"
-	"apuama/internal/wire"
 )
 
 // fakeHandler serves a deterministic synthetic result: "rows N" returns
 // N rows shaped like a TPC-H Q1 result line (int key, float aggregates,
 // low-NDV string, date), "boom" fails, anything else returns a small
-// fixed result. It implements wire.ContextHandler so cancellation and
+// fixed result. It implements ContextHandler so cancellation and
 // cache-control bits are observable.
 type fakeHandler struct {
 	mu       sync.Mutex
@@ -118,7 +117,7 @@ func q1Result(n int) *engine.Result {
 	return res
 }
 
-func startPair(t *testing.T, opts Options, mode Mode) (*Server, *Client, *fakeHandler) {
+func startPair(t *testing.T, opts Options) (*Server, *Client, *fakeHandler) {
 	t.Helper()
 	h := &fakeHandler{}
 	s, err := Serve("127.0.0.1:0", h, opts)
@@ -126,7 +125,7 @@ func startPair(t *testing.T, opts Options, mode Mode) (*Server, *Client, *fakeHa
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := DialMode(s.Addr(), mode)
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +163,7 @@ func sameResult(t *testing.T, got, want *engine.Result) {
 }
 
 func TestBinaryQueryRoundTrip(t *testing.T) {
-	_, c, _ := startPair(t, Options{}, ModeBinary)
-	if c.Proto() != "binary" {
-		t.Fatalf("proto: %s", c.Proto())
-	}
+	_, c, _ := startPair(t, Options{})
 	if c.Version() != ProtoVersion {
 		t.Fatalf("version: %d", c.Version())
 	}
@@ -181,8 +177,8 @@ func TestBinaryQueryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryStreamCursor(t *testing.T) {
-	_, c, _ := startPair(t, Options{}, ModeBinary)
-	rows, err := c.QueryStreamContext(context.Background(), "select rows 1000", wire.QueryOptions{})
+	_, c, _ := startPair(t, Options{})
+	rows, err := c.QueryStreamContext(context.Background(), "select rows 1000", cache.Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +209,7 @@ func TestBinaryStreamCursor(t *testing.T) {
 }
 
 func TestBinaryQueryError(t *testing.T) {
-	_, c, _ := startPair(t, Options{}, ModeBinary)
+	_, c, _ := startPair(t, Options{})
 	if _, err := c.Query("boom"); err == nil || !strings.Contains(err.Error(), "synthetic failure") {
 		t.Fatalf("err: %v", err)
 	}
@@ -224,7 +220,7 @@ func TestBinaryQueryError(t *testing.T) {
 }
 
 func TestBinaryExecAndPing(t *testing.T) {
-	_, c, h := startPair(t, Options{}, ModeBinary)
+	_, c, h := startPair(t, Options{})
 	n, err := c.Exec("insert something")
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +242,8 @@ func TestBinaryExecAndPing(t *testing.T) {
 }
 
 func TestBinaryEarlyCloseReleasesStream(t *testing.T) {
-	_, c, _ := startPair(t, Options{ChunkRows: 16}, ModeBinary)
-	rows, err := c.QueryStreamContext(context.Background(), "select rows 100000", wire.QueryOptions{})
+	_, c, _ := startPair(t, Options{ChunkRows: 16})
+	rows, err := c.QueryStreamContext(context.Background(), "select rows 100000", cache.Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +259,9 @@ func TestBinaryEarlyCloseReleasesStream(t *testing.T) {
 }
 
 func TestBinaryContextCancelMidStream(t *testing.T) {
-	_, c, _ := startPair(t, Options{ChunkRows: 8}, ModeBinary)
+	_, c, _ := startPair(t, Options{ChunkRows: 8})
 	ctx, cancel := context.WithCancel(context.Background())
-	rows, err := c.QueryStreamContext(ctx, "select rows 100000", wire.QueryOptions{})
+	rows, err := c.QueryStreamContext(ctx, "select rows 100000", cache.Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +292,7 @@ func TestCancelReachesHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialMode(s.Addr(), ModeBinary)
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +300,7 @@ func TestCancelReachesHandler(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.QueryContext(ctx, "select rows 1", wire.QueryOptions{})
+		_, err := c.QueryContext(ctx, "select rows 1", cache.Control{})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the query reach the blocking handler
@@ -330,45 +326,32 @@ func TestCancelReachesHandler(t *testing.T) {
 }
 
 func TestCacheControlBitsArrive(t *testing.T) {
-	// The control bits must ride the binary fQuery frame into the
-	// handler's context.
+	// The control bits must ride the fQuery frame into the handler's
+	// context.
 	h := &ctlHandler{}
 	s, err := Serve("127.0.0.1:0", h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialMode(s.Addr(), ModeBinary)
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.QueryContext(context.Background(), "q", wire.QueryOptions{NoCache: true, MaxStaleEpochs: 7}); err != nil {
+	if _, err := c.QueryContext(context.Background(), "q", cache.Control{NoCache: true, MaxStaleEpochs: 7}); err != nil {
 		t.Fatal(err)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.noCache || h.maxStale != 7 {
-		t.Fatalf("control bits: nocache=%v maxstale=%d", h.noCache, h.maxStale)
+	if want := (cache.Control{NoCache: true, MaxStaleEpochs: 7}); len(h.controls) != 1 || h.controls[0] != want {
+		t.Fatalf("control bits: %+v", h.controls)
 	}
 }
 
 func TestServerStatsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, c, _ := func() (*Server, *Client, *fakeHandler) {
-		h := &fakeHandler{}
-		s, err := Serve("127.0.0.1:0", h, Options{Metrics: reg, ChunkRows: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		c, err := DialMode(s.Addr(), ModeBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return s, c, h
-	}()
+	s, c, _ := startPair(t, Options{Metrics: reg, ChunkRows: 256})
 	if _, err := c.Query("select rows 600"); err != nil {
 		t.Fatal(err)
 	}
@@ -390,25 +373,28 @@ func TestServerStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// ctlHandler records the cache-control bits and transport tag it sees.
+// ctlHandler records the cache control of every query's context and
+// the transport tag of the last one.
 type ctlHandler struct {
 	mu        sync.Mutex
-	noCache   bool
-	maxStale  int64
+	plain     int // Query calls (must stay 0: the handler has QueryContext)
+	controls  []cache.Control
 	transport string
 }
 
 func (h *ctlHandler) Query(string) (*engine.Result, error) {
+	h.mu.Lock()
+	h.plain++
+	h.mu.Unlock()
 	return &engine.Result{Cols: []string{"x"}}, nil
 }
 
 func (h *ctlHandler) QueryContext(ctx context.Context, _ string) (*engine.Result, error) {
 	h.mu.Lock()
-	ctl := cache.ControlFrom(ctx)
-	h.noCache, h.maxStale = ctl.NoCache, ctl.MaxStaleEpochs
+	h.controls = append(h.controls, cache.ControlFrom(ctx))
 	h.transport = obs.TransportFrom(ctx)
 	h.mu.Unlock()
-	return &engine.Result{Cols: []string{"x"}}, nil
+	return &engine.Result{Cols: []string{"x"}, Rows: []sqltypes.Row{{sqltypes.NewInt(1)}}}, nil
 }
 
 func (h *ctlHandler) Exec(string) (int64, error) { return 0, nil }
@@ -421,7 +407,7 @@ func TestTransportTag(t *testing.T) {
 	}
 	defer s.Close()
 
-	bc, err := DialMode(s.Addr(), ModeBinary)
+	bc, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,20 +417,6 @@ func TestTransportTag(t *testing.T) {
 	bc.Close()
 	h.mu.Lock()
 	if h.transport != "binary" {
-		t.Fatalf("transport: %q", h.transport)
-	}
-	h.mu.Unlock()
-
-	gc, err := DialMode(s.Addr(), ModeGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gc.Query("q"); err != nil {
-		t.Fatal(err)
-	}
-	gc.Close()
-	h.mu.Lock()
-	if h.transport != "gob" {
 		t.Fatalf("transport: %q", h.transport)
 	}
 	h.mu.Unlock()

@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -13,38 +14,48 @@ import (
 	"apuama/internal/engine"
 	"apuama/internal/obs"
 	"apuama/internal/sqltypes"
-	"apuama/internal/wire"
 )
+
+// Handler is what the server serves: the public Cluster satisfies it.
+type Handler interface {
+	Query(sqlText string) (*engine.Result, error)
+	Exec(sqlText string) (int64, error)
+}
+
+// ContextHandler is an optional upgrade of Handler: when the handler
+// also implements it, queries are delivered through QueryContext with
+// the stream's context (a cancel frame cancels it) carrying the
+// transport tag and any per-request cache.Control. The public Cluster
+// satisfies it.
+type ContextHandler interface {
+	QueryContext(ctx context.Context, sqlText string) (*engine.Result, error)
+}
 
 // Options configures a Server.
 type Options struct {
 	// Metrics mirrors the server's wire counters into a registry
 	// (apuama_wire_*; nil disables mirroring).
 	Metrics *obs.Registry
-	// BinaryOnly refuses legacy gob connections instead of falling back
-	// to the internal/wire handler.
-	BinaryOnly bool
 	// ChunkRows is the rows per batch frame (default DefaultBatchRows).
 	ChunkRows int
 }
 
-// DefaultBatchRows is how many rows the server packs per binary batch
-// frame. Much larger than the gob chunk size: the columnar codec's cost
-// is per batch (one dictionary build, one frame, one credit) rather
-// than per value, so bigger batches amortize it — 4096 Q1-shaped rows
-// is still only ~100 KiB on the wire.
+// DefaultBatchRows is how many rows the server packs per batch frame.
+// Much larger than the engine's 256-row batch: the columnar codec's
+// cost is per batch (one dictionary build, one frame, one credit)
+// rather than per value, so bigger batches amortize it — 4096 Q1-shaped
+// rows is still only ~100 KiB on the wire.
 const DefaultBatchRows = 4096
 
 // Stats is a point-in-time snapshot of a server's wire activity.
 type Stats struct {
-	FramesIn, FramesOut int64 // binary frames received / sent
+	FramesIn, FramesOut int64 // frames received / sent
 	BytesIn, BytesOut   int64 // frame bytes received / sent (headers included)
 	Streams             int64 // query/exec/ping streams opened
 	Cancels             int64 // wire-level cancel frames honoured
-	BinaryConns         int64 // connections negotiated onto the binary protocol
-	GobConns            int64 // connections that fell back to the gob protocol
+	BinaryConns         int64 // connections that completed the handshake
 	// NegotiatedVersion is the frame-format version of the most recent
-	// binary handshake (0 until one completes).
+	// handshake (0 until one completes).
 	NegotiatedVersion int64
 }
 
@@ -57,7 +68,6 @@ type serverStats struct {
 	streams             atomic.Int64
 	cancels             atomic.Int64
 	binaryConns         atomic.Int64
-	gobConns            atomic.Int64
 	version             atomic.Int64
 
 	mFrames, mBytes, mStreams, mCancels *obs.Counter
@@ -88,12 +98,11 @@ func (st *serverStats) frameOut(payload int) {
 	st.mBytes.Add(int64(frameHeaderSize + payload))
 }
 
-// Server accepts connections, sniffs the handshake, and serves the
-// binary multiplexed protocol — falling back to the legacy gob protocol
-// (via wire.ServeConn) for peers that do not speak it.
+// Server accepts connections and serves the multiplexed protocol on
+// each, concurrently across connections and across the streams of one.
 type Server struct {
 	ln   net.Listener
-	h    wire.Handler
+	h    Handler
 	opts Options
 	st   serverStats
 
@@ -105,7 +114,7 @@ type Server struct {
 
 // Serve starts listening on addr (use "127.0.0.1:0" for an ephemeral
 // test port) and serving in background goroutines.
-func Serve(addr string, h wire.Handler, opts Options) (*Server, error) {
+func Serve(addr string, h Handler, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -133,7 +142,6 @@ func (s *Server) Stats() Stats {
 		Streams:           s.st.streams.Load(),
 		Cancels:           s.st.cancels.Load(),
 		BinaryConns:       s.st.binaryConns.Load(),
-		GobConns:          s.st.gobConns.Load(),
 		NegotiatedVersion: s.st.version.Load(),
 	}
 }
@@ -197,54 +205,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// prefixConn replays sniffed bytes before the live connection — how a
-// gob peer's first request reaches wire.ServeConn intact.
-type prefixConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) { return p.r.Read(b) }
-
-// serveConn sniffs the first four bytes: the binary magic selects the
-// framed protocol, anything else is a legacy gob peer.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	var head [4]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
-		return
-	}
-	if head != magic {
-		if s.opts.BinaryOnly {
-			return
-		}
-		s.st.gobConns.Add(1)
-		wire.ServeConn(&prefixConn{Conn: conn, r: io.MultiReader(newByteReader(head[:]), conn)}, s.h)
-		return
-	}
-	s.serveBinary(conn)
-}
-
-// newByteReader copies the sniffed bytes so the stack array can be
-// replayed after serveConn's frame returns.
-func newByteReader(b []byte) io.Reader {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return &sliceReader{b: cp}
-}
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
-// srvStream is one in-flight query on a binary connection.
+// srvStream is one in-flight query on a connection.
 type srvStream struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -278,7 +239,7 @@ func (st *srvStream) waitCredit() bool {
 	}
 }
 
-// binConn is one negotiated binary connection: a read loop demultiplexes
+// binConn is one negotiated connection: a read loop demultiplexes
 // client frames while per-stream goroutines serve queries and interleave
 // their response frames through the shared write mutex.
 type binConn struct {
@@ -297,24 +258,25 @@ type binConn struct {
 	qwg sync.WaitGroup
 }
 
-func (s *Server) serveBinary(conn net.Conn) {
-	// Finish the handshake: the rest of the hello, then the version
-	// reply. A peer that stalls mid-hello is cut off by the deadline so
-	// the serving goroutine cannot leak forever on a half-open socket.
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	var rest [helloSize - 4]byte
-	if _, err := io.ReadFull(conn, rest[:]); err != nil {
+// serveConn shakes hands — the deadline is armed before the first read,
+// so a peer that connects and stalls is cut off instead of pinning the
+// goroutine; one that opens with anything but the magic is closed — and
+// then serves frames until the peer goes away.
+func (s *Server) serveConn(conn net.Conn) {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	var hello [helloSize]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil || [4]byte(hello[:4]) != magic {
 		return
 	}
-	peerMax := uint16(rest[0]) | uint16(rest[1])<<8
-	ver := negotiate(peerMax)
+	ver := negotiate(binary.LittleEndian.Uint16(hello[4:]))
 	if ver == 0 {
 		return
 	}
 	if _, err := conn.Write(helloReply(ver)); err != nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
+	conn.SetDeadline(time.Time{})
 	s.st.binaryConns.Add(1)
 	s.st.version.Store(int64(ver))
 	s.st.mVersion.Set(int64(ver))
@@ -469,16 +431,13 @@ func (c *binConn) writeEnd(id uint32, affected int64, err error) error {
 // wire-level cancel frames cancel it — plus the cache-control bits and
 // the transport tag the tracing layer annotates onto the query span.
 func (c *binConn) handleQuery(ctx context.Context, q queryReq) (*engine.Result, error) {
-	ch, ok := c.srv.h.(wire.ContextHandler)
+	ch, ok := c.srv.h.(ContextHandler)
 	if !ok {
 		return c.srv.h.Query(q.sql)
 	}
 	ctx = obs.WithTransport(ctx, "binary")
-	if q.noCache || q.maxStale > 0 {
-		ctx = cache.WithControl(ctx, cache.Control{
-			NoCache:        q.noCache,
-			MaxStaleEpochs: q.maxStale,
-		})
+	if q.ctl.NoCache || q.ctl.MaxStaleEpochs > 0 {
+		ctx = cache.WithControl(ctx, q.ctl)
 	}
 	return ch.QueryContext(ctx, q.sql)
 }
