@@ -194,6 +194,12 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Whether a row exists does not depend on what a final projection
+		// would build from it, so `exists (select * ...)` copies no tuple
+		// — unless an item could raise, which must still surface.
+		if p, ok := sub.root.(*projectOp); ok && !exprsCanRaise(p.items) {
+			sub.root = p.child
+		}
 		return &existsExpr{sub: sub, not: e.Not}, nil
 	case *sql.SubqueryExpr:
 		sub, err := b.bindSubplan(e.Sub, sc)

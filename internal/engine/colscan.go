@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"time"
+
 	"apuama/internal/sqltypes"
 	"apuama/internal/storage"
 )
@@ -22,7 +24,7 @@ import (
 // additionally needs physical order to BE key order; the segment build
 // records that property (SegmentSet.KeyOrdered, strict over all rows),
 // and when it does not hold the operator opens its heap fallback
-// instead. The planner binds every conjunct into the scan filter (index
+// instead. The planner binds every conjunct into this scan's filter (index
 // bounds are redundant with it), so the row set needs no special-casing.
 
 // columnarMinRows gates columnar planning: tiny relations rebuild
@@ -194,10 +196,73 @@ func pruneSegments(set *storage.SegmentSet, checks []zoneCheck) (kept []*storage
 
 // --- columnar sequential scan operator ---
 
+// segScan walks column segments row by row, paying for each spanned heap
+// page as the rows reach it — exactly what the heap scan pays for the same
+// pages and slots. The first page of a segment is paid for on entering
+// it, pages past the last row (short tail pages) on leaving it.
+type segScan struct {
+	segs []*storage.Segment
+	si   int // current segment
+	ri   int // next row within it
+	pg   int // page the rows are on
+}
+
+func (s *segScan) begin(ex *execCtx) {
+	if len(s.segs) > 0 {
+		ex.touch(s.segs[0].PageIDs[0], true)
+	}
+}
+
+func (s *segScan) gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error) {
+	tupleCost := ex.meter.Config().CPUTuple
+	visited := 0
+	settle := func() {
+		ex.meter.Charge(time.Duration(visited) * tupleCost)
+		visited = 0
+	}
+	for s.si < len(s.segs) {
+		seg := s.segs[s.si]
+		n := seg.NumRows()
+		for s.ri < n {
+			if len(dst) >= limit {
+				settle()
+				return dst, nil
+			}
+			for s.pg < len(seg.PageEnds) && int32(s.ri) >= seg.PageEnds[s.pg] {
+				s.pg++
+				if s.pg < len(seg.PageIDs) {
+					settle()
+					ex.touch(seg.PageIDs[s.pg], true)
+					ex.meter.MaybeFlush()
+				}
+			}
+			i := s.ri
+			s.ri++
+			visited++
+			if seg.Visible(i, ex.snapshot) {
+				dst = append(dst, seg.Rows[i])
+			}
+		}
+		settle()
+		for s.pg+1 < len(seg.PageIDs) {
+			s.pg++
+			ex.touch(seg.PageIDs[s.pg], true)
+			ex.meter.MaybeFlush()
+		}
+		s.si++
+		s.ri, s.pg = 0, 0
+		if s.si < len(s.segs) {
+			ex.touch(s.segs[s.si].PageIDs[0], true)
+			ex.meter.MaybeFlush()
+		}
+	}
+	return dst, nil
+}
+
 // colScanOp is the serial columnar scan. It emits exactly the row
 // stream of the heap scan it replaced (see the package comment above):
 // kept segments in order, rows in physical order, MVCC and filter
-// applied per row. fallback, when set, is the heap operator to open
+// applied per batch. fallback, when set, is the heap operator to open
 // instead if the segment generation turns out not to be key-ordered
 // (needKeyOrder: this op replaced a clustered index range scan).
 type colScanOp struct {
@@ -207,43 +272,34 @@ type colScanOp struct {
 	needKeyOrder bool
 	fallback     op
 
-	set           *storage.SegmentSet
-	kept          []*storage.Segment
 	prunedCount   int
-	si            int // index into kept
-	ri            int // row index within current segment
-	pg            int // page index within current segment
 	usingFallback bool
-	ec            evalCtx
+	src           segScan
+	flt           filterRun
 }
 
 func (s *colScanOp) open(ex *execCtx) error {
-	s.ec = evalCtx{ex: ex}
-	s.si, s.ri, s.pg = 0, 0, 0
+	s.flt.open(ex, s.filter)
 	s.usingFallback = false
 
 	set, built := s.rel.Segments(ex.snapshot)
-	s.set = set
 	if built {
 		ex.node.pstats.addSegBuilt(int64(len(set.Segments)))
 		ex.node.pstats.setSegBytes(ex.node.db.SegmentBytes())
 	}
-	if s.needKeyOrder && !set.KeyOrdered {
+	if s.needKeyOrder && !set.KeyOrdered && s.fallback != nil {
+		// No fallback: a full scan is still correct for order-insensitive parents.
 		s.usingFallback = true
-		if s.fallback == nil {
-			s.usingFallback = false // no fallback: full scan is still correct for order-insensitive parents
-		} else {
-			return s.fallback.open(ex)
-		}
+		return s.fallback.open(ex)
 	}
 
-	checks := resolveZoneChecks(collectZonePreds(s.filter, true), &s.ec)
-	s.kept, s.prunedCount = pruneSegments(set, checks)
-	ex.node.pstats.addSegPruned(int64(s.prunedCount))
-	ex.node.pstats.addSegScanned(int64(len(s.kept)))
-	if len(s.kept) > 0 {
-		ex.touch(s.kept[0].PageIDs[0], true)
-	}
+	checks := resolveZoneChecks(collectZonePreds(s.filter, true), &s.flt.ec)
+	kept, pruned := pruneSegments(set, checks)
+	s.prunedCount = pruned
+	ex.node.pstats.addSegPruned(int64(pruned))
+	ex.node.pstats.addSegScanned(int64(len(kept)))
+	s.src = segScan{segs: kept}
+	s.src.begin(ex)
 	return nil
 }
 
@@ -251,61 +307,13 @@ func (s *colScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	if s.usingFallback {
 		return s.fallback.next(ex, out)
 	}
-	cfg := ex.meter.Config()
-	for s.si < len(s.kept) {
-		seg := s.kept[s.si]
-		n := seg.NumRows()
-		for s.ri < n {
-			if out.Full() {
-				return nil
-			}
-			for s.pg < len(seg.PageEnds) && int32(s.ri) >= seg.PageEnds[s.pg] {
-				s.pg++
-				if s.pg < len(seg.PageIDs) {
-					ex.touch(seg.PageIDs[s.pg], true)
-					ex.meter.MaybeFlush()
-				}
-			}
-			i := s.ri
-			s.ri++
-			ex.meter.Charge(cfg.CPUTuple)
-			if !seg.Visible(i, ex.snapshot) {
-				continue
-			}
-			row := seg.Rows[i]
-			if s.filter != nil {
-				s.ec.row = row
-				keep, err := truthOf(s.filter, &s.ec)
-				if err != nil {
-					return err
-				}
-				if keep != triTrue {
-					continue
-				}
-			}
-			out.Append(row)
-		}
-		// Pages past the last row (possible only on short tail pages)
-		// still cost their sequential read, as the heap scan pays it.
-		for s.pg+1 < len(seg.PageIDs) {
-			s.pg++
-			ex.touch(seg.PageIDs[s.pg], true)
-			ex.meter.MaybeFlush()
-		}
-		s.si++
-		s.ri, s.pg = 0, 0
-		if s.si < len(s.kept) {
-			ex.touch(s.kept[s.si].PageIDs[0], true)
-			ex.meter.MaybeFlush()
-		}
-	}
-	return nil
+	return fillFiltered(ex, &s.src, &s.flt, out)
 }
 
 func (s *colScanOp) close() {
 	if s.usingFallback {
 		s.fallback.close()
 	}
-	s.kept = nil
-	s.set = nil
+	s.src = segScan{}
+	s.flt.fs.release()
 }

@@ -101,73 +101,194 @@ func (cs *childStream) nextRow(src op, ex *execCtx) (sqltypes.Row, error) {
 	return r, nil
 }
 
-// --- sequential scan ---
+// nextRows returns up to max of the rows buffered from src, refilling the
+// internal batch when it is spent. nil signals end of stream.
+func (cs *childStream) nextRows(src op, ex *execCtx, max int) ([]sqltypes.Row, error) {
+	for cs.pos >= cs.buf.Len() {
+		cs.buf.Reset()
+		cs.pos = 0
+		if err := src.next(ex, cs.buf); err != nil {
+			return nil, err
+		}
+		if cs.buf.Len() == 0 {
+			return nil, nil
+		}
+	}
+	rows := cs.buf.Rows[cs.pos:min(cs.pos+max, cs.buf.Len())]
+	cs.pos += len(rows)
+	return rows, nil
+}
+
+// --- scans ---
+
+// rowSource is where a scan's candidate rows come from: heap pages in
+// order, an index range's RowIDs, column segments, a child operator, a
+// shared pass. gather appends the next visible rows to dst until it holds
+// limit of them or the source is dry, paying the source's own modelled
+// charges (page IO, per-tuple CPU) for exactly the slots it visits —
+// stopping short of limit only at the end of the source, so a caller that
+// is filling a batch visits no slot a row-at-a-time scan would not have.
+type rowSource interface {
+	gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error)
+}
+
+// filterRun is a compiled predicate with the evaluation context and
+// scratch of the one operator (or worker) running it.
+type filterRun struct {
+	f  *rowFilter
+	ec evalCtx
+	fs filterScratch
+}
+
+// open readies the run for one execution, compiling the predicate the
+// first time (a plan is opened many times when it is a correlated
+// sub-query's).
+func (r *filterRun) open(ex *execCtx, pred bexpr) {
+	if r.f == nil {
+		r.f = compileFilter(pred)
+	}
+	r.ec = evalCtx{ex: ex}
+}
+
+// fillFiltered is the scan loop every filtering operator shares: gather
+// candidates into out's free tail, cut them down by the filter in place,
+// and go again until out is full or the source is dry. Candidates never
+// outnumber the free slots, so nothing is ever held back between calls.
+func fillFiltered(ex *execCtx, src rowSource, flt *filterRun, out *sqltypes.Batch) error {
+	for {
+		base := out.Len()
+		rows, err := src.gather(ex, out.Rows, out.Cap())
+		if err != nil {
+			return err
+		}
+		out.Rows = rows
+		dry := !out.Full()
+		if flt.f != nil {
+			kept, err := flt.f.apply(&flt.ec, &flt.fs, rows[base:])
+			if err != nil {
+				return err
+			}
+			out.Truncate(base + len(kept))
+		}
+		if dry || out.Full() {
+			return nil
+		}
+	}
+}
+
+// heapScan walks heap pages [pi, hi) slot by slot. Per-tuple CPU is
+// charged once per page, not once per slot: visited counts the slots seen
+// since the last charge and is settled at every page boundary before the
+// MaybeFlush there, and on the way out.
+type heapScan struct {
+	pages  []*storage.Page
+	pi, hi int
+	slot   int32
+}
+
+// begin pays for the first page; every later page is paid for when the
+// one before it is finished.
+func (s *heapScan) begin(ex *execCtx) {
+	if s.pi < s.hi {
+		ex.touch(s.pages[s.pi].ID, true)
+	}
+}
+
+func (s *heapScan) gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error) {
+	tupleCost := ex.meter.Config().CPUTuple
+	visited := 0
+	for s.pi < s.hi {
+		p := s.pages[s.pi]
+		n := int32(p.Count())
+		for s.slot < n {
+			if len(dst) >= limit {
+				ex.meter.Charge(time.Duration(visited) * tupleCost)
+				return dst, nil
+			}
+			slot := s.slot
+			s.slot++
+			visited++
+			if p.Visible(slot, ex.snapshot) {
+				dst = append(dst, p.Row(slot))
+			}
+		}
+		s.pi++
+		s.slot = 0
+		ex.meter.Charge(time.Duration(visited) * tupleCost)
+		visited = 0
+		if s.pi < s.hi {
+			ex.touch(s.pages[s.pi].ID, true)
+		}
+		ex.meter.MaybeFlush()
+	}
+	return dst, nil
+}
+
+// ridScan fetches rids[pos:] from the heap in list order, paying for a
+// page each time the list moves onto one (sequential IO under a clustered
+// index, whose heap accesses are physically contiguous; random otherwise).
+type ridScan struct {
+	pages      []*storage.Page
+	rids       []storage.RowID
+	pos        int
+	lastPg     int64
+	sequential bool
+}
+
+func (s *ridScan) gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error) {
+	tupleCost := ex.meter.Config().CPUTuple
+	visited := 0
+	for s.pos < len(s.rids) && len(dst) < limit {
+		rid := s.rids[s.pos]
+		s.pos++
+		if int(rid.Page) >= len(s.pages) {
+			continue
+		}
+		p := s.pages[rid.Page]
+		if p.ID != s.lastPg {
+			ex.meter.Charge(time.Duration(visited) * tupleCost)
+			visited = 0
+			ex.touch(p.ID, s.sequential)
+			s.lastPg = p.ID
+			ex.meter.MaybeFlush()
+		}
+		visited++
+		if p.Visible(rid.Slot, ex.snapshot) {
+			dst = append(dst, p.Row(rid.Slot))
+		}
+	}
+	ex.meter.Charge(time.Duration(visited) * tupleCost)
+	return dst, nil
+}
 
 // seqScanOp reads every heap page in order, applying MVCC visibility and
 // an optional filter, filling output batches directly from the pages.
 // Every page access goes through the node's buffer pool with
-// sequential-read cost. The scan holds no per-row state beyond the
-// page/slot position, so a filtered scan runs allocation-free: the one
-// evalCtx is reused across all rows.
+// sequential-read cost.
 type seqScanOp struct {
 	rel    *storage.Relation
 	filter bexpr // may be nil
 
-	pages []*storage.Page
-	pi    int
-	slot  int32
-	ec    evalCtx
+	src heapScan
+	flt filterRun
 }
 
 func (s *seqScanOp) open(ex *execCtx) error {
-	s.pages = s.rel.PageSnapshot()
-	s.pi, s.slot = 0, 0
-	s.ec = evalCtx{ex: ex}
-	if s.pi < len(s.pages) {
-		ex.touch(s.pages[0].ID, true)
-	}
+	pages := s.rel.PageSnapshot()
+	s.src = heapScan{pages: pages, hi: len(pages)}
+	s.src.begin(ex)
+	s.flt.open(ex, s.filter)
 	return nil
 }
 
 func (s *seqScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
-	cfg := ex.meter.Config()
-	for s.pi < len(s.pages) {
-		p := s.pages[s.pi]
-		n := int32(p.Count())
-		for s.slot < n {
-			if out.Full() {
-				return nil
-			}
-			slot := s.slot
-			s.slot++
-			ex.meter.Charge(cfg.CPUTuple)
-			if !p.Visible(slot, ex.snapshot) {
-				continue
-			}
-			row := p.Row(slot)
-			if s.filter != nil {
-				s.ec.row = row
-				keep, err := truthOf(s.filter, &s.ec)
-				if err != nil {
-					return err
-				}
-				if keep != triTrue {
-					continue
-				}
-			}
-			out.Append(row)
-		}
-		s.pi++
-		s.slot = 0
-		if s.pi < len(s.pages) {
-			ex.touch(s.pages[s.pi].ID, true)
-			ex.meter.MaybeFlush()
-		}
-	}
-	return nil
+	return fillFiltered(ex, &s.src, &s.flt, out)
 }
 
-func (s *seqScanOp) close() { s.pages = nil }
+func (s *seqScanOp) close() {
+	s.src.pages = nil
+	s.flt.fs.release()
+}
 
 // --- index range scan ---
 
@@ -242,81 +363,44 @@ func (sb *scanBounds) collect(ec *evalCtx, index *storage.Index, rids []storage.
 
 // indexScanOp walks a B-tree range, fetching heap rows in index order.
 // Bounds are expressions so correlated parameters work as runtime keys
-// (index nested-loop sub-queries). A scan over the clustered index is
-// charged sequential IO — its heap accesses are physically contiguous —
-// while secondary-index fetches pay random IO.
+// (index nested-loop sub-queries). filter holds the conjuncts the bounds
+// do not already guarantee (see accessPath.implies).
 type indexScanOp struct {
 	rel    *storage.Relation
 	index  *storage.Index
 	bounds *scanBounds
 	filter bexpr
 
-	rids   *[]storage.RowID // from ridPool between open and close
-	pages  []*storage.Page  // taken after rids: covers every page they name
-	pos    int
-	lastPg int64
-	ec     evalCtx
+	rids *[]storage.RowID // from ridPool between open and close
+	src  ridScan
+	flt  filterRun
 }
 
 func (s *indexScanOp) open(ex *execCtx) error {
-	s.ec = evalCtx{ex: ex}
-	s.pos = 0
-	s.lastPg = -1
+	s.flt.open(ex, s.filter)
 	if s.rids == nil {
 		s.rids = ridPool.get()
 	}
 	var err error
-	*s.rids, err = s.bounds.collect(&s.ec, s.index, (*s.rids)[:0])
+	*s.rids, err = s.bounds.collect(&s.flt.ec, s.index, (*s.rids)[:0])
+	s.src = ridScan{rids: *s.rids, lastPg: -1, sequential: s.index.Clustered}
 	// Pages are append-only and an entry is indexed only after its page is
 	// in the list, so a snapshot taken now resolves every collected RID
 	// without a relation-lock round trip per row.
 	if len(*s.rids) > 0 {
-		s.pages = s.rel.PageSnapshot()
+		s.src.pages = s.rel.PageSnapshot()
 	}
 	return err
 }
 
 func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
-	cfg := ex.meter.Config()
-	rids := *s.rids
-	for s.pos < len(rids) {
-		if out.Full() {
-			return nil
-		}
-		rid := rids[s.pos]
-		s.pos++
-		if int(rid.Page) >= len(s.pages) {
-			continue
-		}
-		p := s.pages[rid.Page]
-		if p.ID != s.lastPg {
-			ex.touch(p.ID, s.index.Clustered)
-			s.lastPg = p.ID
-			ex.meter.MaybeFlush()
-		}
-		ex.meter.Charge(cfg.CPUTuple)
-		if !p.Visible(rid.Slot, ex.snapshot) {
-			continue
-		}
-		row := p.Row(rid.Slot)
-		if s.filter != nil {
-			s.ec.row = row
-			keep, err := truthOf(s.filter, &s.ec)
-			if err != nil {
-				return err
-			}
-			if keep != triTrue {
-				continue
-			}
-		}
-		out.Append(row)
-	}
-	return nil
+	return fillFiltered(ex, &s.src, &s.flt, out)
 }
 
 func (s *indexScanOp) close() {
 	ridPool.put(s.rids)
-	s.rids, s.pages = nil, nil
+	s.rids, s.src = nil, ridScan{}
+	s.flt.fs.release()
 }
 
 // bufPool recycles []T scratch buffers between queries. A buffer travels
@@ -351,44 +435,41 @@ var (
 
 // --- filter ---
 
+// filterOp filters its child's output. It is its own rowSource: the
+// candidates are the child's rows, a refill of the child stream at a time.
 type filterOp struct {
 	child op
 	cond  bexpr
 
-	cs childStream
-	ec evalCtx
+	cs  childStream
+	flt filterRun
 }
 
 func (f *filterOp) open(ex *execCtx) error {
-	f.ec = evalCtx{ex: ex}
+	f.flt.open(ex, f.cond)
 	f.cs.open(ex)
 	return f.child.open(ex)
 }
 
 func (f *filterOp) next(ex *execCtx, out *sqltypes.Batch) error {
-	for !out.Full() {
-		row, err := f.cs.nextRow(f.child, ex)
-		if err != nil {
-			return err
+	return fillFiltered(ex, f, &f.flt, out)
+}
+
+func (f *filterOp) gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error) {
+	for len(dst) < limit {
+		rows, err := f.cs.nextRows(f.child, ex, limit-len(dst))
+		if err != nil || rows == nil {
+			return dst, err
 		}
-		if row == nil {
-			return nil
-		}
-		f.ec.row = row
-		keep, err := truthOf(f.cond, &f.ec)
-		if err != nil {
-			return err
-		}
-		if keep == triTrue {
-			out.Append(row)
-		}
+		dst = append(dst, rows...)
 	}
-	return nil
+	return dst, nil
 }
 
 func (f *filterOp) close() {
 	f.child.close()
 	f.cs.close()
+	f.flt.fs.release()
 }
 
 // --- hash join ---
@@ -398,21 +479,36 @@ func (f *filterOp) close() {
 // above the join reads: the probeSel positions of the probe row followed
 // by the buildSel positions of the build row (the planner's narrowed
 // layout; see neededCols). Only inner joins exist in the dialect.
+//
+// The table has two forms. A join whose build keys are all integers (every
+// TPC-H key) gets intKeys: int64 -> build-row ordinals, probed by reading
+// the probe row's key columns in place. Anything else — a float or string
+// build key — gets the generic table of evaluated key rows bucketed by
+// HashRow. Both answer alike (a probe matches the build rows whose key
+// RowsEqual says it equals, in build order); the generic one is the
+// definition.
 type hashJoinOp struct {
 	probe, build         op
 	probeKeys, buildKeys []bexpr
 	probeSel, buildSel   []int
 	inCols               int // probe + build input width, for EXPLAIN
 
+	ints      *intKeys
+	buildRows *[]sqltypes.Row // intKeys' ordinals index it; from rowBufPool
+	keyCols   [2][]int        // probe and build key positions, when every key is a plain column
+	probeInts []int64         // the current probe row's keys
+	chain     int32           // next build ordinal to try for the current probe row, -1 none
+
 	table    map[uint64][]sqltypes.Row // hash -> build rows
 	keysOf   map[uint64][]sqltypes.Row // hash -> build keys, parallel to table
 	matches  []sqltypes.Row            // matches for current probe row
 	mpos     int                       // next match to emit
-	current  sqltypes.Row
-	probeKey sqltypes.Row     // scratch: a probe key is dead after its bucket lookup
-	slab     []sqltypes.Value // output tuples are cut from it, joinSlabRows per allocation
-	cs       childStream
-	ec       evalCtx
+	probeKey sqltypes.Row              // scratch: a probe key is dead after its bucket lookup
+
+	current sqltypes.Row
+	slab    []sqltypes.Value // output tuples are cut from it, joinSlabRows per allocation
+	cs      childStream
+	ec      evalCtx
 }
 
 // joinSlabRows is how many output tuples share one allocation.
@@ -424,39 +520,63 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 	}
 	defer j.build.close()
 	j.ec = evalCtx{ex: ex}
-	j.table = map[uint64][]sqltypes.Row{}
-	j.keysOf = map[uint64][]sqltypes.Row{}
 	j.matches, j.mpos = j.matches[:0], 0
-	j.current = nil
-	cfg := ex.meter.Config()
+	j.current, j.chain = nil, -1
+	rows := rowBufPool.get()
 	var bs childStream
 	bs.open(ex)
 	defer bs.close()
 	for {
-		row, err := bs.nextRow(j.build, ex)
+		batch, err := bs.nextRows(j.build, ex, bs.buf.Cap())
+		if err != nil {
+			rowBufPool.put(rows)
+			return err
+		}
+		if batch == nil {
+			break
+		}
+		*rows = append(*rows, batch...)
+	}
+	opCost := ex.meter.Config().CPUOperator
+	if keyed, ok := j.buildIntKeys(*rows); ok {
+		j.ints, j.buildRows = keyed, rows
+		if j.probeInts == nil {
+			j.probeInts = make([]int64, len(j.probeKeys))
+		}
+		ex.meter.Charge(time.Duration(keyed.n) * opCost)
+	} else {
+		err := j.buildGeneric(*rows, opCost)
+		clear(*rows)
+		rowBufPool.put(rows)
 		if err != nil {
 			return err
 		}
-		if row == nil {
-			break
-		}
-		// Build keys are retained beside their rows, so each gets its own Row.
+	}
+	j.cs.open(ex)
+	return j.probe.open(ex)
+}
+
+// buildGeneric fills the generic table: one evaluated key row per build
+// row, retained beside it. NULL keys never join.
+func (j *hashJoinOp) buildGeneric(rows []sqltypes.Row, opCost time.Duration) error {
+	j.table = map[uint64][]sqltypes.Row{}
+	j.keysOf = map[uint64][]sqltypes.Row{}
+	for _, row := range rows {
 		key := make(sqltypes.Row, len(j.buildKeys))
 		null, err := evalKeys(&j.ec, j.buildKeys, row, key)
 		if err != nil {
 			return err
 		}
 		if null {
-			continue // NULL keys never join
+			continue
 		}
 		h := sqltypes.HashRow(key)
 		j.table[h] = append(j.table[h], row)
 		j.keysOf[h] = append(j.keysOf[h], key)
-		ex.meter.Charge(cfg.CPUOperator)
+		j.ec.ex.meter.Charge(opCost)
 	}
 	j.probeKey = make(sqltypes.Row, len(j.probeKeys))
-	j.cs.open(ex)
-	return j.probe.open(ex)
+	return nil
 }
 
 // evalKeys evaluates the join keys of row into out (len(keys) wide) and
@@ -476,8 +596,195 @@ func evalKeys(ec *evalCtx, keys []bexpr, row, out sqltypes.Row) (null bool, err 
 	return false, nil
 }
 
+// intKeys is the integer-key join table: open addressing from a join
+// key (for several key columns, a mix of them) to the first build ordinal
+// carrying it, and per ordinal the next one under the same slot key,
+// ascending — so a probe meets its matches in build order. A chain under
+// a mixed key can hold other key tuples; holds tells them apart.
+type intKeys struct {
+	cols  []int // key column positions in a build row
+	slots []intSlot
+	next  []int32
+	shift uint
+	n     int // build rows in the table (those without a NULL key)
+
+	slotBuf *[]intSlot // slots and next are cut from pooled buffers
+	nextBuf *[]int32
+}
+
+var slotPool bufPool[intSlot]
+
+// release hands the table's memory back; nil is a no-op.
+func (t *intKeys) release() {
+	if t != nil {
+		slotPool.put(t.slotBuf)
+		selPool.put(t.nextBuf)
+	}
+}
+
+// sized returns buf resized to n elements, reusing its capacity.
+func sized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+type intSlot struct {
+	key   int64
+	first int32 // build ordinal + 1; 0 marks the slot empty
+}
+
+// exactInt bounds the keys the integer table takes: below 2^53 in
+// magnitude an int64 and the float64 nearest it are the same number, so
+// "the float probe key is integral and equals the build key" is exactly
+// what Compare's float-space comparison of the two says.
+const exactInt = 1 << 53
+
+// keyCols returns the positions of keys (a join's, a GROUP BY's) that are
+// all plain columns.
+func keyCols(keys []bexpr) ([]int, bool) {
+	cols := make([]int, len(keys))
+	for i, k := range keys {
+		c, ok := k.(*colExpr)
+		if !ok {
+			return nil, false
+		}
+		cols[i] = c.pos
+	}
+	return cols, true
+}
+
+// buildIntKeys builds the integer table over the materialized build rows,
+// or reports false if a join key is not a plain column or some non-NULL
+// build key is not an exact integer.
+func (j *hashJoinOp) buildIntKeys(rows []sqltypes.Row) (*intKeys, bool) {
+	if j.keyCols[0] == nil {
+		probe, pok := keyCols(j.probeKeys)
+		build, bok := keyCols(j.buildKeys)
+		if !pok || !bok {
+			return nil, false
+		}
+		j.keyCols = [2][]int{probe, build}
+	}
+	cols := j.keyCols[1]
+	size, shift := 16, uint(60)
+	for size < 2*len(rows) {
+		size, shift = size<<1, shift-1
+	}
+	t := &intKeys{cols: cols, shift: shift, slotBuf: slotPool.get(), nextBuf: selPool.get()}
+	t.slots, t.next = sized(t.slotBuf, size), sized(t.nextBuf, len(rows))
+	clear(t.slots)
+	// Back to front, each row going to the head of its slot's chain: the
+	// chains come out ascending.
+rows:
+	for ord := len(rows) - 1; ord >= 0; ord-- {
+		var key int64
+		for _, c := range cols {
+			v := &rows[ord][c]
+			if v.K == sqltypes.KindNull {
+				continue rows // NULL keys never join
+			}
+			if !intBacked(v.K) || v.I <= -exactInt || v.I >= exactInt {
+				t.release()
+				return nil, false
+			}
+			key = mixKey(key, v.I)
+		}
+		s := t.slot(key)
+		t.next[ord] = s.first - 1
+		s.key, s.first = key, int32(ord)+1
+		t.n++
+	}
+	return t, true
+}
+
+// mixKey folds one more key column into a slot key. A single column's key
+// is itself.
+func mixKey(key, k int64) int64 { return key*-0x61c8864680b583eb + k }
+
+// slot returns key's slot: the one holding it, or the empty one where it
+// belongs (linear probing; the table is at most half full).
+func (t *intKeys) slot(key int64) *intSlot {
+	i := (uint64(key) * 0x9E3779B97F4A7C15) >> t.shift
+	for {
+		s := &t.slots[i]
+		if s.first == 0 || s.key == key {
+			return s
+		}
+		if i++; int(i) == len(t.slots) {
+			i = 0
+		}
+	}
+}
+
+// probe reads the probe row's key columns into keys as integers and
+// returns the head of the chain to search, -1 if the row can match
+// nothing. An int-backed value is its integer; a float is one if it is
+// integral (as RowsEqual's float-space Compare has it; -0 is 0); NULL
+// never joins. The remaining kinds answer as the generic table does: a
+// string equals no number, and an interval — which hashes as zero and
+// compares by its count — only ever finds key 0.
+func (t *intKeys) probe(row sqltypes.Row, cols []int, keys []int64) int32 {
+	var key int64
+	for i, c := range cols {
+		v := &row[c]
+		var k int64
+		switch {
+		case intBacked(v.K):
+			k = v.I
+		case v.K == sqltypes.KindFloat:
+			if !(v.F > -exactInt && v.F < exactInt) {
+				return -1
+			}
+			if k = int64(v.F); float64(k) != v.F {
+				return -1
+			}
+		case v.K == sqltypes.KindInterval && v.I == 0:
+		default:
+			return -1
+		}
+		keys[i] = k
+		key = mixKey(key, k)
+	}
+	return t.slot(key).first - 1
+}
+
+// holds reports whether the build row carries exactly these keys.
+func (t *intKeys) holds(build sqltypes.Row, keys []int64) bool {
+	for i, c := range t.cols {
+		if build[c].I != keys[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
-	cfg := ex.meter.Config()
+	// A probe row costs one operator step; the rows pulled since the last
+	// return are settled together.
+	pulled := 0
+	defer func() { ex.meter.Charge(time.Duration(pulled) * ex.meter.Config().CPUOperator) }()
+	if t := j.ints; t != nil {
+		build := *j.buildRows
+		for !out.Full() {
+			if ord := j.chain; ord >= 0 {
+				j.chain = t.next[ord]
+				if t.holds(build[ord], j.probeInts) {
+					out.Append(j.joined(j.current, build[ord]))
+				}
+				continue
+			}
+			row, err := j.cs.nextRow(j.probe, ex)
+			if err != nil || row == nil {
+				return err
+			}
+			pulled++
+			j.current, j.chain = row, t.probe(row, j.keyCols[0], j.probeInts)
+		}
+		return nil
+	}
 	for !out.Full() {
 		if j.mpos < len(j.matches) {
 			out.Append(j.joined(j.current, j.matches[j.mpos]))
@@ -485,13 +792,10 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			continue
 		}
 		row, err := j.cs.nextRow(j.probe, ex)
-		if err != nil {
+		if err != nil || row == nil {
 			return err
 		}
-		if row == nil {
-			return nil
-		}
-		ex.meter.Charge(cfg.CPUOperator)
+		pulled++
 		key := j.probeKey
 		null, err := evalKeys(&j.ec, j.probeKeys, row, key)
 		if err != nil {
@@ -538,6 +842,12 @@ func (j *hashJoinOp) joined(p, b sqltypes.Row) sqltypes.Row {
 func (j *hashJoinOp) close() {
 	j.probe.close()
 	j.cs.close()
+	if j.buildRows != nil {
+		clear(*j.buildRows)
+		rowBufPool.put(j.buildRows)
+	}
+	j.ints.release()
+	j.ints, j.buildRows = nil, nil
 	j.table = nil
 	j.keysOf = nil
 	j.slab = nil
@@ -803,26 +1113,106 @@ func (st *aggState) result(def *aggDef) sqltypes.Value {
 	return sqltypes.Null()
 }
 
-// aggTable is hash-aggregation state: groups bucketed by key hash plus
-// their first-appearance order, which is the output order. The serial
-// aggOp fills one; the parallel path fills one per morsel and merges them
-// in morsel-index order.
+// aggTable is aggregation state: the groups in first-appearance order,
+// which is the output order. While the groups are few they are matched
+// directly (Q1 has four); past directGroups they are indexed by key hash.
+// The serial aggOp fills one; the parallel path fills one per morsel and
+// merges them in morsel-index order.
 type aggTable struct {
-	buckets map[uint64][]*aggGroup
-	order   []*aggGroup
+	order []*aggGroup
+	heads map[uint64]int32 // key hash -> first group of its chain; nil while matching directly
 }
+
+// directGroups is how many groups a table matches by comparing keys
+// before it builds the hash index.
+const directGroups = 8
 
 type aggGroup struct {
 	keys   sqltypes.Row
 	states []aggState
+	next   int32 // next group with the same key hash, -1 at the end of the chain
 }
 
-// add folds the tuple in ec.row into the table. Group keys are evaluated
-// into the caller's scratch keybuf and only cloned when they start a new
-// group, so the ungrouped Q1/Q6 paths accumulate allocation-free. The
-// row's aggregates are charged in one call — opCost each, also for the
-// ones evaluated before an argument fails.
-func (t *aggTable) add(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sqltypes.Row, opCost time.Duration) error {
+// find returns the ordinal of the group with these keys, or -1, and the
+// keys' hash when the table is indexed by it.
+func (t *aggTable) find(keys sqltypes.Row) (int32, uint64) {
+	if t.heads == nil {
+		for gi, g := range t.order {
+			if sameGroupKeys(g.keys, keys) {
+				return int32(gi), 0
+			}
+		}
+		return -1, 0
+	}
+	h := sqltypes.HashRow(keys)
+	if gi, ok := t.heads[h]; ok {
+		for ; gi >= 0; gi = t.order[gi].next {
+			if sameGroupKeys(t.order[gi].keys, keys) {
+				return gi, h
+			}
+		}
+	}
+	return -1, h
+}
+
+// insert appends g, a group find did not find; h is the hash find
+// returned. Chains keep insertion order, so a key that matches more than
+// one group (Compare is not transitive across ints and floats beyond
+// 2^53) meets the same one first either way the table is searched.
+func (t *aggTable) insert(g *aggGroup, h uint64) int32 {
+	gi := int32(len(t.order))
+	g.next = -1
+	t.order = append(t.order, g)
+	switch {
+	case t.heads != nil:
+		t.link(gi, h)
+	case len(t.order) > directGroups:
+		t.heads = make(map[uint64]int32, 4*directGroups)
+		for i, g := range t.order {
+			t.link(int32(i), sqltypes.HashRow(g.keys))
+		}
+	}
+	return gi
+}
+
+func (t *aggTable) link(gi int32, h uint64) {
+	head, ok := t.heads[h]
+	if !ok {
+		t.heads[h] = gi
+		return
+	}
+	for t.order[head].next >= 0 {
+		head = t.order[head].next
+	}
+	t.order[head].next = gi
+}
+
+// lookup returns the ordinal of the group with these keys, starting it
+// if it is new (the keys are cloned: callers pass scratch).
+func (t *aggTable) lookup(keys sqltypes.Row, nAggs int) int32 {
+	gi, h := t.find(keys)
+	if gi < 0 {
+		gi = t.insert(&aggGroup{keys: keys.Clone(), states: make([]aggState, nAggs)}, h)
+	}
+	return gi
+}
+
+func sameGroupKeys(a, b sqltypes.Row) bool {
+	for i := range a {
+		if !sameGroupValue(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// addRow folds the tuple in ec.row into the table: the general path, for
+// aggregations whose group keys are expressions and for batches the
+// kernels do not cover. Group keys are evaluated into the caller's scratch
+// keybuf and only cloned when they start a new group. The row's
+// aggregates are charged in one call — opCost each, also for the ones
+// evaluated before an argument fails.
+func (t *aggTable) addRow(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sqltypes.Row, opCost time.Duration) error {
 	for i, g := range groups {
 		v, err := g.eval(ec)
 		if err != nil {
@@ -830,19 +1220,7 @@ func (t *aggTable) add(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sqlty
 		}
 		keybuf[i] = v
 	}
-	h := sqltypes.HashRow(keybuf)
-	var grp *aggGroup
-	for _, g := range t.buckets[h] {
-		if sqltypes.RowsEqual(g.keys, keybuf) {
-			grp = g
-			break
-		}
-	}
-	if grp == nil {
-		grp = &aggGroup{keys: keybuf.Clone(), states: make([]aggState, len(aggs))}
-		t.buckets[h] = append(t.buckets[h], grp)
-		t.order = append(t.order, grp)
-	}
+	grp := t.order[t.lookup(keybuf, len(aggs))]
 	for i, def := range aggs {
 		var v sqltypes.Value
 		if def.arg != nil {
@@ -856,6 +1234,23 @@ func (t *aggTable) add(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sqlty
 	}
 	ec.ex.meter.Charge(time.Duration(len(aggs)) * opCost)
 	return nil
+}
+
+// merge folds a partial table into t, in the partial's group order:
+// groups t has not seen are adopted as they are, the rest merge state by
+// state.
+func (t *aggTable) merge(pa *aggTable, aggs []*aggDef) {
+	for _, g := range pa.order {
+		gi, h := t.find(g.keys)
+		if gi < 0 {
+			t.insert(g, h)
+			continue
+		}
+		dst := t.order[gi]
+		for i, def := range aggs {
+			dst.states[i].merge(def, &g.states[i])
+		}
+	}
 }
 
 // rows renders the groups in order as output tuples, group keys followed
@@ -878,15 +1273,16 @@ func (t *aggTable) rows(nGroups int, aggs []*aggDef, out []sqltypes.Row) []sqlty
 	return out
 }
 
-// aggOp computes grouped aggregates over its child's whole output.
+// aggOp computes grouped aggregates over its child's whole output, a
+// batch at a time.
 type aggOp struct {
 	child  op
 	groups []bexpr
 	aggs   []*aggDef
 
-	out    []sqltypes.Row
-	pos    int
-	keybuf sqltypes.Row
+	ak  *aggKernels // compiled at the first open
+	out []sqltypes.Row
+	pos int
 }
 
 func (a *aggOp) open(ex *execCtx) error {
@@ -894,25 +1290,26 @@ func (a *aggOp) open(ex *execCtx) error {
 		return err
 	}
 	defer a.child.close()
+	if a.ak == nil {
+		a.ak = compileAgg(a.groups, a.aggs)
+	}
 	opCost := ex.meter.Config().CPUOperator
-	table := aggTable{buckets: map[uint64][]*aggGroup{}}
+	var table aggTable
 	ec := evalCtx{ex: ex}
 	var cs childStream
 	cs.open(ex)
 	defer cs.close()
-	if a.keybuf == nil {
-		a.keybuf = make(sqltypes.Row, len(a.groups))
-	}
+	sc := getAggScratch(len(a.groups))
+	defer sc.release()
 	for {
-		row, err := cs.nextRow(a.child, ex)
+		rows, err := cs.nextRows(a.child, ex, cs.buf.Cap())
 		if err != nil {
 			return err
 		}
-		if row == nil {
+		if rows == nil {
 			break
 		}
-		ec.row = row
-		if err := table.add(&ec, a.groups, a.aggs, a.keybuf, opCost); err != nil {
+		if err := table.addBatch(&ec, a.ak, a.groups, a.aggs, rows, sc, opCost); err != nil {
 			return err
 		}
 		ex.meter.MaybeFlush()

@@ -68,6 +68,12 @@ type fragSpec struct {
 	// as the identity, so results stay bit-identical to the heap path.
 	columnar bool
 	segs     []*storage.Segment // kept segments, set by decompose
+
+	// preds are scanFilter and filters compiled, one rowFilter per level in
+	// application order (a stacked filter only sees the rows the level below
+	// kept, so levels do not merge into one conjunction). Set by decompose,
+	// before any worker runs.
+	preds []*rowFilter
 }
 
 // morsel is one unit of work: a half-open range over the fragment's page
@@ -82,6 +88,14 @@ type morsel struct{ lo, hi int }
 // ridPool; the caller returns it once its workers have exited) and its
 // page snapshot is taken after the walk, so it resolves every one of them.
 func (f *fragSpec) decompose(ex *execCtx, rids *[]storage.RowID) (pages []*storage.Page, morsels []morsel, err error) {
+	if f.preds == nil {
+		if f.scanFilter != nil {
+			f.preds = append(f.preds, compileFilter(f.scanFilter))
+		}
+		for _, c := range f.filters {
+			f.preds = append(f.preds, compileFilter(c))
+		}
+	}
 	if f.columnar {
 		set, built := f.rel.Segments(ex.snapshot)
 		if built {
@@ -122,127 +136,59 @@ func (f *fragSpec) decompose(ex *execCtx, rids *[]storage.RowID) (pages []*stora
 	return f.rel.PageSnapshot(), morsels, nil
 }
 
-// keep applies the fragment's scan filter and stacked filters to row.
-func (f *fragSpec) keep(ec *evalCtx, row sqltypes.Row) (bool, error) {
-	ec.row = row
-	if f.scanFilter != nil {
-		ok, err := truthOf(f.scanFilter, ec)
-		if err != nil || ok != triTrue {
-			return false, err
-		}
-	}
-	for _, c := range f.filters {
-		ec.row = row
-		ok, err := truthOf(c, ec)
-		if err != nil || ok != triTrue {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // runMorsel scans one morsel under the worker's execution context,
 // charging the worker's meter with the same IO/CPU the serial operators
-// charge, and hands each surviving (pre-projection) row to emit. Per-tuple
-// CPU is charged once per page, not once per row: visited counts the
-// tuples seen since the last charge and settle pays for them — at every
-// page boundary before the MaybeFlush there, so each flush point sees the
-// balance it always saw, and on every way out.
-func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storage.Page, rids []storage.RowID, emit func(sqltypes.Row) error) error {
-	tupleCost := ex.meter.Config().CPUTuple
-	visited := 0
-	settle := func() {
-		ex.meter.Charge(time.Duration(visited) * tupleCost)
-		visited = 0
+// charge, and hands the surviving (pre-projection) rows to emit a batch at
+// a time. The rows slice is the worker's scratch: emit keeps the Row
+// headers it wants, not the slice.
+func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storage.Page, rids []storage.RowID, emit func(rows []sqltypes.Row) error) error {
+	var src rowSource
+	switch {
+	case f.columnar:
+		seg := &segScan{segs: f.segs[m.lo:m.hi]}
+		seg.begin(ex)
+		src = seg
+	case f.index == nil:
+		heap := &heapScan{pages: pages, pi: m.lo, hi: m.hi}
+		heap.begin(ex)
+		src = heap
+	default:
+		src = &ridScan{pages: pages, rids: rids[m.lo:m.hi], lastPg: -1, sequential: f.index.Clustered}
 	}
-	defer settle()
-	if f.columnar {
-		for si := m.lo; si < m.hi; si++ {
-			seg := f.segs[si]
-			start := int32(0)
-			for k, end := range seg.PageEnds {
-				ex.touch(seg.PageIDs[k], true)
-				for i := start; i < end; i++ {
-					visited++
-					if !seg.Visible(int(i), ex.snapshot) {
-						continue
-					}
-					row := seg.Rows[i]
-					ok, err := f.keep(ec, row)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					if err := emit(row); err != nil {
-						return err
-					}
-				}
-				start = end
-				settle()
-				ex.meter.MaybeFlush()
-			}
-		}
-		return nil
+	chunk := ex.batchCap
+	if chunk <= 0 {
+		chunk = sqltypes.DefaultBatchCapacity
 	}
-	if f.index == nil {
-		for pi := m.lo; pi < m.hi; pi++ {
-			p := pages[pi]
-			ex.touch(p.ID, true)
-			n := int32(p.Count())
-			for slot := int32(0); slot < n; slot++ {
-				visited++
-				if !p.Visible(slot, ex.snapshot) {
-					continue
-				}
-				row := p.Row(slot)
-				ok, err := f.keep(ec, row)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				if err := emit(row); err != nil {
-					return err
-				}
-			}
-			settle()
-			ex.meter.MaybeFlush()
-		}
-		return nil
-	}
-	lastPg := int64(-1)
-	for i := m.lo; i < m.hi; i++ {
-		rid := rids[i]
-		if int(rid.Page) >= len(pages) {
-			continue
-		}
-		p := pages[rid.Page]
-		if p.ID != lastPg {
-			settle()
-			ex.touch(p.ID, f.index.Clustered)
-			lastPg = p.ID
-			ex.meter.MaybeFlush()
-		}
-		visited++
-		if !p.Visible(rid.Slot, ex.snapshot) {
-			continue
-		}
-		row := p.Row(rid.Slot)
-		ok, err := f.keep(ec, row)
+	buf := rowBufPool.get()
+	var fs filterScratch
+	used := 0
+	defer func() {
+		clear((*buf)[:used]) // pooled, it pins no row
+		rowBufPool.put(buf)
+		fs.release()
+	}()
+	for {
+		rows, err := src.gather(ex, (*buf)[:0], chunk)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			continue
+		*buf = rows
+		used = max(used, len(rows))
+		dry := len(rows) < chunk
+		for _, p := range f.preds {
+			if rows, err = p.apply(ec, &fs, rows); err != nil {
+				return err
+			}
 		}
-		if err := emit(row); err != nil {
-			return err
+		if len(rows) > 0 {
+			if err := emit(rows); err != nil {
+				return err
+			}
+		}
+		if dry {
+			return nil
 		}
 	}
-	return nil
 }
 
 // --- work queue ---
@@ -423,11 +369,15 @@ type parallelAggOp struct {
 	aggs   []*aggDef
 	degree int
 
+	ak  *aggKernels // compiled at the first open
 	out []sqltypes.Row
 	pos int
 }
 
 func (a *parallelAggOp) open(ex *execCtx) error {
+	if a.ak == nil {
+		a.ak = compileAgg(a.groups, a.aggs)
+	}
 	rids := ridPool.get()
 	defer ridPool.put(rids) // every worker has exited by the time open returns
 	pages, morsels, err := a.frag.decompose(ex, rids)
@@ -441,11 +391,11 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 	run := &fragRun{queue: newMorselQueue(len(morsels), a.degree), degree: a.degree}
 	run.start(ex, func(wex *execCtx, wec *evalCtx, mi int) error {
 		opCost := wex.meter.Config().CPUOperator
-		pa := &aggTable{buckets: map[uint64][]*aggGroup{}}
-		keybuf := make(sqltypes.Row, len(a.groups))
-		err := a.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(row sqltypes.Row) error {
-			wec.row = row
-			return pa.add(wec, a.groups, a.aggs, keybuf, opCost)
+		pa := &aggTable{}
+		sc := getAggScratch(len(a.groups))
+		defer sc.release()
+		err := a.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(rows []sqltypes.Row) error {
+			return pa.addBatch(wec, a.ak, a.groups, a.aggs, rows, sc, opCost)
 		})
 		if err != nil {
 			return err
@@ -461,28 +411,10 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 	// Merge in morsel-index order: group order is first appearance across
 	// ordered morsels (exactly the serial visit order), float partials
 	// fold in one deterministic sequence.
-	merged := aggTable{buckets: map[uint64][]*aggGroup{}}
+	var merged aggTable
 	for _, pa := range partials {
-		if pa == nil {
-			continue
-		}
-		for _, g := range pa.order {
-			h := sqltypes.HashRow(g.keys)
-			var dst *aggGroup
-			for _, d := range merged.buckets[h] {
-				if sqltypes.RowsEqual(d.keys, g.keys) {
-					dst = d
-					break
-				}
-			}
-			if dst == nil {
-				merged.buckets[h] = append(merged.buckets[h], g)
-				merged.order = append(merged.order, g)
-				continue
-			}
-			for i, def := range a.aggs {
-				dst.states[i].merge(def, &g.states[i])
-			}
+		if pa != nil {
+			merged.merge(pa, a.aggs)
 		}
 	}
 	a.out = merged.rows(len(a.groups), a.aggs, a.out[:0])
@@ -580,20 +512,23 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 		}
 		buf := rowBufPool.get()
 		rows := *buf
-		err := s.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(row sqltypes.Row) error {
+		err := s.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(kept []sqltypes.Row) error {
 			if s.frag.project == nil {
-				rows = append(rows, row)
+				rows = append(rows, kept...)
 				return nil
 			}
-			projected := make(sqltypes.Row, len(s.frag.project))
-			for i, it := range s.frag.project {
-				v, err := it.eval(wec)
-				if err != nil {
-					return err
+			for _, row := range kept {
+				wec.row = row
+				projected := make(sqltypes.Row, len(s.frag.project))
+				for i, it := range s.frag.project {
+					v, err := it.eval(wec)
+					if err != nil {
+						return err
+					}
+					projected[i] = v
 				}
-				projected[i] = v
+				rows = append(rows, projected)
 			}
-			rows = append(rows, projected)
 			return nil
 		})
 		if err != nil {

@@ -349,18 +349,16 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	}
 	scanScope := nameScope.withOutputs(layout)
 
-	var filter bexpr
+	var few [8]bexpr // a point or range statement's conjuncts stay on the stack
+	bound := few[:0]
 	for _, f := range filters {
 		bf, err := b.bind(f, scanScope)
 		if err != nil {
 			return nil, err
 		}
-		if filter == nil {
-			filter = bf
-		} else {
-			filter = &andExpr{l: filter, r: bf}
-		}
+		bound = append(bound, bf)
 	}
+	filter := conjunction(bound, nil)
 
 	rows := float64(tb.rel.LiveRows())
 	if rows < 1 {
@@ -382,12 +380,15 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 		if err != nil {
 			return nil, err
 		}
-		scanOp = &indexScanOp{rel: tb.rel, index: best.index, bounds: bounds, filter: filter}
-		// Columnar replacement of a clustered index range scan: every
-		// conjunct is already in the scan filter (the bounds above are
-		// redundant with it), so a columnar scan produces the same row
-		// set, and zone maps on the clustered key prune the segments the
-		// index range would never have touched. Row ORDER additionally
+		// The heap index scan does not re-prove its own range on every row:
+		// conjuncts the bounds already guarantee are left out of its filter.
+		scanOp = &indexScanOp{rel: tb.rel, index: best.index, bounds: bounds,
+			filter: conjunction(bound, func(i int) bool { return best.implies(filters[i], nameScope) })}
+		// Columnar replacement of a clustered index range scan: it keeps
+		// every conjunct in its filter (the bounds above are redundant
+		// with it, and its zone maps read it), so a columnar scan produces
+		// the same row set, and zone maps on the clustered key prune the
+		// segments the index range would never have touched. Row ORDER additionally
 		// requires physical order to be key order, which only the built
 		// segment generation knows — so the index scan rides along as the
 		// runtime fallback. Secondary-index scans keep the heap path:
@@ -413,6 +414,22 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 		scanOp = &seqScanOp{rel: tb.rel, filter: filter}
 	}
 	return &plannedScan{t: t, rel: tb.rel, op: scanOp, layout: layout, est: math.Max(rows*sel, 1)}, nil
+}
+
+// conjunction ANDs the bound conjuncts together in written order, leaving
+// out those skip names (nil skips none); nil when nothing is left.
+func conjunction(conjuncts []bexpr, skip func(i int) bool) bexpr {
+	var e bexpr
+	for i, c := range conjuncts {
+		switch {
+		case skip != nil && skip(i):
+		case e == nil:
+			e = c
+		default:
+			e = &andExpr{l: e, r: c}
+		}
+	}
+	return e
 }
 
 // keyBound is one sargable bound on an index's leading column: the
@@ -460,8 +477,9 @@ func chooseAccessPath(rel *storage.Relation, filters []sql.Expr, sc *scope) *acc
 }
 
 // buildPath intersects the filters' bounds on the index's leading column.
-// Every conjunct also stays in the scan filter, so the bounds only ever
-// narrow which entries are visited, never which rows qualify.
+// The bounds only ever narrow which entries are visited, never which rows
+// qualify: a conjunct leaves the scan filter only where accessPath.implies
+// shows the bounds guarantee it.
 func buildPath(rel *storage.Relation, ix *storage.Index, filters []sql.Expr, sc *scope) *accessPath {
 	col := ix.Cols[0]
 	name := rel.Schema.Cols[col].Name
@@ -529,6 +547,75 @@ func (ap *accessPath) narrow(low bool, b keyBound) {
 		}
 	}
 	*side = append(*side, b)
+}
+
+// implies reports whether every row the index range reaches satisfies the
+// conjunct f, so a heap index scan need not evaluate it: f is one of the
+// comparisons buildPath folded into the bounds, its constant a literal,
+// and on each side it constrains the range's only candidate is a literal
+// of f's comparison family that orders transitively (see orderedLiteral)
+// — then that bound, being at least as tight, guarantees f by the very
+// sqltypes.Compare the B-tree walks with. A side with a runtime candidate
+// proves nothing (at scan open a parameter of another family makes
+// resolveSide leave the literal alone), and neither does an upper bound
+// alone: an interval open below starts at the NULL keys, on which f is
+// not TRUE. Parameters, string-against-numeric and NULL bounds therefore
+// stay in the filter.
+func (ap *accessPath) implies(f sql.Expr, sc *scope) bool {
+	side := func(low bool, v sqltypes.Value) bool {
+		cands := ap.hi
+		if low {
+			cands = ap.lo
+		} else if len(ap.lo) == 0 {
+			return false
+		}
+		return len(cands) == 1 && cands[0].lit && orderedLiteral(v) &&
+			orderedLiteral(cands[0].val) && sameFamily(cands[0].val, v)
+	}
+	switch e := f.(type) {
+	case *sql.CompareExpr:
+		colSide, constSide, op := sargSides(e, ap.col, sc)
+		if colSide == nil {
+			return false
+		}
+		v, lit := literalValue(constSide)
+		if !lit {
+			return false
+		}
+		switch op {
+		case "=":
+			return side(true, v) && side(false, v)
+		case ">", ">=":
+			return side(true, v)
+		case "<", "<=":
+			return side(false, v)
+		}
+	case *sql.BetweenExpr:
+		cr, ok := e.E.(*sql.ColumnRef)
+		if e.Not || !ok || cr.Name != ap.col {
+			return false
+		}
+		lo, loLit := literalValue(e.Lo)
+		hi, hiLit := literalValue(e.Hi)
+		return loLit && hiLit && side(true, lo) && side(false, hi)
+	}
+	return false
+}
+
+// orderedLiteral reports whether v orders transitively against every key
+// and every other such literal under sqltypes.Compare, which compares an
+// int with a float in float space: true of strings, of floats other than
+// NaN and of ints a float64 holds exactly.
+func orderedLiteral(v sqltypes.Value) bool {
+	switch v.K {
+	case sqltypes.KindString:
+		return true
+	case sqltypes.KindFloat:
+		return v.F == v.F
+	case sqltypes.KindInt, sqltypes.KindDate, sqltypes.KindBool:
+		return -1<<53 < v.I && v.I < 1<<53
+	}
+	return false
 }
 
 // literalBound returns the side's literal candidate, if it has one.

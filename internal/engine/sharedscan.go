@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"time"
 
 	"apuama/internal/sqltypes"
 	"apuama/internal/storage"
@@ -183,7 +184,7 @@ type sharedScanOp struct {
 	fallback     op
 
 	co            *scanCoord
-	ec            evalCtx
+	flt           filterRun
 	usingFallback bool
 
 	need []bool           // per-segment zone-map mask (this consumer's)
@@ -196,7 +197,7 @@ type sharedScanOp struct {
 }
 
 func (s *sharedScanOp) open(ex *execCtx) error {
-	s.ec = evalCtx{ex: ex}
+	s.flt.open(ex, s.filter)
 	s.co = nil
 	s.usingFallback = false
 	s.emit, s.cur, s.cpos = 0, nil, 0
@@ -211,7 +212,7 @@ func (s *sharedScanOp) open(ex *execCtx) error {
 		return s.fallback.open(ex)
 	}
 
-	checks := resolveZoneChecks(collectZonePreds(s.filter, true), &s.ec)
+	checks := resolveZoneChecks(collectZonePreds(s.filter, true), &s.flt.ec)
 	s.need = make([]bool, len(set.Segments))
 	s.got = make([]bool, len(set.Segments))
 	s.buf = make([][]sqltypes.Row, len(set.Segments))
@@ -245,47 +246,44 @@ func (s *sharedScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	if s.usingFallback {
 		return s.fallback.next(ex, out)
 	}
-	cfg := ex.meter.Config()
+	return fillFiltered(ex, s, &s.flt, out)
+}
+
+// gather hands out the delivered segments' rows in ordinal order, the
+// consumer's own predicate still to run on them. The driver already paid
+// the per-slot decode (CPUTuple); what remains per consumer is predicate
+// evaluation, priced like any other operator step.
+func (s *sharedScanOp) gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error) {
+	opCost := ex.meter.Config().CPUOperator
 	for {
-		// Drain the segment currently being emitted: the consumer's own
-		// per-row CPU charge and its own filter, on its own evalCtx.
-		for s.cpos < len(s.cur) {
-			if out.Full() {
-				return nil
+		if s.cpos < len(s.cur) {
+			if len(dst) >= limit {
+				break
 			}
-			row := s.cur[s.cpos]
-			s.cpos++
-			// The driver already paid the per-slot decode (CPUTuple);
-			// what remains per consumer is predicate evaluation, priced
-			// like any other operator step.
-			ex.meter.Charge(cfg.CPUOperator)
+			rows := s.cur[s.cpos:min(s.cpos+limit-len(dst), len(s.cur))]
+			s.cpos += len(rows)
+			dst = append(dst, rows...)
+			ex.meter.Charge(time.Duration(len(rows)) * opCost)
 			ex.meter.MaybeFlush()
-			if s.filter != nil {
-				s.ec.row = row
-				keep, err := truthOf(s.filter, &s.ec)
-				if err != nil {
-					return err
-				}
-				if keep != triTrue {
-					continue
-				}
-			}
-			out.Append(row)
+			continue
 		}
+		// The next wanted segment is awaited as soon as this one is spent,
+		// before looking at whether dst still has room.
 		s.cur = nil
 		for s.emit < len(s.need) && !s.need[s.emit] {
 			s.emit++
 		}
 		if s.emit >= len(s.need) {
-			return nil
+			break
 		}
 		rows, err := s.await(ex, s.emit)
 		if err != nil {
-			return err
+			return dst, err
 		}
 		s.cur, s.cpos = rows, 0
 		s.emit++
 	}
+	return dst, nil
 }
 
 // await blocks until segment idx has been delivered to this consumer,
@@ -342,4 +340,5 @@ func (s *sharedScanOp) close() {
 		s.co = nil
 	}
 	s.need, s.got, s.buf, s.cur = nil, nil, nil, nil
+	s.flt.fs.release()
 }

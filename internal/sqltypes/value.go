@@ -283,9 +283,14 @@ func (v Value) Hash() uint64 {
 		}
 	default:
 		// Numeric family: hash the float64 bit pattern of the numeric
-		// value so INT 3 and FLOAT 3.0 collide as required by Equal.
+		// value so INT 3 and FLOAT 3.0 collide as required by Equal, and
+		// -0 as +0: the two compare equal.
 		mix(2)
-		bits := math.Float64bits(v.AsFloat())
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0
+		}
+		bits := math.Float64bits(f)
 		for i := 0; i < 8; i++ {
 			mix(byte(bits >> (8 * i)))
 		}
