@@ -29,12 +29,16 @@ race:
 # parallel path must stay race-free and bit-deterministic however many
 # cores host its workers. The second line names the batch kernels'
 # differential and batch-boundary tests (filters, numeric kernels, the
-# integer join table against the reference evaluator): they run inside the
-# first already; named, the gate stays visible if they are ever renamed or
-# filtered.
+# integer join table against the reference evaluator) and the reused join
+# tuples' retention guard, planner invariant and failed-open pool audit:
+# they run inside the first already; named, the gate stays visible if they
+# are ever renamed or filtered. The third line runs the allocation pins
+# without the race detector, under which sync.Pool drops buffers and the
+# pins skip themselves.
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries' ./internal/engine/
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestReusedJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers' ./internal/engine/
+	$(GO) test -cpu 1,2,4 -count=1 -run 'TestJoinAggregateBytesPerProbeRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU' ./internal/engine/ ./internal/storage/
 
 # The fine-grained AVP acceptance suite again, by name and race-enabled:
 # the straggler chaos plan, the granularity×nodes×composer oracle sweep,
@@ -112,13 +116,14 @@ bench:
 # (the vectorization win), time-to-first-batch (the streaming win), the
 # morsel-driven degree sweep (the intra-node parallelism win), the inner
 # loops of an SVP sub-query on the host clock (Q6's predicate per lineitem
-# row, Q3's hash join, Q1's aggregation, the filter kernels of Q6 and Q12,
+# row, the hash joins of Q3 and Q5 and Q4's correlated EXISTS with their
+# B/op, Q1's aggregation, the filter kernels of Q6 and Q12,
 # the index range walk per entry) beside their ceiling — the same work as
 # a hand-written typed loop over the stored rows, BenchmarkRowLoopRoofline
 # — and the wire protocol (single-stream and 16-in-flight multiplexing
 # throughput).
 bench-micro:
-	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|AggQ1|FilterKernel|RowLoopRoofline' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline' -benchmem -run=^$$ ./internal/engine/
 	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
 	$(GO) test -bench 'WireStream|WireMux' -benchmem -run=^$$ ./internal/proto/
 

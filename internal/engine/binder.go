@@ -199,6 +199,9 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		// — unless an item could raise, which must still surface.
 		if p, ok := sub.root.(*projectOp); ok && !exprsCanRaise(p.items) {
 			sub.root = p.child
+			if j, ok := sub.root.(*hashJoinOp); ok {
+				j.reuse = false // a sub-plan root's rows go to run, which keeps them
+			}
 		}
 		return &existsExpr{sub: sub, not: e.Not}, nil
 	case *sql.SubqueryExpr:
@@ -317,29 +320,46 @@ type subplan struct {
 	// cache materializes an uncorrelated sub-query once per execution.
 	cached    bool
 	cacheRows []sqltypes.Row
+
+	// Scratch every run reuses, so a correlated probe allocates nothing per
+	// outer row: safe because one goroutine evaluates a sub-plan
+	// (parallelSafeExpr keeps sub-plans out of morsel fragments) and a run
+	// never starts while another of the same sub-plan is open.
+	ex     execCtx
+	params []sqltypes.Value
+	rows   []sqltypes.Row
 }
 
 func (s *subplan) correlated() bool { return len(s.paramBinds) > 0 }
 
-// run executes the subplan under the enclosing evaluation context and
-// returns up to maxRows rows (maxRows < 0 means all).
-func (s *subplan) run(ec *evalCtx, maxRows int) ([]sqltypes.Row, error) {
-	params := make([]sqltypes.Value, len(s.paramBinds))
-	for i, pb := range s.paramBinds {
+// open binds the correlation parameters from the enclosing evaluation
+// context and opens the plan under them. The caller closes the root.
+func (s *subplan) open(ec *evalCtx) (*execCtx, error) {
+	s.params = s.params[:0]
+	for _, pb := range s.paramBinds {
 		v, err := pb.eval(ec)
 		if err != nil {
 			return nil, err
 		}
-		params[i] = v
+		s.params = append(s.params, v)
 	}
-	sub := &execCtx{node: ec.ex.node, snapshot: ec.ex.snapshot, params: params, meter: ec.ex.meter, ctx: ec.ex.ctx, batchCap: ec.ex.batchCap}
-	if err := s.root.open(sub); err != nil {
+	s.ex = execCtx{node: ec.ex.node, snapshot: ec.ex.snapshot, params: s.params, meter: ec.ex.meter, ctx: ec.ex.ctx, batchCap: ec.ex.batchCap}
+	return &s.ex, s.root.open(&s.ex)
+}
+
+// run executes the subplan under the enclosing evaluation context and
+// returns up to maxRows rows (maxRows < 0 means all). The slice is the
+// sub-plan's and the next run rewrites it; an uncorrelated sub-plan caches
+// it because it never runs again.
+func (s *subplan) run(ec *evalCtx, maxRows int) ([]sqltypes.Row, error) {
+	sub, err := s.open(ec)
+	defer s.root.close()
+	if err != nil {
 		return nil, err
 	}
-	defer s.root.close()
 	b := sqltypes.GetBatch()
 	defer sqltypes.PutBatch(b)
-	var rows []sqltypes.Row
+	rows := s.rows[:0]
 	for maxRows < 0 || len(rows) < maxRows {
 		b.Reset()
 		if err := s.root.next(sub, b); err != nil {
@@ -350,19 +370,27 @@ func (s *subplan) run(ec *evalCtx, maxRows int) ([]sqltypes.Row, error) {
 		}
 		rows = append(rows, b.Rows...)
 	}
+	s.rows = rows
 	if maxRows >= 0 && len(rows) > maxRows {
 		rows = rows[:maxRows]
 	}
 	return rows, nil
 }
 
-// hasRow reports whether the subplan yields at least one row.
+// hasRow reports whether the subplan yields at least one row: its first
+// batch is empty only at end of stream.
 func (s *subplan) hasRow(ec *evalCtx) (bool, error) {
-	rows, err := s.run(ec, 1)
+	sub, err := s.open(ec)
+	defer s.root.close()
 	if err != nil {
 		return false, err
 	}
-	return len(rows) > 0, nil
+	b := sqltypes.GetBatch()
+	defer sqltypes.PutBatch(b)
+	if err := s.root.next(sub, b); err != nil {
+		return false, err
+	}
+	return b.Len() > 0, nil
 }
 
 // contains reports set membership for IN (sub-query) along with whether

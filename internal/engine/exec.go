@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"apuama/internal/costmodel"
@@ -48,8 +49,18 @@ func (ex *execCtx) touch(pageID int64, sequential bool) {
 // batch left empty after next returns signals end of stream. Operators
 // must never return an empty batch before end of stream (a filter that
 // matched nothing keeps pulling), and must tolerate next calls after
-// end of stream by returning an empty batch again. Appended rows
-// reference stable storage and stay valid after the batch is reused.
+// end of stream by returning an empty batch again.
+//
+// Row lifetime: appended rows reference stable storage and stay valid
+// after the batch is reused — except those of a hash join the planner
+// marked reuse, which are valid until the join's next next call (see
+// hashJoinOp.reuse for which consumers get such a join, and why).
+//
+// Lifecycle: whoever calls open calls close, also when open failed —
+// close is idempotent, safe on an op that never opened, and releases
+// whatever a partial open took. Operators that drain a child inside open
+// (aggregate, sort, a join's build side, a nested loop's inner side)
+// close it there on every path.
 type op interface {
 	open(ex *execCtx) error
 	next(ex *execCtx, out *sqltypes.Batch) error
@@ -71,6 +82,7 @@ func (cs *childStream) open(ex *execCtx) {
 		} else {
 			cs.buf = sqltypes.GetBatch()
 		}
+		auditPool(1)
 	}
 	cs.buf.Reset()
 	cs.pos = 0
@@ -80,6 +92,7 @@ func (cs *childStream) close() {
 	if cs.buf != nil {
 		sqltypes.PutBatch(cs.buf)
 		cs.buf = nil
+		auditPool(-1)
 	}
 }
 
@@ -311,9 +324,10 @@ type scanBounds struct {
 	empty  bool // proven empty at plan time
 }
 
-// resolveSide evaluates one side's candidates down to its tightest bound.
+// resolveSide evaluates one side's candidates down to its tightest bound,
+// returned in buf (a one-value row the caller owns; nil for an open side).
 // A NULL candidate can satisfy no comparison, so it empties the interval.
-func resolveSide(ec *evalCtx, low bool, cands []scanBound) (key sqltypes.Row, incl, empty bool, err error) {
+func resolveSide(ec *evalCtx, low bool, cands []scanBound, buf sqltypes.Row) (key sqltypes.Row, incl, empty bool, err error) {
 	for _, c := range cands {
 		v, err := c.e.eval(ec)
 		if err != nil {
@@ -323,7 +337,8 @@ func resolveSide(ec *evalCtx, low bool, cands []scanBound) (key sqltypes.Row, in
 			return nil, false, true, nil
 		}
 		if key == nil {
-			key, incl = sqltypes.Row{v}, c.incl
+			key, incl = buf, c.incl
+			key[0] = v
 		} else if tighter(low, key[0], incl, v, c.incl) {
 			key[0], incl = v, c.incl
 		}
@@ -341,11 +356,14 @@ func (sb *scanBounds) collect(ec *evalCtx, index *storage.Index, rids []storage.
 	if sb.empty {
 		return rids, nil
 	}
-	lo, loIncl, empty, err := resolveSide(ec, true, sb.lo)
+	// The one-value bound rows live on the stack: a correlated scan opens
+	// once per outer row.
+	var keys [2]sqltypes.Value
+	lo, loIncl, empty, err := resolveSide(ec, true, sb.lo, keys[0:1])
 	if err != nil || empty {
 		return rids, err
 	}
-	hi, hiIncl, empty, err := resolveSide(ec, false, sb.hi)
+	hi, hiIncl, empty, err := resolveSide(ec, false, sb.hi, keys[1:2])
 	if err != nil || empty {
 		return rids, err
 	}
@@ -410,6 +428,7 @@ type bufPool[T any] struct{ pool sync.Pool }
 
 // get returns an empty buffer with whatever capacity its last user grew.
 func (bp *bufPool[T]) get() *[]T {
+	auditPool(1)
 	if b, ok := bp.pool.Get().(*[]T); ok {
 		return b
 	}
@@ -419,19 +438,32 @@ func (bp *bufPool[T]) get() *[]T {
 // put takes back a buffer nothing reads any more (nil is a no-op).
 func (bp *bufPool[T]) put(b *[]T) {
 	if b != nil {
+		auditPool(-1)
 		*b = (*b)[:0]
 		bp.pool.Put(b)
 	}
 }
 
 // ridPool holds the RID lists index scans collect — a sub-query's range is
-// thousands of entries — and rowBufPool the per-morsel output buffers of
-// parallelScanOp: re-growing each by append for every sub-query and morsel
-// was half of what an OLAP query allocated outside its joins.
+// thousands of entries — rowBufPool the per-morsel output buffers of
+// parallelScanOp (re-growing each by append for every sub-query and morsel
+// was half of what an OLAP query allocated outside its joins), and
+// tuplePool the output tuples of reusing hash joins.
 var (
 	ridPool    bufPool[storage.RowID]
 	rowBufPool bufPool[sqltypes.Row]
+	tuplePool  bufPool[sqltypes.Value]
 )
+
+// poolBalance, set only by tests (export_test.go), counts the buffers the
+// engine's pools and child streams have handed out and not taken back.
+var poolBalance atomic.Pointer[atomic.Int64]
+
+func auditPool(d int64) {
+	if n := poolBalance.Load(); n != nil {
+		n.Add(d)
+	}
+}
 
 // --- filter ---
 
@@ -493,6 +525,22 @@ type hashJoinOp struct {
 	probeSel, buildSel   []int
 	inCols               int // probe + build input width, for EXPLAIN
 
+	// reuse, set by the planner (consumedPerBatch), says the join's
+	// consumer reads each batch before it pulls the next — an aggregate
+	// folds it, a projection copies values out of it, an upper join's
+	// probe side emits the current row's last match before it refills. Such
+	// a join writes the k-th tuple of a next call into row k of one
+	// batch-sized buffer (tuples, from tuplePool at the first next until
+	// close), valid until its next next call. Every other consumer keeps
+	// slab-cut tuples because it keeps rows: a join's build side and a
+	// nested loop's inner side materialize their input, a filter gathers
+	// its next candidates while earlier survivors still sit in its output
+	// batch, a sort holds every row, a sub-plan's root hands rows to run,
+	// which collects them, and the plan root's rows go to Node.QueryStmtAt
+	// and the gather.
+	reuse  bool
+	tuples *[]sqltypes.Value
+
 	ints      *intKeys
 	buildRows *[]sqltypes.Row // intKeys' ordinals index it; from rowBufPool
 	keyCols   [2][]int        // probe and build key positions, when every key is a plain column
@@ -514,11 +562,33 @@ type hashJoinOp struct {
 // joinSlabRows is how many output tuples share one allocation.
 const joinSlabRows = 256
 
+// joinTupleTest is a test-only switch, set from export_test.go: with
+// poison on, a reusing join overwrites its previous tuples at the start of
+// every next, so a consumer that kept one reads garbage; with stable on,
+// the planner marks no join reuse — the reference poisoned runs are
+// compared with.
+var joinTupleTest struct{ poison, stable atomic.Bool }
+
+var poisonValue = sqltypes.NewString("\x00poison: a reused join tuple was retained")
+
 func (j *hashJoinOp) open(ex *execCtx) error {
-	if err := j.build.open(ex); err != nil {
-		return err
+	err := j.build.open(ex)
+	if err == nil {
+		err = j.buildTable(ex)
 	}
-	defer j.build.close()
+	j.build.close()
+	if err == nil {
+		j.cs.open(ex)
+		err = j.probe.open(ex)
+	}
+	if err != nil {
+		j.close() // a failed open keeps neither the table nor the probe's buffers
+	}
+	return err
+}
+
+// buildTable drains the build input into the join table.
+func (j *hashJoinOp) buildTable(ex *execCtx) error {
 	j.ec = evalCtx{ex: ex}
 	j.matches, j.mpos = j.matches[:0], 0
 	j.current, j.chain = nil, -1
@@ -529,6 +599,7 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 	for {
 		batch, err := bs.nextRows(j.build, ex, bs.buf.Cap())
 		if err != nil {
+			clear(*rows)
 			rowBufPool.put(rows)
 			return err
 		}
@@ -544,16 +615,12 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 			j.probeInts = make([]int64, len(j.probeKeys))
 		}
 		ex.meter.Charge(time.Duration(keyed.n) * opCost)
-	} else {
-		err := j.buildGeneric(*rows, opCost)
-		clear(*rows)
-		rowBufPool.put(rows)
-		if err != nil {
-			return err
-		}
+		return nil
 	}
-	j.cs.open(ex)
-	return j.probe.open(ex)
+	err := j.buildGeneric(*rows, opCost)
+	clear(*rows)
+	rowBufPool.put(rows)
+	return err
 }
 
 // buildGeneric fills the generic table: one evaluated key row per build
@@ -766,13 +833,16 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	// return are settled together.
 	pulled := 0
 	defer func() { ex.meter.Charge(time.Duration(pulled) * ex.meter.Config().CPUOperator) }()
+	if j.reuse {
+		j.readyTuples(out.Cap())
+	}
 	if t := j.ints; t != nil {
 		build := *j.buildRows
 		for !out.Full() {
 			if ord := j.chain; ord >= 0 {
 				j.chain = t.next[ord]
 				if t.holds(build[ord], j.probeInts) {
-					out.Append(j.joined(j.current, build[ord]))
+					out.Append(j.joined(j.current, build[ord], out.Len()))
 				}
 				continue
 			}
@@ -787,7 +857,7 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	}
 	for !out.Full() {
 		if j.mpos < len(j.matches) {
-			out.Append(j.joined(j.current, j.matches[j.mpos]))
+			out.Append(j.joined(j.current, j.matches[j.mpos], out.Len()))
 			j.mpos++
 			continue
 		}
@@ -821,15 +891,36 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	return nil
 }
 
-// joined cuts one output tuple from the slab and fills it with the
-// selected columns of a probe row and a build row.
-func (j *hashJoinOp) joined(p, b sqltypes.Row) sqltypes.Row {
-	w := len(j.probeSel) + len(j.buildSel)
-	if len(j.slab) < w {
-		j.slab = make([]sqltypes.Value, w*joinSlabRows)
+// readyTuples sizes a reusing join's buffer for a batch of n rows, taking
+// it from the pool on first use; under the retention guard it poisons what
+// the previous batch left there.
+func (j *hashJoinOp) readyTuples(n int) {
+	if j.tuples == nil {
+		j.tuples = tuplePool.get()
 	}
-	row := sqltypes.Row(j.slab[:w:w])
-	j.slab = j.slab[w:]
+	buf := sized(j.tuples, n*(len(j.probeSel)+len(j.buildSel)))
+	if joinTupleTest.poison.Load() {
+		for i := range buf {
+			buf[i] = poisonValue
+		}
+	}
+}
+
+// joined fills the output tuple of batch row k — row k of a reusing
+// join's buffer, the next cut of the slab otherwise — with the selected
+// columns of a probe row and a build row.
+func (j *hashJoinOp) joined(p, b sqltypes.Row, k int) sqltypes.Row {
+	w := len(j.probeSel) + len(j.buildSel)
+	var row sqltypes.Row
+	if j.reuse {
+		row = (*j.tuples)[k*w : (k+1)*w : (k+1)*w]
+	} else {
+		if len(j.slab) < w {
+			j.slab = make([]sqltypes.Value, w*joinSlabRows)
+		}
+		row = j.slab[:w:w]
+		j.slab = j.slab[w:]
+	}
 	for i, pos := range j.probeSel {
 		row[i] = p[pos]
 	}
@@ -851,6 +942,11 @@ func (j *hashJoinOp) close() {
 	j.table = nil
 	j.keysOf = nil
 	j.slab = nil
+	if j.tuples != nil {
+		clear(*j.tuples) // pooled, it pins no string
+		tuplePool.put(j.tuples)
+		j.tuples = nil
+	}
 }
 
 // --- nested-loop join (cartesian with optional condition) ---
@@ -868,10 +964,11 @@ type nestedLoopOp struct {
 }
 
 func (n *nestedLoopOp) open(ex *execCtx) error {
-	if err := n.inner.open(ex); err != nil {
+	err := n.inner.open(ex)
+	defer n.inner.close()
+	if err != nil {
 		return err
 	}
-	defer n.inner.close()
 	n.ec = evalCtx{ex: ex}
 	n.innerRows = n.innerRows[:0]
 	var is childStream
@@ -1286,10 +1383,11 @@ type aggOp struct {
 }
 
 func (a *aggOp) open(ex *execCtx) error {
-	if err := a.child.open(ex); err != nil {
+	err := a.child.open(ex)
+	defer a.child.close()
+	if err != nil {
 		return err
 	}
-	defer a.child.close()
 	if a.ak == nil {
 		a.ak = compileAgg(a.groups, a.aggs)
 	}
@@ -1345,10 +1443,11 @@ type sortOp struct {
 }
 
 func (s *sortOp) open(ex *execCtx) error {
-	if err := s.child.open(ex); err != nil {
+	err := s.child.open(ex)
+	defer s.child.close()
+	if err != nil {
 		return err
 	}
-	defer s.child.close()
 	s.rows = s.rows[:0]
 	type keyed struct {
 		row  sqltypes.Row

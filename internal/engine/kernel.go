@@ -782,6 +782,7 @@ type aggScratch struct {
 var aggScratchPool = sync.Pool{New: func() any { return new(aggScratch) }}
 
 func getAggScratch(nGroups int) *aggScratch {
+	auditPool(1)
 	sc := aggScratchPool.Get().(*aggScratch)
 	if cap(sc.keybuf) < nGroups {
 		sc.keybuf = make(sqltypes.Row, nGroups)
@@ -793,6 +794,7 @@ func getAggScratch(nGroups int) *aggScratch {
 func (sc *aggScratch) release() {
 	clear(sc.keybuf) // pin no string while pooled
 	aggScratchPool.Put(sc)
+	auditPool(-1)
 }
 
 // fit sizes the scratch for a batch of n rows under ak.

@@ -78,9 +78,23 @@ func BenchmarkPredicateQ6(b *testing.B) {
 
 // BenchmarkHashJoinQ3 runs TPC-H Q3 (customer ⨝ orders ⨝ lineitem): the
 // hash join's build, probe and per-match output tuples dominate; B/op is
-// the figure join-tuple narrowing moves.
+// the figure join-tuple narrowing and reused join tuples move.
 func BenchmarkHashJoinQ3(b *testing.B) {
 	benchQuery(b, tpch.MustQuery(3))
+}
+
+// BenchmarkHashJoinQ5 runs TPC-H Q5, the six-way join: its top join emits
+// a 14-column tuple per matching lineitem row straight into the aggregate,
+// the case reused join tuples were built for.
+func BenchmarkHashJoinQ5(b *testing.B) {
+	benchQuery(b, tpch.MustQuery(5))
+}
+
+// BenchmarkExistsQ4 runs TPC-H Q4: a correlated EXISTS probed once per
+// qualifying order, each probe an index scan opened on the order's key —
+// what the sub-plan's reused parameters, context and bound rows save.
+func BenchmarkExistsQ4(b *testing.B) {
+	benchQuery(b, tpch.MustQuery(4))
 }
 
 // BenchmarkAggQ1 runs TPC-H Q1: one date conjunct that keeps ≈ 98 % of

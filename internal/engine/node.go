@@ -364,6 +364,7 @@ func (nd *Node) OpenQueryStmtAt(sel *sql.SelectStmt, snapshot int64, opts QueryO
 	}
 	ex := &execCtx{node: nd, snapshot: snapshot, meter: nd.meter, ctx: opts.Ctx, batchCap: opts.BatchSize}
 	if err := root.open(ex); err != nil {
+		root.close()
 		release()
 		return nil, err
 	}

@@ -531,10 +531,12 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 			}
 			return nil
 		})
+		*buf = rows
 		if err != nil {
+			clear(rows)
+			rowBufPool.put(buf)
 			return err
 		}
-		*buf = rows
 		s.mu.Lock()
 		s.results[mi] = buf
 		s.done[mi] = true
@@ -588,18 +590,23 @@ func (s *parallelScanOp) next(_ *execCtx, out *sqltypes.Batch) error {
 }
 
 func (s *parallelScanOp) close() {
-	if s.run == nil {
-		return
+	if s.run != nil {
+		s.mu.Lock()
+		s.stopped = true
+		s.run.stop.Store(true)
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		s.run.wg.Wait()
+		s.run = nil
 	}
-	s.mu.Lock()
-	s.stopped = true
-	s.run.stop.Store(true)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.run.wg.Wait()
-	ridPool.put(s.rids)
+	for _, buf := range s.results { // morsels a stopped consumer never reached
+		if buf != nil {
+			clear(*buf)
+			rowBufPool.put(buf)
+		}
+	}
+	ridPool.put(s.rids) // also after a failed decompose
 	s.results, s.rids = nil, nil
-	s.run = nil
 }
 
 // --- plan rewrite ---

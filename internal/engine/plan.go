@@ -136,6 +136,8 @@ func (n *Node) planOver(stmt *sql.SelectStmt, fp *fromPlan, needed colSet) (op, 
 		return nil, nil, err
 	}
 	joinScope := fp.scope.withOutputs(layout)
+	// An aggregate or a projection goes directly on the join tree.
+	consumedPerBatch(root)
 
 	// Aggregation?
 	if hasAggregates(stmt) {
@@ -944,6 +946,7 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 		} else {
 			probeOp, probeLayout, probeScope, probeCols = root, layout, curScope, probeKeyExprs
 			buildOp, buildLayout, buildScope, buildCols = next.op, next.layout, nextScope, buildKeyExprs
+			consumedPerBatch(root)
 		}
 		probeKeys, err := bindRefs(b, probeCols, probeScope)
 		if err != nil {
@@ -972,6 +975,17 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 		}
 	}
 	return root, layout, nil
+}
+
+// consumedPerBatch marks o, if it is a hash join, as feeding a consumer
+// that reads each batch before it pulls the next — an aggregate, a
+// projection or an upper join's probe side — so its tuples may live in one
+// reused buffer (see hashJoinOp.reuse). A filter in between is not a join,
+// and keeps its input on slab tuples.
+func consumedPerBatch(o op) {
+	if j, ok := o.(*hashJoinOp); ok && !joinTupleTest.stable.Load() {
+		j.reuse = true
+	}
 }
 
 func bindRefs(b *binder, refs []*sql.ColumnRef, sc *scope) ([]bexpr, error) {

@@ -64,14 +64,18 @@ func (b *BufferPool) AccessTo(pageID int64, sequential bool, meter *costmodel.Me
 		b.hits.Add(1)
 		return
 	}
-	n = &lruNode{id: pageID}
+	if len(b.table) >= b.cap {
+		// Full: evict first and reuse the evicted tail's node, so a miss
+		// on a full pool allocates nothing.
+		n = b.tail
+		b.unlink(n)
+		delete(b.table, n.id)
+		n.id = pageID
+	} else {
+		n = &lruNode{id: pageID}
+	}
 	b.table[pageID] = n
 	b.pushFront(n)
-	if len(b.table) > b.cap {
-		lru := b.tail
-		b.unlink(lru)
-		delete(b.table, lru.id)
-	}
 	b.mu.Unlock()
 	b.misses.Add(1)
 	cfg := meter.Config()
