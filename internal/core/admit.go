@@ -34,7 +34,7 @@ func (e *Engine) admitAndRun(ctx context.Context, sel *sql.SelectStmt, usePartia
 	// pass. Nil-safe, off when unconfigured, and off under brownout.
 	e.adm.BatchGate(ctx)
 	if e.adm == nil {
-		return e.runSVP(ctx, sel, usePartial, nil)
+		return e.execSVP(ctx, sel, usePartial, nil)
 	}
 	w := queryWeight(sel)
 	tk, err := e.adm.Acquire(ctx, w)
@@ -53,7 +53,7 @@ func (e *Engine) admitAndRun(ctx context.Context, sel *sql.SelectStmt, usePartia
 	defer finish()
 	res := e.adm.Reserve(ctx)
 	defer res.Release()
-	out, snap, err := e.runSVP(ctx, sel, usePartial, res)
+	out, snap, err := e.execSVP(ctx, sel, usePartial, res)
 	if err != nil && errors.Is(context.Cause(ctx), admission.ErrSlowQuery) {
 		// The killer cancelled the query; surface the typed cause instead
 		// of the bare context error the abandoned gather reported.

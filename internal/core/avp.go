@@ -100,10 +100,10 @@ func (st *avpState) adapt(keys int64, elapsed time.Duration) {
 		st.grew = true
 	case st.grew:
 		// Growth hurt: back off and hold.
-		st.size = max64(st.size/2, 1)
+		st.size = max(st.size/2, 1)
 		st.grew = false
 	default:
-		st.size = max64(st.size/2, 1)
+		st.size = max(st.size/2, 1)
 	}
 	st.lastRate = rate
 }
@@ -124,11 +124,4 @@ func (rw *Rewrite) chunkQuery(v1, v2 int64) *sql.SelectStmt {
 		}
 	}
 	return sub
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

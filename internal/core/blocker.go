@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -84,27 +85,28 @@ func pollWait(ctx context.Context, d time.Duration) (time.Duration, error) {
 	return next, nil
 }
 
-// awaitConsistent waits (gate closed) until every node's transaction
-// counter is equal, returning the common value — the snapshot all SVP
-// sub-queries will read at. The wait is bounded by both the barrier
-// timeout and the query's context deadline, whichever fires first.
-func (b *blocker) awaitConsistent(ctx context.Context, procs []*NodeProcessor, timeout time.Duration) (int64, error) {
+// awaitConsistent waits (gate closed) until every live node's
+// transaction counter is equal, returning the common value — the snapshot
+// all SVP sub-queries will read at — and the nodes it holds for, which
+// are the query's fan-out. A node that leaves rotation while the barrier
+// waits (its breaker tripped, typically on the very write it lags by) is
+// dropped rather than waited for: it can only catch up through the
+// controller's write-log replay, which queues behind the next write — and
+// that write is held at this gate. The wait is bounded by both the
+// barrier timeout and the query's context deadline, whichever fires
+// first. procs is filtered in place.
+func (b *blocker) awaitConsistent(ctx context.Context, procs []*NodeProcessor, timeout time.Duration) (int64, []*NodeProcessor, error) {
 	deadline := time.Now().Add(timeout)
 	spin := waitSpin
 	for {
-		w0 := procs[0].TxnCounter()
-		equal := true
-		for _, p := range procs[1:] {
-			if p.TxnCounter() != w0 {
-				equal = false
-				break
-			}
+		if procs = slices.DeleteFunc(procs, (*NodeProcessor).Down); len(procs) == 0 {
+			return 0, nil, fmt.Errorf("no live nodes")
 		}
-		if equal {
-			return w0, nil
+		if lo, hi := counterRange(procs); lo == hi {
+			return lo, procs, nil
 		}
 		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("replicas did not converge within %v", timeout)
+			return 0, nil, fmt.Errorf("replicas did not converge within %v", timeout)
 		}
 		var err error
 		if spin, err = pollWait(ctx, spin); err != nil {
@@ -112,7 +114,7 @@ func (b *blocker) awaitConsistent(ctx context.Context, procs []*NodeProcessor, t
 			for i, p := range procs {
 				counters[i] = p.TxnCounter()
 			}
-			return 0, fmt.Errorf("replica convergence abandoned (counters %v): %w", counters, err)
+			return 0, nil, fmt.Errorf("replica convergence abandoned (counters %v): %w", counters, err)
 		}
 	}
 }

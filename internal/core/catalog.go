@@ -113,7 +113,7 @@ func Partition(lo, hi int64, n, i int) (v1, v2 int64) {
 	span := hi - lo + 1
 	width := span / int64(n)
 	rem := span % int64(n)
-	v1 = lo + int64(i)*width + min64(int64(i), rem)
+	v1 = lo + int64(i)*width + min(int64(i), rem)
 	v2 = v1 + width
 	if int64(i) < rem {
 		v2++
@@ -122,11 +122,4 @@ func Partition(lo, hi int64, n, i int) (v1, v2 int64) {
 		v2 = hi + 1
 	}
 	return v1, v2
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

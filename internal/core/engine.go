@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -577,825 +577,483 @@ func (e *Engine) headEpoch() int64 {
 	return h
 }
 
-// runSVP executes one query with Simple Virtual Partitioning: plan the
-// rewrite, run the consistency barrier, dispatch one sub-query per node
-// pinned to the common snapshot, and compose the partial results. It
-// returns the snapshot alongside the result so the caching layer can
-// version its fill. usePartial lets warm partitions be served from the
-// partition-level partial cache (and cold ones fill it) — only the
-// caching path sets it.
+// execSVP runs one query through the controller's stages — plan →
+// snapshot (span barrier-wait) → dispatch → gather → compose — each
+// opening its own span on the query span, so the phases tile the query.
+// The snapshot comes back with the result so the caching layer can
+// version its fill; usePartial (set by the caching path only) serves warm
+// partitions from the partial cache and fills it with cold ones.
 // ErrNotEligible means the caller should fall back to pass-through.
-//
-// Sub-query results stream batch-at-a-time into the composer: the
-// gather loop forwards each arriving batch to a composeSink (see
-// gather.go), so memdb inserts / aggregate folding begin on the first
-// batch instead of after the last partition, bounded by
-// Options.GatherBudget in-flight batches per partition. Partition-order
-// float composition is preserved by the sinks. A pushed-down LIMIT with
-// no global ordering lets the gather cancel the remaining sub-queries
-// once the committed partition prefix already holds k rows.
-//
-// Resilience (beyond the paper): the query runs under ctx, bounded by
-// Options.QueryTimeout when ctx has no deadline of its own; transient
-// sub-query failures retry in place with capped exponential backoff;
-// a crashed node's partition fails over across the remaining live
-// nodes; and stragglers past HedgeMultiplier × the median completion
-// time are hedged on the least-loaded live node, first answer winning
-// (safe because every attempt reads the same pinned MVCC snapshot).
-// Attempts are identity-tagged, so the sink can discard a partially
-// streamed attempt that fails or loses its hedge race after delivering
-// batches.
-func (e *Engine) runSVP(ctx context.Context, sel *sql.SelectStmt, usePartial bool, resv *admission.Reservation) (*engine.Result, int64, error) {
-	// The query span (placed in ctx by the facade when tracing is on)
-	// receives one child per lifecycle phase, each opening where the last
-	// one ended so the phases tile the query; a nil span no-ops. The plan
-	// span opens out here, before runPhases is entered, for the clock's
-	// sake: that frame is big enough that a fresh handler goroutine grows
-	// its stack on the call (≈ 6 µs, 3 % of a point lookup), which a span
-	// opened inside it could not see.
+func (e *Engine) execSVP(ctx context.Context, sel *sql.SelectStmt, usePartial bool, resv *admission.Reservation) (*engine.Result, int64, error) {
 	qspan := obs.SpanFrom(ctx)
-	return e.runPhases(ctx, sel, usePartial, resv, qspan, qspan.Child("plan"))
+	span := qspan.Child("plan")
+	plan, err := e.planQuery(sel)
+	span.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	r := &svpRun{e: e, plan: plan, ctx: ctx, qspan: qspan}
+	res, err := r.run(usePartial, resv)
+	return res, r.snapshot, err
 }
 
-// runPhases is the body of runSVP: every phase after the plan span opens.
-func (e *Engine) runPhases(ctx context.Context, sel *sql.SelectStmt, usePartial bool, resv *admission.Reservation, qspan, planSpan *obs.Span) (*engine.Result, int64, error) {
-	if e.opts.QueryTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
+// run executes the plan. Retries, requeues and hedges live in dispatch
+// and gather only. It is its own frame so execSVP's stays small: a fresh
+// handler goroutine grows its stack on entering run, after the plan span.
+func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Result, error) {
+	if d := r.e.opts.QueryTimeout; d > 0 {
+		if _, ok := r.ctx.Deadline(); !ok {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, e.opts.QueryTimeout)
+			r.ctx, cancel = context.WithTimeout(r.ctx, d)
 			defer cancel()
 		}
 	}
+	if err := r.takeSnapshot(resv); err != nil {
+		return nil, err
+	}
+	r.dispatch(usePartial && r.e.cache.PartialEnabled())
+	defer r.cancelWork()
+	defer r.abortFlights()
+	sink, err := r.gather(resv)
+	if err != nil {
+		return nil, err
+	}
+	return r.compose(sink)
+}
+
+// queryPlan is the logical stage's output, fixed before any node is
+// touched: the rewrite, the fine virtual partitions [v1, v2) — cut from
+// the CONFIGURED node count, never from liveness, so partial-cache keys
+// stay stable across degree changes — and the partial-cache key (zero
+// when that cache is off).
+type queryPlan struct {
+	rw        *Rewrite
+	ranges    [][2]int64
+	keySpan   int64 // hi - lo + 1
+	partialFP sql.Fingerprint
+}
+
+// planQuery is the logical stage, a pure function of the statement, the
+// catalog and the key domain: it consults no node and executes nothing.
+func (e *Engine) planQuery(sel *sql.SelectStmt) (queryPlan, error) {
 	rw, err := PlanSVP(sel, e.catalog)
 	if err != nil {
-		planSpan.End()
-		return nil, 0, err
+		return queryPlan{}, err
 	}
 	lo, hi, err := e.catalog.KeyDomain(e.db, rw.Table)
-	planSpan.End()
 	if err != nil {
-		return nil, 0, notEligible(ReasonKeyDomain, "%v", err)
+		return queryPlan{}, notEligible(ReasonKeyDomain, "%v", err)
 	}
+	p := queryPlan{rw: rw, keySpan: hi - lo + 1}
+	p.ranges = make([][2]int64, e.fineParts(p.keySpan))
+	for i := range p.ranges {
+		v1, v2 := Partition(lo, hi, len(p.ranges), i)
+		p.ranges[i] = [2]int64{v1, v2}
+	}
+	switch {
+	case !e.cache.PartialEnabled():
+	case e.opts.MQO:
+		// The canonical *sub-plan* form: overlapping decomposed sub-queries
+		// of syntactically different parents share partials and flights.
+		p.partialFP = sql.SubplanFingerprint(rw.Partial)
+	default:
+		p.partialFP = sql.FingerprintStmt(rw.Partial)
+	}
+	return p, nil
+}
+
+// svpRun is one query's execution: what its stages share with the
+// sub-query goroutines dispatch starts. Each field is set by its stage
+// before any goroutine reads it.
+type svpRun struct {
+	e     *Engine
+	plan  queryPlan
+	ctx   context.Context // the query's own context (its deadline)
+	qspan *obs.Span
+	// workCtx cancels every in-flight sub-query stream the moment the
+	// gather ends — error, deadline, or a settled LIMIT — so no worker
+	// blocks on a gather channel nobody reads anymore.
+	workCtx    context.Context
+	cancelWork context.CancelFunc
+
+	procs    []*NodeProcessor // the fan-out, one worker per node
+	snapshot int64            // the MVCC snapshot every attempt reads
+	gated    bool             // the barrier holds the consistency gate
+
+	src   []partSource // per partition when the partial cache is on, else nil
+	sch   *fineScheduler
+	alive []*NodeProcessor // procs by worker slot; the scheduler nils retired ones
+	// msgs carries batches and attempt ends to the gather; its bound is
+	// the backpressure budget that blocks producers ahead of the composer.
+	msgs       chan gatherMsg
+	attemptSeq atomic.Int64
+}
+
+// partSource is one partition's source decision: warm rows from the
+// partial cache (hit), another query's in-flight execution (follow), or
+// this query's own workers — as the partition flight's leader (lead)
+// until it publishes the rows.
+type partSource struct {
+	rows   []sqltypes.Row
+	hit    bool
+	lead   bool
+	follow func(context.Context) ([]sqltypes.Row, error)
+}
+
+// takeSnapshot is the consistency stage (span barrier-wait): it picks
+// the fan-out and pins the snapshot. The paper's barrier blocks updates
+// and waits for equal transaction counters, leaving the gate closed for
+// dispatch to reopen; the relaxed modes (NoBarrier, MaxStaleness) read at
+// the lagging replica's snapshot without stalling updates.
+func (r *svpRun) takeSnapshot(resv *admission.Reservation) error {
+	e := r.e
+	span := r.qspan.Child("barrier-wait")
+	defer span.End()
 	// A crashed node drops out of the fan-out: the survivors cover the
-	// whole key domain with fewer, larger partitions (degraded
-	// intra-query parallelism rather than failure).
-	procs := e.liveProcs()
-	if len(procs) == 0 {
-		return nil, 0, fmt.Errorf("no live nodes")
+	// whole key domain (degraded intra-query parallelism, not failure).
+	if r.procs = e.liveProcs(); len(r.procs) == 0 {
+		return fmt.Errorf("no live nodes")
 	}
-	n := len(procs)
-
-	// The gather channel's slots are the query's first memory charge:
-	// each can hold one full batch in flight, so the whole backpressure
-	// buffer is reserved up front — a query that cannot even afford its
-	// gather buffer aborts here, before the barrier blocks any write and
-	// before any sub-query dispatches.
-	if err := resv.Grow(int64(e.opts.GatherBudget*n) * gatherSlotBytes); err != nil {
-		return nil, 0, err
+	// The gather channel's slots, one full batch each, are the query's
+	// first memory charge: a query that cannot afford them aborts before
+	// the barrier blocks any write.
+	if err := resv.Grow(int64(e.opts.GatherBudget*len(r.procs)) * gatherSlotBytes); err != nil {
+		return err
 	}
-
-	// Consistency barrier: block updates, wait for equal transaction
-	// counters, capture the snapshot, dispatch, unblock. The relaxed
-	// modes (NoBarrier, MaxStaleness) instead read at the lagging
-	// replica's snapshot without stalling updates.
-	var snapshot int64
-	barrier := !e.opts.NoBarrier && e.opts.MaxStaleness <= 0
-	barSpan := qspan.Child("barrier-wait")
 	start := time.Now()
+	var err error
 	switch {
 	case e.opts.NoBarrier:
-		snapshot = minWatermark(procs)
+		r.snapshot, _ = counterRange(r.procs)
 	case e.opts.MaxStaleness > 0:
-		snapshot, err = e.awaitFreshness(ctx, procs, e.opts.MaxStaleness)
-		if err != nil {
-			barSpan.End()
-			return nil, 0, err
-		}
+		r.snapshot, err = e.awaitFreshness(r.ctx, r.procs, e.opts.MaxStaleness)
 	default:
 		e.gate.block()
-		snapshot, err = e.gate.awaitConsistent(ctx, procs, e.opts.BarrierTimeout)
-		if err != nil {
+		if r.snapshot, r.procs, err = e.gate.awaitConsistent(r.ctx, r.procs, e.opts.BarrierTimeout); err != nil {
 			e.gate.unblock()
-			barSpan.End()
-			return nil, 0, err
 		}
+		r.gated = err == nil
 	}
-	barWait := time.Since(start)
-	barSpan.End()
-	// Partitioning, cache probes and scheduler set-up are dispatch work.
-	dispSpan := qspan.Child("dispatch")
-	dispStart := time.Now()
-	e.st.barrierWait.Add(int64(barWait))
-	e.m.barrierWait.Observe(barWait)
-
-	// workCtx cancels every in-flight sub-query stream the moment the
-	// gather ends — error, deadline, or a settled LIMIT. Without it,
-	// workers could block forever sending into a full gather channel
-	// nobody reads anymore.
-	workCtx, cancelWork := context.WithCancel(ctx)
-	defer cancelWork()
-
-	// Fine-grained virtual partitions: the key domain is cut into nParts
-	// small ranges computed from the CONFIGURED node count — never from
-	// liveness — so partial-cache keys stay stable across degree changes.
-	// The ranges queue on one cluster-level scheduler that every live
-	// node pulls from: a worker claims its next partition when it
-	// finishes the last, so fast nodes drain the queue and naturally
-	// steal work from stragglers (locality-preferring: home ranges
-	// first). Each claimed partition streams its rows batch-by-batch into
-	// the gather channel, ending each attempt with a fin message; workers
-	// retry transient errors in place and requeue a dead node's
-	// partitions for the survivors (announcing the abandoned attempt so
-	// the sink can drop its rows). The gather adds at most one in-flight
-	// hedge as an endgame fallback. The channel bound is the backpressure
-	// budget: producers ahead of the composer block here.
-	keySpan := hi - lo + 1
-	nParts := e.fineParts(keySpan)
-	ranges := make([][2]int64, nParts)
-	for i := range ranges {
-		v1, v2 := Partition(lo, hi, nParts, i)
-		ranges[i] = [2]int64{v1, v2}
+	if err != nil {
+		return err
 	}
+	wait := time.Since(start)
+	e.st.barrierWait.Add(int64(wait))
+	e.m.barrierWait.Observe(wait)
+	return nil
+}
 
-	msgs := make(chan gatherMsg, e.opts.GatherBudget*n)
-	var attemptSeq atomic.Int64
-	cfg := e.net.Config()
-	send := func(m gatherMsg) bool {
-		select {
-		case msgs <- m:
-			return true
-		case <-workCtx.Done():
-			if m.batch != nil {
-				sqltypes.PutBatch(m.batch)
-			}
-			return false
-		}
-	}
-
-	// Partition-level partial cache: probe each partition's (sub-query
-	// fingerprint, VPA range, snapshot) key before workers start. A warm
-	// partition never enters the queue and feeds the composer as a
-	// synthetic attempt below; only the missing ranges go to the nodes.
-	// Exact-snapshot matches only — composing partitions captured at
-	// different epochs would yield a result valid at no single snapshot.
-	usePartial = usePartial && e.cache.PartialEnabled()
-	var partialFP sql.Fingerprint
+// dispatch is the scheduling stage (span dispatch). The partitions queue
+// on one cluster-level scheduler that every live node pulls from, home
+// ranges first, so fast nodes drain it and steal from stragglers. Once
+// every worker and flight follower has started, the gate reopens: "when
+// all sub-queries are sent and started by the DBMSs, update transactions
+// are unblocked."
+func (r *svpRun) dispatch(usePartial bool) {
+	e := r.e
+	span := r.qspan.Child("dispatch")
+	start := time.Now()
+	n, nParts := len(r.procs), len(r.plan.ranges)
+	r.workCtx, r.cancelWork = context.WithCancel(r.ctx)
+	r.msgs = make(chan gatherMsg, e.opts.GatherBudget*n)
+	r.sch = newFineScheduler(nParts, n)
+	r.alive = slices.Clone(r.procs)
+	cached, followed := 0, 0
 	if usePartial {
-		if e.opts.MQO {
-			// MQO keys partials by the canonical *sub-plan* form, so
-			// overlapping decomposed sub-queries from syntactically
-			// different parents land on one key — the partial cache and
-			// the partition flights below collapse them.
-			partialFP = sql.SubplanFingerprint(rw.Partial)
-		} else {
-			partialFP = sql.FingerprintStmt(rw.Partial)
-		}
+		cached, followed = r.pickSources()
 	}
-	sch := newFineScheduler(ranges, n)
-	cachedRows := make([][]sqltypes.Row, nParts)
-	cachedParts := make([]bool, nParts)
-	cached := 0
-	if usePartial {
-		for i := range ranges {
-			if rows, ok := e.cache.LookupPartial(partialFP, ranges[i][0], ranges[i][1], snapshot); ok {
-				cachedRows[i], cachedParts[i] = rows, true
-				e.st.cachePartialHits.Inc()
-				sch.markDone(i)
-				cached++
-				continue
-			}
-			e.st.cachePartialMisses.Inc()
-		}
-	}
-
-	// Partition-level singleflight (MQO): for each still-cold partition,
-	// the first concurrent query whose sub-plan decomposition lands on
-	// (partialFP, range, snapshot) becomes the partition's leader and
-	// executes it normally; every other query joins as a follower — the
-	// partition leaves its scheduler queue and a waiter goroutine feeds
-	// the leader's published rows into the gather as a synthetic
-	// attempt. A leader that exits without publishing aborts its flights
-	// (deferred below), and an aborted follower re-executes the
-	// partition itself: sharing is an optimization, never a correctness
-	// dependency. Bit-identity holds because followers receive exactly
-	// the rows the leader's attempt streamed, committed in the same
-	// partition-index order.
-	var leaders []bool
-	var followerWait []func(context.Context) ([]sqltypes.Row, error)
-	followers := 0
-	if usePartial && e.opts.MQO {
-		leaders = make([]bool, nParts)
-		followerWait = make([]func(context.Context) ([]sqltypes.Row, error), nParts)
-		for i := range ranges {
-			if cachedParts[i] {
-				continue
-			}
-			lead, wait := e.cache.JoinPartialFlight(partialFP, ranges[i][0], ranges[i][1], snapshot)
-			if lead {
-				leaders[i] = true
-				continue
-			}
-			followerWait[i] = wait
-			sch.markDone(i)
-			followers++
-		}
-		defer func() {
-			for i, l := range leaders {
-				if l {
-					e.cache.AbortPartialFlight(partialFP, ranges[i][0], ranges[i][1], snapshot)
-				}
-			}
-		}()
-	}
-
-	// alive mirrors procs by worker slot; the scheduler nils a slot when
-	// its worker retires (all access under the scheduler's lock).
-	alive := make([]*NodeProcessor, n)
-	copy(alive, procs)
-
-	// runOne executes one claimed partition on p: stream, transient
-	// retries in place, then requeue for the surviving workers. A non-nil
-	// downErr means p itself is gone and its worker must retire.
-	runOne := func(p *NodeProcessor, idx int, stolen bool) (keys int64, downErr error) {
-		sub := rw.chunkQuery(ranges[idx][0], ranges[idx][1])
-		backoff := e.opts.RetryBackoff
-		retries := 0
-		try := 0
-		for {
-			try++
-			attempt := attemptSeq.Add(1)
-			if try == 1 {
-				e.st.subQueries.Inc()
-				p.countClaim()
-			}
-			sq := qspan.Child("subquery")
-			sq.Annotate("partition", strconv.Itoa(idx))
-			sq.Annotate("node", strconv.Itoa(p.Node().ID()))
-			sq.Annotate("attempt", strconv.Itoa(try))
-			if stolen {
-				sq.Annotate("stolen", "true")
-			}
-			p.Node().Meter().Charge(cfg.NetMessage)
-			t0 := time.Now()
-			qerr := p.StreamAt(workCtx, sub, snapshot, e.opts.ForceIndexScan, func(b *sqltypes.Batch) error {
-				if !send(gatherMsg{idx: idx, attempt: attempt, batch: b}) {
-					return workCtx.Err()
-				}
-				return nil
-			})
-			dur := time.Since(t0)
-			e.m.subqueryDur.Observe(dur)
-			if qerr != nil {
-				sq.Annotate("error", qerr.Error())
-			}
-			sq.End()
-			if qerr == nil {
-				sch.complete(idx)
-				send(gatherMsg{idx: idx, attempt: attempt, fin: true, dur: dur})
-				return ranges[idx][1] - ranges[idx][0], nil
-			}
-			if errors.Is(qerr, cluster.ErrTransient) && retries < e.opts.RetryLimit {
-				retries++
-				e.st.backoffRetries.Inc()
-				if !send(gatherMsg{idx: idx, attempt: attempt, fin: true, err: qerr, retry: true}) {
-					return 0, nil
-				}
-				if sleepCtx(workCtx, backoff) != nil {
-					return 0, nil
-				}
-				backoff = capDur(backoff*2, maxRetryBackoff)
-				continue
-			}
-			if down := errors.Is(qerr, cluster.ErrBackendDown); down || errors.Is(qerr, cluster.ErrTransient) {
-				// Fail the partition over: back on the queue for whichever
-				// untried live worker claims it next. When none is left the
-				// scheduler fails the whole query with this cause.
-				if sch.requeue(idx, p, qerr, alive) {
-					e.st.subQueryRetries.Inc()
-					e.st.avpRequeues.Inc()
-				}
-				send(gatherMsg{idx: idx, attempt: attempt, fin: true, err: qerr, retry: true})
-				if down {
-					return 0, qerr
-				}
-				return 0, nil
-			}
-			// Permanent (semantic) failure: no node can answer this.
-			send(gatherMsg{idx: idx, attempt: attempt, fin: true, err: qerr})
-			return 0, nil
-		}
-	}
-	// worker is node p's claim loop: home partitions first (adjacent key
-	// ranges, in index order), then steal from the most-loaded block. AVP
-	// reuses the adaptive chunk sizing as a claim-run length — a run of
-	// adjacent home partitions executes back-to-back and the observed
-	// keys/second rate resizes the next run.
-	partWidth := (keySpan + int64(nParts) - 1) / int64(nParts)
-	worker := func(w int, p *NodeProcessor, first int) {
-		var ast *avpState
-		if e.opts.Strategy == AVP {
-			ast = &avpState{size: max64(keySpan/(int64(n)*avpInitialFraction), 1)}
-		}
-		runClaims := func(idxs []int, stolen bool) bool {
-			runStart := time.Now()
-			var keys int64
-			for k, idx := range idxs {
-				if workCtx.Err() != nil {
-					return false
-				}
-				kk, downErr := runOne(p, idx, stolen)
-				keys += kk
-				if downErr != nil {
-					for _, rest := range idxs[k+1:] {
-						sch.requeue(rest, p, downErr, alive)
-					}
-					return false
-				}
-			}
-			if ast != nil && keys > 0 {
-				ast.adapt(keys, time.Since(runStart))
-			}
-			return true
-		}
-		if first >= 0 && !runClaims([]int{first}, false) {
-			sch.workerGone(w, alive)
-			return
-		}
-		for {
-			maxRun := 1
-			if ast != nil {
-				maxRun = int(max64(ast.size/max64(partWidth, 1), 1))
-				if maxRun > maxClaimRun {
-					maxRun = maxClaimRun
-				}
-			}
-			idxs, stolen, err := sch.next(workCtx, w, p, maxRun)
-			if err != nil || len(idxs) == 0 {
-				break
-			}
-			if stolen {
-				e.st.avpSteals.Inc()
-			}
-			if !runClaims(idxs, stolen) {
-				break
-			}
-		}
-		sch.workerGone(w, alive)
-	}
-
-	dispSpan.Annotate("partitions", strconv.Itoa(nParts))
-	// Every live node preclaims its first home partition before any claim
-	// loop runs: each node is guaranteed its share of the fan-out however
-	// the goroutines interleave.
+	span.Annotate("partitions", strconv.Itoa(nParts))
+	// Every node preclaims its first home partition before any claim loop
+	// runs, so each gets its share however the goroutines interleave.
 	firsts := make([]int, n)
-	for w := range procs {
-		firsts[w] = -1
-		if idx, ok := sch.preclaim(w, procs[w]); ok {
-			firsts[w] = idx
+	for w, p := range r.procs {
+		firsts[w] = r.sch.preclaim(w, p)
+	}
+	for w, p := range r.procs {
+		go r.work(w, p, firsts[w])
+	}
+	for i, s := range r.src {
+		if s.follow != nil {
+			go r.follow(i, s.follow)
 		}
 	}
-	for w, p := range procs {
-		go worker(w, p, firsts[w])
-	}
-	// Follower waiters: one goroutine per flight-joined partition feeds
-	// the leader's rows into the gather as a synthetic attempt. If the
-	// leader aborts, the follower re-executes the partition itself on
-	// the least-loaded live nodes (failing over once per live node like
-	// a requeue would).
-	runFollower := func(idx int, wait func(context.Context) ([]sqltypes.Row, error)) {
-		attempt := attemptSeq.Add(1)
-		rows, werr := wait(workCtx)
-		if werr == nil {
-			b := sqltypes.GetBatch()
-			b.Rows = append(b.Rows, rows...)
-			if send(gatherMsg{idx: idx, attempt: attempt, batch: b}) {
-				send(gatherMsg{idx: idx, attempt: attempt, fin: true})
-			}
-			return
-		}
-		if workCtx.Err() != nil {
-			return
-		}
-		sub := rw.chunkQuery(ranges[idx][0], ranges[idx][1])
-		var last *NodeProcessor
-		for tries := 0; tries < len(e.procs); tries++ {
-			p := e.pickLeastLoadedExcept(last)
-			if p == nil {
-				break
-			}
-			attempt = attemptSeq.Add(1)
-			e.st.subQueries.Inc()
-			p.Node().Meter().Charge(cfg.NetMessage)
-			t0 := time.Now()
-			qerr := p.StreamAt(workCtx, sub, snapshot, e.opts.ForceIndexScan, func(b *sqltypes.Batch) error {
-				if !send(gatherMsg{idx: idx, attempt: attempt, batch: b}) {
-					return workCtx.Err()
-				}
-				return nil
-			})
-			if qerr == nil {
-				send(gatherMsg{idx: idx, attempt: attempt, fin: true, dur: time.Since(t0)})
-				return
-			}
-			if workCtx.Err() != nil {
-				return
-			}
-			if errors.Is(qerr, cluster.ErrBackendDown) || errors.Is(qerr, cluster.ErrTransient) {
-				send(gatherMsg{idx: idx, attempt: attempt, fin: true, err: qerr, retry: true})
-				last = p
-				continue
-			}
-			send(gatherMsg{idx: idx, attempt: attempt, fin: true, err: qerr})
-			return
-		}
-		send(gatherMsg{idx: idx, attempt: attemptSeq.Add(1), fin: true,
-			err: fmt.Errorf("partition flight aborted and no live node answered: %w", werr)})
-	}
-	for i := range followerWait {
-		if followerWait[i] != nil {
-			go runFollower(i, followerWait[i])
-		}
-	}
-	// "When all sub-queries are sent and started by the DBMSs, update
-	// transactions are unblocked."
-	if barrier {
+	if r.gated {
 		e.gate.unblock()
 	}
 	if cached > 0 {
-		dispSpan.Annotate("cached_partitions", strconv.Itoa(cached))
+		span.Annotate("cached_partitions", strconv.Itoa(cached))
 	}
-	dispSpan.End()
-	gatherSpan := qspan.Child("gather")
-	gatherStart := time.Now()
-	// End() keeps the first duration, so the success path's explicit End
-	// (before compose) wins and the deferred one only covers error
-	// returns out of the gather loop.
-	defer gatherSpan.End()
-	e.m.dispatch.Observe(gatherStart.Sub(dispStart))
 	e.st.svpQueries.Inc()
-	e.st.avpPartitions.Add(int64(nParts - cached - followers))
-
-	// Gather with endgame hedging: batches feed the composer sink as they
-	// arrive, but commits happen in partition order inside the sink —
-	// floating-point aggregates are not associative, so arrival-order
-	// composition would make the answer depend on which node ran which
-	// partition. That partition-index merge rule is what keeps results
-	// bit-identical across schedules, steals and hedges. Once at least
-	// one partition has answered, the single oldest in-flight attempt
-	// past HedgeMultiplier × the median completion time is speculatively
-	// duplicated on the least-loaded other live node; with fine
-	// partitions stealing does the load balancing, so one hedge at a time
-	// only covers a node that stalls mid-partition.
-	sink := e.newComposeSink(rw, nParts, resv)
-	var totalRows int64
-	var firstErr, pendingErr, schedErr error
-	done := make([]bool, nParts)
-	doneRows := make([]int64, nParts)
-	hedged := make([]bool, nParts)
-	hedgeFor := -1
-	rowsByAttempt := map[int64]int64{}
-	var completions []time.Duration
-	completed := 0
-	settled := false
-	sawFirstBatch := false
-	// A pushed-down LIMIT with no global ordering or DISTINCT is settled
-	// as soon as the committed partition prefix holds k rows: composition
-	// takes the leading rows in partition order, all already gathered.
-	earlyStop := rw.PushedLimit > 0 && len(rw.Compose.OrderBy) == 0 && !rw.Compose.Distinct
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	stopHedge := func() {
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-			hedgeTimer = nil
-			hedgeC = nil
-		}
-	}
-	defer stopHedge()
-	// armHedge points the single hedge timer at the oldest attempt still
-	// in flight, skipping partitions the gather has already settled.
-	armHedge := func() {
-		if e.opts.DisableHedging || e.adm.HedgingDisabled() || hedgeTimer != nil || hedgeFor >= 0 {
-			return
-		}
-		if len(completions) == 0 || completed >= nParts {
-			return
-		}
-		_, _, began, ok := sch.oldestRunning(func(i int) bool { return done[i] })
-		if !ok {
-			return
-		}
-		th := hedgeThreshold(completions, e.opts.HedgeMultiplier)
-		hedgeTimer = time.NewTimer(time.Until(began.Add(th)))
-		hedgeC = hedgeTimer.C
-	}
-	// hedge duplicates one partition's attempt on another node — a single
-	// shot, no retries: the original attempt is still running, and the
-	// first answer per partition wins (safe because every attempt reads
-	// the same pinned MVCC snapshot).
-	hedge := func(p *NodeProcessor, idx int) {
-		sub := rw.chunkQuery(ranges[idx][0], ranges[idx][1])
-		go func() {
-			attempt := attemptSeq.Add(1)
-			sq := qspan.Child("subquery")
-			sq.Annotate("partition", strconv.Itoa(idx))
-			sq.Annotate("node", strconv.Itoa(p.Node().ID()))
-			sq.Annotate("hedged", "true")
-			p.Node().Meter().Charge(cfg.NetMessage)
-			t0 := time.Now()
-			qerr := p.StreamAt(workCtx, sub, snapshot, e.opts.ForceIndexScan, func(b *sqltypes.Batch) error {
-				if !send(gatherMsg{idx: idx, attempt: attempt, hedge: true, batch: b}) {
-					return workCtx.Err()
-				}
-				return nil
-			})
-			dur := time.Since(t0)
-			e.m.subqueryDur.Observe(dur)
-			if qerr != nil {
-				sq.Annotate("error", qerr.Error())
-				sq.End()
-				send(gatherMsg{idx: idx, attempt: attempt, hedge: true, fin: true, err: qerr})
-				return
-			}
-			sq.End()
-			send(gatherMsg{idx: idx, attempt: attempt, hedge: true, fin: true, dur: dur})
-		}()
-	}
-	sinkErr := func(err error) error {
-		return fmt.Errorf("composer: %w", err)
-	}
-	// Warm partitions feed the sink as synthetic attempts before the
-	// gather starts — the same observe/commit path as live streams, so
-	// partition-order composition and LIMIT accounting are unchanged.
-	for i := range cachedParts {
-		if !cachedParts[i] {
-			continue
-		}
-		attempt := attemptSeq.Add(1)
-		b := sqltypes.GetBatch()
-		b.Rows = append(b.Rows, cachedRows[i]...)
-		if err := sink.observe(i, attempt, b); err != nil {
-			return nil, 0, sinkErr(err)
-		}
-		if err := sink.commit(i, attempt); err != nil {
-			return nil, 0, sinkErr(err)
-		}
-		done[i] = true
-		doneRows[i] = int64(len(cachedRows[i]))
-		totalRows += doneRows[i]
-		completed++
-	}
-	if earlyStop && completed < nParts && prefixHolds(done, doneRows, rw.PushedLimit) {
-		settled = true
-		e.st.limitShortCircuits.Inc()
-		cancelWork()
-	}
-	// keepRows retains each live attempt's streamed rows so a partition
-	// winner can fill the partial cache (rows stay valid after the sink
-	// pools the batch — the batch ownership contract).
-	var keepRows map[int64][]sqltypes.Row
-	if usePartial {
-		keepRows = map[int64][]sqltypes.Row{}
-	}
-	schedFailed := sch.failedC()
-gather:
-	for !settled && completed < nParts {
-		select {
-		case m := <-msgs:
-			switch {
-			case m.batch != nil:
-				if done[m.idx] {
-					// Rows from a hedge twin that already lost its race.
-					sqltypes.PutBatch(m.batch)
-					continue
-				}
-				if !sawFirstBatch {
-					sawFirstBatch = true
-					d := time.Since(gatherStart)
-					e.m.firstBatch.Observe(d)
-					gatherSpan.Annotate("first_batch", d.String())
-				}
-				nb := int64(m.batch.Len())
-				e.st.streamedBatches.Inc()
-				e.st.streamedRows.Add(nb)
-				rowsByAttempt[m.attempt] += nb
-				if keepRows != nil {
-					keepRows[m.attempt] = append(keepRows[m.attempt], m.batch.Rows...)
-				}
-				if err := sink.observe(m.idx, m.attempt, m.batch); err != nil {
-					return nil, 0, sinkErr(err)
-				}
-			case m.retry:
-				// The worker abandoned this attempt; the partition is back
-				// on the queue (or the schedule failed — see schedFailed).
-				if err := sink.abort(m.idx, m.attempt); err != nil {
-					return nil, 0, sinkErr(err)
-				}
-				delete(rowsByAttempt, m.attempt)
-				delete(keepRows, m.attempt)
-			case m.err != nil:
-				if err := sink.abort(m.idx, m.attempt); err != nil {
-					return nil, 0, sinkErr(err)
-				}
-				delete(rowsByAttempt, m.attempt)
-				delete(keepRows, m.attempt)
-				if m.hedge {
-					// The speculative twin failed; the original attempt may
-					// yet answer — unless it already failed too.
-					if hedgeFor == m.idx {
-						hedgeFor = -1
-					}
-					if !done[m.idx] && pendingErr != nil {
-						firstErr = pendingErr
-						break gather
-					}
-					if schedErr != nil {
-						firstErr = schedErr
-						break gather
-					}
-					armHedge()
-					continue
-				}
-				if done[m.idx] {
-					continue
-				}
-				if hedgeFor == m.idx {
-					// The original failed permanently but its hedge is still
-					// in flight: hold judgement until the hedge resolves.
-					pendingErr = m.err
-					continue
-				}
-				firstErr = m.err
-				break gather
-			default: // fin: the attempt completed
-				if done[m.idx] {
-					// A duplicate answer for a hedged partition: the
-					// earlier arrival already won this race.
-					if err := sink.abort(m.idx, m.attempt); err != nil {
-						return nil, 0, sinkErr(err)
-					}
-					delete(rowsByAttempt, m.attempt)
-					delete(keepRows, m.attempt)
-					continue
-				}
-				done[m.idx] = true
-				if hedged[m.idx] {
-					if m.hedge {
-						e.st.hedgesWon.Inc()
-					} else {
-						e.st.hedgesLost.Inc()
-					}
-				}
-				if hedgeFor == m.idx {
-					hedgeFor = -1
-					pendingErr = nil
-				}
-				if m.hedge {
-					// Tell the scheduler, so the losing worker's eventual
-					// completion is a no-op and requeues stop targeting it.
-					sch.forceDone(m.idx)
-				}
-				completed++
-				if m.dur > 0 {
-					completions = append(completions, m.dur)
-				}
-				doneRows[m.idx] = rowsByAttempt[m.attempt]
-				totalRows += doneRows[m.idx]
-				delete(rowsByAttempt, m.attempt)
-				if err := sink.commit(m.idx, m.attempt); err != nil {
-					return nil, 0, sinkErr(err)
-				}
-				if keepRows != nil {
-					if followerWait != nil && followerWait[m.idx] != nil {
-						// Served by another query's leader: that leader fills
-						// the partial cache; refilling the same key here would
-						// only double the fill counters.
-						delete(keepRows, m.attempt)
-					} else {
-						e.cache.FillPartial(partialFP, ranges[m.idx][0], ranges[m.idx][1], snapshot, keepRows[m.attempt])
-						if leaders != nil && leaders[m.idx] {
-							// Publish to this partition's flight followers and
-							// retire the leadership so the deferred abort
-							// leaves the settled flight alone.
-							e.cache.FinishPartialFlight(partialFP, ranges[m.idx][0], ranges[m.idx][1], snapshot, keepRows[m.attempt])
-							leaders[m.idx] = false
-						}
-						delete(keepRows, m.attempt)
-					}
-				}
-				if earlyStop && prefixHolds(done, doneRows, rw.PushedLimit) {
-					settled = true
-					e.st.limitShortCircuits.Inc()
-					cancelWork()
-					break gather
-				}
-				if schedErr != nil && hedgeFor < 0 && completed < nParts {
-					// The hedge settled its partition, but the schedule had
-					// already failed elsewhere.
-					firstErr = schedErr
-					break gather
-				}
-				armHedge()
-			}
-		case <-hedgeC:
-			hedgeTimer = nil
-			hedgeC = nil
-			if hedgeFor >= 0 || len(completions) == 0 {
-				continue
-			}
-			idx, runner, began, ok := sch.oldestRunning(func(i int) bool { return done[i] })
-			if !ok {
-				continue
-			}
-			th := hedgeThreshold(completions, e.opts.HedgeMultiplier)
-			if time.Since(began) < th {
-				// The oldest in-flight attempt changed since the timer was
-				// set; re-aim at the new one.
-				hedgeTimer = time.NewTimer(time.Until(began.Add(th)))
-				hedgeC = hedgeTimer.C
-				continue
-			}
-			alt := e.pickLeastLoadedExcept(runner)
-			if alt == nil {
-				continue
-			}
-			hedged[idx] = true
-			hedgeFor = idx
-			e.st.hedges.Inc()
-			e.st.subQueries.Inc()
-			hedge(alt, idx)
-		case <-schedFailed:
-			// No live untried node is left for some partition (or every
-			// worker retired with work pending): the query cannot finish.
-			schedFailed = nil
-			schedErr = sch.Err()
-			if hedgeFor < 0 {
-				firstErr = schedErr
-				break gather
-			}
-			// A hedge is still racing for a stuck partition; it may yet
-			// settle the query on its own.
-		case <-ctx.Done():
-			// Abandon the gather: the deferred cancelWork releases the
-			// workers' pending sends.
-			e.st.deadlineAborts.Inc()
-			return nil, 0, fmt.Errorf("query abandoned at deadline: %w", ctx.Err())
-		}
-	}
-	if !settled && completed < nParts {
-		if firstErr == nil {
-			firstErr = pendingErr
-		}
-		if firstErr == nil {
-			firstErr = schedErr
-		}
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		if errors.Is(firstErr, context.DeadlineExceeded) || errors.Is(firstErr, context.Canceled) {
-			e.st.deadlineAborts.Inc()
-			return nil, 0, fmt.Errorf("query abandoned at deadline: %w", firstErr)
-		}
-		return nil, 0, fmt.Errorf("sub-query failed: %w", firstErr)
-	}
-	gatherSpan.End()
-	e.m.gather.Observe(time.Since(gatherStart))
-	e.net.Charge(time.Duration(totalRows) * cfg.NetPerRow)
-	e.net.Flush()
-	e.st.composedRows.Add(totalRows)
-	e.mirrorBatchPool()
-
-	span := qspan.Child("compose")
-	t0 := time.Now()
-	res, err := sink.finish(ctx)
-	e.m.compose.Observe(time.Since(t0))
-	if err != nil {
-		span.Annotate("error", err.Error())
-		span.End()
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			e.st.deadlineAborts.Inc()
-			return nil, 0, fmt.Errorf("query abandoned at deadline: %w", err)
-		}
-		return nil, 0, err
-	}
+	e.st.avpPartitions.Add(int64(nParts - cached - followed))
+	e.m.dispatch.Observe(time.Since(start))
 	span.End()
-	return res, snapshot, nil
 }
 
-// prefixHolds reports whether the committed prefix of partitions already
-// holds at least k rows (the early-stop condition of a pushed-down LIMIT).
-func prefixHolds(done []bool, rows []int64, k int64) bool {
-	var sum int64
-	for i := range done {
-		if !done[i] {
-			return false
+// pickSources decides each partition's source; those the cache or a
+// flight answer never enter the queue. Partials match the exact snapshot
+// only: partitions captured at different epochs compose to a result valid
+// at no single snapshot. Under MQO a cold partition's first concurrent
+// query leads its flight and the others follow, receiving exactly the
+// rows the leader's winner streamed; a follower whose leader aborts runs
+// the partition itself, so sharing is never a correctness dependency.
+func (r *svpRun) pickSources() (cached, followed int) {
+	e, fp := r.e, r.plan.partialFP
+	r.src = make([]partSource, len(r.plan.ranges))
+	for i, rg := range r.plan.ranges {
+		s := &r.src[i]
+		if s.rows, s.hit = e.cache.LookupPartial(fp, rg[0], rg[1], r.snapshot); s.hit {
+			e.st.cachePartialHits.Inc()
+			r.sch.settle(i)
+			cached++
+			continue
 		}
-		sum += rows[i]
-		if sum >= k {
-			return true
+		e.st.cachePartialMisses.Inc()
+		if !e.opts.MQO {
+			continue
+		}
+		if s.lead, s.follow = e.cache.JoinPartialFlight(fp, rg[0], rg[1], r.snapshot); !s.lead {
+			r.sch.settle(i)
+			followed++
 		}
 	}
-	return false
+	return cached, followed
+}
+
+// abortFlights retires the flights this run still leads when it exits
+// without publishing them; their followers then run the partition.
+func (r *svpRun) abortFlights() {
+	for i, s := range r.src {
+		if s.lead {
+			r.e.cache.AbortPartialFlight(r.plan.partialFP, r.plan.ranges[i][0], r.plan.ranges[i][1], r.snapshot)
+		}
+	}
+}
+
+// work is node p's claim loop in worker slot w: the preclaimed first
+// partition, then home partitions in index order (adjacent key ranges),
+// then steals from the most-loaded block. Under AVP a claim run takes
+// several adjacent home partitions back-to-back, sized by the adaptive
+// chunk rule from the keys/second rate of the last run.
+func (r *svpRun) work(w int, p *NodeProcessor, first int) {
+	defer r.sch.workerGone(w, r.alive)
+	var ast *avpState
+	if r.e.opts.Strategy == AVP {
+		ast = &avpState{size: max(r.plan.keySpan/(int64(len(r.procs))*avpInitialFraction), 1)}
+	}
+	nParts := int64(len(r.plan.ranges))
+	partWidth := max((r.plan.keySpan+nParts-1)/nParts, 1)
+	idxs, stolen := []int{first}, false
+	for {
+		if first < 0 {
+			maxRun := 1
+			if ast != nil {
+				maxRun = int(min(max(ast.size/partWidth, 1), maxClaimRun))
+			}
+			var err error
+			if idxs, stolen, err = r.sch.next(r.workCtx, w, p, maxRun); err != nil || len(idxs) == 0 {
+				return
+			}
+			if stolen {
+				r.e.st.avpSteals.Inc()
+			}
+		}
+		first = -1
+		start := time.Now()
+		var keys int64
+		for k, idx := range idxs {
+			if r.workCtx.Err() != nil {
+				return
+			}
+			kk, downErr := r.runClaim(p, idx, stolen)
+			if downErr != nil {
+				for _, rest := range idxs[k+1:] {
+					r.sch.requeue(rest, p, downErr, r.alive)
+				}
+				return
+			}
+			keys += kk
+		}
+		if ast != nil && keys > 0 {
+			ast.adapt(keys, time.Since(start))
+		}
+	}
+}
+
+// runClaim executes one claimed partition on p: transient failures retry
+// in place with capped backoff, then the partition goes back on the queue
+// for an untried live worker (when none is left the scheduler fails the
+// query with this cause). It returns the keys answered; a non-nil
+// downErr means p itself is gone and its worker must retire.
+func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool) (keys int64, downErr error) {
+	e := r.e
+	e.st.subQueries.Inc()
+	p.countClaim()
+	kind := homeAttempt
+	if stolen {
+		kind = stolenAttempt
+	}
+	backoff := e.opts.RetryBackoff
+	for try := 1; ; try++ {
+		err := r.attempt(p, idx, kind, try)
+		switch {
+		case err == nil:
+			return r.plan.ranges[idx][1] - r.plan.ranges[idx][0], nil
+		case errors.Is(err, cluster.ErrTransient) && try <= e.opts.RetryLimit:
+			e.st.backoffRetries.Inc()
+			if sleepCtx(r.workCtx, backoff) != nil {
+				return 0, nil
+			}
+			backoff = min(backoff*2, maxRetryBackoff)
+		case retryable(err):
+			if r.sch.requeue(idx, p, err, r.alive) {
+				e.st.subQueryRetries.Inc()
+				e.st.avpRequeues.Inc()
+			}
+			if errors.Is(err, cluster.ErrBackendDown) {
+				return 0, err
+			}
+			return 0, nil
+		default: // permanent (semantic) failure: no node can answer this
+			return 0, nil
+		}
+	}
+}
+
+// follow feeds partition idx from another query's flight, as a synthetic
+// attempt carrying the leader's rows. If the leader aborts, the follower
+// runs the partition itself on each live node at most once, least loaded
+// first.
+func (r *svpRun) follow(idx int, wait func(context.Context) ([]sqltypes.Row, error)) {
+	rows, werr := wait(r.workCtx)
+	if werr == nil {
+		attempt := r.attemptSeq.Add(1)
+		b := sqltypes.GetBatch()
+		b.Rows = append(b.Rows, rows...)
+		if r.send(gatherMsg{idx: idx, attempt: attempt, batch: b}) {
+			r.send(gatherMsg{idx: idx, attempt: attempt, fin: true})
+		}
+		return
+	}
+	var tried []*NodeProcessor
+	for r.workCtx.Err() == nil {
+		p := r.e.pickLeastLoaded(tried...)
+		if p == nil {
+			r.send(gatherMsg{idx: idx, attempt: r.attemptSeq.Add(1), fin: true,
+				err: fmt.Errorf("partition flight aborted and no live node answered: %w", werr)})
+			return
+		}
+		tried = append(tried, p)
+		r.e.st.subQueries.Inc()
+		if err := r.attempt(p, idx, followerAttempt, len(tried)); !retryable(err) {
+			return
+		}
+	}
+}
+
+// attemptKind says who runs an attempt: it picks the subquery span's
+// annotations, and whether a failure reaches the gather as a retry (the
+// partition is still being worked on) or as final.
+type attemptKind uint8
+
+const (
+	homeAttempt     attemptKind = iota // a worker's claim from its home block
+	stolenAttempt                      // a worker's claim stolen from another block
+	followerAttempt                    // a follower running an aborted flight's partition
+	hedgeAttempt                       // a speculative twin: single shot, first answer wins
+)
+
+// attempt streams partition idx on node p once, under a fresh attempt ID
+// — the controller's only StreamAt call. It charges the dispatch message,
+// traces a subquery span (numbered try when try > 0), forwards every
+// batch to the gather and ends with a fin carrying the outcome.
+func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int) error {
+	id, hedge := r.attemptSeq.Add(1), kind == hedgeAttempt
+	sq := r.qspan.Child("subquery")
+	sq.Annotate("partition", strconv.Itoa(idx))
+	sq.Annotate("node", strconv.Itoa(p.Node().ID()))
+	if try > 0 {
+		sq.Annotate("attempt", strconv.Itoa(try))
+	}
+	switch kind {
+	case stolenAttempt:
+		sq.Annotate("stolen", "true")
+	case followerAttempt:
+		sq.Annotate("follower", "true")
+	case hedgeAttempt:
+		sq.Annotate("hedged", "true")
+	}
+	sub := r.plan.rw.chunkQuery(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
+	p.Node().Meter().Charge(r.e.net.Config().NetMessage)
+	t0 := time.Now()
+	err := p.StreamAt(r.workCtx, sub, r.snapshot, r.e.opts.ForceIndexScan, func(b *sqltypes.Batch) error {
+		if !r.send(gatherMsg{idx: idx, attempt: id, hedge: hedge, batch: b}) {
+			return r.workCtx.Err()
+		}
+		return nil
+	})
+	dur := time.Since(t0)
+	r.e.m.subqueryDur.Observe(dur)
+	fin := gatherMsg{idx: idx, attempt: id, hedge: hedge, fin: true, err: err}
+	if err == nil {
+		// Settled before it is announced: the gather's next hedge target
+		// and a losing twin's requeue both see the partition done.
+		fin.dur = dur
+		r.sch.settle(idx)
+	} else {
+		sq.Annotate("error", err.Error())
+		fin.retry = !hedge && retryable(err)
+	}
+	sq.End()
+	r.send(fin)
+	return err
+}
+
+// retryable reports whether another attempt may succeed: the node is
+// down or the failure is transient, not a semantic error.
+func retryable(err error) bool {
+	return errors.Is(err, cluster.ErrBackendDown) || errors.Is(err, cluster.ErrTransient)
+}
+
+// send delivers m to the gather unless the gather has ended, in which
+// case a batch goes back to the pool.
+func (r *svpRun) send(m gatherMsg) bool {
+	select {
+	case r.msgs <- m:
+		return true
+	case <-r.workCtx.Done():
+		if m.batch != nil {
+			sqltypes.PutBatch(m.batch)
+		}
+		return false
+	}
+}
+
+// compose is the last stage (span compose): the sink composes the
+// committed winners in partition order.
+func (r *svpRun) compose(sink composeSink) (*engine.Result, error) {
+	span := r.qspan.Child("compose")
+	defer span.End()
+	t0 := time.Now()
+	res, err := sink.finish(r.ctx)
+	r.e.m.compose.Observe(time.Since(t0))
+	if err != nil {
+		span.Annotate("error", err.Error())
+		if derr := r.e.deadlineErr(err); derr != nil {
+			return nil, derr
+		}
+		return nil, err
+	}
+	return res, nil
+}
+
+// deadlineErr returns err wrapped as an abandoned query, counting the
+// abort, when it is the query's deadline or cancellation; otherwise nil.
+func (e *Engine) deadlineErr(err error) error {
+	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+		return nil
+	}
+	e.st.deadlineAborts.Inc()
+	return fmt.Errorf("query abandoned at deadline: %w", err)
 }
 
 // mirrorBatchPool publishes the process-wide batch-pool counters (the
@@ -1406,20 +1064,6 @@ func (e *Engine) mirrorBatchPool() {
 	e.m.poolMisses.Set(misses)
 }
 
-// hedgeThreshold computes the straggler cutoff (measured from query
-// start): HedgeMultiplier × the median completion time so far, floored
-// at minHedgeDelay.
-func hedgeThreshold(completions []time.Duration, mult float64) time.Duration {
-	sorted := append([]time.Duration(nil), completions...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	median := sorted[len(sorted)/2]
-	th := time.Duration(mult * float64(median))
-	if th < minHedgeDelay {
-		th = minHedgeDelay
-	}
-	return th
-}
-
 // awaitFreshness waits until replica divergence is within the staleness
 // bound and returns the lagging replica's watermark as the query
 // snapshot. Updates keep flowing the whole time; the wait polls with
@@ -1428,16 +1072,7 @@ func (e *Engine) awaitFreshness(ctx context.Context, procs []*NodeProcessor, bou
 	deadline := time.Now().Add(e.opts.BarrierTimeout)
 	spin := waitSpin
 	for {
-		lo, hi := procs[0].TxnCounter(), procs[0].TxnCounter()
-		for _, p := range procs[1:] {
-			w := p.TxnCounter()
-			if w < lo {
-				lo = w
-			}
-			if w > hi {
-				hi = w
-			}
-		}
+		lo, hi := counterRange(procs)
 		if hi-lo <= bound {
 			if hi > lo {
 				e.st.staleReads.Inc()
@@ -1455,14 +1090,15 @@ func (e *Engine) awaitFreshness(ctx context.Context, procs []*NodeProcessor, bou
 	}
 }
 
-func minWatermark(procs []*NodeProcessor) int64 {
-	m := procs[0].TxnCounter()
+// counterRange returns the lowest and highest transaction counter
+// across procs.
+func counterRange(procs []*NodeProcessor) (lo, hi int64) {
+	lo, hi = procs[0].TxnCounter(), procs[0].TxnCounter()
 	for _, p := range procs[1:] {
-		if w := p.TxnCounter(); w < m {
-			m = w
-		}
+		w := p.TxnCounter()
+		lo, hi = min(lo, w), max(hi, w)
 	}
-	return m
+	return lo, hi
 }
 
 // sleepCtx sleeps d unless the context ends first.
@@ -1477,20 +1113,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func capDur(d, max time.Duration) time.Duration {
-	if d > max {
-		return max
-	}
-	return d
-}
-
-// pickLeastLoadedExcept returns the live node (other than the excluded
-// one) with the fewest statements in flight — the hedging dispatcher's
-// target choice.
-func (e *Engine) pickLeastLoadedExcept(exclude *NodeProcessor) *NodeProcessor {
+// pickLeastLoaded returns the live node, other than the excluded ones,
+// with the fewest statements in flight — the target of a hedge twin and
+// of a flight follower's own attempts.
+func (e *Engine) pickLeastLoaded(exclude ...*NodeProcessor) *NodeProcessor {
 	var best *NodeProcessor
 	for _, p := range e.procs {
-		if p == exclude || p.Down() {
+		if p.Down() || slices.Contains(exclude, p) {
 			continue
 		}
 		if best == nil || p.Inflight() < best.Inflight() {
@@ -1502,11 +1131,5 @@ func (e *Engine) pickLeastLoadedExcept(exclude *NodeProcessor) *NodeProcessor {
 
 // liveProcs returns the node processors not currently crashed.
 func (e *Engine) liveProcs() []*NodeProcessor {
-	out := make([]*NodeProcessor, 0, len(e.procs))
-	for _, p := range e.procs {
-		if !p.Down() {
-			out = append(out, p)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(e.procs), (*NodeProcessor).Down)
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"apuama/internal/admission"
 	"apuama/internal/engine"
+	"apuama/internal/obs"
 	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
 )
@@ -25,6 +27,373 @@ type gatherMsg struct {
 	err     error
 	retry   bool          // with fin+err: the worker is retrying, not giving up
 	dur     time.Duration // with a successful fin: the attempt's stream time
+}
+
+// gatherState is the gather stage's bookkeeping, on the controller
+// goroutine only: which partitions are settled and by how many rows, each
+// live attempt's rows, and the one hedge in flight with the failures held
+// back while it races.
+type gatherState struct {
+	r     *svpRun
+	sink  composeSink
+	span  *obs.Span
+	start time.Time
+
+	done      []bool  // partition settled: its winner is committed
+	doneRows  []int64 // the winner's row count
+	hedged    []bool  // partition got a hedge twin
+	completed int
+	totalRows int64
+	// rowsByAttempt counts each live attempt's rows; keepRows retains them
+	// when the partial cache is on, so a winner can fill it (rows outlive
+	// the pooled batch — the batch ownership contract).
+	rowsByAttempt map[int64]int64
+	keepRows      map[int64][]sqltypes.Row
+	completions   []time.Duration // successful attempts' stream times
+	sawBatch      bool
+	// earlyStop: a pushed-down LIMIT with no global ordering or DISTINCT
+	// is settled once the committed partition prefix holds k rows.
+	earlyStop, settled bool
+
+	hedgeFor   int   // partition whose hedge twin is in flight, or -1
+	pendingErr error // the hedged original's failure, held until its twin resolves
+	schedErr   error // the schedule failed while a hedge was still racing
+	hedgeTimer *time.Timer
+	hedgeC     <-chan time.Time
+}
+
+// gather is the collection stage (span gather). Batches feed the composer
+// sink as they arrive, but the sink commits in partition order: float
+// aggregates are not associative, and that merge rule is what keeps
+// results bit-identical across schedules, steals and hedges. Once a
+// partition has answered, the oldest in-flight attempt past
+// HedgeMultiplier × the median completion time gets one twin on the
+// least-loaded other live node (stealing balances load; the hedge covers
+// a node that stalls mid-partition). It returns the sink holding every
+// partition's winner, or a settled LIMIT prefix.
+func (r *svpRun) gather(resv *admission.Reservation) (composeSink, error) {
+	e, rw, n := r.e, r.plan.rw, len(r.plan.ranges)
+	span := r.qspan.Child("gather")
+	// End keeps the first duration: the explicit End on success wins.
+	defer span.End()
+	g := &gatherState{r: r, span: span, start: time.Now(),
+		done: make([]bool, n), doneRows: make([]int64, n), hedged: make([]bool, n),
+		rowsByAttempt: map[int64]int64{}, hedgeFor: -1,
+		earlyStop: rw.PushedLimit > 0 && len(rw.Compose.OrderBy) == 0 && !rw.Compose.Distinct,
+	}
+	g.sink = e.newComposeSink(rw, n, resv)
+	if r.src != nil {
+		g.keepRows = map[int64][]sqltypes.Row{}
+	}
+	defer g.stopHedge()
+	if err := g.feedCached(); err != nil {
+		return nil, err
+	}
+	schedFailed := r.sch.failedC()
+	for !g.settled && g.completed < n {
+		var err error
+		select {
+		case m := <-r.msgs:
+			err = g.receive(m)
+		case <-g.hedgeC:
+			g.hedgeDue()
+		case <-schedFailed:
+			schedFailed = nil
+			err = g.scheduleFailed()
+		case <-r.ctx.Done():
+			err = g.fail(r.ctx.Err())
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	span.End()
+	e.m.gather.Observe(time.Since(g.start))
+	e.net.Charge(time.Duration(g.totalRows) * e.net.Config().NetPerRow)
+	e.net.Flush()
+	e.st.composedRows.Add(g.totalRows)
+	e.mirrorBatchPool()
+	return g.sink, nil
+}
+
+// feedCached commits the warm partitions as synthetic attempts — the same
+// observe/commit path as streamed rows, so partition-order composition
+// and LIMIT accounting are unchanged.
+func (g *gatherState) feedCached() error {
+	for i, s := range g.r.src {
+		if !s.hit {
+			continue
+		}
+		attempt := g.r.attemptSeq.Add(1)
+		b := sqltypes.GetBatch()
+		b.Rows = append(b.Rows, s.rows...)
+		if err := g.sink.observe(i, attempt, b); err != nil {
+			return composerErr(err)
+		}
+		if err := g.sink.commit(i, attempt); err != nil {
+			return composerErr(err)
+		}
+		g.done[i], g.doneRows[i] = true, int64(len(s.rows))
+		g.totalRows += g.doneRows[i]
+		g.completed++
+	}
+	if g.earlyStop && g.completed < len(g.done) && prefixHolds(g.done, g.doneRows, g.r.plan.rw.PushedLimit) {
+		g.stopAtLimit()
+	}
+	return nil
+}
+
+// receive handles one message from an attempt.
+func (g *gatherState) receive(m gatherMsg) error {
+	switch {
+	case m.batch != nil:
+		return g.onBatch(m)
+	case m.retry:
+		// Abandoned: the partition is retried or requeued (or the schedule
+		// failed — see scheduleFailed).
+		return g.drop(m)
+	case m.err != nil:
+		return g.onFailure(m)
+	default:
+		return g.onFinish(m)
+	}
+}
+
+func (g *gatherState) onBatch(m gatherMsg) error {
+	if g.done[m.idx] {
+		// Rows from a hedge twin that already lost its race.
+		sqltypes.PutBatch(m.batch)
+		return nil
+	}
+	e := g.r.e
+	if !g.sawBatch {
+		g.sawBatch = true
+		d := time.Since(g.start)
+		e.m.firstBatch.Observe(d)
+		g.span.Annotate("first_batch", d.String())
+	}
+	nb := int64(m.batch.Len())
+	e.st.streamedBatches.Inc()
+	e.st.streamedRows.Add(nb)
+	g.rowsByAttempt[m.attempt] += nb
+	if g.keepRows != nil {
+		g.keepRows[m.attempt] = append(g.keepRows[m.attempt], m.batch.Rows...)
+	}
+	if err := g.sink.observe(m.idx, m.attempt, m.batch); err != nil {
+		return composerErr(err)
+	}
+	return nil
+}
+
+// drop discards an abandoned, failed or losing attempt's rows.
+func (g *gatherState) drop(m gatherMsg) error {
+	delete(g.rowsByAttempt, m.attempt)
+	delete(g.keepRows, m.attempt)
+	if err := g.sink.abort(m.idx, m.attempt); err != nil {
+		return composerErr(err)
+	}
+	return nil
+}
+
+// onFailure handles an attempt that failed for good.
+func (g *gatherState) onFailure(m gatherMsg) error {
+	if err := g.drop(m); err != nil {
+		return err
+	}
+	switch {
+	case m.hedge:
+		// The twin failed; the original may yet answer — unless it already
+		// failed too, or the schedule did.
+		if g.hedgeFor == m.idx {
+			g.hedgeFor = -1
+		}
+		if !g.done[m.idx] && g.pendingErr != nil {
+			return g.fail(g.pendingErr)
+		}
+		if g.schedErr != nil {
+			return g.fail(g.schedErr)
+		}
+		g.armHedge()
+	case g.done[m.idx]:
+	case g.hedgeFor == m.idx:
+		// The original failed but its twin is still in flight: hold
+		// judgement until the twin resolves.
+		g.pendingErr = m.err
+	default:
+		return g.fail(m.err)
+	}
+	return nil
+}
+
+// onFinish settles a partition on the first attempt to complete it.
+func (g *gatherState) onFinish(m gatherMsg) error {
+	if g.done[m.idx] {
+		// A duplicate answer for a hedged partition: the earlier arrival
+		// already won this race.
+		return g.drop(m)
+	}
+	e := g.r.e
+	g.done[m.idx] = true
+	if g.hedged[m.idx] {
+		if m.hedge {
+			e.st.hedgesWon.Inc()
+		} else {
+			e.st.hedgesLost.Inc()
+		}
+	}
+	if g.hedgeFor == m.idx {
+		g.hedgeFor, g.pendingErr = -1, nil
+	}
+	g.completed++
+	if m.dur > 0 {
+		g.completions = append(g.completions, m.dur)
+	}
+	g.doneRows[m.idx] = g.rowsByAttempt[m.attempt]
+	g.totalRows += g.doneRows[m.idx]
+	delete(g.rowsByAttempt, m.attempt)
+	if err := g.sink.commit(m.idx, m.attempt); err != nil {
+		return composerErr(err)
+	}
+	g.fillPartial(m)
+	switch {
+	case g.earlyStop && prefixHolds(g.done, g.doneRows, g.r.plan.rw.PushedLimit):
+		g.stopAtLimit()
+	case g.schedErr != nil && g.hedgeFor < 0 && g.completed < len(g.done):
+		// The twin settled its partition, but the schedule had already
+		// failed elsewhere.
+		return g.fail(g.schedErr)
+	default:
+		g.armHedge()
+	}
+	return nil
+}
+
+// fillPartial caches a winner's rows and, when this query leads the
+// partition's flight, publishes them to the followers and retires the
+// leadership (abortFlights then leaves it alone). A partition served by
+// another query's leader is that leader's to fill.
+func (g *gatherState) fillPartial(m gatherMsg) {
+	if g.keepRows == nil {
+		return
+	}
+	rows := g.keepRows[m.attempt]
+	delete(g.keepRows, m.attempt)
+	r, s := g.r, &g.r.src[m.idx]
+	if s.follow != nil {
+		return
+	}
+	lo, hi := r.plan.ranges[m.idx][0], r.plan.ranges[m.idx][1]
+	r.e.cache.FillPartial(r.plan.partialFP, lo, hi, r.snapshot, rows)
+	if s.lead {
+		r.e.cache.FinishPartialFlight(r.plan.partialFP, lo, hi, r.snapshot, rows)
+		s.lead = false
+	}
+}
+
+// stopAtLimit ends the gather at a settled LIMIT prefix and cancels the
+// sub-queries still running.
+func (g *gatherState) stopAtLimit() {
+	g.settled = true
+	g.r.e.st.limitShortCircuits.Inc()
+	g.r.cancelWork()
+}
+
+// armHedge points the single hedge timer at the oldest attempt still in
+// flight, skipping partitions the gather has already settled.
+func (g *gatherState) armHedge() {
+	e := g.r.e
+	if e.opts.DisableHedging || e.adm.HedgingDisabled() || g.hedgeTimer != nil || g.hedgeFor >= 0 ||
+		len(g.completions) == 0 || g.completed >= len(g.done) {
+		return
+	}
+	if _, _, began, ok := g.r.sch.oldestRunning(g.done); ok {
+		g.aimHedge(began.Add(hedgeThreshold(g.completions, e.opts.HedgeMultiplier)))
+	}
+}
+
+func (g *gatherState) aimHedge(at time.Time) {
+	g.hedgeTimer = time.NewTimer(time.Until(at))
+	g.hedgeC = g.hedgeTimer.C
+}
+
+func (g *gatherState) stopHedge() {
+	if g.hedgeTimer != nil {
+		g.hedgeTimer.Stop()
+	}
+}
+
+// hedgeDue fires with the hedge timer: if the oldest in-flight attempt is
+// past the straggler threshold, its partition gets one twin on the
+// least-loaded other live node — a single shot, first answer wins (safe
+// because every attempt reads the same pinned MVCC snapshot).
+func (g *gatherState) hedgeDue() {
+	r, e := g.r, g.r.e
+	g.hedgeTimer, g.hedgeC = nil, nil
+	if g.hedgeFor >= 0 || len(g.completions) == 0 {
+		return
+	}
+	idx, runner, began, ok := r.sch.oldestRunning(g.done)
+	if !ok {
+		return
+	}
+	if due := began.Add(hedgeThreshold(g.completions, e.opts.HedgeMultiplier)); time.Now().Before(due) {
+		g.aimHedge(due) // the oldest attempt changed since the timer was set
+		return
+	}
+	alt := e.pickLeastLoaded(runner)
+	if alt == nil {
+		return
+	}
+	g.hedged[idx], g.hedgeFor = true, idx
+	e.st.hedges.Inc()
+	e.st.subQueries.Inc()
+	go r.attempt(alt, idx, hedgeAttempt, 0)
+}
+
+// scheduleFailed: some partition has no live untried node left (or every
+// worker retired with work pending), so the query cannot finish — unless
+// a twin still racing for the stuck partition settles it.
+func (g *gatherState) scheduleFailed() error {
+	if g.schedErr = g.r.sch.Err(); g.hedgeFor < 0 {
+		return g.fail(g.schedErr)
+	}
+	return nil
+}
+
+// fail is the verdict on a query that cannot finish: its own deadline or
+// cancellation abandons it, anything else fails it.
+func (g *gatherState) fail(cause error) error {
+	if err := g.r.e.deadlineErr(cause); err != nil {
+		return err
+	}
+	return fmt.Errorf("sub-query failed: %w", cause)
+}
+
+func composerErr(err error) error { return fmt.Errorf("composer: %w", err) }
+
+// prefixHolds reports whether the committed prefix of partitions already
+// holds at least k rows (the early-stop condition of a pushed-down LIMIT).
+func prefixHolds(done []bool, rows []int64, k int64) bool {
+	var sum int64
+	for i := range done {
+		if !done[i] {
+			return false
+		}
+		sum += rows[i]
+		if sum >= k {
+			return true
+		}
+	}
+	return false
+}
+
+// hedgeThreshold computes the straggler cutoff (measured from the
+// attempt's claim): HedgeMultiplier × the median completion time so far,
+// floored at minHedgeDelay.
+func hedgeThreshold(completions []time.Duration, mult float64) time.Duration {
+	sorted := slices.Clone(completions)
+	slices.Sort(sorted)
+	return max(time.Duration(mult*float64(sorted[len(sorted)/2])), minHedgeDelay)
 }
 
 // composeSink receives partial batches from the gather loop as they
@@ -55,23 +424,37 @@ func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) 
 	if e.opts.StreamCompose && len(rw.ComposeOps) > 0 {
 		return &foldSink{
 			e: e, rw: rw, n: n, res: res,
-			tables:    map[attemptKey]*foldTable{},
-			winner:    make([]int64, n),
-			committed: make([]bool, n),
+			tables:  map[attemptKey]*foldTable{},
+			winners: newWinners(n),
 		}
 	}
 	return &memdbSink{
 		e: e, rw: rw, res: res,
-		identity:  identityCompose(rw),
-		bufs:      map[attemptKey][]sqltypes.Row{},
-		winner:    make([]int64, n),
-		committed: make([]bool, n),
+		identity: identityCompose(rw),
+		bufs:     map[attemptKey][]sqltypes.Row{},
+		winners:  newWinners(n),
 	}
 }
 
 type attemptKey struct {
 	idx     int
 	attempt int64
+}
+
+// winners records each partition's committed attempt, for the sinks.
+type winners struct {
+	winner    []int64
+	committed []bool
+}
+
+func newWinners(n int) winners {
+	return winners{winner: make([]int64, n), committed: make([]bool, n)}
+}
+
+func (w *winners) commit(idx int, attempt int64) error {
+	w.winner[idx] = attempt
+	w.committed[idx] = true
+	return nil
 }
 
 // memdbSink buffers every live attempt's rows and composes once, at
@@ -88,9 +471,8 @@ type memdbSink struct {
 	// winners are then returned as they are, without a memdb round trip.
 	identity bool
 
-	bufs      map[attemptKey][]sqltypes.Row
-	winner    []int64
-	committed []bool
+	bufs map[attemptKey][]sqltypes.Row
+	winners
 }
 
 // identityCompose reports whether the composition query has nothing to
@@ -123,12 +505,6 @@ func (s *memdbSink) observe(idx int, attempt int64, b *sqltypes.Batch) error {
 	k := attemptKey{idx, attempt}
 	s.bufs[k] = append(s.bufs[k], b.Rows...)
 	sqltypes.PutBatch(b)
-	return nil
-}
-
-func (s *memdbSink) commit(idx int, attempt int64) error {
-	s.winner[idx] = attempt
-	s.committed[idx] = true
 	return nil
 }
 
@@ -180,9 +556,8 @@ type foldSink struct {
 	n   int
 	res *admission.Reservation // memory-budget account for fold groups
 
-	tables    map[attemptKey]*foldTable
-	winner    []int64
-	committed []bool
+	tables map[attemptKey]*foldTable
+	winners
 }
 
 type foldGrp struct{ row sqltypes.Row }
@@ -244,12 +619,6 @@ func (s *foldSink) observe(idx int, attempt int64, b *sqltypes.Batch) error {
 	}
 	sqltypes.PutBatch(b)
 	return s.res.Grow(created)
-}
-
-func (s *foldSink) commit(idx int, attempt int64) error {
-	s.winner[idx] = attempt
-	s.committed[idx] = true
-	return nil
 }
 
 func (s *foldSink) abort(idx int, attempt int64) error {

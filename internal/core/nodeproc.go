@@ -94,9 +94,6 @@ func (p *NodeProcessor) countClaim() { p.claims.Inc() }
 // InjectFaults attaches a fault injector; nil detaches.
 func (p *NodeProcessor) InjectFaults(inj *fault.Injector) { p.faults.Store(inj) }
 
-// Faults returns the attached fault injector, if any.
-func (p *NodeProcessor) Faults() *fault.Injector { return p.faults.Load() }
-
 // acquire takes a pooled connection, abandoning the wait if the context
 // is cancelled first. When metrics are wired, the admission wait is
 // attributed to the node's pool-wait histogram — the queueing-delay
@@ -214,36 +211,13 @@ func (p *NodeProcessor) Query(ctx context.Context, sqlText string) (*engine.Resu
 	return res, nil
 }
 
-// QueryAt runs a parsed sub-query pinned to the barrier snapshot, with
-// sequential scans disabled for the duration (the paper's SET
-// enable_seqscan dance around each SVP sub-query).
-func (p *NodeProcessor) QueryAt(ctx context.Context, stmt *sql.SelectStmt, snapshot int64, forceIndex bool) (*engine.Result, error) {
-	after, err := p.begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	release, err := p.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, qerr := p.node.QueryStmtAt(stmt, snapshot, engine.QueryOpts{ForceIndexScan: forceIndex, Parallelism: p.effectiveParallelism(), Ctx: ctx})
-	if after != nil {
-		qerr = after(qerr)
-	}
-	if qerr != nil {
-		return nil, qerr
-	}
-	return res, nil
-}
-
 // StreamAt runs a parsed sub-query pinned to the barrier snapshot and
 // delivers the result batch-at-a-time through sink instead of
 // materializing it. The pooled connection is held for the whole stream.
 // Each delivered batch is owned by the sink (which must return it to the
 // batch pool when done); a non-nil sink error aborts the stream.
 //
-// Fault semantics match QueryAt: the injector's after-hook fires when
+// Fault semantics: the injector's after-hook fires when
 // the operation ends, so a scripted failure can surface after batches
 // have already been delivered — callers must be prepared to discard a
 // partially streamed attempt.

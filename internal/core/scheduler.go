@@ -35,7 +35,6 @@ const (
 // morsel scheduler once hit cannot occur here).
 type fineScheduler struct {
 	mu     sync.Mutex
-	ranges [][2]int64
 	status []partStatus
 	runner []*NodeProcessor // claiming worker's proc, while running
 	start  []time.Time      // current attempt's claim time, while running
@@ -43,34 +42,26 @@ type fineScheduler struct {
 	blocks [][]int // worker slot -> its home partition indices, ascending
 	owner  []int   // partition -> home worker slot
 
-	queued  int // partitions waiting for a claim
 	pending int // partitions not yet done (queued + running)
 	workers int // worker goroutines still claiming
 	lastErr error
 	failure error         // terminal: some partition has no live untried node left
 	failed  chan struct{} // closed when failure is set
 	wake    chan struct{} // closed-and-replaced broadcast
-
-	steals   int64
-	requeues int64
 }
 
-// newFineScheduler builds the queue over the given partition ranges for
-// nWorkers workers (one per live node). Home blocks tile the partition
-// index space contiguously, so each worker's home ranges are adjacent
-// key ranges — the locality the partial-result cache and the buffer
-// pools see.
-func newFineScheduler(ranges [][2]int64, nWorkers int) *fineScheduler {
-	m := len(ranges)
+// newFineScheduler builds the queue over m partitions for nWorkers
+// workers (one per live node). Home blocks tile the partition index space
+// contiguously, so each worker's home ranges are adjacent key ranges —
+// the locality the partial-result cache and the buffer pools see.
+func newFineScheduler(m, nWorkers int) *fineScheduler {
 	s := &fineScheduler{
-		ranges:  ranges,
 		status:  make([]partStatus, m),
 		runner:  make([]*NodeProcessor, m),
 		start:   make([]time.Time, m),
 		tried:   make([]map[*NodeProcessor]bool, m),
 		blocks:  make([][]int, nWorkers),
 		owner:   make([]int, m),
-		queued:  m,
 		pending: m,
 		workers: nWorkers,
 		failed:  make(chan struct{}),
@@ -95,40 +86,27 @@ func (s *fineScheduler) broadcast() {
 	s.wake = make(chan struct{})
 }
 
-// markDone settles a partition before any worker runs (a warm
-// partial-cache hit). Call before launching workers.
-func (s *fineScheduler) markDone(idx int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.status[idx] == partQueued {
-		s.status[idx] = partDone
-		s.queued--
-		s.pending--
-	}
-}
-
 // claimLocked claims partition idx for p. Callers hold mu.
 func (s *fineScheduler) claimLocked(idx int, p *NodeProcessor) {
 	s.status[idx] = partRunning
 	s.runner[idx] = p
 	s.start[idx] = time.Now()
 	s.tried[idx][p] = true
-	s.queued--
 }
 
-// preclaim synchronously claims worker w's first home partition, before
-// its goroutine starts — every live node is guaranteed its share of the
-// fan-out, however the goroutines interleave.
-func (s *fineScheduler) preclaim(w int, p *NodeProcessor) (int, bool) {
+// preclaim synchronously claims worker w's first home partition (-1 if
+// none), before its goroutine starts — every live node is guaranteed its
+// share of the fan-out, however the goroutines interleave.
+func (s *fineScheduler) preclaim(w int, p *NodeProcessor) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, idx := range s.blocks[w] {
 		if s.status[idx] == partQueued && !s.tried[idx][p] {
 			s.claimLocked(idx, p)
-			return idx, true
+			return idx
 		}
 	}
-	return -1, false
+	return -1
 }
 
 // next claims up to maxRun partitions for worker w, preferring its home
@@ -165,7 +143,6 @@ func (s *fineScheduler) next(ctx context.Context, w int, p *NodeProcessor, maxRu
 		// while it keeps working the near end.
 		if idx, ok := s.stealLocked(p); ok {
 			s.claimLocked(idx, p)
-			s.steals++
 			s.mu.Unlock()
 			return []int{idx}, true, nil
 		}
@@ -208,8 +185,11 @@ func (s *fineScheduler) stealLocked(p *NodeProcessor) (int, bool) {
 	return 0, false
 }
 
-// complete settles a partition after its attempt streamed successfully.
-func (s *fineScheduler) complete(idx int) {
+// settle marks a partition answered: at dispatch when the partial cache
+// or another query's flight serves it, later by the first attempt that
+// streams it successfully (a worker's, a hedge twin's or a follower's).
+// Settling a settled partition is a no-op.
+func (s *fineScheduler) settle(idx int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.status[idx] == partDone {
@@ -248,15 +228,9 @@ func (s *fineScheduler) requeue(idx int, p *NodeProcessor, cause error, alive []
 	}
 	s.status[idx] = partQueued
 	s.runner[idx] = nil
-	s.queued++
-	s.requeues++
 	s.broadcast()
 	return true
 }
-
-// forceDone settles a partition from outside the worker loop (a hedge
-// win); the losing worker's eventual completion is a no-op.
-func (s *fineScheduler) forceDone(idx int) { s.complete(idx) }
 
 // workerGone retires worker w's claim loop (its node went down or the
 // queue settled). When the last worker leaves with partitions still
@@ -324,12 +298,12 @@ func (s *fineScheduler) Err() error {
 // oldestRunning returns the running partition with the earliest claim
 // time, skipping those the gather already settled — the hedge
 // dispatcher's target.
-func (s *fineScheduler) oldestRunning(skip func(int) bool) (idx int, runner *NodeProcessor, started time.Time, ok bool) {
+func (s *fineScheduler) oldestRunning(settled []bool) (idx int, runner *NodeProcessor, started time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx = -1
 	for i, st := range s.status {
-		if st != partRunning || skip(i) {
+		if st != partRunning || settled[i] {
 			continue
 		}
 		if idx < 0 || s.start[i].Before(started) {
@@ -337,11 +311,4 @@ func (s *fineScheduler) oldestRunning(skip func(int) bool) (idx int, runner *Nod
 		}
 	}
 	return idx, runner, started, idx >= 0
-}
-
-// counts reports the scheduler's redistribution totals.
-func (s *fineScheduler) counts() (steals, requeues int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.steals, s.requeues
 }

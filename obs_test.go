@@ -90,12 +90,19 @@ func TestTracingThroughFacade(t *testing.T) {
 			t.Fatalf("malformed root span: %+v", tr)
 		}
 		var explained time.Duration
-		for _, ph := range []string{"plan", "barrier-wait", "dispatch", "gather", "compose"} {
+		var prev obs.SpanSnapshot
+		for i, ph := range []string{"plan", "barrier-wait", "dispatch", "gather", "compose"} {
 			child, ok := tr.ChildNamed(ph)
 			if !ok {
 				t.Fatalf("trace %q missing phase %q", tr.Attr("sql")[:40], ph)
 			}
 			explained += child.Duration
+			// The phases tile the query in stage order: each opens no
+			// earlier than the previous one ended.
+			if i > 0 && child.Start.Before(prev.Start.Add(prev.Duration)) {
+				t.Errorf("trace %q: phase %q starts before %q ended", tr.Attr("sql")[:40], ph, prev.Name)
+			}
+			prev = child
 		}
 		subq := 0
 		for _, child := range tr.Children {
