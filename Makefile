@@ -29,16 +29,19 @@ race:
 # parallel path must stay race-free and bit-deterministic however many
 # cores host its workers. The second line names the batch kernels'
 # differential and batch-boundary tests (filters, numeric kernels, the
-# integer join table against the reference evaluator) and the reused join
-# tuples' retention guard, planner invariant and failed-open pool audit:
-# they run inside the first already; named, the gate stays visible if they
-# are ever renamed or filtered. The third line runs the allocation pins
-# without the race detector, under which sync.Pool drops buffers and the
-# pins skip themselves.
+# integer join table against the reference evaluator), the kept join
+# tuples' retention guard, the planner invariant and the pool audit of
+# failed and cancelled opens (arena chunks included): they run inside the
+# first already; named, the gate stays visible if they are ever renamed or
+# filtered. The third line runs the allocation pins without the race
+# detector, under which sync.Pool drops buffers and the pins skip
+# themselves. Each pin measures at the -cpu it runs under and takes the
+# least of three logged rounds: a run the scheduler moves to another P
+# misses the buffers sync.Pool keeps for the old P, once per move.
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestReusedJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers' ./internal/engine/
-	$(GO) test -cpu 1,2,4 -count=1 -run 'TestJoinAggregateBytesPerProbeRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU' ./internal/engine/ ./internal/storage/
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers' ./internal/engine/
+	$(GO) test -cpu 1,2,4 -count=1 -run 'TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU' ./internal/engine/ ./internal/storage/
 
 # The fine-grained AVP acceptance suite again, by name and race-enabled:
 # the straggler chaos plan, the granularity×nodes×composer oracle sweep,
@@ -116,14 +119,15 @@ bench:
 # (the vectorization win), time-to-first-batch (the streaming win), the
 # morsel-driven degree sweep (the intra-node parallelism win), the inner
 # loops of an SVP sub-query on the host clock (Q6's predicate per lineitem
-# row, the hash joins of Q3 and Q5 and Q4's correlated EXISTS with their
-# B/op, Q1's aggregation, the filter kernels of Q6 and Q12,
-# the index range walk per entry) beside their ceiling — the same work as
+# row, the hash joins of Q3 and Q5, Q21's filter over its top join and
+# Q4's correlated EXISTS with their B/op, Q1's aggregation, the filter
+# kernels of Q6 and Q12, the index range walk per entry) beside their
+# ceiling — the same work as
 # a hand-written typed loop over the stored rows, BenchmarkRowLoopRoofline
 # — and the wire protocol (single-stream and 16-in-flight multiplexing
 # throughput).
 bench-micro:
-	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|FilterOverJoinQ21|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline' -benchmem -run=^$$ ./internal/engine/
 	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
 	$(GO) test -bench 'WireStream|WireMux' -benchmem -run=^$$ ./internal/proto/
 

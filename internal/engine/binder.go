@@ -199,9 +199,7 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		// — unless an item could raise, which must still surface.
 		if p, ok := sub.root.(*projectOp); ok && !exprsCanRaise(p.items) {
 			sub.root = p.child
-			if j, ok := sub.root.(*hashJoinOp); ok {
-				j.reuse = false // a sub-plan root's rows go to run, which keeps them
-			}
+			placeTuples(sub.root, tupleHome{}) // a sub-plan root's rows escape to its caller
 		}
 		return &existsExpr{sub: sub, not: e.Not}, nil
 	case *sql.SubqueryExpr:

@@ -52,9 +52,17 @@ func (ex *execCtx) touch(pageID int64, sequential bool) {
 // end of stream by returning an empty batch again.
 //
 // Row lifetime: appended rows reference stable storage and stay valid
-// after the batch is reused — except those of a hash join the planner
-// marked reuse, which are valid until the join's next next call (see
-// hashJoinOp.reuse for which consumers get such a join, and why).
+// after the batch is reused — except the tuples an operator builds (a hash
+// join's output, a filter's copies of the join tuples it keeps), which live
+// as long as their consumer needs them and no longer. The planner
+// (placeTuples) gives each producer a tupleHome from what its consumer does:
+// a consumer done with each batch before it pulls the next gets tuples
+// valid until the producer's next next call; a keeper — a join's build
+// side — hands the producer its own pooled arena and releases it at its
+// own close, not the producer's (a join closes its build child right after
+// building its table, which still points into those tuples); a plan or
+// sub-plan root, whose rows escape to Node.QueryStmtAt, the gather or a
+// sub-plan's run, keeps slab tuples.
 //
 // Lifecycle: whoever calls open calls close, also when open failed —
 // close is idempotent, safe on an op that never opened, and releases
@@ -135,10 +143,10 @@ func (cs *childStream) nextRows(src op, ex *execCtx, max int) ([]sqltypes.Row, e
 // --- scans ---
 
 // rowSource is where a scan's candidate rows come from: heap pages in
-// order, an index range's RowIDs, column segments, a child operator, a
-// shared pass. gather appends the next visible rows to dst until it holds
-// limit of them or the source is dry, paying the source's own modelled
-// charges (page IO, per-tuple CPU) for exactly the slots it visits —
+// order, an index range's RowIDs, column segments, a shared pass. gather
+// appends the next visible rows to dst until it holds limit of them or the
+// source is dry, paying the source's own modelled charges (page IO,
+// per-tuple CPU) for exactly the slots it visits —
 // stopping short of limit only at the end of the source, so a caller that
 // is filling a batch visits no slot a row-at-a-time scan would not have.
 type rowSource interface {
@@ -163,7 +171,7 @@ func (r *filterRun) open(ex *execCtx, pred bexpr) {
 	r.ec = evalCtx{ex: ex}
 }
 
-// fillFiltered is the scan loop every filtering operator shares: gather
+// fillFiltered is the scan loop every filtering scan shares: gather
 // candidates into out's free tail, cut them down by the filter in place,
 // and go again until out is full or the source is dry. Candidates never
 // outnumber the free slots, so nothing is ever held back between calls.
@@ -448,11 +456,11 @@ func (bp *bufPool[T]) put(b *[]T) {
 // thousands of entries — rowBufPool the per-morsel output buffers of
 // parallelScanOp (re-growing each by append for every sub-query and morsel
 // was half of what an OLAP query allocated outside its joins), and
-// tuplePool the output tuples of reusing hash joins.
+// chunkPool the chunks of tuple arenas.
 var (
 	ridPool    bufPool[storage.RowID]
 	rowBufPool bufPool[sqltypes.Row]
-	tuplePool  bufPool[sqltypes.Value]
+	chunkPool  bufPool[sqltypes.Value]
 )
 
 // poolBalance, set only by tests (export_test.go), counts the buffers the
@@ -465,13 +473,125 @@ func auditPool(d int64) {
 	}
 }
 
+// --- tuple arenas ---
+
+// tupleArena is pooled memory tuples are cut from in order, a chunk at a
+// time, by whoever the planner pointed at it: a join's build side cuts its
+// tuples from the join's arena, a join cuts its generic table's build keys
+// from it too, a join whose consumer reads a batch at a time cuts its
+// output from its own arena and rewinds it at every next. The arena's
+// owner releases it at close.
+type tupleArena struct {
+	chunks []*[]sqltypes.Value // from chunkPool, in cut order
+	next   int                 // chunks[:next] hold the tuples cut since the last rewind
+	free   []sqltypes.Value    // the uncut tail of chunks[next-1]
+}
+
+// chunkValues is a pooled chunk's size: joinSlabRows tuples of eight
+// columns. A tuple never spans two chunks.
+const chunkValues = joinSlabRows * 8
+
+func (a *tupleArena) cut(w int) sqltypes.Row {
+	if len(a.free) < w {
+		if a.next == len(a.chunks) {
+			a.chunks = append(a.chunks, chunkPool.get())
+		}
+		a.free = sized(a.chunks[a.next], max(chunkValues, w))
+		a.next++
+	}
+	row := a.free[:w:w]
+	a.free = a.free[w:]
+	return row
+}
+
+// rewind makes every chunk free for cutting again: the tuples cut so far
+// are dead. Under the retention guard they are poisoned first.
+func (a *tupleArena) rewind() {
+	if joinTupleTest.poison.Load() {
+		for _, c := range a.chunks[:a.next] {
+			poison(*c)
+		}
+	}
+	a.next, a.free = 0, nil
+}
+
+// release hands every chunk back to the pool, cleared so it pins no string
+// — or, under the retention guard, poisoned, so a tuple read after its
+// keeper let go of it is garbage.
+func (a *tupleArena) release() {
+	for _, c := range a.chunks {
+		if joinTupleTest.poison.Load() {
+			poison(*c)
+		} else {
+			clear(*c)
+		}
+		chunkPool.put(c)
+	}
+	clear(a.chunks)
+	a.chunks, a.next, a.free = a.chunks[:0], 0, nil
+}
+
+func poison(vals []sqltypes.Value) {
+	for i := range vals {
+		vals[i] = poisonValue
+	}
+}
+
+// tupleHome is where an operator that builds tuples cuts them, set by the
+// planner (placeTuples) from what the operator's consumer does with them.
+// The zero value is a slab: joinSlabRows tuples per allocation, never
+// reused, for tuples that escape the plan.
+type tupleHome struct {
+	keeper   *tupleArena // the consumer keeps the tuples until its close: its arena
+	perBatch bool        // the consumer is done with a batch before it pulls the next
+	batch    tupleArena  // perBatch: the producer's own, rewound at every next
+	slab     []sqltypes.Value
+}
+
+// begin starts a next call: under a per-batch consumer the tuples of the
+// previous call are dead.
+func (h *tupleHome) begin() {
+	if h.perBatch {
+		h.batch.rewind()
+	}
+}
+
+func (h *tupleHome) cut(w int) sqltypes.Row {
+	switch {
+	case h.keeper != nil:
+		return h.keeper.cut(w)
+	case h.perBatch:
+		return h.batch.cut(w)
+	}
+	if len(h.slab) < w {
+		h.slab = make([]sqltypes.Value, w*joinSlabRows)
+	}
+	row := h.slab[:w:w]
+	h.slab = h.slab[w:]
+	return row
+}
+
+// close drops what the producer owns: its batch arena goes back to the
+// pool, its slab stays with the rows that escaped. A keeper's arena is the
+// keeper's to release.
+func (h *tupleHome) close() {
+	h.batch.release()
+	h.slab = nil
+}
+
 // --- filter ---
 
-// filterOp filters its child's output. It is its own rowSource: the
-// candidates are the child's rows, a refill of the child stream at a time.
+// filterOp filters its child's output. Over a join (copies, set by the
+// planner) it takes the join's tuples a batch at a time and copies the
+// survivors of each child batch into its own home before it pulls the
+// next: so what it holds — in its batch arena, or a keeper's — is what it
+// keeps, not every tuple it was offered.
 type filterOp struct {
 	child op
 	cond  bexpr
+
+	copies bool
+	out    tupleHome
 
 	cs  childStream
 	flt filterRun
@@ -483,25 +603,40 @@ func (f *filterOp) open(ex *execCtx) error {
 	return f.child.open(ex)
 }
 
+// next filters one child batch piece at a time, never more candidates than
+// out has free slots: the batches it fills, the child refills it makes and
+// the rows each conjunct sees in row-major order are those of gathering
+// every free slot before filtering (fillFiltered).
 func (f *filterOp) next(ex *execCtx, out *sqltypes.Batch) error {
-	return fillFiltered(ex, f, &f.flt, out)
-}
-
-func (f *filterOp) gather(ex *execCtx, dst []sqltypes.Row, limit int) ([]sqltypes.Row, error) {
-	for len(dst) < limit {
-		rows, err := f.cs.nextRows(f.child, ex, limit-len(dst))
+	f.out.begin()
+	for !out.Full() {
+		rows, err := f.cs.nextRows(f.child, ex, out.Cap()-out.Len())
 		if err != nil || rows == nil {
-			return dst, err
+			return err
 		}
-		dst = append(dst, rows...)
+		base := out.Len()
+		out.Rows = append(out.Rows, rows...)
+		kept, err := f.flt.f.apply(&f.flt.ec, &f.flt.fs, out.Rows[base:])
+		if err != nil {
+			return err
+		}
+		out.Truncate(base + len(kept))
+		if f.copies {
+			for i, row := range kept {
+				c := f.out.cut(len(row))
+				copy(c, row)
+				out.Rows[base+i] = c
+			}
+		}
 	}
-	return dst, nil
+	return nil
 }
 
 func (f *filterOp) close() {
 	f.child.close()
 	f.cs.close()
 	f.flt.fs.release()
+	f.out.close()
 }
 
 // --- hash join ---
@@ -525,21 +660,12 @@ type hashJoinOp struct {
 	probeSel, buildSel   []int
 	inCols               int // probe + build input width, for EXPLAIN
 
-	// reuse, set by the planner (consumedPerBatch), says the join's
-	// consumer reads each batch before it pulls the next — an aggregate
-	// folds it, a projection copies values out of it, an upper join's
-	// probe side emits the current row's last match before it refills. Such
-	// a join writes the k-th tuple of a next call into row k of one
-	// batch-sized buffer (tuples, from tuplePool at the first next until
-	// close), valid until its next next call. Every other consumer keeps
-	// slab-cut tuples because it keeps rows: a join's build side and a
-	// nested loop's inner side materialize their input, a filter gathers
-	// its next candidates while earlier survivors still sit in its output
-	// batch, a sort holds every row, a sub-plan's root hands rows to run,
-	// which collects them, and the plan root's rows go to Node.QueryStmtAt
-	// and the gather.
-	reuse  bool
-	tuples *[]sqltypes.Value
+	// out is where the output tuples are cut (see tupleHome and
+	// placeTuples); kept is the arena this join keeps its build side in:
+	// the tuples a join below cuts for it and the generic table's keys,
+	// released at this join's close.
+	out  tupleHome
+	kept tupleArena
 
 	ints      *intKeys
 	buildRows *[]sqltypes.Row // intKeys' ordinals index it; from rowBufPool
@@ -554,22 +680,22 @@ type hashJoinOp struct {
 	probeKey sqltypes.Row              // scratch: a probe key is dead after its bucket lookup
 
 	current sqltypes.Row
-	slab    []sqltypes.Value // output tuples are cut from it, joinSlabRows per allocation
 	cs      childStream
 	ec      evalCtx
 }
 
-// joinSlabRows is how many output tuples share one allocation.
+// joinSlabRows is how many tuples share one slab allocation.
 const joinSlabRows = 256
 
 // joinTupleTest is a test-only switch, set from export_test.go: with
-// poison on, a reusing join overwrites its previous tuples at the start of
-// every next, so a consumer that kept one reads garbage; with stable on,
-// the planner marks no join reuse — the reference poisoned runs are
-// compared with.
+// poison on, an arena overwrites its tuples when it rewinds (a per-batch
+// producer's next) or releases (its owner's close), so a consumer that read
+// one later gets garbage; with stable on, the planner places no tuple —
+// every join cuts slab tuples, no filter copies — the reference poisoned
+// runs are compared with.
 var joinTupleTest struct{ poison, stable atomic.Bool }
 
-var poisonValue = sqltypes.NewString("\x00poison: a reused join tuple was retained")
+var poisonValue = sqltypes.NewString("\x00poison: a join tuple was read after its memory was let go")
 
 func (j *hashJoinOp) open(ex *execCtx) error {
 	err := j.build.open(ex)
@@ -624,12 +750,12 @@ func (j *hashJoinOp) buildTable(ex *execCtx) error {
 }
 
 // buildGeneric fills the generic table: one evaluated key row per build
-// row, retained beside it. NULL keys never join.
+// row, retained beside it in the join's arena. NULL keys never join.
 func (j *hashJoinOp) buildGeneric(rows []sqltypes.Row, opCost time.Duration) error {
 	j.table = map[uint64][]sqltypes.Row{}
 	j.keysOf = map[uint64][]sqltypes.Row{}
 	for _, row := range rows {
-		key := make(sqltypes.Row, len(j.buildKeys))
+		key := j.kept.cut(len(j.buildKeys))
 		null, err := evalKeys(&j.ec, j.buildKeys, row, key)
 		if err != nil {
 			return err
@@ -642,7 +768,7 @@ func (j *hashJoinOp) buildGeneric(rows []sqltypes.Row, opCost time.Duration) err
 		j.keysOf[h] = append(j.keysOf[h], key)
 		j.ec.ex.meter.Charge(opCost)
 	}
-	j.probeKey = make(sqltypes.Row, len(j.probeKeys))
+	j.probeKey = j.kept.cut(len(j.probeKeys))
 	return nil
 }
 
@@ -833,16 +959,14 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	// return are settled together.
 	pulled := 0
 	defer func() { ex.meter.Charge(time.Duration(pulled) * ex.meter.Config().CPUOperator) }()
-	if j.reuse {
-		j.readyTuples(out.Cap())
-	}
+	j.out.begin()
 	if t := j.ints; t != nil {
 		build := *j.buildRows
 		for !out.Full() {
 			if ord := j.chain; ord >= 0 {
 				j.chain = t.next[ord]
 				if t.holds(build[ord], j.probeInts) {
-					out.Append(j.joined(j.current, build[ord], out.Len()))
+					out.Append(j.joined(j.current, build[ord]))
 				}
 				continue
 			}
@@ -857,7 +981,7 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	}
 	for !out.Full() {
 		if j.mpos < len(j.matches) {
-			out.Append(j.joined(j.current, j.matches[j.mpos], out.Len()))
+			out.Append(j.joined(j.current, j.matches[j.mpos]))
 			j.mpos++
 			continue
 		}
@@ -891,36 +1015,10 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 	return nil
 }
 
-// readyTuples sizes a reusing join's buffer for a batch of n rows, taking
-// it from the pool on first use; under the retention guard it poisons what
-// the previous batch left there.
-func (j *hashJoinOp) readyTuples(n int) {
-	if j.tuples == nil {
-		j.tuples = tuplePool.get()
-	}
-	buf := sized(j.tuples, n*(len(j.probeSel)+len(j.buildSel)))
-	if joinTupleTest.poison.Load() {
-		for i := range buf {
-			buf[i] = poisonValue
-		}
-	}
-}
-
-// joined fills the output tuple of batch row k — row k of a reusing
-// join's buffer, the next cut of the slab otherwise — with the selected
-// columns of a probe row and a build row.
-func (j *hashJoinOp) joined(p, b sqltypes.Row, k int) sqltypes.Row {
-	w := len(j.probeSel) + len(j.buildSel)
-	var row sqltypes.Row
-	if j.reuse {
-		row = (*j.tuples)[k*w : (k+1)*w : (k+1)*w]
-	} else {
-		if len(j.slab) < w {
-			j.slab = make([]sqltypes.Value, w*joinSlabRows)
-		}
-		row = j.slab[:w:w]
-		j.slab = j.slab[w:]
-	}
+// joined cuts the next output tuple from the join's home and fills it with
+// the selected columns of a probe row and a build row.
+func (j *hashJoinOp) joined(p, b sqltypes.Row) sqltypes.Row {
+	row := j.out.cut(len(j.probeSel) + len(j.buildSel))
 	for i, pos := range j.probeSel {
 		row[i] = p[pos]
 	}
@@ -941,12 +1039,9 @@ func (j *hashJoinOp) close() {
 	j.ints, j.buildRows = nil, nil
 	j.table = nil
 	j.keysOf = nil
-	j.slab = nil
-	if j.tuples != nil {
-		clear(*j.tuples) // pooled, it pins no string
-		tuplePool.put(j.tuples)
-		j.tuples = nil
-	}
+	j.probeKey = nil
+	j.kept.release() // the table that pointed into it is gone
+	j.out.close()
 }
 
 // --- nested-loop join (cartesian with optional condition) ---
@@ -1449,24 +1544,32 @@ func (s *sortOp) open(ex *execCtx) error {
 		return err
 	}
 	s.rows = s.rows[:0]
-	type keyed struct {
-		row  sqltypes.Row
-		keys sqltypes.Row
-	}
-	var all []keyed
-	ec := evalCtx{ex: ex}
 	var cs childStream
 	cs.open(ex)
 	defer cs.close()
 	for {
-		row, err := cs.nextRow(s.child, ex)
+		rows, err := cs.nextRows(s.child, ex, cs.buf.Cap())
 		if err != nil {
 			return err
 		}
-		if row == nil {
+		if rows == nil {
 			break
 		}
-		ks := make(sqltypes.Row, len(s.keys))
+		s.rows = append(s.rows, rows...)
+	}
+	// Every row's keys, cut from one slab. Sort keys are output columns
+	// (attachOrderLimit): evaluating them after the drain rather than as
+	// each row arrives can neither raise nor charge differently.
+	type keyed struct {
+		row  sqltypes.Row
+		keys sqltypes.Row
+	}
+	nk := len(s.keys)
+	slab := make([]sqltypes.Value, len(s.rows)*nk)
+	all := make([]keyed, len(s.rows))
+	ec := evalCtx{ex: ex}
+	for r, row := range s.rows {
+		ks := slab[r*nk : (r+1)*nk : (r+1)*nk]
 		ec.row = row
 		for i, k := range s.keys {
 			v, err := k.expr.eval(&ec)
@@ -1475,7 +1578,7 @@ func (s *sortOp) open(ex *execCtx) error {
 			}
 			ks[i] = v
 		}
-		all = append(all, keyed{row: row, keys: ks})
+		all[r] = keyed{row: row, keys: ks}
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		for k := range s.keys {
@@ -1489,8 +1592,8 @@ func (s *sortOp) open(ex *execCtx) error {
 		}
 		return false
 	})
-	for _, kr := range all {
-		s.rows = append(s.rows, kr.row)
+	for r, kr := range all {
+		s.rows[r] = kr.row
 	}
 	s.pos = 0
 	return nil

@@ -7,39 +7,59 @@ import (
 	"apuama/internal/sqltypes"
 )
 
-// SetJoinTupleTest switches the reusing joins' retention guard: poison
-// overwrites a reusing join's previous tuples at the start of every next,
-// stable plans every join with slab tuples (the reference). Tests turn
-// both off again when they finish.
+// SetJoinTupleTest switches the join tuples' retention guard: poison
+// overwrites an arena's tuples when it rewinds or is released, stable
+// plans every join with slab tuples and no copying filter (the reference).
+// Tests turn both off again when they finish.
 func SetJoinTupleTest(poison, stable bool) {
 	joinTupleTest.poison.Store(poison)
 	joinTupleTest.stable.Store(stable)
 }
 
-// ReuseReport plans sel — parallelized when degree > 1 — and walks every
-// operator, sub-plans included. It returns how many hash joins reuse their
-// tuples and a line for each one whose direct consumer is not an
-// aggregate, a projection or a join's probe side.
-func (nd *Node) ReuseReport(sel *sql.SelectStmt, degree int) (reusing int, bad []string, err error) {
+// TupleReport plans sel — parallelized when degree > 1 — and walks every
+// operator, sub-plans included. It returns how many tuple producers (hash
+// joins and copying filters) cut per-batch tuples and how many cut them
+// from a keeper's arena, and a line for each producer whose home does not
+// fit its direct consumer: per-batch tuples for a consumer other than an
+// aggregate, a projection, a join's probe side, a nested loop's outer side
+// or a copying filter; an arena its consumer does not own; slab tuples for
+// anything but a plan or sub-plan root.
+func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (perBatch, kept int, bad []string, err error) {
 	root, _, err := nd.planSelect(sel)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	if degree > 1 {
 		root = parallelizePlan(nd, root, degree, false)
 	}
-	var walk func(o op, consumer string)
+	check := func(h *tupleHome, what, consumer string, keeper *tupleArena) {
+		switch {
+		case h.perBatch:
+			perBatch++
+			if consumer != "aggregate" && consumer != "projection" && consumer != "probe side" && consumer != "nested loop outer" && consumer != "copying filter" {
+				bad = append(bad, fmt.Sprintf("%s with per-batch tuples feeds its %s", what, consumer))
+			}
+		case h.keeper != nil:
+			kept++
+			if h.keeper != keeper {
+				bad = append(bad, fmt.Sprintf("%s cuts its tuples from an arena its %s does not own", what, consumer))
+			}
+		case consumer != "plan root" && consumer != "sub-plan run":
+			bad = append(bad, fmt.Sprintf("%s with slab tuples feeds its %s", what, consumer))
+		}
+	}
+	var walk func(o op, consumer string, keeper *tupleArena)
 	var exprs func(es ...bexpr)
 	exprs = func(es ...bexpr) {
 		for _, e := range es {
 			switch x := e.(type) {
 			case *existsExpr:
-				walk(x.sub.root, "sub-plan run")
+				walk(x.sub.root, "sub-plan run", nil)
 			case *inSubExpr:
 				exprs(x.e)
-				walk(x.sub.root, "sub-plan run")
+				walk(x.sub.root, "sub-plan run", nil)
 			case *scalarSubExpr:
-				walk(x.sub.root, "sub-plan run")
+				walk(x.sub.root, "sub-plan run", nil)
 			case *binExpr:
 				exprs(x.l, x.r)
 			case *cmpExpr:
@@ -70,39 +90,39 @@ func (nd *Node) ReuseReport(sel *sql.SelectStmt, degree int) (reusing int, bad [
 			}
 		}
 	}
-	walk = func(o op, consumer string) {
+	walk = func(o op, consumer string, keeper *tupleArena) {
 		switch v := o.(type) {
 		case *hashJoinOp:
-			if v.reuse {
-				reusing++
-				if consumer != "aggregate" && consumer != "projection" && consumer != "probe side" {
-					bad = append(bad, fmt.Sprintf("a reusing join (%d of %d cols) feeds its %s", len(v.probeSel)+len(v.buildSel), v.inCols, consumer))
-				}
-			}
-			walk(v.probe, "probe side")
-			walk(v.build, "build side")
+			check(&v.out, fmt.Sprintf("a join (%d of %d cols)", len(v.probeSel)+len(v.buildSel), v.inCols), consumer, keeper)
+			walk(v.probe, "probe side", nil)
+			walk(v.build, "build side", &v.kept)
 		case *nestedLoopOp:
 			exprs(v.cond)
-			walk(v.outer, "nested loop")
-			walk(v.inner, "nested loop")
+			walk(v.outer, "nested loop outer", nil)
+			walk(v.inner, "nested loop inner", nil)
 		case *filterOp:
 			exprs(v.cond)
-			walk(v.child, "filter")
+			if !v.copies {
+				walk(v.child, "filter", nil)
+				break
+			}
+			check(&v.out, "a copying filter", consumer, keeper)
+			walk(v.child, "copying filter", nil)
 		case *projectOp:
 			exprs(v.items...)
-			walk(v.child, "projection")
+			walk(v.child, "projection", nil)
 		case *aggOp:
 			exprs(v.groups...)
 			for _, a := range v.aggs {
 				exprs(a.arg)
 			}
-			walk(v.child, "aggregate")
+			walk(v.child, "aggregate", nil)
 		case *sortOp:
-			walk(v.child, "sort")
+			walk(v.child, "sort", nil)
 		case *limitOp:
-			walk(v.child, "limit")
+			walk(v.child, "limit", nil)
 		case *distinctOp:
-			walk(v.child, "distinct")
+			walk(v.child, "distinct", nil)
 		case *seqScanOp:
 			exprs(v.filter)
 		case *indexScanOp:
@@ -110,15 +130,15 @@ func (nd *Node) ReuseReport(sel *sql.SelectStmt, degree int) (reusing int, bad [
 		case *colScanOp:
 			exprs(v.filter)
 			if v.fallback != nil {
-				walk(v.fallback, consumer)
+				walk(v.fallback, consumer, keeper)
 			}
 		case *sharedScanOp:
 			exprs(v.filter)
-			walk(v.fallback, consumer)
+			walk(v.fallback, consumer, keeper)
 		}
 	}
-	walk(root, "plan root")
-	return reusing, bad, nil
+	walk(root, "plan root", nil)
+	return perBatch, kept, bad, nil
 }
 
 // QueryStmtWideJoins is QueryStmtAt with join-tuple narrowing off for the

@@ -83,11 +83,19 @@ func BenchmarkHashJoinQ3(b *testing.B) {
 	benchQuery(b, tpch.MustQuery(3))
 }
 
-// BenchmarkHashJoinQ5 runs TPC-H Q5, the six-way join: its top join emits
-// a 14-column tuple per matching lineitem row straight into the aggregate,
-// the case reused join tuples were built for.
+// BenchmarkHashJoinQ5 runs TPC-H Q5, the six-way join: below its top join
+// a four-deep chain of joins each builds the next one's table, so every
+// tuple of that chain is kept for a whole probe — the case keepers' pooled
+// arenas were built for.
 func BenchmarkHashJoinQ5(b *testing.B) {
 	benchQuery(b, tpch.MustQuery(5))
+}
+
+// BenchmarkFilterOverJoinQ21 runs TPC-H Q21: its EXISTS and NOT EXISTS
+// residuals filter the top join's output, and the filter keeps each
+// batch's survivors while it pulls more candidates — the filter-held case.
+func BenchmarkFilterOverJoinQ21(b *testing.B) {
+	benchQuery(b, tpch.MustQuery(21))
 }
 
 // BenchmarkExistsQ4 runs TPC-H Q4: a correlated EXISTS probed once per

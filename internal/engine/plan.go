@@ -137,7 +137,7 @@ func (n *Node) planOver(stmt *sql.SelectStmt, fp *fromPlan, needed colSet) (op, 
 	}
 	joinScope := fp.scope.withOutputs(layout)
 	// An aggregate or a projection goes directly on the join tree.
-	consumedPerBatch(root)
+	placeTuples(root, tupleHome{perBatch: true})
 
 	// Aggregation?
 	if hasAggregates(stmt) {
@@ -901,6 +901,7 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 				}
 			}
 			delete(remaining, next.t)
+			placeTuples(root, tupleHome{perBatch: true})
 			root = &nestedLoopOp{outer: root, inner: next.op}
 			layout = append(append([]colID(nil), layout...), next.layout...)
 			joined[next.t] = true
@@ -946,7 +947,6 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 		} else {
 			probeOp, probeLayout, probeScope, probeCols = root, layout, curScope, probeKeyExprs
 			buildOp, buildLayout, buildScope, buildCols = next.op, next.layout, nextScope, buildKeyExprs
-			consumedPerBatch(root)
 		}
 		probeKeys, err := bindRefs(b, probeCols, probeScope)
 		if err != nil {
@@ -960,8 +960,11 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 		// so the narrowed tuple is never empty.
 		probeSel, narrowed := needed.project(probeLayout, nil)
 		buildSel, narrowed := needed.project(buildLayout, narrowed)
-		root = &hashJoinOp{probe: probeOp, build: buildOp, probeKeys: probeKeys, buildKeys: buildKeys,
+		j := &hashJoinOp{probe: probeOp, build: buildOp, probeKeys: probeKeys, buildKeys: buildKeys,
 			probeSel: probeSel, buildSel: buildSel, inCols: len(probeLayout) + len(buildLayout)}
+		placeTuples(j.probe, tupleHome{perBatch: true})
+		placeTuples(j.build, tupleHome{keeper: &j.kept})
+		root = j
 		layout = narrowed
 		joined[next.t] = true
 		est = math.Max(est, next.est) // FK-join cardinality heuristic
@@ -977,15 +980,31 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 	return root, layout, nil
 }
 
-// consumedPerBatch marks o, if it is a hash join, as feeding a consumer
-// that reads each batch before it pulls the next — an aggregate, a
-// projection or an upper join's probe side — so its tuples may live in one
-// reused buffer (see hashJoinOp.reuse). A filter in between is not a join,
-// and keeps its input on slab tuples.
-func consumedPerBatch(o op) {
-	if j, ok := o.(*hashJoinOp); ok && !joinTupleTest.stable.Load() {
-		j.reuse = true
+// placeTuples tells o where to cut the tuples it builds, from what its
+// consumer does with them. home is perBatch for a consumer done with each
+// batch before it pulls the next: an aggregate folds it, a projection
+// copies values out of it, an upper join's probe side and a nested loop's
+// outer side finish the current row before they refill, a copying filter
+// copies what it keeps. It is the consumer's arena for a keeper, a join's
+// build side. It is the zero slab home for a plan or sub-plan root, whose
+// rows escape, and for any consumer never placed here. A hash join cuts its
+// output tuples there; a filter over a join copies its survivors there and
+// takes the join's tuples per batch, so it holds what it keeps, not every
+// tuple it was offered. Anything else builds no join tuple and is left
+// alone. It reports whether o builds tuples.
+func placeTuples(o op, home tupleHome) bool {
+	if joinTupleTest.stable.Load() {
+		return false
 	}
+	switch v := o.(type) {
+	case *hashJoinOp:
+		v.out = home
+		return true
+	case *filterOp:
+		v.copies, v.out = placeTuples(v.child, tupleHome{perBatch: true}), home
+		return v.copies
+	}
+	return false
 }
 
 func bindRefs(b *binder, refs []*sql.ColumnRef, sc *scope) ([]bexpr, error) {

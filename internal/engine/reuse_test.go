@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -77,10 +78,68 @@ func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a successful join kept %d pooled buffers", n)
 	}
+
+	// Arena chunks. Below, o ⋈ o2 is the build side of a join with o3 (or
+	// with items, four per order so they probe), so its tuples are cut from
+	// the upper join's arena. A released arena keeps its chunk list's
+	// capacity: a non-zero one after the failure shows the arena held chunks
+	// when it hit it.
+	_, nd = newTestDB(t, 300, 4)
+	ex = &execCtx{node: nd, snapshot: nd.Watermark(), meter: nd.meter}
+	topJoin := func(t *testing.T, text string) (*hashJoinOp, *hashJoinOp) {
+		t.Helper()
+		root, _, err := nd.planSelect(mustSelect(t, text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := root.(*projectOp).child.(*aggOp).child.(*hashJoinOp)
+		return top, top.build.(*hashJoinOp)
+	}
+	// A probe whose open fails after the table is filled.
+	top, _ := topJoin(t, "select count(*) from orders o, orders o2, items i where o.ok = o2.ok and o2.ok = i.ok and i.ok >= 1 / 0")
+	var openErr error
+	if n := auditPools(func() { openErr = top.open(ex) }); n != 0 || openErr == nil || cap(top.kept.chunks) == 0 {
+		t.Errorf("probe fails after the build: open returned %v, the arena took %d chunks, %d pooled buffers kept", openErr, cap(top.kept.chunks), n)
+	}
+	top.close()
+	// A build child whose own build fails midway: a residual on o ⋈ o2
+	// copies the first batch of survivors into the middle join's arena and
+	// raises in the second (ok 280).
+	top, mid := topJoin(t, `select count(*) from orders o, orders o2, orders o3, items i
+		where o.ok = o2.ok and o2.ok = o3.ok and o3.ok = i.ok and o.ok + 1 / (o2.ok - 280) >= o2.ok - 1`)
+	if n := auditPools(func() { openErr = top.open(ex) }); n != 0 || openErr == nil || !mid.build.(*filterOp).copies || cap(mid.kept.chunks) == 0 {
+		t.Errorf("the build child's build fails: open returned %v, the arena took %d chunks, %d pooled buffers kept", openErr, cap(mid.kept.chunks), n)
+	}
+	top.close()
+	// A sub-query cancelled mid-probe: the cursor is closed after its first
+	// batch, with the table's tuples in the arena and morsels in flight.
+	if n := auditPools(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cur, err := nd.OpenQueryStmtAt(mustSelect(t, "select o.cust, i.price from orders o, orders o2, items i where o.ok = o2.ok and o2.ok = i.ok"),
+			nd.Watermark(), QueryOpts{Parallelism: 4, BatchSize: 7, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sqltypes.GetBatch()
+		defer sqltypes.PutBatch(b)
+		if err := cur.Next(b); err != nil || b.Len() == 0 {
+			t.Errorf("first batch: %d rows, %v", b.Len(), err)
+		}
+		cancel()
+		cur.Next(b) // may still deliver a finished morsel, or report the cancellation
+		cur.Close()
+	}); n != 0 {
+		t.Errorf("a sub-query cancelled mid-probe kept %d pooled buffers", n)
+	}
 }
 
 // bytesPerRun is the heap a statement allocates per serial execution,
-// after a warm-up run.
+// after a warm-up run: the least of three rounds of runs, each logged. A
+// sync.Pool keeps one buffer per P that no other P can take, so the first
+// run the scheduler moves to a P since the last collection allocates one
+// buffer of each pool it uses afresh; that is paid per move, not per row,
+// and the round it lands in reads high.
 func bytesPerRun(t *testing.T, nd *Node, text string, runs int) float64 {
 	t.Helper()
 	sel := mustSelect(t, text)
@@ -90,13 +149,18 @@ func bytesPerRun(t *testing.T, nd *Node, text string, runs int) float64 {
 		}
 	}
 	run()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	var rounds [3]float64
+	for r := range rounds {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		rounds[r] = float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	t.Logf("%.0f B per run by round", rounds)
+	return min(rounds[0], rounds[1], rounds[2])
 }
 
 // TestJoinAggregateBytesPerProbeRow pins a Q3/Q5-shaped sub-query — a
@@ -116,9 +180,9 @@ func TestJoinAggregateBytesPerProbeRow(t *testing.T) {
 	var perRow [2]float64
 	for k, nOrders := range []int{1000, 4000} {
 		_, nd := newTestDB(t, nOrders, itemsPer)
-		reusing, bad, err := nd.ReuseReport(mustSelect(t, text), 1)
-		if err != nil || len(bad) > 0 || reusing != 2 {
-			t.Fatalf("plan: %d reusing joins, %v, %v; want both joins reusing", reusing, bad, err)
+		perBatch, _, bad, err := nd.TupleReport(mustSelect(t, text), 1)
+		if err != nil || len(bad) > 0 || perBatch != 2 {
+			t.Fatalf("plan: %d joins cut per-batch tuples, %v, %v; want both", perBatch, bad, err)
 		}
 		perRow[k] = bytesPerRun(t, nd, text, 10) / float64(nOrders*itemsPer)
 		t.Logf("%d probe rows: %.1f B per probe row", nOrders*itemsPer, perRow[k])
@@ -128,6 +192,38 @@ func TestJoinAggregateBytesPerProbeRow(t *testing.T) {
 	}
 	if perRow[1] > perRow[0] {
 		t.Errorf("bytes per probe row grow with the row count: %.1f at 3 000 rows, %.1f at 12 000", perRow[0], perRow[1])
+	}
+}
+
+// TestJoinBuildBytesPerBuildRow pins a Q5-shaped build chain — o ⋈ o2
+// builds the join with o3, which builds the join with items, under an
+// aggregate — to the heap bytes each build row adds after warm-up: the
+// slope between two sizes, so what a run pays once (planning, the
+// aggregate) drops out. Each chained join's tuples are cut from the arena
+// of the join that keeps them, pooled chunks that close hands back; slab
+// tuples cost 40 B per column per build row, 146 B here.
+func TestJoinBuildBytesPerBuildRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	const text = `select o.cust, sum(i.price), count(*) from orders o, orders o2, orders o3, items i
+		where o.ok = o2.ok and o2.ok = o3.ok and o3.ok = i.ok group by o.cust`
+	sizes := [2]int{1000, 4000}
+	var perRun [2]float64
+	for k, nOrders := range sizes {
+		_, nd := newTestDB(t, nOrders, 3)
+		_, kept, bad, err := nd.TupleReport(mustSelect(t, text), 1)
+		if err != nil || len(bad) > 0 || kept != 2 {
+			t.Fatalf("plan: %d joins cut from a keeper's arena, %v, %v; want the two chained build sides", kept, bad, err)
+		}
+		perRun[k] = bytesPerRun(t, nd, text, 10)
+		t.Logf("%d orders: %.0f B per run", nOrders, perRun[k])
+	}
+	// Two chained build sides of nOrders rows each.
+	perRow := (perRun[1] - perRun[0]) / float64(2*(sizes[1]-sizes[0]))
+	t.Logf("%.2f B per build row", perRow)
+	if perRow > 2 {
+		t.Errorf("%.2f B per build row, want <= 2", perRow)
 	}
 }
 

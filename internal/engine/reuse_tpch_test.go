@@ -11,12 +11,16 @@ import (
 	"apuama/internal/tpch"
 )
 
-// reuseShapes are the consumers around a join that decide whether it may
-// reuse its tuples: a join under a filter, a join as a join's build input,
-// a join under ORDER BY … LIMIT, `exists (select * from a, b …)` whose
-// projection the binder drops (the join becomes the sub-plan's root), a
-// cached uncorrelated IN over a join, and a plain join whose rows
-// QueryStmtAt hands back.
+// reuseShapes are the consumers around a join that decide where its tuples
+// live: a join under a filter, a join as a join's build input, a join
+// under ORDER BY … LIMIT, `exists (select * from a, b …)` whose projection
+// the binder drops (the join becomes the sub-plan's root), a cached
+// uncorrelated IN over a join, a plain join whose rows QueryStmtAt hands
+// back, a join beside a nested loop (the planner puts only a disconnected
+// table's scan on a nested loop's inner side, so a join is the outer side,
+// with per-batch tuples, or the nested loop is a join's build side), and a
+// join under ORDER BY without LIMIT (the sort keeps the projection's rows,
+// so the join below them cuts per-batch tuples).
 var reuseShapes = []string{
 	`select o_orderkey, l_linenumber, l_extendedprice from orders, lineitem
 		where o_orderkey = l_orderkey and o_totalprice > l_extendedprice * 20`,
@@ -30,6 +34,12 @@ var reuseShapes = []string{
 	`select count(*), sum(o_totalprice) from orders where o_custkey in (
 		select c_custkey from customer, nation where c_nationkey = n_nationkey and n_name = 'GERMANY')`,
 	`select n_name, r_name, n_nationkey from nation, region where n_regionkey = r_regionkey`,
+	`select n_name, c_name, p_name from nation, customer, part
+		where n_nationkey = c_nationkey and n_name = 'FRANCE' and p_size = 3`,
+	`select n_name, r_name, s_name from nation, region, supplier
+		where n_nationkey = s_nationkey and r_name = 'ASIA' and s_acctbal > 9000`,
+	`select c_name, o_orderkey, o_totalprice from customer, orders
+		where c_custkey = o_custkey and o_totalprice > 400000 order by o_totalprice desc, c_name`,
 }
 
 // reuseStatements returns the eight templates as the cluster receives them
@@ -58,16 +68,18 @@ func reuseNode(t *testing.T) *engine.Node {
 	return nd
 }
 
-// TestReusedJoinTuplesRetentionGuard: a reusing join's tuples live until
-// its next next call, so a consumer that kept one would read a later
-// tuple. With the guard on, every reusing join overwrites its previous
-// batch with poison before it writes the next one; rows must then be
-// bit-identical, in identical order, to the plan with slab tuples only —
-// the eight templates, their SVP sub-queries and the reuse shapes, serial
-// and at degree 4, at batch sizes 1, 7 and 256 — and charge the modelled
-// clock the same. (A batch size changes neither rows nor charges,
+// TestKeptJoinTuplesRetentionGuard: a join tuple lives only as long as its
+// consumer needs it — until the producer's next next call under a per-batch
+// consumer, until the keeper's close in a keeper's arena — so a consumer
+// that read one later would read a tuple cut after it. With the guard on,
+// a per-batch producer poisons its previous batch before it cuts the next,
+// and a released arena chunk is poisoned instead of cleared; rows must
+// then be bit-identical, in identical order, to the plan with slab tuples
+// only — the eight templates, their SVP sub-queries and the shapes above,
+// serial and at degree 4, at batch sizes 1, 7 and 256 — and charge the
+// modelled clock the same. (A batch size changes neither rows nor charges,
 // TestBatchBoundaries says, so one reference per degree serves all three.)
-func TestReusedJoinTuplesRetentionGuard(t *testing.T) {
+func TestKeptJoinTuplesRetentionGuard(t *testing.T) {
 	nd := reuseNode(t)
 	defer engine.SetJoinTupleTest(false, false)
 	texts, off := reuseStatements()
@@ -97,10 +109,10 @@ func TestReusedJoinTuplesRetentionGuard(t *testing.T) {
 				got, charge := run(batch)
 				label := fmt.Sprintf("statement %d (degree %d, batch size %d)", i, degree, batch)
 				if got != want {
-					t.Errorf("%s: poisoned reuse returns different rows than slab tuples\n%s\ngot:\n%s\nwant:\n%s", label, text, got, want)
+					t.Errorf("%s: poisoned arenas return different rows than slab tuples\n%s\ngot:\n%s\nwant:\n%s", label, text, got, want)
 				}
 				if charge != wantCharge {
-					t.Errorf("%s: modelled charge %d ns with reuse, %d with slab tuples", label, charge, wantCharge)
+					t.Errorf("%s: modelled charge %d ns with arenas, %d with slab tuples", label, charge, wantCharge)
 				}
 			}
 		}
@@ -108,14 +120,18 @@ func TestReusedJoinTuplesRetentionGuard(t *testing.T) {
 }
 
 // TestReusedJoinTuplesPlannerInvariant: over the same statements, serial
-// and at degree 4, every join the planner lets reuse its tuples feeds an
-// aggregate, a projection or a join's probe side directly — never a
-// filter, a sort, a build side, a nested loop, a sub-plan's run or the
-// plan root — and every template that joins (Q3, Q5, Q12, Q14, Q21) has at
-// least one such join, as a statement and as a sub-query.
+// and at degree 4, every join and copying filter cuts its tuples where its
+// direct consumer needs them — per batch only under an aggregate, a
+// projection, a join's probe side, a nested loop's outer side or a copying
+// filter; from an arena only its consumer's own; from a slab only under a
+// plan or sub-plan root — every template that joins (Q3, Q5, Q12, Q14,
+// Q21) has at least one per-batch join, as a statement and as a
+// sub-query, and Q3's and Q5's build-side joins (Q5's build chain) cut
+// their tuples from the joins that keep them.
 func TestReusedJoinTuplesPlannerInvariant(t *testing.T) {
 	nd := reuseNode(t)
 	texts, off := reuseStatements()
+	wantKept := map[string]int{tpch.MustQuery(3): 1, svpSubquery(3): 1, tpch.MustQuery(5): 4, svpSubquery(5): 3}
 	for i, text := range texts {
 		sel, err := sql.ParseSelect(text)
 		if err != nil {
@@ -123,15 +139,18 @@ func TestReusedJoinTuplesPlannerInvariant(t *testing.T) {
 		}
 		nd.Set("enable_seqscan", sqltypes.NewBool(!off[i]))
 		for _, degree := range []int{1, 4} {
-			reusing, bad, err := nd.ReuseReport(sel, degree)
+			perBatch, kept, bad, err := nd.TupleReport(sel, degree)
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
 			for _, b := range bad {
 				t.Errorf("degree %d: %s in\n%s", degree, b, text)
 			}
-			if i < 2*len(tpch.QueryNumbers) && len(sel.From) > 1 && reusing == 0 {
-				t.Errorf("degree %d: no join reuses its tuples in\n%s", degree, text)
+			if i < 2*len(tpch.QueryNumbers) && len(sel.From) > 1 && perBatch == 0 {
+				t.Errorf("degree %d: no join cuts per-batch tuples in\n%s", degree, text)
+			}
+			if kept < wantKept[text] {
+				t.Errorf("degree %d: %d joins cut their tuples from a keeper's arena, want %d, in\n%s", degree, kept, wantKept[text], text)
 			}
 		}
 	}
