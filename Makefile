@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-baseline bench-compare bench-host loc clean
+.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite overload-suite suite-names fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-baseline bench-compare bench-host loc clean
 
 all: build test
 
@@ -38,39 +38,74 @@ race:
 # themselves. Each pin measures at the -cpu it runs under and takes the
 # least of three logged rounds: a run the scheduler moves to another P
 # misses the buffers sync.Pool keeps for the old P, once per move.
+RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers
+RACE_CPU_PKGS := ./internal/engine/
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU
+PINS_PKGS := ./internal/engine/ ./internal/storage/
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers' ./internal/engine/
-	$(GO) test -cpu 1,2,4 -count=1 -run 'TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU' ./internal/engine/ ./internal/storage/
+	$(GO) test -race -cpu 1,2,4 -count=1 -run '$(RACE_CPU_RUN)' $(RACE_CPU_PKGS)
+	$(GO) test -cpu 1,2,4 -count=1 -run '$(PINS_RUN)' $(PINS_PKGS)
 
 # The fine-grained AVP acceptance suite again, by name and race-enabled:
-# the straggler chaos plan, the granularity×nodes×composer oracle sweep,
+# the straggler chaos plan, the granularity×nodes oracle sweep,
 # the 100× schedule-independence repeat harness, and the crash/cache
 # interaction regressions. Runs inside `make race` too; this target
 # keeps the gate visible if the suite is ever renamed or filtered.
+AVP_RUN := TestStragglerChaosFineVsCoarse|TestOracleGranularitySweep|TestOracleRepeatedRunsBitIdentical|TestPartialCacheStableAcrossNodeDeath|TestMidQueryCrashRequeuesOnce|TestFinePartsResolution
+AVP_PKGS := ./internal/core/
 avp-suite:
-	$(GO) test -race -count=1 -run 'TestStragglerChaosFineVsCoarse|TestOracleGranularitySweep|TestOracleRepeatedRunsBitIdentical|TestPartialCacheStableAcrossNodeDeath|TestMidQueryCrashRequeuesOnce|TestFinePartsResolution' ./internal/core/
+	$(GO) test -race -count=1 -run '$(AVP_RUN)' $(AVP_PKGS)
 
 # The columnar acceptance suite, by name and race-enabled: the
 # engine-level heap/columnar differential sweep with segment builds
 # racing parallel morsel workers, the zone-map pruning and EXPLAIN
 # regressions, the segment metrics mirror, and the core-level
-# bit-identity oracle across node counts, composers and interleaved
+# bit-identity oracle across node counts and interleaved
 # writes. Runs inside `make race` too; this target keeps the gate
 # visible if the suite is ever renamed or filtered.
+COLUMNAR_RUN := TestColumnar|TestSegments|TestOracleColumnar
+COLUMNAR_PKGS := ./internal/engine/ ./internal/storage/ ./internal/core/
 columnar-suite:
-	$(GO) test -race -count=1 -run 'TestColumnar|TestSegments|TestOracleColumnar' ./internal/engine/ ./internal/storage/ ./internal/core/
+	$(GO) test -race -count=1 -run '$(COLUMNAR_RUN)' $(COLUMNAR_PKGS)
 
 # The multi-query-optimization acceptance suite, by name and
 # race-enabled: the engine-level shared-scan differential sweep with
 # concurrent consumers and mid-scan attachers, the admission batching
-# window, the shared/unshared bit-identity oracle across node counts,
-# composers and interleaved writes, the concurrent sub-plan collapse
+# window, the shared/unshared bit-identity oracle across node counts
+# and interleaved writes, the concurrent sub-plan collapse
 # regression, and the node-death-with-consumers chaos plan. Runs inside
 # `make race` too; this target keeps the gate visible if the suite is
 # ever renamed or filtered.
+MQO_RUN := TestSharedScan|TestBatchGate|TestOracleMQO|TestMQO|TestChaosMQO|TestSubplan
+MQO_PKGS := ./internal/engine/ ./internal/admission/ ./internal/core/ ./internal/sql/
 mqo-suite:
-	$(GO) test -race -count=1 -run 'TestSharedScan|TestBatchGate|TestOracleMQO|TestMQO|TestChaosMQO|TestSubplan' ./internal/engine/ ./internal/admission/ ./internal/core/ ./internal/sql/
+	$(GO) test -race -count=1 -run '$(MQO_RUN)' $(MQO_PKGS)
+
+# The overload chaos suite, by name and race-enabled (CI runs it as its
+# own step): the admission gate, memory budget, brownout ladder and
+# slow-query killer must stay race-free and typed under a 4x saturation
+# spike.
+OVERLOAD_RUN := TestOverloadChaosSpike|TestShedErrorsDoNotTripBreaker|TestOracleBrownoutEquivalence
+OVERLOAD_PKGS := ./internal/core/
+overload-suite:
+	$(GO) test -race -count=1 -run '$(OVERLOAD_RUN)' $(OVERLOAD_PKGS)
+
+# A -run pattern passes silently when a test it names was renamed or
+# deleted. Every |-alternative of each named suite's pattern must list at
+# least one test in the suite's packages; the first that lists none fails
+# with its name.
+check_run = for alt in $$(printf '%s' '$(1)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" $(2) | grep -Eq '^(Test|Benchmark|Fuzz|Example)' || \
+			{ echo "suite-names: -run alternative $$alt selects no test in $(2)"; exit 1; }; \
+	done
+suite-names:
+	@$(call check_run,$(RACE_CPU_RUN),$(RACE_CPU_PKGS))
+	@$(call check_run,$(PINS_RUN),$(PINS_PKGS))
+	@$(call check_run,$(AVP_RUN),$(AVP_PKGS))
+	@$(call check_run,$(COLUMNAR_RUN),$(COLUMNAR_PKGS))
+	@$(call check_run,$(MQO_RUN),$(MQO_PKGS))
+	@$(call check_run,$(OVERLOAD_RUN),$(OVERLOAD_PKGS))
 
 # Replay the checked-in fuzz corpora (testdata/fuzz/) as plain tests:
 # every past crasher and interesting input must stay green.
@@ -80,8 +115,9 @@ fuzz-replay:
 # Tier-1 verification: static checks, the full suite under the race
 # detector (chaos/resilience tests included), the engine suite across
 # -cpu settings, the named AVP, columnar and MQO acceptance suites, and
-# corpus replay.
-tier1: vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay
+# corpus replay. suite-names runs first: a suite whose pattern no longer
+# names a test fails before the long race run.
+tier1: suite-names vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay
 
 # Short live fuzzing of each of the eight targets (30s apiece) — a smoke
 # pass, not a campaign; run the targets individually with -fuzztime for

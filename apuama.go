@@ -135,9 +135,6 @@ type Config struct {
 	// UseAVP selects Adaptive Virtual Partitioning (the SmaQ strategy
 	// the paper compares against in §6) instead of SVP.
 	UseAVP bool
-	// StreamCompose selects the streaming result composer instead of
-	// the in-memory-DBMS route (ablation).
-	StreamCompose bool
 	// NoBarrier skips the replica-consistency barrier (ablation).
 	NoBarrier bool
 	// MaxStaleness > 0 selects the relaxed-freshness replication policy
@@ -293,7 +290,6 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.UseAVP {
 		opts.Strategy = core.AVP
 	}
-	opts.StreamCompose = cfg.StreamCompose
 	opts.NoBarrier = cfg.NoBarrier
 	opts.MaxStaleness = cfg.MaxStaleness
 	opts.ForceIndexScan = !cfg.AllowSeqscan

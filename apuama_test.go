@@ -99,7 +99,6 @@ func TestFacadeMetersAndSizes(t *testing.T) {
 
 func TestFacadeAblationOptions(t *testing.T) {
 	for _, cfg := range []Config{
-		{Nodes: 2, StreamCompose: true},
 		{Nodes: 2, NoBarrier: true},
 		{Nodes: 2, AllowSeqscan: true},
 		{Nodes: 2, PoolSize: 2},

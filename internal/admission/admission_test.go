@@ -280,6 +280,32 @@ func TestMemoryBudgetGrowAndAbort(t *testing.T) {
 	}
 }
 
+func TestMemoryBudgetShrinkWakesGrow(t *testing.T) {
+	c := New(Config{MemoryBudget: 1000, MemWaitMax: time.Second})
+	defer c.Close()
+	ctx := context.Background()
+	r1 := c.Reserve(ctx)
+	if err := r1.Grow(950); err != nil {
+		t.Fatal(err)
+	}
+	unblocked := make(chan error, 1)
+	r2 := c.Reserve(ctx)
+	go func() { unblocked <- r2.Grow(120) }()
+	time.Sleep(time.Millisecond)
+	r1.Shrink(400)
+	if err := <-unblocked; err != nil {
+		t.Fatalf("small debt after shrink: %v", err)
+	}
+	if r1.Held() != 550 {
+		t.Fatalf("held after shrink = %d, want 550", r1.Held())
+	}
+	r1.Shrink(10_000) // more than held: returns what is held, no more
+	if r1.Held() != 0 || c.Snapshot().MemReserved != 120 {
+		t.Fatalf("held %d, reserved %d; want 0 and 120", r1.Held(), c.Snapshot().MemReserved)
+	}
+	r2.Release()
+}
+
 func TestMemoryBudgetNeverExceededUnderConcurrency(t *testing.T) {
 	const budget = 10_000
 	c := New(Config{MemoryBudget: budget, MemWaitMax: 2 * time.Millisecond})

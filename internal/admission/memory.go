@@ -7,12 +7,10 @@ import (
 
 // Reservation is one query's claim against the cluster-wide memory
 // budget. The engine opens one per admitted query and every allocation
-// the query's composition pipeline retains — gather-channel buffers,
-// memdb load buffers, fold-table groups — charges it with Grow. The
-// accounting is high-watermark style: Grow accumulates, Release frees
-// the whole claim at query end (a query's composition memory is only
-// truly reclaimed when the query finishes, so per-batch releases would
-// just understate pressure).
+// the query's composition pipeline retains — gather-channel buffers and
+// the compose sink's buffered attempt rows — charges it with Grow. Memory
+// the query stops retaining before it ends (a failed or losing attempt's
+// rows) is returned with Shrink; Release frees the rest at query end.
 //
 // A nil *Reservation (accounting disabled) is a valid no-op, so sinks
 // charge unconditionally.
@@ -93,16 +91,32 @@ func (r *Reservation) Held() int64 {
 	return r.held
 }
 
+// Shrink returns n bytes of the claim (at most what is held) and wakes
+// every blocked Grow. Safe on nil.
+func (r *Reservation) Shrink(n int64) {
+	if r == nil {
+		return
+	}
+	r.free(min(n, r.held))
+}
+
 // Release frees the whole claim and wakes every blocked Grow. Safe to
 // call more than once and on nil.
 func (r *Reservation) Release() {
-	if r == nil || r.held == 0 {
+	if r == nil {
+		return
+	}
+	r.free(r.held)
+}
+
+func (r *Reservation) free(n int64) {
+	if n <= 0 {
 		return
 	}
 	c := r.c
 	c.memMu.Lock()
-	c.memUsed -= r.held
-	r.held = 0
+	c.memUsed -= n
+	r.held -= n
 	if c.memWake != nil {
 		close(c.memWake)
 		c.memWake = nil

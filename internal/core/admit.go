@@ -24,8 +24,8 @@ import (
 //     weight-scaled class budget and cancels it cooperatively via the
 //     per-morsel ctx checks in the node engines;
 //   - the memory reservation charges the query's composition memory
-//     (gather buffers, memdb load buffers, fold-table groups) against
-//     the cluster-wide budget.
+//     (gather buffers, the compose sink's buffered attempt rows)
+//     against the cluster-wide budget.
 //
 // All three are no-ops when admission is disabled (e.adm == nil).
 func (e *Engine) admitAndRun(ctx context.Context, sel *sql.SelectStmt, usePartial bool) (*engine.Result, int64, error) {

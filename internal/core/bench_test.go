@@ -54,23 +54,15 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
-func BenchmarkComposeModes(b *testing.B) {
-	for _, stream := range []bool{false, true} {
-		name := "memdb"
-		if stream {
-			name = "streaming"
+// BenchmarkComposeQ3 times Q3, the composition-heavy template (many
+// groups re-aggregated in memdb), end to end on four nodes.
+func BenchmarkComposeQ3(b *testing.B) {
+	s := buildStackOptsB(b, 4, DefaultOptions())
+	q := tpch.MustQuery(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ctl.Query(q); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.StreamCompose = stream
-			s := buildStackOptsB(b, 4, opts)
-			q := tpch.MustQuery(3) // many groups: composition-heavy
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ctl.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestOracleColumnarEquivalence is the columnar differential oracle:
 // for every SVP-eligible TPC-H query, the answer with the segment store
 // on must be BIT-identical to the answer with it off — same row order,
-// same float bits — across node counts and both composers. The heap run
+// same float bits — across node counts. The heap run
 // is the reference (it is itself ULP-checked against a single node by
 // TestOracleSVPEquivalence), so any divergence pins the blame on the
 // columnar scan: segment coverage, visibility stamping, zone-map
@@ -21,42 +21,35 @@ import (
 // it replaces; only pruned work disappears, never reordered work.
 func TestOracleColumnarEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
-		for _, stream := range []bool{false, true} {
-			composer := "memdb"
-			if stream {
-				composer = "stream"
+		opts := DefaultOptions()
+		s := buildStack(t, n, opts)
+		for _, qn := range tpch.QueryNumbers {
+			label := fmt.Sprintf("n=%d Q%d", n, qn)
+			s.db.SetColumnar(false)
+			want, err := s.ctl.Query(tpch.MustQuery(qn))
+			if err != nil {
+				t.Fatalf("%s heap: %v", label, err)
 			}
-			opts := DefaultOptions()
-			opts.StreamCompose = stream
-			s := buildStack(t, n, opts)
-			for _, qn := range tpch.QueryNumbers {
-				label := fmt.Sprintf("n=%d composer=%s Q%d", n, composer, qn)
-				s.db.SetColumnar(false)
-				want, err := s.ctl.Query(tpch.MustQuery(qn))
-				if err != nil {
-					t.Fatalf("%s heap: %v", label, err)
-				}
-				s.db.SetColumnar(true)
-				got, err := s.ctl.Query(tpch.MustQuery(qn))
-				if err != nil {
-					t.Fatalf("%s columnar: %v", label, err)
-				}
-				assertBitIdentical(t, label, got, want)
-				// And both agree with a standalone reference node, up to
-				// composition float rounding.
-				assertRowsULP(t, label+" vs single", got, s.single(t, tpch.MustQuery(qn)))
+			s.db.SetColumnar(true)
+			got, err := s.ctl.Query(tpch.MustQuery(qn))
+			if err != nil {
+				t.Fatalf("%s columnar: %v", label, err)
 			}
-			st := s.eng.Snapshot()
-			// Neither side may have fallen out of SVP...
-			if want := 2 * int64(len(tpch.QueryNumbers)); st.SVPQueries != want {
-				t.Errorf("n=%d composer=%s: %d SVP queries, want %d (fallbacks: %v)",
-					n, composer, st.SVPQueries, want, st.FallbackReasons)
-			}
-			// ...and the columnar runs must actually have scanned
-			// segments, or the oracle is vacuous.
-			if st.SegmentsScanned == 0 {
-				t.Errorf("n=%d composer=%s: no segments scanned — columnar path never engaged", n, composer)
-			}
+			assertBitIdentical(t, label, got, want)
+			// And both agree with a standalone reference node, up to
+			// composition float rounding.
+			assertRowsULP(t, label+" vs single", got, s.single(t, tpch.MustQuery(qn)))
+		}
+		st := s.eng.Snapshot()
+		// Neither side may have fallen out of SVP...
+		if want := 2 * int64(len(tpch.QueryNumbers)); st.SVPQueries != want {
+			t.Errorf("n=%d: %d SVP queries, want %d (fallbacks: %v)",
+				n, st.SVPQueries, want, st.FallbackReasons)
+		}
+		// ...and the columnar runs must actually have scanned
+		// segments, or the oracle is vacuous.
+		if st.SegmentsScanned == 0 {
+			t.Errorf("n=%d: no segments scanned — columnar path never engaged", n)
 		}
 	}
 }

@@ -49,30 +49,3 @@ func (e *Engine) composeLoaded(rw *Rewrite, name string) (*engine.Result, error)
 	}
 	return res, nil
 }
-
-// foldValues merges two partial aggregate values. NULLs (empty-partition
-// sums) are absorbed.
-func foldValues(op string, a, b sqltypes.Value) (sqltypes.Value, error) {
-	if a.IsNull() {
-		return b, nil
-	}
-	if b.IsNull() {
-		return a, nil
-	}
-	switch op {
-	case "sum":
-		return sqltypes.Add(a, b)
-	case "min":
-		if sqltypes.Compare(b, a) < 0 {
-			return b, nil
-		}
-		return a, nil
-	case "max":
-		if sqltypes.Compare(b, a) > 0 {
-			return b, nil
-		}
-		return a, nil
-	default:
-		return sqltypes.Null(), fmt.Errorf("composer: unknown fold %q", op)
-	}
-}

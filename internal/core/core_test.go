@@ -153,23 +153,6 @@ func TestSVPEquivalenceAllQueries(t *testing.T) {
 	}
 }
 
-// TestSVPEquivalenceStreamingComposer repeats the oracle through the
-// streaming-composer ablation.
-func TestSVPEquivalenceStreamingComposer(t *testing.T) {
-	opts := DefaultOptions()
-	opts.StreamCompose = true
-	s := buildStack(t, 3, opts)
-	for _, qn := range tpch.QueryNumbers {
-		text := tpch.MustQuery(qn)
-		want := s.single(t, text)
-		got, err := s.ctl.Query(text)
-		if err != nil {
-			t.Fatalf("Q%d: %v", qn, err)
-		}
-		assertSameResult(t, fmt.Sprintf("stream Q%d", qn), got, want, true)
-	}
-}
-
 // TestSVPRandomParamsProperty: the oracle holds for randomized query
 // parameters too.
 func TestSVPRandomParamsProperty(t *testing.T) {

@@ -64,10 +64,6 @@ type Options struct {
 	MaxStaleness int64
 	// BarrierTimeout bounds the replica-convergence wait.
 	BarrierTimeout time.Duration
-	// StreamCompose composes partial results with the hand-rolled
-	// streaming merger instead of the memdb (HSQLDB-equivalent) route —
-	// an ablation of the paper's composer choice.
-	StreamCompose bool
 	// GatherBudget bounds the in-flight partial-result batches buffered
 	// between the node streams and the composer, per partition: fast
 	// producers block once the gather channel holds GatherBudget × nodes
@@ -1030,7 +1026,7 @@ func (r *svpRun) send(m gatherMsg) bool {
 
 // compose is the last stage (span compose): the sink composes the
 // committed winners in partition order.
-func (r *svpRun) compose(sink composeSink) (*engine.Result, error) {
+func (r *svpRun) compose(sink *memdbSink) (*engine.Result, error) {
 	span := r.qspan.Child("compose")
 	defer span.End()
 	t0 := time.Now()

@@ -35,7 +35,7 @@ type gatherMsg struct {
 // back while it races.
 type gatherState struct {
 	r     *svpRun
-	sink  composeSink
+	sink  *memdbSink
 	span  *obs.Span
 	start time.Time
 
@@ -71,7 +71,7 @@ type gatherState struct {
 // least-loaded other live node (stealing balances load; the hedge covers
 // a node that stalls mid-partition). It returns the sink holding every
 // partition's winner, or a settled LIMIT prefix.
-func (r *svpRun) gather(resv *admission.Reservation) (composeSink, error) {
+func (r *svpRun) gather(resv *admission.Reservation) (*memdbSink, error) {
 	e, rw, n := r.e, r.plan.rw, len(r.plan.ranges)
 	span := r.qspan.Child("gather")
 	// End keeps the first duration: the explicit End on success wins.
@@ -130,9 +130,7 @@ func (g *gatherState) feedCached() error {
 		if err := g.sink.observe(i, attempt, b); err != nil {
 			return composerErr(err)
 		}
-		if err := g.sink.commit(i, attempt); err != nil {
-			return composerErr(err)
-		}
+		g.sink.commit(i, attempt)
 		g.done[i], g.doneRows[i] = true, int64(len(s.rows))
 		g.totalRows += g.doneRows[i]
 		g.completed++
@@ -151,7 +149,8 @@ func (g *gatherState) receive(m gatherMsg) error {
 	case m.retry:
 		// Abandoned: the partition is retried or requeued (or the schedule
 		// failed — see scheduleFailed).
-		return g.drop(m)
+		g.drop(m)
+		return nil
 	case m.err != nil:
 		return g.onFailure(m)
 	default:
@@ -186,20 +185,15 @@ func (g *gatherState) onBatch(m gatherMsg) error {
 }
 
 // drop discards an abandoned, failed or losing attempt's rows.
-func (g *gatherState) drop(m gatherMsg) error {
+func (g *gatherState) drop(m gatherMsg) {
 	delete(g.rowsByAttempt, m.attempt)
 	delete(g.keepRows, m.attempt)
-	if err := g.sink.abort(m.idx, m.attempt); err != nil {
-		return composerErr(err)
-	}
-	return nil
+	g.sink.abort(m.idx, m.attempt)
 }
 
 // onFailure handles an attempt that failed for good.
 func (g *gatherState) onFailure(m gatherMsg) error {
-	if err := g.drop(m); err != nil {
-		return err
-	}
+	g.drop(m)
 	switch {
 	case m.hedge:
 		// The twin failed; the original may yet answer — unless it already
@@ -230,7 +224,8 @@ func (g *gatherState) onFinish(m gatherMsg) error {
 	if g.done[m.idx] {
 		// A duplicate answer for a hedged partition: the earlier arrival
 		// already won this race.
-		return g.drop(m)
+		g.drop(m)
+		return nil
 	}
 	e := g.r.e
 	g.done[m.idx] = true
@@ -251,9 +246,7 @@ func (g *gatherState) onFinish(m gatherMsg) error {
 	g.doneRows[m.idx] = g.rowsByAttempt[m.attempt]
 	g.totalRows += g.doneRows[m.idx]
 	delete(g.rowsByAttempt, m.attempt)
-	if err := g.sink.commit(m.idx, m.attempt); err != nil {
-		return composerErr(err)
-	}
+	g.sink.commit(m.idx, m.attempt)
 	g.fillPartial(m)
 	switch {
 	case g.earlyStop && prefixHolds(g.done, g.doneRows, g.r.plan.rw.PushedLimit):
@@ -396,72 +389,20 @@ func hedgeThreshold(completions []time.Duration, mult float64) time.Duration {
 	return max(time.Duration(mult*float64(sorted[len(sorted)/2])), minHedgeDelay)
 }
 
-// composeSink receives partial batches from the gather loop as they
-// arrive. Attempts stream independently; commit fixes one attempt as a
-// partition's winner, abort discards a failed or losing attempt, and
-// finish composes the winners in partition order (floating-point
+// memdbSink is the result composer (the paper's HSQLDB load, here
+// internal/memdb). It receives partial batches from the gather loop as
+// they arrive. Attempts stream independently; commit fixes one attempt as
+// a partition's winner, abort discards a failed or losing attempt, and
+// finish composes the winners once, in partition order (floating-point
 // composition is not associative across orderings, and LIMIT without
-// ORDER BY takes the leading rows).
+// ORDER BY takes the leading rows). The committed prefix's winners are
+// loaded into one composition table that is dropped as soon as the
+// composition query has run over it, so no relation outlives its query
+// and an abandoned gather (error, deadline) never creates one.
 //
-// All methods are called from the single gather goroutine; sinks need no
-// locking. observe takes ownership of the batch and must return it to
-// the pool.
-type composeSink interface {
-	observe(idx int, attempt int64, b *sqltypes.Batch) error
-	commit(idx int, attempt int64) error
-	abort(idx int, attempt int64) error
-	finish(ctx context.Context) (*engine.Result, error)
-}
-
-// newComposeSink picks the composer route: the streaming fold for
-// aggregate rewrites under the StreamCompose ablation, otherwise the
-// paper's memdb (HSQLDB stand-in) load — skipped when the composition
-// query has nothing to do. Every sink charges the memory it retains —
-// buffered attempt rows, fold-table groups — against the query's
-// admission reservation (a nil reservation is a no-op, so the sinks
-// charge unconditionally).
-func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) composeSink {
-	if e.opts.StreamCompose && len(rw.ComposeOps) > 0 {
-		return &foldSink{
-			e: e, rw: rw, n: n, res: res,
-			tables:  map[attemptKey]*foldTable{},
-			winners: newWinners(n),
-		}
-	}
-	return &memdbSink{
-		e: e, rw: rw, res: res,
-		identity: identityCompose(rw),
-		bufs:     map[attemptKey][]sqltypes.Row{},
-		winners:  newWinners(n),
-	}
-}
-
-type attemptKey struct {
-	idx     int
-	attempt int64
-}
-
-// winners records each partition's committed attempt, for the sinks.
-type winners struct {
-	winner    []int64
-	committed []bool
-}
-
-func newWinners(n int) winners {
-	return winners{winner: make([]int64, n), committed: make([]bool, n)}
-}
-
-func (w *winners) commit(idx int, attempt int64) error {
-	w.winner[idx] = attempt
-	w.committed[idx] = true
-	return nil
-}
-
-// memdbSink buffers every live attempt's rows and composes once, at
-// finish: the committed prefix's winners are loaded in partition order
-// into one composition table that is dropped as soon as the composition
-// query has run over it, so no relation outlives its query and an
-// abandoned gather (error, deadline) never creates one.
+// All methods are called from the single gather goroutine; the sink needs
+// no locking. observe takes ownership of the batch and returns it to the
+// pool.
 type memdbSink struct {
 	e   *Engine
 	rw  *Rewrite
@@ -471,8 +412,27 @@ type memdbSink struct {
 	// winners are then returned as they are, without a memdb round trip.
 	identity bool
 
-	bufs map[attemptKey][]sqltypes.Row
-	winners
+	bufs      map[attemptKey][]sqltypes.Row
+	winner    []int64 // each partition's committed attempt
+	committed []bool
+}
+
+type attemptKey struct {
+	idx     int
+	attempt int64
+}
+
+// newComposeSink builds the sink for one query of n partitions. It
+// charges the rows it buffers against the query's admission reservation
+// (a nil reservation is a no-op, so it charges unconditionally).
+func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) *memdbSink {
+	return &memdbSink{
+		e: e, rw: rw, res: res,
+		identity:  identityCompose(rw),
+		bufs:      map[attemptKey][]sqltypes.Row{},
+		winner:    make([]int64, n),
+		committed: make([]bool, n),
+	}
 }
 
 // identityCompose reports whether the composition query has nothing to
@@ -482,7 +442,7 @@ type memdbSink struct {
 // partition order under the compose aliases, cut at LIMIT.
 func identityCompose(rw *Rewrite) bool {
 	c := rw.Compose
-	if len(rw.ComposeOps) > 0 || c.Distinct || c.Where != nil || c.Having != nil ||
+	if c.Distinct || c.Where != nil || c.Having != nil ||
 		len(c.OrderBy) > 0 || len(c.GroupBy) > 0 || len(c.Items) != len(rw.PartialCols) {
 		return false
 	}
@@ -508,9 +468,17 @@ func (s *memdbSink) observe(idx int, attempt int64, b *sqltypes.Batch) error {
 	return nil
 }
 
-func (s *memdbSink) abort(idx int, attempt int64) error {
-	delete(s.bufs, attemptKey{idx, attempt})
-	return nil
+func (s *memdbSink) commit(idx int, attempt int64) {
+	s.winner[idx] = attempt
+	s.committed[idx] = true
+}
+
+// abort drops an attempt's rows and returns their charge, so a failover
+// is not billed for the attempt it replaces.
+func (s *memdbSink) abort(idx int, attempt int64) {
+	k := attemptKey{idx, attempt}
+	s.res.Shrink(rowsBytes(s.bufs[k]))
+	delete(s.bufs, k)
 }
 
 func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
@@ -543,113 +511,4 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 		res.Rows = append(res.Rows, rows[:min(len(rows), total-len(res.Rows))]...)
 	}
 	return res, nil
-}
-
-// foldSink is the StreamCompose route for aggregate rewrites: each
-// attempt folds into its own hash table as batches arrive; at finish the
-// winners merge in partition order (same float-composition order as the
-// materialized composer) and the composition query projects the folded
-// rows.
-type foldSink struct {
-	e   *Engine
-	rw  *Rewrite
-	n   int
-	res *admission.Reservation // memory-budget account for fold groups
-
-	tables map[attemptKey]*foldTable
-	winners
-}
-
-type foldGrp struct{ row sqltypes.Row }
-
-type foldTable struct {
-	buckets map[uint64][]*foldGrp
-	order   []*foldGrp
-}
-
-func newFoldTable() *foldTable { return &foldTable{buckets: map[uint64][]*foldGrp{}} }
-
-// add folds one partial row into the table, merging aggregates on a
-// group-key hit. It reports whether a new group was created (a merge
-// retains no extra memory; a creation clones the row).
-func (t *foldTable) add(rw *Rewrite, row sqltypes.Row) (bool, error) {
-	nG := rw.GroupCount
-	if len(row) != nG+len(rw.ComposeOps) {
-		return false, fmt.Errorf("partial row width %d, want %d", len(row), nG+len(rw.ComposeOps))
-	}
-	key := row[:nG]
-	h := sqltypes.HashRow(key)
-	for _, cand := range t.buckets[h] {
-		if sqltypes.RowsEqual(cand.row[:nG], key) {
-			for i, op := range rw.ComposeOps {
-				merged, err := foldValues(op, cand.row[nG+i], row[nG+i])
-				if err != nil {
-					return false, err
-				}
-				cand.row[nG+i] = merged
-			}
-			return false, nil
-		}
-	}
-	g := &foldGrp{row: row.Clone()}
-	t.buckets[h] = append(t.buckets[h], g)
-	t.order = append(t.order, g)
-	return true, nil
-}
-
-func (s *foldSink) observe(idx int, attempt int64, b *sqltypes.Batch) error {
-	k := attemptKey{idx, attempt}
-	t := s.tables[k]
-	if t == nil {
-		t = newFoldTable()
-		s.tables[k] = t
-	}
-	// Only created groups retain memory (merges fold in place), so the
-	// reservation grows by the freshly cloned group rows per batch.
-	var created int64
-	for _, row := range b.Rows {
-		fresh, err := t.add(s.rw, row)
-		if err != nil {
-			sqltypes.PutBatch(b)
-			return err
-		}
-		if fresh {
-			created += 24 + int64(len(row))*40
-		}
-	}
-	sqltypes.PutBatch(b)
-	return s.res.Grow(created)
-}
-
-func (s *foldSink) abort(idx int, attempt int64) error {
-	delete(s.tables, attemptKey{idx, attempt})
-	return nil
-}
-
-func (s *foldSink) finish(ctx context.Context) (*engine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	merged := newFoldTable()
-	for p := 0; p < s.n; p++ {
-		if !s.committed[p] {
-			continue
-		}
-		t := s.tables[attemptKey{p, s.winner[p]}]
-		if t == nil {
-			continue // empty partition: no batches ever arrived
-		}
-		for _, g := range t.order {
-			if _, err := merged.add(s.rw, g.row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	folded := make([]sqltypes.Row, 0, len(merged.order))
-	for _, g := range merged.order {
-		folded = append(folded, g.row)
-	}
-	// A scalar-aggregate query with no matching rows anywhere still
-	// produces its single empty-aggregate row in the final projection.
-	return s.e.composeRows(ctx, s.rw, [][]sqltypes.Row{folded})
 }

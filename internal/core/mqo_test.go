@@ -50,41 +50,34 @@ func mqoOptions() Options {
 // TestOracleMQOEquivalence is the MQO differential oracle: for every
 // SVP-eligible TPC-H query, the answer with shared scans and sub-plan
 // sharing on must be BIT-identical to the answer with them off — same
-// row order, same float bits — across node counts and both composers.
+// row order, same float bits — across node counts.
 // The unshared run is the reference (itself ULP-checked against a
 // single node by TestOracleSVPEquivalence), so any divergence pins the
 // blame on the sharing layer: coordinator delivery, mid-scan attach
 // bookkeeping, or a flight substituting the wrong partition rows.
 func TestOracleMQOEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
-		for _, stream := range []bool{false, true} {
-			composer := "memdb"
-			if stream {
-				composer = "stream"
+		opts := mqoOptions()
+		opts.MQO = false
+		off := buildStack(t, n, opts)
+		opts.MQO = true
+		on := buildStack(t, n, opts)
+		for _, qn := range tpch.QueryNumbers {
+			label := fmt.Sprintf("n=%d Q%d", n, qn)
+			want, err := off.ctl.Query(tpch.MustQuery(qn))
+			if err != nil {
+				t.Fatalf("%s unshared: %v", label, err)
 			}
-			opts := mqoOptions()
-			opts.StreamCompose = stream
-			opts.MQO = false
-			off := buildStack(t, n, opts)
-			opts.MQO = true
-			on := buildStack(t, n, opts)
-			for _, qn := range tpch.QueryNumbers {
-				label := fmt.Sprintf("n=%d composer=%s Q%d", n, composer, qn)
-				want, err := off.ctl.Query(tpch.MustQuery(qn))
-				if err != nil {
-					t.Fatalf("%s unshared: %v", label, err)
-				}
-				got, err := on.ctl.Query(tpch.MustQuery(qn))
-				if err != nil {
-					t.Fatalf("%s shared: %v", label, err)
-				}
-				assertBitIdentical(t, label, got, want)
-				assertRowsULP(t, label+" vs single", got, on.single(t, tpch.MustQuery(qn)))
+			got, err := on.ctl.Query(tpch.MustQuery(qn))
+			if err != nil {
+				t.Fatalf("%s shared: %v", label, err)
 			}
-			st := on.eng.Snapshot()
-			if st.SharedScanAttaches == 0 {
-				t.Errorf("n=%d composer=%s: no shared-scan attaches — the MQO path never engaged", n, composer)
-			}
+			assertBitIdentical(t, label, got, want)
+			assertRowsULP(t, label+" vs single", got, on.single(t, tpch.MustQuery(qn)))
+		}
+		st := on.eng.Snapshot()
+		if st.SharedScanAttaches == 0 {
+			t.Errorf("n=%d: no shared-scan attaches — the MQO path never engaged", n)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // Differential oracle: for every SVP-eligible TPC-H query, the
 // n-partition SVP answer must equal the single-node answer row for row,
-// at n ∈ {1, 2, 4, 8} and through both result composers. The reference
+// at n ∈ {1, 2, 4, 8}. The reference
 // node attaches at the cluster's replication watermark, so both sides
 // read the same snapshot of the same deterministic (seeded) dataset —
 // any divergence is a decomposition, rewrite or composition bug.
@@ -98,41 +98,34 @@ func assertRowsULP(t *testing.T, label string, got, want *engine.Result) {
 }
 
 // TestOracleSVPEquivalence is the differential oracle over the full
-// SVP-eligible query set × partition counts × composer routes.
+// SVP-eligible query set × partition counts.
 func TestOracleSVPEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
-		for _, stream := range []bool{false, true} {
-			composer := "memdb"
-			if stream {
-				composer = "stream"
+		opts := DefaultOptions()
+		s := buildStack(t, n, opts)
+		for _, qn := range tpch.QueryNumbers {
+			label := fmt.Sprintf("n=%d Q%d", n, qn)
+			text := tpch.MustQuery(qn)
+			want := s.single(t, text)
+			got, err := s.ctl.Query(text)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			opts := DefaultOptions()
-			opts.StreamCompose = stream
-			s := buildStack(t, n, opts)
-			for _, qn := range tpch.QueryNumbers {
-				label := fmt.Sprintf("n=%d composer=%s Q%d", n, composer, qn)
-				text := tpch.MustQuery(qn)
-				want := s.single(t, text)
-				got, err := s.ctl.Query(text)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertRowsULP(t, label, got, want)
-			}
-			// Every query must have gone through SVP, not a silent
-			// pass-through fallback that would make the oracle vacuous.
-			st := s.eng.Snapshot()
-			if st.SVPQueries != int64(len(tpch.QueryNumbers)) {
-				t.Errorf("n=%d composer=%s: %d SVP queries, want %d (fallbacks: %v)",
-					n, composer, st.SVPQueries, len(tpch.QueryNumbers), st.FallbackReasons)
-			}
+			assertRowsULP(t, label, got, want)
+		}
+		// Every query must have gone through SVP, not a silent
+		// pass-through fallback that would make the oracle vacuous.
+		st := s.eng.Snapshot()
+		if st.SVPQueries != int64(len(tpch.QueryNumbers)) {
+			t.Errorf("n=%d: %d SVP queries, want %d (fallbacks: %v)",
+				n, st.SVPQueries, len(tpch.QueryNumbers), st.FallbackReasons)
 		}
 	}
 }
 
 // TestOracleGranularitySweep extends the oracle across the fine-grained
 // scheduler's configuration space: granularity ∈ {1, 4, 32, 64} ×
-// nodes ∈ {1, 2, 4, 8} × both composers, each verified against the
+// nodes ∈ {1, 2, 4, 8}, each verified against the
 // single-node reference. granularity=1 is the legacy coarse split;
 // higher values multiply the partition count per configured node, so
 // this sweeps the shared-queue dispatch from "no stealing possible"
@@ -143,30 +136,23 @@ func TestOracleSVPEquivalence(t *testing.T) {
 func TestOracleGranularitySweep(t *testing.T) {
 	for _, g := range []int{1, 4, 32, 64} {
 		for _, n := range []int{1, 2, 4, 8} {
-			for _, stream := range []bool{false, true} {
-				composer := "memdb"
-				if stream {
-					composer = "stream"
+			opts := DefaultOptions()
+			opts.AVPGranularity = g
+			s := buildStack(t, n, opts)
+			queries := []int{1, 6}
+			for _, qn := range queries {
+				label := fmt.Sprintf("g=%d n=%d Q%d", g, n, qn)
+				text := tpch.MustQuery(qn)
+				want := s.single(t, text)
+				got, err := s.ctl.Query(text)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				opts := DefaultOptions()
-				opts.StreamCompose = stream
-				opts.AVPGranularity = g
-				s := buildStack(t, n, opts)
-				queries := []int{1, 6}
-				for _, qn := range queries {
-					label := fmt.Sprintf("g=%d n=%d composer=%s Q%d", g, n, composer, qn)
-					text := tpch.MustQuery(qn)
-					want := s.single(t, text)
-					got, err := s.ctl.Query(text)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertRowsULP(t, label, got, want)
-				}
-				if st := s.eng.Snapshot(); st.SVPQueries != int64(len(queries)) {
-					t.Errorf("g=%d n=%d composer=%s: %d SVP queries, want %d (fallbacks: %v)",
-						g, n, composer, st.SVPQueries, len(queries), st.FallbackReasons)
-				}
+				assertRowsULP(t, label, got, want)
+			}
+			if st := s.eng.Snapshot(); st.SVPQueries != int64(len(queries)) {
+				t.Errorf("g=%d n=%d: %d SVP queries, want %d (fallbacks: %v)",
+					g, n, st.SVPQueries, len(queries), st.FallbackReasons)
 			}
 		}
 	}
@@ -181,38 +167,31 @@ func TestOracleGranularitySweep(t *testing.T) {
 // partial-result cache and the differential oracle trustworthy.
 func TestOracleRepeatedRunsBitIdentical(t *testing.T) {
 	const runs = 100
-	for _, stream := range []bool{false, true} {
-		composer := "memdb"
-		if stream {
-			composer = "stream"
+	opts := DefaultOptions()
+	opts.AVPGranularity = 32 // 128 partitions across 4 nodes
+	s := buildStack(t, 4, opts)
+	for i, p := range s.eng.Procs() {
+		p.InjectFaults(fault.New(int64(7+i)).Slow(50*time.Microsecond, 0).Jitter(3.0))
+	}
+	text := tpch.MustQuery(6)
+	want := s.single(t, text)
+	var first *engine.Result
+	for i := 0; i < runs; i++ {
+		got, err := s.ctl.Query(text)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
-		opts := DefaultOptions()
-		opts.StreamCompose = stream
-		opts.AVPGranularity = 32 // 128 partitions across 4 nodes
-		s := buildStack(t, 4, opts)
-		for i, p := range s.eng.Procs() {
-			p.InjectFaults(fault.New(int64(7 + i)).Slow(50*time.Microsecond, 0).Jitter(3.0))
+		if first == nil {
+			first = got
+			assertRowsULP(t, "run 0 vs reference", got, want)
+			continue
 		}
-		text := tpch.MustQuery(6)
-		want := s.single(t, text)
-		var first *engine.Result
-		for i := 0; i < runs; i++ {
-			got, err := s.ctl.Query(text)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", composer, i, err)
-			}
-			if first == nil {
-				first = got
-				assertRowsULP(t, composer+" vs reference", got, want)
-				continue
-			}
-			assertBitIdentical(t, fmt.Sprintf("%s run %d vs run 0", composer, i), got, first)
-		}
-		// The schedules must actually have differed: with randomized
-		// delays across 100 runs, work stealing is statistically certain.
-		if st := s.eng.Snapshot(); st.AVPSteals == 0 {
-			t.Errorf("%s: no steals across %d jittered runs — schedules never diverged", composer, runs)
-		}
+		assertBitIdentical(t, fmt.Sprintf("run %d vs run 0", i), got, first)
+	}
+	// The schedules must actually have differed: with randomized
+	// delays across 100 runs, work stealing is statistically certain.
+	if st := s.eng.Snapshot(); st.AVPSteals == 0 {
+		t.Errorf("no steals across %d jittered runs — schedules never diverged", runs)
 	}
 }
 

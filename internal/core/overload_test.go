@@ -262,6 +262,48 @@ func TestMemoryBudgetAbortsTyped(t *testing.T) {
 	}
 }
 
+// TestMemoryBudgetFailoverReleasesDeadAttempt: a node that crashes
+// mid-stream leaves rows in the sink that the failover replaces. Dropping
+// them must return their charge, so a fetch whose budget covers its rows
+// once (plus the gather's up-front charge), but not its rows plus the
+// dead attempt's, still answers.
+func TestMemoryBudgetFailoverReleasesDeadAttempt(t *testing.T) {
+	const text = "select o_orderkey, o_totalprice from orders"
+	crashed := func(opts Options) *stack {
+		opts.QueryTimeout = 30 * time.Second
+		s := buildStack(t, 2, opts)
+		s.eng.Procs()[0].InjectFaults(fault.New(3).CrashMidQueryAt(1, 1))
+		return s
+	}
+	// Calibrate on an unbudgeted stack: the composed rows R and the rows
+	// D the crashed attempt streamed before it died.
+	cal := crashed(DefaultOptions())
+	want, err := cal.eng.RunSVP(context.Background(), mustSel(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cal.eng.Snapshot()
+	if st.SubQueryRetries < 1 || st.StreamedRows <= st.ComposedRows {
+		t.Fatalf("no mid-stream failover to test: %+v", st)
+	}
+	rowBytes := rowsBytes(want.Rows[:1])
+	rows, dead := st.ComposedRows*rowBytes, (st.StreamedRows-st.ComposedRows)*rowBytes
+
+	opts := DefaultOptions()
+	gatherCharge := int64(defaultGatherBudget*2) * gatherSlotBytes
+	opts.Admission = admission.Config{MaxConcurrent: 4, MemoryBudget: gatherCharge + rows + dead/2}
+	s := crashed(opts)
+	defer s.eng.Close()
+	got, err := s.eng.RunSVP(context.Background(), mustSel(t, text))
+	if err != nil {
+		t.Fatalf("budget of R + D/2 (R=%d, D=%d bytes): %v", rows, dead, err)
+	}
+	assertSameResult(t, "failover under budget", got, want, true)
+	if ast := s.eng.Admission().Snapshot(); ast.MemAborts != 0 || ast.MemReserved != 0 {
+		t.Fatalf("admission after the query: %+v", ast)
+	}
+}
+
 // TestSlowQueryKillerCancelsThroughEngine wires the killer to the
 // per-morsel/context checks of the real execution path: a query whose
 // injected service time dwarfs its class budget is cancelled and

@@ -8,7 +8,7 @@ import (
 )
 
 // feedSink hands rows to the sink as one batch of the given attempt.
-func feedSink(t *testing.T, sink composeSink, idx int, attempt int64, rows []sqltypes.Row) {
+func feedSink(t *testing.T, sink *memdbSink, idx int, attempt int64, rows []sqltypes.Row) {
 	t.Helper()
 	b := sqltypes.GetBatch()
 	b.Rows = append(b.Rows, rows...)
@@ -42,41 +42,37 @@ func TestSinkComposesOncePerQuery(t *testing.T) {
 	histories := []struct {
 		name string
 		n    int
-		run  func(t *testing.T, sink composeSink)
+		run  func(t *testing.T, sink *memdbSink)
 		want []int64
 	}{
-		{"out-of-order commits", 3, func(t *testing.T, sink composeSink) {
+		{"out-of-order commits", 3, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 2, 1, keyRows(7, 8))
-			mustCommit(t, sink, 2, 1)
+			sink.commit(2, 1)
 			feedSink(t, sink, 0, 2, keyRows(1))
 			feedSink(t, sink, 1, 3, keyRows(4, 5))
 			feedSink(t, sink, 0, 2, keyRows(2))
-			mustCommit(t, sink, 1, 3)
-			mustCommit(t, sink, 0, 2)
+			sink.commit(1, 3)
+			sink.commit(0, 2)
 		}, []int64{1, 2, 4, 5, 7, 8}},
-		{"hedge twin wins after the original streamed", 2, func(t *testing.T, sink composeSink) {
+		{"hedge twin wins after the original streamed", 2, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 0, 1, keyRows(1, 2)) // the original, mid-stream
 			feedSink(t, sink, 0, 2, keyRows(1, 2, 3))
-			mustCommit(t, sink, 0, 2) // the twin's fin arrives first
+			sink.commit(0, 2) // the twin's fin arrives first
 			feedSink(t, sink, 1, 3, keyRows(6))
-			mustCommit(t, sink, 1, 3)
-			if err := sink.abort(0, 1); err != nil { // the loser reports in
-				t.Fatal(err)
-			}
+			sink.commit(1, 3)
+			sink.abort(0, 1) // the loser reports in
 		}, []int64{1, 2, 3, 6}},
-		{"mid-stream abort at the first partition", 2, func(t *testing.T, sink composeSink) {
+		{"mid-stream abort at the first partition", 2, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 0, 1, keyRows(1))
 			feedSink(t, sink, 1, 2, keyRows(6))
-			if err := sink.abort(0, 1); err != nil {
-				t.Fatal(err)
-			}
-			mustCommit(t, sink, 1, 2)
+			sink.abort(0, 1)
+			sink.commit(1, 2)
 			feedSink(t, sink, 0, 3, keyRows(1, 2))
-			mustCommit(t, sink, 0, 3)
+			sink.commit(0, 3)
 		}, []int64{1, 2, 6}},
-		{"all partitions empty", 3, func(t *testing.T, sink composeSink) {
+		{"all partitions empty", 3, func(t *testing.T, sink *memdbSink) {
 			for p := 0; p < 3; p++ {
-				mustCommit(t, sink, p, int64(p+1))
+				sink.commit(p, int64(p+1))
 			}
 		}, nil},
 	}
@@ -117,13 +113,6 @@ func TestSinkComposesOncePerQuery(t *testing.T) {
 	}
 }
 
-func mustCommit(t *testing.T, sink composeSink, idx int, attempt int64) {
-	t.Helper()
-	if err := sink.commit(idx, attempt); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSinkLimitEarlyStop: when a settled LIMIT ends the gather with a gap
 // in the committed partitions, composition takes the committed prefix
 // only — partitions past the gap are not the leading rows.
@@ -135,12 +124,12 @@ func TestSinkLimitEarlyStop(t *testing.T) {
 	}
 	sink := s.eng.newComposeSink(rw, 4, nil)
 	feedSink(t, sink, 3, 1, keyRows(30, 31, 32))
-	mustCommit(t, sink, 3, 1)
+	sink.commit(3, 1)
 	feedSink(t, sink, 0, 2, keyRows(1, 2))
-	mustCommit(t, sink, 0, 2)
+	sink.commit(0, 2)
 	feedSink(t, sink, 2, 3, keyRows(20)) // still streaming when the gather settles
 	feedSink(t, sink, 1, 4, keyRows(10, 11))
-	mustCommit(t, sink, 1, 4)
+	sink.commit(1, 4)
 	res, err := sink.finish(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -172,13 +161,11 @@ func TestSinkReaggregates(t *testing.T) {
 	}
 	sink := s.eng.newComposeSink(rw, 2, nil)
 	feedSink(t, sink, 1, 1, partial(5, 2.5))
-	mustCommit(t, sink, 1, 1)
+	sink.commit(1, 1)
 	feedSink(t, sink, 0, 2, partial(3, 1.5)) // the original
 	feedSink(t, sink, 0, 3, partial(3, 1.5)) // its hedge twin
-	mustCommit(t, sink, 0, 3)
-	if err := sink.abort(0, 2); err != nil {
-		t.Fatal(err)
-	}
+	sink.commit(0, 3)
+	sink.abort(0, 2)
 	res, err := sink.finish(context.Background())
 	if err != nil {
 		t.Fatal(err)

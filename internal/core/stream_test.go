@@ -170,52 +170,42 @@ func TestAggLimitNotPushed(t *testing.T) {
 // streaming part of its partition must not leave its rows in the
 // composition — the failover attempt's rows replace them exactly.
 func TestStreamingRollbackOnMidStreamCrash(t *testing.T) {
-	for _, streamCompose := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.QueryTimeout = 30 * time.Second
-		opts.StreamCompose = streamCompose
-		s := buildStack(t, 3, opts)
-		// Crash node 0 on its first request; it self-heals after
-		// rejecting one more, but this query's partition 0 fails over.
-		s.eng.Procs()[0].InjectFaults(fault.New(3).CrashMidQueryAt(1, 1))
-		text := tpch.MustQuery(1)
-		want := s.single(t, text)
-		got, err := s.eng.RunSVP(context.Background(), mustSel(t, text))
-		if err != nil {
-			t.Fatalf("streamCompose=%v: %v", streamCompose, err)
-		}
-		assertSameResult(t, fmt.Sprintf("rollback streamCompose=%v", streamCompose), got, want, true)
-		st := s.eng.Snapshot()
-		if st.SubQueryRetries < 1 {
-			t.Fatalf("streamCompose=%v: expected a failover, stats %+v", streamCompose, st)
-		}
+	opts := DefaultOptions()
+	opts.QueryTimeout = 30 * time.Second
+	s := buildStack(t, 3, opts)
+	// Crash node 0 on its first request; it self-heals after
+	// rejecting one more, but this query's partition 0 fails over.
+	s.eng.Procs()[0].InjectFaults(fault.New(3).CrashMidQueryAt(1, 1))
+	text := tpch.MustQuery(1)
+	want := s.single(t, text)
+	got, err := s.eng.RunSVP(context.Background(), mustSel(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "rollback", got, want, true)
+	if st := s.eng.Snapshot(); st.SubQueryRetries < 1 {
+		t.Fatalf("expected a failover, stats %+v", st)
 	}
 }
 
 // TestComposerHonoursDeadline: a context cancelled before composition
-// makes both sinks refuse to compose, and neither leaves a composition
-// table behind.
+// makes the sink refuse to compose and leave no composition table
+// behind.
 func TestComposerHonoursDeadline(t *testing.T) {
-	for _, streamCompose := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.StreamCompose = streamCompose
-		s := buildStack(t, 2, opts)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		rw, err := PlanSVP(mustSel(t, tpch.MustQuery(1)), TPCHCatalog())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := s.eng.newComposeSink(rw, 1, nil)
-		feedSink(t, sink, 0, 1, s.single(t, rw.Partial.SQL()).Rows)
-		if err := sink.commit(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sink.finish(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("streamCompose=%v: finish under a cancelled context returned %v", streamCompose, err)
-		}
-		if live, created := s.eng.mem.Stats(); live != 0 || created != 0 {
-			t.Fatalf("streamCompose=%v: memdb holds %d relations, created %d; want none", streamCompose, live, created)
-		}
+	s := buildStack(t, 2, DefaultOptions())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rw, err := PlanSVP(mustSel(t, tpch.MustQuery(1)), TPCHCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := s.eng.newComposeSink(rw, 1, nil)
+	feedSink(t, sink, 0, 1, s.single(t, rw.Partial.SQL()).Rows)
+	sink.commit(0, 1)
+	if _, err := sink.finish(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("finish under a cancelled context returned %v", err)
+	}
+	if live, created := s.eng.mem.Stats(); live != 0 || created != 0 {
+		t.Fatalf("memdb holds %d relations, created %d; want none", live, created)
 	}
 }

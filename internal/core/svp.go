@@ -78,13 +78,6 @@ type Rewrite struct {
 	Compose *sql.SelectStmt
 	// Table is the VP table whose key domain drives partitioning.
 	Table string
-	// GroupCount is the number of leading group-key columns in the
-	// partial projection; the rest are decomposed aggregates.
-	GroupCount int
-	// ComposeOps gives, for each aggregate column of the partial
-	// projection, the fold that merges values across partials
-	// ("sum", "min" or "max"). Used by the streaming composer ablation.
-	ComposeOps []string
 	// PushedLimit is the LIMIT bound pushed down into each partial
 	// sub-query (plain rewrites only; 0 = none). The partial keeps the
 	// original ORDER BY and DISTINCT, so the union of per-partition
@@ -353,12 +346,10 @@ func buildAggRewrite(stmt *sql.SelectStmt, refs []VPRef, vpTable string, aggs []
 	}
 
 	aggMap := map[string]sql.Expr{} // original aggregate SQL -> compose-side expression
-	var composeOps []string
-	addPartialAgg := func(f *sql.FuncExpr, fold string) string {
+	addPartialAgg := func(f *sql.FuncExpr) string {
 		name := fmt.Sprintf("a%d", len(cols)-len(stmt.GroupBy))
 		partial.Items = append(partial.Items, sql.SelectItem{Expr: f, Alias: name})
 		cols = append(cols, name)
-		composeOps = append(composeOps, fold)
 		return name
 	}
 	for _, a := range aggs {
@@ -366,17 +357,17 @@ func buildAggRewrite(stmt *sql.SelectStmt, refs []VPRef, vpTable string, aggs []
 		fn := strings.ToLower(a.Name)
 		switch fn {
 		case "sum", "count":
-			name := addPartialAgg(&sql.FuncExpr{Name: fn, Args: cloneArgs(a.Args), Star: a.Star}, "sum")
+			name := addPartialAgg(&sql.FuncExpr{Name: fn, Args: cloneArgs(a.Args), Star: a.Star})
 			// Global sum-of-sums / sum-of-counts.
 			aggMap[key] = &sql.FuncExpr{Name: "sum", Args: []sql.Expr{&sql.ColumnRef{Name: name}}}
 		case "min", "max":
-			name := addPartialAgg(&sql.FuncExpr{Name: fn, Args: cloneArgs(a.Args)}, fn)
+			name := addPartialAgg(&sql.FuncExpr{Name: fn, Args: cloneArgs(a.Args)})
 			aggMap[key] = &sql.FuncExpr{Name: fn, Args: []sql.Expr{&sql.ColumnRef{Name: name}}}
 		case "avg":
 			// The paper's example: avg() must be rewritten as sum()
 			// followed by count() "to address a global average".
-			sumName := addPartialAgg(&sql.FuncExpr{Name: "sum", Args: cloneArgs(a.Args)}, "sum")
-			cntName := addPartialAgg(&sql.FuncExpr{Name: "count", Args: cloneArgs(a.Args)}, "sum")
+			sumName := addPartialAgg(&sql.FuncExpr{Name: "sum", Args: cloneArgs(a.Args)})
+			cntName := addPartialAgg(&sql.FuncExpr{Name: "count", Args: cloneArgs(a.Args)})
 			aggMap[key] = &sql.BinaryExpr{
 				Op: '/',
 				L:  &sql.FuncExpr{Name: "sum", Args: []sql.Expr{&sql.ColumnRef{Name: sumName}}},
@@ -416,7 +407,7 @@ func buildAggRewrite(stmt *sql.SelectStmt, refs []VPRef, vpTable string, aggs []
 	}
 	return &Rewrite{
 		Partial: partial, PartialCols: cols, VPRefs: refs, Compose: compose,
-		Table: vpTable, GroupCount: len(stmt.GroupBy), ComposeOps: composeOps,
+		Table: vpTable,
 	}, nil
 }
 

@@ -39,33 +39,6 @@ func AblationSeqscan(cfg Config, w io.Writer) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationComposer compares the memdb (HSQLDB-equivalent) composer with
-// the hand-rolled streaming merge on the two queries with the largest
-// partial results (Q1's wide aggregates, Q3's many groups).
-func AblationComposer(cfg Config, w io.Writer) (*Figure, error) {
-	fig := newFigure("abl-composer", "result composition: in-memory DBMS vs streaming merge",
-		"seconds", cfg.Nodes, []string{"Q1-memdb", "Q1-stream", "Q3-memdb", "Q3-stream"})
-	for half, stream := range []bool{false, true} {
-		run := cfg
-		run.StreamCompose = stream
-		for r, n := range run.Nodes {
-			s, err := buildStack(n, run)
-			if err != nil {
-				return nil, err
-			}
-			for qi, qn := range []int{1, 3} {
-				mean, _, err := workload.IsolatedTiming(s, tpch.MustQuery(qn), run.Repeats)
-				if err != nil {
-					return nil, fmt.Errorf("abl-composer n=%d stream=%v Q%d: %w", n, stream, qn, err)
-				}
-				fig.Values[r][qi*2+half] = mean.Seconds()
-			}
-			progress(w, "abl-composer n=%-2d stream=%-5v done", n, stream)
-		}
-	}
-	return fig, nil
-}
-
 // AblationBarrier measures the consistency blocker's cost under the
 // mixed workload: read throughput and update-sequence time with the
 // barrier on and off.
@@ -216,7 +189,6 @@ func Ablations(cfg Config, w io.Writer) ([]*Figure, error) {
 	var out []*Figure
 	for _, e := range []exp{
 		{"abl-seqscan", AblationSeqscan},
-		{"abl-composer", AblationComposer},
 		{"abl-barrier", AblationBarrier},
 		{"abl-baseline", BaselineComparison},
 		{"abl-strategy", AblationStrategy},

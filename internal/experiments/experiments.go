@@ -43,11 +43,10 @@ type Config struct {
 	Cost costmodel.Config
 	// Baseline disables Apuama: inter-query parallelism only.
 	Baseline bool
-	// StreamCompose / NoBarrier / AllowSeqscan / UseAVP select ablations.
-	StreamCompose bool
-	NoBarrier     bool
-	AllowSeqscan  bool
-	UseAVP        bool
+	// NoBarrier / AllowSeqscan / UseAVP select ablations.
+	NoBarrier    bool
+	AllowSeqscan bool
+	UseAVP       bool
 	// MaxStaleness > 0 selects the relaxed-freshness replication policy
 	// (the paper's future work).
 	MaxStaleness int64
@@ -153,7 +152,6 @@ func buildStack(n int, cfg Config) (*stack, error) {
 	if cfg.UseAVP {
 		opts.Strategy = core.AVP
 	}
-	opts.StreamCompose = cfg.StreamCompose
 	opts.NoBarrier = cfg.NoBarrier
 	opts.MaxStaleness = cfg.MaxStaleness
 	opts.ForceIndexScan = !cfg.AllowSeqscan

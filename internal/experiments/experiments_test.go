@@ -110,7 +110,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 7 {
+	if len(figs) != 6 {
 		t.Fatalf("ablations: %d figures", len(figs))
 	}
 	for _, fig := range figs {
