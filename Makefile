@@ -30,18 +30,23 @@ race:
 # cores host its workers. The second line names the batch kernels'
 # differential and batch-boundary tests (filters, numeric kernels, the
 # integer join table against the reference evaluator), the kept join
-# tuples' retention guard, the planner invariant and the pool audit of
-# failed and cancelled opens (arena chunks included): they run inside the
-# first already; named, the gate stays visible if they are ever renamed or
-# filtered. The third line runs the allocation pins without the race
+# tuples' retention guard, the planner invariant, the pool audit of
+# failed and cancelled opens (arena chunks included), the prepared plan's
+# re-bind rule, its re-opens after a drain, an early close, an error and a
+# cancel, and ForceIndexScan staying inside its own query: they run inside
+# the first already; named, the gate stays visible if they are ever
+# renamed or filtered. The same line runs the controller's prepared ≡
+# fresh oracle over every TPC-H template, partition and degree, its
+# refusals, and the plans-per-query pin. The third line runs the
+# allocation pins (the memdb composition's included) without the race
 # detector, under which sync.Pool drops buffers and the pins skip
 # themselves. Each pin measures at the -cpu it runs under and takes the
 # least of three logged rounds: a run the scheduler moves to another P
 # misses the buffers sync.Pool keeps for the old P, once per move.
-RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers
-RACE_CPU_PKGS := ./internal/engine/
-PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU
-PINS_PKGS := ./internal/engine/ ./internal/storage/
+RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers
+RACE_CPU_PKGS := ./internal/engine/ ./internal/core/
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes
+PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
 	$(GO) test -race -cpu 1,2,4 -count=1 -run '$(RACE_CPU_RUN)' $(RACE_CPU_PKGS)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"apuama/internal/sql"
-)
+import "time"
 
 // Adaptive Virtual Partitioning (AVP) is the intra-query strategy of
 // SmaQ (Lima, Mattoso, Valduriez — SBBD 2004), which the paper's §6
@@ -18,8 +14,7 @@ import (
 // claim directly.
 // Both strategies now run through the fine-grained scheduler in
 // engine.go/scheduler.go: SVP keeps fixed-size partitions, AVP adds the
-// adaptive claim-run sizing below. avpState and chunkQuery are the
-// pieces the unified path reuses.
+// adaptive claim-run sizing below.
 
 // avpState tracks the adaptive sizing loop for one node.
 type avpState struct {
@@ -106,22 +101,4 @@ func (st *avpState) adapt(keys int64, elapsed time.Duration) {
 		st.size = max(st.size/2, 1)
 	}
 	st.lastRate = rate
-}
-
-// chunkQuery instantiates the partial template over one [v1, v2) chunk.
-func (rw *Rewrite) chunkQuery(v1, v2 int64) *sql.SelectStmt {
-	sub := sql.CloneSelect(rw.Partial)
-	for _, ref := range rw.VPRefs {
-		col := &sql.ColumnRef{Table: ref.Ref, Name: ref.VPA}
-		rangePred := &sql.AndExpr{
-			L: &sql.CompareExpr{Op: ">=", L: col, R: intLit(v1)},
-			R: &sql.CompareExpr{Op: "<", L: sql.CloneExpr(col), R: intLit(v2)},
-		}
-		if sub.Where == nil {
-			sub.Where = rangePred
-		} else {
-			sub.Where = &sql.AndExpr{L: sub.Where, R: rangePred}
-		}
-	}
-	return sub
 }

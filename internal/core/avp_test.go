@@ -89,8 +89,11 @@ func TestAVPChunkAdaptation(t *testing.T) {
 	}
 }
 
-func TestChunkQueryAddsRange(t *testing.T) {
-	stmt, err := sql.ParseSelect("select sum(l_quantity) from lineitem")
+// TestTemplateAddsRange: the sub-query template bounds every VP table
+// reference by its own pair of placeholders, and SubQuery writes the same
+// predicate with literals.
+func TestTemplateAddsRange(t *testing.T) {
+	stmt, err := sql.ParseSelect("select sum(l_quantity) from orders, lineitem where o_orderkey = l_orderkey")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +101,21 @@ func TestChunkQueryAddsRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := rw.chunkQuery(100, 200)
-	text := sub.SQL()
-	if _, err := sql.ParseSelect(text); err != nil {
-		t.Fatalf("chunk does not parse: %v\n%s", err, text)
-	}
-	for _, want := range []string{">= 100", "< 200"} {
+	text := rw.template().SQL()
+	for _, want := range []string{"o_orderkey >= $1", "o_orderkey < $2", "l_orderkey >= $3", "l_orderkey < $4"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("chunk lacks %q: %s", want, text)
+			t.Errorf("template lacks %q: %s", want, text)
 		}
+	}
+	if args := rw.rangeArgs(100, 200); len(args) != 4 || args[2].I != 100 || args[3].I != 200 {
+		t.Errorf("rangeArgs(100, 200) = %v", args)
+	}
+	sub := rw.SubQuery(0, 1, 100, 199).SQL()
+	if _, err := sql.ParseSelect(sub); err != nil {
+		t.Fatalf("sub-query does not parse: %v\n%s", err, sub)
+	}
+	if want := strings.NewReplacer("$1", "100", "$2", "200", "$3", "100", "$4", "200").Replace(text); sub != want {
+		t.Errorf("SubQuery is not the template with its arguments written in:\n%s\nwant\n%s", sub, want)
 	}
 }
 

@@ -618,12 +618,14 @@ func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Resu
 }
 
 // queryPlan is the logical stage's output, fixed before any node is
-// touched: the rewrite, the fine virtual partitions [v1, v2) — cut from
-// the CONFIGURED node count, never from liveness, so partial-cache keys
-// stay stable across degree changes — and the partial-cache key (zero
-// when that cache is off).
+// touched: the rewrite, the sub-query template every attempt plans with
+// its partition's bounds as arguments, the fine virtual partitions
+// [v1, v2) — cut from the CONFIGURED node count, never from liveness, so
+// partial-cache keys stay stable across degree changes — and the
+// partial-cache key (zero when that cache is off).
 type queryPlan struct {
 	rw        *Rewrite
+	sub       *sql.SelectStmt
 	ranges    [][2]int64
 	keySpan   int64 // hi - lo + 1
 	partialFP sql.Fingerprint
@@ -640,7 +642,7 @@ func (e *Engine) planQuery(sel *sql.SelectStmt) (queryPlan, error) {
 	if err != nil {
 		return queryPlan{}, notEligible(ReasonKeyDomain, "%v", err)
 	}
-	p := queryPlan{rw: rw, keySpan: hi - lo + 1}
+	p := queryPlan{rw: rw, sub: rw.template(), keySpan: hi - lo + 1}
 	p.ranges = make([][2]int64, e.fineParts(p.keySpan))
 	for i := range p.ranges {
 		v1, v2 := Partition(lo, hi, len(p.ranges), i)
@@ -829,9 +831,12 @@ func (r *svpRun) abortFlights() {
 // partition, then home partitions in index order (adjacent key ranges),
 // then steals from the most-loaded block. Under AVP a claim run takes
 // several adjacent home partitions back-to-back, sized by the adaptive
-// chunk rule from the keys/second rate of the last run.
+// chunk rule from the keys/second rate of the last run. The loop plans
+// its sub-query on its first claim and re-opens that plan with each later
+// claim's bounds (NodeProcessor.StreamAt).
 func (r *svpRun) work(w int, p *NodeProcessor, first int) {
 	defer r.sch.workerGone(w, r.alive)
+	var prep *engine.Prepared
 	var ast *avpState
 	if r.e.opts.Strategy == AVP {
 		ast = &avpState{size: max(r.plan.keySpan/(int64(len(r.procs))*avpInitialFraction), 1)}
@@ -860,7 +865,7 @@ func (r *svpRun) work(w int, p *NodeProcessor, first int) {
 			if r.workCtx.Err() != nil {
 				return
 			}
-			kk, downErr := r.runClaim(p, idx, stolen)
+			kk, downErr := r.runClaim(p, idx, stolen, &prep)
 			if downErr != nil {
 				for _, rest := range idxs[k+1:] {
 					r.sch.requeue(rest, p, downErr, r.alive)
@@ -875,12 +880,13 @@ func (r *svpRun) work(w int, p *NodeProcessor, first int) {
 	}
 }
 
-// runClaim executes one claimed partition on p: transient failures retry
-// in place with capped backoff, then the partition goes back on the queue
-// for an untried live worker (when none is left the scheduler fails the
-// query with this cause). It returns the keys answered; a non-nil
-// downErr means p itself is gone and its worker must retire.
-func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool) (keys int64, downErr error) {
+// runClaim executes one claimed partition on p with the worker's prepared
+// plan prep: transient failures retry in place with capped backoff, then
+// the partition goes back on the queue for an untried live worker (when
+// none is left the scheduler fails the query with this cause). It returns
+// the keys answered; a non-nil downErr means p itself is gone and its
+// worker must retire.
+func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool, prep **engine.Prepared) (keys int64, downErr error) {
 	e := r.e
 	e.st.subQueries.Inc()
 	p.countClaim()
@@ -890,7 +896,7 @@ func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool) (keys int64, d
 	}
 	backoff := e.opts.RetryBackoff
 	for try := 1; ; try++ {
-		err := r.attempt(p, idx, kind, try)
+		err := r.attempt(p, idx, kind, try, prep)
 		switch {
 		case err == nil:
 			return r.plan.ranges[idx][1] - r.plan.ranges[idx][0], nil
@@ -940,7 +946,7 @@ func (r *svpRun) follow(idx int, wait func(context.Context) ([]sqltypes.Row, err
 		}
 		tried = append(tried, p)
 		r.e.st.subQueries.Inc()
-		if err := r.attempt(p, idx, followerAttempt, len(tried)); !retryable(err) {
+		if err := r.attempt(p, idx, followerAttempt, len(tried), nil); !retryable(err) {
 			return
 		}
 	}
@@ -960,9 +966,12 @@ const (
 
 // attempt streams partition idx on node p once, under a fresh attempt ID
 // — the controller's only StreamAt call. It charges the dispatch message,
-// traces a subquery span (numbered try when try > 0), forwards every
-// batch to the gather and ends with a fin carrying the outcome.
-func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int) error {
+// traces a subquery span (numbered try when try > 0; plan=reused when it
+// re-opened its worker's plan), forwards every batch to the gather and
+// ends with a fin carrying the outcome. prep is the claiming worker's
+// prepared plan; hedges and followers, on goroutines of their own, pass
+// nil and plan afresh.
+func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, prep **engine.Prepared) error {
 	id, hedge := r.attemptSeq.Add(1), kind == hedgeAttempt
 	sq := r.qspan.Child("subquery")
 	sq.Annotate("partition", strconv.Itoa(idx))
@@ -978,16 +987,19 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int) e
 	case hedgeAttempt:
 		sq.Annotate("hedged", "true")
 	}
-	sub := r.plan.rw.chunkQuery(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
+	args := r.plan.rw.rangeArgs(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
 	p.Node().Meter().Charge(r.e.net.Config().NetMessage)
 	t0 := time.Now()
-	err := p.StreamAt(r.workCtx, sub, r.snapshot, r.e.opts.ForceIndexScan, func(b *sqltypes.Batch) error {
+	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, r.e.opts.ForceIndexScan, prep, func(b *sqltypes.Batch) error {
 		if !r.send(gatherMsg{idx: idx, attempt: id, hedge: hedge, batch: b}) {
 			return r.workCtx.Err()
 		}
 		return nil
 	})
 	dur := time.Since(t0)
+	if reused {
+		sq.Annotate("plan", "reused")
+	}
 	r.e.m.subqueryDur.Observe(dur)
 	fin := gatherMsg{idx: idx, attempt: id, hedge: hedge, fin: true, err: err}
 	if err == nil {

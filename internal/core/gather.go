@@ -340,7 +340,7 @@ func (g *gatherState) hedgeDue() {
 	g.hedged[idx], g.hedgeFor = true, idx
 	e.st.hedges.Inc()
 	e.st.subQueries.Inc()
-	go r.attempt(alt, idx, hedgeAttempt, 0)
+	go r.attempt(alt, idx, hedgeAttempt, 0, nil)
 }
 
 // scheduleFailed: some partition has no live untried node left (or every

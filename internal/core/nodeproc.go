@@ -211,27 +211,34 @@ func (p *NodeProcessor) Query(ctx context.Context, sqlText string) (*engine.Resu
 	return res, nil
 }
 
-// StreamAt runs a parsed sub-query pinned to the barrier snapshot and
-// delivers the result batch-at-a-time through sink instead of
-// materializing it. The pooled connection is held for the whole stream.
-// Each delivered batch is owned by the sink (which must return it to the
-// batch pool when done); a non-nil sink error aborts the stream.
+// StreamAt runs the sub-query stmt, with args bound to its placeholders,
+// pinned to the barrier snapshot, and delivers the result
+// batch-at-a-time through sink instead of materializing it. The pooled
+// connection is held for the whole stream. Each delivered batch is owned
+// by the sink (which must return it to the batch pool when done); a
+// non-nil sink error aborts the stream.
+//
+// prep, when non-nil, is the calling worker's prepared plan on this node,
+// like a JDBC PreparedStatement on its connection: it is re-opened when
+// it re-binds to args (reused reports this), and otherwise replaced by a
+// fresh plan, which the worker keeps for its next claim.
 //
 // Fault semantics: the injector's after-hook fires when
 // the operation ends, so a scripted failure can surface after batches
 // have already been delivered — callers must be prepared to discard a
 // partially streamed attempt.
-func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, snapshot int64, forceIndex bool, sink func(*sqltypes.Batch) error) error {
+func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, args []sqltypes.Value, snapshot int64, forceIndex bool, prep **engine.Prepared, sink func(*sqltypes.Batch) error) (reused bool, err error) {
 	after, err := p.begin(ctx)
 	if err != nil {
-		return err
+		return false, err
 	}
 	release, err := p.acquire(ctx)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer release()
-	cur, qerr := p.node.OpenQueryStmtAt(stmt, snapshot, engine.QueryOpts{ForceIndexScan: forceIndex, Parallelism: p.effectiveParallelism(), Ctx: ctx})
+	opts := engine.QueryOpts{ForceIndexScan: forceIndex, Parallelism: p.effectiveParallelism(), Ctx: ctx}
+	cur, reused, qerr := p.open(stmt, args, snapshot, opts, prep)
 	if qerr == nil {
 		for {
 			b := sqltypes.GetBatch()
@@ -252,7 +259,25 @@ func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, snap
 	if after != nil {
 		qerr = after(qerr)
 	}
-	return qerr
+	return reused, qerr
+}
+
+// open opens stmt with args at snapshot: the worker's prepared plan when
+// it re-binds to them, else a fresh plan that replaces it.
+func (p *NodeProcessor) open(stmt *sql.SelectStmt, args []sqltypes.Value, snapshot int64, opts engine.QueryOpts, prep **engine.Prepared) (*engine.Cursor, bool, error) {
+	if prep != nil && *prep != nil && (*prep).Rebind(args, opts) {
+		cur, err := (*prep).OpenAt(snapshot, opts)
+		return cur, true, err
+	}
+	plan, err := p.node.Prepare(stmt, args, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	if prep != nil {
+		*prep = plan
+	}
+	cur, err := plan.OpenAt(snapshot, opts)
+	return cur, false, err
 }
 
 // ApplyWrite forwards a middleware-ordered write. A crash-mid-query

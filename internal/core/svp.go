@@ -564,12 +564,39 @@ func rewriteOrderBy(stmt *sql.SelectStmt, outNames []string) ([]sql.OrderItem, e
 // every VP table reference (the paper's formula (2)).
 func (rw *Rewrite) SubQuery(i, n int, lo, hi int64) *sql.SelectStmt {
 	v1, v2 := Partition(lo, hi, n, i)
+	return rw.withRange(func(int) (sql.Expr, sql.Expr) { return intLit(v1), intLit(v2) })
+}
+
+// template is every sub-query at once: the partial template with the
+// range predicates over placeholders, reference k's bounds being $2k+1
+// and $2k+2. Planned with rangeArgs(v1, v2), it is SubQuery's statement
+// for [v1, v2).
+func (rw *Rewrite) template() *sql.SelectStmt {
+	return rw.withRange(func(k int) (sql.Expr, sql.Expr) {
+		return &sql.Placeholder{N: 2*k + 1}, &sql.Placeholder{N: 2*k + 2}
+	})
+}
+
+// rangeArgs returns the template's arguments for partition [v1, v2).
+func (rw *Rewrite) rangeArgs(v1, v2 int64) []sqltypes.Value {
+	args := make([]sqltypes.Value, 0, 2*len(rw.VPRefs))
+	for range rw.VPRefs {
+		args = append(args, sqltypes.NewInt(v1), sqltypes.NewInt(v2))
+	}
+	return args
+}
+
+// withRange clones the partial template and ANDs `ref.vpa >= lo and
+// ref.vpa < hi` onto its WHERE for each VP table reference k, taking the
+// bounds from bounds(k).
+func (rw *Rewrite) withRange(bounds func(k int) (lo, hi sql.Expr)) *sql.SelectStmt {
 	sub := sql.CloneSelect(rw.Partial)
-	for _, ref := range rw.VPRefs {
+	for k, ref := range rw.VPRefs {
+		lo, hi := bounds(k)
 		col := &sql.ColumnRef{Table: ref.Ref, Name: ref.VPA}
 		rangePred := &sql.AndExpr{
-			L: &sql.CompareExpr{Op: ">=", L: col, R: intLit(v1)},
-			R: &sql.CompareExpr{Op: "<", L: sql.CloneExpr(col), R: intLit(v2)},
+			L: &sql.CompareExpr{Op: ">=", L: col, R: lo},
+			R: &sql.CompareExpr{Op: "<", L: sql.CloneExpr(col), R: hi},
 		}
 		if sub.Where == nil {
 			sub.Where = rangePred

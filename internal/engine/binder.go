@@ -69,10 +69,12 @@ func (sc *scope) resolve(table, name string) (int, error, bool) {
 }
 
 // binder binds sql.Expr trees into bexpr trees. It needs the node for
-// planning nested sub-queries; one without a node binds everything else
-// (literalValue folds constants through one).
+// planning nested sub-queries and the plan's inputs for placeholders; one
+// without either binds everything else (literalValue folds constants
+// through one).
 type binder struct {
 	node *Node
+	in   *planInputs
 }
 
 // bind resolves an expression in the given scope. Aggregate calls are
@@ -83,6 +85,12 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		return b.bindColumn(e, sc)
 	case *sql.Literal:
 		return &litExpr{v: e.Val}, nil
+	case *sql.Placeholder:
+		if b.in == nil || e.N < 1 || e.N > len(b.in.args) {
+			return nil, fmt.Errorf("no argument for placeholder %s", e.SQL())
+		}
+		b.in.spilled = true // the argument is now part of an expression, not a bound slot
+		return &litExpr{v: b.in.args[e.N-1]}, nil
 	case *sql.BinaryExpr:
 		l, err := b.bind(e.L, sc)
 		if err != nil {
@@ -301,11 +309,15 @@ func (b *binder) bindSubplan(stmt *sql.SelectStmt, enclosing *scope) (*subplan, 
 		return nil, fmt.Errorf("sub-query is not allowed in a constant expression")
 	}
 	var paramBinds []bexpr
-	root, cols, err := b.node.planSelectScoped(stmt, enclosing, &paramBinds)
+	root, cols, err := b.node.planSelectScoped(stmt, enclosing, &paramBinds, b.in)
 	if err != nil {
 		return nil, err
 	}
-	return &subplan{root: root, paramBinds: paramBinds, ncols: len(cols)}, nil
+	s := &subplan{root: root, paramBinds: paramBinds, ncols: len(cols)}
+	if b.in != nil {
+		b.in.subplans = append(b.in.subplans, s)
+	}
+	return s, nil
 }
 
 // subplan is a planned nested query plus the expressions (evaluated in

@@ -216,7 +216,7 @@ func TestBoundIntersection(t *testing.T) {
 		outerScope := &scope{tables: []tableBinding{{ref: "o", rel: orders}}, outputs: []colID{{t: 0, c: 0}}}
 		var params []bexpr
 		inner1 := mustSelect(t, "select 1 from items i where i.ok = o.ok and i.ok >= 50 and i.ok > 7 and i.ok < 60")
-		root, _, err := nd.planSelectScoped(inner1, outerScope, &params)
+		root, _, err := nd.planSelectScoped(inner1, outerScope, &params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,24 +19,26 @@ func (nd *Node) Explain(sel *sql.SelectStmt) (*Result, error) {
 }
 
 // ExplainOpts renders the plan exactly as QueryStmtAt would execute it
-// under the same QueryOpts — in particular the parallel degree resolves
-// through the identical resolveParallelism(opts.Parallelism) call, so
-// the explained gather degree never diverges from the executed one.
+// under the same QueryOpts: both Prepare it, so the explained access paths
+// and gather degree never diverge from the executed ones.
 func (nd *Node) ExplainOpts(sel *sql.SelectStmt, opts QueryOpts) (*Result, error) {
-	root, _, err := nd.planSelect(sel)
+	p, err := nd.Prepare(sel, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	if degree, gated := nd.resolveParallelism(opts.Parallelism); degree > 1 {
-		root = parallelizePlan(nd, root, degree, gated)
-	}
+	return p.Explain(), nil
+}
+
+// Explain renders the plan as it stands, one line per operator,
+// PostgreSQL-style: EXPLAIN EXECUTE of the arguments last bound.
+func (p *Prepared) Explain() *Result {
 	var lines []string
-	describe(root, 0, &lines)
+	describe(p.root, 0, &lines)
 	res := &Result{Cols: []string{"QUERY PLAN"}}
 	for _, l := range lines {
 		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewString(l)})
 	}
-	return res, nil
+	return res
 }
 
 // describe renders one operator and recurses into its inputs.

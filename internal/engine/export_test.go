@@ -7,6 +7,12 @@ import (
 	"apuama/internal/sqltypes"
 )
 
+// planSelect plans a top-level SELECT without placeholders under the
+// node's own settings, serially.
+func (n *Node) planSelect(stmt *sql.SelectStmt) (op, []string, error) {
+	return n.planTop(stmt, &planInputs{})
+}
+
 // SetJoinTupleTest switches the join tuples' retention guard: poison
 // overwrites an arena's tuples when it rewinds or is released, stable
 // plans every join with slab tuples and no copying filter (the reference).
@@ -149,7 +155,7 @@ func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (perBatch, kept int
 func (nd *Node) QueryStmtWideJoins(sel *sql.SelectStmt, snapshot int64, degree int) (*Result, error) {
 	var params []bexpr
 	var fp fromPlan
-	if err := nd.planFrom(&fp, sel, nil, &params); err != nil {
+	if err := nd.planFrom(&fp, sel, nil, &params, nil); err != nil {
 		return nil, err
 	}
 	root, cols, err := nd.planOver(sel, &fp, nil)

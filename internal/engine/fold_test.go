@@ -84,11 +84,11 @@ func TestBinderFoldsConstants(t *testing.T) {
 	}
 
 	// literalValue is the same folder, asked for the value.
-	if v, ok := literalValue(mustSelect(t, "select date '1994-01-01' + interval '3' month from items").Items[0].Expr); !ok || !sameValue(v, sqltypes.MustDate("1994-04-01")) {
+	if v, ok := literalValue(mustSelect(t, "select date '1994-01-01' + interval '3' month from items").Items[0].Expr, nil); !ok || !sameValue(v, sqltypes.MustDate("1994-04-01")) {
 		t.Errorf("literalValue folded to %v, %v", v, ok)
 	}
 	for _, text := range []string{"1/0", "ok + 1", "1 + (select max(ok) from orders)"} {
-		if v, ok := literalValue(mustSelect(t, "select "+text+" from items").Items[0].Expr); ok {
+		if v, ok := literalValue(mustSelect(t, "select "+text+" from items").Items[0].Expr, nil); ok {
 			t.Errorf("literalValue(%q) = %v, want not a literal", text, v)
 		}
 	}

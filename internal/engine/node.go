@@ -33,11 +33,6 @@ type Node struct {
 	settingsMu sync.RWMutex
 	settings   map[string]sqltypes.Value
 
-	// forcedIndex counts in-flight queries demanding index access
-	// (QueryOpts.ForceIndexScan); while positive the planner behaves as
-	// if enable_seqscan were off, like the paper's SET around SVP runs.
-	forcedIndex atomic.Int64
-
 	// defaultPar is the node's default intra-node parallel degree for
 	// queries that don't pin one via QueryOpts.Parallelism: 0 = auto
 	// (GOMAXPROCS capped, gated on table size), 1 = serial, n = fixed.
@@ -256,12 +251,10 @@ func (nd *Node) Setting(name string) (sqltypes.Value, bool) {
 	return v, ok
 }
 
-// EnableSeqscan reports the enable_seqscan knob (default true, as in
-// PostgreSQL), honouring any in-flight ForceIndexScan queries.
+// EnableSeqscan reports the node's enable_seqscan setting (default true,
+// as in PostgreSQL). A query's QueryOpts.ForceIndexScan overrides it for
+// that query's plan alone.
 func (nd *Node) EnableSeqscan() bool {
-	if nd.forcedIndex.Load() > 0 {
-		return false
-	}
 	if v, ok := nd.Setting("enable_seqscan"); ok {
 		return v.Bool()
 	}
@@ -291,8 +284,9 @@ func (nd *Node) QueryStmt(sel *sql.SelectStmt) (*Result, error) {
 
 // QueryOpts carries per-query planner overrides. ForceIndexScan pins
 // enable_seqscan=off for this query only — the per-connection SET the
-// Apuama paper issues around each SVP sub-query, without perturbing
-// concurrent sessions on the same node. BatchSize overrides the row
+// Apuama paper issues around each SVP sub-query. It is an input of the
+// query's plan (its sub-queries' plans included), so concurrent sessions
+// on the same node never see it. BatchSize overrides the row
 // capacity of operator-internal batches (0 = default; tests shrink it
 // to exercise batch boundaries). Parallelism selects the intra-node
 // morsel-driven degree: 0 defers to the node default (auto), 1 pins
@@ -330,15 +324,14 @@ func (nd *Node) QueryStmtAt(sel *sql.SelectStmt, snapshot int64, opts QueryOpts)
 	return &Result{Cols: cur.Cols(), Rows: rows}, nil
 }
 
-// Cursor streams one query's results batch-at-a-time. It pins the
-// node's per-query planner overrides (ForceIndexScan) from open until
-// Close, so a cursor must always be closed.
+// Cursor streams one query's results batch-at-a-time. It holds the
+// plan's pooled buffers from open until Close, so a cursor must always be
+// closed.
 type Cursor struct {
 	nd     *Node
 	ex     *execCtx
 	root   op
 	cols   []string
-	forced bool
 	closed bool
 }
 
@@ -346,29 +339,11 @@ type Cursor struct {
 // cursor positioned before the first batch. The caller must Close the
 // cursor (Close is idempotent and safe after errors).
 func (nd *Node) OpenQueryStmtAt(sel *sql.SelectStmt, snapshot int64, opts QueryOpts) (*Cursor, error) {
-	if opts.ForceIndexScan {
-		nd.forcedIndex.Add(1)
-	}
-	release := func() {
-		if opts.ForceIndexScan {
-			nd.forcedIndex.Add(-1)
-		}
-	}
-	root, cols, err := nd.planSelect(sel)
+	p, err := nd.Prepare(sel, nil, opts)
 	if err != nil {
-		release()
 		return nil, err
 	}
-	if degree, gated := nd.resolveParallelism(opts.Parallelism); degree > 1 {
-		root = parallelizePlan(nd, root, degree, gated)
-	}
-	ex := &execCtx{node: nd, snapshot: snapshot, meter: nd.meter, ctx: opts.Ctx, batchCap: opts.BatchSize}
-	if err := root.open(ex); err != nil {
-		root.close()
-		release()
-		return nil, err
-	}
-	return &Cursor{nd: nd, ex: ex, root: root, cols: cols, forced: opts.ForceIndexScan}, nil
+	return p.OpenAt(snapshot, opts)
 }
 
 // Cols returns the result column names.
@@ -396,9 +371,6 @@ func (c *Cursor) Close() {
 	c.closed = true
 	c.root.close()
 	c.nd.meter.Flush()
-	if c.forced {
-		c.nd.forcedIndex.Add(-1)
-	}
 }
 
 // Exec executes any statement in standalone (single-node) mode: writes
@@ -488,7 +460,7 @@ func (nd *Node) execInsert(writeID int64, st *sql.InsertStmt) (int64, error) {
 		}
 		row := make(sqltypes.Row, len(rel.Schema.Cols))
 		for i, e := range exprs {
-			v, ok := literalValue(e)
+			v, ok := literalValue(e, nil)
 			if !ok {
 				return 0, fmt.Errorf("INSERT values must be constants")
 			}
@@ -551,7 +523,7 @@ func (nd *Node) execUpdate(writeID int64, st *sql.UpdateStmt) (int64, error) {
 		return 0, err
 	}
 	set := make(map[int]bexpr, len(st.Set))
-	b := &binder{node: nd}
+	b := &binder{node: nd, in: &planInputs{}}
 	layout := make([]colID, len(rel.Schema.Cols))
 	for c := range layout {
 		layout[c] = colID{t: 0, c: c}
@@ -613,7 +585,7 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 	// Build a scan like the query planner would, but keep RowIDs: reuse
 	// the SELECT machinery over a synthetic single-table query, walking
 	// pages directly.
-	b := &binder{node: nd}
+	b := &binder{node: nd, in: &planInputs{}}
 	var params []bexpr
 	nameScope := &scope{tables: []tableBinding{{ref: table, rel: rel}}, params: &params}
 	var filters []sql.Expr
@@ -647,9 +619,9 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 	cfg := nd.meter.Config()
 
 	var rids []storage.RowID
-	best := chooseAccessPath(rel, filters, nameScope)
-	if best != nil && (best.selectivity <= 0.2 || !nd.EnableSeqscan()) {
-		bounds, err := bindBounds(b, best, nameScope)
+	best, _ := chooseAccessPath(rel, filters, nameScope, nil)
+	if best != nil && (best.selectivity <= 0.2 || !b.seqscan()) {
+		bounds, err := bindBounds(b, best, nameScope, false)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -259,7 +259,14 @@ type fragRun struct {
 
 	busy atomic.Int64 // summed worker execution time, for the utilization gauge
 	wg   sync.WaitGroup
+	// finished closes once the run is over: every worker, the context
+	// watcher and the done callback have returned. An operator waits for
+	// it before it re-opens, so nothing of a past run touches its state.
+	finished chan struct{}
 }
+
+// wait blocks until the run is over (see finished).
+func (r *fragRun) wait() { <-r.finished }
 
 func (r *fragRun) setErr(err error) {
 	r.errMu.Lock()
@@ -297,11 +304,13 @@ func (r *fragRun) start(ex *execCtx, handle func(wex *execCtx, wec *evalCtx, mi 
 	// per-morsel ctx check can't fire while every worker is parked in a
 	// backpressure wait, so a dedicated watcher raises stop (which
 	// notifies cond-parked goroutines) the moment the deadline hits.
-	var stopWatch chan struct{}
+	r.finished = make(chan struct{})
+	var stopWatch, watcherGone chan struct{}
 	if ex.ctx != nil {
-		stopWatch = make(chan struct{})
+		stopWatch, watcherGone = make(chan struct{}), make(chan struct{})
 		ctx := ex.ctx
 		go func() {
+			defer close(watcherGone)
 			select {
 			case <-ctx.Done():
 				r.setErr(ctx.Err())
@@ -341,9 +350,11 @@ func (r *fragRun) start(ex *execCtx, handle func(wex *execCtx, wec *evalCtx, mi 
 	}
 	nd := ex.node
 	go func() {
+		defer close(r.finished)
 		r.wg.Wait()
 		if stopWatch != nil {
 			close(stopWatch)
+			<-watcherGone
 		}
 		nd.pstats.addSteals(r.queue.steals.Load())
 		if wall := time.Since(start); wall > 0 && r.degree > 0 {
@@ -403,7 +414,7 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 		partials[mi] = pa
 		return nil
 	}, nil)
-	run.wg.Wait()
+	run.wait()
 	if err := run.firstErr(); err != nil {
 		return err
 	}
@@ -479,7 +490,9 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 	s.done = make([]bool, len(morsels))
 	s.consumed, s.rowPos = 0, 0
 	s.stopped = false
-	s.cond = sync.NewCond(&s.mu)
+	if s.cond == nil {
+		s.cond = sync.NewCond(&s.mu)
+	}
 	s.run = &fragRun{queue: newMorselQueue(len(morsels), s.degree), degree: s.degree}
 
 	run := s.run
@@ -596,7 +609,7 @@ func (s *parallelScanOp) close() {
 		s.run.stop.Store(true)
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		s.run.wg.Wait()
+		s.run.wait()
 		s.run = nil
 	}
 	for _, buf := range s.results { // morsels a stopped consumer never reached

@@ -24,10 +24,10 @@ import (
 //   - correlated sub-queries run as parameterized sub-plans whose
 //     parameter-equality predicates use index lookups.
 
-// planSelect plans a top-level SELECT.
-func (n *Node) planSelect(stmt *sql.SelectStmt) (op, []string, error) {
+// planTop plans a top-level SELECT under the given inputs.
+func (n *Node) planTop(stmt *sql.SelectStmt, in *planInputs) (op, []string, error) {
 	var params []bexpr
-	root, cols, err := n.planSelectScoped(stmt, nil, &params)
+	root, cols, err := n.planSelectScoped(stmt, nil, &params, in)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -40,9 +40,9 @@ func (n *Node) planSelect(stmt *sql.SelectStmt) (op, []string, error) {
 // planSelectScoped plans a SELECT that may reference the outer scope
 // (correlated sub-query); correlation parameter bindings are appended to
 // params.
-func (n *Node) planSelectScoped(stmt *sql.SelectStmt, outer *scope, params *[]bexpr) (op, []string, error) {
+func (n *Node) planSelectScoped(stmt *sql.SelectStmt, outer *scope, params *[]bexpr, in *planInputs) (op, []string, error) {
 	var fp fromPlan
-	if err := n.planFrom(&fp, stmt, outer, params); err != nil {
+	if err := n.planFrom(&fp, stmt, outer, params, in); err != nil {
 		return nil, nil, err
 	}
 	return n.planOver(stmt, &fp, fp.neededCols(stmt))
@@ -63,11 +63,14 @@ type fromPlan struct {
 
 // planFrom resolves the FROM list, classifies the WHERE conjuncts and
 // picks an access path per table.
-func (n *Node) planFrom(fp *fromPlan, stmt *sql.SelectStmt, outer *scope, params *[]bexpr) error {
+func (n *Node) planFrom(fp *fromPlan, stmt *sql.SelectStmt, outer *scope, params *[]bexpr, in *planInputs) error {
 	if len(stmt.From) == 0 {
 		return fmt.Errorf("FROM clause is required")
 	}
-	fp.b = binder{node: n}
+	if in == nil {
+		in = &planInputs{}
+	}
+	fp.b = binder{node: n, in: in}
 
 	// Resolve FROM entries.
 	tables := make([]tableBinding, len(stmt.From))
@@ -351,9 +354,31 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	}
 	scanScope := nameScope.withOutputs(layout)
 
+	rows := float64(tb.rel.LiveRows())
+	if rows < 1 {
+		rows = 1
+	}
+	sel := filterSelectivity(tb.rel, filters)
+	best, candidates := chooseAccessPath(tb.rel, filters, nameScope, b.in.args)
+	seqscan := b.seqscan()
+	useIndex := best != nil && (!seqscan || best.selectivity <= 0.2)
+	// A columnar scan replaces a sequential scan, or a clustered index
+	// range scan, whose relation is large enough.
+	columnar := n.db.ColumnarEnabled() && tb.rel.LiveRows() >= columnarMinRows && (!useIndex || best.index.Clustered)
+	// The heap index scan does not re-prove its own range on every row:
+	// conjuncts the bounds already guarantee are left out of its filter,
+	// and, unless a columnar scan needs them, never bound.
+	var implied func(i int) bool
+	if useIndex {
+		implied = func(i int) bool { return best.implies(filters[i], nameScope) }
+	}
 	var few [8]bexpr // a point or range statement's conjuncts stay on the stack
 	bound := few[:0]
-	for _, f := range filters {
+	for i, f := range filters {
+		if implied != nil && !columnar && implied(i) {
+			bound = append(bound, nil)
+			continue
+		}
 		bf, err := b.bind(f, scanScope)
 		if err != nil {
 			return nil, err
@@ -362,30 +387,19 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	}
 	filter := conjunction(bound, nil)
 
-	rows := float64(tb.rel.LiveRows())
-	if rows < 1 {
-		rows = 1
-	}
-	sel := filterSelectivity(tb.rel, filters)
-	best := chooseAccessPath(tb.rel, filters, nameScope)
-	useIndex := false
-	if best != nil {
-		if !n.EnableSeqscan() {
-			useIndex = true
-		} else if best.selectivity <= 0.2 {
-			useIndex = true
-		}
-	}
 	var scanOp op
-	if useIndex {
-		bounds, err := bindBounds(b, best, nameScope)
+	switch {
+	case useIndex:
+		// Where the range's width chose this path over a sequential scan or
+		// another index, it is part of the plan (see planInputs).
+		bounds, err := bindBounds(b, best, nameScope, seqscan || candidates > 1)
 		if err != nil {
 			return nil, err
 		}
-		// The heap index scan does not re-prove its own range on every row:
-		// conjuncts the bounds already guarantee are left out of its filter.
-		scanOp = &indexScanOp{rel: tb.rel, index: best.index, bounds: bounds,
-			filter: conjunction(bound, func(i int) bool { return best.implies(filters[i], nameScope) })}
+		if !columnar {
+			scanOp = &indexScanOp{rel: tb.rel, index: best.index, bounds: bounds, filter: filter}
+			break
+		}
 		// Columnar replacement of a clustered index range scan: it keeps
 		// every conjunct in its filter (the bounds above are redundant
 		// with it, and its zone maps read it), so a columnar scan produces
@@ -395,36 +409,36 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 		// segment generation knows — so the index scan rides along as the
 		// runtime fallback. Secondary-index scans keep the heap path:
 		// their output order is unrelated to physical order.
-		if n.db.ColumnarEnabled() && best.index.Clustered && tb.rel.LiveRows() >= columnarMinRows {
-			col := &colScanOp{rel: tb.rel, filter: filter, needKeyOrder: true, fallback: scanOp}
-			scanOp = col
-			// MQO: route segment reads through the node's shared-scan
-			// coordinator so concurrent queries over the same snapshot
-			// share one physical pass. The colScanOp rides along as the
-			// fallback for unshareable generations.
-			if n.db.MQOEnabled() {
-				scanOp = &sharedScanOp{rel: tb.rel, filter: filter, needKeyOrder: true, fallback: col}
-			}
+		fallback := &indexScanOp{rel: tb.rel, index: best.index, bounds: bounds, filter: conjunction(bound, implied)}
+		col := &colScanOp{rel: tb.rel, filter: filter, needKeyOrder: true, fallback: fallback}
+		scanOp = col
+		// MQO: route segment reads through the node's shared-scan
+		// coordinator so concurrent queries over the same snapshot
+		// share one physical pass. The colScanOp rides along as the
+		// fallback for unshareable generations.
+		if n.db.MQOEnabled() {
+			scanOp = &sharedScanOp{rel: tb.rel, filter: filter, needKeyOrder: true, fallback: col}
 		}
-	} else if n.db.ColumnarEnabled() && tb.rel.LiveRows() >= columnarMinRows {
+	case columnar:
 		col := &colScanOp{rel: tb.rel, filter: filter}
 		scanOp = col
 		if n.db.MQOEnabled() {
 			scanOp = &sharedScanOp{rel: tb.rel, filter: filter, fallback: col}
 		}
-	} else {
+	default:
 		scanOp = &seqScanOp{rel: tb.rel, filter: filter}
 	}
 	return &plannedScan{t: t, rel: tb.rel, op: scanOp, layout: layout, est: math.Max(rows*sel, 1)}, nil
 }
 
 // conjunction ANDs the bound conjuncts together in written order, leaving
-// out those skip names (nil skips none); nil when nothing is left.
+// out nil ones and those skip names (nil skips none); nil when nothing is
+// left.
 func conjunction(conjuncts []bexpr, skip func(i int) bool) bexpr {
 	var e bexpr
 	for i, c := range conjuncts {
 		switch {
-		case skip != nil && skip(i):
+		case c == nil || skip != nil && skip(i):
 		case e == nil:
 			e = c
 		default:
@@ -445,47 +459,52 @@ type keyBound struct {
 	lit  bool
 	incl bool
 	eq   bool // from an equality conjunct (EXPLAIN renders `col = x` once)
+	slot int  // the placeholder the literal is ($slot), 0 for none
 }
 
 // accessPath is a candidate index range: the intersection of every
 // sargable conjunct on the index's leading column.
 type accessPath struct {
 	index *storage.Index
-	col   string // the index's leading column
+	col   string           // the index's leading column
+	args  []sqltypes.Value // the plan's placeholder arguments, which fold as literals
 	// lo, hi are the bound candidates per side (nil = open): at most one
 	// literal — the tightest — plus every runtime constant.
 	lo, hi      []keyBound
 	eq          bool // some conjunct pins the column to one value
 	empty       bool // the literal bounds prove no key qualifies
+	slotted     bool // a placeholder is among the literal bounds
+	mixed       bool // a placeholder's literal met another literal on its side
 	selectivity float64
 }
 
 // chooseAccessPath finds the most selective index range constrained by
-// the filters. Only the first index column is range-matched (enough for
-// virtual partitioning and TPC-H predicates).
-func chooseAccessPath(rel *storage.Relation, filters []sql.Expr, sc *scope) *accessPath {
-	var best *accessPath
+// the filters, and counts the indexes that offered one. Only the first
+// index column is range-matched (enough for virtual partitioning and
+// TPC-H predicates).
+func chooseAccessPath(rel *storage.Relation, filters []sql.Expr, sc *scope, args []sqltypes.Value) (best *accessPath, candidates int) {
 	for _, ix := range rel.Indexes() {
-		ap := buildPath(rel, ix, filters, sc)
+		ap := buildPath(rel, ix, filters, sc, args)
 		if ap == nil {
 			continue
 		}
+		candidates++
 		if best == nil || ap.selectivity < best.selectivity ||
 			(ap.selectivity == best.selectivity && ap.index.Clustered && !best.index.Clustered) {
 			best = ap
 		}
 	}
-	return best
+	return best, candidates
 }
 
 // buildPath intersects the filters' bounds on the index's leading column.
 // The bounds only ever narrow which entries are visited, never which rows
 // qualify: a conjunct leaves the scan filter only where accessPath.implies
 // shows the bounds guarantee it.
-func buildPath(rel *storage.Relation, ix *storage.Index, filters []sql.Expr, sc *scope) *accessPath {
+func buildPath(rel *storage.Relation, ix *storage.Index, filters []sql.Expr, sc *scope, args []sqltypes.Value) *accessPath {
 	col := ix.Cols[0]
 	name := rel.Schema.Cols[col].Name
-	ap := &accessPath{index: ix, col: name, selectivity: 1}
+	ap := &accessPath{index: ix, col: name, args: args, selectivity: 1}
 	for _, f := range filters {
 		switch e := f.(type) {
 		case *sql.CompareExpr:
@@ -528,20 +547,25 @@ func buildPath(rel *storage.Relation, ix *storage.Index, filters []sql.Expr, sc 
 }
 
 // narrow folds one bound into its side. Literals (folded with
-// literalValue, so date arithmetic counts) intersect at plan time — only
-// the tightest survives; runtime constants are kept as extra candidates.
-// A NULL literal can satisfy no comparison, so it empties the range.
+// literalValue, so date arithmetic and placeholder arguments count)
+// intersect at plan time — only the tightest survives; runtime constants
+// are kept as extra candidates. A NULL literal can satisfy no comparison,
+// so it empties the range.
 func (ap *accessPath) narrow(low bool, b keyBound) {
 	side := &ap.hi
 	if low {
 		side = &ap.lo
 	}
-	if b.val, b.lit = literalValue(b.expr); b.lit {
+	if b.val, b.lit = literalValue(b.expr, ap.args); b.lit {
+		if p, ok := b.expr.(*sql.Placeholder); ok {
+			b.slot, ap.slotted = p.N, true
+		}
 		if b.val.IsNull() {
 			ap.empty = true
 			return
 		}
 		if cur := literalBound(*side); cur != nil {
+			ap.mixed = ap.mixed || cur.slot > 0 || b.slot > 0
 			if tighter(low, cur.val, cur.incl, b.val, b.incl) {
 				*cur = b
 			}
@@ -580,7 +604,7 @@ func (ap *accessPath) implies(f sql.Expr, sc *scope) bool {
 		if colSide == nil {
 			return false
 		}
-		v, lit := literalValue(constSide)
+		v, lit := literalValue(constSide, ap.args)
 		if !lit {
 			return false
 		}
@@ -597,8 +621,8 @@ func (ap *accessPath) implies(f sql.Expr, sc *scope) bool {
 		if e.Not || !ok || cr.Name != ap.col {
 			return false
 		}
-		lo, loLit := literalValue(e.Lo)
-		hi, hiLit := literalValue(e.Hi)
+		lo, loLit := literalValue(e.Lo, ap.args)
+		hi, hiLit := literalValue(e.Hi, ap.args)
 		return loLit && hiLit && side(true, lo) && side(false, hi)
 	}
 	return false
@@ -746,11 +770,16 @@ func rangeSelectivity(rel *storage.Relation, col int, ap *accessPath) float64 {
 
 // literalValue folds a literal-only expression (date arithmetic included)
 // to a value at plan time: whatever the binder folds to a literal in a
-// scope with no columns. A bare literal, the common bound, skips the bind.
-func literalValue(e sql.Expr) (sqltypes.Value, bool) {
+// scope with no columns. A bare literal, the common bound, skips the bind;
+// so does a bare placeholder, whose value is its argument in args.
+func literalValue(e sql.Expr, args []sqltypes.Value) (sqltypes.Value, bool) {
 	switch e := e.(type) {
 	case *sql.Literal:
 		return e.Val, true
+	case *sql.Placeholder:
+		if e.N >= 1 && e.N <= len(args) {
+			return args[e.N-1], true
+		}
 	case *sql.BinaryExpr, *sql.NegExpr:
 		if be, err := (&binder{}).bind(e, &scope{}); err == nil {
 			if lit, ok := be.(*litExpr); ok {
@@ -762,11 +791,17 @@ func literalValue(e sql.Expr) (sqltypes.Value, bool) {
 }
 
 // bindBounds binds the access path's bound candidates (constants or
-// correlation parameters) for runtime evaluation.
-func bindBounds(b *binder, ap *accessPath, nameScope *scope) (*scanBounds, error) {
+// correlation parameters) for runtime evaluation. A placeholder's literal
+// becomes a bound slot of the plan (planInputs.bindSlots) when it is its
+// side's only candidate; widthDecides says the range's width chose the
+// path.
+func bindBounds(b *binder, ap *accessPath, nameScope *scope, widthDecides bool) (*scanBounds, error) {
 	constScope := nameScope.withOutputs(nil)
 	constScope.tables = nil
 	sb := &scanBounds{col: ap.col, empty: ap.empty}
+	if ap.slotted && (ap.empty || ap.mixed) {
+		b.in.spilled = true // an argument decided the range beyond its own slot
+	}
 	if sb.empty {
 		return sb, nil
 	}
@@ -791,6 +826,9 @@ func bindBounds(b *binder, ap *accessPath, nameScope *scope) (*scanBounds, error
 	}
 	if sb.hi, err = bindSide(ap.hi); err != nil {
 		return nil, err
+	}
+	if ap.slotted {
+		b.in.bindSlots(ap, sb, widthDecides)
 	}
 	return sb, nil
 }

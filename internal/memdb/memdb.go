@@ -30,9 +30,12 @@ func New() *MemDB {
 	// Zero latencies: an in-memory database pays no IO whatever its pool
 	// holds. The pool only has to stay small — composition tables come
 	// and go with their queries, each on fresh page IDs, and an unbounded
-	// pool would remember every one of them forever.
+	// pool would remember every one of them forever. Pages are
+	// PostgreSQL-sized: a page's slot arrays are allocated whole when it
+	// is created, and most composition tables hold a few dozen partial
+	// rows, which one 8 KB page takes.
 	cfg := costmodel.Config{
-		PageSize:   64 * 1024,
+		PageSize:   8 * 1024,
 		CachePages: 1 << 10,
 	}
 	db := engine.NewDatabase(cfg)
@@ -147,17 +150,33 @@ func (l *Loader) rebuild() error {
 	return l.insert(l.rows)
 }
 
+// insert stores the rows in the table. A row is retained by reference
+// already, so it is stored as it is unless a value must widen to its
+// column's kind; only then is it copied.
 func (l *Loader) insert(rows []sqltypes.Row) error {
 	for _, row := range rows {
-		conv := make(sqltypes.Row, len(row))
-		for i, v := range row {
-			conv[i] = widen(v, l.kinds[i])
+		if l.narrower(row) {
+			conv := make(sqltypes.Row, len(row))
+			for i, v := range row {
+				conv[i] = widen(v, l.kinds[i])
+			}
+			row = conv
 		}
-		if _, err := l.rel.Insert(0, conv); err != nil {
+		if _, err := l.rel.Insert(0, row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// narrower reports whether some value of row widens to its column's kind.
+func (l *Loader) narrower(row sqltypes.Row) bool {
+	for i, v := range row {
+		if i < len(l.kinds) && v.K == sqltypes.KindInt && l.kinds[i] == sqltypes.KindFloat {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats reports how many tables the database holds right now and how

@@ -1,8 +1,11 @@
 package memdb
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
 )
 
@@ -149,4 +152,57 @@ func TestLoaderDropsWhatItCreates(t *testing.T) {
 	}
 	// A loader that never received a row has nothing to drop.
 	m.NewLoader("p", []string{"x"}).Drop()
+}
+
+// TestComposeSmallTableBytes pins the heap bytes one composition of a
+// 4-row partial table allocates — load, composition query, drop — the
+// shape of Q1's. A page's slot arrays are allocated whole when it is
+// created, so the page size sets most of what varies: with 64 KB pages
+// this run allocates ≈ 68 KB, with 8 KB ones ≈ 17 KB (≈ 23 KB under the
+// race detector, whose sync.Pool drops buffers). Rows that need no
+// widening are stored as they are, not copied. The least of three rounds
+// is compared.
+func TestComposeSmallTableBytes(t *testing.T) {
+	const maxBytes = 32 << 10
+	m := New()
+	var rows []sqltypes.Row
+	for i := range 4 {
+		rows = append(rows, sqltypes.Row{sqltypes.NewString("A"), sqltypes.NewString(string(rune('F' + i))),
+			sqltypes.NewFloat(1.5), sqltypes.NewFloat(2.5), sqltypes.NewInt(int64(i + 1)), sqltypes.NewFloat(3.5)})
+	}
+	compose, err := sql.ParseSelect("select g0, g1, sum(a0), sum(a1) / sum(a2), sum(a3) from p group by g0, g1 order by g0, g1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		ld := m.NewLoader("p", []string{"g0", "g1", "a0", "a1", "a2", "a3"})
+		defer ld.Drop()
+		if err := ld.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		name, err := ld.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		compose.From[0].Name = name
+		if res, err := m.QueryStmt(compose); err != nil || len(res.Rows) != 4 {
+			t.Fatalf("compose: %v rows, %v", res, err)
+		}
+	}
+	run()
+	const runs = 100
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	t.Logf("%d B per composition", least)
+	if least > maxBytes {
+		t.Errorf("a 4-row composition allocates %d B, want at most %d", least, maxBytes)
+	}
 }

@@ -150,6 +150,14 @@ type Literal struct {
 	Val sqltypes.Value
 }
 
+// Placeholder is the N-th argument of a prepared statement, written $N
+// (1-based, as in PostgreSQL). The statement is planned with its
+// arguments supplied beside it, so one parsed statement serves every
+// argument vector.
+type Placeholder struct {
+	N int
+}
+
 // BinaryExpr is arithmetic: + - * /.
 type BinaryExpr struct {
 	Op   byte
@@ -242,6 +250,7 @@ type NegExpr struct{ E Expr }
 
 func (*ColumnRef) expr()    {}
 func (*Literal) expr()      {}
+func (*Placeholder) expr()  {}
 func (*BinaryExpr) expr()   {}
 func (*CompareExpr) expr()  {}
 func (*AndExpr) expr()      {}

@@ -39,6 +39,9 @@ func CloneExpr(e Expr) Expr {
 	case *Literal:
 		c := *e
 		return &c
+	case *Placeholder:
+		c := *e
+		return &c
 	case *BinaryExpr:
 		return &BinaryExpr{Op: e.Op, L: CloneExpr(e.L), R: CloneExpr(e.R)}
 	case *CompareExpr:

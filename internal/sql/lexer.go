@@ -16,6 +16,7 @@ const (
 	tokNumber
 	tokString // single-quoted literal, quotes stripped, '' unescaped
 	tokSymbol // operators and punctuation: ( ) , . = <> <= >= < > + - * / ;
+	tokParam  // a placeholder $N; text holds the digits
 )
 
 // token is one lexical token. Keywords are lower-cased in Text; identifiers
@@ -89,6 +90,12 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		}
 		return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
+	case c == '$' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+		l.pos++
+		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+			l.pos++
+		}
+		return token{kind: tokParam, text: l.src[start+1 : l.pos], pos: start}, nil
 	case c == '\'':
 		var b strings.Builder
 		l.pos++

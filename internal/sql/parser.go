@@ -852,6 +852,13 @@ func (p *parser) primary() (Expr, error) {
 	case tokString:
 		p.advance()
 		return &Literal{Val: sqltypes.NewString(t.text)}, nil
+	case tokParam:
+		p.advance()
+		n, err := strconv.Atoi(t.text)
+		if err != nil || n < 1 {
+			return nil, p.errorf("bad placeholder $%s", t.text)
+		}
+		return &Placeholder{N: n}, nil
 	case tokKeyword:
 		switch t.text {
 		case "null":

@@ -270,6 +270,7 @@ func TestRoundTrip(t *testing.T) {
 		"select 1 from t where a in (1, 2, 3) and b not like 'z%'",
 		"select 1 from t where exists (select 1 from u where u.x = t.x) and not exists (select 1 from v)",
 		"select avg(a) from t where d < date '1995-03-15' + interval '3' month",
+		"select a from t where a >= $1 and a < $12",
 		"insert into t (a) values (1), (null)",
 		"delete from t where a is not null",
 		"update t set a = -b where c <> 4",
@@ -289,6 +290,23 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if r2 := st2.SQL(); r1 != r2 {
 			t.Errorf("not a fixpoint:\n%s\n%s", r1, r2)
+		}
+	}
+}
+
+func TestParsePlaceholder(t *testing.T) {
+	s := parse(t, "select a from t where a >= $1 and a < $12").(*SelectStmt)
+	and := s.Where.(*AndExpr)
+	lo, hi := and.L.(*CompareExpr).R, and.R.(*CompareExpr).R
+	if p, ok := lo.(*Placeholder); !ok || p.N != 1 {
+		t.Errorf("lower bound %#v, want $1", lo)
+	}
+	if p, ok := hi.(*Placeholder); !ok || p.N != 12 {
+		t.Errorf("upper bound %#v, want $12", hi)
+	}
+	for _, bad := range []string{"select a from t where a = $0", "select a from t where a = $"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("%q parsed", bad)
 		}
 	}
 }

@@ -232,6 +232,8 @@ func (e *ColumnRef) SQL() string {
 
 func (e *Literal) SQL() string { return renderValue(e.Val) }
 
+func (e *Placeholder) SQL() string { return "$" + strconv.Itoa(e.N) }
+
 func (e *BinaryExpr) SQL() string {
 	return "(" + e.L.SQL() + " " + string(e.Op) + " " + e.R.SQL() + ")"
 }
