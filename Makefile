@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite overload-suite suite-names fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo bench-overload bench-baseline bench-compare bench-host loc clean
+.PHONY: all build test tier1 vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite overload-suite suite-names fuzz-replay fuzz-smoke cover bench bench-micro bench-avp bench-cache bench-columnar bench-mqo trace-smoke bench-overload bench-baseline bench-compare bench-host loc clean
 
 all: build test
 
@@ -213,6 +213,12 @@ bench-columnar:
 # answer across the two sides.
 bench-mqo:
 	$(GO) run ./cmd/apuama-bench -exp mqo -quick -quiet -json BENCH_10.json
+
+# The per-phase trace (-trace) with engine flags set: every TPC-H query
+# must answer on a traced columnar + MQO cluster. Fails on a non-zero
+# exit; TestTraceClusterHonoursEngineAndSeed checks the flags reach it.
+trace-smoke:
+	$(GO) run ./cmd/apuama-bench -trace -quick -columnar -mqo
 
 # The host-clock benchmark (BENCHMARK.json, bench/) exactly as the driver
 # runs it: every workload once untraced and once traced. It fails on the

@@ -122,6 +122,29 @@ type QueryTrace = obs.SpanSnapshot
 // harness.
 func DefaultCost() CostConfig { return costmodel.Default() }
 
+// EngineOptions configures the Apuama Engine: the intra-query strategy,
+// the paper's ablation switches, the optional modes (parallelism,
+// partition granularity, columnar, MQO), the result cache, overload
+// protection and the default query deadline. The zero value is the
+// paper's configuration. See internal/core for the fields.
+type EngineOptions = core.Options
+
+// Strategy selects the intra-query parallelism technique
+// (EngineOptions.Strategy).
+type Strategy = core.Strategy
+
+// The intra-query strategies: the paper's Simple Virtual Partitioning
+// and the Adaptive Virtual Partitioning (SmaQ) it compares against in §6.
+const (
+	SVP = core.SVP
+	AVP = core.AVP
+)
+
+// AdmissionConfig configures overload protection
+// (EngineOptions.Admission; see internal/admission). The zero value
+// admits every query.
+type AdmissionConfig = admission.Config
+
 // Config assembles a cluster.
 type Config struct {
 	// Nodes is the replica count (the paper varies 1..32). Required.
@@ -129,110 +152,10 @@ type Config struct {
 	// Cost is the simulated-hardware model; zero value means
 	// DefaultCost with accounting only (no real sleeps).
 	Cost CostConfig
-	// DisableSVP turns Apuama off: the plain C-JDBC baseline with
-	// inter-query parallelism only.
-	DisableSVP bool
-	// UseAVP selects Adaptive Virtual Partitioning (the SmaQ strategy
-	// the paper compares against in §6) instead of SVP.
-	UseAVP bool
-	// NoBarrier skips the replica-consistency barrier (ablation).
-	NoBarrier bool
-	// MaxStaleness > 0 selects the relaxed-freshness replication policy
-	// the paper's conclusion proposes: OLAP queries read a consistent
-	// but possibly stale snapshot (at most this many writes behind) and
-	// never block updates.
-	MaxStaleness int64
-	// AllowSeqscan stops Apuama from disabling sequential scans around
-	// SVP sub-queries (ablation of the paper's §3 optimizer override).
-	AllowSeqscan bool
-	// PoolSize bounds concurrent statements per node (default 8).
-	PoolSize int
-	// Parallelism is each node engine's intra-node morsel-driven degree:
-	// sub-queries run their scan/filter/partial-aggregation fragment on
-	// this many workers (the second level of parallelism, under the
-	// cluster-level SVP/AVP split). 0 = auto (min(GOMAXPROCS, 8), large
-	// relations only), 1 = serial.
-	Parallelism int
-	// AVPGranularity is the number of fine virtual partitions per
-	// configured node that the cluster-level work-stealing scheduler
-	// dispatches from its shared queue. 0 = auto (32 per node, floored
-	// so every partition spans at least 2048 keys), 1 = the legacy
-	// coarse one-range-per-node split. Ranges depend only on the
-	// configured node count, so partial-result cache keys stay stable
-	// when nodes die or rejoin.
-	AVPGranularity int
-	// Columnar enables the columnar segment store: node planners replace
-	// eligible heap scans with segment scans whose per-segment zone maps
-	// prune work the filter cannot match. The heap stays the write-side
-	// store; results are bit-identical either way.
-	Columnar bool
-	// MQO enables multi-query optimization: concurrently admitted
-	// sub-queries over the same relation attach to one cooperative
-	// shared columnar scan, and overlapping decomposed sub-queries
-	// collapse onto one execution through canonical sub-plan
-	// fingerprints. Results are bit-identical with MQO on or off.
-	MQO bool
-	// MQOWindow is the admission batching window: the first arriving
-	// query of a burst is held up to this long so overlapping queries
-	// enter the engine together and land in one shared scan pass
-	// (default 3ms when MQO is on; disabled under brownout).
-	MQOWindow time.Duration
-	// GatherBudget bounds the in-flight partial-result batches buffered
-	// between each node's stream and the composer, per partition
-	// (backpressure on producers that outrun composition; default 8).
-	GatherBudget int
-	// Policy selects the controller's read balancing policy.
-	Policy cluster.Policy
-
-	// Cache sizes the versioned result cache keyed by the cluster's
-	// txn counters; the zero value disables it. See CacheConfig.
-	Cache CacheConfig
-
-	// QueryTimeout is the per-query deadline applied when the caller's
-	// context has none (zero = no default deadline).
-	QueryTimeout time.Duration
-	// RetryLimit bounds in-place retries of transient failures per
-	// sub-query / request (default 3).
-	RetryLimit int
-	// RetryBackoff is the initial transient-retry backoff, doubled per
-	// attempt and capped at 10ms (default 100µs).
-	RetryBackoff time.Duration
-	// DisableHedging turns off speculative re-dispatch of straggling SVP
-	// sub-queries.
-	DisableHedging bool
-	// HedgeMultiplier × the median sub-query completion time is the
-	// straggler threshold for hedging (default 4).
-	HedgeMultiplier float64
-	// BreakerThreshold is the consecutive-transient-failure count that
-	// trips a backend's circuit breaker (default 3).
-	BreakerThreshold int
-	// ProbeInterval is the base interval of the breaker's half-open
-	// recovery probes (default 200µs, backing off to 20ms).
-	ProbeInterval time.Duration
-	// DisableAutoRecovery keeps tripped backends out of rotation until a
-	// manual RecoverNode (the original C-JDBC behaviour).
-	DisableAutoRecovery bool
-
-	// MaxConcurrent > 0 enables admission control: at most this much
-	// query weight executes SVP concurrently; the excess queues briefly
-	// (bounded by MaxQueue and a deadline-aware wait) and is shed with a
-	// typed retryable ErrOverloaded when the cluster is saturated.
-	MaxConcurrent int
-	// MaxQueue bounds the admission wait queue (default 4×MaxConcurrent).
-	MaxQueue int
-	// MemoryBudget > 0 bounds the total bytes of partial-result state
-	// (gather buffers, composer tables) held by in-flight queries; a
-	// query whose growth cannot fit aborts with ErrMemoryBudget.
-	MemoryBudget int64
-	// Brownout enables graceful degradation under sustained saturation:
-	// a load controller progressively caps intra-node parallelism,
-	// raises the effective cache staleness bound, and disables hedged
-	// sub-queries, restoring each knob as pressure drains.
-	Brownout bool
-	// SlowKillMultiple > 0 enables the slow-query killer: a query
-	// running longer than SlowKillMultiple × its weight-scaled class
-	// budget (1s per weight unit) is cancelled with ErrSlowQuery.
-	SlowKillMultiple float64
+	// Engine configures the Apuama Engine; the zero value is the paper's
+	// configuration (SVP on, sequential scans off around sub-queries,
+	// the consistency barrier on).
+	Engine EngineOptions
 
 	// Trace enables per-query span tracing: every query records its
 	// lifecycle as a span tree, retained in a bounded slow-query log
@@ -249,7 +172,6 @@ type Config struct {
 // Cluster is a running database cluster: the single external view the
 // middleware presents to applications.
 type Cluster struct {
-	cfg    Config
 	db     *engine.Database
 	nodes  []*engine.Node
 	eng    *core.Engine
@@ -284,52 +206,10 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 		tracer = obs.NewTracer(size, cfg.SlowQueryThreshold)
 	}
-	opts := core.DefaultOptions()
-	opts.Metrics = reg
-	opts.DisableSVP = cfg.DisableSVP
-	if cfg.UseAVP {
-		opts.Strategy = core.AVP
-	}
-	opts.NoBarrier = cfg.NoBarrier
-	opts.MaxStaleness = cfg.MaxStaleness
-	opts.ForceIndexScan = !cfg.AllowSeqscan
-	if cfg.PoolSize > 0 {
-		opts.PoolSize = cfg.PoolSize
-	}
-	if cfg.GatherBudget > 0 {
-		opts.GatherBudget = cfg.GatherBudget
-	}
-	opts.Parallelism = cfg.Parallelism
-	opts.AVPGranularity = cfg.AVPGranularity
-	opts.Columnar = cfg.Columnar
-	opts.MQO = cfg.MQO
-	opts.MQOWindow = cfg.MQOWindow
-	opts.QueryTimeout = cfg.QueryTimeout
-	opts.RetryLimit = cfg.RetryLimit
-	opts.RetryBackoff = cfg.RetryBackoff
-	opts.DisableHedging = cfg.DisableHedging
-	opts.HedgeMultiplier = cfg.HedgeMultiplier
-	opts.Cache = cfg.Cache
-	opts.Admission = admission.Config{
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueue:      cfg.MaxQueue,
-		MemoryBudget:  cfg.MemoryBudget,
-		Brownout:      cfg.Brownout,
-		KillMultiple:  cfg.SlowKillMultiple,
-	}
-	eng := core.New(db, nodes, core.TPCHCatalog(), opts)
-	ctl := cluster.New(db, eng.Backends(), cluster.Options{
-		Policy:              cfg.Policy,
-		Cost:                cost,
-		BreakerThreshold:    cfg.BreakerThreshold,
-		RetryLimit:          cfg.RetryLimit,
-		RetryBackoff:        cfg.RetryBackoff,
-		ProbeInterval:       cfg.ProbeInterval,
-		DisableAutoRecovery: cfg.DisableAutoRecovery,
-		Metrics:             reg,
-	})
+	eng := core.New(db, nodes, core.TPCHCatalog(), cfg.Engine, reg)
+	ctl := cluster.New(db, eng.Backends(), reg)
 	return &Cluster{
-		cfg: cfg, db: db, nodes: nodes, eng: eng, ctl: ctl,
+		db: db, nodes: nodes, eng: eng, ctl: ctl,
 		reg: reg, tracer: tracer,
 		mQueryDur: reg.Histogram(obs.MQueryDuration),
 	}, nil

@@ -57,7 +57,7 @@ func TestFacadeQueryAndExec(t *testing.T) {
 }
 
 func TestFacadeBaselineMode(t *testing.T) {
-	c := openTest(t, Config{Nodes: 2, DisableSVP: true})
+	c := openTest(t, Config{Nodes: 2, Engine: EngineOptions{DisableSVP: true}})
 	if _, err := c.Query(tpch.MustQuery(6)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,8 @@ func TestFacadeMetersAndSizes(t *testing.T) {
 
 func TestFacadeAblationOptions(t *testing.T) {
 	for _, cfg := range []Config{
-		{Nodes: 2, NoBarrier: true},
-		{Nodes: 2, AllowSeqscan: true},
-		{Nodes: 2, PoolSize: 2},
+		{Nodes: 2, Engine: EngineOptions{NoBarrier: true}},
+		{Nodes: 2, Engine: EngineOptions{AllowSeqscan: true}},
 	} {
 		c := openTest(t, cfg)
 		res, err := c.Query(tpch.MustQuery(1))
@@ -146,7 +145,7 @@ func TestClusterVacuum(t *testing.T) {
 }
 
 func TestFreshnessThroughFacade(t *testing.T) {
-	c := openTest(t, Config{Nodes: 3, MaxStaleness: 8})
+	c := openTest(t, Config{Nodes: 3, Engine: EngineOptions{MaxStaleness: 8}})
 	if _, err := c.Exec("delete from orders where o_orderkey = 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestFreshnessThroughFacade(t *testing.T) {
 }
 
 func TestAVPThroughFacade(t *testing.T) {
-	c := openTest(t, Config{Nodes: 3, UseAVP: true})
+	c := openTest(t, Config{Nodes: 3, Engine: EngineOptions{Strategy: AVP}})
 	res, err := c.Query(tpch.MustQuery(6))
 	if err != nil {
 		t.Fatal(err)

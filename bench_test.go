@@ -121,7 +121,7 @@ func benchCluster(b *testing.B, nodes int, disableSVP bool) *apuama.Cluster {
 	b.Helper()
 	cost := apuama.DefaultCost()
 	cost.RealSleep = false
-	c, err := apuama.Open(apuama.Config{Nodes: nodes, Cost: cost, DisableSVP: disableSVP})
+	c, err := apuama.Open(apuama.Config{Nodes: nodes, Cost: cost, Engine: apuama.EngineOptions{DisableSVP: disableSVP}})
 	if err != nil {
 		b.Fatal(err)
 	}

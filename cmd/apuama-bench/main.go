@@ -27,6 +27,8 @@ import (
 )
 
 func main() {
+	engine := experiments.Default().Engine
+	engine.RegisterFlags(flag.CommandLine)
 	var (
 		exp      = flag.String("exp", "all", "fig2|fig3a|fig3b|fig4a|fig4b|all|ablations|freshness|strategy|skew|cache|overload|steal|columnar|mqo")
 		sf       = flag.Float64("sf", 0, "TPC-H scale factor (0 = default)")
@@ -35,12 +37,6 @@ func main() {
 		updates  = flag.Int("updates", 0, "refresh orders for mixed workloads")
 		streams  = flag.Int("streams", 0, "read streams for throughput workloads")
 		quick    = flag.Bool("quick", false, "small smoke configuration")
-		baseline = flag.Bool("baseline", false, "disable Apuama (C-JDBC baseline)")
-		par      = flag.Int("parallelism", 1, "intra-node morsel-driven degree per node engine (0 = auto, 1 = serial)")
-		avpGran  = flag.Int("avp-granularity", 0, "fine virtual partitions per configured node (0 = auto, 1 = coarse)")
-		columnar = flag.Bool("columnar", false, "enable the columnar segment store with zone-map pruning")
-		mqo      = flag.Bool("mqo", false, "enable multi-query optimization (shared scans + sub-plan sharing)")
-		mqoWin   = flag.Duration("mqo-window", 0, "admission batching window for MQO bursts (0 = 3ms default when -mqo)")
 		quiet    = flag.Bool("quiet", false, "suppress progress lines")
 		trace    = flag.Bool("trace", false, "trace each TPC-H query once and print the per-phase latency breakdown")
 		jsonOut  = flag.String("json", "", "also write the figures as JSON to this file (for plotting/CI diffing)")
@@ -51,6 +47,7 @@ func main() {
 	if *quick {
 		cfg = experiments.Quick()
 	}
+	cfg.Engine = engine
 	if *sf > 0 {
 		cfg.SF = *sf
 	}
@@ -74,12 +71,6 @@ func main() {
 	if *streams > 0 {
 		cfg.ReadStreams = *streams
 	}
-	cfg.Baseline = *baseline
-	cfg.Parallelism = *par
-	cfg.AVPGranularity = *avpGran
-	cfg.Columnar = *columnar
-	cfg.MQO = *mqo
-	cfg.MQOWindow = *mqoWin
 
 	if *trace {
 		if err := runTrace(cfg); err != nil {
@@ -94,7 +85,7 @@ func main() {
 	}
 
 	fmt.Printf("apuama-bench: exp=%s sf=%g nodes=%v repeats=%d streams=%d updates=%d baseline=%v parallelism=%d\n",
-		*exp, cfg.SF, cfg.Nodes, cfg.Repeats, cfg.ReadStreams, cfg.UpdateOrders, cfg.Baseline, cfg.Parallelism)
+		*exp, cfg.SF, cfg.Nodes, cfg.Repeats, cfg.ReadStreams, cfg.UpdateOrders, cfg.Engine.DisableSVP, cfg.Engine.Parallelism)
 	start := time.Now()
 
 	var figs []*experiments.Figure
@@ -178,11 +169,11 @@ func writeJSON(path, exp string, cfg experiments.Config, figs []*experiments.Fig
 		Repeats:     cfg.Repeats,
 		Streams:     cfg.ReadStreams,
 		Updates:     cfg.UpdateOrders,
-		Baseline:    cfg.Baseline,
-		Parallelism: cfg.Parallelism,
-		AVPGran:     cfg.AVPGranularity,
-		Columnar:    cfg.Columnar,
-		MQO:         cfg.MQO,
+		Baseline:    cfg.Engine.DisableSVP,
+		Parallelism: cfg.Engine.Parallelism,
+		AVPGran:     cfg.Engine.AVPGranularity,
+		Columnar:    cfg.Engine.Columnar,
+		MQO:         cfg.Engine.MQO,
 		Figures:     figs,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

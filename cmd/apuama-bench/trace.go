@@ -23,20 +23,13 @@ var tracePhases = []string{"plan", "barrier-wait", "dispatch", "gather", "compos
 // lifecycle phases explain (the sanity signal that the span tree
 // actually tiles the query).
 func runTrace(cfg experiments.Config) error {
-	n := 4
-	if len(cfg.Nodes) > 0 {
-		n = cfg.Nodes[len(cfg.Nodes)-1]
-	}
-	c, err := apuama.Open(apuama.Config{Nodes: n, Trace: true, SlowLogSize: 256})
+	c, err := openTraced(cfg)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	if err := c.LoadTPCH(cfg.SF, 1); err != nil {
-		return err
-	}
 	fmt.Printf("apuama-bench: tracing %d TPC-H queries on %d nodes at SF %g\n\n",
-		len(tpch.QueryNumbers), n, cfg.SF)
+		len(tpch.QueryNumbers), c.NumNodes(), cfg.SF)
 	for _, qn := range tpch.QueryNumbers {
 		if _, err := c.Query(tpch.MustQuery(qn)); err != nil {
 			return fmt.Errorf("Q%d: %w", qn, err)
@@ -81,6 +74,25 @@ func runTrace(cfg experiments.Config) error {
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t\n", fmtDur(other), subq, cover)
 	}
 	return tw.Flush()
+}
+
+// openTraced opens the traced cluster: the largest configured node count
+// (4 when none is), cfg's engine options, and TPC-H at cfg's scale
+// factor and seed.
+func openTraced(cfg experiments.Config) (*apuama.Cluster, error) {
+	n := 4
+	if len(cfg.Nodes) > 0 {
+		n = cfg.Nodes[len(cfg.Nodes)-1]
+	}
+	c, err := apuama.Open(apuama.Config{Nodes: n, Engine: cfg.Engine, Trace: true, SlowLogSize: 256})
+	if err != nil {
+		return nil, err
+	}
+	if err := c.LoadTPCH(cfg.SF, cfg.Seed); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // fmtDur renders a duration at microsecond resolution (the scale the

@@ -28,19 +28,17 @@ type session interface {
 }
 
 func main() {
-	var (
-		addr     = flag.String("addr", "", "apuamad address (empty with -local)")
-		local    = flag.Bool("local", false, "run an in-process cluster instead of dialing")
-		nodes    = flag.Int("nodes", 4, "nodes for -local")
-		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor for -local")
-		columnar = flag.Bool("columnar", false, "enable the columnar segment store for -local")
-	)
+	var cfg apuama.Config
+	addr := flag.String("addr", "", "apuamad address (empty with -local)")
+	local := flag.Bool("local", false, "run an in-process cluster instead of dialing")
+	flag.IntVar(&cfg.Nodes, "nodes", 4, "nodes for -local")
+	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for -local")
+	flag.BoolVar(&cfg.Engine.Columnar, "columnar", false, "enable the columnar segment store for -local")
 	flag.Parse()
 
 	var sess session
 	switch {
 	case *local:
-		cfg := apuama.Config{Nodes: *nodes, Columnar: *columnar}
 		c, err := apuama.Open(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -87,57 +87,40 @@ func serveObs(addr string, c *apuama.Cluster) (*http.Server, error) {
 }
 
 func main() {
-	var (
-		nodes    = flag.Int("nodes", 4, "number of replica nodes")
-		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor to preload (0 = empty cluster)")
-		seed     = flag.Int64("seed", 1, "TPC-H generator seed")
-		addr     = flag.String("addr", "127.0.0.1:7654", "listen address")
-		baseline = flag.Bool("baseline", false, "disable Apuama (plain C-JDBC-style cluster)")
-		avp      = flag.Bool("avp", false, "use Adaptive Virtual Partitioning instead of SVP")
-		stale    = flag.Int64("staleness", 0, "relaxed-freshness bound in writes (0 = strict barrier)")
-		sleep    = flag.Bool("realtime", false, "sleep simulated latencies (realistic timing)")
-		par      = flag.Int("parallelism", 0, "intra-node morsel-driven degree per node engine (0 = auto, 1 = serial)")
-		avpGran  = flag.Int("avp-granularity", 0, "fine virtual partitions per configured node (0 = auto, 1 = coarse one-range-per-node)")
-		columnar = flag.Bool("columnar", false, "enable the columnar segment store with zone-map pruning")
-		mqo      = flag.Bool("mqo", false, "enable multi-query optimization: cooperative shared scans and common sub-plan sharing")
-		mqoWin   = flag.Duration("mqo-window", 0, "admission batching window for MQO bursts (0 = 3ms default when -mqo)")
+	cfg := apuama.Config{Cost: apuama.DefaultCost()}
+	flag.IntVar(&cfg.Nodes, "nodes", 4, "number of replica nodes")
+	sf := flag.Float64("sf", 0.01, "TPC-H scale factor to preload (0 = empty cluster)")
+	seed := flag.Int64("seed", 1, "TPC-H generator seed")
+	addr := flag.String("addr", "127.0.0.1:7654", "listen address")
+	flag.BoolVar(&cfg.Cost.RealSleep, "realtime", false, "sleep simulated latencies (realistic timing)")
 
-		maxConc   = flag.Int("max-concurrent", 0, "admission gate capacity in weighted query slots (0 = gate off)")
-		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue bound (default 4 x -max-concurrent)")
-		memBudget = flag.Int64("memory-budget", 0, "cluster-wide composition-memory budget in bytes (0 = unlimited)")
-		brownout  = flag.Bool("brownout", false, "enable the graceful-degradation ladder under sustained overload")
-		slowKill  = flag.Float64("slow-kill", 0, "cancel queries running past this multiple of their class budget (0 = off)")
+	eng := &cfg.Engine
+	eng.RegisterFlags(flag.CommandLine)
+	avp := flag.Bool("avp", false, "use Adaptive Virtual Partitioning instead of SVP")
+	flag.Int64Var(&eng.MaxStaleness, "staleness", 0, "relaxed-freshness bound in writes (0 = strict barrier)")
 
-		cacheEntries = flag.Int("cache-entries", 0, "result-cache capacity in composed results (0 = caching off)")
-		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (with -cache-entries)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "result-cache entry TTL (0 = no expiry)")
-		cacheStale   = flag.Int64("cache-stale", 0, "serve cached results up to this many committed writes behind the head")
+	adm := &eng.Admission
+	flag.IntVar(&adm.MaxConcurrent, "max-concurrent", 0, "admission gate capacity in weighted query slots (0 = gate off)")
+	flag.IntVar(&adm.MaxQueue, "max-queue", 0, "admission wait-queue bound (default 4 x -max-concurrent)")
+	flag.Int64Var(&adm.MemoryBudget, "memory-budget", 0, "cluster-wide composition-memory budget in bytes (0 = unlimited)")
+	flag.BoolVar(&adm.Brownout, "brownout", false, "enable the graceful-degradation ladder under sustained overload")
+	flag.Float64Var(&adm.KillMultiple, "slow-kill", 0, "cancel queries running past this multiple of their class budget (0 = off)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/slowlog and /debug/cache on this address (e.g. 127.0.0.1:7655; empty = off)")
-		trace       = flag.Bool("trace", false, "record per-query lifecycle span trees into the slow-query log")
-		slowLogSize = flag.Int("slowlog-size", 128, "slow-query log ring size")
-		slowerThan  = flag.Duration("slower-than", 0, "only log queries at least this slow (0 = all traced queries)")
-	)
+	cache := &eng.Cache
+	flag.IntVar(&cache.Entries, "cache-entries", 0, "result-cache capacity in composed results (0 = caching off)")
+	flag.Int64Var(&cache.MaxBytes, "cache-bytes", 64<<20, "result-cache byte budget (with -cache-entries)")
+	flag.DurationVar(&cache.TTL, "cache-ttl", 0, "result-cache entry TTL (0 = no expiry)")
+	flag.Int64Var(&cache.MaxStaleEpochs, "cache-stale", 0, "serve cached results up to this many committed writes behind the head")
+
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/slowlog and /debug/cache on this address (e.g. 127.0.0.1:7655; empty = off)")
+	flag.BoolVar(&cfg.Trace, "trace", false, "record per-query lifecycle span trees into the slow-query log")
+	flag.IntVar(&cfg.SlowLogSize, "slowlog-size", 128, "slow-query log ring size")
+	flag.DurationVar(&cfg.SlowQueryThreshold, "slower-than", 0, "only log queries at least this slow (0 = all traced queries)")
 	flag.Parse()
+	if *avp {
+		eng.Strategy = apuama.AVP
+	}
 
-	cfg := apuama.Config{
-		Nodes: *nodes, DisableSVP: *baseline, UseAVP: *avp, MaxStaleness: *stale,
-		Parallelism: *par, AVPGranularity: *avpGran, Columnar: *columnar,
-		MQO: *mqo, MQOWindow: *mqoWin,
-		MaxConcurrent: *maxConc, MaxQueue: *maxQueue, MemoryBudget: *memBudget,
-		Brownout: *brownout, SlowKillMultiple: *slowKill,
-		Trace: *trace, SlowLogSize: *slowLogSize, SlowQueryThreshold: *slowerThan,
-	}
-	if *cacheEntries > 0 {
-		cfg.Cache = apuama.CacheConfig{
-			Entries:        *cacheEntries,
-			MaxBytes:       *cacheBytes,
-			TTL:            *cacheTTL,
-			MaxStaleEpochs: *cacheStale,
-		}
-	}
-	cfg.Cost = apuama.DefaultCost()
-	cfg.Cost.RealSleep = *sleep
 	c, err := apuama.Open(cfg)
 	if err != nil {
 		log.Fatalf("apuamad: %v", err)
@@ -165,10 +148,10 @@ func main() {
 		fmt.Printf("apuamad: observability on http://%s/metrics and /debug/slowlog\n", *metricsAddr)
 	}
 	mode := "apuama (inter- + intra-query parallelism)"
-	if *baseline {
+	if eng.DisableSVP {
 		mode = "baseline (inter-query parallelism only)"
 	}
-	fmt.Printf("apuamad: %d nodes, %s, listening on %s\n", *nodes, mode, srv.Addr())
+	fmt.Printf("apuamad: %d nodes, %s, listening on %s\n", cfg.Nodes, mode, srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -28,7 +28,7 @@ func main() {
 	}
 	// The baseline: the same cluster with Apuama disabled (inter-query
 	// parallelism only — one node runs the whole query).
-	baseline, err := apuama.Open(apuama.Config{Nodes: nodes, Cost: cost, DisableSVP: true})
+	baseline, err := apuama.Open(apuama.Config{Nodes: nodes, Cost: cost, Engine: apuama.EngineOptions{DisableSVP: true}})
 	if err != nil {
 		log.Fatal(err)
 	}

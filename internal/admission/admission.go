@@ -113,10 +113,6 @@ type Config struct {
 	// ClassBudget is the per-weight-unit wall-clock budget the killer
 	// multiplies (default 1s).
 	ClassBudget time.Duration
-
-	// Metrics, when set, mirrors every admission decision into the
-	// registry under the apuama_admission_* names.
-	Metrics *obs.Registry
 }
 
 // Enabled reports whether any mechanism is configured.
@@ -249,9 +245,11 @@ type trackedQuery struct {
 	cancel context.CancelCauseFunc
 }
 
-// New builds a Controller; a zero (disabled) config returns nil, which
-// every method treats as "admission off".
-func New(cfg Config) *Controller {
+// New builds a Controller that mirrors every admission decision into reg
+// under the apuama_admission_* names (nil mirrors nothing); a zero
+// (disabled) config returns nil, which every method treats as "admission
+// off".
+func New(cfg Config, reg *obs.Registry) *Controller {
 	if !cfg.Enabled() {
 		return nil
 	}
@@ -262,16 +260,16 @@ func New(cfg Config) *Controller {
 		running: map[int64]*trackedQuery{},
 		stop:    make(chan struct{}),
 
-		reg:          cfg.Metrics,
-		mAdmitted:    cfg.Metrics.Counter(obs.MAdmissionAdmitted),
-		mQueued:      cfg.Metrics.Counter(obs.MAdmissionQueued),
-		mMemAborts:   cfg.Metrics.Counter(obs.MAdmissionMemAborts),
-		mSlowKills:   cfg.Metrics.Counter(obs.MAdmissionSlowKills),
-		mWait:        cfg.Metrics.Histogram(obs.MAdmissionWait),
-		mLevel:       cfg.Metrics.Gauge(obs.MAdmissionBrownout),
-		mMemReserved: cfg.Metrics.Gauge(obs.MAdmissionMemReserved),
-		mBatched:     cfg.Metrics.Counter(obs.MAdmissionBatched),
-		mBatchWins:   cfg.Metrics.Counter(obs.MAdmissionBatchWins),
+		reg:          reg,
+		mAdmitted:    reg.Counter(obs.MAdmissionAdmitted),
+		mQueued:      reg.Counter(obs.MAdmissionQueued),
+		mMemAborts:   reg.Counter(obs.MAdmissionMemAborts),
+		mSlowKills:   reg.Counter(obs.MAdmissionSlowKills),
+		mWait:        reg.Histogram(obs.MAdmissionWait),
+		mLevel:       reg.Gauge(obs.MAdmissionBrownout),
+		mMemReserved: reg.Gauge(obs.MAdmissionMemReserved),
+		mBatched:     reg.Counter(obs.MAdmissionBatched),
+		mBatchWins:   reg.Counter(obs.MAdmissionBatchWins),
 	}
 	if cfg.KillMultiple > 0 || cfg.Brownout {
 		c.wg.Add(1)

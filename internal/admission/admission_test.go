@@ -26,7 +26,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 }
 
 func TestDisabledControllerIsNil(t *testing.T) {
-	c := New(Config{})
+	c := New(Config{}, nil)
 	if c != nil {
 		t.Fatalf("zero config should build a nil controller")
 	}
@@ -57,7 +57,7 @@ func TestDisabledControllerIsNil(t *testing.T) {
 }
 
 func TestGateAdmitsUpToCapacityAndQueuesFIFO(t *testing.T) {
-	c := New(Config{MaxConcurrent: 2, MaxQueue: 8})
+	c := New(Config{MaxConcurrent: 2, MaxQueue: 8}, nil)
 	defer c.Close()
 	ctx := context.Background()
 
@@ -101,7 +101,7 @@ func TestGateAdmitsUpToCapacityAndQueuesFIFO(t *testing.T) {
 }
 
 func TestWeightsCountAgainstCapacity(t *testing.T) {
-	c := New(Config{MaxConcurrent: 4, MaxQueue: 4})
+	c := New(Config{MaxConcurrent: 4, MaxQueue: 4}, nil)
 	defer c.Close()
 	ctx := context.Background()
 	heavy, err := c.Acquire(ctx, 3)
@@ -132,7 +132,7 @@ func TestWeightsCountAgainstCapacity(t *testing.T) {
 }
 
 func TestQueueFullShedsTypedRetryable(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute})
+	c := New(Config{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute}, nil)
 	defer c.Close()
 	ctx := context.Background()
 	tk, err := c.Acquire(ctx, 1)
@@ -176,7 +176,7 @@ func TestQueueFullShedsTypedRetryable(t *testing.T) {
 }
 
 func TestDeadlineAwareShedding(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, MaxQueue: 8})
+	c := New(Config{MaxConcurrent: 1, MaxQueue: 8}, nil)
 	defer c.Close()
 	tk, err := c.Acquire(context.Background(), 1)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestDeadlineAwareShedding(t *testing.T) {
 }
 
 func TestQueueTimeoutSheds(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 10 * time.Millisecond})
+	c := New(Config{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 10 * time.Millisecond}, nil)
 	defer c.Close()
 	tk, err := c.Acquire(context.Background(), 1)
 	if err != nil {
@@ -226,7 +226,7 @@ func TestQueueTimeoutSheds(t *testing.T) {
 }
 
 func TestMemoryBudgetGrowAndAbort(t *testing.T) {
-	c := New(Config{MemoryBudget: 1000, MemWaitMax: 5 * time.Millisecond})
+	c := New(Config{MemoryBudget: 1000, MemWaitMax: 5 * time.Millisecond}, nil)
 	defer c.Close()
 	ctx := context.Background()
 
@@ -281,7 +281,7 @@ func TestMemoryBudgetGrowAndAbort(t *testing.T) {
 }
 
 func TestMemoryBudgetShrinkWakesGrow(t *testing.T) {
-	c := New(Config{MemoryBudget: 1000, MemWaitMax: time.Second})
+	c := New(Config{MemoryBudget: 1000, MemWaitMax: time.Second}, nil)
 	defer c.Close()
 	ctx := context.Background()
 	r1 := c.Reserve(ctx)
@@ -308,7 +308,7 @@ func TestMemoryBudgetShrinkWakesGrow(t *testing.T) {
 
 func TestMemoryBudgetNeverExceededUnderConcurrency(t *testing.T) {
 	const budget = 10_000
-	c := New(Config{MemoryBudget: budget, MemWaitMax: 2 * time.Millisecond})
+	c := New(Config{MemoryBudget: budget, MemWaitMax: 2 * time.Millisecond}, nil)
 	defer c.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -338,8 +338,7 @@ func TestBrownoutLadderRaisesAndClearsWithHysteresis(t *testing.T) {
 		MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: time.Minute,
 		Brownout: true, RaiseDepth: 2, RaiseWait: time.Hour, // depth-driven only
 		RaiseHold: time.Millisecond, Hold: 20 * time.Millisecond,
-		Metrics: reg,
-	})
+	}, reg)
 	defer c.Close()
 	ctx := context.Background()
 	tk, err := c.Acquire(ctx, 1)
@@ -392,7 +391,7 @@ func TestBrownoutLadderRaisesAndClearsWithHysteresis(t *testing.T) {
 }
 
 func TestBrownoutStepDownIsGradual(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, Brownout: true, Hold: 15 * time.Millisecond})
+	c := New(Config{MaxConcurrent: 1, Brownout: true, Hold: 15 * time.Millisecond}, nil)
 	defer c.Close()
 	c.ForceLevel(maxLevel)
 	c.ForceLevel(-1) // back to automatic, starting from the top
@@ -406,7 +405,7 @@ func TestBrownoutStepDownIsGradual(t *testing.T) {
 }
 
 func TestForceLevelPinsLadder(t *testing.T) {
-	c := New(Config{MaxConcurrent: 2, Brownout: true, Hold: time.Millisecond})
+	c := New(Config{MaxConcurrent: 2, Brownout: true, Hold: time.Millisecond}, nil)
 	defer c.Close()
 	c.ForceLevel(2)
 	time.Sleep(20 * time.Millisecond) // sweeper must not step a pinned ladder down
@@ -422,7 +421,7 @@ func TestForceLevelPinsLadder(t *testing.T) {
 }
 
 func TestSlowQueryKiller(t *testing.T) {
-	c := New(Config{KillMultiple: 1, ClassBudget: 10 * time.Millisecond})
+	c := New(Config{KillMultiple: 1, ClassBudget: 10 * time.Millisecond}, nil)
 	defer c.Close()
 	ctx, done := c.Track(context.Background(), 1)
 	defer done()
@@ -487,7 +486,7 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 }
 
 func TestCloseShedsQueuedWaiters(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: time.Minute})
+	c := New(Config{MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: time.Minute}, nil)
 	tk, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("first acquire: %v", err)
@@ -510,7 +509,7 @@ func TestCloseShedsQueuedWaiters(t *testing.T) {
 
 func TestGateUnderConcurrentLoadNeverExceedsCapacity(t *testing.T) {
 	const cap = 4
-	c := New(Config{MaxConcurrent: cap, MaxQueue: 64, QueueTimeout: time.Minute})
+	c := New(Config{MaxConcurrent: cap, MaxQueue: 64, QueueTimeout: time.Minute}, nil)
 	defer c.Close()
 	var inUse, peak atomic.Int64
 	var wg sync.WaitGroup

@@ -13,7 +13,7 @@ import (
 // the window releases immediately — a full batch never waits out the
 // clock.
 func TestBatchGateReleasesAtDepth(t *testing.T) {
-	c := New(Config{BatchWindow: time.Hour, BatchDepth: 3})
+	c := New(Config{BatchWindow: time.Hour, BatchDepth: 3}, nil)
 	if c == nil {
 		t.Fatal("BatchWindow alone must enable the controller")
 	}
@@ -46,7 +46,7 @@ func TestBatchGateReleasesAtDepth(t *testing.T) {
 // TestBatchGateReleasesAtWindow: a lone arrival holds only until the
 // window expires, then proceeds; the next arrival opens a new window.
 func TestBatchGateReleasesAtWindow(t *testing.T) {
-	c := New(Config{BatchWindow: 5 * time.Millisecond, BatchDepth: 100})
+	c := New(Config{BatchWindow: 5 * time.Millisecond, BatchDepth: 100}, nil)
 	defer c.Close()
 	c.BatchGate(context.Background())
 	c.BatchGate(context.Background())
@@ -59,7 +59,7 @@ func TestBatchGateReleasesAtWindow(t *testing.T) {
 // TestBatchGateContextCancel: a held arrival whose context ends
 // proceeds without waiting for the window.
 func TestBatchGateContextCancel(t *testing.T) {
-	c := New(Config{BatchWindow: time.Hour, BatchDepth: 100})
+	c := New(Config{BatchWindow: time.Hour, BatchDepth: 100}, nil)
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	released := make(chan struct{})
@@ -80,7 +80,7 @@ func TestBatchGateContextCancel(t *testing.T) {
 // pass-through — deliberate batching latency would feed the pressure
 // signal it is reacting to.
 func TestBatchGateOffUnderBrownout(t *testing.T) {
-	c := New(Config{BatchWindow: time.Hour, BatchDepth: 100, Brownout: true})
+	c := New(Config{BatchWindow: time.Hour, BatchDepth: 100, Brownout: true}, nil)
 	defer c.Close()
 	c.ForceLevel(1)
 	start := time.Now()
@@ -96,7 +96,7 @@ func TestBatchGateOffUnderBrownout(t *testing.T) {
 // TestBatchGateCloseReleases: Close releases every held arrival and
 // later calls pass through.
 func TestBatchGateCloseReleases(t *testing.T) {
-	c := New(Config{BatchWindow: time.Hour, BatchDepth: 100})
+	c := New(Config{BatchWindow: time.Hour, BatchDepth: 100}, nil)
 	released := make(chan struct{})
 	go func() {
 		c.BatchGate(context.Background())
@@ -115,7 +115,7 @@ func TestBatchGateCloseReleases(t *testing.T) {
 // TestBatchGateMetricsMirrored: the obs counters track the snapshot.
 func TestBatchGateMetricsMirrored(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(Config{BatchWindow: time.Hour, BatchDepth: 2, Metrics: reg})
+	c := New(Config{BatchWindow: time.Hour, BatchDepth: 2}, reg)
 	defer c.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

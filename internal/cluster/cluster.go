@@ -108,55 +108,48 @@ func (nb *NodeBackend) Watermark() int64 { return nb.Node.Watermark() }
 // Ping reports reachability; an in-process node is always reachable.
 func (nb *NodeBackend) Ping(context.Context) error { return nil }
 
-// Policy selects the read load-balancing policy.
-type Policy int
-
-// Load-balancing policies. The paper configures C-JDBC with
-// least-pending-requests.
+// Resilience constants (see DESIGN.md "Failure handling"). A transient
+// failure is retried in place retryLimit times after the first try, the
+// wait starting at retryBackoff and doubling up to maxRetryBackoff; the
+// controller and the Apuama engine share the policy through Backoff.
+// breakerThreshold consecutive exhausted-transient failures trip a
+// backend's breaker (a crash trips it at once), and its half-open probe
+// runs every probeInterval, doubling up to maxProbeInterval while the
+// backend stays unreachable.
 const (
-	LeastPending Policy = iota
-	RoundRobin
+	retryLimit       = 3
+	retryBackoff     = 100 * time.Microsecond
+	maxRetryBackoff  = 10 * time.Millisecond
+	breakerThreshold = 3
+	probeInterval    = 200 * time.Microsecond
+	maxProbeInterval = 20 * time.Millisecond
 )
 
-// Resilience defaults and caps.
-const (
-	defaultBreakerThreshold = 3
-	defaultRetryLimit       = 3
-	defaultRetryBackoff     = 100 * time.Microsecond
-	maxRetryBackoff         = 10 * time.Millisecond
-	defaultProbeInterval    = 200 * time.Microsecond
-	maxProbeInterval        = 20 * time.Millisecond
-)
+// Backoff is one request's budget of in-place retries of transient
+// failures. The zero value is a fresh budget.
+type Backoff struct {
+	retries int
+	wait    time.Duration
+}
 
-// Options configures a Controller.
-type Options struct {
-	// Policy is the read balancing policy (default LeastPending).
-	Policy Policy
-	// Cost is the network cost model used for middleware<->backend
-	// traffic (defaults to the database's configuration when zero).
-	Cost costmodel.Config
-	// BreakerThreshold is the number of consecutive transient failures
-	// (each already retried RetryLimit times in place) that trips a
-	// backend's circuit breaker (default 3). A crash trips immediately.
-	BreakerThreshold int
-	// RetryLimit bounds in-place retries of a transient failure before
-	// it counts against the breaker (default 3).
-	RetryLimit int
-	// RetryBackoff is the initial backoff between transient retries; it
-	// doubles per attempt, capped at 10ms (default 100µs).
-	RetryBackoff time.Duration
-	// ProbeInterval is the base interval between half-open recovery
-	// probes of a tripped backend; it backs off exponentially to 20ms
-	// while the backend stays unreachable (default 200µs).
-	ProbeInterval time.Duration
-	// DisableAutoRecovery turns off the breaker's probe/recover loop:
-	// tripped backends then stay out of rotation until a manual Recover,
-	// the original C-JDBC behaviour.
-	DisableAutoRecovery bool
-	// Metrics, when set, mirrors the controller's resilience counters
-	// (breaker trips, probes, auto-recoveries, retries, failovers) into
-	// the registry for the /metrics endpoint.
-	Metrics *obs.Registry
+// Retry decides what follows a failed try. It returns nil after waiting
+// the next backoff step when err is transient and the budget has a retry
+// left: the caller tries again. Otherwise it returns the error to fail
+// with: err itself, or ctx's error when ctx ends during the wait.
+func (b *Backoff) Retry(ctx context.Context, err error) error {
+	if !errors.Is(err, ErrTransient) || b.retries == retryLimit {
+		return err
+	}
+	b.retries++
+	b.wait = min(max(2*b.wait, retryBackoff), maxRetryBackoff)
+	t := time.NewTimer(b.wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // CtlStats counts the controller's degraded-mode activity so chaos tests
@@ -177,7 +170,7 @@ type backendState struct {
 	// disabled is the breaker: true = open (out of rotation).
 	disabled atomic.Bool
 	// transientFails counts consecutive exhausted transient failures;
-	// reaching BreakerThreshold trips the breaker.
+	// reaching breakerThreshold trips the breaker.
 	transientFails atomic.Int64
 	// probing reports an active probe loop; guarded by Controller.probeMu.
 	probing bool
@@ -188,8 +181,6 @@ type backendState struct {
 type Controller struct {
 	db       *engine.Database
 	backends []*backendState
-	policy   Policy
-	opts     Options
 	net      *costmodel.Meter
 
 	// writeMu is the Scheduler's total order: one replicated write at a
@@ -198,7 +189,6 @@ type Controller struct {
 	// behind the paper's Fig. 4 flattening at 16-32 nodes.
 	writeMu  sync.Mutex
 	writeSeq atomic.Int64
-	rr       atomic.Int64
 
 	// writeLog retains every scheduled write so a crashed replica can be
 	// recovered by replay (guarded by writeMu).
@@ -219,8 +209,8 @@ type Controller struct {
 	transientRetries atomic.Int64
 	readFailovers    atomic.Int64
 
-	// Registry mirrors of the counters above (nil-safe no-ops when
-	// Options.Metrics is unset).
+	// Registry mirrors of the counters above (nil-safe no-ops without a
+	// registry).
 	mBreakerTrips     *obs.Counter
 	mProbes           *obs.Counter
 	mAutoRecoveries   *obs.Counter
@@ -234,35 +224,21 @@ type loggedWrite struct {
 	stmt sql.Statement
 }
 
-// New assembles a controller over the given backends.
-func New(db *engine.Database, backends []Backend, opts Options) *Controller {
-	cfg := opts.Cost
-	if cfg.PageSize == 0 {
-		cfg = db.Config()
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = defaultBreakerThreshold
-	}
-	if opts.RetryLimit <= 0 {
-		opts.RetryLimit = defaultRetryLimit
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = defaultRetryBackoff
-	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = defaultProbeInterval
-	}
+// New assembles a controller over the given backends. Middleware
+// traffic is charged under the database's cost model, and the resilience
+// counters are mirrored into reg (nil mirrors nothing).
+func New(db *engine.Database, backends []Backend, reg *obs.Registry) *Controller {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Controller{
-		db: db, policy: opts.Policy, opts: opts,
-		net: costmodel.NewMeter(cfg),
+		db:  db,
+		net: costmodel.NewMeter(db.Config()),
 		ctx: ctx, cancel: cancel,
 
-		mBreakerTrips:     opts.Metrics.Counter(obs.MBreakerTrips),
-		mProbes:           opts.Metrics.Counter(obs.MProbes),
-		mAutoRecoveries:   opts.Metrics.Counter(obs.MAutoRecoveries),
-		mTransientRetries: opts.Metrics.Counter(obs.MTransientRetries),
-		mReadFailovers:    opts.Metrics.Counter(obs.MReadFailovers),
+		mBreakerTrips:     reg.Counter(obs.MBreakerTrips),
+		mProbes:           reg.Counter(obs.MProbes),
+		mAutoRecoveries:   reg.Counter(obs.MAutoRecoveries),
+		mTransientRetries: reg.Counter(obs.MTransientRetries),
+		mReadFailovers:    reg.Counter(obs.MReadFailovers),
 	}
 	for _, b := range backends {
 		c.backends = append(c.backends, &backendState{b: b})
@@ -331,7 +307,7 @@ func (c *Controller) QueryContext(ctx context.Context, sqlText string) (*engine.
 		}
 		if errors.Is(err, ErrTransient) {
 			// Retries exhausted: count against the breaker, go elsewhere.
-			if bs.transientFails.Add(1) >= int64(c.opts.BreakerThreshold) {
+			if bs.transientFails.Add(1) >= breakerThreshold {
 				c.trip(bs)
 			}
 			c.readFailovers.Add(1)
@@ -352,8 +328,8 @@ func (c *Controller) QueryContext(ctx context.Context, sqlText string) (*engine.
 // queryBackend runs one read on one backend, retrying transient failures
 // in place with capped exponential backoff.
 func (c *Controller) queryBackend(ctx context.Context, bs *backendState, sqlText string, cfg costmodel.Config) (*engine.Result, error) {
-	backoff := c.opts.RetryBackoff
-	for try := 0; ; try++ {
+	var bo Backoff
+	for {
 		bs.pending.Add(1)
 		bs.reads.Add(1)
 		c.net.Charge(cfg.NetMessage)
@@ -362,48 +338,39 @@ func (c *Controller) queryBackend(ctx context.Context, bs *backendState, sqlText
 		if err == nil {
 			return res, nil
 		}
-		if !errors.Is(err, ErrTransient) || try >= c.opts.RetryLimit {
+		if err := bo.Retry(ctx, err); err != nil {
 			return nil, err
 		}
-		c.transientRetries.Add(1)
-		c.mTransientRetries.Inc()
-		if serr := sleepCtx(ctx, backoff); serr != nil {
-			return nil, serr
-		}
-		backoff = capDuration(backoff*2, maxRetryBackoff)
+		c.countRetry()
 	}
 }
 
-// pick applies the configured balancing policy over enabled backends.
+// countRetry counts one in-place retry of a transient failure.
+func (c *Controller) countRetry() {
+	c.transientRetries.Add(1)
+	c.mTransientRetries.Inc()
+}
+
+// pick returns the enabled backend with the fewest pending requests: the
+// least-pending-requests policy the paper configures C-JDBC with.
 func (c *Controller) pick() (*backendState, error) {
-	switch c.policy {
-	case RoundRobin:
-		for range c.backends {
-			i := int(c.rr.Add(1)-1) % len(c.backends)
-			if !c.backends[i].disabled.Load() {
-				return c.backends[i], nil
-			}
+	var best *backendState
+	for _, bs := range c.backends {
+		if bs.disabled.Load() {
+			continue
 		}
-	default: // LeastPending
-		var best *backendState
-		for _, bs := range c.backends {
-			if bs.disabled.Load() {
-				continue
-			}
-			if best == nil || bs.pending.Load() < best.pending.Load() {
-				best = bs
-			}
-		}
-		if best != nil {
-			return best, nil
+		if best == nil || bs.pending.Load() < best.pending.Load() {
+			best = bs
 		}
 	}
-	return nil, fmt.Errorf("all backends are disabled: %w", ErrBackendDown)
+	if best == nil {
+		return nil, fmt.Errorf("all backends are disabled: %w", ErrBackendDown)
+	}
+	return best, nil
 }
 
 // trip opens a backend's circuit breaker: the backend leaves rotation
-// and, unless auto-recovery is disabled, a background probe loop starts
-// working to bring it back.
+// and a background probe loop starts working to bring it back.
 func (c *Controller) trip(bs *backendState) {
 	if bs.disabled.CompareAndSwap(false, true) {
 		c.breakerTrips.Add(1)
@@ -418,9 +385,6 @@ func (c *Controller) trip(bs *backendState) {
 // startProbe launches the half-open probe loop for a tripped backend if
 // one is not already running.
 func (c *Controller) startProbe(bs *backendState) {
-	if c.opts.DisableAutoRecovery {
-		return
-	}
 	c.probeMu.Lock()
 	defer c.probeMu.Unlock()
 	if bs.probing || c.closed {
@@ -438,7 +402,7 @@ func (c *Controller) startProbe(bs *backendState) {
 // without a probe.
 func (c *Controller) probeLoop(bs *backendState) {
 	defer c.wg.Done()
-	interval := c.opts.ProbeInterval
+	interval := probeInterval
 	for {
 		select {
 		case <-c.ctx.Done():
@@ -451,12 +415,12 @@ func (c *Controller) probeLoop(bs *backendState) {
 		c.probes.Add(1)
 		c.mProbes.Inc()
 		if err := bs.b.Ping(c.ctx); err != nil {
-			interval = capDuration(interval*2, maxProbeInterval)
+			interval = min(interval*2, maxProbeInterval)
 			continue
 		}
 		// Half-open probe succeeded: replay missed writes, re-admit.
 		if err := c.recoverState(bs); err != nil {
-			interval = capDuration(interval*2, maxProbeInterval)
+			interval = min(interval*2, maxProbeInterval)
 			continue
 		}
 		c.autoRecoveries.Add(1)
@@ -469,7 +433,7 @@ func (c *Controller) probeLoop(bs *backendState) {
 		}
 		// Re-tripped while recovering: keep probing.
 		c.probeMu.Unlock()
-		interval = c.opts.ProbeInterval
+		interval = probeInterval
 	}
 }
 
@@ -600,18 +564,14 @@ func (c *Controller) ExecWriteContext(ctx context.Context, stmt sql.Statement) (
 	replies := make(chan reply, len(live))
 	for _, bs := range live {
 		go func(bs *backendState) {
-			backoff := c.opts.RetryBackoff
-			for try := 0; ; try++ {
+			var bo Backoff
+			for {
 				n, err := bs.b.ApplyWrite(ctx, id, stmt)
-				if errors.Is(err, ErrTransient) && try < c.opts.RetryLimit {
-					c.transientRetries.Add(1)
-					c.mTransientRetries.Inc()
-					if serr := sleepCtx(ctx, backoff); serr != nil {
-						replies <- reply{bs: bs, err: serr}
-						return
+				if err != nil {
+					if err = bo.Retry(ctx, err); err == nil {
+						c.countRetry()
+						continue
 					}
-					backoff = capDuration(backoff*2, maxRetryBackoff)
-					continue
 				}
 				replies <- reply{bs: bs, n: n, err: err}
 				return
@@ -656,26 +616,4 @@ func (c *Controller) Stats() []int64 {
 		out[i] = bs.reads.Load()
 	}
 	return out
-}
-
-// sleepCtx sleeps for d unless the context is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func capDuration(d, max time.Duration) time.Duration {
-	if d > max {
-		return max
-	}
-	return d
 }

@@ -14,7 +14,7 @@ import (
 
 // buildCluster makes a database with one small table replicated over n
 // node backends.
-func buildCluster(t *testing.T, n int, opts Options) (*Controller, []*engine.Node) {
+func buildCluster(t *testing.T, n int) (*Controller, []*engine.Node) {
 	t.Helper()
 	db := engine.NewDatabase(costmodel.TestConfig())
 	loader := engine.NewNode(-1, db)
@@ -33,11 +33,11 @@ func buildCluster(t *testing.T, n int, opts Options) (*Controller, []*engine.Nod
 		nodes[i] = engine.NewNode(i, db)
 		backends[i] = &NodeBackend{Node: nodes[i]}
 	}
-	return New(db, backends, opts), nodes
+	return New(db, backends, nil), nodes
 }
 
 func TestQueryRouting(t *testing.T) {
-	c, _ := buildCluster(t, 4, Options{})
+	c, _ := buildCluster(t, 4)
 	res, err := c.Query("select count(*) from kv")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestQueryRouting(t *testing.T) {
 }
 
 func TestWriteBroadcastKeepsReplicasConsistent(t *testing.T) {
-	c, nodes := buildCluster(t, 4, Options{})
+	c, nodes := buildCluster(t, 4)
 	if _, err := c.Exec("delete from kv where k <= 10"); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWriteBroadcastKeepsReplicasConsistent(t *testing.T) {
 }
 
 func TestConcurrentWritesSerialized(t *testing.T) {
-	c, nodes := buildCluster(t, 3, Options{})
+	c, nodes := buildCluster(t, 3)
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
@@ -91,7 +91,7 @@ func TestConcurrentWritesSerialized(t *testing.T) {
 }
 
 func TestConcurrentReadsAndWrites(t *testing.T) {
-	c, _ := buildCluster(t, 4, Options{})
+	c, _ := buildCluster(t, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
@@ -116,20 +116,6 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	res, _ := c.Query("select count(*) from kv where k >= 2000")
 	if res.Rows[0][0].I != 40 {
 		t.Fatalf("final: %v", res.Rows[0])
-	}
-}
-
-func TestRoundRobinSpreadsReads(t *testing.T) {
-	c, _ := buildCluster(t, 4, Options{Policy: RoundRobin})
-	for i := 0; i < 40; i++ {
-		if _, err := c.Query("select count(*) from kv"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := range c.Stats() {
-		if n != 10 {
-			t.Errorf("backend %d served %d reads", i, n)
-		}
 	}
 }
 
@@ -167,7 +153,7 @@ func TestLeastPendingUnderConcurrency(t *testing.T) {
 		blocked = append(blocked, bb)
 		backends = append(backends, bb)
 	}
-	c := New(db, backends, Options{Policy: LeastPending})
+	c := New(db, backends, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -200,7 +186,7 @@ func TestLeastPendingUnderConcurrency(t *testing.T) {
 }
 
 func TestSetBroadcast(t *testing.T) {
-	c, nodes := buildCluster(t, 3, Options{})
+	c, nodes := buildCluster(t, 3)
 	if _, err := c.Exec("set enable_seqscan = off"); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +198,7 @@ func TestSetBroadcast(t *testing.T) {
 }
 
 func TestDDLThroughController(t *testing.T) {
-	c, nodes := buildCluster(t, 2, Options{})
+	c, nodes := buildCluster(t, 2)
 	if _, err := c.Exec("create table t2 (a bigint, primary key (a))"); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +211,7 @@ func TestDDLThroughController(t *testing.T) {
 }
 
 func TestExecErrors(t *testing.T) {
-	c, _ := buildCluster(t, 2, Options{})
+	c, _ := buildCluster(t, 2)
 	if _, err := c.Exec("select 1 from kv"); err == nil {
 		t.Error("Exec(SELECT) should fail")
 	}
@@ -235,14 +221,14 @@ func TestExecErrors(t *testing.T) {
 	if _, err := c.Query("select nope from kv"); err == nil {
 		t.Error("bad column should fail")
 	}
-	empty := New(engine.NewDatabase(costmodel.TestConfig()), nil, Options{})
+	empty := New(engine.NewDatabase(costmodel.TestConfig()), nil, nil)
 	if _, err := empty.Query("select 1 from kv"); err == nil {
 		t.Error("no backends should fail")
 	}
 }
 
 func TestWriteErrorPropagates(t *testing.T) {
-	c, _ := buildCluster(t, 2, Options{})
+	c, _ := buildCluster(t, 2)
 	if _, err := c.Exec("delete from missing where k = 1"); err == nil {
 		t.Error("write to missing table should fail")
 	}
@@ -253,7 +239,7 @@ func TestWriteErrorPropagates(t *testing.T) {
 }
 
 func TestNetMeterCharges(t *testing.T) {
-	c, _ := buildCluster(t, 3, Options{})
+	c, _ := buildCluster(t, 3)
 	before := c.NetMeter().Virtual()
 	if _, err := c.Query("select k, v from kv where k <= 5"); err != nil {
 		t.Fatal(err)
@@ -336,7 +322,7 @@ func TestControllerRecovery(t *testing.T) {
 	nodes := []*engine.Node{engine.NewNode(0, db), engine.NewNode(1, db)}
 	b0 := &downableBackend{NodeBackend: &NodeBackend{Node: nodes[0]}}
 	b1 := &downableBackend{NodeBackend: &NodeBackend{Node: nodes[1]}}
-	c := New(db, []Backend{b0, b1}, Options{})
+	c := New(db, []Backend{b0, b1}, nil)
 
 	if c.NumBackends() != 2 || c.Backend(0) != Backend(b0) {
 		t.Fatal("accessors")

@@ -24,7 +24,7 @@ func TestBreakerAutoRecovery(t *testing.T) {
 	nodes := []*engine.Node{engine.NewNode(0, db), engine.NewNode(1, db)}
 	b0 := &downableBackend{NodeBackend: &NodeBackend{Node: nodes[0]}}
 	b1 := &downableBackend{NodeBackend: &NodeBackend{Node: nodes[1]}}
-	c := New(db, []Backend{b0, b1}, Options{})
+	c := New(db, []Backend{b0, b1}, nil)
 	defer c.Close()
 
 	b1.setDown(true)
@@ -100,29 +100,30 @@ func (f *flakyBackend) ApplyWrite(ctx context.Context, id int64, st sql.Statemen
 }
 
 // TestTransientRetriedInPlace: transient failures within the retry
-// budget never surface to the client and never trip the breaker.
+// budget — three retries after the first try, for reads and writes alike
+// — never surface to the client and never trip the breaker.
 func TestTransientRetriedInPlace(t *testing.T) {
 	db := engine.NewDatabase(costmodel.TestConfig())
 	loader := engine.NewNode(-1, db)
 	if _, err := loader.Exec("create table kv (k bigint, primary key (k))"); err != nil {
 		t.Fatal(err)
 	}
-	fb := &flakyBackend{NodeBackend: &NodeBackend{Node: engine.NewNode(0, db)}, failures: 2}
-	c := New(db, []Backend{fb}, Options{})
+	fb := &flakyBackend{NodeBackend: &NodeBackend{Node: engine.NewNode(0, db)}, failures: 3}
+	c := New(db, []Backend{fb}, nil)
 	defer c.Close()
 
 	if _, err := c.Query("select count(*) from kv"); err != nil {
 		t.Fatalf("query should absorb transient failures: %v", err)
 	}
 	fb.mu.Lock()
-	fb.failures = 2
+	fb.failures = 3
 	fb.mu.Unlock()
 	if _, err := c.Exec("insert into kv (k) values (1)"); err != nil {
 		t.Fatalf("write should absorb transient failures: %v", err)
 	}
 	st := c.Snapshot()
-	if st.TransientRetries < 4 {
-		t.Fatalf("retries not counted: %+v", st)
+	if st.TransientRetries != 6 {
+		t.Fatalf("want 3 retries per request, 6 in all: %+v", st)
 	}
 	if st.BreakerTrips != 0 || len(c.DisabledBackends()) != 0 {
 		t.Fatalf("breaker tripped on recoverable failures: %+v", st)
@@ -130,7 +131,10 @@ func TestTransientRetriedInPlace(t *testing.T) {
 }
 
 // TestPersistentTransientTripsBreaker: a backend that never stops
-// failing transiently exhausts its retry budget enough times to trip.
+// failing transiently exhausts its retry budget on each read, and the
+// third exhausted read trips its breaker. Its pings succeed, so the probe
+// re-admits it at once: the trip shows in the counters, not in
+// DisabledBackends.
 func TestPersistentTransientTripsBreaker(t *testing.T) {
 	db := engine.NewDatabase(costmodel.TestConfig())
 	loader := engine.NewNode(-1, db)
@@ -138,24 +142,19 @@ func TestPersistentTransientTripsBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := &flakyBackend{NodeBackend: &NodeBackend{Node: engine.NewNode(0, db)}, failures: 1 << 30}
-	c := New(db, []Backend{fb}, Options{BreakerThreshold: 2, DisableAutoRecovery: true})
+	c := New(db, []Backend{fb}, nil)
 	defer c.Close()
 
-	for i := 0; i < 2; i++ {
+	for i := 1; i <= 3; i++ {
 		if _, err := c.Query("select count(*) from kv"); err == nil {
 			t.Fatal("query should fail while backend is flaky")
 		}
-	}
-	if got := c.DisabledBackends(); len(got) != 1 {
-		t.Fatalf("breaker did not trip: %v", got)
+		if trips := c.Snapshot().BreakerTrips; trips != int64(i/3) {
+			t.Fatalf("after %d exhausted reads: %d breaker trips, want %d", i, trips, i/3)
+		}
 	}
 	st := c.Snapshot()
-	if st.TransientRetries < 2 || st.ReadFailovers < 2 {
-		t.Fatalf("stats: %+v", st)
-	}
-	// Auto-recovery disabled: the backend must stay out of rotation.
-	time.Sleep(5 * time.Millisecond)
-	if st := c.Snapshot(); st.AutoRecoveries != 0 || st.Probes != 0 {
-		t.Fatalf("probe ran despite DisableAutoRecovery: %+v", st)
+	if st.TransientRetries != 9 || st.ReadFailovers != 3 {
+		t.Fatalf("want 3 retries and 1 failover per read: %+v", st)
 	}
 }

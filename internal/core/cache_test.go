@@ -246,8 +246,7 @@ func TestMaxStaleEpochsServesBehindHead(t *testing.T) {
 func TestCacheMetricsMirrored(t *testing.T) {
 	opts := cacheOptions()
 	reg := obs.NewRegistry()
-	opts.Metrics = reg
-	s := buildStack(t, 2, opts)
+	s := buildStackMetrics(t, 2, opts, reg)
 	text := tpch.MustQuery(6)
 	for i := 0; i < 2; i++ {
 		if _, err := s.ctl.Query(text); err != nil {

@@ -10,6 +10,7 @@ import (
 	"apuama/internal/cluster"
 	"apuama/internal/costmodel"
 	"apuama/internal/engine"
+	"apuama/internal/obs"
 	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
 	"apuama/internal/tpch"
@@ -27,6 +28,13 @@ type stack struct {
 
 func buildStack(t *testing.T, n int, opts Options) *stack {
 	t.Helper()
+	return buildStackMetrics(t, n, opts, nil)
+}
+
+// buildStackMetrics is buildStack with the engine's counters mirrored
+// into reg.
+func buildStackMetrics(t *testing.T, n int, opts Options, reg *obs.Registry) *stack {
+	t.Helper()
 	db := engine.NewDatabase(costmodel.TestConfig())
 	if _, err := (tpch.Generator{SF: testSF, Seed: 1}).Load(db); err != nil {
 		t.Fatal(err)
@@ -35,8 +43,8 @@ func buildStack(t *testing.T, n int, opts Options) *stack {
 	for i := range nodes {
 		nodes[i] = engine.NewNode(i, db)
 	}
-	eng := New(db, nodes, TPCHCatalog(), opts)
-	ctl := cluster.New(db, eng.Backends(), cluster.Options{})
+	eng := New(db, nodes, TPCHCatalog(), opts, reg)
+	ctl := cluster.New(db, eng.Backends(), nil)
 	// Every test that builds a stack also checks the composer's lifetime
 	// rule: whatever the queries did — succeed, fail, time out, roll a
 	// hedge back, stop at a LIMIT — no composition table outlives them.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"slices"
 	"strconv"
@@ -39,15 +40,17 @@ func (s Strategy) String() string {
 	return "SVP"
 }
 
-// Options configures the Apuama Engine.
+// Options configures the Apuama Engine. It is the one declaration of the
+// engine's knobs: the facade, the experiment harness and the binaries'
+// flags all pass it through whole. The zero value is the paper's
+// configuration: SVP on, sequential scans off around sub-queries, the
+// consistency barrier on.
 type Options struct {
 	// Strategy is the intra-query technique (default SVP, the paper's).
 	Strategy Strategy
-	// ForceIndexScan disables sequential scans around SVP sub-queries
-	// (the paper's §3 optimizer interference; on by default).
-	ForceIndexScan bool
-	// PoolSize bounds concurrent statements per node processor.
-	PoolSize int
+	// AllowSeqscan stops the engine disabling sequential scans around SVP
+	// sub-queries (ablation of the paper's §3 optimizer override).
+	AllowSeqscan bool
 	// DisableSVP turns the engine into a transparent proxy: the plain
 	// C-JDBC baseline, used for ablations.
 	DisableSVP bool
@@ -62,13 +65,6 @@ type Options struct {
 	// MaxStaleness writes of each other (Refresco-style freshness
 	// control), waiting only when divergence exceeds the bound.
 	MaxStaleness int64
-	// BarrierTimeout bounds the replica-convergence wait.
-	BarrierTimeout time.Duration
-	// GatherBudget bounds the in-flight partial-result batches buffered
-	// between the node streams and the composer, per partition: fast
-	// producers block once the gather channel holds GatherBudget × nodes
-	// undelivered batches (backpressure). Default 8.
-	GatherBudget int
 
 	// Cache sizes the versioned result cache and in-flight query
 	// sharing layer (internal/cache). The zero value disables caching:
@@ -81,25 +77,18 @@ type Options struct {
 	// Admission configures overload protection for the SVP path:
 	// admission control with bounded queueing and typed load shedding, a
 	// cluster-wide memory budget for composition state, brownout
-	// degradation under sustained saturation, and the slow-query killer.
-	// The zero value disables all of it (every query admitted, no
-	// budget). See DESIGN.md "Overload & graceful degradation".
+	// degradation under sustained saturation, the slow-query killer, and
+	// MQO's batching window (Admission.BatchWindow: default 3ms with MQO
+	// on, forced to 0 with it off). The zero value disables all of it
+	// (every query admitted, no budget). See DESIGN.md "Overload &
+	// graceful degradation".
 	Admission admission.Config
 
 	// QueryTimeout is the per-query deadline applied by RunSVP when the
 	// caller's context carries none. Zero disables the default deadline.
 	QueryTimeout time.Duration
-	// RetryLimit bounds in-place retries of a transiently failing
-	// sub-query before failing over to another node (default 3).
-	RetryLimit int
-	// RetryBackoff is the initial retry backoff, doubled per attempt and
-	// capped (default 100µs, cap 10ms).
-	RetryBackoff time.Duration
-	// HedgeMultiplier × the median sub-query completion time is the
-	// straggler threshold after which pending partitions are hedged on
-	// another live node (default 4; first answer per partition wins).
-	HedgeMultiplier float64
-	// DisableHedging turns speculative re-dispatch off.
+	// DisableHedging turns speculative re-dispatch of straggling
+	// sub-queries off.
 	DisableHedging bool
 
 	// AVPGranularity is the fine-partition fan-out: virtual partitions
@@ -137,26 +126,22 @@ type Options struct {
 	// Results are IEEE-bit-identical with MQO off — only the work
 	// performed changes.
 	MQO bool
-	// MQOWindow is the admission batching window applied when MQO is on
-	// (default 3ms; ignored when MQO is off). It is threaded into
-	// Admission.BatchWindow, which releases early on queue depth and
-	// switches itself off under brownout.
-	MQOWindow time.Duration
 
-	// Metrics, when set, mirrors every engine counter into the registry
-	// and attributes per-phase latency (barrier, dispatch, sub-query,
-	// gather, compose) to histograms. Nil disables mirroring at zero
-	// hot-path cost. Span tracing is independent: the engine records
-	// lifecycle spans onto whatever query span the caller placed in the
-	// context (obs.WithSpan).
-	Metrics *obs.Registry
+	// gatherBudget bounds the in-flight partial-result batches buffered
+	// between the node streams and the composer, per partition: fast
+	// producers block once the gather channel holds gatherBudget × nodes
+	// undelivered batches (backpressure). Default 8; only tests set it.
+	gatherBudget int
+	// barrierTimeout bounds the replica-convergence wait. Default 30s;
+	// only tests set it.
+	barrierTimeout time.Duration
 }
 
 // DefaultOptions mirrors the paper's configuration, with every
 // defaultable knob already resolved: the value is a fixed point of the
 // engine's option normalization, so it round-trips through New unchanged.
 func DefaultOptions() Options {
-	return Options{ForceIndexScan: true}.withDefaults()
+	return Options{}.withDefaults()
 }
 
 // withDefaults is the one place option defaulting happens. New
@@ -165,47 +150,52 @@ func DefaultOptions() Options {
 // here (and only here) — the round-trip test in options_test.go catches
 // a default applied anywhere else.
 func (o Options) withDefaults() Options {
-	if o.PoolSize == 0 {
-		o.PoolSize = 8
+	if o.gatherBudget <= 0 {
+		o.gatherBudget = defaultGatherBudget
 	}
-	if o.BarrierTimeout == 0 {
-		o.BarrierTimeout = 30 * time.Second
+	if o.barrierTimeout == 0 {
+		o.barrierTimeout = defaultBarrierTimeout
 	}
-	if o.RetryLimit == 0 {
-		o.RetryLimit = defaultRetryLimit
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = defaultRetryBackoff
-	}
-	if o.HedgeMultiplier == 0 {
-		o.HedgeMultiplier = defaultHedgeMultiplier
-	}
-	if o.GatherBudget <= 0 {
-		o.GatherBudget = defaultGatherBudget
-	}
-	if o.MQO {
-		if o.MQOWindow == 0 {
-			o.MQOWindow = defaultMQOWindow
-		}
-		o.Admission.BatchWindow = o.MQOWindow
+	if !o.MQO {
+		o.Admission.BatchWindow = 0
+	} else if o.Admission.BatchWindow == 0 {
+		o.Admission.BatchWindow = defaultMQOWindow
 	}
 	return o
 }
 
-// Resilience defaults (see DESIGN.md "Failure handling").
+// RegisterFlags registers the engine flags every binary shares on fs,
+// each bound to its field of o and defaulting to the field's current
+// value.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&o.DisableSVP, "baseline", o.DisableSVP, "disable Apuama (plain C-JDBC-style cluster)")
+	fs.IntVar(&o.Parallelism, "parallelism", o.Parallelism, "intra-node morsel-driven degree per node engine (0 = auto, 1 = serial)")
+	fs.IntVar(&o.AVPGranularity, "avp-granularity", o.AVPGranularity, "fine virtual partitions per configured node (0 = auto, 1 = coarse one-range-per-node)")
+	fs.BoolVar(&o.Columnar, "columnar", o.Columnar, "enable the columnar segment store with zone-map pruning")
+	fs.BoolVar(&o.MQO, "mqo", o.MQO, "enable multi-query optimization: cooperative shared scans and common sub-plan sharing")
+	fs.DurationVar(&o.Admission.BatchWindow, "mqo-window", o.Admission.BatchWindow, "admission batching window for MQO bursts (0 = 3ms default when -mqo)")
+}
+
+// Engine constants: values no program configures (see DESIGN.md
+// "Failure handling"), and the defaults of the options only tests set.
 const (
-	defaultRetryLimit      = 3
-	defaultRetryBackoff    = 100 * time.Microsecond
-	maxRetryBackoff        = 10 * time.Millisecond
-	defaultHedgeMultiplier = 4.0
+	// poolSize bounds concurrent statements per node processor.
+	poolSize = 8
+	// hedgeMultiplier × the median sub-query completion time is the
+	// straggler threshold after which a pending partition is hedged on
+	// another live node (first answer per partition wins).
+	hedgeMultiplier = 4
 	// minHedgeDelay floors the straggler threshold so sub-millisecond
 	// in-process queries never trigger spurious hedges.
 	minHedgeDelay = 10 * time.Millisecond
 	// defaultGatherBudget is the per-partition in-flight batch bound of
-	// the streaming gather (Options.GatherBudget).
+	// the streaming gather (Options.gatherBudget).
 	defaultGatherBudget = 8
+	// defaultBarrierTimeout bounds the replica-convergence wait
+	// (Options.barrierTimeout).
+	defaultBarrierTimeout = 30 * time.Second
 	// defaultMQOWindow is the admission batching window MQO applies
-	// when Options.MQOWindow is unset: long enough that a dashboard
+	// when Admission.BatchWindow is unset: long enough that a dashboard
 	// burst lands in one shared pass, short enough to be invisible
 	// against typical OLAP latency.
 	defaultMQOWindow = 3 * time.Millisecond
@@ -226,7 +216,7 @@ type Engine struct {
 	adm     *admission.Controller // nil unless Options.Admission enables it
 
 	// st is the engine's counter block (atomic fields; see stats.go) and
-	// m the pre-resolved metric handles mirroring it into Options.Metrics.
+	// m the pre-resolved metric handles mirroring it into the registry.
 	st engineStats
 	m  engineMetrics
 
@@ -286,8 +276,13 @@ type Stats struct {
 	FallbackReasons map[string]int64
 }
 
-// New builds an Apuama Engine over the given nodes.
-func New(db *engine.Database, nodes []*engine.Node, catalog *Catalog, opts Options) *Engine {
+// New builds an Apuama Engine over the given nodes. reg, when non-nil,
+// mirrors every engine counter into the registry and attributes
+// per-phase latency (barrier, dispatch, sub-query, gather, compose) to
+// histograms; nil disables mirroring at zero hot-path cost. Span tracing
+// is independent: the engine records lifecycle spans onto whatever query
+// span the caller placed in the context (obs.WithSpan).
+func New(db *engine.Database, nodes []*engine.Node, catalog *Catalog, opts Options, reg *obs.Registry) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{
 		db:      db,
@@ -296,16 +291,11 @@ func New(db *engine.Database, nodes []*engine.Node, catalog *Catalog, opts Optio
 		gate:    newBlocker(),
 		opts:    opts,
 		net:     costmodel.NewMeter(db.Config()),
-		cache:   cache.New(opts.Cache, opts.Metrics),
-		m:       newEngineMetrics(opts.Metrics),
+		cache:   cache.New(opts.Cache, reg),
+		adm:     admission.New(opts.Admission, reg),
+		m:       newEngineMetrics(reg),
 	}
-	if admCfg := opts.Admission; admCfg.Enabled() {
-		if admCfg.Metrics == nil {
-			admCfg.Metrics = opts.Metrics
-		}
-		e.adm = admission.New(admCfg)
-	}
-	e.st.wire(opts.Metrics)
+	e.st.wire(reg)
 	// Columnar is a database-wide planner switch (segments live on the
 	// shared relations); set it before any node serves a query. MQO
 	// likewise: it swaps eligible columnar scans for shared-scan
@@ -318,13 +308,13 @@ func New(db *engine.Database, nodes []*engine.Node, catalog *Catalog, opts Optio
 			// (non-SVP) queries on the same node honour it.
 			nd.SetDefaultParallelism(opts.Parallelism)
 		}
-		p := NewNodeProcessor(nd, opts.PoolSize)
+		p := NewNodeProcessor(nd, poolSize)
 		p.parallelism = opts.Parallelism
 		// Brownout consultation: under saturation the admission ladder
 		// caps the intra-node degree every sub-query runs with (a nil
 		// controller's DegreeCap reports 0 = uncapped).
 		p.capDegree = e.adm.DegreeCap
-		p.setObs(opts.Metrics)
+		p.setObs(reg)
 		e.procs = append(e.procs, p)
 	}
 	return e
@@ -342,6 +332,9 @@ func (e *Engine) Backends() []cluster.Backend {
 
 // Procs exposes the node processors (experiments inspect node meters).
 func (e *Engine) Procs() []*NodeProcessor { return e.procs }
+
+// Options returns the resolved options the engine runs with.
+func (e *Engine) Options() Options { return e.opts }
 
 // Admission exposes the overload-protection controller (nil when
 // Options.Admission is disabled); the daemon's stats endpoint and tests
@@ -715,7 +708,7 @@ func (r *svpRun) takeSnapshot(resv *admission.Reservation) error {
 	// The gather channel's slots, one full batch each, are the query's
 	// first memory charge: a query that cannot afford them aborts before
 	// the barrier blocks any write.
-	if err := resv.Grow(int64(e.opts.GatherBudget*len(r.procs)) * gatherSlotBytes); err != nil {
+	if err := resv.Grow(int64(e.opts.gatherBudget*len(r.procs)) * gatherSlotBytes); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -727,7 +720,7 @@ func (r *svpRun) takeSnapshot(resv *admission.Reservation) error {
 		r.snapshot, err = e.awaitFreshness(r.ctx, r.procs, e.opts.MaxStaleness)
 	default:
 		e.gate.block()
-		if r.snapshot, r.procs, err = e.gate.awaitConsistent(r.ctx, r.procs, e.opts.BarrierTimeout); err != nil {
+		if r.snapshot, r.procs, err = e.gate.awaitConsistent(r.ctx, r.procs, e.opts.barrierTimeout); err != nil {
 			e.gate.unblock()
 		}
 		r.gated = err == nil
@@ -753,7 +746,7 @@ func (r *svpRun) dispatch(usePartial bool) {
 	start := time.Now()
 	n, nParts := len(r.procs), len(r.plan.ranges)
 	r.workCtx, r.cancelWork = context.WithCancel(r.ctx)
-	r.msgs = make(chan gatherMsg, e.opts.GatherBudget*n)
+	r.msgs = make(chan gatherMsg, e.opts.gatherBudget*n)
 	r.sch = newFineScheduler(nParts, n)
 	r.alive = slices.Clone(r.procs)
 	cached, followed := 0, 0
@@ -894,18 +887,15 @@ func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool, prep **engine.
 	if stolen {
 		kind = stolenAttempt
 	}
-	backoff := e.opts.RetryBackoff
+	var bo cluster.Backoff
 	for try := 1; ; try++ {
 		err := r.attempt(p, idx, kind, try, prep)
-		switch {
-		case err == nil:
+		if err == nil {
 			return r.plan.ranges[idx][1] - r.plan.ranges[idx][0], nil
-		case errors.Is(err, cluster.ErrTransient) && try <= e.opts.RetryLimit:
+		}
+		switch err = bo.Retry(r.workCtx, err); {
+		case err == nil:
 			e.st.backoffRetries.Inc()
-			if sleepCtx(r.workCtx, backoff) != nil {
-				return 0, nil
-			}
-			backoff = min(backoff*2, maxRetryBackoff)
 		case retryable(err):
 			if r.sch.requeue(idx, p, err, r.alive) {
 				e.st.subQueryRetries.Inc()
@@ -915,7 +905,7 @@ func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool, prep **engine.
 				return 0, err
 			}
 			return 0, nil
-		default: // permanent (semantic) failure: no node can answer this
+		default: // permanent (semantic) failure no node can answer, or the query ended during the backoff
 			return 0, nil
 		}
 	}
@@ -990,7 +980,7 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 	args := r.plan.rw.rangeArgs(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
 	p.Node().Meter().Charge(r.e.net.Config().NetMessage)
 	t0 := time.Now()
-	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, r.e.opts.ForceIndexScan, prep, func(b *sqltypes.Batch) error {
+	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, !r.e.opts.AllowSeqscan, prep, func(b *sqltypes.Batch) error {
 		if !r.send(gatherMsg{idx: idx, attempt: id, hedge: hedge, batch: b}) {
 			return r.workCtx.Err()
 		}
@@ -1077,7 +1067,7 @@ func (e *Engine) mirrorBatchPool() {
 // snapshot. Updates keep flowing the whole time; the wait polls with
 // capped exponential backoff and honours the query's deadline.
 func (e *Engine) awaitFreshness(ctx context.Context, procs []*NodeProcessor, bound int64) (int64, error) {
-	deadline := time.Now().Add(e.opts.BarrierTimeout)
+	deadline := time.Now().Add(e.opts.barrierTimeout)
 	spin := waitSpin
 	for {
 		lo, hi := counterRange(procs)
@@ -1089,7 +1079,7 @@ func (e *Engine) awaitFreshness(ctx context.Context, procs []*NodeProcessor, bou
 			return lo, nil
 		}
 		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("replica divergence %d exceeded staleness bound %d for %v", hi-lo, bound, e.opts.BarrierTimeout)
+			return 0, fmt.Errorf("replica divergence %d exceeded staleness bound %d for %v", hi-lo, bound, e.opts.barrierTimeout)
 		}
 		var err error
 		if spin, err = pollWait(ctx, spin); err != nil {
@@ -1107,18 +1097,6 @@ func counterRange(procs []*NodeProcessor) (lo, hi int64) {
 		lo, hi = min(lo, w), max(hi, w)
 	}
 	return lo, hi
-}
-
-// sleepCtx sleeps d unless the context ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // pickLeastLoaded returns the live node, other than the excluded ones,

@@ -57,7 +57,7 @@ func TestFreshnessReadsAtLaggingSnapshot(t *testing.T) {
 func TestFreshnessBoundExceeded(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxStaleness = 1
-	opts.BarrierTimeout = 50 * time.Millisecond
+	opts.barrierTimeout = 50 * time.Millisecond
 	s := buildStack(t, 2, opts)
 	lagNodes(t, s, 1, []string{
 		"delete from orders where o_orderkey = 1",

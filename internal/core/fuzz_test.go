@@ -45,8 +45,8 @@ func getFuzzStack() (*fuzzStack, error) {
 		for i := range nodes {
 			nodes[i] = engine.NewNode(i, db)
 		}
-		eng := New(db, nodes, TPCHCatalog(), DefaultOptions())
-		ctl := cluster.New(db, eng.Backends(), cluster.Options{})
+		eng := New(db, nodes, TPCHCatalog(), DefaultOptions(), nil)
+		ctl := cluster.New(db, eng.Backends(), nil)
 		ref := engine.NewNode(99, db)
 		if err := ref.AttachAt(nodes[0].Watermark()); err != nil {
 			fuzzErr = err

@@ -67,7 +67,7 @@ type gatherState struct {
 // aggregates are not associative, and that merge rule is what keeps
 // results bit-identical across schedules, steals and hedges. Once a
 // partition has answered, the oldest in-flight attempt past
-// HedgeMultiplier × the median completion time gets one twin on the
+// hedgeMultiplier × the median completion time gets one twin on the
 // least-loaded other live node (stealing balances load; the hedge covers
 // a node that stalls mid-partition). It returns the sink holding every
 // partition's winner, or a settled LIMIT prefix.
@@ -300,7 +300,7 @@ func (g *gatherState) armHedge() {
 		return
 	}
 	if _, _, began, ok := g.r.sch.oldestRunning(g.done); ok {
-		g.aimHedge(began.Add(hedgeThreshold(g.completions, e.opts.HedgeMultiplier)))
+		g.aimHedge(began.Add(hedgeThreshold(g.completions)))
 	}
 }
 
@@ -329,7 +329,7 @@ func (g *gatherState) hedgeDue() {
 	if !ok {
 		return
 	}
-	if due := began.Add(hedgeThreshold(g.completions, e.opts.HedgeMultiplier)); time.Now().Before(due) {
+	if due := began.Add(hedgeThreshold(g.completions)); time.Now().Before(due) {
 		g.aimHedge(due) // the oldest attempt changed since the timer was set
 		return
 	}
@@ -381,12 +381,12 @@ func prefixHolds(done []bool, rows []int64, k int64) bool {
 }
 
 // hedgeThreshold computes the straggler cutoff (measured from the
-// attempt's claim): HedgeMultiplier × the median completion time so far,
+// attempt's claim): hedgeMultiplier × the median completion time so far,
 // floored at minHedgeDelay.
-func hedgeThreshold(completions []time.Duration, mult float64) time.Duration {
+func hedgeThreshold(completions []time.Duration) time.Duration {
 	sorted := slices.Clone(completions)
 	slices.Sort(sorted)
-	return max(time.Duration(mult*float64(sorted[len(sorted)/2])), minHedgeDelay)
+	return max(hedgeMultiplier*sorted[len(sorted)/2], minHedgeDelay)
 }
 
 // memdbSink is the result composer (the paper's HSQLDB load, here

@@ -24,7 +24,7 @@ func buildStackOptsB(b *testing.B, n int, opts Options) *stack {
 	for i := range nodes {
 		nodes[i] = engine.NewNode(i, db)
 	}
-	eng := New(db, nodes, TPCHCatalog(), opts)
-	ctl := cluster.New(db, eng.Backends(), cluster.Options{})
+	eng := New(db, nodes, TPCHCatalog(), opts, nil)
+	ctl := cluster.New(db, eng.Backends(), nil)
 	return &stack{db: db, nodes: nodes, eng: eng, ctl: ctl}
 }

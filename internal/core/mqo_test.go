@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"apuama/internal/admission"
 	"apuama/internal/cache"
 	"apuama/internal/engine"
 	"apuama/internal/sqltypes"
@@ -42,7 +43,7 @@ func mqoOptions() Options {
 	opts := DefaultOptions()
 	opts.Columnar = true
 	opts.MQO = true
-	opts.MQOWindow = time.Millisecond
+	opts.Admission.BatchWindow = time.Millisecond
 	opts.Cache = cache.Config{Entries: 256, MaxBytes: 32 << 20}
 	return opts
 }
@@ -284,16 +285,17 @@ func TestChaosMQONodeDeathWithConsumers(t *testing.T) {
 // no columnar/plan changes — so -mqo=0 deployments are plan-for-plan
 // identical to builds predating this feature.
 func TestMQOOffMatchesDefaults(t *testing.T) {
-	opts := Options{MQO: false, MQOWindow: 0}.withDefaults()
-	if opts.Admission.BatchWindow != 0 {
-		t.Fatalf("MQO off set Admission.BatchWindow = %v, want 0", opts.Admission.BatchWindow)
+	for _, window := range []time.Duration{0, 5 * time.Millisecond} {
+		off := Options{Admission: admission.Config{BatchWindow: window}}.withDefaults()
+		if off.Admission.BatchWindow != 0 || off.Admission.Enabled() {
+			t.Fatalf("MQO off kept window %v as Admission.BatchWindow = %v, want 0", window, off.Admission.BatchWindow)
+		}
 	}
-	if opts.MQOWindow != 0 {
-		t.Fatalf("MQO off defaulted MQOWindow = %v, want 0", opts.MQOWindow)
+	if on := (Options{MQO: true}).withDefaults(); on.Admission.BatchWindow != 3*time.Millisecond {
+		t.Fatalf("MQO on defaulted Admission.BatchWindow = %v, want 3ms", on.Admission.BatchWindow)
 	}
-	on := Options{MQO: true}.withDefaults()
-	if on.MQOWindow == 0 || on.Admission.BatchWindow != on.MQOWindow {
-		t.Fatalf("MQO on: window %v, admission window %v — want equal and non-zero",
-			on.MQOWindow, on.Admission.BatchWindow)
+	set := Options{MQO: true, Admission: admission.Config{BatchWindow: 5 * time.Millisecond}}.withDefaults()
+	if set.Admission.BatchWindow != 5*time.Millisecond {
+		t.Fatalf("MQO on replaced a set window: Admission.BatchWindow = %v, want 5ms", set.Admission.BatchWindow)
 	}
 }

@@ -62,12 +62,10 @@ type NodeProcessor struct {
 	claims   *obs.Counter
 }
 
-// NewNodeProcessor wraps a node with a connection pool of the given size.
-func NewNodeProcessor(node *engine.Node, poolSize int) *NodeProcessor {
-	if poolSize < 1 {
-		poolSize = 4
-	}
-	return &NodeProcessor{node: node, pool: make(chan struct{}, poolSize)}
+// NewNodeProcessor wraps a node with a connection pool of the given size
+// (at least 1).
+func NewNodeProcessor(node *engine.Node, size int) *NodeProcessor {
+	return &NodeProcessor{node: node, pool: make(chan struct{}, size)}
 }
 
 // Node exposes the underlying engine (the blocker reads its transaction

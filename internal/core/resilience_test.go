@@ -111,6 +111,27 @@ func TestRetryTargetAlsoDead(t *testing.T) {
 	}
 }
 
+// TestClaimRetriesTransientThreeTimes: a claimed partition whose node
+// fails every request transiently is tried once and retried in place
+// three times, then fails the query when no other node can take it.
+func TestClaimRetriesTransientThreeTimes(t *testing.T) {
+	opts := DefaultOptions()
+	opts.AVPGranularity = 1 // one partition: exactly one claim
+	s := buildStack(t, 1, opts)
+	flaky := fault.New(1).FlakyEvery(1)
+	s.eng.Procs()[0].InjectFaults(flaky)
+
+	if _, err := s.eng.RunSVP(context.Background(), mustSel(t, "select count(*) from orders")); !errors.Is(err, cluster.ErrTransient) {
+		t.Fatalf("want the exhausted transient failure, got %v", err)
+	}
+	if got := s.eng.Snapshot().BackoffRetries; got != 3 {
+		t.Errorf("BackoffRetries = %d, want 3", got)
+	}
+	if got := flaky.Snapshot().Requests; got != 4 {
+		t.Errorf("node saw %d requests, want 4", got)
+	}
+}
+
 // assertGateOpen verifies the consistency gate admits a new write
 // promptly (no SVP dispatch section left holding it).
 func assertGateOpen(t *testing.T, s *stack, writeID int64) {
@@ -128,11 +149,11 @@ func assertGateOpen(t *testing.T, s *stack, writeID int64) {
 }
 
 // TestBarrierTimeoutUnblocksGate (strict mode): replicas that stay
-// divergent past BarrierTimeout fail the query AND leave the write gate
+// divergent past barrierTimeout fail the query AND leave the write gate
 // unblocked, so the cluster keeps accepting updates.
 func TestBarrierTimeoutUnblocksGate(t *testing.T) {
 	opts := DefaultOptions()
-	opts.BarrierTimeout = 30 * time.Millisecond
+	opts.barrierTimeout = 30 * time.Millisecond
 	s := buildStack(t, 3, opts)
 	// Node 0 is one write ahead; nothing will converge the others.
 	lagNodes(t, s, 1, []string{"delete from orders where o_orderkey = 1"})
@@ -150,7 +171,7 @@ func TestBarrierTimeoutUnblocksGate(t *testing.T) {
 func TestStalenessTimeoutUnblocksGate(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxStaleness = 1
-	opts.BarrierTimeout = 30 * time.Millisecond
+	opts.barrierTimeout = 30 * time.Millisecond
 	s := buildStack(t, 2, opts)
 	lagNodes(t, s, 1, []string{
 		"delete from orders where o_orderkey = 1",
@@ -168,7 +189,7 @@ func TestStalenessTimeoutUnblocksGate(t *testing.T) {
 // barrier timeout abandons the convergence wait early.
 func TestBarrierHonoursQueryDeadline(t *testing.T) {
 	opts := DefaultOptions()
-	opts.BarrierTimeout = 10 * time.Second
+	opts.barrierTimeout = 10 * time.Second
 	s := buildStack(t, 3, opts)
 	lagNodes(t, s, 1, []string{"delete from orders where o_orderkey = 1"})
 

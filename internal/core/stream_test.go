@@ -24,8 +24,8 @@ func TestStreamingComposeOverlap(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DisableHedging = true
 	opts.QueryTimeout = 30 * time.Second
-	opts.Metrics = obs.NewRegistry()
-	s := buildStack(t, 3, opts)
+	reg := obs.NewRegistry()
+	s := buildStackMetrics(t, 3, opts, reg)
 	s.eng.Procs()[2].InjectFaults(fault.New(9).Slow(lag, 0))
 
 	text := "select o_orderkey, o_totalprice from orders where o_totalprice > 1000"
@@ -36,8 +36,8 @@ func TestStreamingComposeOverlap(t *testing.T) {
 	}
 	assertSameResult(t, "overlap query", got, want, true)
 
-	first := opts.Metrics.HistogramSnapshot(obs.MGatherFirstBatch)
-	gather := opts.Metrics.HistogramSnapshot(obs.MGather)
+	first := reg.HistogramSnapshot(obs.MGatherFirstBatch)
+	gather := reg.HistogramSnapshot(obs.MGather)
 	if first.Count != 1 || gather.Count != 1 {
 		t.Fatalf("histogram counts: first_batch=%d gather=%d, want 1 each", first.Count, gather.Count)
 	}
@@ -58,7 +58,7 @@ func TestStreamingComposeOverlap(t *testing.T) {
 // producers down, never change results.
 func TestStreamingGatherBudgetOne(t *testing.T) {
 	opts := DefaultOptions()
-	opts.GatherBudget = 1
+	opts.gatherBudget = 1
 	s := buildStack(t, 4, opts)
 	for _, qn := range tpch.QueryNumbers {
 		text := tpch.MustQuery(qn)

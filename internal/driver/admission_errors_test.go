@@ -15,7 +15,7 @@ import (
 // must arrive at a database/sql client still matching ErrOverloaded
 // (with its retry-after hint), not as an opaque string.
 func TestShedErrorTypedAcrossSocket(t *testing.T) {
-	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, MaxConcurrent: 1, MaxQueue: 1}, tinySF)
+	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, Engine: apuama.EngineOptions{Admission: apuama.AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1}}}, tinySF)
 	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestShedErrorTypedAcrossSocket(t *testing.T) {
 // every SVP query server-side, and the client still sees the typed
 // (non-retryable) ErrMemoryBudget.
 func TestMemoryBudgetErrorTypedAcrossSocket(t *testing.T) {
-	_, addr := startClusterCfg(t, apuama.Config{Nodes: 2, MaxConcurrent: 4, MemoryBudget: 1024}, tinySF)
+	_, addr := startClusterCfg(t, apuama.Config{Nodes: 2, Engine: apuama.EngineOptions{Admission: apuama.AdmissionConfig{MaxConcurrent: 4, MemoryBudget: 1024}}}, tinySF)
 	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func renderResult(t *testing.T, c *apuama.Cluster, query string) string {
 // (first execution) and warm (result-cache hits) — or the columnar codec
 // has corrupted a value in flight.
 func TestDifferentialSocketVsInProcess(t *testing.T) {
-	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, Cache: apuama.CacheConfig{Entries: 64}}, tinySF)
+	c, addr := startClusterCfg(t, apuama.Config{Nodes: 2, Engine: apuama.EngineOptions{Cache: apuama.CacheConfig{Entries: 64}}}, tinySF)
 	db, err := sql.Open("apuama", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"apuama/internal/core"
 	"apuama/internal/tpch"
 	"apuama/internal/workload"
 )
@@ -21,7 +22,7 @@ func AblationSeqscan(cfg Config, w io.Writer) (*Figure, error) {
 		"seconds", cfg.Nodes, []string{"force-index", "allow-seqscan"})
 	for c, allow := range []bool{false, true} {
 		run := cfg
-		run.AllowSeqscan = allow
+		run.Engine.AllowSeqscan = allow
 		for r, n := range run.Nodes {
 			s, err := buildStack(n, run)
 			if err != nil {
@@ -48,7 +49,7 @@ func AblationBarrier(cfg Config, w io.Writer) (*Figure, error) {
 		[]string{"qpm-barrier", "qpm-nobarrier", "upd-s-barrier", "upd-s-nobarrier"})
 	for half, nobarrier := range []bool{false, true} {
 		run := cfg
-		run.NoBarrier = nobarrier
+		run.Engine.NoBarrier = nobarrier
 		for r, n := range run.Nodes {
 			s, err := buildStack(n, run)
 			if err != nil {
@@ -78,7 +79,7 @@ func BaselineComparison(cfg Config, w io.Writer) (*Figure, error) {
 		"seconds", cfg.Nodes, []string{"Q1-apuama", "Q1-baseline", "Q6-apuama", "Q6-baseline"})
 	for half, baseline := range []bool{false, true} {
 		run := cfg
-		run.Baseline = baseline
+		run.Engine.DisableSVP = baseline
 		for r, n := range run.Nodes {
 			s, err := buildStack(n, run)
 			if err != nil {
@@ -109,9 +110,10 @@ func AblationStrategy(cfg Config, w io.Writer) (*Figure, error) {
 	fig := newFigure("abl-strategy", "SVP vs AVP: isolated Q6 time and concurrent throughput",
 		"seconds | queries/minute", cfg.Nodes,
 		[]string{"Q6s-svp", "Q6s-avp", "qpm-svp", "qpm-avp"})
-	for half, avp := range []bool{false, true} {
+	for half, strategy := range []core.Strategy{core.SVP, core.AVP} {
 		run := cfg
-		run.UseAVP = avp
+		run.Engine.Strategy = strategy
+		avp := strategy == core.AVP
 		for r, n := range run.Nodes {
 			s, err := buildStack(n, run)
 			if err != nil {
@@ -158,8 +160,8 @@ func FreshnessExperiment(cfg Config, w io.Writer) (*Figure, error) {
 	}
 	for pi, pol := range policies {
 		run := cfg
-		run.MaxStaleness = pol.staleness
-		run.NoBarrier = pol.nobarrier
+		run.Engine.MaxStaleness = pol.staleness
+		run.Engine.NoBarrier = pol.nobarrier
 		for r, n := range run.Nodes {
 			s, err := buildStack(n, run)
 			if err != nil {
@@ -214,9 +216,10 @@ func Ablations(cfg Config, w io.Writer) ([]*Figure, error) {
 func AblationSkew(cfg Config, w io.Writer) (*Figure, error) {
 	fig := newFigure("abl-skew", "data skew: SVP static ranges vs AVP dynamic queue (isolated Q1)",
 		"seconds", cfg.Nodes, []string{"svp-skewed", "avp-skewed"})
-	for half, avp := range []bool{false, true} {
+	for half, strategy := range []core.Strategy{core.SVP, core.AVP} {
 		run := cfg
-		run.UseAVP = avp
+		run.Engine.Strategy = strategy
+		avp := strategy == core.AVP
 		if run.Skew == 0 {
 			run.Skew = 6
 		}

@@ -26,7 +26,7 @@ func CacheExperiment(cfg Config, w io.Writer) (*Figure, error) {
 	const fanIn = 8
 	fig := newFigure("cache", "result cache: cold vs warm vs shared-concurrent",
 		"seconds/query", cfg.Nodes, []string{"cold", "warm", fmt.Sprintf("shared%d", fanIn)})
-	cfg.Cache = cacheConfig()
+	cfg.Engine.Cache = cacheConfig()
 	for r, n := range cfg.Nodes {
 		s, err := buildStack(n, cfg)
 		if err != nil {

@@ -73,13 +73,13 @@ func ColumnarExperiment(cfg Config, w io.Writer) (*Figure, error) {
 		"pruned_ratio is segments pruned / (pruned + scanned) across the columnar side's timed runs")
 
 	base := cfg
-	base.AllowSeqscan = true
-	base.AVPGranularity = 1
+	base.Engine.AllowSeqscan = true
+	base.Engine.AVPGranularity = 1
 
 	heapCfg := base
-	heapCfg.Columnar = false
+	heapCfg.Engine.Columnar = false
 	colCfg := base
-	colCfg.Columnar = true
+	colCfg.Engine.Columnar = true
 
 	hs, err := buildStack(columnarNodes, heapCfg)
 	if err != nil {

@@ -11,8 +11,6 @@ import (
 	"io"
 	"time"
 
-	"apuama/internal/admission"
-	"apuama/internal/cache"
 	"apuama/internal/cluster"
 	"apuama/internal/core"
 	"apuama/internal/costmodel"
@@ -41,42 +39,14 @@ type Config struct {
 	UpdateOrders int
 	// Cost is the simulated-hardware model.
 	Cost costmodel.Config
-	// Baseline disables Apuama: inter-query parallelism only.
-	Baseline bool
-	// NoBarrier / AllowSeqscan / UseAVP select ablations.
-	NoBarrier    bool
-	AllowSeqscan bool
-	UseAVP       bool
-	// MaxStaleness > 0 selects the relaxed-freshness replication policy
-	// (the paper's future work).
-	MaxStaleness int64
 	// Skew > 1 loads the key-skewed TPC-H variant (hot low keys carry
 	// Skew times the line items); see the skew ablation.
 	Skew float64
-	// Cache enables the versioned result cache (zero = off, the paper
-	// configuration); the cache experiment sets it.
-	Cache cache.Config
-	// Parallelism is the intra-node morsel-driven degree applied inside
-	// each node engine (0 = auto, 1 = serial — the paper configuration,
-	// whose nodes were single-core).
-	Parallelism int
-	// AVPGranularity is the fine virtual partitions per configured node
-	// (0 = auto, 1 = the coarse one-range-per-node split); the steal
-	// experiment sweeps it.
-	AVPGranularity int
-	// Columnar enables the segment store with zone-map pruning inside
-	// each node engine (off = the paper's heap-only configuration); the
-	// columnar experiment compares both sides.
-	Columnar bool
-	// MQO enables multi-query optimization — cooperative shared scans
-	// plus canonical sub-plan sharing; the mqo experiment compares both
-	// sides. MQOWindow is the admission batching window (0 = engine
-	// default when MQO is on).
-	MQO       bool
-	MQOWindow time.Duration
-	// Admission configures overload protection (zero = off, the paper
-	// configuration); the overload experiment sets it.
-	Admission admission.Config
+	// Engine configures every deployed Apuama Engine. The ablations flip
+	// its paper switches (DisableSVP, NoBarrier, AllowSeqscan, Strategy,
+	// MaxStaleness); the cache, overload, steal, columnar and mqo
+	// experiments set its modes.
+	Engine core.Options
 }
 
 // Default returns the configuration used for the recorded runs in
@@ -92,7 +62,7 @@ func Default() Config {
 		Cost:         ExperimentCost(),
 		// The paper's nodes were single-core; pin serial so recorded
 		// figures don't vary with the harness host's GOMAXPROCS.
-		Parallelism: 1,
+		Engine: core.Options{Parallelism: 1},
 	}
 }
 
@@ -147,23 +117,8 @@ func buildStack(n int, cfg Config) (*stack, error) {
 	for i := range nodes {
 		nodes[i] = engine.NewNode(i, db)
 	}
-	opts := core.DefaultOptions()
-	opts.DisableSVP = cfg.Baseline
-	if cfg.UseAVP {
-		opts.Strategy = core.AVP
-	}
-	opts.NoBarrier = cfg.NoBarrier
-	opts.MaxStaleness = cfg.MaxStaleness
-	opts.ForceIndexScan = !cfg.AllowSeqscan
-	opts.Cache = cfg.Cache
-	opts.Parallelism = cfg.Parallelism
-	opts.AVPGranularity = cfg.AVPGranularity
-	opts.Admission = cfg.Admission
-	opts.Columnar = cfg.Columnar
-	opts.MQO = cfg.MQO
-	opts.MQOWindow = cfg.MQOWindow
-	eng := core.New(db, nodes, core.TPCHCatalog(), opts)
-	ctl := cluster.New(db, eng.Backends(), cluster.Options{Cost: cfg.Cost})
+	eng := core.New(db, nodes, core.TPCHCatalog(), cfg.Engine, nil)
+	ctl := cluster.New(db, eng.Backends(), nil)
 	return &stack{db: db, nodes: nodes, eng: eng, ctl: ctl}, nil
 }
 

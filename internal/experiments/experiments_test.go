@@ -126,7 +126,7 @@ func TestAblations(t *testing.T) {
 
 func TestBaselineFlagDisablesSVP(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Baseline = true
+	cfg.Engine.DisableSVP = true
 	cfg.Nodes = []int{2}
 	s, err := buildStack(2, cfg)
 	if err != nil {

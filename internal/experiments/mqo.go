@@ -63,8 +63,8 @@ func MQOExperiment(cfg Config, w io.Writer) (*Figure, error) {
 	)
 
 	base := cfg
-	base.Columnar = true
-	base.Cache = cache.Config{Entries: 512, MaxBytes: 64 << 20}
+	base.Engine.Columnar = true
+	base.Engine.Cache = cache.Config{Entries: 512, MaxBytes: 64 << 20}
 
 	type sideResult struct {
 		qpm      float64
@@ -77,8 +77,7 @@ func MQOExperiment(cfg Config, w io.Writer) (*Figure, error) {
 
 	runSide := func(mqo bool) (*sideResult, error) {
 		sideCfg := base
-		sideCfg.MQO = mqo
-		sideCfg.MQOWindow = cfg.MQOWindow
+		sideCfg.Engine.MQO = mqo
 		s, err := buildStack(mqoNodes, sideCfg)
 		if err != nil {
 			return nil, err

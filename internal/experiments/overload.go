@@ -48,11 +48,11 @@ const overloadQueryWeight = 3
 // refusing work it cannot serve instead of slowing everything it
 // admits.
 func OverloadExperiment(cfg Config, w io.Writer) (*Figure, error) {
-	adm := cfg.Admission
+	adm := cfg.Engine.Admission
 	if !adm.Enabled() {
 		adm = overloadAdmission()
 	}
-	cfg.Admission = adm
+	cfg.Engine.Admission = adm
 
 	multiples := []int{1, 2, 4}
 	fig := newFigure("overload", fmt.Sprintf("saturation: offered load vs %d admission slots, %d nodes", adm.MaxConcurrent, overloadNodes),

@@ -45,7 +45,7 @@ func StealExperiment(cfg Config, w io.Writer) (*Figure, error) {
 		// configuration: no row inherits the previous row's cache warmth
 		// or adaptive-chunk state.
 		c := cfg
-		c.AVPGranularity = g
+		c.Engine.AVPGranularity = g
 		s, err := buildStack(stealNodes, c)
 		if err != nil {
 			return nil, err

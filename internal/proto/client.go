@@ -19,7 +19,7 @@ import (
 // DefaultWindow is the per-query flow-control window: how many batch
 // frames the server may have in flight before the client's consumption
 // grants more credits. It bounds per-stream client buffering the way
-// the engine's GatherBudget bounds the in-process gather channel.
+// the engine's gather budget bounds the in-process gather channel.
 const DefaultWindow = 32
 
 // Client is one connection to a server. Any number of queries may be in

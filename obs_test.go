@@ -74,7 +74,7 @@ func TestMetricsCoverage(t *testing.T) {
 func TestTracingThroughFacade(t *testing.T) {
 	// Hedging off: a straggler hedge under load adds a fifth subquery
 	// span, and this test pins the exact span count per query.
-	c := openTest(t, Config{Nodes: 4, Trace: true, DisableHedging: true})
+	c := openTest(t, Config{Nodes: 4, Trace: true, Engine: EngineOptions{DisableHedging: true}})
 	defer c.Close()
 	for _, qn := range tpch.QueryNumbers {
 		if _, err := c.Query(tpch.MustQuery(qn)); err != nil {
