@@ -29,23 +29,25 @@ race:
 # parallel path must stay race-free and bit-deterministic however many
 # cores host its workers. The second line names the batch kernels'
 # differential and batch-boundary tests (filters, numeric kernels, the
-# integer join table against the reference evaluator), the kept join
-# tuples' retention guard, the planner invariant, the pool audit of
-# failed and cancelled opens (arena chunks included), the prepared plan's
+# integer join table against the reference evaluator), the retention
+# guard of kept join tuples and aggregate arenas, the planner invariant,
+# the pool audit of failed and cancelled opens (arena chunks and a
+# parallel aggregate's partial tables included), the prepared plan's
 # re-bind rule, its re-opens after a drain, an early close, an error and a
 # cancel, and ForceIndexScan staying inside its own query: they run inside
 # the first already; named, the gate stays visible if they are ever
 # renamed or filtered. The same line runs the controller's prepared ≡
 # fresh oracle over every TPC-H template, partition and degree, its
-# refusals, and the plans-per-query pin. The third line runs the
-# allocation pins (the memdb composition's included) without the race
+# refusals, the plans-per-query pin and ORDER BY's NULL placement through
+# SVP against one node. The third line runs the allocation pins (the
+# memdb composition's and a re-opened aggregate's included) without the race
 # detector, under which sync.Pool drops buffers and the pins skip
 # themselves. Each pin measures at the -cpu it runs under and takes the
 # least of three logged rounds: a run the scheduler moves to another P
 # misses the buffers sync.Pool keeps for the old P, once per move.
-RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers
+RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers|TestOrderByNullsMatchSingleNode
 RACE_CPU_PKGS := ./internal/engine/ ./internal/core/
-PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes
 PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
@@ -162,13 +164,15 @@ bench:
 # loops of an SVP sub-query on the host clock (Q6's predicate per lineitem
 # row, the hash joins of Q3 and Q5, Q21's filter over its top join and
 # Q4's correlated EXISTS with their B/op, Q1's aggregation, the filter
-# kernels of Q6 and Q12, the index range walk per entry) beside their
+# kernels of Q6 and Q12, Q3 end to end on four nodes with its memdb
+# composition's B/op, the index range walk per entry) beside their
 # ceiling — the same work as
 # a hand-written typed loop over the stored rows, BenchmarkRowLoopRoofline
 # — and the wire protocol (single-stream and 16-in-flight multiplexing
 # throughput).
 bench-micro:
 	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|FilterOverJoinQ21|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'ComposeQ3' -benchmem -run=^$$ ./internal/core/
 	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
 	$(GO) test -bench 'WireStream|WireMux' -benchmem -run=^$$ ./internal/proto/
 

@@ -120,6 +120,40 @@ func TestOracleKeyPredicateSweep(t *testing.T) {
 	}
 }
 
+// TestOrderByNullsMatchSingleNode: ORDER BY puts NULLs where PostgreSQL
+// does — last ascending, first descending — and the cluster agrees with
+// one node. A plain fetch pushes ORDER BY … LIMIT into every sub-query, so
+// the partitions' sorts pick the rows the composition's sort then orders;
+// an aggregate's NULL-producing CASE is re-aggregated and sorted in the
+// composition alone. Each runs through SVP on four nodes.
+func TestOrderByNullsMatchSingleNode(t *testing.T) {
+	s := buildStack(t, 4, DefaultOptions())
+	const big = "case when o_totalprice > 150000 then o_totalprice end"
+	const urgent = "max(case when o_orderpriority = '1-URGENT' then o_totalprice end)"
+	for _, c := range []struct {
+		text      string
+		nullFirst bool
+	}{
+		{"select o_orderkey, " + big + " as big from orders order by big, o_orderkey limit 10", false},
+		{"select o_orderkey, " + big + " as big from orders order by big desc, o_orderkey limit 10", true},
+		{"select o_custkey, " + urgent + " as m from orders group by o_custkey order by m, o_custkey limit 10", false},
+		{"select o_custkey, " + urgent + " as m from orders group by o_custkey order by m desc, o_custkey limit 10", true},
+	} {
+		want := s.single(t, c.text)
+		got, err := s.ctl.Query(c.text)
+		if err != nil {
+			t.Fatalf("%s: %v", c.text, err)
+		}
+		assertSameResult(t, c.text, got, want, false)
+		if len(got.Rows) != 10 || got.Rows[0][1].IsNull() != c.nullFirst || got.Rows[9][1].IsNull() != c.nullFirst {
+			t.Errorf("%s: NULLs not %s:\n%v", c.text, map[bool]string{true: "first", false: "last"}[c.nullFirst], got.Rows)
+		}
+	}
+	if st := s.eng.Snapshot(); st.SVPQueries != 4 || st.PassThrough != 0 {
+		t.Fatalf("%d SVP queries, %d pass-through; want 4 and 0", st.SVPQueries, st.PassThrough)
+	}
+}
+
 // TestComposerHoldsNoHeap runs a thousand key-selective and aggregate
 // queries through one cluster and checks that the live heap stays level:
 // composition tables die with their query (at the parent of this test

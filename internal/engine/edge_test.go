@@ -88,9 +88,9 @@ func TestGroupByNullKey(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("groups: %v", res.Rows)
 	}
-	// NULLs sort first under our Compare.
-	if !res.Rows[0][0].IsNull() || res.Rows[0][1].I != 2 {
-		t.Errorf("null group: %v", res.Rows[0])
+	// NULLs sort last ascending, as PostgreSQL's default NULLS LAST has it.
+	if res.Rows[0][0].I != 10 || res.Rows[1][0].I != 30 || !res.Rows[2][0].IsNull() || res.Rows[2][1].I != 2 {
+		t.Errorf("null group not last: %v", res.Rows)
 	}
 }
 
@@ -100,16 +100,25 @@ func TestSortNullsAndDesc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Desc: non-null values first (30, 10, 10), NULLs last.
-	if res.Rows[0][1].AsInt() != 30 {
-		t.Errorf("first: %v", res.Rows[0])
+	// Desc: NULLs first (PostgreSQL's NULLS FIRST default for DESC), tied
+	// and broken by id asc, then 30, 10, 10.
+	if !res.Rows[0][1].IsNull() || !res.Rows[1][1].IsNull() || res.Rows[0][0].I != 2 || res.Rows[1][0].I != 4 {
+		t.Errorf("nulls not first in desc: %v", res.Rows)
 	}
-	if !res.Rows[3][1].IsNull() || !res.Rows[4][1].IsNull() {
-		t.Errorf("nulls not last in desc: %v", res.Rows)
+	if res.Rows[2][1].AsInt() != 30 {
+		t.Errorf("first value: %v", res.Rows[2])
 	}
 	// Tie on v=10 broken by id asc.
-	if res.Rows[1][0].I != 1 || res.Rows[2][0].I != 5 {
+	if res.Rows[3][0].I != 1 || res.Rows[4][0].I != 5 {
 		t.Errorf("tie break: %v", res.Rows)
+	}
+	// Ascending puts them last.
+	res, err = nd.Query("select id, v from t order by v, id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][1].AsInt() != 10 || !res.Rows[3][1].IsNull() || !res.Rows[4][1].IsNull() || res.Rows[3][0].I != 2 {
+		t.Errorf("nulls not last in asc: %v", res.Rows)
 	}
 }
 

@@ -2,7 +2,8 @@ package engine
 
 import (
 	"context"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,8 +54,9 @@ func (ex *execCtx) touch(pageID int64, sequential bool) {
 //
 // Row lifetime: appended rows reference stable storage and stay valid
 // after the batch is reused — except the tuples an operator builds (a hash
-// join's output, a filter's copies of the join tuples it keeps), which live
-// as long as their consumer needs them and no longer. The planner
+// join's output, a filter's copies of the join tuples it keeps, an
+// aggregate's rows), which live as long as their consumer needs them and no
+// longer. The planner
 // (placeTuples) gives each producer a tupleHome from what its consumer does:
 // a consumer done with each batch before it pulls the next gets tuples
 // valid until the producer's next next call; a keeper — a join's build
@@ -453,14 +455,12 @@ func (bp *bufPool[T]) put(b *[]T) {
 }
 
 // ridPool holds the RID lists index scans collect — a sub-query's range is
-// thousands of entries — rowBufPool the per-morsel output buffers of
+// thousands of entries — and rowBufPool the per-morsel output buffers of
 // parallelScanOp (re-growing each by append for every sub-query and morsel
-// was half of what an OLAP query allocated outside its joins), and
-// chunkPool the chunks of tuple arenas.
+// was half of what an OLAP query allocated outside its joins).
 var (
 	ridPool    bufPool[storage.RowID]
 	rowBufPool bufPool[sqltypes.Row]
-	chunkPool  bufPool[sqltypes.Value]
 )
 
 // poolBalance, set only by tests (export_test.go), counts the buffers the
@@ -473,69 +473,88 @@ func auditPool(d int64) {
 	}
 }
 
-// --- tuple arenas ---
+// --- arenas ---
 
-// tupleArena is pooled memory tuples are cut from in order, a chunk at a
-// time, by whoever the planner pointed at it: a join's build side cuts its
-// tuples from the join's arena, a join cuts its generic table's build keys
-// from it too, a join whose consumer reads a batch at a time cuts its
-// output from its own arena and rewinds it at every next. The arena's
-// owner releases it at close.
-type tupleArena struct {
-	chunks []*[]sqltypes.Value // from chunkPool, in cut order
-	next   int                 // chunks[:next] hold the tuples cut since the last rewind
-	free   []sqltypes.Value    // the uncut tail of chunks[next-1]
+// arena is pooled memory cut in order, a chunk at a time, by whoever the
+// planner pointed at it: join tuples (tupleArena), and an aggregation's
+// groups, their keys and states and its output rows. Its owner rewinds it
+// when everything cut so far is dead and releases it at close.
+type arena[T any] struct {
+	chunks []*[]T // from the kind's pool, in cut order
+	next   int    // chunks[:next] hold what was cut since the last rewind
+	free   []T    // the uncut tail of chunks[next-1]
 }
 
-// chunkValues is a pooled chunk's size: joinSlabRows tuples of eight
-// columns. A tuple never spans two chunks.
-const chunkValues = joinSlabRows * 8
+// chunkKind is what an arena of T is cut from: the pool of its chunks, a
+// chunk's length (a cut never spans two chunks) and how the retention guard
+// poisons memory that is dead.
+type chunkKind[T any] struct {
+	pool   bufPool[T]
+	size   int
+	poison func([]T)
+}
 
-func (a *tupleArena) cut(w int) sqltypes.Row {
-	if len(a.free) < w {
+// cut returns the next n elements, as they were left: the caller writes
+// every one.
+func (a *arena[T]) cut(k *chunkKind[T], n int) []T {
+	if len(a.free) < n {
 		if a.next == len(a.chunks) {
-			a.chunks = append(a.chunks, chunkPool.get())
+			a.chunks = append(a.chunks, k.pool.get())
 		}
-		a.free = sized(a.chunks[a.next], max(chunkValues, w))
+		a.free = sized(a.chunks[a.next], max(k.size, n))
 		a.next++
 	}
-	row := a.free[:w:w]
-	a.free = a.free[w:]
-	return row
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
-// rewind makes every chunk free for cutting again: the tuples cut so far
-// are dead. Under the retention guard they are poisoned first.
-func (a *tupleArena) rewind() {
+// rewind makes every chunk free for cutting again: what was cut so far is
+// dead. Under the retention guard it is poisoned first.
+func (a *arena[T]) rewind(k *chunkKind[T]) {
 	if joinTupleTest.poison.Load() {
 		for _, c := range a.chunks[:a.next] {
-			poison(*c)
+			k.poison(*c)
 		}
 	}
 	a.next, a.free = 0, nil
 }
 
 // release hands every chunk back to the pool, cleared so it pins no string
-// — or, under the retention guard, poisoned, so a tuple read after its
-// keeper let go of it is garbage.
-func (a *tupleArena) release() {
+// — or, under the retention guard, poisoned, so what is read after its
+// owner let go of it is garbage.
+func (a *arena[T]) release(k *chunkKind[T]) {
 	for _, c := range a.chunks {
 		if joinTupleTest.poison.Load() {
-			poison(*c)
+			k.poison(*c)
 		} else {
 			clear(*c)
 		}
-		chunkPool.put(c)
+		k.pool.put(c)
 	}
 	clear(a.chunks)
 	a.chunks, a.next, a.free = a.chunks[:0], 0, nil
 }
 
-func poison(vals []sqltypes.Value) {
+// valueChunks are tuple arenas' chunks, joinSlabRows tuples of eight
+// columns each.
+var valueChunks = chunkKind[sqltypes.Value]{size: joinSlabRows * 8, poison: poisonValues}
+
+func poisonValues(vals []sqltypes.Value) {
 	for i := range vals {
 		vals[i] = poisonValue
 	}
 }
+
+// tupleArena is the arena tuples are cut from: a join's build side cuts
+// its tuples from the join's arena, a join cuts its generic table's build
+// keys from it too, a join whose consumer reads a batch at a time cuts its
+// output from its own arena and rewinds it at every next.
+type tupleArena struct{ arena[sqltypes.Value] }
+
+func (a *tupleArena) cut(w int) sqltypes.Row { return a.arena.cut(&valueChunks, w) }
+func (a *tupleArena) rewind()                { a.arena.rewind(&valueChunks) }
+func (a *tupleArena) release()               { a.arena.release(&valueChunks) }
 
 // tupleHome is where an operator that builds tuples cuts them, set by the
 // planner (placeTuples) from what the operator's consumer does with them.
@@ -569,6 +588,14 @@ func (h *tupleHome) cut(w int) sqltypes.Row {
 	row := h.slab[:w:w]
 	h.slab = h.slab[w:]
 	return row
+}
+
+// reserve gives a slab home room for n more values in one allocation, for
+// a producer that knows how many it will cut; an arena needs nothing.
+func (h *tupleHome) reserve(n int) {
+	if h.keeper == nil && !h.perBatch && len(h.slab) < n {
+		h.slab = make([]sqltypes.Value, n)
+	}
 }
 
 // close drops what the producer owns: its batch arena goes back to the
@@ -1209,14 +1236,15 @@ type aggDef struct {
 	distinct bool
 }
 
-// aggState accumulates one aggregate for one group.
+// aggState accumulates one aggregate for one group. Its zero value is the
+// empty state.
 type aggState struct {
-	count    int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	min, max sqltypes.Value
-	seen     map[uint64][]sqltypes.Value // for DISTINCT
+	count   int64
+	sumI    int64
+	sumF    float64
+	isFloat bool
+	ext     sqltypes.Value              // the extreme so far: MIN's least, MAX's greatest
+	seen    map[uint64][]sqltypes.Value // for DISTINCT
 }
 
 func (st *aggState) add(def *aggDef, v sqltypes.Value) {
@@ -1244,14 +1272,19 @@ func (st *aggState) add(def *aggDef, v sqltypes.Value) {
 		} else {
 			st.sumI += v.I
 		}
-	case aggMin:
-		if st.min.IsNull() || sqltypes.Compare(v, st.min) < 0 {
-			st.min = v
-		}
-	case aggMax:
-		if st.max.IsNull() || sqltypes.Compare(v, st.max) > 0 {
-			st.max = v
-		}
+	case aggMin, aggMax:
+		st.extreme(def.fn, v)
+	}
+}
+
+// extreme folds a non-NULL value into MIN's or MAX's extreme.
+func (st *aggState) extreme(fn aggFn, v sqltypes.Value) {
+	if st.ext.IsNull() {
+		st.ext = v
+		return
+	}
+	if c := sqltypes.Compare(v, st.ext); fn == aggMin && c < 0 || fn == aggMax && c > 0 {
+		st.ext = v
 	}
 }
 
@@ -1269,13 +1302,9 @@ func (st *aggState) merge(def *aggDef, other *aggState) {
 			st.isFloat = true
 			st.sumF += other.sumF
 		}
-	case aggMin:
-		if !other.min.IsNull() && (st.min.IsNull() || sqltypes.Compare(other.min, st.min) < 0) {
-			st.min = other.min
-		}
-	case aggMax:
-		if !other.max.IsNull() && (st.max.IsNull() || sqltypes.Compare(other.max, st.max) > 0) {
-			st.max = other.max
+	case aggMin, aggMax:
+		if !other.ext.IsNull() {
+			st.extreme(def.fn, other.ext)
 		}
 	}
 }
@@ -1297,10 +1326,8 @@ func (st *aggState) result(def *aggDef) sqltypes.Value {
 			return sqltypes.Null()
 		}
 		return sqltypes.NewFloat((st.sumF + float64(st.sumI)) / float64(st.count))
-	case aggMin:
-		return st.min
-	case aggMax:
-		return st.max
+	case aggMin, aggMax:
+		return st.ext
 	}
 	return sqltypes.Null()
 }
@@ -1310,9 +1337,21 @@ func (st *aggState) result(def *aggDef) sqltypes.Value {
 // directly (Q1 has four); past directGroups they are indexed by key hash.
 // The serial aggOp fills one; the parallel path fills one per morsel and
 // merges them in morsel-index order.
+//
+// Nothing in it is allocated per group: groups, their keys and their states
+// are cut from pooled chunks. reset empties the table for another run and
+// keeps what it grew — the arenas rewind, order keeps its capacity, heads
+// its buckets — and release hands the chunks back, so a re-opened
+// sub-query, a morsel's partial and a freshly planned composition all
+// aggregate in recycled memory.
 type aggTable struct {
-	order []*aggGroup
-	heads map[uint64]int32 // key hash -> first group of its chain; nil while matching directly
+	order   []*aggGroup
+	heads   map[uint64]int32 // key hash -> first group of its chain, while indexed
+	indexed bool             // past directGroups: groups are found through heads
+
+	groups arena[aggGroup]
+	states arena[aggState]
+	vals   arena[sqltypes.Value] // group keys, and the rows an aggregate renders from them
 }
 
 // directGroups is how many groups a table matches by comparing keys
@@ -1325,10 +1364,58 @@ type aggGroup struct {
 	next   int32 // next group with the same key hash, -1 at the end of the chain
 }
 
+// The chunks of aggregation tables, 7–10 KB each: most tables hold a
+// handful of groups, and a chunk a table holds is pooled memory no other
+// table can use. A poisoned group or state reads as garbage: a group with
+// no keys or states, a state whose count, sums and extreme are nonsense.
+var (
+	groupChunks = chunkKind[aggGroup]{size: 128, poison: func(gs []aggGroup) {
+		for i := range gs {
+			gs[i] = aggGroup{next: -1}
+		}
+	}}
+	stateChunks = chunkKind[aggState]{size: 128, poison: func(ss []aggState) {
+		for i := range ss {
+			ss[i] = aggState{count: -1 << 40, sumI: -1 << 40, sumF: math.NaN(), isFloat: true, ext: poisonValue}
+		}
+	}}
+	aggValueChunks = chunkKind[sqltypes.Value]{size: 256, poison: poisonValues}
+)
+
+// reset empties the table for another run, keeping what it grew.
+func (t *aggTable) reset() {
+	clear(t.order) // pin no group of a chunk once it is back in its pool
+	t.order = t.order[:0]
+	clear(t.heads)
+	t.indexed = false
+	t.groups.rewind(&groupChunks)
+	t.states.rewind(&stateChunks)
+	t.vals.rewind(&aggValueChunks)
+}
+
+// release empties the table and hands its chunks back to their pools.
+func (t *aggTable) release() {
+	t.reset()
+	t.groups.release(&groupChunks)
+	t.states.release(&stateChunks)
+	t.vals.release(&aggValueChunks)
+}
+
+// newGroup cuts a group from the table's arenas: a copy of keys (callers
+// pass scratch) and nAggs empty states.
+func (t *aggTable) newGroup(keys sqltypes.Row, nAggs int) *aggGroup {
+	g := &t.groups.cut(&groupChunks, 1)[0]
+	g.keys = t.vals.cut(&aggValueChunks, len(keys))
+	copy(g.keys, keys)
+	g.states = t.states.cut(&stateChunks, nAggs)
+	clear(g.states) // a rewound chunk holds the last run's states
+	return g
+}
+
 // find returns the ordinal of the group with these keys, or -1, and the
 // keys' hash when the table is indexed by it.
 func (t *aggTable) find(keys sqltypes.Row) (int32, uint64) {
-	if t.heads == nil {
+	if !t.indexed {
 		for gi, g := range t.order {
 			if sameGroupKeys(g.keys, keys) {
 				return int32(gi), 0
@@ -1356,10 +1443,13 @@ func (t *aggTable) insert(g *aggGroup, h uint64) int32 {
 	g.next = -1
 	t.order = append(t.order, g)
 	switch {
-	case t.heads != nil:
+	case t.indexed:
 		t.link(gi, h)
 	case len(t.order) > directGroups:
-		t.heads = make(map[uint64]int32, 4*directGroups)
+		if t.heads == nil {
+			t.heads = make(map[uint64]int32, 4*directGroups)
+		}
+		t.indexed = true
 		for i, g := range t.order {
 			t.link(int32(i), sqltypes.HashRow(g.keys))
 		}
@@ -1380,11 +1470,11 @@ func (t *aggTable) link(gi int32, h uint64) {
 }
 
 // lookup returns the ordinal of the group with these keys, starting it
-// if it is new (the keys are cloned: callers pass scratch).
+// if it is new.
 func (t *aggTable) lookup(keys sqltypes.Row, nAggs int) int32 {
 	gi, h := t.find(keys)
 	if gi < 0 {
-		gi = t.insert(&aggGroup{keys: keys.Clone(), states: make([]aggState, nAggs)}, h)
+		gi = t.insert(t.newGroup(keys, nAggs), h)
 	}
 	return gi
 }
@@ -1401,7 +1491,7 @@ func sameGroupKeys(a, b sqltypes.Row) bool {
 // addRow folds the tuple in ec.row into the table: the general path, for
 // aggregations whose group keys are expressions and for batches the
 // kernels do not cover. Group keys are evaluated into the caller's scratch
-// keybuf and only cloned when they start a new group. The row's
+// keybuf and only copied when they start a new group. The row's
 // aggregates are charged in one call — opCost each, also for the ones
 // evaluated before an argument fails.
 func (t *aggTable) addRow(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sqltypes.Row, opCost time.Duration) error {
@@ -1429,13 +1519,15 @@ func (t *aggTable) addRow(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sq
 }
 
 // merge folds a partial table into t, in the partial's group order:
-// groups t has not seen are adopted as they are, the rest merge state by
-// state.
+// groups t has not seen are copied into t's arenas, the rest merge state by
+// state. The partial is left as it was; its owner releases it.
 func (t *aggTable) merge(pa *aggTable, aggs []*aggDef) {
 	for _, g := range pa.order {
 		gi, h := t.find(g.keys)
 		if gi < 0 {
-			t.insert(g, h)
+			ng := t.newGroup(g.keys, len(aggs))
+			copy(ng.states, g.states)
+			t.insert(ng, h)
 			continue
 		}
 		dst := t.order[gi]
@@ -1445,24 +1537,70 @@ func (t *aggTable) merge(pa *aggTable, aggs []*aggDef) {
 	}
 }
 
-// rows renders the groups in order as output tuples, group keys followed
-// by aggregate results in definition order, appending to out. With no
-// GROUP BY there is exactly one row even over no input (SQL
-// scalar-aggregate semantics).
-func (t *aggTable) rows(nGroups int, aggs []*aggDef, out []sqltypes.Row) []sqltypes.Row {
-	order := t.order
-	if nGroups == 0 && len(order) == 0 {
-		order = []*aggGroup{{keys: sqltypes.Row{}, states: make([]aggState, len(aggs))}}
+// aggOut is an aggregate's result: the table it fills at open and the
+// rows it renders from it, streamed by next. Where the rows live follows
+// out, the home the planner gave the aggregate (placeTuples). Under a
+// consumer that copies what it reads — a projection, directly or through
+// HAVING — they are cut from the table's value arena beside the group keys,
+// so they stay valid until the aggregate's next open or close; under a plan
+// or sub-plan root they are heap slabs, because they escape.
+type aggOut struct {
+	table aggTable
+	out   tupleHome
+	rows  []sqltypes.Row
+	pos   int
+}
+
+// begin readies the output for a run: the last run's groups and rows are
+// dead.
+func (o *aggOut) begin() {
+	o.table.reset()
+	clear(o.rows)
+	o.rows, o.pos = o.rows[:0], 0
+}
+
+// render cuts the table's groups in order as output rows, group keys
+// followed by aggregate results in definition order. With no GROUP BY
+// there is exactly one row even over no input (SQL scalar-aggregate
+// semantics).
+func (o *aggOut) render(nGroups int, aggs []*aggDef) {
+	t := &o.table
+	if nGroups == 0 && len(t.order) == 0 {
+		t.lookup(nil, len(aggs))
 	}
-	for _, g := range order {
-		row := make(sqltypes.Row, 0, len(g.keys)+len(aggs))
-		row = append(row, g.keys...)
-		for i, def := range aggs {
-			row = append(row, g.states[i].result(def))
+	o.rows = slices.Grow(o.rows, len(t.order))
+	if len(t.order) > 0 {
+		o.out.reserve(len(t.order) * (len(t.order[0].keys) + len(aggs)))
+	}
+	for _, g := range t.order {
+		var row sqltypes.Row
+		if w := len(g.keys) + len(aggs); o.out.perBatch {
+			row = t.vals.cut(&aggValueChunks, w)
+		} else {
+			row = o.out.cut(w)
 		}
-		out = append(out, row)
+		copy(row, g.keys)
+		for i, def := range aggs {
+			row[len(g.keys)+i] = g.states[i].result(def)
+		}
+		o.rows = append(o.rows, row)
 	}
-	return out
+}
+
+func (o *aggOut) next(_ *execCtx, out *sqltypes.Batch) error {
+	for o.pos < len(o.rows) && !out.Full() {
+		out.Append(o.rows[o.pos])
+		o.pos++
+	}
+	return nil
+}
+
+// close hands the table's chunks back: the arena rows are dead.
+func (o *aggOut) close() {
+	o.table.release()
+	o.out.close()
+	clear(o.rows)
+	o.rows, o.pos = o.rows[:0], 0
 }
 
 // aggOp computes grouped aggregates over its child's whole output, a
@@ -1472,22 +1610,31 @@ type aggOp struct {
 	groups []bexpr
 	aggs   []*aggDef
 
-	ak  *aggKernels // compiled at the first open
-	out []sqltypes.Row
-	pos int
+	ak *aggKernels // compiled at the first open
+	aggOut
 }
 
 func (a *aggOp) open(ex *execCtx) error {
+	a.begin()
 	err := a.child.open(ex)
-	defer a.child.close()
+	if err == nil {
+		err = a.fill(ex)
+	}
+	a.child.close()
 	if err != nil {
+		a.close() // a failed open keeps no chunk
 		return err
 	}
+	a.render(len(a.groups), a.aggs)
+	return nil
+}
+
+// fill drains the child into the table.
+func (a *aggOp) fill(ex *execCtx) error {
 	if a.ak == nil {
 		a.ak = compileAgg(a.groups, a.aggs)
 	}
 	opCost := ex.meter.Config().CPUOperator
-	var table aggTable
 	ec := evalCtx{ex: ex}
 	var cs childStream
 	cs.open(ex)
@@ -1496,31 +1643,15 @@ func (a *aggOp) open(ex *execCtx) error {
 	defer sc.release()
 	for {
 		rows, err := cs.nextRows(a.child, ex, cs.buf.Cap())
-		if err != nil {
+		if err != nil || rows == nil {
 			return err
 		}
-		if rows == nil {
-			break
-		}
-		if err := table.addBatch(&ec, a.ak, a.groups, a.aggs, rows, sc, opCost); err != nil {
+		if err := a.table.addBatch(&ec, a.ak, a.groups, a.aggs, rows, sc, opCost); err != nil {
 			return err
 		}
 		ex.meter.MaybeFlush()
 	}
-	a.out = table.rows(len(a.groups), a.aggs, a.out[:0])
-	a.pos = 0
-	return nil
 }
-
-func (a *aggOp) next(_ *execCtx, out *sqltypes.Batch) error {
-	for a.pos < len(a.out) && !out.Full() {
-		out.Append(a.out[a.pos])
-		a.pos++
-	}
-	return nil
-}
-
-func (a *aggOp) close() { a.out = nil }
 
 // --- sort ---
 
@@ -1557,16 +1688,19 @@ func (s *sortOp) open(ex *execCtx) error {
 		}
 		s.rows = append(s.rows, rows...)
 	}
-	// Every row's keys, cut from one slab. Sort keys are output columns
+	// Every row's keys, cut from one pooled slab; the slab and the index
+	// are dead once s.rows is ordered. Sort keys are output columns
 	// (attachOrderLimit): evaluating them after the drain rather than as
 	// each row arrives can neither raise nor charge differently.
-	type keyed struct {
-		row  sqltypes.Row
-		keys sqltypes.Row
-	}
+	slabBuf, allBuf := sortKeyPool.get(), keyedPool.get()
+	defer func() {
+		clear(*slabBuf) // pooled, they pin no row
+		clear(*allBuf)
+		sortKeyPool.put(slabBuf)
+		keyedPool.put(allBuf)
+	}()
 	nk := len(s.keys)
-	slab := make([]sqltypes.Value, len(s.rows)*nk)
-	all := make([]keyed, len(s.rows))
+	slab, all := sized(slabBuf, len(s.rows)*nk), sized(allBuf, len(s.rows))
 	ec := evalCtx{ex: ex}
 	for r, row := range s.rows {
 		ks := slab[r*nk : (r+1)*nk : (r+1)*nk]
@@ -1578,25 +1712,54 @@ func (s *sortOp) open(ex *execCtx) error {
 			}
 			ks[i] = v
 		}
-		all[r] = keyed{row: row, keys: ks}
+		all[r] = keyedRow{row: row, keys: ks}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		for k := range s.keys {
-			c := sqltypes.Compare(all[i].keys[k], all[j].keys[k])
-			if s.keys[k].desc {
+	slices.SortStableFunc(all, func(x, y keyedRow) int {
+		for k, key := range s.keys {
+			c := compareSortKey(x.keys[k], y.keys[k])
+			if key.desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	for r, kr := range all {
 		s.rows[r] = kr.row
 	}
 	s.pos = 0
 	return nil
+}
+
+// keyedRow is a row beside its evaluated sort keys.
+type keyedRow struct {
+	row  sqltypes.Row
+	keys sqltypes.Row
+}
+
+// sortKeyPool and keyedPool hold a sort's key slab and index.
+var (
+	sortKeyPool bufPool[sqltypes.Value]
+	keyedPool   bufPool[keyedRow]
+)
+
+// compareSortKey is the sort's order: sqltypes.Compare with NULL after
+// every value, so NULLs come last ascending and first descending —
+// PostgreSQL's defaults. Compare itself keeps NULL least, which is what
+// MIN/MAX and the indexes rely on.
+func compareSortKey(a, b sqltypes.Value) int {
+	an, bn := a.IsNull(), b.IsNull()
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	return sqltypes.Compare(a, b)
 }
 
 func (s *sortOp) next(_ *execCtx, out *sqltypes.Batch) error {

@@ -22,36 +22,61 @@ func SetJoinTupleTest(poison, stable bool) {
 	joinTupleTest.stable.Store(stable)
 }
 
-// TupleReport plans sel — parallelized when degree > 1 — and walks every
-// operator, sub-plans included. It returns how many tuple producers (hash
+// TupleHomes is what TupleReport found: how many tuple producers (hash
 // joins and copying filters) cut per-batch tuples and how many cut them
-// from a keeper's arena, and a line for each producer whose home does not
-// fit its direct consumer: per-batch tuples for a consumer other than an
-// aggregate, a projection, a join's probe side, a nested loop's outer side
-// or a copying filter; an arena its consumer does not own; slab tuples for
-// anything but a plan or sub-plan root.
-func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (perBatch, kept int, bad []string, err error) {
+// from a keeper's arena, how many aggregates cut their rows from their own
+// arena, and a line for each producer whose home does not fit its
+// consumer.
+type TupleHomes struct {
+	PerBatch, Kept, ArenaAggregates int
+	Bad                             []string
+}
+
+// TupleReport plans sel — parallelized when degree > 1 — and walks every
+// operator, sub-plans included, checking each producer's home against its
+// consumer (a filter that does not copy passes its child's rows on, so the
+// child's consumer is the filter's): per-batch tuples for a consumer other
+// than an aggregate, a projection, a join's probe side, a nested loop's
+// outer side or a copying filter; an arena its consumer does not own; slab
+// tuples for anything but a plan or sub-plan root. An aggregate's arena
+// rows count as per-batch tuples, so they may reach neither a root nor a
+// keeper.
+func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (homes TupleHomes, err error) {
 	root, _, err := nd.planSelect(sel)
 	if err != nil {
-		return 0, 0, nil, err
+		return homes, err
 	}
 	if degree > 1 {
 		root = parallelizePlan(nd, root, degree, false)
 	}
+	bad := func(format string, args ...any) { homes.Bad = append(homes.Bad, fmt.Sprintf(format, args...)) }
 	check := func(h *tupleHome, what, consumer string, keeper *tupleArena) {
 		switch {
 		case h.perBatch:
-			perBatch++
 			if consumer != "aggregate" && consumer != "projection" && consumer != "probe side" && consumer != "nested loop outer" && consumer != "copying filter" {
-				bad = append(bad, fmt.Sprintf("%s with per-batch tuples feeds its %s", what, consumer))
+				bad("%s with per-batch tuples feeds its %s", what, consumer)
 			}
 		case h.keeper != nil:
-			kept++
 			if h.keeper != keeper {
-				bad = append(bad, fmt.Sprintf("%s cuts its tuples from an arena its %s does not own", what, consumer))
+				bad("%s cuts its tuples from an arena its %s does not own", what, consumer)
 			}
 		case consumer != "plan root" && consumer != "sub-plan run":
-			bad = append(bad, fmt.Sprintf("%s with slab tuples feeds its %s", what, consumer))
+			bad("%s with slab tuples feeds its %s", what, consumer)
+		}
+	}
+	tuples := func(h *tupleHome, what, consumer string, keeper *tupleArena) {
+		check(h, what, consumer, keeper)
+		switch {
+		case h.perBatch:
+			homes.PerBatch++
+		case h.keeper != nil:
+			homes.Kept++
+		}
+	}
+	aggregate := func(h *tupleHome, consumer string, keeper *tupleArena) {
+		check(h, "an aggregate", consumer, keeper)
+		if h.perBatch {
+			homes.ArenaAggregates++
 		}
 	}
 	var walk func(o op, consumer string, keeper *tupleArena)
@@ -99,7 +124,7 @@ func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (perBatch, kept int
 	walk = func(o op, consumer string, keeper *tupleArena) {
 		switch v := o.(type) {
 		case *hashJoinOp:
-			check(&v.out, fmt.Sprintf("a join (%d of %d cols)", len(v.probeSel)+len(v.buildSel), v.inCols), consumer, keeper)
+			tuples(&v.out, fmt.Sprintf("a join (%d of %d cols)", len(v.probeSel)+len(v.buildSel), v.inCols), consumer, keeper)
 			walk(v.probe, "probe side", nil)
 			walk(v.build, "build side", &v.kept)
 		case *nestedLoopOp:
@@ -109,20 +134,23 @@ func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (perBatch, kept int
 		case *filterOp:
 			exprs(v.cond)
 			if !v.copies {
-				walk(v.child, "filter", nil)
+				walk(v.child, consumer, keeper)
 				break
 			}
-			check(&v.out, "a copying filter", consumer, keeper)
+			tuples(&v.out, "a copying filter", consumer, keeper)
 			walk(v.child, "copying filter", nil)
 		case *projectOp:
 			exprs(v.items...)
 			walk(v.child, "projection", nil)
 		case *aggOp:
+			aggregate(&v.out, consumer, keeper)
 			exprs(v.groups...)
 			for _, a := range v.aggs {
 				exprs(a.arg)
 			}
 			walk(v.child, "aggregate", nil)
+		case *parallelAggOp:
+			aggregate(&v.out, consumer, keeper)
 		case *sortOp:
 			walk(v.child, "sort", nil)
 		case *limitOp:
@@ -144,7 +172,7 @@ func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (perBatch, kept int
 		}
 	}
 	walk(root, "plan root", nil)
-	return perBatch, kept, bad, nil
+	return homes, nil
 }
 
 // QueryStmtWideJoins is QueryStmtAt with join-tuple narrowing off for the

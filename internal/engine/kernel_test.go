@@ -338,8 +338,9 @@ func refAggregate(ec *evalCtx, groups []bexpr, aggs []*aggDef, rows []sqltypes.R
 // TestNumericKernelsMatchReference: over seeded random aggregations and
 // batches, (1) whenever the compiled arguments accept a batch, every
 // value they computed is the reference evaluator's, kind and IEEE bits;
-// (2) folding the batches into an aggTable gives the reference
-// aggregation's rows bit for bit, or its error, at its modelled charge.
+// (2) folding the batches into a reused aggregate table gives the
+// reference aggregation's rows bit for bit, or its error, at its modelled
+// charge.
 func TestNumericKernelsMatchReference(t *testing.T) {
 	g := &exprGen{r: rand.New(rand.NewSource(29))}
 	meter := costmodel.NewMeter(costmodel.TestConfig())
@@ -348,6 +349,11 @@ func TestNumericKernelsMatchReference(t *testing.T) {
 	fns := []aggFn{aggSum, aggSum, aggAvg, aggCount, aggMin, aggMax}
 	const cases = 12000
 	var errs, fast, slow, floatVecs, intVecs, manyGroups, shared int
+	// One aggregate output serves every case, emptied between them as a
+	// re-opened aggregate empties it: groups, keys, states and rows are cut
+	// from the chunks the cases before left behind.
+	var res aggOut
+	defer res.close()
 	for i := 0; i < cases; i++ {
 		var groups []bexpr
 		for n := g.r.Intn(3); n > 0; n-- {
@@ -411,7 +417,8 @@ func TestNumericKernelsMatchReference(t *testing.T) {
 			}
 		}
 		sc := getAggScratch(len(groups))
-		var table aggTable
+		res.begin()
+		table := &res.table
 		before := meter.Virtual()
 		var gotErr error
 		for _, rows := range batches {
@@ -455,7 +462,8 @@ func TestNumericKernelsMatchReference(t *testing.T) {
 			errs++
 			continue
 		}
-		got := table.rows(len(groups), aggs, nil)
+		res.render(len(groups), aggs)
+		got := res.rows
 		if len(got) != len(want) {
 			t.Fatalf("case %d: %d groups, reference %d", i, len(got), len(want))
 		}

@@ -25,6 +25,7 @@ package engine
 // back to serial execution.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +88,8 @@ type morsel struct{ lo, hi int }
 // An index fragment's RIDs are collected into the caller's buffer (from
 // ridPool; the caller returns it once its workers have exited) and its
 // page snapshot is taken after the walk, so it resolves every one of them.
-func (f *fragSpec) decompose(ex *execCtx, rids *[]storage.RowID) (pages []*storage.Page, morsels []morsel, err error) {
+// The morsels are appended to the caller's empty buffer.
+func (f *fragSpec) decompose(ex *execCtx, rids *[]storage.RowID, morsels []morsel) (pages []*storage.Page, _ []morsel, err error) {
 	if f.preds == nil {
 		if f.scanFilter != nil {
 			f.preds = append(f.preds, compileFilter(f.scanFilter))
@@ -125,10 +127,10 @@ func (f *fragSpec) decompose(ex *execCtx, rids *[]storage.RowID) (pages []*stora
 	}
 	*rids, err = f.bounds.collect(&evalCtx{ex: ex}, f.index, (*rids)[:0])
 	if err != nil {
-		return nil, nil, err
+		return nil, morsels, err
 	}
 	if len(*rids) == 0 {
-		return nil, nil, nil // nothing to resolve: leave the relation's lock alone
+		return nil, morsels, nil // nothing to resolve: leave the relation's lock alone
 	}
 	for l := 0; l < len(*rids); l += morselRids {
 		morsels = append(morsels, morsel{l, min(l+morselRids, len(*rids))})
@@ -194,43 +196,50 @@ func (f *fragSpec) runMorsel(ex *execCtx, ec *evalCtx, m morsel, pages []*storag
 // --- work queue ---
 
 // morselQueue pre-assigns morsel indices round-robin to per-worker
-// shards, each drained through an atomic cursor. A worker exhausts its
-// own shard, then steals from the other shards' cursors — the classic
-// morsel-driven balance: cheap uncontended claims in the common case,
-// stealing only when a worker runs dry.
+// shards — shard w holds w, w+workers, w+2·workers, … — each drained
+// through an atomic cursor. A worker exhausts its own shard, then steals
+// from the other shards' cursors — the classic morsel-driven balance:
+// cheap uncontended claims in the common case, stealing only when a worker
+// runs dry. Its owner keeps it across runs; reset readies it for the next.
 type morselQueue struct {
-	shards  [][]int
+	n       int // morsels
 	cursors []atomic.Int64
 	steals  atomic.Int64
 }
 
-func newMorselQueue(nMorsels, workers int) *morselQueue {
-	q := &morselQueue{
-		shards:  make([][]int, workers),
-		cursors: make([]atomic.Int64, workers),
-	}
-	for i := 0; i < nMorsels; i++ {
-		w := i % workers
-		q.shards[w] = append(q.shards[w], i)
-	}
-	return q
+func (q *morselQueue) reset(nMorsels, workers int) {
+	q.n = nMorsels
+	q.cursors = zeroed(q.cursors, workers)
+	q.steals.Store(0)
 }
 
 // next claims the next morsel for worker self, stealing if its own shard
 // is exhausted. Returns false when no work remains anywhere.
 func (q *morselQueue) next(self int) (int, bool) {
-	for off := 0; off < len(q.shards); off++ {
-		w := (self + off) % len(q.shards)
-		c := q.cursors[w].Add(1) - 1
-		if int(c) >= len(q.shards[w]) {
+	workers := len(q.cursors)
+	for off := 0; off < workers; off++ {
+		w := (self + off) % workers
+		mi := w + int(q.cursors[w].Add(1)-1)*workers
+		if mi >= q.n {
 			continue
 		}
 		if off != 0 {
 			q.steals.Add(1)
 		}
-		return q.shards[w][c], true
+		return mi, true
 	}
 	return 0, false
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // --- shared worker machinery ---
@@ -380,39 +389,58 @@ type parallelAggOp struct {
 	aggs   []*aggDef
 	degree int
 
-	ak  *aggKernels // compiled at the first open
-	out []sqltypes.Row
-	pos int
+	ak *aggKernels // compiled at the first open
+	aggOut
+
+	// Kept across runs with their capacity: the morsels, their queue and a
+	// partial table per morsel, whose chunks go back to the pools once the
+	// run is over.
+	morsels  []morsel
+	queue    morselQueue
+	partials []aggTable
 }
 
 func (a *parallelAggOp) open(ex *execCtx) error {
+	a.begin()
+	err := a.fill(ex)
+	for i := range a.partials { // merged, failed or cancelled alike
+		a.partials[i].release()
+	}
+	if err != nil {
+		a.close() // a failed open keeps no chunk
+		return err
+	}
+	a.render(len(a.groups), a.aggs)
+	return nil
+}
+
+// fill runs the fragment to completion, each morsel into its own partial
+// table, and merges the partials into the table.
+func (a *parallelAggOp) fill(ex *execCtx) error {
 	if a.ak == nil {
 		a.ak = compileAgg(a.groups, a.aggs)
 	}
 	rids := ridPool.get()
-	defer ridPool.put(rids) // every worker has exited by the time open returns
-	pages, morsels, err := a.frag.decompose(ex, rids)
+	defer ridPool.put(rids) // every worker has exited by the time fill returns
+	pages, morsels, err := a.frag.decompose(ex, rids, a.morsels[:0])
+	a.morsels = morsels
 	if err != nil {
 		return err
 	}
 	ex.node.pstats.addQuery()
 	ex.node.pstats.addMorsels(int64(len(morsels)))
 
-	partials := make([]*aggTable, len(morsels))
-	run := &fragRun{queue: newMorselQueue(len(morsels), a.degree), degree: a.degree}
+	a.partials = slices.Grow(a.partials[:0], len(morsels))[:len(morsels)]
+	a.queue.reset(len(morsels), a.degree)
+	run := &fragRun{queue: &a.queue, degree: a.degree}
 	run.start(ex, func(wex *execCtx, wec *evalCtx, mi int) error {
 		opCost := wex.meter.Config().CPUOperator
-		pa := &aggTable{}
+		pa := &a.partials[mi]
 		sc := getAggScratch(len(a.groups))
 		defer sc.release()
-		err := a.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(rows []sqltypes.Row) error {
+		return a.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(rows []sqltypes.Row) error {
 			return pa.addBatch(wec, a.ak, a.groups, a.aggs, rows, sc, opCost)
 		})
-		if err != nil {
-			return err
-		}
-		partials[mi] = pa
-		return nil
 	}, nil)
 	run.wait()
 	if err := run.firstErr(); err != nil {
@@ -422,26 +450,11 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 	// Merge in morsel-index order: group order is first appearance across
 	// ordered morsels (exactly the serial visit order), float partials
 	// fold in one deterministic sequence.
-	var merged aggTable
-	for _, pa := range partials {
-		if pa != nil {
-			merged.merge(pa, a.aggs)
-		}
-	}
-	a.out = merged.rows(len(a.groups), a.aggs, a.out[:0])
-	a.pos = 0
-	return nil
-}
-
-func (a *parallelAggOp) next(_ *execCtx, out *sqltypes.Batch) error {
-	for a.pos < len(a.out) && !out.Full() {
-		out.Append(a.out[a.pos])
-		a.pos++
+	for i := range a.partials {
+		a.table.merge(&a.partials[i], a.aggs)
 	}
 	return nil
 }
-
-func (a *parallelAggOp) close() { a.out = nil }
 
 // --- parallel scan/project (merge point: scan) ---
 
@@ -460,8 +473,11 @@ type parallelScanOp struct {
 	frag   *fragSpec
 	degree int
 
-	run     *fragRun
+	run *fragRun
+	// The morsels, their queue, results and done flags keep their capacity
+	// across runs.
 	morsels []morsel
+	queue   morselQueue
 	rids    *[]storage.RowID // from ridPool; close returns it, after the workers exit
 
 	mu       sync.Mutex
@@ -478,22 +494,23 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 		s.rids = ridPool.get()
 	}
 	rids := s.rids
-	pages, morsels, err := s.frag.decompose(ex, rids)
+	pages, morsels, err := s.frag.decompose(ex, rids, s.morsels[:0])
+	s.morsels = morsels
 	if err != nil {
 		return err
 	}
 	ex.node.pstats.addQuery()
 	ex.node.pstats.addMorsels(int64(len(morsels)))
 
-	s.morsels = morsels
-	s.results = make([]*[]sqltypes.Row, len(morsels))
-	s.done = make([]bool, len(morsels))
+	s.results = zeroed(s.results, len(morsels))
+	s.done = zeroed(s.done, len(morsels))
 	s.consumed, s.rowPos = 0, 0
 	s.stopped = false
 	if s.cond == nil {
 		s.cond = sync.NewCond(&s.mu)
 	}
-	s.run = &fragRun{queue: newMorselQueue(len(morsels), s.degree), degree: s.degree}
+	s.queue.reset(len(morsels), s.degree)
+	s.run = &fragRun{queue: &s.queue, degree: s.degree}
 
 	run := s.run
 	// Wake parked goroutines the moment any worker (or the ctx watcher)
@@ -619,7 +636,8 @@ func (s *parallelScanOp) close() {
 		}
 	}
 	ridPool.put(s.rids) // also after a failed decompose
-	s.results, s.rids = nil, nil
+	clear(s.results)
+	s.rids = nil
 }
 
 // --- plan rewrite ---
@@ -633,7 +651,7 @@ func parallelizePlan(nd *Node, root op, degree int, gated bool) op {
 	switch o := root.(type) {
 	case *aggOp:
 		if frag, ok := extractFragment(o.child, gated); ok && aggsParallelSafe(o.groups, o.aggs) {
-			return &parallelAggOp{frag: frag, groups: o.groups, aggs: o.aggs, degree: degree}
+			return &parallelAggOp{frag: frag, groups: o.groups, aggs: o.aggs, degree: degree, aggOut: aggOut{out: o.out}}
 		}
 		o.child = parallelizePlan(nd, o.child, degree, gated)
 		return o

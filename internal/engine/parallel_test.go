@@ -262,25 +262,32 @@ func TestParallelStatsAndMetrics(t *testing.T) {
 // TestParallelWorkStealing forces an imbalanced load (one worker's shard
 // holds all the surviving rows) and verifies steals are recorded.
 func TestParallelWorkStealing(t *testing.T) {
-	q := newMorselQueue(16, 4)
-	// Worker 3 claims everything; workers 0-2 never claim.
-	seen := map[int]bool{}
-	for {
-		mi, ok := q.next(3)
-		if !ok {
-			break
+	var q morselQueue
+	// The queue is reset for every run of its owner: the second run, with
+	// fewer morsels and workers, starts from clean cursors and counts.
+	for _, c := range []struct{ morsels, workers, self, steals int }{
+		{16, 4, 3, 12}, // 4 of the 16 live in worker 3's own shard; the other 12 are steals
+		{5, 2, 1, 3},   // morsels 1 and 3 are worker 1's
+	} {
+		q.reset(c.morsels, c.workers)
+		// One worker claims everything; the others never claim.
+		seen := map[int]bool{}
+		for {
+			mi, ok := q.next(c.self)
+			if !ok {
+				break
+			}
+			if seen[mi] || mi < 0 || mi >= c.morsels {
+				t.Fatalf("morsel %d claimed twice or out of range", mi)
+			}
+			seen[mi] = true
 		}
-		if seen[mi] {
-			t.Fatalf("morsel %d claimed twice", mi)
+		if len(seen) != c.morsels {
+			t.Fatalf("claimed %d morsels, want %d", len(seen), c.morsels)
 		}
-		seen[mi] = true
-	}
-	if len(seen) != 16 {
-		t.Fatalf("claimed %d morsels, want 16", len(seen))
-	}
-	// 4 of the 16 live in worker 3's own shard; the other 12 are steals.
-	if got := q.steals.Load(); got != 12 {
-		t.Fatalf("steals = %d, want 12", got)
+		if got := q.steals.Load(); got != int64(c.steals) {
+			t.Fatalf("%d morsels on %d workers: steals = %d, want %d", c.morsels, c.workers, got, c.steals)
+		}
 	}
 }
 

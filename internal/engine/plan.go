@@ -1028,8 +1028,12 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 // rows escape, and for any consumer never placed here. A hash join cuts its
 // output tuples there; a filter over a join copies its survivors there and
 // takes the join's tuples per batch, so it holds what it keeps, not every
-// tuple it was offered. Anything else builds no join tuple and is left
-// alone. It reports whether o builds tuples.
+// tuple it was offered. An aggregate renders its rows there — per batch
+// means its own arena, whose rows outlive every batch until the aggregate's
+// next open or close — and a HAVING filter passes them on to its own
+// consumer without copying. Anything else builds no tuple and is left
+// alone. It reports whether o builds tuples a consumer must copy to keep
+// past a batch.
 func placeTuples(o op, home tupleHome) bool {
 	if joinTupleTest.stable.Load() {
 		return false
@@ -1038,7 +1042,13 @@ func placeTuples(o op, home tupleHome) bool {
 	case *hashJoinOp:
 		v.out = home
 		return true
+	case *aggOp:
+		v.out = home
+		return false
 	case *filterOp:
+		if _, having := v.child.(*aggOp); having {
+			return placeTuples(v.child, home)
+		}
 		v.copies, v.out = placeTuples(v.child, tupleHome{perBatch: true}), home
 		return v.copies
 	}
@@ -1289,6 +1299,8 @@ func (n *Node) planAggregate(b *binder, stmt *sql.SelectStmt, root op, joinScope
 		}
 		root = &filterOp{child: root, cond: cond}
 	}
+	// The projection below copies what it reads of the aggregate's rows.
+	placeTuples(root, tupleHome{perBatch: true})
 
 	var items []bexpr
 	var names []string

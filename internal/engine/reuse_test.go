@@ -29,7 +29,8 @@ const failingProbe = `from orders o, items i where o.ok = i.ok and o.cust = 3 an
 // aggregate, a sort, a projection, a sub-plan or the cursor still hands
 // back every pooled buffer the partial open took — the join's build rows
 // and integer table, its probe stream's batch, the failing scan's RID
-// list: every get is matched by a put.
+// list, arena chunks, a parallel aggregate's partial tables: every get is
+// matched by a put.
 func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 	_, nd := newTestDB(t, 300, 3)
 	ex := &execCtx{node: nd, snapshot: nd.Watermark(), meter: nd.meter}
@@ -132,6 +133,61 @@ func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a sub-query cancelled mid-probe kept %d pooled buffers", n)
 	}
+
+	// A parallel aggregate whose fragment raises midway, and one cancelled
+	// after its first morsel: the partial tables the morsels filled — the
+	// failing morsel's half-filled one too — go back to the pools with the
+	// merged table. Items 1 … 2499 are two index morsels; the expression
+	// fails at ok = 2000, in the second. A released partial keeps its chunk
+	// list's capacity: a non-zero one shows a morsel had filled it.
+	_, nd = newParallelDB(t, 3000, 3)
+	for _, c := range []struct {
+		name, where string
+		ctx         context.Context
+		want        string
+	}{
+		{"an error mid-morsel", "ok < 2500", nil, "division by zero"},
+		{"a cancel after the first morsel", "ok < 1999", newCancelAfter(1), "context canceled"},
+	} {
+		sel := mustSelect(t, "select tag, count(*), sum(price / (ok - 2000)) from items where ok >= 1 and "+c.where+" group by tag")
+		p, err := nd.Prepare(sel, nil, QueryOpts{ForceIndexScan: true, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := p.root.(*projectOp).child.(*parallelAggOp)
+		var openErr error
+		n := auditPools(func() { _, openErr = p.OpenAt(nd.Watermark(), QueryOpts{Ctx: c.ctx}) })
+		filled := 0
+		for i := range agg.partials {
+			if cap(agg.partials[i].states.chunks) > 0 {
+				filled++
+			}
+		}
+		if n != 0 || openErr == nil || !strings.Contains(openErr.Error(), c.want) || filled == 0 {
+			t.Errorf("%s: open returned %v (want %s), %d of %d partials filled, %d pooled buffers kept", c.name, openErr, c.want, filled, len(agg.partials), n)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err turns Canceled after n checks. A
+// morsel worker checks it before each claim, so a parallel run is
+// cancelled after its first n claims, whichever workers make them.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // bytesPerRun is the heap a statement allocates per serial execution,
@@ -143,11 +199,16 @@ func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 func bytesPerRun(t *testing.T, nd *Node, text string, runs int) float64 {
 	t.Helper()
 	sel := mustSelect(t, text)
-	run := func() {
+	return bytesPer(t, runs, func() {
 		if _, err := nd.QueryStmtAt(sel, nd.Watermark(), QueryOpts{Parallelism: 1}); err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
-	}
+	})
+}
+
+// bytesPer is bytesPerRun for any run.
+func bytesPer(t *testing.T, runs int, run func()) float64 {
+	t.Helper()
 	run()
 	var rounds [3]float64
 	for r := range rounds {
@@ -180,9 +241,9 @@ func TestJoinAggregateBytesPerProbeRow(t *testing.T) {
 	var perRow [2]float64
 	for k, nOrders := range []int{1000, 4000} {
 		_, nd := newTestDB(t, nOrders, itemsPer)
-		perBatch, _, bad, err := nd.TupleReport(mustSelect(t, text), 1)
-		if err != nil || len(bad) > 0 || perBatch != 2 {
-			t.Fatalf("plan: %d joins cut per-batch tuples, %v, %v; want both", perBatch, bad, err)
+		homes, err := nd.TupleReport(mustSelect(t, text), 1)
+		if err != nil || len(homes.Bad) > 0 || homes.PerBatch != 2 {
+			t.Fatalf("plan: %d joins cut per-batch tuples, %v, %v; want both", homes.PerBatch, homes.Bad, err)
 		}
 		perRow[k] = bytesPerRun(t, nd, text, 10) / float64(nOrders*itemsPer)
 		t.Logf("%d probe rows: %.1f B per probe row", nOrders*itemsPer, perRow[k])
@@ -192,6 +253,65 @@ func TestJoinAggregateBytesPerProbeRow(t *testing.T) {
 	}
 	if perRow[1] > perRow[0] {
 		t.Errorf("bytes per probe row grow with the row count: %.1f at 3 000 rows, %.1f at 12 000", perRow[0], perRow[1])
+	}
+}
+
+// TestAggregateBytesPerGroup pins an SVP sub-query's shape — one prepared
+// grouped aggregate, re-opened for partition after partition — to a
+// bounded number of heap bytes per group, serially and through the
+// parallel merge of three morsels' partials: groups, their keys and
+// states, the partial tables and the aggregate's output rows are cut from
+// pooled chunks that every run hands back, so a run allocates the
+// projection's output row (48 B per group here) and a constant. A fresh
+// group, key copy, state slice and output row per group, and a partial
+// table per morsel, as aggregates had before, cost 680 B per group here
+// serially and 760 B at degree 4.
+func TestAggregateBytesPerGroup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	const parts, width = 4, 3000 // orders per partition, three items each
+	_, nd := newParallelDB(t, parts*width, 3)
+	sel := mustSelect(t, "select sum(price) + max(qty) from items where ok >= $1 and ok < $2 group by ok")
+	b := sqltypes.GetBatch()
+	defer sqltypes.PutBatch(b)
+	for _, degree := range []int{1, 4} {
+		opts := QueryOpts{ForceIndexScan: true, Parallelism: degree}
+		p, err := nd.Prepare(sel, ints(1, 1+width), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := 0
+		run := func() {
+			lo := int64(1 + part%parts*width)
+			part++
+			if !p.Rebind(ints(lo, lo+width), opts) {
+				t.Fatalf("degree %d: Rebind refused partition %d", degree, part)
+			}
+			cur, err := p.OpenAt(nd.Watermark(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			groups := 0
+			for {
+				if err := cur.Next(b); err != nil {
+					t.Fatal(err)
+				}
+				if b.Len() == 0 {
+					break
+				}
+				groups += b.Len()
+			}
+			if groups != width {
+				t.Fatalf("degree %d: %d groups, want %d", degree, groups, width)
+			}
+		}
+		perGroup := bytesPer(t, 2*parts, run) / width
+		t.Logf("degree %d: %.1f B per group", degree, perGroup)
+		if perGroup > 64 {
+			t.Errorf("degree %d: %.1f B per group, want <= 64", degree, perGroup)
+		}
 	}
 }
 
@@ -212,9 +332,9 @@ func TestJoinBuildBytesPerBuildRow(t *testing.T) {
 	var perRun [2]float64
 	for k, nOrders := range sizes {
 		_, nd := newTestDB(t, nOrders, 3)
-		_, kept, bad, err := nd.TupleReport(mustSelect(t, text), 1)
-		if err != nil || len(bad) > 0 || kept != 2 {
-			t.Fatalf("plan: %d joins cut from a keeper's arena, %v, %v; want the two chained build sides", kept, bad, err)
+		homes, err := nd.TupleReport(mustSelect(t, text), 1)
+		if err != nil || len(homes.Bad) > 0 || homes.Kept != 2 {
+			t.Fatalf("plan: %d joins cut from a keeper's arena, %v, %v; want the two chained build sides", homes.Kept, homes.Bad, err)
 		}
 		perRun[k] = bytesPerRun(t, nd, text, 10)
 		t.Logf("%d orders: %.0f B per run", nOrders, perRun[k])

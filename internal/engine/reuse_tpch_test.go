@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"apuama/internal/costmodel"
@@ -20,7 +21,14 @@ import (
 // table's scan on a nested loop's inner side, so a join is the outer side,
 // with per-batch tuples, or the nested loop is a join's build side), and a
 // join under ORDER BY without LIMIT (the sort keeps the projection's rows,
-// so the join below them cuts per-batch tuples).
+// so the join below them cuts per-batch tuples). Then the consumers around
+// an aggregate, which cuts its rows from its own arena under a projection,
+// directly or through HAVING, and heap rows elsewhere: HAVING over a
+// grouping with groups in every morsel (at degree 4, a parallel merge of
+// groups split across morsels), the composition's shape — re-aggregation
+// under ORDER BY … LIMIT — count(distinct …) beside MIN and MAX, a
+// correlated scalar aggregate re-opened per outer row, and EXISTS over
+// HAVING, whose sub-plan root is the HAVING filter over the aggregate.
 var reuseShapes = []string{
 	`select o_orderkey, l_linenumber, l_extendedprice from orders, lineitem
 		where o_orderkey = l_orderkey and o_totalprice > l_extendedprice * 20`,
@@ -40,6 +48,16 @@ var reuseShapes = []string{
 		where n_nationkey = s_nationkey and r_name = 'ASIA' and s_acctbal > 9000`,
 	`select c_name, o_orderkey, o_totalprice from customer, orders
 		where c_custkey = o_custkey and o_totalprice > 400000 order by o_totalprice desc, c_name`,
+	`select l_orderkey, count(*), sum(l_quantity) from lineitem
+		group by l_orderkey having sum(l_quantity) > 150`,
+	`select l_orderkey, sum(l_extendedprice * (1 - l_discount)) as revenue from lineitem
+		group by l_orderkey order by revenue desc, l_orderkey limit 10`,
+	`select o_orderpriority, count(distinct o_custkey), min(o_totalprice), max(o_orderdate) from orders
+		group by o_orderpriority order by o_orderpriority`,
+	`select count(*) from orders where o_totalprice > (
+		select avg(l_extendedprice) * 4 from lineitem where l_orderkey = o_orderkey)`,
+	`select count(*) from orders where exists (
+		select l_orderkey from lineitem where l_orderkey = o_orderkey group by l_orderkey having count(*) > 5)`,
 }
 
 // reuseStatements returns the eight templates as the cluster receives them
@@ -71,14 +89,19 @@ func reuseNode(t *testing.T) *engine.Node {
 // TestKeptJoinTuplesRetentionGuard: a join tuple lives only as long as its
 // consumer needs it — until the producer's next next call under a per-batch
 // consumer, until the keeper's close in a keeper's arena — so a consumer
-// that read one later would read a tuple cut after it. With the guard on,
-// a per-batch producer poisons its previous batch before it cuts the next,
-// and a released arena chunk is poisoned instead of cleared; rows must
-// then be bit-identical, in identical order, to the plan with slab tuples
-// only — the eight templates, their SVP sub-queries and the shapes above,
-// serial and at degree 4, at batch sizes 1, 7 and 256 — and charge the
-// modelled clock the same. (A batch size changes neither rows nor charges,
-// TestBatchBoundaries says, so one reference per degree serves all three.)
+// that read one later would read a tuple cut after it. The same holds for
+// an aggregate's groups (their keys and states) and its arena rows, valid
+// until the aggregate's next open or close. With the guard on, a per-batch
+// producer poisons its previous batch before it cuts the next, an
+// aggregate's table poisons what it still holds when it rewinds at open,
+// and a released arena chunk — a join's, an aggregate's groups, states and
+// rows, a merged morsel partial's — is poisoned instead of cleared; rows
+// must then be bit-identical, in identical order, to the plan with slab
+// tuples and heap aggregate rows only — the eight templates, their SVP
+// sub-queries and the shapes above, serial and at degree 4, at batch sizes
+// 1, 7 and 256 — and charge the modelled clock the same. (A batch size
+// changes neither rows nor charges, TestBatchBoundaries says, so one
+// reference per degree serves all three.)
 func TestKeptJoinTuplesRetentionGuard(t *testing.T) {
 	nd := reuseNode(t)
 	defer engine.SetJoinTupleTest(false, false)
@@ -120,18 +143,33 @@ func TestKeptJoinTuplesRetentionGuard(t *testing.T) {
 }
 
 // TestReusedJoinTuplesPlannerInvariant: over the same statements, serial
-// and at degree 4, every join and copying filter cuts its tuples where its
-// direct consumer needs them — per batch only under an aggregate, a
-// projection, a join's probe side, a nested loop's outer side or a copying
-// filter; from an arena only its consumer's own; from a slab only under a
-// plan or sub-plan root — every template that joins (Q3, Q5, Q12, Q14,
-// Q21) has at least one per-batch join, as a statement and as a
-// sub-query, and Q3's and Q5's build-side joins (Q5's build chain) cut
-// their tuples from the joins that keep them.
+// and at degree 4, every join, copying filter and aggregate cuts its
+// tuples where its consumer needs them — per batch (for an aggregate: from
+// its own arena) only under an aggregate, a projection, a join's probe
+// side, a nested loop's outer side or a copying filter; from an arena only
+// its consumer's own; from a slab only under a plan or sub-plan root — so
+// an aggregate's arena row never reaches a root or a keeper. Every
+// template that joins (Q3, Q5, Q12, Q14, Q21) has at least one per-batch
+// join, as a statement and as a sub-query, Q3's and Q5's build-side joins
+// (Q5's build chain) cut their tuples from the joins that keep them, every
+// template's aggregate — serial or the parallel merge — renders into its
+// arena, and so do the aggregates of the shapes but the one under EXISTS,
+// whose sub-plan root is the HAVING filter.
 func TestReusedJoinTuplesPlannerInvariant(t *testing.T) {
 	nd := reuseNode(t)
 	texts, off := reuseStatements()
 	wantKept := map[string]int{tpch.MustQuery(3): 1, svpSubquery(3): 1, tpch.MustQuery(5): 4, svpSubquery(5): 3}
+	// Every statement that aggregates has one aggregate under a projection;
+	// the correlated scalar shape has two.
+	wantArenaAggs := func(text string) int {
+		switch {
+		case strings.Contains(text, "avg(l_extendedprice) * 4"):
+			return 2
+		case strings.Contains(text, "count(") || strings.Contains(text, "sum("):
+			return 1
+		}
+		return 0
+	}
 	for i, text := range texts {
 		sel, err := sql.ParseSelect(text)
 		if err != nil {
@@ -139,18 +177,21 @@ func TestReusedJoinTuplesPlannerInvariant(t *testing.T) {
 		}
 		nd.Set("enable_seqscan", sqltypes.NewBool(!off[i]))
 		for _, degree := range []int{1, 4} {
-			perBatch, kept, bad, err := nd.TupleReport(sel, degree)
+			homes, err := nd.TupleReport(sel, degree)
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
-			for _, b := range bad {
+			for _, b := range homes.Bad {
 				t.Errorf("degree %d: %s in\n%s", degree, b, text)
 			}
-			if i < 2*len(tpch.QueryNumbers) && len(sel.From) > 1 && perBatch == 0 {
+			if i < 2*len(tpch.QueryNumbers) && len(sel.From) > 1 && homes.PerBatch == 0 {
 				t.Errorf("degree %d: no join cuts per-batch tuples in\n%s", degree, text)
 			}
-			if kept < wantKept[text] {
-				t.Errorf("degree %d: %d joins cut their tuples from a keeper's arena, want %d, in\n%s", degree, kept, wantKept[text], text)
+			if homes.Kept < wantKept[text] {
+				t.Errorf("degree %d: %d joins cut their tuples from a keeper's arena, want %d, in\n%s", degree, homes.Kept, wantKept[text], text)
+			}
+			if want := wantArenaAggs(text); homes.ArenaAggregates != want {
+				t.Errorf("degree %d: %d aggregates render into their arena, want %d, in\n%s", degree, homes.ArenaAggregates, want, text)
 			}
 		}
 	}

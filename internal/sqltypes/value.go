@@ -197,13 +197,14 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two values. NULL sorts before every non-NULL value (the
-// PostgreSQL NULLS FIRST default for ascending order is applied by the sort
-// operator, not here). Numeric kinds compare by numeric value so that
-// INT 3 == FLOAT 3.0; dates compare as day numbers; strings compare
-// lexicographically. Comparing a string with a number is defined (string
-// sorts after) so the composer can sort heterogeneous columns
-// deterministically.
+// Compare orders two values. NULL sorts before every non-NULL value, the
+// order MIN/MAX and the indexes rely on; ORDER BY does not use it as is:
+// the sort operator puts NULL after every value, which gives PostgreSQL's
+// defaults, NULLS LAST ascending and NULLS FIRST descending. Numeric kinds
+// compare by numeric value so that INT 3 == FLOAT 3.0; dates compare as day
+// numbers; strings compare lexicographically. Comparing a string with a
+// number is defined (string sorts after) so the composer can sort
+// heterogeneous columns deterministically.
 func Compare(a, b Value) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
