@@ -39,15 +39,17 @@ race:
 # renamed or filtered. The same line runs the controller's prepared ≡
 # fresh oracle over every TPC-H template, partition and degree, its
 # refusals, the plans-per-query pin and ORDER BY's NULL placement through
-# SVP against one node. The third line runs the allocation pins (the
-# memdb composition's and a re-opened aggregate's included) without the race
+# SVP against one node, and the result arenas' retention guard (served
+# through the socket, poisoned at release and at abort). The third line runs
+# the allocation pins (the memdb composition's, a re-opened aggregate's and a
+# served range fetch's included) without the race
 # detector, under which sync.Pool drops buffers and the pins skip
 # themselves. Each pin measures at the -cpu it runs under and takes the
 # least of three logged rounds: a run the scheduler moves to another P
 # misses the buffers sync.Pool keeps for the old P, once per move.
-RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers|TestOrderByNullsMatchSingleNode
+RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers|TestOrderByNullsMatchSingleNode|TestResultArenasRetentionGuard
 RACE_CPU_PKGS := ./internal/engine/ ./internal/core/
-PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow
 PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
@@ -164,14 +166,15 @@ bench:
 # loops of an SVP sub-query on the host clock (Q6's predicate per lineitem
 # row, the hash joins of Q3 and Q5, Q21's filter over its top join and
 # Q4's correlated EXISTS with their B/op, Q1's aggregation, the filter
-# kernels of Q6 and Q12, Q3 end to end on four nodes with its memdb
-# composition's B/op, the index range walk per entry) beside their
+# kernels of Q6 and Q12, wide_fetch's range served end to end with its
+# B/op, Q3 end to end on four nodes with its memdb composition's B/op, the
+# index range walk per entry) beside their
 # ceiling — the same work as
 # a hand-written typed loop over the stored rows, BenchmarkRowLoopRoofline
 # — and the wire protocol (single-stream and 16-in-flight multiplexing
 # throughput).
 bench-micro:
-	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|FilterOverJoinQ21|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|FilterOverJoinQ21|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline|WideFetch' -benchmem -run=^$$ ./internal/engine/
 	$(GO) test -bench 'ComposeQ3' -benchmem -run=^$$ ./internal/core/
 	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
 	$(GO) test -bench 'WireStream|WireMux' -benchmem -run=^$$ ./internal/proto/

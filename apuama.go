@@ -35,7 +35,9 @@ import (
 	"apuama/internal/tpch"
 )
 
-// Result is a materialized query result (Cols and Rows).
+// Result is a materialized query result (Cols and Rows). An SVP query's
+// rows may live in pooled memory: calling Release once done with them
+// hands it back (optional; an unreleased result is garbage collected).
 type Result = engine.Result
 
 // Stats is the Apuama Engine's activity counters.

@@ -141,9 +141,11 @@ func BenchmarkSVPQuery(b *testing.B) {
 				q := tpch.MustQuery(qn)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Query(q); err != nil {
+					res, err := c.Query(q)
+					if err != nil {
 						b.Fatal(err)
 					}
+					res.Release()
 				}
 			})
 		}
@@ -170,9 +172,11 @@ func BenchmarkOLTPPointQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fmt.Sprintf("select o_totalprice from orders where o_orderkey = %d", i%1000+1)
-		if _, err := c.Query(q); err != nil {
+		res, err := c.Query(q)
+		if err != nil {
 			b.Fatal(err)
 		}
+		res.Release()
 	}
 }
 

@@ -31,9 +31,11 @@ func runTrace(cfg experiments.Config) error {
 	fmt.Printf("apuama-bench: tracing %d TPC-H queries on %d nodes at SF %g\n\n",
 		len(tpch.QueryNumbers), c.NumNodes(), cfg.SF)
 	for _, qn := range tpch.QueryNumbers {
-		if _, err := c.Query(tpch.MustQuery(qn)); err != nil {
+		res, err := c.Query(tpch.MustQuery(qn))
+		if err != nil {
 			return fmt.Errorf("Q%d: %w", qn, err)
 		}
+		res.Release()
 	}
 
 	traces := c.SlowLog() // most recent first

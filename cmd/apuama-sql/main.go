@@ -106,6 +106,7 @@ func runStatement(sess session, stmtText string) {
 		}
 		fmt.Print(res.String())
 		fmt.Printf("(%d rows, %v)\n", len(res.Rows), time.Since(start).Round(time.Millisecond))
+		res.Release()
 		return
 	}
 	n, err := sess.Exec(stmtText)

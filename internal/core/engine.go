@@ -961,6 +961,12 @@ const (
 // ends with a fin carrying the outcome. prep is the claiming worker's
 // prepared plan; hedges and followers, on goroutines of their own, pass
 // nil and plan afresh.
+//
+// The rows are cut from the attempt's own arena, which the fin hands to
+// the gather once the node has finished writing into it: a winner's goes
+// into the result, any other's back to the pool. When the gather has ended
+// the attempt releases it itself. With a cache on, rows may be kept or
+// shared past the query, so they are heap rows.
 func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, prep **engine.Prepared) error {
 	id, hedge := r.attemptSeq.Add(1), kind == hedgeAttempt
 	sq := r.qspan.Child("subquery")
@@ -979,8 +985,12 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 	}
 	args := r.plan.rw.rangeArgs(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
 	p.Node().Meter().Charge(r.e.net.Config().NetMessage)
+	var rows *engine.RowArena
+	if r.e.cache == nil {
+		rows = engine.NewRowArena()
+	}
 	t0 := time.Now()
-	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, !r.e.opts.AllowSeqscan, prep, func(b *sqltypes.Batch) error {
+	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, !r.e.opts.AllowSeqscan, prep, rows, func(b *sqltypes.Batch) error {
 		if !r.send(gatherMsg{idx: idx, attempt: id, hedge: hedge, batch: b}) {
 			return r.workCtx.Err()
 		}
@@ -991,7 +1001,7 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 		sq.Annotate("plan", "reused")
 	}
 	r.e.m.subqueryDur.Observe(dur)
-	fin := gatherMsg{idx: idx, attempt: id, hedge: hedge, fin: true, err: err}
+	fin := gatherMsg{idx: idx, attempt: id, hedge: hedge, fin: true, err: err, rows: rows}
 	if err == nil {
 		// Settled before it is announced: the gather's next hedge target
 		// and a losing twin's requeue both see the partition done.
@@ -1002,7 +1012,9 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 		fin.retry = !hedge && retryable(err)
 	}
 	sq.End()
-	r.send(fin)
+	if !r.send(fin) {
+		rows.Release()
+	}
 	return err
 }
 

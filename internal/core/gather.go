@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"apuama/internal/admission"
@@ -27,6 +28,10 @@ type gatherMsg struct {
 	err     error
 	retry   bool          // with fin+err: the worker is retrying, not giving up
 	dur     time.Duration // with a successful fin: the attempt's stream time
+	// rows, with fin, is the arena the attempt's rows were cut from (nil:
+	// heap rows). The node has finished writing into it; the receiver owns
+	// it now.
+	rows *engine.RowArena
 }
 
 // gatherState is the gather stage's bookkeeping, on the controller
@@ -130,7 +135,7 @@ func (g *gatherState) feedCached() error {
 		if err := g.sink.observe(i, attempt, b); err != nil {
 			return composerErr(err)
 		}
-		g.sink.commit(i, attempt)
+		g.sink.commit(i, attempt, nil)
 		g.done[i], g.doneRows[i] = true, int64(len(s.rows))
 		g.totalRows += g.doneRows[i]
 		g.completed++
@@ -188,7 +193,7 @@ func (g *gatherState) onBatch(m gatherMsg) error {
 func (g *gatherState) drop(m gatherMsg) {
 	delete(g.rowsByAttempt, m.attempt)
 	delete(g.keepRows, m.attempt)
-	g.sink.abort(m.idx, m.attempt)
+	g.sink.abort(m.idx, m.attempt, m.rows)
 }
 
 // onFailure handles an attempt that failed for good.
@@ -246,7 +251,7 @@ func (g *gatherState) onFinish(m gatherMsg) error {
 	g.doneRows[m.idx] = g.rowsByAttempt[m.attempt]
 	g.totalRows += g.doneRows[m.idx]
 	delete(g.rowsByAttempt, m.attempt)
-	g.sink.commit(m.idx, m.attempt)
+	g.sink.commit(m.idx, m.attempt, m.rows)
 	g.fillPartial(m)
 	switch {
 	case g.earlyStop && prefixHolds(g.done, g.doneRows, g.r.plan.rw.PushedLimit):
@@ -403,6 +408,15 @@ func hedgeThreshold(completions []time.Duration) time.Duration {
 // All methods are called from the single gather goroutine; the sink needs
 // no locking. observe takes ownership of the batch and returns it to the
 // pool.
+//
+// Row lifetime: an attempt's rows live in its arena (gatherMsg.rows) and
+// the sink lists their headers per attempt, in pooled lists. abort hands a
+// dropped attempt's arena and list back at once; the winners' arenas and
+// lists travel with the result — the identity result is made of their
+// rows, and memdb stores partial rows by reference — and the result's
+// Release hands them back. When a cache is on (pooled false) nothing
+// carries a hook: the attempts cut heap rows, and the result, which the
+// cache may keep or share, is left to the garbage collector.
 type memdbSink struct {
 	e   *Engine
 	rw  *Rewrite
@@ -411,10 +425,23 @@ type memdbSink struct {
 	// identity marks a composition that is the concatenation itself; the
 	// winners are then returned as they are, without a memdb round trip.
 	identity bool
+	pooled   bool // no cache is on: the result hands the rows' pooled memory back
 
-	bufs      map[attemptKey][]sqltypes.Row
-	winner    []int64 // each partition's committed attempt
+	bufs      map[attemptKey]*[]sqltypes.Row // from rowLists
+	winner    []int64                        // each partition's committed attempt
 	committed []bool
+	kept      []*engine.RowArena // the committed winners' arenas
+}
+
+// rowLists recycles the sink's per-attempt lists of row headers, and the
+// identity result's row list.
+var rowLists = sync.Pool{New: func() any { return new([]sqltypes.Row) }}
+
+// putRowList hands a list back, cleared so it pins no row while pooled.
+func putRowList(l *[]sqltypes.Row) {
+	clear(*l)
+	*l = (*l)[:0]
+	rowLists.Put(l)
 }
 
 type attemptKey struct {
@@ -429,7 +456,8 @@ func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) 
 	return &memdbSink{
 		e: e, rw: rw, res: res,
 		identity:  identityCompose(rw),
-		bufs:      map[attemptKey][]sqltypes.Row{},
+		pooled:    e.cache == nil,
+		bufs:      map[attemptKey]*[]sqltypes.Row{},
 		winner:    make([]int64, n),
 		committed: make([]bool, n),
 	}
@@ -463,22 +491,36 @@ func (s *memdbSink) observe(idx int, attempt int64, b *sqltypes.Batch) error {
 		return err
 	}
 	k := attemptKey{idx, attempt}
-	s.bufs[k] = append(s.bufs[k], b.Rows...)
+	l := s.bufs[k]
+	if l == nil {
+		l = rowLists.Get().(*[]sqltypes.Row)
+		s.bufs[k] = l
+	}
+	*l = append(*l, b.Rows...)
 	sqltypes.PutBatch(b)
 	return nil
 }
 
-func (s *memdbSink) commit(idx int, attempt int64) {
+// commit fixes an attempt as its partition's winner; the sink keeps its
+// arena until the result is released.
+func (s *memdbSink) commit(idx int, attempt int64, rows *engine.RowArena) {
 	s.winner[idx] = attempt
 	s.committed[idx] = true
+	if rows != nil {
+		s.kept = append(s.kept, rows)
+	}
 }
 
 // abort drops an attempt's rows and returns their charge, so a failover
-// is not billed for the attempt it replaces.
-func (s *memdbSink) abort(idx int, attempt int64) {
+// is not billed for the attempt it replaces, and hands its arena back.
+func (s *memdbSink) abort(idx int, attempt int64, rows *engine.RowArena) {
 	k := attemptKey{idx, attempt}
-	s.res.Shrink(rowsBytes(s.bufs[k]))
-	delete(s.bufs, k)
+	if l := s.bufs[k]; l != nil {
+		s.res.Shrink(rowsBytes(*l))
+		putRowList(l)
+		delete(s.bufs, k)
+	}
+	rows.Release()
 }
 
 func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
@@ -490,13 +532,19 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 	var parts [][]sqltypes.Row
 	total := 0
 	for p := 0; p < len(s.committed) && s.committed[p]; p++ {
-		if rows := s.bufs[attemptKey{p, s.winner[p]}]; len(rows) > 0 {
-			parts = append(parts, rows)
-			total += len(rows)
+		if l := s.bufs[attemptKey{p, s.winner[p]}]; l != nil && len(*l) > 0 {
+			parts = append(parts, *l)
+			total += len(*l)
 		}
 	}
 	if !s.identity {
-		return s.e.composeRows(ctx, s.rw, parts)
+		res, err := s.e.composeRows(ctx, s.rw, parts)
+		if err != nil {
+			s.releaseTo(nil, nil)
+			return nil, err
+		}
+		s.releaseTo(res, nil)
+		return res, nil
 	}
 	c := s.rw.Compose
 	res := &engine.Result{Cols: make([]string, len(c.Items))}
@@ -506,9 +554,42 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 	if c.Limit != nil && *c.Limit < int64(total) {
 		total = int(max(*c.Limit, 0))
 	}
-	res.Rows = make([]sqltypes.Row, 0, total)
-	for _, rows := range parts {
-		res.Rows = append(res.Rows, rows[:min(len(rows), total-len(res.Rows))]...)
+	var list *[]sqltypes.Row
+	if len(parts) == 1 {
+		res.Rows = parts[0][:total] // the winner's own list
+	} else {
+		list = rowLists.Get().(*[]sqltypes.Row)
+		for _, rows := range parts {
+			*list = append(*list, rows[:min(len(rows), total-len(*list))]...)
+		}
+		res.Rows = *list
 	}
+	s.releaseTo(res, list)
 	return res, nil
+}
+
+// releaseTo gives res the hook that hands back what its rows live in: the
+// winners' arenas, the sink's row lists and list, the identity result's
+// own. A nil res hands them back at once. Without pooling it does nothing.
+func (s *memdbSink) releaseTo(res *engine.Result, list *[]sqltypes.Row) {
+	if !s.pooled {
+		return
+	}
+	kept, bufs := s.kept, s.bufs
+	release := func() {
+		for _, a := range kept {
+			a.Release()
+		}
+		for _, l := range bufs {
+			putRowList(l)
+		}
+		if list != nil {
+			putRowList(list)
+		}
+	}
+	if res == nil {
+		release()
+		return
+	}
+	res.OnRelease(release)
 }

@@ -219,13 +219,15 @@ func (p *NodeProcessor) Query(ctx context.Context, sqlText string) (*engine.Resu
 // prep, when non-nil, is the calling worker's prepared plan on this node,
 // like a JDBC PreparedStatement on its connection: it is re-opened when
 // it re-binds to args (reused reports this), and otherwise replaced by a
-// fresh plan, which the worker keeps for its next claim.
+// fresh plan, which the worker keeps for its next claim. The delivered rows
+// are cut from rows (nil: the heap); they stay valid after StreamAt returns,
+// until the caller releases the arena.
 //
 // Fault semantics: the injector's after-hook fires when
 // the operation ends, so a scripted failure can surface after batches
 // have already been delivered — callers must be prepared to discard a
 // partially streamed attempt.
-func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, args []sqltypes.Value, snapshot int64, forceIndex bool, prep **engine.Prepared, sink func(*sqltypes.Batch) error) (reused bool, err error) {
+func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, args []sqltypes.Value, snapshot int64, forceIndex bool, prep **engine.Prepared, rows *engine.RowArena, sink func(*sqltypes.Batch) error) (reused bool, err error) {
 	after, err := p.begin(ctx)
 	if err != nil {
 		return false, err
@@ -236,7 +238,7 @@ func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, args
 	}
 	defer release()
 	opts := engine.QueryOpts{ForceIndexScan: forceIndex, Parallelism: p.effectiveParallelism(), Ctx: ctx}
-	cur, reused, qerr := p.open(stmt, args, snapshot, opts, prep)
+	cur, reused, qerr := p.open(stmt, args, snapshot, opts, prep, rows)
 	if qerr == nil {
 		for {
 			b := sqltypes.GetBatch()
@@ -260,11 +262,12 @@ func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, args
 	return reused, qerr
 }
 
-// open opens stmt with args at snapshot: the worker's prepared plan when
-// it re-binds to them, else a fresh plan that replaces it.
-func (p *NodeProcessor) open(stmt *sql.SelectStmt, args []sqltypes.Value, snapshot int64, opts engine.QueryOpts, prep **engine.Prepared) (*engine.Cursor, bool, error) {
+// open opens stmt with args at snapshot, its rows cut from rows: the
+// worker's prepared plan when it re-binds to them, else a fresh plan that
+// replaces it.
+func (p *NodeProcessor) open(stmt *sql.SelectStmt, args []sqltypes.Value, snapshot int64, opts engine.QueryOpts, prep **engine.Prepared, rows *engine.RowArena) (*engine.Cursor, bool, error) {
 	if prep != nil && *prep != nil && (*prep).Rebind(args, opts) {
-		cur, err := (*prep).OpenAt(snapshot, opts)
+		cur, err := (*prep).OpenAt(snapshot, opts, rows)
 		return cur, true, err
 	}
 	plan, err := p.node.Prepare(stmt, args, opts)
@@ -274,7 +277,7 @@ func (p *NodeProcessor) open(stmt *sql.SelectStmt, args []sqltypes.Value, snapsh
 	if prep != nil {
 		*prep = plan
 	}
-	cur, err := plan.OpenAt(snapshot, opts)
+	cur, err := plan.OpenAt(snapshot, opts, rows)
 	return cur, false, err
 }
 

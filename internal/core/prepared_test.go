@@ -55,7 +55,7 @@ func runFresh(t *testing.T, nd *engine.Node, stmt *sql.SelectStmt, opts engine.Q
 		t.Fatal(err)
 	}
 	before := int64(nd.Meter().Virtual())
-	cur, err := p.OpenAt(nd.Watermark(), opts)
+	cur, err := p.OpenAt(nd.Watermark(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,9 @@ func runWorker(t *testing.T, p *NodeProcessor, tmpl *sql.SelectStmt, args []sqlt
 	t.Helper()
 	nd := p.Node()
 	before := int64(nd.Meter().Virtual())
-	cur, reused, err := p.open(tmpl, args, nd.Watermark(), opts, prep)
+	rows := engine.NewRowArena() // as an attempt's: the rows outlive the cursor
+	defer rows.Release()
+	cur, reused, err := p.open(tmpl, args, nd.Watermark(), opts, prep, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,32 +47,32 @@ func TestSinkComposesOncePerQuery(t *testing.T) {
 	}{
 		{"out-of-order commits", 3, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 2, 1, keyRows(7, 8))
-			sink.commit(2, 1)
+			sink.commit(2, 1, nil)
 			feedSink(t, sink, 0, 2, keyRows(1))
 			feedSink(t, sink, 1, 3, keyRows(4, 5))
 			feedSink(t, sink, 0, 2, keyRows(2))
-			sink.commit(1, 3)
-			sink.commit(0, 2)
+			sink.commit(1, 3, nil)
+			sink.commit(0, 2, nil)
 		}, []int64{1, 2, 4, 5, 7, 8}},
 		{"hedge twin wins after the original streamed", 2, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 0, 1, keyRows(1, 2)) // the original, mid-stream
 			feedSink(t, sink, 0, 2, keyRows(1, 2, 3))
-			sink.commit(0, 2) // the twin's fin arrives first
+			sink.commit(0, 2, nil) // the twin's fin arrives first
 			feedSink(t, sink, 1, 3, keyRows(6))
-			sink.commit(1, 3)
-			sink.abort(0, 1) // the loser reports in
+			sink.commit(1, 3, nil)
+			sink.abort(0, 1, nil) // the loser reports in
 		}, []int64{1, 2, 3, 6}},
 		{"mid-stream abort at the first partition", 2, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 0, 1, keyRows(1))
 			feedSink(t, sink, 1, 2, keyRows(6))
-			sink.abort(0, 1)
-			sink.commit(1, 2)
+			sink.abort(0, 1, nil)
+			sink.commit(1, 2, nil)
 			feedSink(t, sink, 0, 3, keyRows(1, 2))
-			sink.commit(0, 3)
+			sink.commit(0, 3, nil)
 		}, []int64{1, 2, 6}},
 		{"all partitions empty", 3, func(t *testing.T, sink *memdbSink) {
 			for p := 0; p < 3; p++ {
-				sink.commit(p, int64(p+1))
+				sink.commit(p, int64(p+1), nil)
 			}
 		}, nil},
 	}
@@ -124,12 +124,12 @@ func TestSinkLimitEarlyStop(t *testing.T) {
 	}
 	sink := s.eng.newComposeSink(rw, 4, nil)
 	feedSink(t, sink, 3, 1, keyRows(30, 31, 32))
-	sink.commit(3, 1)
+	sink.commit(3, 1, nil)
 	feedSink(t, sink, 0, 2, keyRows(1, 2))
-	sink.commit(0, 2)
+	sink.commit(0, 2, nil)
 	feedSink(t, sink, 2, 3, keyRows(20)) // still streaming when the gather settles
 	feedSink(t, sink, 1, 4, keyRows(10, 11))
-	sink.commit(1, 4)
+	sink.commit(1, 4, nil)
 	res, err := sink.finish(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +161,11 @@ func TestSinkReaggregates(t *testing.T) {
 	}
 	sink := s.eng.newComposeSink(rw, 2, nil)
 	feedSink(t, sink, 1, 1, partial(5, 2.5))
-	sink.commit(1, 1)
+	sink.commit(1, 1, nil)
 	feedSink(t, sink, 0, 2, partial(3, 1.5)) // the original
 	feedSink(t, sink, 0, 3, partial(3, 1.5)) // its hedge twin
-	sink.commit(0, 3)
-	sink.abort(0, 2)
+	sink.commit(0, 3, nil)
+	sink.abort(0, 2, nil)
 	res, err := sink.finish(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -201,7 +201,7 @@ func TestComposerHonoursDeadline(t *testing.T) {
 	}
 	sink := s.eng.newComposeSink(rw, 1, nil)
 	feedSink(t, sink, 0, 1, s.single(t, rw.Partial.SQL()).Rows)
-	sink.commit(0, 1)
+	sink.commit(0, 1, nil)
 	if _, err := sink.finish(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("finish under a cancelled context returned %v", err)
 	}

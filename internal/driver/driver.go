@@ -174,6 +174,8 @@ func (r *rows) Next(dest []driver.Value) error {
 	return nil
 }
 
+const secondsPerDay = 24 * 60 * 60
+
 // toDriverValue maps engine values onto database/sql's value set.
 func toDriverValue(v sqltypes.Value) (driver.Value, error) {
 	switch v.K {
@@ -188,7 +190,9 @@ func toDriverValue(v sqltypes.Value) (driver.Value, error) {
 	case sqltypes.KindBool:
 		return v.I != 0, nil
 	case sqltypes.KindDate:
-		return time.Unix(0, 0).UTC().AddDate(0, 0, int(v.I)), nil
+		// Days since the epoch as seconds: the same instant AddDate would
+		// reach, without normalising a calendar date per value.
+		return time.Unix(v.I*secondsPerDay, 0).UTC(), nil
 	default:
 		return nil, fmt.Errorf("apuama: cannot convert %s value", v.K)
 	}

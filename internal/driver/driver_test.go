@@ -7,6 +7,7 @@ import (
 
 	apuama "apuama"
 	"apuama/internal/proto"
+	"apuama/internal/sqltypes"
 )
 
 // tinySF loads in well under a second: 1 500 orders, ≈ 6 000 lineitems.
@@ -208,5 +209,23 @@ func TestNullScanning(t *testing.T) {
 	}
 	if s.Valid {
 		t.Errorf("empty sum should be NULL: %+v", s)
+	}
+}
+
+// TestDateConversionMatchesCalendar checks the driver's day arithmetic
+// against the calendar conversion it replaced, value for value (== on
+// time.Time: same instant, same location), for every day from about 2 190
+// years before the epoch to as many after it — pre-1970 dates, every leap
+// day and century rule in between included.
+func TestDateConversionMatchesCalendar(t *testing.T) {
+	epoch := time.Unix(0, 0).UTC()
+	for d := int64(-800_000); d <= 800_000; d++ {
+		got, err := toDriverValue(sqltypes.NewDate(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := epoch.AddDate(0, 0, int(d)); got != want {
+			t.Fatalf("day %d: %v, want %v", d, got, want)
+		}
 	}
 }

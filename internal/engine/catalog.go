@@ -163,10 +163,33 @@ func (db *Database) NextWriteID() int64 { return db.writeSeq.Add(1) }
 // CurrentWriteID returns the latest allocated write ID.
 func (db *Database) CurrentWriteID() int64 { return db.writeSeq.Load() }
 
-// Result is a materialized query result.
+// Result is a materialized query result. Its rows may live in pooled
+// memory (an SVP query's partial rows, cut into the attempts' RowArenas):
+// then the result carries a release hook, and Release hands that memory
+// back once the holder is done with the rows.
 type Result struct {
 	Cols []string
 	Rows []sqltypes.Row
+
+	release func()
+}
+
+// OnRelease sets the hook Release runs: whoever builds the result from
+// pooled memory says how to hand it back.
+func (r *Result) OnRelease(f func()) { r.release = f }
+
+// Release hands the result's pooled memory back: after it no row of Rows
+// may be read, and Rows is nil. A result without a hook — a node's own
+// query, a cached or shared one — is left as it is. Release is nil-safe,
+// idempotent and optional: an unreleased result's memory goes to the
+// garbage collector instead of the pools.
+func (r *Result) Release() {
+	if r == nil || r.release == nil {
+		return
+	}
+	f := r.release
+	r.release, r.Rows = nil, nil
+	f()
 }
 
 // String renders the result as an aligned text table (used by the shell

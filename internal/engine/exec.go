@@ -64,7 +64,8 @@ func (ex *execCtx) touch(pageID int64, sequential bool) {
 // own close, not the producer's (a join closes its build child right after
 // building its table, which still points into those tuples); a plan or
 // sub-plan root, whose rows escape to Node.QueryStmtAt, the gather or a
-// sub-plan's run, keeps slab tuples.
+// sub-plan's run, keeps heap rows — or cuts them from the caller's
+// RowArena, when Prepared.OpenAt is given one (rootHome).
 //
 // Lifecycle: whoever calls open calls close, also when open failed —
 // close is idempotent, safe on an op that never opened, and releases
@@ -455,9 +456,11 @@ func (bp *bufPool[T]) put(b *[]T) {
 }
 
 // ridPool holds the RID lists index scans collect — a sub-query's range is
-// thousands of entries — and rowBufPool the per-morsel output buffers of
-// parallelScanOp (re-growing each by append for every sub-query and morsel
-// was half of what an OLAP query allocated outside its joins).
+// thousands of entries — and rowBufPool row-header buffers: a morsel
+// worker's scan batch and a hash join's build rows (re-growing each by
+// append for every sub-query and morsel was half of what an OLAP query
+// allocated outside its joins; parallelScanOp's per-morsel output is a
+// pooled morselOut).
 var (
 	ridPool    bufPool[storage.RowID]
 	rowBufPool bufPool[sqltypes.Row]
@@ -536,6 +539,17 @@ func (a *arena[T]) release(k *chunkKind[T]) {
 	a.chunks, a.next, a.free = a.chunks[:0], 0, nil
 }
 
+// adopt moves what b has cut to a, where it lives until a is released: a
+// keeper taking over the rows a producer cut on another goroutine. b keeps
+// only its uncut chunks.
+func (a *arena[T]) adopt(b *arena[T]) {
+	a.chunks = append(a.chunks, b.chunks[:b.next]...)
+	a.next = len(a.chunks)
+	n := copy(b.chunks, b.chunks[b.next:])
+	clear(b.chunks[n:])
+	b.chunks, b.next, b.free = b.chunks[:n], 0, nil
+}
+
 // valueChunks are tuple arenas' chunks, joinSlabRows tuples of eight
 // columns each.
 var valueChunks = chunkKind[sqltypes.Value]{size: joinSlabRows * 8, poison: poisonValues}
@@ -555,6 +569,35 @@ type tupleArena struct{ arena[sqltypes.Value] }
 func (a *tupleArena) cut(w int) sqltypes.Row { return a.arena.cut(&valueChunks, w) }
 func (a *tupleArena) rewind()                { a.arena.rewind(&valueChunks) }
 func (a *tupleArena) release()               { a.arena.release(&valueChunks) }
+
+// RowArena is pooled memory a query's result rows are cut from, in small
+// chunks (smallValueChunks, like an aggregate's: most partitions return
+// few rows). The caller of Prepared.OpenAt hands one in; the plan's root
+// cuts every row it emits from it, so the rows outlive the cursor and the
+// plan's next open. Its owner releases it once nothing reads those rows
+// any more. A nil arena means heap rows. An arena takes no chunk until its
+// first row. A parallel scan's morsel cuts into its own, which the
+// consumer moves into the caller's (adopt).
+type RowArena struct{ a arena[sqltypes.Value] }
+
+var rowArenas = sync.Pool{New: func() any { return new(RowArena) }}
+
+// NewRowArena returns an empty arena from the pool.
+func NewRowArena() *RowArena { return rowArenas.Get().(*RowArena) }
+
+func (r *RowArena) cut(w int) sqltypes.Row { return r.a.cut(&smallValueChunks, w) }
+func (r *RowArena) adopt(b *RowArena)      { r.a.adopt(&b.a) }
+func (r *RowArena) release()               { r.a.release(&smallValueChunks) }
+
+// Release hands the arena's chunks and the arena back to their pools:
+// every row cut from it is dead. Nil is a no-op; an arena is released once.
+func (r *RowArena) Release() {
+	if r == nil {
+		return
+	}
+	r.release()
+	rowArenas.Put(r)
+}
 
 // tupleHome is where an operator that builds tuples cuts them, set by the
 // planner (placeTuples) from what the operator's consumer does with them.
@@ -1161,6 +1204,13 @@ type projectOp struct {
 	child op
 	items []bexpr
 
+	// out is the caller's arena when this builds the plan's result rows
+	// (rootHome, Prepared.OpenAt); nil: every row is its own heap
+	// allocation. A pointer, not a tupleHome: a point lookup plans a
+	// projection per partition, and the wider struct showed in its
+	// allocation.
+	out *RowArena
+
 	cs childStream
 	ec evalCtx
 }
@@ -1181,7 +1231,7 @@ func (p *projectOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			return nil
 		}
 		p.ec.row = row
-		projected := make(sqltypes.Row, len(p.items))
+		projected := newRow(p.out, len(p.items))
 		for i, it := range p.items {
 			v, err := it.eval(&p.ec)
 			if err != nil {
@@ -1197,6 +1247,15 @@ func (p *projectOp) next(ex *execCtx, out *sqltypes.Batch) error {
 func (p *projectOp) close() {
 	p.child.close()
 	p.cs.close()
+}
+
+// newRow is a result row of width w: cut from the caller's arena a when
+// the plan was opened with one, else its own heap allocation.
+func newRow(a *RowArena, w int) sqltypes.Row {
+	if a != nil {
+		return a.cut(w)
+	}
+	return make(sqltypes.Row, w)
 }
 
 // --- aggregation ---
@@ -1366,8 +1425,10 @@ type aggGroup struct {
 
 // The chunks of aggregation tables, 7–10 KB each: most tables hold a
 // handful of groups, and a chunk a table holds is pooled memory no other
-// table can use. A poisoned group or state reads as garbage: a group with
-// no keys or states, a state whose count, sums and extreme are nonsense.
+// table can use. Result rows (RowArena) are cut from the small value
+// chunks too, for the same reason: most partitions return few rows. A
+// poisoned group or state reads as garbage: a group with no keys or
+// states, a state whose count, sums and extreme are nonsense.
 var (
 	groupChunks = chunkKind[aggGroup]{size: 128, poison: func(gs []aggGroup) {
 		for i := range gs {
@@ -1379,7 +1440,7 @@ var (
 			ss[i] = aggState{count: -1 << 40, sumI: -1 << 40, sumF: math.NaN(), isFloat: true, ext: poisonValue}
 		}
 	}}
-	aggValueChunks = chunkKind[sqltypes.Value]{size: 256, poison: poisonValues}
+	smallValueChunks = chunkKind[sqltypes.Value]{size: 256, poison: poisonValues}
 )
 
 // reset empties the table for another run, keeping what it grew.
@@ -1390,7 +1451,7 @@ func (t *aggTable) reset() {
 	t.indexed = false
 	t.groups.rewind(&groupChunks)
 	t.states.rewind(&stateChunks)
-	t.vals.rewind(&aggValueChunks)
+	t.vals.rewind(&smallValueChunks)
 }
 
 // release empties the table and hands its chunks back to their pools.
@@ -1398,14 +1459,14 @@ func (t *aggTable) release() {
 	t.reset()
 	t.groups.release(&groupChunks)
 	t.states.release(&stateChunks)
-	t.vals.release(&aggValueChunks)
+	t.vals.release(&smallValueChunks)
 }
 
 // newGroup cuts a group from the table's arenas: a copy of keys (callers
 // pass scratch) and nAggs empty states.
 func (t *aggTable) newGroup(keys sqltypes.Row, nAggs int) *aggGroup {
 	g := &t.groups.cut(&groupChunks, 1)[0]
-	g.keys = t.vals.cut(&aggValueChunks, len(keys))
+	g.keys = t.vals.cut(&smallValueChunks, len(keys))
 	copy(g.keys, keys)
 	g.states = t.states.cut(&stateChunks, nAggs)
 	clear(g.states) // a rewound chunk holds the last run's states
@@ -1575,7 +1636,7 @@ func (o *aggOut) render(nGroups int, aggs []*aggDef) {
 	for _, g := range t.order {
 		var row sqltypes.Row
 		if w := len(g.keys) + len(aggs); o.out.perBatch {
-			row = t.vals.cut(&aggValueChunks, w)
+			row = t.vals.cut(&smallValueChunks, w)
 		} else {
 			row = o.out.cut(w)
 		}

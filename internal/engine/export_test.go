@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"testing"
 
 	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
@@ -211,4 +212,15 @@ func (nd *Node) QueryStmtWideJoins(sel *sql.SelectStmt, snapshot int64, degree i
 		}
 		rows = append(rows, b.Rows...)
 	}
+}
+
+// RaceEnabled reports a -race build, under which sync.Pool drops buffers
+// and the allocation pins skip themselves.
+const RaceEnabled = raceEnabled
+
+// BytesPer is bytesPer for the external tests: the heap a run allocates,
+// the least of three logged rounds of runs after a warm-up run.
+func BytesPer(t *testing.T, runs int, run func()) float64 {
+	t.Helper()
+	return bytesPer(t, runs, run)
 }

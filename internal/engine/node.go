@@ -343,7 +343,7 @@ func (nd *Node) OpenQueryStmtAt(sel *sql.SelectStmt, snapshot int64, opts QueryO
 	if err != nil {
 		return nil, err
 	}
-	return p.OpenAt(snapshot, opts)
+	return p.OpenAt(snapshot, opts, nil)
 }
 
 // Cols returns the result column names.

@@ -472,6 +472,13 @@ const scanWindow = 8
 type parallelScanOp struct {
 	frag   *fragSpec
 	degree int
+	// out is the caller's arena when this projection builds the plan's
+	// result rows (rootHome, Prepared.OpenAt). A worker then cuts a
+	// morsel's rows from the morsel's own arena, and the consumer moves
+	// that arena's chunks into out once it has streamed the morsel; with no
+	// arena every row is its own heap allocation. A join's probe side
+	// projects nothing: its rows are the stored ones.
+	out *RowArena
 
 	run *fragRun
 	// The morsels, their queue, results and done flags keep their capacity
@@ -482,7 +489,7 @@ type parallelScanOp struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	results  []*[]sqltypes.Row // per morsel, buffers from rowBufPool
+	results  []*morselOut // per morsel, from morselOuts
 	done     []bool
 	consumed int // next morsel index to stream from
 	rowPos   int // offset within the current morsel's rows
@@ -504,6 +511,7 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 
 	s.results = zeroed(s.results, len(morsels))
 	s.done = zeroed(s.done, len(morsels))
+	keep := s.out != nil
 	s.consumed, s.rowPos = 0, 0
 	s.stopped = false
 	if s.cond == nil {
@@ -540,8 +548,12 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 		if stopped || run.stop.Load() {
 			return nil
 		}
-		buf := rowBufPool.get()
-		rows := *buf
+		mo := getMorselOut()
+		rows := mo.rows
+		var arena *RowArena // heap rows, unless the caller gave an arena
+		if keep {
+			arena = &mo.arena
+		}
 		err := s.frag.runMorsel(wex, wec, morsels[mi], pages, *rids, func(kept []sqltypes.Row) error {
 			if s.frag.project == nil {
 				rows = append(rows, kept...)
@@ -549,7 +561,7 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 			}
 			for _, row := range kept {
 				wec.row = row
-				projected := make(sqltypes.Row, len(s.frag.project))
+				projected := newRow(arena, len(s.frag.project))
 				for i, it := range s.frag.project {
 					v, err := it.eval(wec)
 					if err != nil {
@@ -561,14 +573,13 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 			}
 			return nil
 		})
-		*buf = rows
+		mo.rows = rows
 		if err != nil {
-			clear(rows)
-			rowBufPool.put(buf)
+			putMorselOut(mo)
 			return err
 		}
 		s.mu.Lock()
-		s.results[mi] = buf
+		s.results[mi] = mo
 		s.done[mi] = true
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -599,18 +610,16 @@ func (s *parallelScanOp) next(_ *execCtx, out *sqltypes.Batch) error {
 			}
 			s.cond.Wait()
 		}
-		rows := *s.results[s.consumed]
+		rows := s.results[s.consumed].rows
 		for s.rowPos < len(rows) && !out.Full() {
 			out.Append(rows[s.rowPos])
 			s.rowPos++
 		}
 		if s.rowPos >= len(rows) {
 			// Morsel fully streamed: the batch holds its own copies of the
-			// Row headers, so the buffer itself is dead. Cleared, it pins
-			// no row while pooled.
-			clear(rows)
-			rowBufPool.put(s.results[s.consumed])
-			s.results[s.consumed] = nil
+			// Row headers, so the buffer itself is dead; the rows are the
+			// caller's now.
+			s.keepMorsel(s.consumed)
 			s.consumed++
 			s.rowPos = 0
 			s.cond.Broadcast() // admit backpressured workers
@@ -629,15 +638,55 @@ func (s *parallelScanOp) close() {
 		s.run.wait()
 		s.run = nil
 	}
-	for _, buf := range s.results { // morsels a stopped consumer never reached
-		if buf != nil {
-			clear(*buf)
-			rowBufPool.put(buf)
+	if s.rowPos > 0 { // a morsel a stopped consumer had begun to stream
+		s.keepMorsel(s.consumed)
+	}
+	for _, mo := range s.results { // morsels a stopped consumer never reached
+		if mo != nil {
+			putMorselOut(mo)
 		}
 	}
 	ridPool.put(s.rids) // also after a failed decompose
 	clear(s.results)
-	s.rids = nil
+	s.rids, s.rowPos = nil, 0
+}
+
+// keepMorsel is done with morsel mi, which its worker has finished and the
+// consumer has streamed: the chunks its rows were cut from move into the
+// caller's arena, and its buffers go back to the pool.
+func (s *parallelScanOp) keepMorsel(mi int) {
+	mo := s.results[mi]
+	if s.out != nil {
+		s.out.adopt(&mo.arena)
+	}
+	putMorselOut(mo)
+	s.results[mi] = nil
+}
+
+// morselOut is one morsel's output: its rows, and the arena a plan root's
+// projection cut them from. Pooled as a pair, so a parallel scan allocates
+// neither per run.
+type morselOut struct {
+	rows  []sqltypes.Row
+	arena RowArena
+}
+
+var morselOuts = sync.Pool{New: func() any { return new(morselOut) }}
+
+func getMorselOut() *morselOut {
+	auditPool(1)
+	return morselOuts.Get().(*morselOut)
+}
+
+// putMorselOut takes back a morsel's output nothing reads any more: rows
+// cleared, so it pins none while pooled, and what is left in its arena —
+// rows a consumer never reached — released.
+func putMorselOut(mo *morselOut) {
+	auditPool(-1)
+	clear(mo.rows)
+	mo.rows = mo.rows[:0]
+	mo.arena.release()
+	morselOuts.Put(mo)
 }
 
 // --- plan rewrite ---

@@ -1055,6 +1055,31 @@ func placeTuples(o op, home tupleHome) bool {
 	return false
 }
 
+// rootHome returns where the operator that builds the rows a plan returns
+// — its projection, serial or parallel, under any ORDER BY and LIMIT,
+// which pass those rows on — cuts them, so Prepared.OpenAt can point it at
+// the caller's arena. A DISTINCT has none: it drops most of the rows it is
+// offered, and they would stay in the arena until its release.
+func rootHome(o op) **RowArena {
+	if joinTupleTest.stable.Load() {
+		return nil
+	}
+	for {
+		switch v := o.(type) {
+		case *limitOp:
+			o = v.child
+		case *sortOp:
+			o = v.child
+		case *projectOp:
+			return &v.out
+		case *parallelScanOp:
+			return &v.out
+		default:
+			return nil
+		}
+	}
+}
+
 func bindRefs(b *binder, refs []*sql.ColumnRef, sc *scope) ([]bexpr, error) {
 	out := make([]bexpr, len(refs))
 	for i, r := range refs {

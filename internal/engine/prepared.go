@@ -103,6 +103,9 @@ type Prepared struct {
 	in     planInputs
 	degree int
 	gated  bool
+	// out is where the operator that builds the result rows cuts them
+	// (rootHome); OpenAt points it at the caller's arena.
+	out **RowArena
 }
 
 // Prepare plans sel with args bound to its placeholders, under the
@@ -117,7 +120,7 @@ func (nd *Node) Prepare(sel *sql.SelectStmt, args []sqltypes.Value, opts QueryOp
 	if p.degree, p.gated = nd.resolveParallelism(opts.Parallelism); p.degree > 1 {
 		root = parallelizePlan(nd, root, p.degree, p.gated)
 	}
-	p.root, p.cols = root, cols
+	p.root, p.cols, p.out = root, cols, rootHome(root)
 	return p, nil
 }
 
@@ -160,9 +163,17 @@ func (p *Prepared) Rebind(args []sqltypes.Value, opts QueryOpts) bool {
 // OpenAt opens the plan at an explicit snapshot (opts supplies the
 // cursor's context and batch size) and returns a cursor positioned before
 // the first batch. The caller must Close it before the plan opens again.
-func (p *Prepared) OpenAt(snapshot int64, opts QueryOpts) (*Cursor, error) {
+// The rows the cursor returns are cut from rows, and live until the caller
+// releases it; with a nil arena they are heap rows.
+func (p *Prepared) OpenAt(snapshot int64, opts QueryOpts, rows *RowArena) (*Cursor, error) {
 	for _, s := range p.in.subplans {
 		s.cached = false
+	}
+	if p.out != nil {
+		*p.out = nil
+		if rows != nil {
+			*p.out = rows
+		}
 	}
 	ex := &execCtx{node: p.nd, snapshot: snapshot, meter: p.nd.meter, ctx: opts.Ctx, batchCap: opts.BatchSize}
 	if err := p.root.open(ex); err != nil {

@@ -22,7 +22,7 @@ func ints(vs ...int64) []sqltypes.Value {
 // planned, for nil) and returns its rows rendered bit-exactly, or the
 // error that stopped them.
 func drainPlan(p *Prepared, opts QueryOpts) (string, error) {
-	cur, err := p.OpenAt(p.nd.Watermark(), opts)
+	cur, err := p.OpenAt(p.nd.Watermark(), opts, nil)
 	if err != nil {
 		return "", err
 	}
@@ -168,7 +168,7 @@ func TestPreparedPlanReopens(t *testing.T) {
 				full(ints(1, 1500), "first open")
 
 				rebind(ints(500, 1900))
-				if cur, err := p.OpenAt(nd.Watermark(), opts); err == nil {
+				if cur, err := p.OpenAt(nd.Watermark(), opts, nil); err == nil {
 					b := sqltypes.GetBatch()
 					if err := cur.Next(b); err != nil {
 						t.Errorf("%s: %v", label, err)
@@ -190,7 +190,7 @@ func TestPreparedPlanReopens(t *testing.T) {
 				copts := opts
 				copts.Ctx = ctx
 				rebind(ints(2, 1998))
-				if cur, err := p.OpenAt(nd.Watermark(), copts); err == nil {
+				if cur, err := p.OpenAt(nd.Watermark(), copts, nil); err == nil {
 					b := sqltypes.GetBatch()
 					for err == nil {
 						if err = cur.Next(b); err == nil && b.Len() == 0 {

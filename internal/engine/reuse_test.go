@@ -156,7 +156,7 @@ func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 		}
 		agg := p.root.(*projectOp).child.(*parallelAggOp)
 		var openErr error
-		n := auditPools(func() { _, openErr = p.OpenAt(nd.Watermark(), QueryOpts{Ctx: c.ctx}) })
+		n := auditPools(func() { _, openErr = p.OpenAt(nd.Watermark(), QueryOpts{Ctx: c.ctx}, nil) })
 		filled := 0
 		for i := range agg.partials {
 			if cap(agg.partials[i].states.chunks) > 0 {
@@ -288,7 +288,7 @@ func TestAggregateBytesPerGroup(t *testing.T) {
 			if !p.Rebind(ints(lo, lo+width), opts) {
 				t.Fatalf("degree %d: Rebind refused partition %d", degree, part)
 			}
-			cur, err := p.OpenAt(nd.Watermark(), opts)
+			cur, err := p.OpenAt(nd.Watermark(), opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

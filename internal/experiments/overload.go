@@ -93,8 +93,9 @@ func OverloadExperiment(cfg Config, w io.Writer) (*Figure, error) {
 				time.Sleep(time.Until(t0.Add(cl.Start)))
 				for q := 0; q < cl.Queries; q++ {
 					qt0 := time.Now()
-					_, err := s.Query(query)
+					res, err := s.Query(query)
 					d := time.Since(qt0)
+					res.Release()
 					mu.Lock()
 					offered++
 					switch {

@@ -86,14 +86,16 @@ func appendTaggedColumn(dst []byte, rows []sqltypes.Row, col int) []byte {
 }
 
 // rowBufs holds a streaming cursor's reusable decode buffers: the
-// Value slab and row-header slice batches materialize into. Reusing
-// them makes a batch's rows invalid once the next batch decodes — the
-// cursor contract — but Values copied out of a row stay valid forever,
-// because string contents alias the immutable frame payload, not these
-// buffers.
+// Value slab and row-header slice batches materialize into, and the
+// column vector each column decodes through. Reusing them makes a batch's
+// rows invalid once the next batch decodes — the cursor contract — but
+// Values copied out of a row stay valid forever, because string contents
+// live in the block's own immutable string, not in these buffers or the
+// (recycled) frame payload.
 type rowBufs struct {
 	vals []sqltypes.Value
 	rows []sqltypes.Row
+	vec  sqltypes.ColVec
 }
 
 // bufsPool shares decode buffers across cursors: without it every
@@ -109,11 +111,13 @@ func decodeBlock(payload []byte) ([]sqltypes.Row, error) {
 
 // decodeBlockInto reconstructs the rows of one block. Rows are
 // materialized into a single Value slab (one allocation for the whole
-// block, not one per value); vector payloads and string contents alias
-// payload, which must stay immutable afterwards. A non-nil bufs is
-// recycled when capacity allows — every slab slot is overwritten before
-// returning, so no stale values leak between batches. Arbitrary input
-// errors, never panics.
+// block, not one per value). The rows keep no reference into payload:
+// numbers are copied out of the vectors, and the string contents of every
+// string-bearing column are copied once per block into one immutable
+// string the values slice (ownStrings), so the caller may recycle payload
+// as soon as this returns. A non-nil bufs is recycled when capacity
+// allows — every slab slot is overwritten before returning, so no stale
+// values leak between batches. Arbitrary input errors, never panics.
 func decodeBlockInto(payload []byte, bufs *rowBufs) ([]sqltypes.Row, error) {
 	if len(payload) < 8 {
 		return nil, errBadBlock
@@ -131,6 +135,12 @@ func decodeBlockInto(payload []byte, bufs *rowBufs) ([]sqltypes.Row, error) {
 	off := 8
 	var vals []sqltypes.Value
 	var rows []sqltypes.Row
+	vec := new(sqltypes.ColVec)
+	if bufs != nil {
+		vec = &bufs.vec
+	}
+	var spanArr [8]strSpan
+	spans := spanArr[:0]
 	if bufs != nil && cap(bufs.vals) >= nrows*ncols && cap(bufs.rows) >= nrows {
 		vals = bufs.vals[:nrows*ncols]
 		rows = bufs.rows[:nrows]
@@ -152,7 +162,7 @@ func decodeBlockInto(payload []byte, bufs *rowBufs) ([]sqltypes.Row, error) {
 		off++
 		switch mode {
 		case colModeVec:
-			vec, n, err := sqltypes.DecodeColVecOffset(payload, off)
+			n, err := sqltypes.DecodeColVecInto(payload, off, vec)
 			if err != nil {
 				return nil, err
 			}
@@ -161,11 +171,18 @@ func decodeBlockInto(payload []byte, bufs *rowBufs) ([]sqltypes.Row, error) {
 			}
 			off += n
 			fillColumn(vals, ncols, col, vec)
+			switch {
+			case vec.Str != nil:
+				spans = append(spans, spanOf(payload, col, vec.Str))
+			case vec.Dict != nil:
+				spans = append(spans, spanOf(payload, col, vec.Dict))
+			}
 		case colModeTagged:
 			n, err := decodeTaggedColumn(vals, ncols, col, nrows, payload[off:])
 			if err != nil {
 				return nil, err
 			}
+			spans = append(spans, strSpan{col: col, lo: off, hi: off + n})
 			off += n
 		default:
 			return nil, errBadBlock
@@ -174,7 +191,71 @@ func decodeBlockInto(payload []byte, bufs *rowBufs) ([]sqltypes.Row, error) {
 	if off != len(payload) {
 		return nil, errBadBlock
 	}
+	ownStrings(payload, vals, ncols, spans)
 	return rows, nil
+}
+
+// strSpan is the range [lo, hi) of a block's payload that holds the
+// string contents of column col.
+type strSpan struct{ col, lo, hi int }
+
+// spanOf is the span of ss, strings that alias payload in order (a
+// vector's plain strings or dictionary): from the first non-empty one to
+// the end of the last.
+func spanOf(payload []byte, col int, ss []string) strSpan {
+	sp := strSpan{col: col}
+	for _, s := range ss {
+		if len(s) > 0 {
+			sp.lo = offsetIn(payload, s)
+			break
+		}
+	}
+	for i := len(ss) - 1; i >= 0; i-- {
+		if len(ss[i]) > 0 {
+			sp.hi = offsetIn(payload, ss[i]) + len(ss[i])
+			break
+		}
+	}
+	return sp
+}
+
+// offsetIn is where in payload s, a view into it, starts.
+func offsetIn(payload []byte, s string) int {
+	return int(uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(&payload[0])))
+}
+
+// ownStrings copies the string contents the decoded values view in
+// payload — the spans — into one immutable string, and re-points every
+// such value at its copy: one allocation per block, and the values no
+// longer hold the payload.
+func ownStrings(payload []byte, vals []sqltypes.Value, ncols int, spans []strSpan) {
+	total := 0
+	for _, sp := range spans {
+		total += max(sp.hi-sp.lo, 0)
+	}
+	if total == 0 {
+		return
+	}
+	buf := make([]byte, 0, total)
+	for _, sp := range spans {
+		if sp.hi > sp.lo {
+			buf = append(buf, payload[sp.lo:sp.hi]...)
+		}
+	}
+	own := unsafe.String(&buf[0], total)
+	at := 0
+	for _, sp := range spans {
+		if sp.hi <= sp.lo {
+			continue
+		}
+		for i := sp.col; i < len(vals); i += ncols {
+			if v := &vals[i]; len(v.S) > 0 {
+				o := at + offsetIn(payload, v.S) - sp.lo
+				v.S = own[o : o+len(v.S)]
+			}
+		}
+		at += sp.hi - sp.lo
+	}
 }
 
 // fillColumn scatters a decoded vector down column col of the value
@@ -275,8 +356,8 @@ func decodeTaggedColumn(vals []sqltypes.Value, ncols, col, nrows int, p []byte) 
 	return off, nil
 }
 
-// viewString views b as a string without copying; the decode buffer is
-// owned by the decoded rows and never recycled.
+// viewString views b as a string without copying, until ownStrings
+// copies the block's strings out of the decode buffer.
 func viewString(b []byte) string {
 	if len(b) == 0 {
 		return ""

@@ -41,18 +41,12 @@ type Client struct {
 	hdr atomic.Pointer[hdrCache] // last decoded result schema
 }
 
-// cliFrame is one demultiplexed server frame.
-type cliFrame struct {
-	typ     byte
-	payload []byte
-}
-
 // cliStream receives one query's frames. ch is sized so the reader can
 // always deliver without blocking: the server never exceeds the granted
 // credit window of batch frames, plus one header and one trailer.
 type cliStream struct {
 	id     uint32
-	ch     chan cliFrame
+	ch     chan frame
 	cancel chan struct{} // closed by Rows.Close to unblock a waiter
 	once   sync.Once
 }
@@ -62,7 +56,7 @@ type cliStream struct {
 // (trailer received, hence already deleted from the demux map with an
 // empty channel) are returned; abandoned streams go to the GC.
 var streamPool = sync.Pool{New: func() any {
-	return &cliStream{ch: make(chan cliFrame, DefaultWindow+2)}
+	return &cliStream{ch: make(chan frame, DefaultWindow+2)}
 }}
 
 // releaseStream returns a cleanly-ended stream to the pool.
@@ -129,7 +123,7 @@ func (c *Client) Version() int { return int(c.version) }
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
-		typ, id, payload, err := readFrame(br)
+		f, err := readFrame(br)
 		if err != nil {
 			c.mu.Lock()
 			if c.connErr == nil {
@@ -147,14 +141,17 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		st := c.streams[id]
+		st := c.streams[f.stream]
 		if st != nil {
-			st.ch <- cliFrame{typ: typ, payload: payload}
-			if typ == fEnd {
-				delete(c.streams, id)
+			st.ch <- f
+			if f.typ == fEnd {
+				delete(c.streams, f.stream)
 			}
 		}
 		c.mu.Unlock()
+		if st == nil {
+			putPayload(f)
+		}
 	}
 }
 
@@ -210,11 +207,11 @@ func (c *Client) writeFrame(typ byte, id uint32, payload []byte) error {
 
 // recv waits for the stream's next frame, honouring the caller's
 // context and a concurrent Rows.Close.
-func (c *Client) recv(ctx context.Context, st *cliStream) (cliFrame, error) {
+func (c *Client) recv(ctx context.Context, st *cliStream) (frame, error) {
 	select {
 	case f, ok := <-st.ch:
 		if !ok {
-			return cliFrame{}, c.connError()
+			return frame{}, c.connError()
 		}
 		return f, nil
 	default:
@@ -222,15 +219,15 @@ func (c *Client) recv(ctx context.Context, st *cliStream) (cliFrame, error) {
 	select {
 	case f, ok := <-st.ch:
 		if !ok {
-			return cliFrame{}, c.connError()
+			return frame{}, c.connError()
 		}
 		return f, nil
 	case <-ctx.Done():
 		c.dropStream(st)
-		return cliFrame{}, ctx.Err()
+		return frame{}, ctx.Err()
 	case <-st.cancel:
 		c.dropStream(st)
-		return cliFrame{}, errCancelled
+		return frame{}, errCancelled
 	}
 }
 
@@ -323,6 +320,7 @@ func (c *Client) QueryStreamContext(ctx context.Context, sqlText string, ctl cac
 		}
 		return nil, qerr
 	default:
+		putPayload(f)
 		c.dropStream(st)
 		return nil, errBadFrame
 	}
@@ -368,6 +366,7 @@ func (c *Client) awaitEnd(ctx context.Context, st *cliStream) (int64, error) {
 			return 0, err
 		}
 		if f.typ != fEnd {
+			putPayload(f)
 			continue // tolerate (and discard) unexpected frames
 		}
 		releaseStream(st)
@@ -396,9 +395,12 @@ func (c *Client) Close() error {
 //
 // A Row returned by Next is valid until the next Next or Close call:
 // the cursor recycles its decode slab across batches. Copy Values out
-// of the row to retain them — copied Values stay valid indefinitely,
-// since string contents alias the (immutable, never recycled) frame
-// payload rather than the slab.
+// of the row to retain them — copied Values stay valid indefinitely:
+// a block's string contents are copied out of the frame payload, which
+// goes back to a pool, into one immutable string per block.
+//
+// Next is for one goroutine; Close may also be called from another while
+// Next waits for a frame, and wakes it.
 type Rows struct {
 	c        *Client
 	st       *cliStream
@@ -410,7 +412,15 @@ type Rows struct {
 	pos      int
 	consumed uint32 // batches consumed since the last credit grant
 	done     bool
+	ended    bool // the trailer arrived: the stream goes back to its pool
 	err      error
+
+	// mu orders a Close from another goroutine against a Next that is
+	// receiving or decoding (reading): whichever of the two finishes last
+	// returns the decode buffers, never while a decode can write them.
+	mu      sync.Mutex
+	reading bool
+	closed  bool
 }
 
 // Cols returns the result schema.
@@ -431,60 +441,99 @@ func (r *Rows) Next() (sqltypes.Row, error) {
 		if r.done {
 			return nil, io.EOF
 		}
-		f, err := r.c.recv(r.ctx, r.st)
-		if err != nil {
-			r.done, r.err = true, err
-			return nil, err
+		if !r.enter() {
+			return nil, io.EOF
 		}
-		switch f.typ {
-		case fBatch:
-			if !r.pin && r.bufs == nil {
-				r.bufs = bufsPool.Get().(*rowBufs)
-			}
-			// A pinned (materializing) reader passes nil bufs: fresh
-			// slab per batch, rows stay stable forever.
-			rows, err := decodeBlockInto(f.payload, r.bufs)
-			if err != nil {
-				r.fail(err)
-				return nil, err
-			}
-			r.buf, r.pos = rows, 0
-			// Top up the server's credit window once half is consumed,
-			// keeping the pipe full without unbounded client buffering.
-			r.consumed++
-			if r.consumed >= DefaultWindow/2 {
-				r.c.writeFrame(fCredit, r.st.id, encodeCredit(r.consumed))
-				r.consumed = 0
-			}
-		case fEnd:
-			r.done = true
-			releaseStream(r.st) // ended cleanly: readLoop already dropped it
-			r.releaseBufs()
-			_, qerr, ferr := decodeEnd(f.payload)
-			if ferr != nil {
-				r.err = ferr
-				return nil, ferr
-			}
-			if qerr != nil {
-				r.err = qerr
-				return nil, qerr
-			}
-		default:
-			r.fail(errBadFrame)
-			return nil, r.err
+		err := r.fetch()
+		r.leave()
+		if err != nil {
+			return nil, err
 		}
 	}
 }
 
+// enter starts a receive, unless the cursor is closed.
+func (r *Rows) enter() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reading = !r.closed
+	return r.reading
+}
+
+// leave ends a receive: a Close that came meanwhile is finished here, and
+// an ended cursor returns its decode buffers.
+func (r *Rows) leave() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reading = false
+	if r.ended {
+		r.ended = false
+		releaseStream(r.st) // ended cleanly: readLoop already dropped it
+	}
+	switch {
+	case r.closed:
+		r.closeLocked()
+	case r.done:
+		r.releaseBufs()
+	}
+}
+
+// fetch receives the stream's next frame: a batch decodes into r.buf, the
+// trailer ends the cursor.
+func (r *Rows) fetch() error {
+	f, err := r.c.recv(r.ctx, r.st)
+	if err != nil {
+		r.done, r.err = true, err
+		return err
+	}
+	switch f.typ {
+	case fBatch:
+		if !r.pin && r.bufs == nil {
+			r.bufs = bufsPool.Get().(*rowBufs)
+		}
+		// A pinned (materializing) reader passes nil bufs: fresh
+		// slab per batch, rows stay stable forever.
+		rows, err := decodeBlockInto(f.payload, r.bufs)
+		putPayload(f) // the rows copied what they keep
+		if err != nil {
+			r.fail(err)
+			return err
+		}
+		r.buf, r.pos = rows, 0
+		// Top up the server's credit window once half is consumed,
+		// keeping the pipe full without unbounded client buffering.
+		r.consumed++
+		if r.consumed >= DefaultWindow/2 {
+			r.c.writeFrame(fCredit, r.st.id, encodeCredit(r.consumed))
+			r.consumed = 0
+		}
+	case fEnd:
+		r.done, r.ended = true, true
+		_, qerr, ferr := decodeEnd(f.payload)
+		if ferr != nil {
+			r.err = ferr
+			return ferr
+		}
+		if qerr != nil {
+			r.err = qerr
+			return qerr
+		}
+	default:
+		r.fail(errBadFrame)
+		return r.err
+	}
+	return nil
+}
+
 // releaseBufs recycles the cursor's decode buffers. Only called once
-// the cursor's rows are invalid by contract — after the trailer or on
-// Close — and never for pinned readers (whose bufs stay nil).
+// the cursor's rows are invalid by contract — after the trailer, an error
+// or Close — and never for pinned readers (whose bufs stay nil).
 func (r *Rows) releaseBufs() {
 	if r.bufs != nil {
 		bufsPool.Put(r.bufs)
 		r.bufs = nil
 	}
-	r.buf = nil
+	r.buf, r.pos = nil, 0
 }
 
 // fail poisons the reader and abandons the stream (the connection
@@ -495,18 +544,45 @@ func (r *Rows) fail(err error) {
 	r.c.dropStream(r.st)
 }
 
-// Close releases the stream. If the server is still sending, a cancel
-// frame aborts it without disturbing the other queries multiplexed on
-// the connection; no draining is needed.
+// Close releases the stream and the cursor's decode buffers. If the
+// server is still sending, a cancel frame aborts it without disturbing
+// the other queries multiplexed on the connection; no draining is needed.
 func (r *Rows) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	if r.reading {
+		// Next is waiting for a frame or decoding one: wake it, and let
+		// its leave finish the close once the decode cannot write.
+		r.st.once.Do(func() { close(r.st.cancel) })
+		return nil
+	}
+	r.closeLocked()
+	return nil
+}
+
+// closeLocked abandons a stream that has not ended, recycling the batch
+// payloads already delivered to it, and returns the decode buffers.
+func (r *Rows) closeLocked() {
 	if !r.done {
 		r.done = true
 		r.st.once.Do(func() { close(r.st.cancel) })
 		r.c.dropStream(r.st)
+		for drained := false; !drained; { // dropped: readLoop delivers no more
+			select {
+			case f, ok := <-r.st.ch:
+				putPayload(f)
+				drained = !ok // closed on a lost connection
+			default:
+				drained = true
+			}
+		}
 	}
 	if r.err == nil {
 		r.err = io.EOF
 	}
-	r.buf, r.pos = nil, 0
-	return nil
+	r.releaseBufs()
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -420,4 +421,31 @@ func TestTransportTag(t *testing.T) {
 		t.Fatalf("transport: %q", h.transport)
 	}
 	h.mu.Unlock()
+}
+
+// TestEarlyCloseReturnsDecodeBuffers closes cursors after their first
+// batch, before the trailer, again and again: each must hand its decode
+// buffers — a 4 096-row block's slab is over a megabyte — back to the pool
+// for the next cursor to reuse, so the pool's New runs about once, not once
+// per cursor. (Under the race detector sync.Pool drops a quarter of what
+// is put back; the bound leaves room for that.)
+func TestEarlyCloseReturnsDecodeBuffers(t *testing.T) {
+	_, c, _ := startPair(t, Options{})
+	var news atomic.Int64
+	defer func(fresh func() any) { bufsPool.New = fresh }(bufsPool.New)
+	bufsPool.New = func() any { news.Add(1); return new(rowBufs) }
+	const cursors = 40
+	for i := 0; i < cursors; i++ {
+		rows, err := c.QueryStreamContext(context.Background(), "select rows 5000", cache.Control{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rows.Next(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+	}
+	if n := news.Load(); n > cursors/2 {
+		t.Fatalf("%d of %d early-closed cursors allocated fresh decode buffers", n, cursors)
+	}
 }

@@ -291,10 +291,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer cancel()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		typ, id, payload, err := readFrame(br)
+		f, err := readFrame(br)
 		if err != nil {
 			break
 		}
+		typ, id, payload := f.typ, f.stream, f.payload
 		s.st.frameIn(len(payload))
 		switch typ {
 		case fQuery:
@@ -456,7 +457,9 @@ var encPool = sync.Pool{New: func() any { return new(encScratch) }}
 // runQuery executes one query stream: header frame, credit-gated batch
 // frames, trailer. The block scratch buffer is reused across batches —
 // writeFrame copies into the connection's buffered writer before
-// returning, so the reuse never races the socket.
+// returning, so the reuse never races the socket. Once every row is
+// encoded — or the stream is cancelled or its connection fails — the
+// result's pooled memory goes back (Result.Release).
 func (c *binConn) runQuery(id uint32, st *srvStream, q queryReq) {
 	defer c.qwg.Done()
 	defer c.removeStream(id, st)
@@ -465,6 +468,7 @@ func (c *binConn) runQuery(id uint32, st *srvStream, q queryReq) {
 		c.writeEnd(id, 0, err)
 		return
 	}
+	defer res.Release()
 	t0 := time.Now()
 	// Header, batches and trailer are buffered, not flushed per frame: a
 	// small pre-credited result reaches the socket in ONE write. The only
@@ -501,6 +505,7 @@ func (c *binConn) runQuery(id uint32, st *srvStream, q queryReq) {
 		}
 	}
 	c.srv.st.mShip.Observe(time.Since(t0))
+	res.Release() // every row is encoded: none is read again
 	if err := c.writeBuffered(fEnd, id, encodeEnd(0, streamErr)); err != nil {
 		return
 	}

@@ -485,8 +485,9 @@ func unsafeString(b []byte) string {
 }
 
 // readStrings decodes an offsets+blob string list of expected length
-// want (-1 accepts any). Contents alias the decode buffer.
-func (r *colReader) readStrings(want int) []string {
+// want (-1 accepts any) into dst's storage. Contents alias the decode
+// buffer.
+func (r *colReader) readStrings(want int, dst []string) []string {
 	n := int(r.u32())
 	if r.err != nil || n > maxVecRows || (want >= 0 && n != want) {
 		r.fail()
@@ -502,7 +503,11 @@ func (r *colReader) readStrings(want int) []string {
 		r.fail()
 		return nil
 	}
-	out := make([]string, n)
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]string, n)
+	}
+	out = out[:n]
 	prev := uint32(0)
 	for i := 0; i < n; i++ {
 		end := binary.LittleEndian.Uint32(offs[(i+1)*4:])
@@ -532,8 +537,20 @@ func DecodeColVec(buf []byte) (*ColVec, int, error) {
 // point when vectors are appended mid-buffer (the proto block layer).
 // Returns the vector and the bytes consumed from off.
 func DecodeColVecOffset(buf []byte, off int) (*ColVec, int, error) {
+	c := &ColVec{}
+	n, err := DecodeColVecInto(buf, off, c)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, n, nil
+}
+
+// DecodeColVecInto is DecodeColVecOffset into c, whose previous contents
+// it replaces: a decoder that fills one vector after another reuses the
+// storage of its string list.
+func DecodeColVecInto(buf []byte, off int, c *ColVec) (int, error) {
 	if off < 0 || off > len(buf) {
-		return nil, 0, errColVec
+		return 0, errColVec
 	}
 	r := &colReader{buf: buf, off: off}
 	kind := Kind(r.u8())
@@ -542,24 +559,24 @@ func DecodeColVecOffset(buf []byte, off int) (*ColVec, int, error) {
 	r.u8() // reserved
 	n := int(r.u32())
 	if r.err != nil || n > maxVecRows || hasNulls > 1 {
-		return nil, 0, errColVec
+		return 0, errColVec
 	}
 	switch {
 	case kind == KindFloat && enc == colEncF64:
 	case kind == KindString && (enc == colEncStr || enc == colEncDict || enc == colEncRLE):
 	case (kind == KindNull || kind == KindInt || kind == KindDate || kind == KindBool) && enc == colEncI64:
 	default:
-		return nil, 0, fmt.Errorf("%w: kind %d enc %d", errColVec, kind, enc)
+		return 0, fmt.Errorf("%w: kind %d enc %d", errColVec, kind, enc)
 	}
-	c := &ColVec{Kind: kind, n: n}
+	*c = ColVec{Kind: kind, n: n, strs: c.strs}
 	if hasNulls == 1 && n > 0 {
 		nb := r.take(n)
 		if nb == nil {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 		for _, b := range nb {
 			if b > 1 {
-				return nil, 0, errColVec
+				return 0, errColVec
 			}
 		}
 		// A 0/1 byte is a valid Go bool, so the flags can be viewed in
@@ -571,64 +588,67 @@ func DecodeColVecOffset(buf []byte, off int) (*ColVec, int, error) {
 		r.pad(8)
 		b := r.take(n * 8)
 		if b == nil && n > 0 {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 		c.I64 = i64View(b, n)
 	case colEncF64:
 		r.pad(8)
 		b := r.take(n * 8)
 		if b == nil && n > 0 {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 		c.F64 = f64View(b, n)
 	case colEncStr:
 		r.pad(4)
-		c.Str = r.readStrings(n)
+		c.strs = r.readStrings(n, c.strs)
+		c.Str = c.strs
 	case colEncDict:
 		r.pad(4)
-		c.Dict = r.readStrings(-1)
+		c.strs = r.readStrings(-1, c.strs)
+		c.Dict = c.strs
 		r.pad(4)
 		b := r.take(n * 4)
 		if r.err != nil {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 		c.Codes = i32View(b, n)
 		for _, code := range c.Codes {
 			if code < 0 || int(code) >= len(c.Dict) {
-				return nil, 0, errColVec
+				return 0, errColVec
 			}
 		}
 	case colEncRLE:
 		r.pad(4)
-		c.Dict = r.readStrings(-1)
+		c.strs = r.readStrings(-1, c.strs)
+		c.Dict = c.strs
 		r.pad(4)
 		runs := int(r.u32())
 		if r.err != nil || runs > n || (n > 0 && runs == 0) {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 		rc := r.take(runs * 4)
 		re := r.take(runs * 4)
 		if r.err != nil {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 		c.RunCodes = i32View(rc, runs)
 		c.RunEnds = i32View(re, runs)
 		prev := int32(0)
 		for i := range c.RunCodes {
 			if c.RunCodes[i] < 0 || int(c.RunCodes[i]) >= len(c.Dict) {
-				return nil, 0, errColVec
+				return 0, errColVec
 			}
 			if c.RunEnds[i] <= prev {
-				return nil, 0, errColVec
+				return 0, errColVec
 			}
 			prev = c.RunEnds[i]
 		}
 		if runs > 0 && int(prev) != n {
-			return nil, 0, errColVec
+			return 0, errColVec
 		}
 	}
 	if r.err != nil {
-		return nil, 0, errColVec
+		return 0, errColVec
 	}
-	return c, r.off - off, nil
+	return r.off - off, nil
 }

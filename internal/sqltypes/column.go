@@ -44,6 +44,9 @@ type ColVec struct {
 	Min, Max Value
 
 	n int
+	// strs is the string list's storage, kept across DecodeColVecInto
+	// calls for its capacity; Str or Dict is a view of it when active.
+	strs []string
 }
 
 // Len returns the number of rows in the vector.

@@ -68,7 +68,9 @@ func Replay(sess Session, ps []Prepared, rounds int) (StreamReport, error) {
 	for round := 0; round < rounds; round++ {
 		for i := range ps {
 			qStart := time.Now()
-			if _, err := sess.Query(ps[i].Text); err != nil {
+			res, err := sess.Query(ps[i].Text)
+			res.Release() // only the timing is kept
+			if err != nil {
 				report.Elapsed = time.Since(start)
 				return report, fmt.Errorf("round %d query %d: %w", round, i, err)
 			}
@@ -96,7 +98,9 @@ func IsolatedTiming(sess Session, sqlText string, repeats int) (mean time.Durati
 	runs = make([]time.Duration, 0, repeats)
 	for i := 0; i < repeats; i++ {
 		start := time.Now()
-		if _, err := sess.Query(ps[0].Text); err != nil {
+		res, err := sess.Query(ps[0].Text)
+		res.Release()
+		if err != nil {
 			return 0, nil, fmt.Errorf("run %d: %w", i, err)
 		}
 		runs = append(runs, time.Since(start))
@@ -163,7 +167,9 @@ func RunStreams(sess Session, streams int, seed int64) (StreamReport, error) {
 				text, err := tpch.RandomQuery(qn, r)
 				if err == nil {
 					qStart := time.Now()
-					_, err = sess.Query(text)
+					var res *engine.Result
+					res, err = sess.Query(text)
+					res.Release()
 					if err == nil {
 						mu.Lock()
 						report.Queries++
@@ -239,7 +245,9 @@ func RunMixed(sess Session, readStreams int, seed int64, updates []string) (Mixe
 				text, err := tpch.RandomQuery(qn, r)
 				if err == nil {
 					qStart := time.Now()
-					_, err = sess.Query(text)
+					var res *engine.Result
+					res, err = sess.Query(text)
+					res.Release()
 					if err == nil {
 						mu.Lock()
 						rep.Queries++
