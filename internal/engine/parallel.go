@@ -271,11 +271,16 @@ type fragRun struct {
 	// finished closes once the run is over: every worker, the context
 	// watcher and the done callback have returned. An operator waits for
 	// it before it re-opens, so nothing of a past run touches its state.
+	// It stays nil when the run was over before start returned.
 	finished chan struct{}
 }
 
 // wait blocks until the run is over (see finished).
-func (r *fragRun) wait() { <-r.finished }
+func (r *fragRun) wait() {
+	if r.finished != nil {
+		<-r.finished
+	}
+}
 
 func (r *fragRun) setErr(err error) {
 	r.errMu.Lock()
@@ -306,9 +311,18 @@ func (r *fragRun) firstErr() error {
 // writes into a pre-sized slice need no locking; wg.Wait or the
 // publish lock provides the happens-before edge for readers). done, if
 // non-nil, runs once after every worker has exited.
+//
+// A fragment cut into one morsel or none — a point lookup, a narrow range
+// — starts no goroutine: the caller runs the one worker loop itself, with
+// the same private meter, partial and in-order merge, so its results and
+// charges are those of a worker, and the run is over when start returns.
 func (r *fragRun) start(ex *execCtx, handle func(wex *execCtx, wec *evalCtx, mi int) error, done func()) {
 	start := time.Now()
-	cfg := ex.meter.Config()
+	if r.queue.n <= 1 {
+		r.work(ex, 0, handle)
+		r.finish(ex.node, start, done)
+		return
+	}
 	// Watch for context cancellation from outside the worker loops: the
 	// per-morsel ctx check can't fire while every worker is parked in a
 	// backpressure wait, so a dedicated watcher raises stop (which
@@ -331,30 +345,7 @@ func (r *fragRun) start(ex *execCtx, handle func(wex *execCtx, wec *evalCtx, mi 
 		r.wg.Add(1)
 		go func(self int) {
 			defer r.wg.Done()
-			wm := costmodel.NewMeter(cfg)
-			wex := &execCtx{node: ex.node, snapshot: ex.snapshot, params: ex.params, meter: wm, ctx: ex.ctx, batchCap: ex.batchCap}
-			wec := evalCtx{ex: wex}
-			for !r.stop.Load() {
-				if wex.ctx != nil {
-					if err := wex.ctx.Err(); err != nil {
-						r.setErr(err)
-						break
-					}
-				}
-				mi, ok := r.queue.next(self)
-				if !ok {
-					break
-				}
-				t0 := time.Now()
-				err := handle(wex, &wec, mi)
-				r.busy.Add(int64(time.Since(t0)))
-				if err != nil {
-					r.setErr(err)
-					break
-				}
-			}
-			wm.Flush()
-			ex.meter.AbsorbVirtual(wm.Virtual())
+			r.work(ex, self, handle)
 		}(w)
 	}
 	nd := ex.node
@@ -365,15 +356,50 @@ func (r *fragRun) start(ex *execCtx, handle func(wex *execCtx, wec *evalCtx, mi 
 			close(stopWatch)
 			<-watcherGone
 		}
-		nd.pstats.addSteals(r.queue.steals.Load())
-		if wall := time.Since(start); wall > 0 && r.degree > 0 {
-			util := 100 * r.busy.Load() / (int64(wall) * int64(r.degree))
-			nd.pstats.setUtilization(min(max(util, 0), 100))
-		}
-		if done != nil {
-			done()
-		}
+		r.finish(nd, start, done)
 	}()
+}
+
+// work is worker self's loop: it claims morsels until none is left or the
+// run stops, charging a private meter that it absorbs into ex's at the end.
+func (r *fragRun) work(ex *execCtx, self int, handle func(wex *execCtx, wec *evalCtx, mi int) error) {
+	wm := costmodel.NewMeter(ex.meter.Config())
+	wex := &execCtx{node: ex.node, snapshot: ex.snapshot, params: ex.params, meter: wm, ctx: ex.ctx, batchCap: ex.batchCap}
+	wec := evalCtx{ex: wex}
+	for !r.stop.Load() {
+		if wex.ctx != nil {
+			if err := wex.ctx.Err(); err != nil {
+				r.setErr(err)
+				break
+			}
+		}
+		mi, ok := r.queue.next(self)
+		if !ok {
+			break
+		}
+		t0 := time.Now()
+		err := handle(wex, &wec, mi)
+		r.busy.Add(int64(time.Since(t0)))
+		if err != nil {
+			r.setErr(err)
+			break
+		}
+	}
+	wm.Flush()
+	ex.meter.AbsorbVirtual(wm.Virtual())
+}
+
+// finish records the run's steals and utilization once every worker has
+// exited, then runs done.
+func (r *fragRun) finish(nd *Node, start time.Time, done func()) {
+	nd.pstats.addSteals(r.queue.steals.Load())
+	if wall := time.Since(start); wall > 0 && r.degree > 0 {
+		util := 100 * r.busy.Load() / (int64(wall) * int64(r.degree))
+		nd.pstats.setUtilization(min(max(util, 0), 100))
+	}
+	if done != nil {
+		done()
+	}
 }
 
 // --- parallel partial aggregation (merge point: aggregate) ---

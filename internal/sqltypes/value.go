@@ -206,6 +206,16 @@ func (v Value) String() string {
 // number is defined (string sorts after) so the composer can sort
 // heterogeneous columns deterministically.
 func Compare(a, b Value) int {
+	if a.K == b.K && a.K != KindNull {
+		// One kind, the common case: the same order as below, inline.
+		switch a.K {
+		case KindString:
+			return strings.Compare(a.S, b.S)
+		case KindFloat:
+			return ordered(a.F, b.F)
+		}
+		return ordered(a.I, b.I)
+	}
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
 	case an && bn:
@@ -222,31 +232,24 @@ func Compare(a, b Value) int {
 		}
 		return 1
 	}
-	switch ar {
-	case rankNumeric:
-		// Compare in float space unless both are int-backed.
-		if a.K != KindFloat && b.K != KindFloat {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
-			return 0
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
-	case rankString:
-		return strings.Compare(a.S, b.S)
-	default:
-		return 0
+	// Two numeric kinds (strings are one kind): in float space unless
+	// both are int-backed.
+	if a.K != KindFloat && b.K != KindFloat {
+		return ordered(a.I, b.I)
 	}
+	return ordered(a.AsFloat(), b.AsFloat())
+}
+
+// ordered is -1, 0 or 1 as a is below, level with or above b; a NaN is
+// level with everything.
+func ordered[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // rank buckets kinds into comparable families.

@@ -125,6 +125,70 @@ func (t *BTree) Insert(key sqltypes.Row, rid RowID) {
 	t.size++
 }
 
+// bulkTree builds a tree over entries, which must be in compareEntries
+// order, bottom-up at the least height that holds them, every node as
+// full as the height allows, so each node is allocated once at its final
+// size. The leaves are windows of entries itself, each capped at its own
+// length: an Insert into a leaf reallocates it instead of writing over its
+// neighbour.
+func bulkTree(entries []Entry) *BTree {
+	h := 1
+	for subtreeMax(h) < len(entries) {
+		h++
+	}
+	return &BTree{root: buildNode(entries, h, true), size: len(entries)}
+}
+
+// adopt replaces t's contents with those of built, which nothing else
+// uses. Readers see the old contents or the new, never a mix.
+func (t *BTree) adopt(built *BTree) {
+	t.mu.Lock()
+	t.root, t.size = built.root, built.size
+	t.mu.Unlock()
+}
+
+// buildNode builds a subtree of height h over es. An internal node takes
+// as few children as can hold es, but at least degree unless it is the
+// root, and spreads es evenly over them, each child's share followed by
+// the separator that closes it. Every share then lies between a non-root
+// subtree's least size and its most, so no node is underfull or overfull
+// and every leaf sits at depth h.
+func buildNode(es []Entry, h int, root bool) *btreeNode {
+	if h == 1 {
+		return &btreeNode{entries: es[:len(es):len(es)]}
+	}
+	most := subtreeMax(h - 1)
+	c := (len(es) + most + 1) / (most + 1) // ceil((n+1) / (most+1))
+	if !root {
+		c = max(c, degree)
+	}
+	n := &btreeNode{entries: make([]Entry, c-1), children: make([]*btreeNode, c)}
+	share, extra := (len(es)-(c-1))/c, (len(es)-(c-1))%c
+	at := 0
+	for i := range c {
+		size := share
+		if i < extra {
+			size++
+		}
+		n.children[i] = buildNode(es[at:at+size], h-1, false)
+		at += size
+		if i < c-1 {
+			n.entries[i] = es[at]
+			at++
+		}
+	}
+	return n
+}
+
+// subtreeMax is the most entries a subtree of height h holds.
+func subtreeMax(h int) int {
+	most := 2 * degree
+	for ; h > 1; h-- {
+		most = 2*degree + (2*degree+1)*most
+	}
+	return most
+}
+
 func (t *BTree) splitChild(parent *btreeNode, i int) {
 	child := parent.children[i]
 	mid := degree

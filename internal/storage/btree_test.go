@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -204,4 +205,115 @@ func TestBTreeDrainProperty(t *testing.T) {
 	if got := collect(tree, nil, nil, true, true); len(got) != 0 {
 		t.Fatalf("ascend over empty tree: %v", got)
 	}
+}
+
+// sortedEntries is n entries in compareEntries order: keys 0, 0, 1, 1, …
+// (two RIDs per key), as a build receives them.
+func sortedEntries(n int) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		es[i] = Entry{Key: intKey(int64(i / 2)), RID: RowID{Page: int32(i / 2), Slot: int32(i % 2)}}
+	}
+	return es
+}
+
+// height is the tree's leaf depth.
+func (t *BTree) height() int {
+	h := 1
+	for n := t.root; !n.leaf(); n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+// TestBulkTreeValidAtEverySize builds trees bottom-up from 0 entries up to
+// three levels — every size to 700, then every 37th to 5 000, and each
+// height boundary (64, 4 224 and 274 624 entries, the most one, two and
+// three levels hold) with its neighbours — and checks each is a valid
+// B-tree of the least height holding its entries, with exactly those
+// entries in order.
+func TestBulkTreeValidAtEverySize(t *testing.T) {
+	var sizes []int
+	for n := 0; n <= 5000; n++ {
+		if n <= 700 || n%37 == 0 {
+			sizes = append(sizes, n)
+		}
+	}
+	sizes = append(sizes, 4223, 4224, 4225, 274623, 274624, 274625)
+	heights := map[int]int{0: 1, 64: 1, 65: 2, 4224: 2, 4225: 3, 274624: 3, 274625: 4}
+	for _, n := range sizes {
+		es := sortedEntries(n)
+		tree := bulkTree(es)
+		if err := tree.validate(); err != nil {
+			t.Fatalf("%d entries: %v", n, err)
+		}
+		if tree.Len() != n {
+			t.Fatalf("%d entries: Len %d", n, tree.Len())
+		}
+		if want, ok := heights[n]; ok && tree.height() != want {
+			t.Fatalf("%d entries: height %d, want %d", n, tree.height(), want)
+		}
+		if n > 5000 || n%97 == 0 {
+			i := 0
+			tree.Ascend(func(e Entry) bool {
+				if compareEntries(e, es[i]) != 0 {
+					t.Fatalf("%d entries: position %d holds %v, want %v", n, i, e.RID, es[i].RID)
+				}
+				i++
+				return true
+			})
+			if i != n {
+				t.Fatalf("%d entries: Ascend visited %d", n, i)
+			}
+		}
+	}
+}
+
+// TestBulkTreeTakesWrites churns bulk-built trees — full leaves split on
+// the first insert into them, leaves at the least size merge on the first
+// delete — and checks every step against a tree built one Insert at a
+// time.
+func TestBulkTreeTakesWrites(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 64, 65, 97, 4224, 4225, 20000} {
+		es := sortedEntries(n)
+		bulk, ref := bulkTree(es), NewBTree()
+		for _, e := range es {
+			ref.Insert(e.Key, e.RID)
+		}
+		live := append([]Entry(nil), es...)
+		for step := 0; step < 3000; step++ {
+			if len(live) > 0 && r.Intn(2) == 0 {
+				i := r.Intn(len(live))
+				e := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				if !bulk.Delete(e.Key, e.RID) || !ref.Delete(e.Key, e.RID) {
+					t.Fatalf("%d entries, step %d: delete %v failed", n, step, e)
+				}
+			} else {
+				e := Entry{Key: intKey(int64(r.Intn(n/2 + 10))), RID: RowID{Page: int32(1_000_000 + step)}}
+				bulk.Insert(e.Key, e.RID)
+				ref.Insert(e.Key, e.RID)
+				live = append(live, e)
+			}
+			if step%500 == 0 || step == 2999 {
+				if err := bulk.validate(); err != nil {
+					t.Fatalf("%d entries, step %d: %v", n, step, err)
+				}
+				if got, want := ascendRIDs(bulk), ascendRIDs(ref); !slices.Equal(got, want) {
+					t.Fatalf("%d entries, step %d: bulk tree and insert-built tree differ", n, step)
+				}
+			}
+		}
+	}
+}
+
+func ascendRIDs(t *BTree) []RowID {
+	var out []RowID
+	t.Ascend(func(e Entry) bool {
+		out = append(out, e.RID)
+		return true
+	})
+	return out
 }

@@ -102,7 +102,8 @@ func NewRelation(name string, schema Schema, pageSize int) *Relation {
 	}
 }
 
-// AddIndex declares an index and back-fills it from existing rows.
+// AddIndex declares an index over the relation's existing rows, built
+// bottom-up from their sorted entries (buildIndex).
 func (r *Relation) AddIndex(name string, cols []string, unique, clustered bool) (*Index, error) {
 	positions := make([]int, len(cols))
 	for i, c := range cols {
@@ -124,12 +125,8 @@ func (r *Relation) AddIndex(name string, cols []string, unique, clustered bool) 
 			}
 		}
 	}
-	ix := &Index{Name: name, Cols: positions, Unique: unique, Clustered: clustered, Tree: NewBTree()}
-	for pi, p := range r.pages {
-		for s := int32(0); s < int32(p.Count()); s++ {
-			ix.Tree.Insert(ix.KeyFor(p.Row(s)), RowID{Page: int32(pi), Slot: s})
-		}
-	}
+	ix := &Index{Name: name, Cols: positions, Unique: unique, Clustered: clustered}
+	ix.Tree = buildIndex(ix, r.pages)
 	r.indexes = append(r.indexes, ix)
 	r.byName[name] = ix
 	return ix, nil
@@ -263,15 +260,22 @@ func (r *Relation) LiveRows() int64 { return r.liveRows.Load() }
 func (r *Relation) updateStats(row sqltypes.Row) {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
+	widen(r.colMin, r.colMax, row)
+}
+
+// widen stretches the column ranges [lo[i], hi[i]] to cover row's
+// non-NULL values. A value equal to a bound leaves it as it is, so the
+// bounds are the first values seen at each extreme.
+func widen(lo, hi []sqltypes.Value, row sqltypes.Row) {
 	for i, v := range row {
 		if v.IsNull() {
 			continue
 		}
-		if r.colMin[i].IsNull() || sqltypes.Compare(v, r.colMin[i]) < 0 {
-			r.colMin[i] = v
+		if lo[i].IsNull() || sqltypes.Compare(v, lo[i]) < 0 {
+			lo[i] = v
 		}
-		if r.colMax[i].IsNull() || sqltypes.Compare(v, r.colMax[i]) > 0 {
-			r.colMax[i] = v
+		if hi[i].IsNull() || sqltypes.Compare(v, hi[i]) > 0 {
+			hi[i] = v
 		}
 	}
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // Vacuum physically removes rows deleted at or before horizon (no
-// snapshot at or above the horizon can see them) and rebuilds the heap
-// and every index. Like VACUUM FULL, it requires exclusivity: the caller
-// must guarantee no queries or writes are in flight on any node — the
-// cluster facade quiesces before calling. Returns the number of row
-// versions reclaimed.
+// snapshot at or above the horizon can see them), compacts the heap and
+// rebuilds every index bottom-up from the compacted pages (buildIndex).
+// Like VACUUM FULL, it requires exclusivity: the caller must guarantee no
+// queries or writes are in flight on any node — the cluster facade
+// quiesces before calling. Returns the number of row versions reclaimed.
 //
 // Without vacuuming, repeated refresh cycles (RF1 inserts + RF2 deletes)
 // grow the heap without bound; the mixed-workload experiments run long
@@ -45,15 +45,9 @@ func (r *Relation) Vacuum(horizon int64) int64 {
 	}
 	r.pages = newPages
 
-	// Rebuild every index against the compacted heap.
+	// Rebuild every index against the compacted heap, bottom-up.
 	for _, ix := range r.indexes {
-		tree := NewBTree()
-		for pi, p := range r.pages {
-			for s := int32(0); s < int32(p.Count()); s++ {
-				tree.Insert(ix.KeyFor(p.Row(s)), RowID{Page: int32(pi), Slot: s})
-			}
-		}
-		ix.Tree = tree
+		ix.Tree.adopt(buildIndex(ix, r.pages))
 	}
 
 	// The compaction rewrote pages (new IDs, new row positions) without

@@ -61,9 +61,12 @@ var (
 	currentDate = sqltypes.MustDate("1995-06-17").I
 )
 
-// Load creates the TPC-H schema in db and bulk-loads generated data in
+// Load creates the TPC-H schema in db, then bulk-loads generated data in
 // primary-key order (so clustered indexes match physical layout, the
-// property SVP needs). It returns the loader node it used.
+// property SVP needs), one storage.Relation.Append per table: the rows
+// fill the same pages and slots one Insert per row would, and every index
+// is built bottom-up from its sorted entries. It returns the loader node
+// it used.
 func (g Generator) Load(db *engine.Database) (*engine.Node, error) {
 	if err := validateSF(g.SF); err != nil {
 		return nil, err
@@ -80,22 +83,29 @@ func (g Generator) Load(db *engine.Database) (*engine.Node, error) {
 	return loader, nil
 }
 
-// populate bulk-inserts rows (xmin 0: visible to every snapshot, like a
-// database restored before the cluster starts).
+// populate bulk-loads every table (xmin 0: visible to every snapshot,
+// like a database restored before the cluster starts): each table's rows
+// are generated in primary-key order, then appended in one
+// storage.Relation.Append, which builds the table's indexes bottom-up.
 func (g Generator) populate(db *engine.Database) error {
 	card := Cardinalities(g.SF)
-	bulk := func(table string, n int, gen func(r *rand.Rand, i int) sqltypes.Row) error {
+	load := func(table string, rows []sqltypes.Row) error {
 		rel, err := db.Relation(table)
 		if err != nil {
 			return err
 		}
-		r := rand.New(rand.NewSource(g.Seed + int64(len(table))*7919))
-		for i := 1; i <= n; i++ {
-			if _, err := rel.Insert(0, gen(r, i)); err != nil {
-				return fmt.Errorf("loading %s row %d: %w", table, i, err)
-			}
+		if err := rel.Append(0, rows); err != nil {
+			return fmt.Errorf("loading %s: %w", table, err)
 		}
 		return nil
+	}
+	bulk := func(table string, n int, gen func(r *rand.Rand, i int) sqltypes.Row) error {
+		r := rand.New(rand.NewSource(g.Seed + int64(len(table))*7919))
+		rows := make([]sqltypes.Row, n)
+		for i := 1; i <= n; i++ {
+			rows[i-1] = gen(r, i)
+		}
+		return load(table, rows)
 	}
 
 	if err := bulk("region", card["region"], func(r *rand.Rand, i int) sqltypes.Row {
@@ -163,54 +173,42 @@ func (g Generator) populate(db *engine.Database) error {
 	}); err != nil {
 		return err
 	}
-	// partsupp is generated per part (composite-key order) rather than
-	// through bulk.
-	psRel, err := db.Relation("partsupp")
-	if err != nil {
-		return err
-	}
+	// partsupp is generated per part (composite-key order), four
+	// suppliers each.
 	psRand := rand.New(rand.NewSource(g.Seed + 101))
+	psRows := make([]sqltypes.Row, 0, card["partsupp"])
 	for p := 1; p <= nPart; p++ {
 		for s := 0; s < 4; s++ {
 			supp := (p+s*(nPart/4+1))%nSupp + 1
-			row := sqltypes.Row{
+			psRows = append(psRows, sqltypes.Row{
 				sqltypes.NewInt(int64(p)),
 				sqltypes.NewInt(int64(supp)),
 				sqltypes.NewInt(int64(psRand.Intn(9999) + 1)),
 				sqltypes.NewFloat(money(psRand, 1, 1000)),
 				sqltypes.NewString(comment(psRand, 10)),
-			}
-			if _, err := psRel.Insert(0, row); err != nil {
-				return err
-			}
+			})
 		}
+	}
+	if err := load("partsupp", psRows); err != nil {
+		return err
 	}
 
 	// Orders and lineitem are generated together so line items derive
-	// from their order (dates, status), inserted in orderkey order.
-	oRel, err := db.Relation("orders")
-	if err != nil {
-		return err
-	}
-	lRel, err := db.Relation("lineitem")
-	if err != nil {
-		return err
-	}
+	// from their order (dates, status), in orderkey order.
 	r := rand.New(rand.NewSource(g.Seed + 202))
 	nOrders := card["orders"]
 	nCust := card["customer"]
+	oRows := make([]sqltypes.Row, 0, nOrders)
+	lRows := make([]sqltypes.Row, 0, card["lineitem"])
 	for o := 1; o <= nOrders; o++ {
 		orow, lrows := g.makeOrder(r, int64(o), nCust, nPart, nSupp)
-		if _, err := oRel.Insert(0, orow); err != nil {
-			return err
-		}
-		for _, lrow := range lrows {
-			if _, err := lRel.Insert(0, lrow); err != nil {
-				return err
-			}
-		}
+		oRows = append(oRows, orow)
+		lRows = append(lRows, lrows...)
 	}
-	return nil
+	if err := load("orders", oRows); err != nil {
+		return err
+	}
+	return load("lineitem", lRows)
 }
 
 // makeOrder builds one order row plus its line items, sharing the logic
