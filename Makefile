@@ -25,37 +25,43 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-# The engine suite again under varying GOMAXPROCS: the morsel-driven
-# parallel path must stay race-free and bit-deterministic however many
-# cores host its workers. The second line names the batch kernels'
+# The engine suite again under varying GOMAXPROCS: however many cores
+# host the goroutines, a query must stay race-free and bit-deterministic.
+# The second line names the batch kernels'
 # differential and batch-boundary tests (filters, numeric kernels, the
 # integer join table against the reference evaluator), the retention
 # guard of kept join tuples and aggregate arenas, the planner invariant,
-# the pool audit of failed and cancelled opens (arena chunks and a
-# parallel aggregate's partial tables included), the prepared plan's
+# the pool audit of failed and cancelled opens (arena chunks and an
+# aggregate's table included), the prepared plan's
 # re-bind rule, its re-opens after a drain, an early close, an error and a
 # cancel, and ForceIndexScan staying inside its own query: they run inside
 # the first already; named, the gate stays visible if they are ever
 # renamed or filtered. The same line runs the controller's prepared ≡
-# fresh oracle over every TPC-H template, partition and degree, its
+# fresh oracle over every TPC-H template and partition, its
 # refusals, the plans-per-query pin and ORDER BY's NULL placement through
 # SVP against one node, and the result arenas' retention guard (served
 # through the socket, poisoned at release and at abort). The third line runs
-# the allocation pins (the memdb composition's, a re-opened aggregate's, a
-# served range fetch's and a one-morsel open's, which must start no worker,
-# included) without the race
+# the allocation pins (the memdb composition's, a re-opened aggregate's and
+# a served range fetch's included) without the race
 # detector, under which sync.Pool drops buffers and the pins skip
 # themselves. Each pin measures at the -cpu it runs under and takes the
 # least of three logged rounds: a run the scheduler moves to another P
-# misses the buffers sync.Pool keeps for the old P, once per move.
+# misses the buffers sync.Pool keeps for the old P, once per move. The
+# fourth line runs the controller's differential oracles (SVP, granularity,
+# repeated runs, cache, columnar, MQO, brownout, key predicates, the
+# GOMAXPROCS 1 ≡ 8 oracle) and the columnar sub-query check at GOMAXPROCS
+# 1, 2, 4 and 8: every answer must hold on any host.
 RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers|TestOrderByNullsMatchSingleNode|TestResultArenasRetentionGuard
 RACE_CPU_PKGS := ./internal/engine/ ./internal/core/
-PINS_RUN := TestOneMorselOpenRunsOnCaller|TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow
 PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/
+ORACLE_RUN := TestOracle|TestSVPSubqueryScansSegments
+ORACLE_PKGS := ./internal/core/
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./internal/engine/
 	$(GO) test -race -cpu 1,2,4 -count=1 -run '$(RACE_CPU_RUN)' $(RACE_CPU_PKGS)
 	$(GO) test -cpu 1,2,4 -count=1 -run '$(PINS_RUN)' $(PINS_PKGS)
+	$(GO) test -race -cpu 1,2,4,8 -count=1 -run '$(ORACLE_RUN)' $(ORACLE_PKGS)
 
 # The fine-grained AVP acceptance suite again, by name and race-enabled:
 # the straggler chaos plan, the granularity×nodes oracle sweep,
@@ -68,13 +74,12 @@ avp-suite:
 	$(GO) test -race -count=1 -run '$(AVP_RUN)' $(AVP_PKGS)
 
 # The columnar acceptance suite, by name and race-enabled: the
-# engine-level heap/columnar differential sweep with segment builds
-# racing parallel morsel workers, the zone-map pruning and EXPLAIN
+# engine-level heap/columnar differential sweep, the zone-map pruning and EXPLAIN
 # regressions, the segment metrics mirror, and the core-level
 # bit-identity oracle across node counts and interleaved
-# writes. Runs inside `make race` too; this target keeps the gate
+# writes, and the SVP sub-query's segment scans. Runs inside `make race` too; this target keeps the gate
 # visible if the suite is ever renamed or filtered.
-COLUMNAR_RUN := TestColumnar|TestSegments|TestOracleColumnar
+COLUMNAR_RUN := TestColumnar|TestSegments|TestOracleColumnar|TestSVPSubqueryScansSegments
 COLUMNAR_PKGS := ./internal/engine/ ./internal/storage/ ./internal/core/
 columnar-suite:
 	$(GO) test -race -count=1 -run '$(COLUMNAR_RUN)' $(COLUMNAR_PKGS)
@@ -112,6 +117,7 @@ check_run = for alt in $$(printf '%s' '$(1)' | tr '|' ' '); do \
 suite-names:
 	@$(call check_run,$(RACE_CPU_RUN),$(RACE_CPU_PKGS))
 	@$(call check_run,$(PINS_RUN),$(PINS_PKGS))
+	@$(call check_run,$(ORACLE_RUN),$(ORACLE_PKGS))
 	@$(call check_run,$(AVP_RUN),$(AVP_PKGS))
 	@$(call check_run,$(COLUMNAR_RUN),$(COLUMNAR_PKGS))
 	@$(call check_run,$(MQO_RUN),$(MQO_PKGS))
@@ -165,8 +171,7 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # Microbenchmarks of the batch execution path: allocation rate per row
-# (the vectorization win), time-to-first-batch (the streaming win), the
-# morsel-driven degree sweep (the intra-node parallelism win), the inner
+# (the vectorization win), time-to-first-batch (the streaming win), the inner
 # loops of an SVP sub-query on the host clock (Q6's predicate per lineitem
 # row, the hash joins of Q3 and Q5, Q21's filter over its top join and
 # Q4's correlated EXISTS with their B/op, Q1's aggregation, the filter
@@ -179,7 +184,7 @@ bench:
 # — and the wire protocol (single-stream and 16-in-flight multiplexing
 # throughput).
 bench-micro:
-	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg|PredicateQ6|HashJoinQ3|HashJoinQ5|FilterOverJoinQ21|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline|WideFetch' -benchmem -run=^$$ ./internal/engine/
+	$(GO) test -bench 'FirstBatch|Allocs|PredicateQ6|HashJoinQ3|HashJoinQ5|FilterOverJoinQ21|ExistsQ4|AggQ1|FilterKernel|RowLoopRoofline|WideFetch' -benchmem -run=^$$ ./internal/engine/
 	$(GO) test -bench 'ComposeQ3' -benchmem -run=^$$ ./internal/core/
 	$(GO) test -bench 'AscendRange' -benchmem -run=^$$ ./internal/storage/
 	$(GO) test -bench 'LoadTPCH' -benchmem -benchtime 5x -run=^$$ ./internal/tpch/
@@ -196,7 +201,7 @@ bench-baseline:
 # checked-in baseline (BENCH_MICRO_5.txt) with benchstat when available
 # (CI installs it; local runs without the binary just print the snapshot).
 bench-compare:
-	$(GO) test -bench 'FirstBatch|Allocs|ParallelScanAgg' -benchmem -benchtime 20x -count 3 -run '^$$' ./internal/engine/ | tee bench-micro.txt
+	$(GO) test -bench 'FirstBatch|Allocs' -benchmem -benchtime 20x -count 3 -run '^$$' ./internal/engine/ | tee bench-micro.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat BENCH_MICRO_5.txt bench-micro.txt; \
 	else \

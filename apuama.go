@@ -125,8 +125,8 @@ type QueryTrace = obs.SpanSnapshot
 func DefaultCost() CostConfig { return costmodel.Default() }
 
 // EngineOptions configures the Apuama Engine: the intra-query strategy,
-// the paper's ablation switches, the optional modes (parallelism,
-// partition granularity, columnar, MQO), the result cache, overload
+// the paper's ablation switches, the optional modes (partition
+// granularity, columnar, MQO), the result cache, overload
 // protection and the default query deadline. The zero value is the
 // paper's configuration. See internal/core for the fields.
 type EngineOptions = core.Options

@@ -84,8 +84,8 @@ func main() {
 		progress = os.Stderr
 	}
 
-	fmt.Printf("apuama-bench: exp=%s sf=%g nodes=%v repeats=%d streams=%d updates=%d baseline=%v parallelism=%d\n",
-		*exp, cfg.SF, cfg.Nodes, cfg.Repeats, cfg.ReadStreams, cfg.UpdateOrders, cfg.Engine.DisableSVP, cfg.Engine.Parallelism)
+	fmt.Printf("apuama-bench: exp=%s sf=%g nodes=%v repeats=%d streams=%d updates=%d baseline=%v\n",
+		*exp, cfg.SF, cfg.Nodes, cfg.Repeats, cfg.ReadStreams, cfg.UpdateOrders, cfg.Engine.DisableSVP)
 	start := time.Now()
 
 	var figs []*experiments.Figure
@@ -147,34 +147,32 @@ func main() {
 // benchReport is the -json output document: the run's configuration
 // alongside the raw figures, stable enough to diff across runs.
 type benchReport struct {
-	Experiment  string                `json:"experiment"`
-	SF          float64               `json:"sf"`
-	Nodes       []int                 `json:"nodes"`
-	Repeats     int                   `json:"repeats"`
-	Streams     int                   `json:"streams"`
-	Updates     int                   `json:"updates"`
-	Baseline    bool                  `json:"baseline"`
-	Parallelism int                   `json:"parallelism"`
-	AVPGran     int                   `json:"avp_granularity"`
-	Columnar    bool                  `json:"columnar"`
-	MQO         bool                  `json:"mqo"`
-	Figures     []*experiments.Figure `json:"figures"`
+	Experiment string                `json:"experiment"`
+	SF         float64               `json:"sf"`
+	Nodes      []int                 `json:"nodes"`
+	Repeats    int                   `json:"repeats"`
+	Streams    int                   `json:"streams"`
+	Updates    int                   `json:"updates"`
+	Baseline   bool                  `json:"baseline"`
+	AVPGran    int                   `json:"avp_granularity"`
+	Columnar   bool                  `json:"columnar"`
+	MQO        bool                  `json:"mqo"`
+	Figures    []*experiments.Figure `json:"figures"`
 }
 
 func writeJSON(path, exp string, cfg experiments.Config, figs []*experiments.Figure) error {
 	doc := benchReport{
-		Experiment:  exp,
-		SF:          cfg.SF,
-		Nodes:       cfg.Nodes,
-		Repeats:     cfg.Repeats,
-		Streams:     cfg.ReadStreams,
-		Updates:     cfg.UpdateOrders,
-		Baseline:    cfg.Engine.DisableSVP,
-		Parallelism: cfg.Engine.Parallelism,
-		AVPGran:     cfg.Engine.AVPGranularity,
-		Columnar:    cfg.Engine.Columnar,
-		MQO:         cfg.Engine.MQO,
-		Figures:     figs,
+		Experiment: exp,
+		SF:         cfg.SF,
+		Nodes:      cfg.Nodes,
+		Repeats:    cfg.Repeats,
+		Streams:    cfg.ReadStreams,
+		Updates:    cfg.UpdateOrders,
+		Baseline:   cfg.Engine.DisableSVP,
+		AVPGran:    cfg.Engine.AVPGranularity,
+		Columnar:   cfg.Engine.Columnar,
+		MQO:        cfg.Engine.MQO,
+		Figures:    figs,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

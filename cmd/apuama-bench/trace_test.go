@@ -8,13 +8,13 @@ import (
 )
 
 // TestTraceClusterHonoursEngineAndSeed: -trace opens its cluster with the
-// engine options the flags set (here -columnar -parallelism 1) and loads
+// engine options the flags set (here -columnar -avp-granularity 1) and loads
 // TPC-H with -seed, not a default cluster over seed 1.
 func TestTraceClusterHonoursEngineAndSeed(t *testing.T) {
 	cfg := experiments.Quick()
 	cfg.SF, cfg.Seed, cfg.Nodes = 0.0005, 7, []int{1, 2}
 	cfg.Engine.Columnar = true
-	cfg.Engine.Parallelism = 1
+	cfg.Engine.AVPGranularity = 1
 	c, err := openTraced(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -24,8 +24,8 @@ func TestTraceClusterHonoursEngineAndSeed(t *testing.T) {
 		t.Errorf("traced %d nodes, want the largest configured count 2", c.NumNodes())
 	}
 	_, _, eng, _ := c.Internals()
-	if got := eng.Options(); !got.Columnar || got.Parallelism != 1 {
-		t.Errorf("engine built with Columnar=%v Parallelism=%d, want true and 1", got.Columnar, got.Parallelism)
+	if got := eng.Options(); !got.Columnar || got.AVPGranularity != 1 {
+		t.Errorf("engine built with Columnar=%v AVPGranularity=%d, want true and 1", got.Columnar, got.AVPGranularity)
 	}
 
 	// An integer sum: exact whatever the partitioning, different per seed.

@@ -21,17 +21,16 @@
 //
 //   - Brownout ladder: a load controller watching queue depth and the
 //     p95 admission wait. Under sustained pressure it raises the
-//     degradation level one step at a time — cap intra-node parallelism
-//     (level 1), widen the bounded-staleness cache floor so stale hits
-//     absorb reads (level 2), disable hedged sub-queries (level 3) —
-//     and steps back down with hysteresis once the queue drains. The
-//     knobs are pulled by the engine per decision point, so recovery
-//     needs no callback fan-out: when the level drops, the next query
-//     simply sees the restored defaults.
+//     degradation level one step at a time — widen the bounded-staleness
+//     cache floor so stale hits absorb reads (level 1), disable hedged
+//     sub-queries (level 2) — and steps back down with hysteresis once
+//     the queue drains. The knobs are pulled by the engine per decision
+//     point, so recovery needs no callback fan-out: when the level drops,
+//     the next query simply sees the restored defaults.
 //
 //   - Slow-query killer: a sweep that cancels (via context cause) any
 //     tracked query exceeding KillMultiple × its weight × ClassBudget
-//     of wall clock, relying on the engines' cooperative per-morsel ctx
+//     of wall clock, relying on the engines' cooperative per-batch ctx
 //     checks to stop the work.
 //
 // Every decision is observable: apuama_admission_* counters, the wait
@@ -92,7 +91,7 @@ type Config struct {
 	// the knobs flapping at the overload boundary (default 250ms).
 	Hold time.Duration
 	// BrownoutStale is the MaxStaleEpochs floor applied to cache lookups
-	// at level >= 2, letting bounded-stale hits absorb read traffic
+	// at level >= 1, letting bounded-stale hits absorb read traffic
 	// (default 16).
 	BrownoutStale int64
 
@@ -160,9 +159,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxLevel is the top of the brownout ladder: 1 caps intra-node
-// parallelism, 2 adds the stale floor, 3 adds hedging off.
-const maxLevel = 3
+// maxLevel is the top of the brownout ladder: 1 sets the stale floor,
+// 2 adds hedging off.
+const maxLevel = 2
 
 // sweepInterval paces the background sweeper (slow-query kills and
 // brownout decay when no traffic triggers an evaluation).
@@ -601,30 +600,22 @@ func (c *Controller) Level() int {
 	return c.level
 }
 
-// DegreeCap is the brownout cap on intra-node morsel parallelism
-// (0 = uncapped). The engine consults it per sub-query, so the cap both
-// takes effect and restores without any state pushed into the nodes.
-func (c *Controller) DegreeCap() int {
-	if c.Level() >= 1 {
-		return 1
-	}
-	return 0
-}
-
 // StaleFloor is the brownout floor on the cache's MaxStaleEpochs bound
-// (0 = no floor): at level >= 2 bounded-stale cache hits absorb read
-// traffic that would otherwise queue.
+// (0 = no floor): at level >= 1 bounded-stale cache hits absorb read
+// traffic that would otherwise queue. The engine consults it per query,
+// so the floor both takes effect and lifts without any state pushed
+// anywhere.
 func (c *Controller) StaleFloor() int64 {
-	if c != nil && c.Level() >= 2 {
+	if c != nil && c.Level() >= 1 {
 		return c.cfg.BrownoutStale
 	}
 	return 0
 }
 
 // HedgingDisabled reports whether the ladder has switched speculative
-// sub-query hedging off (level >= 3) — duplicated work is the first
-// thing to go when capacity is the bottleneck.
-func (c *Controller) HedgingDisabled() bool { return c.Level() >= 3 }
+// sub-query hedging off (level >= 2) — duplicated work goes once stale
+// hits alone have not relieved the queue.
+func (c *Controller) HedgingDisabled() bool { return c.Level() >= 2 }
 
 // BatchGate holds a query in the MQO batching window so concurrent
 // arrivals overlap inside one shared-scan pass. The first arrival after

@@ -46,10 +46,10 @@ func TestDisabledControllerIsNil(t *testing.T) {
 		t.Fatalf("nil reservation Grow: %v", err)
 	}
 	res.Release()
-	if c.Level() != 0 || c.DegreeCap() != 0 || c.StaleFloor() != 0 || c.HedgingDisabled() {
+	if c.Level() != 0 || c.StaleFloor() != 0 || c.HedgingDisabled() {
 		t.Fatalf("nil brownout knobs must report full service")
 	}
-	c.ForceLevel(3)
+	c.ForceLevel(maxLevel)
 	c.Close()
 	if s := c.Snapshot(); s != (Stats{}) {
 		t.Fatalf("nil Snapshot = %+v, want zero", s)
@@ -363,9 +363,6 @@ func TestBrownoutLadderRaisesAndClearsWithHysteresis(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, 2*time.Second, func() bool { return c.Level() == maxLevel }, "ladder reached max level")
-	if c.DegreeCap() != 1 {
-		t.Fatalf("DegreeCap at max level = %d, want 1", c.DegreeCap())
-	}
 	if c.StaleFloor() != 16 {
 		t.Fatalf("StaleFloor at max level = %d, want default 16", c.StaleFloor())
 	}
@@ -381,7 +378,7 @@ func TestBrownoutLadderRaisesAndClearsWithHysteresis(t *testing.T) {
 	tk.Release()
 	wg.Wait()
 	waitFor(t, 5*time.Second, func() bool { return c.Level() == 0 }, "ladder stepped back to 0")
-	if c.DegreeCap() != 0 || c.StaleFloor() != 0 || c.HedgingDisabled() {
+	if c.StaleFloor() != 0 || c.HedgingDisabled() {
 		t.Fatalf("knobs not restored after drain")
 	}
 	s := c.Snapshot()
@@ -407,14 +404,13 @@ func TestBrownoutStepDownIsGradual(t *testing.T) {
 func TestForceLevelPinsLadder(t *testing.T) {
 	c := New(Config{MaxConcurrent: 2, Brownout: true, Hold: time.Millisecond}, nil)
 	defer c.Close()
-	c.ForceLevel(2)
+	c.ForceLevel(1)
 	time.Sleep(20 * time.Millisecond) // sweeper must not step a pinned ladder down
-	if c.Level() != 2 {
+	if c.Level() != 1 {
 		t.Fatalf("forced level drifted to %d", c.Level())
 	}
-	if c.DegreeCap() != 1 || c.StaleFloor() == 0 || c.HedgingDisabled() {
-		t.Fatalf("level-2 knobs wrong: cap=%d floor=%d hedgeOff=%v",
-			c.DegreeCap(), c.StaleFloor(), c.HedgingDisabled())
+	if c.StaleFloor() == 0 || c.HedgingDisabled() {
+		t.Fatalf("level-1 knobs wrong: floor=%d hedgeOff=%v", c.StaleFloor(), c.HedgingDisabled())
 	}
 	c.ForceLevel(-1)
 	waitFor(t, time.Second, func() bool { return c.Level() == 0 }, "auto control resumed")

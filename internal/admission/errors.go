@@ -69,8 +69,8 @@ func (e *MemoryError) Is(target error) bool { return target == ErrMemoryBudget }
 
 // ErrSlowQuery marks a query aborted by the slow-query killer: it
 // exceeded KillMultiple × its class budget of wall-clock time and was
-// cancelled cooperatively (the per-morsel ctx checks inside the node
-// engines observe the cancellation).
+// cancelled cooperatively (the per-batch ctx checks in the node engines'
+// scans observe the cancellation).
 var ErrSlowQuery = errors.New("slow query killed")
 
 // Retryable reports whether err is a load-shedding rejection the client

@@ -22,7 +22,7 @@ import (
 //     exactly what the cache is for under load);
 //   - the slow-query killer tracks the query's wall clock against its
 //     weight-scaled class budget and cancels it cooperatively via the
-//     per-morsel ctx checks in the node engines;
+//     per-batch ctx checks in the node engines' scans;
 //   - the memory reservation charges the query's composition memory
 //     (gather buffers, the compose sink's buffered attempt rows)
 //     against the cluster-wide budget.

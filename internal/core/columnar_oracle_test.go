@@ -95,3 +95,24 @@ func TestOracleColumnarUnderWrites(t *testing.T) {
 		t.Errorf("segments built only %d times — epoch invalidation never forced a rebuild", st.SegmentsBuilt)
 	}
 }
+
+// TestSVPSubqueryScansSegments: with Columnar on, an SVP sub-query — a
+// clustered-key range planned with sequential scans off — is served by
+// the segment store. Every node claims at least its first home partition,
+// so each node's segment counter must move.
+func TestSVPSubqueryScansSegments(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Columnar = true
+	s := buildStack(t, 4, opts)
+	if _, err := s.ctl.Query(tpch.MustQuery(6)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.eng.Snapshot(); st.SVPQueries != 1 {
+		t.Fatalf("Q6 ran through %d SVP queries, want 1 (fallbacks: %v)", st.SVPQueries, st.FallbackReasons)
+	}
+	for i, nd := range s.nodes {
+		if _, _, scanned := nd.SegmentStats(); scanned == 0 {
+			t.Errorf("node %d: its sub-queries scanned no segment", i)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,16 +102,9 @@ type Options struct {
 	// liveness, keeping partial-cache keys stable across degree changes.
 	AVPGranularity int
 
-	// Parallelism is the intra-node morsel-driven degree each node engine
-	// applies to the parallel-safe fragment of its sub-query (the second
-	// level of parallelism, under the cluster-level SVP/AVP split):
-	// 0 = auto (min(GOMAXPROCS, 8), large relations only), 1 = serial,
-	// n > 1 = fixed worker count.
-	Parallelism int
-
 	// Columnar enables the segment store: node planners replace eligible
 	// heap scans with columnar segment scans whose zone maps prune
-	// segments (and whole morsels) that cannot match the filter. The heap
+	// segments that cannot match the filter. The heap
 	// stays the write-side store; segments materialize lazily per barrier
 	// epoch. Results are bit-identical with the heap path — only the
 	// simulated IO/CPU charged for pruned segments changes.
@@ -169,7 +163,6 @@ func (o Options) withDefaults() Options {
 // value.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&o.DisableSVP, "baseline", o.DisableSVP, "disable Apuama (plain C-JDBC-style cluster)")
-	fs.IntVar(&o.Parallelism, "parallelism", o.Parallelism, "intra-node morsel-driven degree per node engine (0 = auto, 1 = serial)")
 	fs.IntVar(&o.AVPGranularity, "avp-granularity", o.AVPGranularity, "fine virtual partitions per configured node (0 = auto, 1 = coarse one-range-per-node)")
 	fs.BoolVar(&o.Columnar, "columnar", o.Columnar, "enable the columnar segment store with zone-map pruning")
 	fs.BoolVar(&o.MQO, "mqo", o.MQO, "enable multi-query optimization: cooperative shared scans and common sub-plan sharing")
@@ -223,6 +216,11 @@ type Engine struct {
 	// wireStats holds an optional func() WireStats provider merged into
 	// Snapshot when a wire server is attached.
 	wireStats atomic.Value
+
+	// subs counts the sub-query goroutines queries have started — claim
+	// loops, flight followers, hedges — which wind down after their query
+	// has returned; Close waits for them.
+	subs sync.WaitGroup
 }
 
 // Stats counts engine activity (exposed for experiments and tests).
@@ -303,17 +301,7 @@ func New(db *engine.Database, nodes []*engine.Node, catalog *Catalog, opts Optio
 	db.SetColumnar(opts.Columnar)
 	db.SetMQO(opts.MQO)
 	for _, nd := range nodes {
-		if opts.Parallelism != 0 {
-			// Make the degree the node's default too, so pass-through
-			// (non-SVP) queries on the same node honour it.
-			nd.SetDefaultParallelism(opts.Parallelism)
-		}
 		p := NewNodeProcessor(nd, poolSize)
-		p.parallelism = opts.Parallelism
-		// Brownout consultation: under saturation the admission ladder
-		// caps the intra-node degree every sub-query runs with (a nil
-		// controller's DegreeCap reports 0 = uncapped).
-		p.capDegree = e.adm.DegreeCap
 		p.setObs(reg)
 		e.procs = append(e.procs, p)
 	}
@@ -341,11 +329,15 @@ func (e *Engine) Options() Options { return e.opts }
 // read its counters and force brownout levels through it.
 func (e *Engine) Admission() *admission.Controller { return e.adm }
 
-// Close releases the engine's background resources: the admission
+// Close releases the engine's background resources — the admission
 // controller's sweeper goroutine and any queued admission waiters (shed
-// with an overload error). Safe on an engine without admission.
+// with an overload error) — and returns once every sub-query goroutine a
+// query started has exited, so nothing the engine started still reaches
+// its nodes. Call it once no query is in flight. Safe on an engine without
+// admission.
 func (e *Engine) Close() {
 	e.adm.Close()
+	e.subs.Wait()
 }
 
 // Cache exposes the query cache (nil when disabled); the daemon's
@@ -761,10 +753,12 @@ func (r *svpRun) dispatch(usePartial bool) {
 		firsts[w] = r.sch.preclaim(w, p)
 	}
 	for w, p := range r.procs {
+		e.subs.Add(1)
 		go r.work(w, p, firsts[w])
 	}
 	for i, s := range r.src {
 		if s.follow != nil {
+			e.subs.Add(1)
 			go r.follow(i, s.follow)
 		}
 	}
@@ -828,6 +822,7 @@ func (r *svpRun) abortFlights() {
 // its sub-query on its first claim and re-opens that plan with each later
 // claim's bounds (NodeProcessor.StreamAt).
 func (r *svpRun) work(w int, p *NodeProcessor, first int) {
+	defer r.e.subs.Done()
 	defer r.sch.workerGone(w, r.alive)
 	var prep *engine.Prepared
 	var ast *avpState
@@ -916,6 +911,7 @@ func (r *svpRun) runClaim(p *NodeProcessor, idx int, stolen bool, prep **engine.
 // runs the partition itself on each live node at most once, least loaded
 // first.
 func (r *svpRun) follow(idx int, wait func(context.Context) ([]sqltypes.Row, error)) {
+	defer r.e.subs.Done()
 	rows, werr := wait(r.workCtx)
 	if werr == nil {
 		attempt := r.attemptSeq.Add(1)

@@ -345,7 +345,11 @@ func (g *gatherState) hedgeDue() {
 	g.hedged[idx], g.hedgeFor = true, idx
 	e.st.hedges.Inc()
 	e.st.subQueries.Inc()
-	go r.attempt(alt, idx, hedgeAttempt, 0, nil)
+	e.subs.Add(1)
+	go func() {
+		defer e.subs.Done()
+		r.attempt(alt, idx, hedgeAttempt, 0, nil)
+	}()
 }
 
 // scheduleFailed: some partition has no live untried node left (or every

@@ -26,16 +26,6 @@ type NodeProcessor struct {
 	node *engine.Node
 	pool chan struct{}
 
-	// parallelism is the intra-node morsel-driven degree forwarded with
-	// every sub-query (Options.Parallelism: 0 = node default/auto).
-	parallelism int
-
-	// capDegree, when set, is consulted per statement for a brownout cap
-	// on the intra-node degree (0 = uncapped). The engine wires it to the
-	// admission controller's ladder; pulling the value per statement is
-	// what makes degradation and restoration automatic.
-	capDegree func() int
-
 	// down simulates a node crash: every request fails with
 	// cluster.ErrBackendDown until Revive. Used by failure-injection
 	// tests and chaos runs.
@@ -119,20 +109,6 @@ func (p *NodeProcessor) acquire(ctx context.Context) (func(), error) {
 // Inflight reports the number of statements currently holding a pooled
 // connection (the hedging dispatcher's load signal).
 func (p *NodeProcessor) Inflight() int { return len(p.pool) }
-
-// effectiveParallelism resolves the intra-node degree for one statement:
-// the configured degree, lowered to the brownout cap when the admission
-// ladder has one in force. A cap of 1 turns sub-queries serial — the
-// ladder's first lever under saturation.
-func (p *NodeProcessor) effectiveParallelism() int {
-	par := p.parallelism
-	if p.capDegree != nil {
-		if c := p.capDegree(); c > 0 && (par == 0 || par > c) {
-			par = c
-		}
-	}
-	return par
-}
 
 // Kill simulates a node crash: subsequent requests report
 // cluster.ErrBackendDown.
@@ -237,7 +213,7 @@ func (p *NodeProcessor) StreamAt(ctx context.Context, stmt *sql.SelectStmt, args
 		return false, err
 	}
 	defer release()
-	opts := engine.QueryOpts{ForceIndexScan: forceIndex, Parallelism: p.effectiveParallelism(), Ctx: ctx}
+	opts := engine.QueryOpts{ForceIndexScan: forceIndex, Ctx: ctx}
 	cur, reused, qerr := p.open(stmt, args, snapshot, opts, prep, rows)
 	if qerr == nil {
 		for {

@@ -38,20 +38,3 @@ func TestDefaultOptionsRoundTrip(t *testing.T) {
 		t.Errorf("zero Options resolved to %+v, want %+v", zero, opts)
 	}
 }
-
-// TestParallelismThreadsToNodes: Options.Parallelism must reach both the
-// per-sub-query QueryOpts (processor field) and the node's own default
-// (for pass-through queries).
-func TestParallelismThreadsToNodes(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Parallelism = 4
-	s := buildStack(t, 2, opts)
-	for i, p := range s.eng.Procs() {
-		if p.parallelism != 4 {
-			t.Errorf("proc %d parallelism = %d, want 4", i, p.parallelism)
-		}
-		if got := p.Node().DefaultParallelism(); got != 4 {
-			t.Errorf("node %d default parallelism = %d, want 4", i, got)
-		}
-	}
-}

@@ -140,7 +140,7 @@ func compareWorker(t *testing.T, fresh *engine.Node, worker *NodeProcessor, c su
 		v1, v2 := Partition(c.lo, c.hi, preparedParts, i)
 		want := runFresh(t, fresh, c.rw.SubQuery(i, preparedParts, c.lo, c.hi), opts)
 		got := runWorker(t, worker, tmpl, c.rw.rangeArgs(v1, v2), &prep, opts)
-		label := fmt.Sprintf("%s partition %d [%d, %d) force=%v degree %d (reused %v)", c.name, i, v1, v2, opts.ForceIndexScan, opts.Parallelism, got.reused)
+		label := fmt.Sprintf("%s partition %d [%d, %d) force=%v (reused %v)", c.name, i, v1, v2, opts.ForceIndexScan, got.reused)
 		if got.rows != want.rows {
 			t.Errorf("%s: rows differ from the fresh plan's\ngot:\n%s\nwant:\n%s", label, got.rows, want.rows)
 		}
@@ -158,8 +158,8 @@ func compareWorker(t *testing.T, fresh *engine.Node, worker *NodeProcessor, c su
 }
 
 // TestPreparedSubqueryMatchesFresh is the prepared ≡ fresh oracle: every
-// partition of each of the eight templates, at degree 1, 2 and 4, with
-// sequential scans forbidden (the paper's setting) and allowed, returns
+// partition of each of the eight templates, with sequential scans
+// forbidden (the paper's setting) and allowed, returns
 // bit-identical rows, charges the modelled clock identically and EXPLAINs
 // identically whether a worker re-opens its prepared plan or the parent's
 // fresh plan of the statement with literals runs. With sequential scans
@@ -180,12 +180,9 @@ func TestPreparedSubqueryMatchesFresh(t *testing.T) {
 		group by o_orderpriority`))
 	for _, c := range cases {
 		for _, force := range []bool{true, false} {
-			for _, degree := range []int{1, 2, 4} {
-				opts := engine.QueryOpts{ForceIndexScan: force, Parallelism: degree}
-				reused := compareWorker(t, fresh, worker, c, opts)
-				if force && reused != preparedParts-1 {
-					t.Errorf("%s degree %d, seqscan off: %d of %d partitions re-opened the worker's plan", c.name, degree, reused, preparedParts-1)
-				}
+			reused := compareWorker(t, fresh, worker, c, engine.QueryOpts{ForceIndexScan: force})
+			if force && reused != preparedParts-1 {
+				t.Errorf("%s, seqscan off: %d of %d partitions re-opened the worker's plan", c.name, reused, preparedParts-1)
 			}
 		}
 	}
@@ -203,11 +200,8 @@ func TestPreparedSubqueryRefusesBakedArguments(t *testing.T) {
 	warm(t, fresh, worker.Node())
 	refused := func(c subqueryCase) {
 		t.Helper()
-		for _, degree := range []int{1, 4} {
-			opts := engine.QueryOpts{ForceIndexScan: true, Parallelism: degree}
-			if n := compareWorker(t, fresh, worker, c, opts); n != 0 {
-				t.Errorf("%s degree %d: %d partitions re-opened a plan whose arguments are baked in", c.name, degree, n)
-			}
+		if n := compareWorker(t, fresh, worker, c, engine.QueryOpts{ForceIndexScan: true}); n != 0 {
+			t.Errorf("%s: %d partitions re-opened a plan whose arguments are baked in", c.name, n)
 		}
 	}
 	refused(newSubqueryCase(t, db, "wide_fetch",

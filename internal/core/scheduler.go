@@ -31,8 +31,7 @@ const (
 // results never pass through it. All coordination is a single mutex
 // plus a broadcast channel that is closed-and-replaced on every state
 // change (the channel form of a condition variable: a worker re-checks
-// state under the lock before parking, so the lost-wakeup class the
-// morsel scheduler once hit cannot occur here).
+// state under the lock before parking, so no wakeup is ever lost).
 type fineScheduler struct {
 	mu     sync.Mutex
 	status []partStatus

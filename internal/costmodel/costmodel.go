@@ -140,18 +140,6 @@ func (m *Meter) sleepPending() {
 // Virtual returns the total simulated latency charged so far.
 func (m *Meter) Virtual() time.Duration { return time.Duration(m.virtual.Load()) }
 
-// AbsorbVirtual folds d into the virtual total without queueing a sleep.
-// Parallel workers charge private meters (so their simulated latencies
-// overlap in wall-clock, as concurrent cores would) and the coordinator
-// absorbs each worker's virtual time here: the node's accounted work is
-// the sum over workers, but the time was already slept concurrently.
-func (m *Meter) AbsorbVirtual(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	m.virtual.Add(int64(d))
-}
-
 // Reset zeroes the accounted totals (pending sleeps are dropped too).
 func (m *Meter) Reset() {
 	m.virtual.Store(0)

@@ -332,8 +332,7 @@ type subplan struct {
 	cacheRows []sqltypes.Row
 
 	// Scratch every run reuses, so a correlated probe allocates nothing per
-	// outer row: safe because one goroutine evaluates a sub-plan
-	// (parallelSafeExpr keeps sub-plans out of morsel fragments) and a run
+	// outer row: safe because one goroutine evaluates a sub-plan and a run
 	// never starts while another of the same sub-plan is open.
 	ex     execCtx
 	params []sqltypes.Value

@@ -83,8 +83,7 @@ func sameRows(t *testing.T, label string, got, want *Result) {
 
 // TestBoundIntersection: for the chosen index column the planner keeps
 // the tightest bound per side. Every case must return exactly the rows of
-// a heap scan, in the same order, from the serial and the degree-4 morsel
-// plan alike — and touch only the heap pages of the effective interval:
+// a heap scan, in the same order — and touch only the heap pages of the effective interval:
 // none when it is empty, one for a point, the range's own otherwise.
 func TestBoundIntersection(t *testing.T) {
 	const n = 3000
@@ -138,31 +137,23 @@ func TestBoundIntersection(t *testing.T) {
 			nd.Set("enable_seqscan", sqltypes.NewBool(false))
 			defer nd.Set("enable_seqscan", sqltypes.NewBool(true))
 			sel := mustSelect(t, sqlText)
-			for _, degree := range []int{1, 4} {
-				label := fmt.Sprintf("degree %d", degree)
-				var got *Result
-				touched := touches(nd, func() {
-					var err error
-					got, err = nd.QueryStmtAt(sel, nd.Watermark(), QueryOpts{Parallelism: degree})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-				})
-				sameRows(t, label, got, want)
-				if touched != wantPages {
-					t.Errorf("%s: touched %d heap pages, the interval lies on %d", label, touched, wantPages)
-				}
-				plan, err := nd.ExplainOpts(sel, QueryOpts{Parallelism: degree})
-				if err != nil {
+			var got *Result
+			touched := touches(nd, func() {
+				var err error
+				if got, err = nd.QueryStmtAt(sel, nd.Watermark(), QueryOpts{}); err != nil {
 					t.Fatal(err)
 				}
-				line := "Index Scan using orders_pkey on orders " + c.explain
-				if degree > 1 {
-					line = "Parallel " + line
-				}
-				if !strings.Contains(plan.String(), line) {
-					t.Errorf("%s: plan lacks %q:\n%s", label, line, plan)
-				}
+			})
+			sameRows(t, "index scan", got, want)
+			if touched != wantPages {
+				t.Errorf("touched %d heap pages, the interval lies on %d", touched, wantPages)
+			}
+			plan, err := nd.Explain(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line := "Index Scan using orders_pkey on orders " + c.explain; !strings.Contains(plan.String(), line) {
+				t.Errorf("plan lacks %q:\n%s", line, plan)
 			}
 		})
 	}

@@ -14,22 +14,18 @@ import (
 )
 
 // TestColumnarMatchesHeap is the engine-level differential sweep: every
-// shape of the parallel correctness sweep, executed with the segment
-// store on, must reproduce the heap answer bit-for-bit — serial and at
-// parallel degrees 2 and 4 (where pruned segments become skipped
-// morsels).
+// shape of the query sweep, executed with the segment store on, must
+// reproduce the heap answer bit-for-bit.
 func TestColumnarMatchesHeap(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
-	for _, sqlText := range parallelQueries {
+	db, nd := newItemsDB(t, 500, 3)
+	for _, sqlText := range sweepQueries {
 		db.SetColumnar(false)
-		want := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+		want := queryAt(t, nd, sqlText, QueryOpts{})
 		db.SetColumnar(true)
-		for _, degree := range []int{1, 2, 4} {
-			got := queryAt(t, nd, sqlText, QueryOpts{Parallelism: degree})
-			if fingerprint(got) != fingerprint(want) {
-				t.Errorf("columnar degree %d diverges from heap for %q:\ngot:\n%s\nwant:\n%s",
-					degree, sqlText, fingerprint(got), fingerprint(want))
-			}
+		got := queryAt(t, nd, sqlText, QueryOpts{})
+		if fingerprint(got) != fingerprint(want) {
+			t.Errorf("columnar diverges from heap for %q:\ngot:\n%s\nwant:\n%s",
+				sqlText, fingerprint(got), fingerprint(want))
 		}
 	}
 	if _, _, scanned := nd.SegmentStats(); scanned == 0 {
@@ -41,13 +37,13 @@ func TestColumnarMatchesHeap(t *testing.T) {
 // the index path (selectivity > 0.2, so the heap side would full-scan)
 // must engage zone-map pruning and still answer exactly.
 func TestColumnarPruningSkipsSegments(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	sqlText := "select count(*), sum(price) from items where ok >= 300"
 	db.SetColumnar(false)
-	want := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+	want := queryAt(t, nd, sqlText, QueryOpts{})
 	db.SetColumnar(true)
 	_, prunedBefore, _ := nd.SegmentStats()
-	got := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+	got := queryAt(t, nd, sqlText, QueryOpts{})
 	_, prunedAfter, _ := nd.SegmentStats()
 	if fingerprint(got) != fingerprint(want) {
 		t.Fatalf("pruned scan diverges:\ngot:\n%s\nwant:\n%s", fingerprint(got), fingerprint(want))
@@ -55,32 +51,22 @@ func TestColumnarPruningSkipsSegments(t *testing.T) {
 	if prunedAfter == prunedBefore {
 		t.Fatal("no segments pruned on a leading-key range over a key-ordered relation")
 	}
-	// The same shape at degree 4: pruned segments are skipped morsels.
-	_, prunedBefore, _ = nd.SegmentStats()
-	got = queryAt(t, nd, sqlText, QueryOpts{Parallelism: 4})
-	_, prunedAfter, _ = nd.SegmentStats()
-	if fingerprint(got) != fingerprint(want) {
-		t.Fatal("parallel pruned scan diverges from heap")
-	}
-	if prunedAfter == prunedBefore {
-		t.Fatal("no morsels skipped on the parallel columnar path")
-	}
 }
 
 // TestColumnarUpdatesVisible interleaves deletes with columnar scans:
 // every round must rebuild (or correctly reuse) the generation so the
 // answer tracks the heap exactly.
 func TestColumnarUpdatesVisible(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	sqlText := "select count(*), sum(price) from items"
 	for round := 0; round < 5; round++ {
 		if _, err := nd.Exec(fmt.Sprintf("delete from items where ok = %d", round*7+1)); err != nil {
 			t.Fatal(err)
 		}
 		db.SetColumnar(false)
-		want := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+		want := queryAt(t, nd, sqlText, QueryOpts{})
 		db.SetColumnar(true)
-		got := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+		got := queryAt(t, nd, sqlText, QueryOpts{})
 		if fingerprint(got) != fingerprint(want) {
 			t.Fatalf("round %d: columnar result stale after delete", round)
 		}
@@ -90,12 +76,12 @@ func TestColumnarUpdatesVisible(t *testing.T) {
 // TestColumnarExplain: EXPLAIN renders the columnar scan with its static
 // zone-map pruning count.
 func TestColumnarExplain(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	db.SetColumnar(true)
 	sqlText := "select count(*) from items where ok >= 300"
 	// Execute once so a generation exists for EXPLAIN's static pruner.
-	queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
-	res, err := nd.ExplainOpts(mustSelect(t, sqlText), QueryOpts{Parallelism: 1})
+	queryAt(t, nd, sqlText, QueryOpts{})
+	res, err := nd.ExplainOpts(mustSelect(t, sqlText), QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +107,12 @@ func TestColumnarExplain(t *testing.T) {
 // TestColumnarSegmentMetricsConsistency: the node counters, the obs
 // registry mirrors and the database bytes gauge must agree.
 func TestColumnarSegmentMetricsConsistency(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	reg := obs.NewRegistry()
 	nd.SetObs(reg)
 	db.SetColumnar(true)
 	for i := 0; i < 3; i++ {
-		queryAt(t, nd, "select sum(price) from items where ok >= 300", QueryOpts{Parallelism: 1})
+		queryAt(t, nd, "select sum(price) from items where ok >= 300", QueryOpts{})
 	}
 	built, pruned, scanned := nd.SegmentStats()
 	if built == 0 || pruned == 0 || scanned == 0 {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,20 +21,43 @@ type execCtx struct {
 	snapshot int64
 	params   []sqltypes.Value
 
-	// meter is the cost sink for this execution: the node's meter for
-	// serial plans, a private per-worker meter inside a parallel
-	// fragment (so concurrent workers' simulated latencies overlap in
-	// wall-clock instead of serializing on one pending balance).
+	// meter is the cost sink for this execution: the node's meter.
 	meter *costmodel.Meter
 
-	// ctx, when non-nil, is checked by long-running operators (one check
-	// per morsel on the parallel path) so cancelled queries stop early.
+	// ctx, when non-nil, is checked by every filtering scan once per batch
+	// (fillFiltered), so cancelled queries stop early.
 	ctx context.Context
 
 	// batchCap overrides the capacity of operator-internal batches
 	// (0 = sqltypes.DefaultBatchCapacity). The batch-size property tests
 	// shrink it to 1/2/7 to flush out batch-boundary bugs.
 	batchCap int
+
+	// turnStart is when this execution's scans last started a turn on the
+	// CPU (zero before the first); see yieldAfterTurn.
+	turnStart time.Time
+}
+
+// turnLength is how long a scan runs before it yields the CPU.
+const turnLength = time.Millisecond
+
+// yieldAfterTurn yields the CPU once the execution has scanned for a turn.
+// Every SVP sub-query runs on its claim loop's goroutine, one loop per
+// node, and a cluster has more nodes than a small host has cores. Left to
+// the scheduler, a CPU-bound sub-query runs until it is preempted
+// (≈ 10 ms) while the loops it displaced wait — a wait the gather reads as
+// a straggler and hedges. Turns of turnLength keep every loop's partitions
+// moving; yielding after every batch instead cost ≈ 8 % of the CPU of an
+// OLAP query on a 2-vCPU host, in switches between the loops' working sets.
+func (ex *execCtx) yieldAfterTurn() {
+	now := time.Now()
+	switch {
+	case ex.turnStart.IsZero():
+		ex.turnStart = now
+	case now.Sub(ex.turnStart) >= turnLength:
+		runtime.Gosched()
+		ex.turnStart = time.Now() // the turn starts when the CPU comes back
+	}
 }
 
 // touch charges a page access against the node's buffer pool, billing
@@ -157,7 +181,7 @@ type rowSource interface {
 }
 
 // filterRun is a compiled predicate with the evaluation context and
-// scratch of the one operator (or worker) running it.
+// scratch of the one operator running it.
 type filterRun struct {
 	f  *rowFilter
 	ec evalCtx
@@ -178,8 +202,17 @@ func (r *filterRun) open(ex *execCtx, pred bexpr) {
 // candidates into out's free tail, cut them down by the filter in place,
 // and go again until out is full or the source is dry. Candidates never
 // outnumber the free slots, so nothing is ever held back between calls.
+// A cancelled context stops the scan before each gather: this is where a
+// killed or hedged-out query stops paying for rows. A gather that filled
+// its batch leaves the scan with more to do: there, a scan that has had
+// its turn yields.
 func fillFiltered(ex *execCtx, src rowSource, flt *filterRun, out *sqltypes.Batch) error {
 	for {
+		if ex.ctx != nil {
+			if err := ex.ctx.Err(); err != nil {
+				return err
+			}
+		}
 		base := out.Len()
 		rows, err := src.gather(ex, out.Rows, out.Cap())
 		if err != nil {
@@ -187,6 +220,9 @@ func fillFiltered(ex *execCtx, src rowSource, flt *filterRun, out *sqltypes.Batc
 		}
 		out.Rows = rows
 		dry := !out.Full()
+		if !dry {
+			ex.yieldAfterTurn()
+		}
 		if flt.f != nil {
 			kept, err := flt.f.apply(&flt.ec, &flt.fs, rows[base:])
 			if err != nil {
@@ -360,9 +396,9 @@ func resolveSide(ec *evalCtx, low bool, cands []scanBound, buf sqltypes.Row) (ke
 // collect resolves the bounds under ec and appends the RowIDs of every
 // index entry inside them to rids, charging the B-tree walk to the
 // execution's meter (B-tree pages are assumed cached; heap dominates, as
-// on a warm PostgreSQL instance). It is the one place serial,
-// morsel-parallel and DML index scans turn bounds into entries; an empty
-// interval walks nothing and charges nothing.
+// on a warm PostgreSQL instance). It is the one place query and DML index
+// scans turn bounds into entries; an empty interval walks nothing and
+// charges nothing.
 func (sb *scanBounds) collect(ec *evalCtx, index *storage.Index, rids []storage.RowID) ([]storage.RowID, error) {
 	if sb.empty {
 		return rids, nil
@@ -456,11 +492,9 @@ func (bp *bufPool[T]) put(b *[]T) {
 }
 
 // ridPool holds the RID lists index scans collect — a sub-query's range is
-// thousands of entries — and rowBufPool row-header buffers: a morsel
-// worker's scan batch and a hash join's build rows (re-growing each by
-// append for every sub-query and morsel was half of what an OLAP query
-// allocated outside its joins; parallelScanOp's per-morsel output is a
-// pooled morselOut).
+// thousands of entries — and rowBufPool row-header buffers, such as a hash
+// join's build rows (re-growing each by append for every sub-query was
+// half of what an OLAP query allocated outside its joins).
 var (
 	ridPool    bufPool[storage.RowID]
 	rowBufPool bufPool[sqltypes.Row]
@@ -539,17 +573,6 @@ func (a *arena[T]) release(k *chunkKind[T]) {
 	a.chunks, a.next, a.free = a.chunks[:0], 0, nil
 }
 
-// adopt moves what b has cut to a, where it lives until a is released: a
-// keeper taking over the rows a producer cut on another goroutine. b keeps
-// only its uncut chunks.
-func (a *arena[T]) adopt(b *arena[T]) {
-	a.chunks = append(a.chunks, b.chunks[:b.next]...)
-	a.next = len(a.chunks)
-	n := copy(b.chunks, b.chunks[b.next:])
-	clear(b.chunks[n:])
-	b.chunks, b.next, b.free = b.chunks[:n], 0, nil
-}
-
 // valueChunks are tuple arenas' chunks, joinSlabRows tuples of eight
 // columns each.
 var valueChunks = chunkKind[sqltypes.Value]{size: joinSlabRows * 8, poison: poisonValues}
@@ -576,8 +599,7 @@ func (a *tupleArena) release()               { a.arena.release(&valueChunks) }
 // cuts every row it emits from it, so the rows outlive the cursor and the
 // plan's next open. Its owner releases it once nothing reads those rows
 // any more. A nil arena means heap rows. An arena takes no chunk until its
-// first row. A parallel scan's morsel cuts into its own, which the
-// consumer moves into the caller's (adopt).
+// first row.
 type RowArena struct{ a arena[sqltypes.Value] }
 
 var rowArenas = sync.Pool{New: func() any { return new(RowArena) }}
@@ -586,7 +608,6 @@ var rowArenas = sync.Pool{New: func() any { return new(RowArena) }}
 func NewRowArena() *RowArena { return rowArenas.Get().(*RowArena) }
 
 func (r *RowArena) cut(w int) sqltypes.Row { return r.a.cut(&smallValueChunks, w) }
-func (r *RowArena) adopt(b *RowArena)      { r.a.adopt(&b.a) }
 func (r *RowArena) release()               { r.a.release(&smallValueChunks) }
 
 // Release hands the arena's chunks and the arena back to their pools:
@@ -1347,27 +1368,6 @@ func (st *aggState) extreme(fn aggFn, v sqltypes.Value) {
 	}
 }
 
-// merge folds another partial state into st. Parallel workers accumulate
-// per-morsel partials which the coordinator merges in morsel-index order,
-// so float sums are combined in one deterministic order regardless of
-// which worker ran which morsel. DISTINCT aggregates are never
-// parallelized (the planner rejects them), so seen maps don't merge.
-func (st *aggState) merge(def *aggDef, other *aggState) {
-	st.count += other.count
-	switch def.fn {
-	case aggSum, aggAvg:
-		st.sumI += other.sumI
-		if other.isFloat {
-			st.isFloat = true
-			st.sumF += other.sumF
-		}
-	case aggMin, aggMax:
-		if !other.ext.IsNull() {
-			st.extreme(def.fn, other.ext)
-		}
-	}
-}
-
 func (st *aggState) result(def *aggDef) sqltypes.Value {
 	switch def.fn {
 	case aggCount:
@@ -1394,15 +1394,14 @@ func (st *aggState) result(def *aggDef) sqltypes.Value {
 // aggTable is aggregation state: the groups in first-appearance order,
 // which is the output order. While the groups are few they are matched
 // directly (Q1 has four); past directGroups they are indexed by key hash.
-// The serial aggOp fills one; the parallel path fills one per morsel and
-// merges them in morsel-index order.
+// An aggOp fills one.
 //
 // Nothing in it is allocated per group: groups, their keys and their states
 // are cut from pooled chunks. reset empties the table for another run and
 // keeps what it grew — the arenas rewind, order keeps its capacity, heads
 // its buckets — and release hands the chunks back, so a re-opened
-// sub-query, a morsel's partial and a freshly planned composition all
-// aggregate in recycled memory.
+// sub-query and a freshly planned composition both aggregate in recycled
+// memory.
 type aggTable struct {
 	order   []*aggGroup
 	heads   map[uint64]int32 // key hash -> first group of its chain, while indexed
@@ -1577,25 +1576,6 @@ func (t *aggTable) addRow(ec *evalCtx, groups []bexpr, aggs []*aggDef, keybuf sq
 	}
 	ec.ex.meter.Charge(time.Duration(len(aggs)) * opCost)
 	return nil
-}
-
-// merge folds a partial table into t, in the partial's group order:
-// groups t has not seen are copied into t's arenas, the rest merge state by
-// state. The partial is left as it was; its owner releases it.
-func (t *aggTable) merge(pa *aggTable, aggs []*aggDef) {
-	for _, g := range pa.order {
-		gi, h := t.find(g.keys)
-		if gi < 0 {
-			ng := t.newGroup(g.keys, len(aggs))
-			copy(ng.states, g.states)
-			t.insert(ng, h)
-			continue
-		}
-		dst := t.order[gi]
-		for i, def := range aggs {
-			dst.states[i].merge(def, &g.states[i])
-		}
-	}
 }
 
 // aggOut is an aggregate's result: the table it fills at open and the

@@ -11,16 +11,15 @@ import (
 // Explain plans a SELECT and renders the operator tree, one line per
 // node, PostgreSQL-style. It is the observability hook the shell and
 // tests use to verify planner decisions (index vs sequential scan, join
-// order, build sides). The parallel degree resolves from the node
-// default, as in a query run without per-query overrides; use
-// ExplainOpts to see the plan a specific QueryOpts would execute.
+// order, build sides). Use ExplainOpts to see the plan a specific
+// QueryOpts would execute.
 func (nd *Node) Explain(sel *sql.SelectStmt) (*Result, error) {
 	return nd.ExplainOpts(sel, QueryOpts{})
 }
 
 // ExplainOpts renders the plan exactly as QueryStmtAt would execute it
 // under the same QueryOpts: both Prepare it, so the explained access paths
-// and gather degree never diverge from the executed ones.
+// never diverge from the executed ones.
 func (nd *Node) ExplainOpts(sel *sql.SelectStmt, opts QueryOpts) (*Result, error) {
 	p, err := nd.Prepare(sel, nil, opts)
 	if err != nil {
@@ -95,49 +94,9 @@ func describe(o op, depth int, out *[]string) {
 	case *projectOp:
 		add("Project (%d column[s])", len(o.items))
 		describe(o.child, depth+1, out)
-	case *parallelAggOp:
-		add("Gather (parallel degree %d, merge at partial aggregate)", o.degree)
-		if len(o.groups) == 0 {
-			*out = append(*out, pad+fmt.Sprintf("  Partial Aggregate (%d expr[s])", len(o.aggs)))
-		} else {
-			*out = append(*out, pad+fmt.Sprintf("  Partial HashAggregate (%d group key[s], %d aggregate[s])", len(o.groups), len(o.aggs)))
-		}
-		describeFragment(o.frag, depth+2, out)
-	case *parallelScanOp:
-		add("Gather (parallel degree %d, merge at scan)", o.degree)
-		describeFragment(o.frag, depth+1, out)
 	default:
 		add("%T", o)
 	}
-}
-
-// describeFragment renders a gather operator's worker-side pipeline.
-func describeFragment(f *fragSpec, depth int, out *[]string) {
-	d := depth
-	line := func(format string, args ...any) {
-		*out = append(*out, strings.Repeat("  ", d)+fmt.Sprintf(format, args...))
-	}
-	if f.project != nil {
-		line("Project (%d column[s])", len(f.project))
-		d++
-	}
-	for range f.filters {
-		line("Filter")
-		d++
-	}
-	if f.index == nil {
-		flt := ""
-		if f.scanFilter != nil {
-			flt = " (filtered)"
-		}
-		if f.columnar {
-			line("Parallel Columnar Seq Scan on %s%s", f.rel.Name, flt)
-			return
-		}
-		line("Parallel Seq Scan on %s%s", f.rel.Name, flt)
-		return
-	}
-	line("Parallel Index Scan using %s on %s%s", f.index.Name, f.rel.Name, describeBounds(f.bounds))
 }
 
 // staticPrune renders a columnar scan's zone-map pruning against the

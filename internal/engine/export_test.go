@@ -33,7 +33,7 @@ type TupleHomes struct {
 	Bad                             []string
 }
 
-// TupleReport plans sel — parallelized when degree > 1 — and walks every
+// TupleReport plans sel and walks every
 // operator, sub-plans included, checking each producer's home against its
 // consumer (a filter that does not copy passes its child's rows on, so the
 // child's consumer is the filter's): per-batch tuples for a consumer other
@@ -42,13 +42,10 @@ type TupleHomes struct {
 // tuples for anything but a plan or sub-plan root. An aggregate's arena
 // rows count as per-batch tuples, so they may reach neither a root nor a
 // keeper.
-func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (homes TupleHomes, err error) {
+func (nd *Node) TupleReport(sel *sql.SelectStmt) (homes TupleHomes, err error) {
 	root, _, err := nd.planSelect(sel)
 	if err != nil {
 		return homes, err
-	}
-	if degree > 1 {
-		root = parallelizePlan(nd, root, degree, false)
 	}
 	bad := func(format string, args ...any) { homes.Bad = append(homes.Bad, fmt.Sprintf(format, args...)) }
 	check := func(h *tupleHome, what, consumer string, keeper *tupleArena) {
@@ -150,8 +147,6 @@ func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (homes TupleHomes, 
 				exprs(a.arg)
 			}
 			walk(v.child, "aggregate", nil)
-		case *parallelAggOp:
-			aggregate(&v.out, consumer, keeper)
 		case *sortOp:
 			walk(v.child, "sort", nil)
 		case *limitOp:
@@ -178,10 +173,9 @@ func (nd *Node) TupleReport(sel *sql.SelectStmt, degree int) (homes TupleHomes, 
 
 // QueryStmtWideJoins is QueryStmtAt with join-tuple narrowing off for the
 // statement's own joins: planOver is handed the nil needed set, so every
-// join carries every input column, as before narrowing existed. degree is
-// the explicit parallel degree (1 = serial). The narrowing test compares
-// QueryStmtAt against it.
-func (nd *Node) QueryStmtWideJoins(sel *sql.SelectStmt, snapshot int64, degree int) (*Result, error) {
+// join carries every input column, as before narrowing existed. The
+// narrowing test compares QueryStmtAt against it.
+func (nd *Node) QueryStmtWideJoins(sel *sql.SelectStmt, snapshot int64) (*Result, error) {
 	var params []bexpr
 	var fp fromPlan
 	if err := nd.planFrom(&fp, sel, nil, &params, nil); err != nil {
@@ -190,9 +184,6 @@ func (nd *Node) QueryStmtWideJoins(sel *sql.SelectStmt, snapshot int64, degree i
 	root, cols, err := nd.planOver(sel, &fp, nil)
 	if err != nil {
 		return nil, err
-	}
-	if degree > 1 {
-		root = parallelizePlan(nd, root, degree, false)
 	}
 	ex := &execCtx{node: nd, snapshot: snapshot, meter: nd.meter}
 	if err := root.open(ex); err != nil {

@@ -146,8 +146,8 @@ func truthOf(e bexpr, ec *evalCtx) (tri, error) {
 // operand returns e's value by pointer so comparison nodes copy no Value
 // where one already has a home: the tuple slot for a column, the node
 // itself for a literal. Anything else is evaluated into the caller's
-// scratch slot (on the caller's stack: bound trees are shared by parallel
-// workers and hold no per-evaluation state).
+// scratch slot (on the caller's stack: bound trees hold no per-evaluation
+// state).
 func operand(e bexpr, ec *evalCtx, scratch *sqltypes.Value) (*sqltypes.Value, error) {
 	switch x := e.(type) {
 	case *colExpr:

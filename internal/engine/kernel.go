@@ -12,8 +12,8 @@ import (
 // Batch kernels: the layer under the scan, filter, aggregate and hash-join
 // operators that works a batch of rows at a time instead of walking the
 // bound tree once per row. A kernel is compiled once per plan from the
-// bound expression, holds no per-evaluation state (parallel workers share
-// it, as they share the tree) and decides per row, from Value.K, whether
+// bound expression, holds no per-evaluation state (like the tree) and
+// decides per row, from Value.K, whether
 // its typed fast lane applies; every other row takes the slow lane, which
 // is the tree's own truth/eval — so dynamic typing, NULLs and mixed kinds
 // mean exactly what the per-row evaluator says they mean, and the
@@ -73,7 +73,7 @@ func (f *rowFilter) add(e bexpr) {
 	f.raises = f.raises || truthCanRaise(e)
 }
 
-// filterScratch is the per-operator (per-worker) working memory of
+// filterScratch is the per-operator working memory of
 // rowFilter.apply: the selection vector, from selPool between the first
 // apply and release, and the NULL marks, which only a filter with both
 // kernels and a raising conjunct needs.
@@ -770,7 +770,7 @@ func compileAgg(groups []bexpr, aggs []*aggDef) *aggKernels {
 	return ak
 }
 
-// aggScratch is one aggregating operator's (or worker's) batch memory.
+// aggScratch is one aggregating operator's batch memory.
 type aggScratch struct {
 	keybuf sqltypes.Row
 	gids   []int32

@@ -12,7 +12,7 @@ import (
 )
 
 // The inner loops an SVP sub-query spends its time in, on TPC-H data and
-// the host clock (zero-charge cost model, serial degree), so each has a
+// the host clock (zero-charge cost model), so each has a
 // number that does not need the 15 s end-to-end harness — and, beside
 // them, BenchmarkRowLoopRoofline: the same work as a hand-written typed
 // loop over the same stored rows, the ceiling of the row layout.
@@ -54,7 +54,7 @@ func benchQuery(b *testing.B, text string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := nd.QueryStmtAt(sel, wm, engine.QueryOpts{Parallelism: 1})
+		res, err := nd.QueryStmtAt(sel, wm, engine.QueryOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,6 +12,23 @@ import (
 	"apuama/internal/sqltypes"
 	"apuama/internal/tpch"
 )
+
+// tpchFingerprint serializes a result bit-exactly (floats by IEEE bit
+// pattern): equal fingerprints mean bit-identical output.
+func tpchFingerprint(res *engine.Result) string {
+	var b strings.Builder
+	for _, row := range res.Rows {
+		for _, v := range row {
+			if v.K == sqltypes.KindFloat {
+				fmt.Fprintf(&b, "f%016x|", math.Float64bits(v.F))
+				continue
+			}
+			fmt.Fprintf(&b, "%v|", v)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 // svpSubquery is template qn the way a node receives it from the SVP
 // rewriter: seqscan off and a key range ANDed onto the fact tables.
@@ -29,8 +47,7 @@ func svpSubquery(qn int) string {
 // TestBatchBoundaries: the batch kernels gather, filter and fold a batch
 // at a time, so a batch boundary must be invisible. Each of the eight
 // templates' sub-queries, with its LIMIT and without one (or with one
-// added), serial and at degree 4, must return bit-identical rows and
-// charge the modelled clock the identical amount at batch sizes 1, 7 and
+// added), must return bit-identical rows and charge the modelled clock the identical amount at batch sizes 1, 7 and
 // the default.
 func TestBatchBoundaries(t *testing.T) {
 	cfg := costmodel.Default()
@@ -52,29 +69,27 @@ func TestBatchBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d: %v", qn, err)
 			}
-			for _, degree := range []int{1, 4} {
-				run := func(batch int) (string, int64) {
-					before := nd.Meter().Virtual()
-					res, err := nd.QueryStmtAt(sel, nd.Watermark(), engine.QueryOpts{Parallelism: degree, BatchSize: batch})
-					if err != nil {
-						t.Fatalf("Q%d degree %d batch %d: %v", qn, degree, batch, err)
-					}
-					return tpchFingerprint(res), int64(nd.Meter().Virtual() - before)
+			run := func(batch int) (string, int64) {
+				before := nd.Meter().Virtual()
+				res, err := nd.QueryStmtAt(sel, nd.Watermark(), engine.QueryOpts{BatchSize: batch})
+				if err != nil {
+					t.Fatalf("Q%d batch %d: %v", qn, batch, err)
 				}
-				run(0) // warm the buffer pool
-				wantRows, wantCharge := run(0)
-				if wantRows == "" {
-					t.Fatalf("Q%d: empty result", qn)
+				return tpchFingerprint(res), int64(nd.Meter().Virtual() - before)
+			}
+			run(0) // warm the buffer pool
+			wantRows, wantCharge := run(0)
+			if wantRows == "" {
+				t.Fatalf("Q%d: empty result", qn)
+			}
+			for _, batch := range []int{1, 7} {
+				rows, charge := run(batch)
+				label := fmt.Sprintf("Q%d (limit: %v) batch size %d", qn, strings.Contains(stmt, "\nlimit "), batch)
+				if rows != wantRows {
+					t.Errorf("%s: rows differ from the default batch size\n%s\nvs\n%s", label, rows, wantRows)
 				}
-				for _, batch := range []int{1, 7} {
-					rows, charge := run(batch)
-					label := fmt.Sprintf("Q%d (limit: %v) degree %d batch size %d", qn, strings.Contains(stmt, "\nlimit "), degree, batch)
-					if rows != wantRows {
-						t.Errorf("%s: rows differ from the default batch size\n%s\nvs\n%s", label, rows, wantRows)
-					}
-					if charge != wantCharge {
-						t.Errorf("%s: modelled charge %d ns, %d at the default batch size", label, charge, wantCharge)
-					}
+				if charge != wantCharge {
+					t.Errorf("%s: modelled charge %d ns, %d at the default batch size", label, charge, wantCharge)
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // TestJoinNarrowingKeepsResults plans every join-bearing shape twice —
 // hash-join tuples narrowed to the needed columns (the default) and
 // carrying everything (QueryStmtWideJoins) — and wants identical rows in
-// identical order, bit for bit, serial and at degree 4. A column the
+// identical order, bit for bit. A column the
 // needed-set walk missed would not get this far: binding fails with "not
 // available at this point in the plan".
 func TestJoinNarrowingKeepsResults(t *testing.T) {
@@ -55,21 +55,19 @@ func TestJoinNarrowingKeepsResults(t *testing.T) {
 			t.Fatalf("%s: explain: %v", name, err)
 		}
 		joins += strings.Count(tpchFingerprint(plan), "Hash Join")
-		for _, degree := range []int{1, 4} {
-			narrow, err := nd.QueryStmtAt(sel, wm, engine.QueryOpts{Parallelism: degree})
-			if err != nil {
-				t.Fatalf("%s degree %d: %v", name, degree, err)
-			}
-			wide, err := nd.QueryStmtWideJoins(sel, wm, degree)
-			if err != nil {
-				t.Fatalf("%s degree %d, wide joins: %v", name, degree, err)
-			}
-			if len(narrow.Rows) == 0 {
-				t.Errorf("%s degree %d: empty result proves nothing", name, degree)
-			}
-			if got, want := tpchFingerprint(narrow), tpchFingerprint(wide); got != want {
-				t.Errorf("%s degree %d: narrowed join tuples changed the result:\n%s\nwide:\n%s", name, degree, got, want)
-			}
+		narrow, err := nd.QueryStmtAt(sel, wm, engine.QueryOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wide, err := nd.QueryStmtWideJoins(sel, wm)
+		if err != nil {
+			t.Fatalf("%s, wide joins: %v", name, err)
+		}
+		if len(narrow.Rows) == 0 {
+			t.Errorf("%s: empty result proves nothing", name)
+		}
+		if got, want := tpchFingerprint(narrow), tpchFingerprint(wide); got != want {
+			t.Errorf("%s: narrowed join tuples changed the result:\n%s\nwide:\n%s", name, got, want)
 		}
 	}
 	if joins < 8 {
@@ -81,7 +79,7 @@ func TestJoinNarrowingKeepsResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := nd.ExplainOpts(q3, engine.QueryOpts{Parallelism: 1})
+	plan, err := nd.Explain(q3)
 	if err != nil {
 		t.Fatal(err)
 	}

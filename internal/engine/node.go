@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,15 +32,10 @@ type Node struct {
 	settingsMu sync.RWMutex
 	settings   map[string]sqltypes.Value
 
-	// defaultPar is the node's default intra-node parallel degree for
-	// queries that don't pin one via QueryOpts.Parallelism: 0 = auto
-	// (GOMAXPROCS capped, gated on table size), 1 = serial, n = fixed.
-	defaultPar atomic.Int64
-
-	// pstats counts parallel-execution activity; SetObs mirrors it into
-	// a metrics registry (handles are nil-safe, so unwired nodes pay
+	// pstats counts columnar and shared-scan activity; SetObs mirrors it
+	// into a metrics registry (handles are nil-safe, so unwired nodes pay
 	// nothing).
-	pstats parallelStats
+	pstats scanStats
 
 	// scans holds the node's live shared-scan coordinators (MQO), one
 	// per (relation, snapshot) with attached consumers.
@@ -51,13 +45,9 @@ type Node struct {
 	applying sync.Mutex // serializes write application on this node
 }
 
-// parallelStats is the node's intra-node parallelism counter block.
-type parallelStats struct {
-	queries atomic.Int64 // plans executed with a parallel fragment
-	morsels atomic.Int64 // morsels dispatched to workers
-	steals  atomic.Int64 // morsels taken from another worker's shard
-
-	// Columnar segment activity (serial and parallel scans both count).
+// scanStats is the node's scan counter block.
+type scanStats struct {
+	// Columnar segment activity.
 	segBuilt   atomic.Int64 // segments materialized from the heap
 	segPruned  atomic.Int64 // segments skipped via zone maps
 	segScanned atomic.Int64 // segments actually scanned
@@ -68,10 +58,6 @@ type parallelStats struct {
 	sharedDeliv  atomic.Int64 // consumer-segments served from a driver's pass
 
 	// obs mirrors (nil-safe no-ops when no registry is wired).
-	mQueries      *obs.Counter
-	mMorsels      *obs.Counter
-	mSteals       *obs.Counter
-	mUtil         *obs.Gauge
 	mSegBuilt     *obs.Counter
 	mSegPruned    *obs.Counter
 	mSegScanned   *obs.Counter
@@ -81,18 +67,14 @@ type parallelStats struct {
 	mSharedDeliv  *obs.Counter
 }
 
-func (ps *parallelStats) addMorsels(n int64)     { ps.morsels.Add(n); ps.mMorsels.Add(n) }
-func (ps *parallelStats) addSteals(n int64)      { ps.steals.Add(n); ps.mSteals.Add(n) }
-func (ps *parallelStats) addQuery()              { ps.queries.Add(1); ps.mQueries.Add(1) }
-func (ps *parallelStats) setUtilization(p int64) { ps.mUtil.Set(p) }
-func (ps *parallelStats) addSegBuilt(n int64)    { ps.segBuilt.Add(n); ps.mSegBuilt.Add(n) }
-func (ps *parallelStats) addSegPruned(n int64)   { ps.segPruned.Add(n); ps.mSegPruned.Add(n) }
-func (ps *parallelStats) addSegScanned(n int64)  { ps.segScanned.Add(n); ps.mSegScanned.Add(n) }
-func (ps *parallelStats) setSegBytes(b int64)    { ps.mSegBytes.Set(b) }
+func (ps *scanStats) addSegBuilt(n int64)   { ps.segBuilt.Add(n); ps.mSegBuilt.Add(n) }
+func (ps *scanStats) addSegPruned(n int64)  { ps.segPruned.Add(n); ps.mSegPruned.Add(n) }
+func (ps *scanStats) addSegScanned(n int64) { ps.segScanned.Add(n); ps.mSegScanned.Add(n) }
+func (ps *scanStats) setSegBytes(b int64)   { ps.mSegBytes.Set(b) }
 
-func (ps *parallelStats) addSharedAttach(n int64)     { ps.sharedAttach.Add(n); ps.mSharedAttach.Add(n) }
-func (ps *parallelStats) addSharedScans(n int64)      { ps.sharedScans.Add(n); ps.mSharedScans.Add(n) }
-func (ps *parallelStats) addSharedDeliveries(n int64) { ps.sharedDeliv.Add(n); ps.mSharedDeliv.Add(n) }
+func (ps *scanStats) addSharedAttach(n int64)     { ps.sharedAttach.Add(n); ps.mSharedAttach.Add(n) }
+func (ps *scanStats) addSharedScans(n int64)      { ps.sharedScans.Add(n); ps.mSharedScans.Add(n) }
+func (ps *scanStats) addSharedDeliveries(n int64) { ps.sharedDeliv.Add(n); ps.mSharedDeliv.Add(n) }
 
 // NewNode attaches a new node to the database with its own buffer pool.
 func NewNode(id int, db *Database) *Node {
@@ -140,27 +122,11 @@ func (nd *Node) touchPage(pageID int64, sequential bool) {
 	nd.pool.Access(pageID, sequential)
 }
 
-// SetDefaultParallelism sets the node's default intra-node parallel
-// degree for queries that don't request one explicitly: 0 restores auto
-// (min(GOMAXPROCS, 8), applied only to relations large enough to be
-// worth splitting), 1 forces serial execution, n > 1 fixes the degree.
-func (nd *Node) SetDefaultParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	nd.defaultPar.Store(int64(n))
-}
-
-// DefaultParallelism reports the node's configured default degree
-// (0 = auto).
-func (nd *Node) DefaultParallelism() int { return int(nd.defaultPar.Load()) }
-
-// ParallelStats reports cumulative intra-node parallelism activity:
-// queries that ran a parallel fragment, morsels dispatched, and morsels
-// stolen across worker shards.
-func (nd *Node) ParallelStats() (queries, morsels, steals int64) {
-	return nd.pstats.queries.Load(), nd.pstats.morsels.Load(), nd.pstats.steals.Load()
-}
+// ParallelStats reports intra-node parallelism activity: queries that
+// ran a parallel fragment, morsels dispatched, and morsels stolen. A
+// sub-query runs serially on the goroutine that opened it, so all three
+// are always 0; the method stays for callers that still read them.
+func (nd *Node) ParallelStats() (queries, morsels, steals int64) { return 0, 0, 0 }
 
 // SegmentStats reports cumulative columnar-scan activity on this node:
 // segments materialized from the heap, segments skipped via zone maps,
@@ -187,17 +153,13 @@ func (nd *Node) SharedScanIdle() bool {
 	return len(nd.scans) == 0
 }
 
-// SetObs mirrors the node's parallel-execution counters into a metrics
-// registry (nil disables; handles are nil-safe).
+// SetObs mirrors the node's scan counters into a metrics registry (nil
+// disables; handles are nil-safe).
 func (nd *Node) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	id := fmt.Sprintf("%d", nd.id)
-	nd.pstats.mQueries = reg.Counter(obs.Labeled(obs.MEngineParallelQueries, "node", id))
-	nd.pstats.mMorsels = reg.Counter(obs.Labeled(obs.MEngineMorsels, "node", id))
-	nd.pstats.mSteals = reg.Counter(obs.Labeled(obs.MEngineMorselSteals, "node", id))
-	nd.pstats.mUtil = reg.Gauge(obs.Labeled(obs.MEngineWorkerUtil, "node", id))
 	nd.pstats.mSegBuilt = reg.Counter(obs.Labeled(obs.MEngineSegmentsBuilt, "node", id))
 	nd.pstats.mSegPruned = reg.Counter(obs.Labeled(obs.MEngineSegmentsPruned, "node", id))
 	nd.pstats.mSegScanned = reg.Counter(obs.Labeled(obs.MEngineSegmentsScanned, "node", id))
@@ -205,35 +167,6 @@ func (nd *Node) SetObs(reg *obs.Registry) {
 	nd.pstats.mSharedAttach = reg.Counter(obs.Labeled(obs.MEngineSharedAttaches, "node", id))
 	nd.pstats.mSharedScans = reg.Counter(obs.Labeled(obs.MEngineSharedScans, "node", id))
 	nd.pstats.mSharedDeliv = reg.Counter(obs.Labeled(obs.MEngineSharedDeliveries, "node", id))
-}
-
-// maxParallelism caps auto-selected degrees: beyond ~8 workers the
-// simulated per-node disk is saturated and extra pipelines only shred
-// the shared buffer pool.
-const maxParallelism = 8
-
-// parallelMinRows gates auto mode: relations below this size finish in
-// microseconds serially, so worker startup would dominate.
-const parallelMinRows = 2048
-
-// resolveParallelism turns a QueryOpts request into an effective worker
-// count plus whether the size gate applies (explicit degrees bypass it).
-func (nd *Node) resolveParallelism(requested int) (degree int, gated bool) {
-	p := requested
-	if p == 0 {
-		p = int(nd.defaultPar.Load())
-		if p == 0 {
-			p = runtime.GOMAXPROCS(0)
-			if p > maxParallelism {
-				p = maxParallelism
-			}
-			return p, true
-		}
-	}
-	if p > 64 {
-		p = 64
-	}
-	return p, false
 }
 
 // Set stores a session setting (SET name = value).
@@ -288,10 +221,10 @@ func (nd *Node) QueryStmt(sel *sql.SelectStmt) (*Result, error) {
 // query's plan (its sub-queries' plans included), so concurrent sessions
 // on the same node never see it. BatchSize overrides the row
 // capacity of operator-internal batches (0 = default; tests shrink it
-// to exercise batch boundaries). Parallelism selects the intra-node
-// morsel-driven degree: 0 defers to the node default (auto), 1 pins
-// serial execution, n > 1 runs the parallel-safe fragment on n workers.
-// Ctx, when non-nil, is honoured per-morsel by parallel fragments.
+// to exercise batch boundaries). Parallelism is ignored: a query runs
+// serially on the goroutine that opens it, whatever it asks for (the
+// cluster's sub-queries are its only intra-query parallelism). Ctx, when
+// non-nil, is checked once per scan batch, so a cancelled query stops.
 type QueryOpts struct {
 	ForceIndexScan bool
 	BatchSize      int

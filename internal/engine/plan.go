@@ -1056,7 +1056,7 @@ func placeTuples(o op, home tupleHome) bool {
 }
 
 // rootHome returns where the operator that builds the rows a plan returns
-// — its projection, serial or parallel, under any ORDER BY and LIMIT,
+// — its projection, under any ORDER BY and LIMIT,
 // which pass those rows on — cuts them, so Prepared.OpenAt can point it at
 // the caller's arena. A DISTINCT has none: it drops most of the rows it is
 // offered, and they would stay in the arena until its release.
@@ -1071,8 +1071,6 @@ func rootHome(o op) **RowArena {
 		case *sortOp:
 			o = v.child
 		case *projectOp:
-			return &v.out
-		case *parallelScanOp:
 			return &v.out
 		default:
 			return nil

@@ -97,28 +97,22 @@ func (in *planInputs) sideSlot(side []keyBound, bound []scanBound) (n int, ok bo
 // (see the top of this file). It belongs to one goroutine: open it again
 // only after closing the previous cursor.
 type Prepared struct {
-	nd     *Node
-	root   op
-	cols   []string
-	in     planInputs
-	degree int
-	gated  bool
+	nd   *Node
+	root op
+	cols []string
+	in   planInputs
 	// out is where the operator that builds the result rows cuts them
 	// (rootHome); OpenAt points it at the caller's arena.
 	out **RowArena
 }
 
 // Prepare plans sel with args bound to its placeholders, under the
-// planner inputs of opts: ForceIndexScan and Parallelism (the degree
-// resolves now, as QueryStmtAt's would).
+// planner input of opts: ForceIndexScan.
 func (nd *Node) Prepare(sel *sql.SelectStmt, args []sqltypes.Value, opts QueryOpts) (*Prepared, error) {
 	p := &Prepared{nd: nd, in: planInputs{args: slices.Clone(args), forceIndex: opts.ForceIndexScan, slots: make([]*litExpr, len(args))}}
 	root, cols, err := nd.planTop(sel, &p.in)
 	if err != nil {
 		return nil, err
-	}
-	if p.degree, p.gated = nd.resolveParallelism(opts.Parallelism); p.degree > 1 {
-		root = parallelizePlan(nd, root, p.degree, p.gated)
 	}
 	p.root, p.cols, p.out = root, cols, rootHome(root)
 	return p, nil
@@ -129,14 +123,11 @@ func (nd *Node) Prepare(sel *sql.SelectStmt, args []sqltypes.Value, opts QueryOp
 // under opts: nothing spilled, every argument a slot of the same kind that
 // orders transitively (so the bounds still imply the conjuncts left out of
 // the scan filter), no range turned empty, every width that chose an
-// access path kept, the same ForceIndexScan and the same resolved degree.
-// Otherwise it changes nothing and reports false.
+// access path kept and the same ForceIndexScan. Otherwise it changes
+// nothing and reports false.
 func (p *Prepared) Rebind(args []sqltypes.Value, opts QueryOpts) bool {
 	in := &p.in
 	if in.spilled || len(args) != len(in.args) || opts.ForceIndexScan != in.forceIndex {
-		return false
-	}
-	if degree, gated := p.nd.resolveParallelism(opts.Parallelism); max(degree, 1) != max(p.degree, 1) || degree > 1 && gated != p.gated {
 		return false
 	}
 	for i, v := range args {

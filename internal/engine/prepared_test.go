@@ -75,7 +75,7 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 		{"one side, the other a literal", "select count(*) from orders where ok >= $1 and ok < 100", true, ints(10), ints(30), false},
 	} {
 		sel := mustSelect(t, c.text)
-		opts := QueryOpts{ForceIndexScan: c.force, Parallelism: 1}
+		opts := QueryOpts{ForceIndexScan: c.force}
 		p, err := nd.Prepare(sel, c.planned, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -107,16 +107,17 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 		}
 	}
 
-	// The planner inputs of QueryOpts are part of the plan.
-	p, err := nd.Prepare(mustSelect(t, rangeSQL), ints(10, 20), QueryOpts{ForceIndexScan: true, Parallelism: 1})
+	// ForceIndexScan, the planner input of QueryOpts, is part of the plan;
+	// Parallelism plans nothing.
+	p, err := nd.Prepare(mustSelect(t, rangeSQL), ints(10, 20), QueryOpts{ForceIndexScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Rebind(ints(30, 40), QueryOpts{Parallelism: 1}) {
+	if p.Rebind(ints(30, 40), QueryOpts{}) {
 		t.Error("Rebind accepted another ForceIndexScan")
 	}
-	if p.Rebind(ints(30, 40), QueryOpts{ForceIndexScan: true, Parallelism: 4}) {
-		t.Error("Rebind accepted another degree")
+	if !p.Rebind(ints(30, 40), QueryOpts{ForceIndexScan: true, Parallelism: 4}) {
+		t.Error("Rebind refused another Parallelism")
 	}
 	if _, err := nd.Query(rangeSQL); err == nil || !strings.Contains(err.Error(), "no argument for placeholder $1") {
 		t.Errorf("a placeholder without an argument: %v", err)
@@ -124,93 +125,90 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 }
 
 // TestPreparedPlanReopens: one prepared plan re-opens — re-bound to new
-// bounds each time — after a full drain, after an early close that leaves
-// parallel workers running ahead, after a mid-stream evaluation error and
-// after a cancel, serially and through the parallel scan and aggregate
-// gathers, and every re-open answers like a fresh plan and hands back every
-// pooled buffer it took. The expression fails at ok = 2000.
+// bounds each time — after a full drain, after an early close, after a
+// mid-stream evaluation error and after a cancel, through a projection and
+// an aggregate, and every re-open answers like a fresh plan and hands back
+// every pooled buffer it took. The expression fails at ok = 2000.
 func TestPreparedPlanReopens(t *testing.T) {
-	_, nd := newParallelDB(t, 3000, 3)
+	_, nd := newItemsDB(t, 3000, 3)
 	for _, text := range []string{
 		"select ok, ln, price / (ok - 2000) from items where ok >= $1 and ok < $2",
 		"select tag, count(*), sum(price / (ok - 2000)) from items where ok >= $1 and ok < $2 group by tag",
 	} {
 		sel := mustSelect(t, text)
-		for _, degree := range []int{1, 2, 4} {
-			opts := QueryOpts{ForceIndexScan: true, Parallelism: degree, BatchSize: 8}
-			label := fmt.Sprintf("degree %d: %s", degree, text)
-			p, err := nd.Prepare(sel, ints(1, 1500), opts)
+		opts := QueryOpts{ForceIndexScan: true, BatchSize: 8}
+		label := text
+		p, err := nd.Prepare(sel, ints(1, 1500), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebind := func(args []sqltypes.Value) {
+			t.Helper()
+			if !p.Rebind(args, opts) {
+				t.Fatalf("%s: Rebind(%v) refused", label, args)
+			}
+		}
+		full := func(args []sqltypes.Value, step string) {
+			t.Helper()
+			rebind(args)
+			got, err := drainPlan(p, opts)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", label, step, err)
+			}
+			fresh, err := nd.Prepare(sel, args, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rebind := func(args []sqltypes.Value) {
-				t.Helper()
-				if !p.Rebind(args, opts) {
-					t.Fatalf("%s: Rebind(%v) refused", label, args)
-				}
+			if want, _ := drainPlan(fresh, opts); got != want {
+				t.Errorf("%s, %s: re-opened plan returns\n%s\nfresh plan\n%s", label, step, got, want)
 			}
-			full := func(args []sqltypes.Value, step string) {
-				t.Helper()
-				rebind(args)
-				got, err := drainPlan(p, opts)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", label, step, err)
-				}
-				fresh, err := nd.Prepare(sel, args, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want, _ := drainPlan(fresh, opts); got != want {
-					t.Errorf("%s, %s: re-opened plan returns\n%s\nfresh plan\n%s", label, step, got, want)
-				}
-			}
-			if n := auditPools(func() {
-				full(ints(1, 1500), "first open")
+		}
+		if n := auditPools(func() {
+			full(ints(1, 1500), "first open")
 
-				rebind(ints(500, 1900))
-				if cur, err := p.OpenAt(nd.Watermark(), opts, nil); err == nil {
-					b := sqltypes.GetBatch()
-					if err := cur.Next(b); err != nil {
-						t.Errorf("%s: %v", label, err)
-					}
-					sqltypes.PutBatch(b)
-					cur.Close() // early: parallel workers are still running ahead
-				} else {
+			rebind(ints(500, 1900))
+			if cur, err := p.OpenAt(nd.Watermark(), opts, nil); err == nil {
+				b := sqltypes.GetBatch()
+				if err := cur.Next(b); err != nil {
 					t.Errorf("%s: %v", label, err)
 				}
-				full(ints(100, 1600), "after an early close")
-
-				rebind(ints(1, 2500))
-				if _, err := drainPlan(p, opts); err == nil || !strings.Contains(err.Error(), "division by zero") {
-					t.Errorf("%s: %v, want division by zero", label, err)
-				}
-				full(ints(1, 1999), "after a mid-stream error")
-
-				ctx, cancel := context.WithCancel(context.Background())
-				copts := opts
-				copts.Ctx = ctx
-				rebind(ints(2, 1998))
-				if cur, err := p.OpenAt(nd.Watermark(), copts, nil); err == nil {
-					b := sqltypes.GetBatch()
-					for err == nil {
-						if err = cur.Next(b); err == nil && b.Len() == 0 {
-							break
-						}
-						cancel()
-					}
-					sqltypes.PutBatch(b)
-					cur.Close()
-					if err != nil && !errors.Is(err, context.Canceled) {
-						t.Errorf("%s: cancelled stream: %v", label, err)
-					}
-				} else if !errors.Is(err, context.Canceled) {
-					t.Errorf("%s: cancelled open: %v", label, err)
-				}
-				cancel()
-				full(ints(1, 1500), "after a cancel")
-			}); n != 0 {
-				t.Errorf("%s: the re-opens kept %d pooled buffers", label, n)
+				sqltypes.PutBatch(b)
+				cur.Close() // early: the scan is mid-range
+			} else {
+				t.Errorf("%s: %v", label, err)
 			}
+			full(ints(100, 1600), "after an early close")
+
+			rebind(ints(1, 2500))
+			if _, err := drainPlan(p, opts); err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Errorf("%s: %v, want division by zero", label, err)
+			}
+			full(ints(1, 1999), "after a mid-stream error")
+
+			ctx, cancel := context.WithCancel(context.Background())
+			copts := opts
+			copts.Ctx = ctx
+			rebind(ints(2, 1998))
+			if cur, err := p.OpenAt(nd.Watermark(), copts, nil); err == nil {
+				b := sqltypes.GetBatch()
+				for err == nil {
+					if err = cur.Next(b); err == nil && b.Len() == 0 {
+						break
+					}
+					cancel()
+				}
+				sqltypes.PutBatch(b)
+				cur.Close()
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("%s: cancelled stream: %v", label, err)
+				}
+			} else if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: cancelled open: %v", label, err)
+			}
+			cancel()
+			full(ints(1, 1500), "after a cancel")
+		}); n != 0 {
+			t.Errorf("%s: the re-opens kept %d pooled buffers", label, n)
 		}
 	}
 }
@@ -225,7 +223,7 @@ func TestForceIndexScanStaysInItsQuery(t *testing.T) {
 		t.Helper()
 		_, nd := newTestDB(t, 300, 2)
 		if forcedCursorOpen {
-			cur, err := nd.OpenQueryStmtAt(mustSelect(t, "select ln, price from items where ok >= 1"), nd.Watermark(), QueryOpts{ForceIndexScan: true, Parallelism: 1})
+			cur, err := nd.OpenQueryStmtAt(mustSelect(t, "select ln, price from items where ok >= 1"), nd.Watermark(), QueryOpts{ForceIndexScan: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,9 +22,8 @@ import (
 // ordered results compare row by row, unordered ones as sorted sets, and
 // a LIMIT without ORDER BY by its row count and each row's presence in
 // the answer of within, the same statement without the LIMIT. A template
-// runs in the fault-free parallel pass only: its root is a serial
-// projection over an aggregate at any degree, and the faults need many
-// rows per partition, not many shapes.
+// runs in the fault-free pass only: its root is a projection over an
+// aggregate, and the faults need many rows per partition, not many shapes.
 type guardStatement struct {
 	name, text string
 	ordered    bool
@@ -33,8 +32,7 @@ type guardStatement struct {
 }
 
 // guardStatements are the shapes whose rows a query hands to the gather:
-// the eight templates, a wide_fetch clustered-key range (parallel scans cut
-// its rows into per-morsel arenas), a plain ORDER BY composed by memdb,
+// the eight templates, a wide_fetch clustered-key range, a plain ORDER BY composed by memdb,
 // which stores the winners' partial rows by reference, and pushed-down
 // LIMITs — one stopping the gather early, one under ORDER BY.
 func guardStatements() []guardStatement {
@@ -54,64 +52,55 @@ func guardStatements() []guardStatement {
 // the pool — a winner's at Result.Release, once the server has encoded the
 // rows, a dropped or losing attempt's at its abort — and serves every
 // guard statement through the socket (proto.Serve and the database/sql
-// driver), serially and at degree 4 (a root projection serial, and a
-// parallel scan's per-morsel arenas), then with a flaky node (attempts
+// driver), then with a flaky node (attempts
 // retried after they streamed rows) and a straggler (hedged attempts that
 // lose). Every answer must equal the single node's (Node.Query): a row
 // read after its arena was let go reads as poison.
 func TestResultArenasRetentionGuard(t *testing.T) {
 	engine.SetJoinTupleTest(true, false)
 	defer engine.SetJoinTupleTest(false, false)
-	for _, degree := range []int{1, 4} {
-		c, db := guardCluster(t, degree)
-		_, nodes, _, _ := c.Internals()
-		answers := map[string][][]any{} // the node's, by statement
-		for _, st := range guardStatements() {
-			if !st.template || degree > 1 {
-				checkServed(t, fmt.Sprintf("degree %d %s", degree, st.name), db, nodes[0], st, answers)
-			}
+	c, db := guardCluster(t)
+	_, nodes, _, _ := c.Internals()
+	answers := map[string][][]any{} // the node's, by statement
+	for _, st := range guardStatements() {
+		checkServed(t, st.name, db, nodes[0], st, answers)
+	}
+	faults := []struct {
+		name string
+		inj  *apuama.FaultInjector
+		hit  func() bool
+	}{
+		{"retried", apuama.NewFaultInjector(3).FlakyEvery(3), func() bool { return c.Stats().BackoffRetries > 0 }},
+		{"hedged", apuama.NewFaultInjector(5).Slow(150*time.Millisecond, 0), func() bool { return c.Stats().Hedges > 0 }},
+	}
+	for _, f := range faults {
+		if err := c.InjectFaults(2, f.inj); err != nil {
+			t.Fatal(err)
 		}
-		if degree == 1 {
-			continue
-		}
-		faults := []struct {
-			name string
-			inj  *apuama.FaultInjector
-			hit  func() bool
-		}{
-			{"retried", apuama.NewFaultInjector(3).FlakyEvery(3), func() bool { return c.Stats().BackoffRetries > 0 }},
-			{"hedged", apuama.NewFaultInjector(5).Slow(150*time.Millisecond, 0), func() bool { return c.Stats().Hedges > 0 }},
-		}
-		for _, f := range faults {
-			if err := c.InjectFaults(2, f.inj); err != nil {
-				t.Fatal(err)
-			}
-			// A failure that lands on a query whose gather has already
-			// settled (the early LIMIT) retries nothing: go round again.
-			for round := 0; round < 4 && (round == 0 || !f.hit()); round++ {
-				for _, st := range guardStatements() {
-					if !st.template {
-						checkServed(t, fmt.Sprintf("%s %s", f.name, st.name), db, nodes[0], st, answers)
-					}
+		// A failure that lands on a query whose gather has already
+		// settled (the early LIMIT) retries nothing: go round again.
+		for round := 0; round < 4 && (round == 0 || !f.hit()); round++ {
+			for _, st := range guardStatements() {
+				if !st.template {
+					checkServed(t, fmt.Sprintf("%s %s", f.name, st.name), db, nodes[0], st, answers)
 				}
 			}
-			if err := c.InjectFaults(2, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !f.hit() {
-				t.Errorf("%s: no attempt was %s: %+v", f.name, f.name, c.Stats())
-			}
+		}
+		if err := c.InjectFaults(2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !f.hit() {
+			t.Errorf("%s: no attempt was %s: %+v", f.name, f.name, c.Stats())
 		}
 	}
 }
 
-// guardCluster serves a four-node TPC-H cluster at the given intra-node
-// degree through the wire protocol and opens a database/sql handle on it.
-func guardCluster(t *testing.T, degree int) (*apuama.Cluster, *sql.DB) {
+// guardCluster serves a four-node TPC-H cluster through the wire protocol
+// and opens a database/sql handle on it.
+func guardCluster(t *testing.T) (*apuama.Cluster, *sql.DB) {
 	t.Helper()
 	cfg := apuama.Config{Nodes: 4, Cost: apuama.DefaultCost()}
 	cfg.Cost.RealSleep = false
-	cfg.Engine.Parallelism = degree
 	cfg.Engine.QueryTimeout = time.Minute
 	c, err := apuama.Open(cfg)
 	if err != nil {

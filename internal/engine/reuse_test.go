@@ -29,8 +29,7 @@ const failingProbe = `from orders o, items i where o.ok = i.ok and o.cust = 3 an
 // aggregate, a sort, a projection, a sub-plan or the cursor still hands
 // back every pooled buffer the partial open took — the join's build rows
 // and integer table, its probe stream's batch, the failing scan's RID
-// list, arena chunks, a parallel aggregate's partial tables: every get is
-// matched by a put.
+// list, arena chunks, an aggregate's table: every get is matched by a put.
 func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 	_, nd := newTestDB(t, 300, 3)
 	ex := &execCtx{node: nd, snapshot: nd.Watermark(), meter: nd.meter}
@@ -113,12 +112,12 @@ func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 	}
 	top.close()
 	// A sub-query cancelled mid-probe: the cursor is closed after its first
-	// batch, with the table's tuples in the arena and morsels in flight.
+	// batch, with the table's tuples in the arena.
 	if n := auditPools(func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cur, err := nd.OpenQueryStmtAt(mustSelect(t, "select o.cust, i.price from orders o, orders o2, items i where o.ok = o2.ok and o2.ok = i.ok"),
-			nd.Watermark(), QueryOpts{Parallelism: 4, BatchSize: 7, Ctx: ctx})
+			nd.Watermark(), QueryOpts{BatchSize: 7, Ctx: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,50 +127,43 @@ func TestFailedOpenReleasesPooledBuffers(t *testing.T) {
 			t.Errorf("first batch: %d rows, %v", b.Len(), err)
 		}
 		cancel()
-		cur.Next(b) // may still deliver a finished morsel, or report the cancellation
+		cur.Next(b) // may still deliver rows of the probe batch in hand, or report the cancellation
 		cur.Close()
 	}); n != 0 {
 		t.Errorf("a sub-query cancelled mid-probe kept %d pooled buffers", n)
 	}
 
-	// A parallel aggregate whose fragment raises midway, and one cancelled
-	// after its first morsel: the partial tables the morsels filled — the
-	// failing morsel's half-filled one too — go back to the pools with the
-	// merged table. Items 1 … 2499 are two index morsels; the expression
-	// fails at ok = 2000, in the second. A released partial keeps its chunk
-	// list's capacity: a non-zero one shows a morsel had filled it.
-	_, nd = newParallelDB(t, 3000, 3)
+	// An aggregate whose scan raises midway, and one cancelled after its
+	// first batch: the table the rows before filled goes back to the pools.
+	// The expression fails at ok = 2000; the cancelled scan stops at its
+	// second context check. A released table keeps its chunk list's
+	// capacity: a non-zero one shows rows had filled it.
+	_, nd = newItemsDB(t, 3000, 3)
 	for _, c := range []struct {
 		name, where string
 		ctx         context.Context
 		want        string
 	}{
-		{"an error mid-morsel", "ok < 2500", nil, "division by zero"},
-		{"a cancel after the first morsel", "ok < 1999", newCancelAfter(1), "context canceled"},
+		{"an error mid-scan", "ok < 2500", nil, "division by zero"},
+		{"a cancel after the first batch", "ok < 1999", newCancelAfter(1), "context canceled"},
 	} {
 		sel := mustSelect(t, "select tag, count(*), sum(price / (ok - 2000)) from items where ok >= 1 and "+c.where+" group by tag")
-		p, err := nd.Prepare(sel, nil, QueryOpts{ForceIndexScan: true, Parallelism: 4})
+		p, err := nd.Prepare(sel, nil, QueryOpts{ForceIndexScan: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg := p.root.(*projectOp).child.(*parallelAggOp)
+		agg := p.root.(*projectOp).child.(*aggOp)
 		var openErr error
 		n := auditPools(func() { _, openErr = p.OpenAt(nd.Watermark(), QueryOpts{Ctx: c.ctx}, nil) })
-		filled := 0
-		for i := range agg.partials {
-			if cap(agg.partials[i].states.chunks) > 0 {
-				filled++
-			}
-		}
-		if n != 0 || openErr == nil || !strings.Contains(openErr.Error(), c.want) || filled == 0 {
-			t.Errorf("%s: open returned %v (want %s), %d of %d partials filled, %d pooled buffers kept", c.name, openErr, c.want, filled, len(agg.partials), n)
+		if filled := cap(agg.table.states.chunks) > 0; n != 0 || openErr == nil || !strings.Contains(openErr.Error(), c.want) || !filled {
+			t.Errorf("%s: open returned %v (want %s), table filled %v, %d pooled buffers kept", c.name, openErr, c.want, filled, n)
 		}
 	}
 }
 
 // cancelAfter is a context whose Err turns Canceled after n checks. A
-// morsel worker checks it before each claim, so a parallel run is
-// cancelled after its first n claims, whichever workers make them.
+// scan checks it before each batch it gathers, so a run is cancelled
+// after its first n batches.
 type cancelAfter struct {
 	context.Context
 	n atomic.Int64
@@ -200,7 +192,7 @@ func bytesPerRun(t *testing.T, nd *Node, text string, runs int) float64 {
 	t.Helper()
 	sel := mustSelect(t, text)
 	return bytesPer(t, runs, func() {
-		if _, err := nd.QueryStmtAt(sel, nd.Watermark(), QueryOpts{Parallelism: 1}); err != nil {
+		if _, err := nd.QueryStmtAt(sel, nd.Watermark(), QueryOpts{}); err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
 	})
@@ -241,7 +233,7 @@ func TestJoinAggregateBytesPerProbeRow(t *testing.T) {
 	var perRow [2]float64
 	for k, nOrders := range []int{1000, 4000} {
 		_, nd := newTestDB(t, nOrders, itemsPer)
-		homes, err := nd.TupleReport(mustSelect(t, text), 1)
+		homes, err := nd.TupleReport(mustSelect(t, text))
 		if err != nil || len(homes.Bad) > 0 || homes.PerBatch != 2 {
 			t.Fatalf("plan: %d joins cut per-batch tuples, %v, %v; want both", homes.PerBatch, homes.Bad, err)
 		}
@@ -258,60 +250,56 @@ func TestJoinAggregateBytesPerProbeRow(t *testing.T) {
 
 // TestAggregateBytesPerGroup pins an SVP sub-query's shape — one prepared
 // grouped aggregate, re-opened for partition after partition — to a
-// bounded number of heap bytes per group, serially and through the
-// parallel merge of three morsels' partials: groups, their keys and
-// states, the partial tables and the aggregate's output rows are cut from
-// pooled chunks that every run hands back, so a run allocates the
-// projection's output row (48 B per group here) and a constant. A fresh
-// group, key copy, state slice and output row per group, and a partial
-// table per morsel, as aggregates had before, cost 680 B per group here
-// serially and 760 B at degree 4.
+// bounded number of heap bytes per group: groups, their keys and states
+// and the aggregate's output rows are cut from pooled chunks that every
+// run hands back, so a run allocates the projection's output row (48 B
+// per group here) and a constant. A fresh group, key copy, state slice
+// and output row per group, as aggregates had before, cost 680 B per
+// group here.
 func TestAggregateBytesPerGroup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector")
 	}
 	const parts, width = 4, 3000 // orders per partition, three items each
-	_, nd := newParallelDB(t, parts*width, 3)
+	_, nd := newItemsDB(t, parts*width, 3)
 	sel := mustSelect(t, "select sum(price) + max(qty) from items where ok >= $1 and ok < $2 group by ok")
 	b := sqltypes.GetBatch()
 	defer sqltypes.PutBatch(b)
-	for _, degree := range []int{1, 4} {
-		opts := QueryOpts{ForceIndexScan: true, Parallelism: degree}
-		p, err := nd.Prepare(sel, ints(1, 1+width), opts)
+	opts := QueryOpts{ForceIndexScan: true}
+	p, err := nd.Prepare(sel, ints(1, 1+width), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := 0
+	run := func() {
+		lo := int64(1 + part%parts*width)
+		part++
+		if !p.Rebind(ints(lo, lo+width), opts) {
+			t.Fatalf("Rebind refused partition %d", part)
+		}
+		cur, err := p.OpenAt(nd.Watermark(), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		part := 0
-		run := func() {
-			lo := int64(1 + part%parts*width)
-			part++
-			if !p.Rebind(ints(lo, lo+width), opts) {
-				t.Fatalf("degree %d: Rebind refused partition %d", degree, part)
-			}
-			cur, err := p.OpenAt(nd.Watermark(), opts, nil)
-			if err != nil {
+		defer cur.Close()
+		groups := 0
+		for {
+			if err := cur.Next(b); err != nil {
 				t.Fatal(err)
 			}
-			defer cur.Close()
-			groups := 0
-			for {
-				if err := cur.Next(b); err != nil {
-					t.Fatal(err)
-				}
-				if b.Len() == 0 {
-					break
-				}
-				groups += b.Len()
+			if b.Len() == 0 {
+				break
 			}
-			if groups != width {
-				t.Fatalf("degree %d: %d groups, want %d", degree, groups, width)
-			}
+			groups += b.Len()
 		}
-		perGroup := bytesPer(t, 2*parts, run) / width
-		t.Logf("degree %d: %.1f B per group", degree, perGroup)
-		if perGroup > 64 {
-			t.Errorf("degree %d: %.1f B per group, want <= 64", degree, perGroup)
+		if groups != width {
+			t.Fatalf("%d groups, want %d", groups, width)
 		}
+	}
+	perGroup := bytesPer(t, 2*parts, run) / width
+	t.Logf("%.1f B per group", perGroup)
+	if perGroup > 64 {
+		t.Errorf("%.1f B per group, want <= 64", perGroup)
 	}
 }
 
@@ -332,7 +320,7 @@ func TestJoinBuildBytesPerBuildRow(t *testing.T) {
 	var perRun [2]float64
 	for k, nOrders := range sizes {
 		_, nd := newTestDB(t, nOrders, 3)
-		homes, err := nd.TupleReport(mustSelect(t, text), 1)
+		homes, err := nd.TupleReport(mustSelect(t, text))
 		if err != nil || len(homes.Bad) > 0 || homes.Kept != 2 {
 			t.Fatalf("plan: %d joins cut from a keeper's arena, %v, %v; want the two chained build sides", homes.Kept, homes.Bad, err)
 		}

@@ -24,8 +24,7 @@ import (
 // so the join below them cuts per-batch tuples). Then the consumers around
 // an aggregate, which cuts its rows from its own arena under a projection,
 // directly or through HAVING, and heap rows elsewhere: HAVING over a
-// grouping with groups in every morsel (at degree 4, a parallel merge of
-// groups split across morsels), the composition's shape — re-aggregation
+// grouping with groups spread over the whole scan, the composition's shape — re-aggregation
 // under ORDER BY … LIMIT — count(distinct …) beside MIN and MAX, a
 // correlated scalar aggregate re-opened per outer row, and EXISTS over
 // HAVING, whose sub-plan root is the HAVING filter over the aggregate.
@@ -95,13 +94,12 @@ func reuseNode(t *testing.T) *engine.Node {
 // producer poisons its previous batch before it cuts the next, an
 // aggregate's table poisons what it still holds when it rewinds at open,
 // and a released arena chunk — a join's, an aggregate's groups, states and
-// rows, a merged morsel partial's — is poisoned instead of cleared; rows
-// must then be bit-identical, in identical order, to the plan with slab
-// tuples and heap aggregate rows only — the eight templates, their SVP
-// sub-queries and the shapes above, serial and at degree 4, at batch sizes
-// 1, 7 and 256 — and charge the modelled clock the same. (A batch size
-// changes neither rows nor charges, TestBatchBoundaries says, so one
-// reference per degree serves all three.)
+// rows — is poisoned instead of cleared; rows must then be bit-identical,
+// in identical order, to the plan with slab tuples and heap aggregate rows
+// only — the eight templates, their SVP sub-queries and the shapes above,
+// at batch sizes 1, 7 and 256 — and charge the modelled clock the same. (A
+// batch size changes neither rows nor charges, TestBatchBoundaries says,
+// so one reference serves all three.)
 func TestKeptJoinTuplesRetentionGuard(t *testing.T) {
 	nd := reuseNode(t)
 	defer engine.SetJoinTupleTest(false, false)
@@ -112,38 +110,36 @@ func TestKeptJoinTuplesRetentionGuard(t *testing.T) {
 			t.Fatalf("%s: %v", text, err)
 		}
 		nd.Set("enable_seqscan", sqltypes.NewBool(!off[i]))
-		for _, degree := range []int{1, 4} {
-			run := func(batch int) (string, int64) {
-				before := nd.Meter().Virtual()
-				res, err := nd.QueryStmtAt(sel, nd.Watermark(), engine.QueryOpts{Parallelism: degree, BatchSize: batch})
-				if err != nil {
-					t.Fatalf("%s\ndegree %d batch %d: %v", text, degree, batch, err)
-				}
-				return tpchFingerprint(res), int64(nd.Meter().Virtual() - before)
+		run := func(batch int) (string, int64) {
+			before := nd.Meter().Virtual()
+			res, err := nd.QueryStmtAt(sel, nd.Watermark(), engine.QueryOpts{BatchSize: batch})
+			if err != nil {
+				t.Fatalf("%s\nbatch %d: %v", text, batch, err)
 			}
-			engine.SetJoinTupleTest(false, true)
-			run(0) // warm the buffer pool
-			want, wantCharge := run(0)
-			if want == "" {
-				t.Fatalf("statement %d: empty result\n%s", i, text)
+			return tpchFingerprint(res), int64(nd.Meter().Virtual() - before)
+		}
+		engine.SetJoinTupleTest(false, true)
+		run(0) // warm the buffer pool
+		want, wantCharge := run(0)
+		if want == "" {
+			t.Fatalf("statement %d: empty result\n%s", i, text)
+		}
+		engine.SetJoinTupleTest(true, false)
+		for _, batch := range []int{1, 7, 256} {
+			got, charge := run(batch)
+			label := fmt.Sprintf("statement %d (batch size %d)", i, batch)
+			if got != want {
+				t.Errorf("%s: poisoned arenas return different rows than slab tuples\n%s\ngot:\n%s\nwant:\n%s", label, text, got, want)
 			}
-			engine.SetJoinTupleTest(true, false)
-			for _, batch := range []int{1, 7, 256} {
-				got, charge := run(batch)
-				label := fmt.Sprintf("statement %d (degree %d, batch size %d)", i, degree, batch)
-				if got != want {
-					t.Errorf("%s: poisoned arenas return different rows than slab tuples\n%s\ngot:\n%s\nwant:\n%s", label, text, got, want)
-				}
-				if charge != wantCharge {
-					t.Errorf("%s: modelled charge %d ns with arenas, %d with slab tuples", label, charge, wantCharge)
-				}
+			if charge != wantCharge {
+				t.Errorf("%s: modelled charge %d ns with arenas, %d with slab tuples", label, charge, wantCharge)
 			}
 		}
 	}
 }
 
-// TestReusedJoinTuplesPlannerInvariant: over the same statements, serial
-// and at degree 4, every join, copying filter and aggregate cuts its
+// TestReusedJoinTuplesPlannerInvariant: over the same statements, every
+// join, copying filter and aggregate cuts its
 // tuples where its consumer needs them — per batch (for an aggregate: from
 // its own arena) only under an aggregate, a projection, a join's probe
 // side, a nested loop's outer side or a copying filter; from an arena only
@@ -152,8 +148,7 @@ func TestKeptJoinTuplesRetentionGuard(t *testing.T) {
 // template that joins (Q3, Q5, Q12, Q14, Q21) has at least one per-batch
 // join, as a statement and as a sub-query, Q3's and Q5's build-side joins
 // (Q5's build chain) cut their tuples from the joins that keep them, every
-// template's aggregate — serial or the parallel merge — renders into its
-// arena, and so do the aggregates of the shapes but the one under EXISTS,
+// template's aggregate renders into its arena, and so do the aggregates of the shapes but the one under EXISTS,
 // whose sub-plan root is the HAVING filter.
 func TestReusedJoinTuplesPlannerInvariant(t *testing.T) {
 	nd := reuseNode(t)
@@ -176,23 +171,21 @@ func TestReusedJoinTuplesPlannerInvariant(t *testing.T) {
 			t.Fatalf("%s: %v", text, err)
 		}
 		nd.Set("enable_seqscan", sqltypes.NewBool(!off[i]))
-		for _, degree := range []int{1, 4} {
-			homes, err := nd.TupleReport(sel, degree)
-			if err != nil {
-				t.Fatalf("%s: %v", text, err)
-			}
-			for _, b := range homes.Bad {
-				t.Errorf("degree %d: %s in\n%s", degree, b, text)
-			}
-			if i < 2*len(tpch.QueryNumbers) && len(sel.From) > 1 && homes.PerBatch == 0 {
-				t.Errorf("degree %d: no join cuts per-batch tuples in\n%s", degree, text)
-			}
-			if homes.Kept < wantKept[text] {
-				t.Errorf("degree %d: %d joins cut their tuples from a keeper's arena, want %d, in\n%s", degree, homes.Kept, wantKept[text], text)
-			}
-			if want := wantArenaAggs(text); homes.ArenaAggregates != want {
-				t.Errorf("degree %d: %d aggregates render into their arena, want %d, in\n%s", degree, homes.ArenaAggregates, want, text)
-			}
+		homes, err := nd.TupleReport(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for _, b := range homes.Bad {
+			t.Errorf("%s in\n%s", b, text)
+		}
+		if i < 2*len(tpch.QueryNumbers) && len(sel.From) > 1 && homes.PerBatch == 0 {
+			t.Errorf("no join cuts per-batch tuples in\n%s", text)
+		}
+		if homes.Kept < wantKept[text] {
+			t.Errorf("%d joins cut their tuples from a keeper's arena, want %d, in\n%s", homes.Kept, wantKept[text], text)
+		}
+		if want := wantArenaAggs(text); homes.ArenaAggregates != want {
+			t.Errorf("%d aggregates render into their arena, want %d, in\n%s", homes.ArenaAggregates, want, text)
 		}
 	}
 }

@@ -29,8 +29,7 @@ import (
 //     remembers its cursor, a mid-scan attacher is served the remaining
 //     segments first and is "owed" the already-passed range when the
 //     cursor wraps. Attach and detach happen only at segment
-//     boundaries, which ARE the morsel boundaries (segment span ==
-//     morsel page span, compile-asserted in parallel.go).
+//     boundaries.
 //   - Each consumer owns its own filter and downstream operators:
 //     delivered segments are buffered per consumer and emitted in
 //     ordinal order, rows in physical order, with the consumer's own

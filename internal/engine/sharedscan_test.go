@@ -50,17 +50,17 @@ func drainShared(t *testing.T, ex *execCtx, o op, batchSize int) []sqltypes.Row 
 }
 
 // TestSharedScanMatchesSolo is the MQO differential sweep: every shape
-// of the parallel correctness sweep answered with shared scans on must
+// of the query sweep answered with shared scans on must
 // reproduce the solo answer bit-for-bit, and the sweep must actually
 // attach consumers to coordinators.
 func TestSharedScanMatchesSolo(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	db.SetColumnar(true)
-	for _, sqlText := range parallelQueries {
+	for _, sqlText := range sweepQueries {
 		db.SetMQO(false)
-		want := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+		want := queryAt(t, nd, sqlText, QueryOpts{})
 		db.SetMQO(true)
-		got := queryAt(t, nd, sqlText, QueryOpts{Parallelism: 1})
+		got := queryAt(t, nd, sqlText, QueryOpts{})
 		if fingerprint(got) != fingerprint(want) {
 			t.Errorf("shared scan diverges from solo for %q:\ngot:\n%s\nwant:\n%s",
 				sqlText, fingerprint(got), fingerprint(want))
@@ -84,7 +84,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 // rotating-driver protocol under -race.
 func TestSharedScanCoAttachedConsumersShareOnePass(t *testing.T) {
 	const consumers = 4
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	db.SetColumnar(true)
 	db.SetMQO(true)
 	rel, err := db.Relation("items")
@@ -156,7 +156,7 @@ func TestSharedScanCoAttachedConsumersShareOnePass(t *testing.T) {
 // (the sharing arithmetic itself is pinned deterministically by
 // TestSharedScanCoAttachedConsumersShareOnePass).
 func TestSharedScanConcurrentConsumers(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	db.SetColumnar(true)
 	texts := make([]string, 8)
 	for i := range texts {
@@ -166,7 +166,7 @@ func TestSharedScanConcurrentConsumers(t *testing.T) {
 	want := make([]string, len(texts))
 	stmts := make([]*sql.SelectStmt, len(texts))
 	for i, q := range texts {
-		want[i] = fingerprint(queryAt(t, nd, q, QueryOpts{Parallelism: 1}))
+		want[i] = fingerprint(queryAt(t, nd, q, QueryOpts{}))
 		stmts[i] = mustSelect(t, q)
 	}
 	db.SetMQO(true)
@@ -183,7 +183,7 @@ func TestSharedScanConcurrentConsumers(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				<-release
-				res, err := nd.QueryStmtAt(stmts[i], nd.Watermark(), QueryOpts{Parallelism: 1})
+				res, err := nd.QueryStmtAt(stmts[i], nd.Watermark(), QueryOpts{})
 				if err != nil {
 					errs[i] = err
 					return
@@ -217,7 +217,7 @@ func TestSharedScanConcurrentConsumers(t *testing.T) {
 // range when the circular pass wraps, and must still emit exactly the
 // solo scan's rows in the solo scan's order.
 func TestSharedScanMidScanAttach(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	db.SetColumnar(true)
 	db.SetMQO(true)
 	rel, err := db.Relation("items")
@@ -303,12 +303,12 @@ func TestSharedScanMidScanAttach(t *testing.T) {
 // TestSharedScanExplain: the plan renderer names the shared operator
 // and its static pruning, and MQO off keeps the solo operator.
 func TestSharedScanExplain(t *testing.T) {
-	db, nd := newParallelDB(t, 500, 3)
+	db, nd := newItemsDB(t, 500, 3)
 	db.SetColumnar(true)
-	queryAt(t, nd, "select count(*) from items", QueryOpts{Parallelism: 1}) // build segments
+	queryAt(t, nd, "select count(*) from items", QueryOpts{}) // build segments
 	db.SetMQO(true)
 	stmt := mustSelect(t, "select count(*), sum(price) from items where qty < 2")
-	res, err := nd.ExplainOpts(stmt, QueryOpts{Parallelism: 1})
+	res, err := nd.ExplainOpts(stmt, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSharedScanExplain(t *testing.T) {
 		t.Fatalf("MQO plan does not show the shared scan:\n%s", plan)
 	}
 	db.SetMQO(false)
-	res, err = nd.ExplainOpts(stmt, QueryOpts{Parallelism: 1})
+	res, err = nd.ExplainOpts(stmt, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,6 @@ func Default() Config {
 		ReadStreams:  3,
 		UpdateOrders: 52, // 52,500 txns at SF 5, scaled by SF/5
 		Cost:         ExperimentCost(),
-		// The paper's nodes were single-core; pin serial so recorded
-		// figures don't vary with the harness host's GOMAXPROCS.
-		Engine: core.Options{Parallelism: 1},
 	}
 }
 

@@ -67,13 +67,6 @@ const (
 	MAVPRequeues   = "apuama_avp_requeues_total"        // partitions requeued after node failure
 	MAVPNodeParts  = "apuama_avp_node_partitions_total" // per-node claims, labeled {node=...}
 
-	// Intra-node morsel-driven parallelism (internal/engine), labeled
-	// {node=...}.
-	MEngineParallelQueries = "apuama_engine_parallel_queries_total" // plans that ran a parallel fragment
-	MEngineMorsels         = "apuama_engine_morsels_total"          // morsels dispatched to workers
-	MEngineMorselSteals    = "apuama_engine_morsel_steals_total"    // morsels stolen across worker shards
-	MEngineWorkerUtil      = "apuama_engine_worker_utilization_pct" // gauge: busy/(wall×degree) of the last fragment
-
 	// Columnar segment store (internal/storage + engine colScanOp),
 	// labeled {node=...}.
 	MEngineSegmentsBuilt   = "apuama_engine_segments_built_total"   // segments materialized from the heap

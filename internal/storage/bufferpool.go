@@ -51,10 +51,9 @@ func (b *BufferPool) Access(pageID int64, sequential bool) {
 	b.AccessTo(pageID, sequential, b.meter)
 }
 
-// AccessTo is Access with the miss latency charged to an explicit meter.
-// Parallel workers share the node's one buffer pool (residency is a
-// per-node property) but each pays its own IO out of a private meter so
-// concurrent misses overlap instead of serializing on the node meter.
+// AccessTo is Access with the miss latency charged to an explicit meter:
+// the one of the execution that touched the page (residency is a
+// per-node property, the charge the toucher's).
 func (b *BufferPool) AccessTo(pageID int64, sequential bool, meter *costmodel.Meter) {
 	b.mu.Lock()
 	n, ok := b.table[pageID]

@@ -21,13 +21,10 @@ import (
 // whose snapshot outruns the generation rebuilds under segMu, exactly
 // the epoch-keyed invalidation the cluster's result cache uses.
 
-// SegmentSpanPages is the heap-page span of one segment. It must equal
-// the engine's sequential-scan morsel size (engine.morselPages): a
-// columnar morsel is then exactly one segment, so zone-map pruning
-// skips whole morsels and the surviving per-morsel partitions — and
-// therefore every float merge order — are identical between the
-// columnar and heap paths (pruned segments contribute empty partials,
-// which merge as identities).
+// SegmentSpanPages is the heap-page span of one segment: the unit
+// zone-map pruning skips. A scan folds every row it keeps in heap order
+// whichever store serves it, so the span decides only how much a zone
+// map can prune, never a result.
 const SegmentSpanPages = 8
 
 // Segment is one fixed-span column segment.
@@ -226,7 +223,7 @@ func (r *Relation) buildSegments() *SegmentSet {
 				row := p.Row(s)
 				off := len(arena)
 				arena = append(arena, row...)
-				seg.Rows = append(seg.Rows, sqltypes.Row(arena[off : off+nCols : off+nCols]))
+				seg.Rows = append(seg.Rows, sqltypes.Row(arena[off:off+nCols:off+nCols]))
 				xmin := p.xmin[s]
 				xmax := atomic.LoadInt64(&p.xmax[s])
 				seg.Xmin = append(seg.Xmin, xmin)
