@@ -117,7 +117,7 @@ type MetricsRegistry = obs.Registry
 
 // QueryTrace is one finished query's span tree (the slow-query log
 // entry): query → barrier-wait → dispatch → subquery[i] → gather →
-// compose, with per-span durations and node/attempt/hedge annotations.
+// compose, with per-span durations and node/attempt/steal annotations.
 type QueryTrace = obs.SpanSnapshot
 
 // DefaultCost returns the calibrated cost model used by the experiment

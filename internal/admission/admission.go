@@ -21,12 +21,12 @@
 //
 //   - Brownout ladder: a load controller watching queue depth and the
 //     p95 admission wait. Under sustained pressure it raises the
-//     degradation level one step at a time — widen the bounded-staleness
-//     cache floor so stale hits absorb reads (level 1), disable hedged
-//     sub-queries (level 2) — and steps back down with hysteresis once
-//     the queue drains. The knobs are pulled by the engine per decision
-//     point, so recovery needs no callback fan-out: when the level drops,
-//     the next query simply sees the restored defaults.
+//     degradation level to 1 — widen the bounded-staleness cache floor so
+//     stale hits absorb reads, and close the MQO batching window — and
+//     steps back down with hysteresis once the queue drains. The knobs
+//     are pulled by the engine per decision point, so recovery needs no
+//     callback fan-out: when the level drops, the next query simply sees
+//     the restored defaults.
 //
 //   - Slow-query killer: a sweep that cancels (via context cause) any
 //     tracked query exceeding KillMultiple × its weight × ClassBudget
@@ -159,9 +159,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxLevel is the top of the brownout ladder: 1 sets the stale floor,
-// 2 adds hedging off.
-const maxLevel = 2
+// maxLevel is the top of the brownout ladder: 1 sets the stale floor and
+// closes the batching window.
+const maxLevel = 1
 
 // sweepInterval paces the background sweeper (slow-query kills and
 // brownout decay when no traffic triggers an evaluation).
@@ -612,11 +612,6 @@ func (c *Controller) StaleFloor() int64 {
 	return 0
 }
 
-// HedgingDisabled reports whether the ladder has switched speculative
-// sub-query hedging off (level >= 2) — duplicated work goes once stale
-// hits alone have not relieved the queue.
-func (c *Controller) HedgingDisabled() bool { return c.Level() >= 2 }
-
 // BatchGate holds a query in the MQO batching window so concurrent
 // arrivals overlap inside one shared-scan pass. The first arrival after
 // a quiet period opens a window and everyone holds until it releases —
@@ -740,22 +735,27 @@ func (c *Controller) Track(ctx context.Context, weight int) (context.Context, fu
 
 // sweep cancels every tracked query past its wall-clock bound.
 func (c *Controller) sweep(now time.Time) {
-	var killed int64
+	var victims []*trackedQuery
 	c.runMu.Lock()
 	for id, q := range c.running {
-		if elapsed := now.Sub(q.start); elapsed > q.budget {
-			q.cancel(fmt.Errorf("%w: ran %v against a %v wall-clock bound",
-				ErrSlowQuery, elapsed.Round(time.Millisecond), q.budget))
+		if now.Sub(q.start) > q.budget {
+			victims = append(victims, q)
 			delete(c.running, id)
-			killed++
 		}
 	}
 	c.runMu.Unlock()
-	if killed > 0 {
-		c.mu.Lock()
-		c.slowKills += killed
-		c.mu.Unlock()
-		c.mSlowKills.Add(killed)
+	if len(victims) == 0 {
+		return
+	}
+	// Count the kills before cancelling: a caller woken by its context
+	// already finds its kill in Snapshot.
+	c.mu.Lock()
+	c.slowKills += int64(len(victims))
+	c.mu.Unlock()
+	c.mSlowKills.Add(int64(len(victims)))
+	for _, q := range victims {
+		q.cancel(fmt.Errorf("%w: ran %v against a %v wall-clock bound",
+			ErrSlowQuery, now.Sub(q.start).Round(time.Millisecond), q.budget))
 	}
 }
 

@@ -46,7 +46,7 @@ func TestDisabledControllerIsNil(t *testing.T) {
 		t.Fatalf("nil reservation Grow: %v", err)
 	}
 	res.Release()
-	if c.Level() != 0 || c.StaleFloor() != 0 || c.HedgingDisabled() {
+	if c.Level() != 0 || c.StaleFloor() != 0 {
 		t.Fatalf("nil brownout knobs must report full service")
 	}
 	c.ForceLevel(maxLevel)
@@ -366,9 +366,6 @@ func TestBrownoutLadderRaisesAndClearsWithHysteresis(t *testing.T) {
 	if c.StaleFloor() != 16 {
 		t.Fatalf("StaleFloor at max level = %d, want default 16", c.StaleFloor())
 	}
-	if !c.HedgingDisabled() {
-		t.Fatalf("hedging must be off at max level")
-	}
 	if reg.Gauge(obs.MAdmissionBrownout).Value() != int64(maxLevel) {
 		t.Fatalf("brownout gauge = %d, want %d", reg.Gauge(obs.MAdmissionBrownout).Value(), maxLevel)
 	}
@@ -378,7 +375,7 @@ func TestBrownoutLadderRaisesAndClearsWithHysteresis(t *testing.T) {
 	tk.Release()
 	wg.Wait()
 	waitFor(t, 5*time.Second, func() bool { return c.Level() == 0 }, "ladder stepped back to 0")
-	if c.StaleFloor() != 0 || c.HedgingDisabled() {
+	if c.StaleFloor() != 0 {
 		t.Fatalf("knobs not restored after drain")
 	}
 	s := c.Snapshot()
@@ -409,8 +406,8 @@ func TestForceLevelPinsLadder(t *testing.T) {
 	if c.Level() != 1 {
 		t.Fatalf("forced level drifted to %d", c.Level())
 	}
-	if c.StaleFloor() == 0 || c.HedgingDisabled() {
-		t.Fatalf("level-1 knobs wrong: floor=%d hedgeOff=%v", c.StaleFloor(), c.HedgingDisabled())
+	if c.StaleFloor() == 0 {
+		t.Fatalf("level-1 knobs wrong: floor=%d", c.StaleFloor())
 	}
 	c.ForceLevel(-1)
 	waitFor(t, time.Second, func() bool { return c.Level() == 0 }, "auto control resumed")

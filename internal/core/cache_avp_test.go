@@ -55,7 +55,6 @@ func TestPartialCacheStableAcrossNodeDeath(t *testing.T) {
 func TestMidQueryCrashRequeuesOnce(t *testing.T) {
 	opts := DefaultOptions()
 	opts.AVPGranularity = 4 // 8 fine partitions across 2 nodes
-	opts.DisableHedging = true
 	s := buildStack(t, 2, opts)
 	want := s.single(t, tpch.MustQuery(6))
 	s.eng.Procs()[1].InjectFaults(fault.New(11).CrashMidQueryAt(1, 0))

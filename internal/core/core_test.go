@@ -46,8 +46,8 @@ func buildStackMetrics(t *testing.T, n int, opts Options, reg *obs.Registry) *st
 	eng := New(db, nodes, TPCHCatalog(), opts, reg)
 	ctl := cluster.New(db, eng.Backends(), nil)
 	// Every test that builds a stack also checks the composer's lifetime
-	// rule: whatever the queries did — succeed, fail, time out, roll a
-	// hedge back, stop at a LIMIT — no composition table outlives them.
+	// rule: whatever the queries did — succeed, fail, time out, requeue a
+	// partition, stop at a LIMIT — no composition table outlives them.
 	t.Cleanup(func() {
 		if live, _ := eng.mem.Stats(); live != 0 {
 			t.Errorf("memdb still holds %d composition table(s) after the test", live)
@@ -456,12 +456,8 @@ func TestDisableSVPBaseline(t *testing.T) {
 
 func TestSVPTouchesOnlyPartitionPages(t *testing.T) {
 	// The physical heart of the paper: with SVP, each node's index range
-	// scan touches roughly 1/n of the fact-table pages. Hedging off: on
-	// a loaded host a >10ms goroutine stall would let the endgame hedge
-	// duplicate a partition onto a second node, which is resilience
-	// behaviour, not the IO locality under test here.
+	// scan touches roughly 1/n of the fact-table pages.
 	opts := DefaultOptions()
-	opts.DisableHedging = true
 	s := buildStack(t, 4, opts)
 	li, err := s.db.Relation("lineitem")
 	if err != nil {

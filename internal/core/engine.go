@@ -88,9 +88,6 @@ type Options struct {
 	// QueryTimeout is the per-query deadline applied by RunSVP when the
 	// caller's context carries none. Zero disables the default deadline.
 	QueryTimeout time.Duration
-	// DisableHedging turns speculative re-dispatch of straggling
-	// sub-queries off.
-	DisableHedging bool
 
 	// AVPGranularity is the fine-partition fan-out: virtual partitions
 	// per configured node, dispatched from one cluster-level queue that
@@ -174,13 +171,6 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 const (
 	// poolSize bounds concurrent statements per node processor.
 	poolSize = 8
-	// hedgeMultiplier × the median sub-query completion time is the
-	// straggler threshold after which a pending partition is hedged on
-	// another live node (first answer per partition wins).
-	hedgeMultiplier = 4
-	// minHedgeDelay floors the straggler threshold so sub-millisecond
-	// in-process queries never trigger spurious hedges.
-	minHedgeDelay = 10 * time.Millisecond
 	// defaultGatherBudget is the per-partition in-flight batch bound of
 	// the streaming gather (Options.gatherBudget).
 	defaultGatherBudget = 8
@@ -218,7 +208,7 @@ type Engine struct {
 	wireStats atomic.Value
 
 	// subs counts the sub-query goroutines queries have started — claim
-	// loops, flight followers, hedges — which wind down after their query
+	// loops and flight followers — which wind down after their query
 	// has returned; Close waits for them.
 	subs sync.WaitGroup
 }
@@ -234,9 +224,10 @@ type Stats struct {
 	MaxObservedStaleness int64
 	SubQueryRetries      int64 // partitions re-dispatched after a node crash
 	BackoffRetries       int64 // in-place retries of transient sub-query failures
-	Hedges               int64 // speculative duplicate sub-queries dispatched
-	HedgesWon            int64 // hedges that answered before the original
-	HedgesLost           int64 // hedges beaten by the original
+	// Hedges is always 0: the engine no longer runs speculative
+	// duplicate sub-queries (stealing and requeue handle stragglers). It
+	// stays for readers that still report it.
+	Hedges               int64
 	DeadlineAborts       int64 // SVP queries abandoned at their deadline
 	StreamedBatches      int64 // partial batches streamed into the composer
 	StreamedRows         int64 // partial rows streamed into the composer
@@ -578,7 +569,7 @@ func (e *Engine) execSVP(ctx context.Context, sel *sql.SelectStmt, usePartial bo
 	return res, r.snapshot, err
 }
 
-// run executes the plan. Retries, requeues and hedges live in dispatch
+// run executes the plan. Retries and requeues live in dispatch
 // and gather only. It is its own frame so execSVP's stays small: a fresh
 // handler goroutine grows its stack on entering run, after the plan span.
 func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Result, error) {
@@ -853,12 +844,16 @@ func (r *svpRun) work(w int, p *NodeProcessor, first int) {
 			if r.workCtx.Err() != nil {
 				return
 			}
+			t0 := time.Now()
 			kk, downErr := r.runClaim(p, idx, stolen, &prep)
 			if downErr != nil {
 				for _, rest := range idxs[k+1:] {
 					r.sch.requeue(rest, p, downErr, r.alive)
 				}
 				return
+			}
+			if kk > 0 {
+				r.sch.ran(w, time.Since(t0))
 			}
 			keys += kk
 		}
@@ -947,7 +942,6 @@ const (
 	homeAttempt     attemptKind = iota // a worker's claim from its home block
 	stolenAttempt                      // a worker's claim stolen from another block
 	followerAttempt                    // a follower running an aborted flight's partition
-	hedgeAttempt                       // a speculative twin: single shot, first answer wins
 )
 
 // attempt streams partition idx on node p once, under a fresh attempt ID
@@ -955,8 +949,8 @@ const (
 // traces a subquery span (numbered try when try > 0; plan=reused when it
 // re-opened its worker's plan), forwards every batch to the gather and
 // ends with a fin carrying the outcome. prep is the claiming worker's
-// prepared plan; hedges and followers, on goroutines of their own, pass
-// nil and plan afresh.
+// prepared plan; followers, on goroutines of their own, pass nil and plan
+// afresh.
 //
 // The rows are cut from the attempt's own arena, which the fin hands to
 // the gather once the node has finished writing into it: a winner's goes
@@ -964,7 +958,7 @@ const (
 // the attempt releases it itself. With a cache on, rows may be kept or
 // shared past the query, so they are heap rows.
 func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, prep **engine.Prepared) error {
-	id, hedge := r.attemptSeq.Add(1), kind == hedgeAttempt
+	id := r.attemptSeq.Add(1)
 	sq := r.qspan.Child("subquery")
 	sq.Annotate("partition", strconv.Itoa(idx))
 	sq.Annotate("node", strconv.Itoa(p.Node().ID()))
@@ -976,8 +970,6 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 		sq.Annotate("stolen", "true")
 	case followerAttempt:
 		sq.Annotate("follower", "true")
-	case hedgeAttempt:
-		sq.Annotate("hedged", "true")
 	}
 	args := r.plan.rw.rangeArgs(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
 	p.Node().Meter().Charge(r.e.net.Config().NetMessage)
@@ -987,25 +979,21 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 	}
 	t0 := time.Now()
 	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, !r.e.opts.AllowSeqscan, prep, rows, func(b *sqltypes.Batch) error {
-		if !r.send(gatherMsg{idx: idx, attempt: id, hedge: hedge, batch: b}) {
+		if !r.send(gatherMsg{idx: idx, attempt: id, batch: b}) {
 			return r.workCtx.Err()
 		}
 		return nil
 	})
-	dur := time.Since(t0)
 	if reused {
 		sq.Annotate("plan", "reused")
 	}
-	r.e.m.subqueryDur.Observe(dur)
-	fin := gatherMsg{idx: idx, attempt: id, hedge: hedge, fin: true, err: err, rows: rows}
+	r.e.m.subqueryDur.Observe(time.Since(t0))
+	fin := gatherMsg{idx: idx, attempt: id, fin: true, err: err, rows: rows}
 	if err == nil {
-		// Settled before it is announced: the gather's next hedge target
-		// and a losing twin's requeue both see the partition done.
-		fin.dur = dur
 		r.sch.settle(idx)
 	} else {
 		sq.Annotate("error", err.Error())
-		fin.retry = !hedge && retryable(err)
+		fin.retry = retryable(err)
 	}
 	sq.End()
 	if !r.send(fin) {
@@ -1108,8 +1096,8 @@ func counterRange(procs []*NodeProcessor) (lo, hi int64) {
 }
 
 // pickLeastLoaded returns the live node, other than the excluded ones,
-// with the fewest statements in flight — the target of a hedge twin and
-// of a flight follower's own attempts.
+// with the fewest statements in flight — the target of a flight
+// follower's own attempts.
 func (e *Engine) pickLeastLoaded(exclude ...*NodeProcessor) *NodeProcessor {
 	var best *NodeProcessor
 	for _, p := range e.procs {

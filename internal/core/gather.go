@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -17,17 +16,14 @@ import (
 // gatherMsg is one message from a sub-query worker to the gather loop:
 // either a batch of partial rows (batch != nil) or the end of an attempt
 // (fin). Attempt IDs are unique across the whole query, so the gather
-// can tell a retry's rows from its predecessor's and a hedge's from the
-// original's.
+// can tell a retry's rows from its predecessor's.
 type gatherMsg struct {
 	idx     int
 	attempt int64
-	hedge   bool
 	batch   *sqltypes.Batch // partial rows; ownership transfers to the receiver
 	fin     bool            // attempt ended (success when err == nil)
 	err     error
-	retry   bool          // with fin+err: the worker is retrying, not giving up
-	dur     time.Duration // with a successful fin: the attempt's stream time
+	retry   bool // with fin+err: the worker is retrying, not giving up
 	// rows, with fin, is the arena the attempt's rows were cut from (nil:
 	// heap rows). The node has finished writing into it; the receiver owns
 	// it now.
@@ -35,9 +31,8 @@ type gatherMsg struct {
 }
 
 // gatherState is the gather stage's bookkeeping, on the controller
-// goroutine only: which partitions are settled and by how many rows, each
-// live attempt's rows, and the one hedge in flight with the failures held
-// back while it races.
+// goroutine only: which partitions are settled and by how many rows, and
+// each live attempt's rows.
 type gatherState struct {
 	r     *svpRun
 	sink  *memdbSink
@@ -46,7 +41,6 @@ type gatherState struct {
 
 	done      []bool  // partition settled: its winner is committed
 	doneRows  []int64 // the winner's row count
-	hedged    []bool  // partition got a hedge twin
 	completed int
 	totalRows int64
 	// rowsByAttempt counts each live attempt's rows; keepRows retains them
@@ -54,57 +48,46 @@ type gatherState struct {
 	// the pooled batch — the batch ownership contract).
 	rowsByAttempt map[int64]int64
 	keepRows      map[int64][]sqltypes.Row
-	completions   []time.Duration // successful attempts' stream times
 	sawBatch      bool
 	// earlyStop: a pushed-down LIMIT with no global ordering or DISTINCT
 	// is settled once the committed partition prefix holds k rows.
 	earlyStop, settled bool
-
-	hedgeFor   int   // partition whose hedge twin is in flight, or -1
-	pendingErr error // the hedged original's failure, held until its twin resolves
-	schedErr   error // the schedule failed while a hedge was still racing
-	hedgeTimer *time.Timer
-	hedgeC     <-chan time.Time
 }
 
 // gather is the collection stage (span gather). Batches feed the composer
 // sink as they arrive, but the sink commits in partition order: float
 // aggregates are not associative, and that merge rule is what keeps
-// results bit-identical across schedules, steals and hedges. Once a
-// partition has answered, the oldest in-flight attempt past
-// hedgeMultiplier × the median completion time gets one twin on the
-// least-loaded other live node (stealing balances load; the hedge covers
-// a node that stalls mid-partition). It returns the sink holding every
-// partition's winner, or a settled LIMIT prefix.
+// results bit-identical across schedules, steals and requeues. Each
+// partition has one live attempt at a time, so the first success settles
+// it; a slow node's unclaimed partitions are stolen by the others. It
+// returns the sink holding every partition's winner, or a settled LIMIT
+// prefix.
 func (r *svpRun) gather(resv *admission.Reservation) (*memdbSink, error) {
 	e, rw, n := r.e, r.plan.rw, len(r.plan.ranges)
 	span := r.qspan.Child("gather")
 	// End keeps the first duration: the explicit End on success wins.
 	defer span.End()
 	g := &gatherState{r: r, span: span, start: time.Now(),
-		done: make([]bool, n), doneRows: make([]int64, n), hedged: make([]bool, n),
-		rowsByAttempt: map[int64]int64{}, hedgeFor: -1,
-		earlyStop: rw.PushedLimit > 0 && len(rw.Compose.OrderBy) == 0 && !rw.Compose.Distinct,
+		done: make([]bool, n), doneRows: make([]int64, n),
+		rowsByAttempt: map[int64]int64{},
+		earlyStop:     rw.PushedLimit > 0 && len(rw.Compose.OrderBy) == 0 && !rw.Compose.Distinct,
 	}
 	g.sink = e.newComposeSink(rw, n, resv)
 	if r.src != nil {
 		g.keepRows = map[int64][]sqltypes.Row{}
 	}
-	defer g.stopHedge()
 	if err := g.feedCached(); err != nil {
 		return nil, err
 	}
-	schedFailed := r.sch.failedC()
 	for !g.settled && g.completed < n {
 		var err error
 		select {
 		case m := <-r.msgs:
 			err = g.receive(m)
-		case <-g.hedgeC:
-			g.hedgeDue()
-		case <-schedFailed:
-			schedFailed = nil
-			err = g.scheduleFailed()
+		case <-r.sch.failedC():
+			// Some partition has no live untried node left, or every
+			// worker retired with work pending.
+			err = g.fail(r.sch.Err())
 		case <-r.ctx.Done():
 			err = g.fail(r.ctx.Err())
 		}
@@ -153,22 +136,18 @@ func (g *gatherState) receive(m gatherMsg) error {
 		return g.onBatch(m)
 	case m.retry:
 		// Abandoned: the partition is retried or requeued (or the schedule
-		// failed — see scheduleFailed).
+		// failed, which the gather loop learns from failedC).
 		g.drop(m)
 		return nil
 	case m.err != nil:
-		return g.onFailure(m)
+		g.drop(m)
+		return g.fail(m.err)
 	default:
 		return g.onFinish(m)
 	}
 }
 
 func (g *gatherState) onBatch(m gatherMsg) error {
-	if g.done[m.idx] {
-		// Rows from a hedge twin that already lost its race.
-		sqltypes.PutBatch(m.batch)
-		return nil
-	}
 	e := g.r.e
 	if !g.sawBatch {
 		g.sawBatch = true
@@ -189,79 +168,26 @@ func (g *gatherState) onBatch(m gatherMsg) error {
 	return nil
 }
 
-// drop discards an abandoned, failed or losing attempt's rows.
+// drop discards an abandoned or failed attempt's rows.
 func (g *gatherState) drop(m gatherMsg) {
 	delete(g.rowsByAttempt, m.attempt)
 	delete(g.keepRows, m.attempt)
 	g.sink.abort(m.idx, m.attempt, m.rows)
 }
 
-// onFailure handles an attempt that failed for good.
-func (g *gatherState) onFailure(m gatherMsg) error {
-	g.drop(m)
-	switch {
-	case m.hedge:
-		// The twin failed; the original may yet answer — unless it already
-		// failed too, or the schedule did.
-		if g.hedgeFor == m.idx {
-			g.hedgeFor = -1
-		}
-		if !g.done[m.idx] && g.pendingErr != nil {
-			return g.fail(g.pendingErr)
-		}
-		if g.schedErr != nil {
-			return g.fail(g.schedErr)
-		}
-		g.armHedge()
-	case g.done[m.idx]:
-	case g.hedgeFor == m.idx:
-		// The original failed but its twin is still in flight: hold
-		// judgement until the twin resolves.
-		g.pendingErr = m.err
-	default:
-		return g.fail(m.err)
-	}
-	return nil
-}
-
-// onFinish settles a partition on the first attempt to complete it.
+// onFinish settles a partition on its attempt's success. A partition
+// has one live attempt at a time — a retry or requeue starts only after
+// its predecessor's fin — so the first success is the only one.
 func (g *gatherState) onFinish(m gatherMsg) error {
-	if g.done[m.idx] {
-		// A duplicate answer for a hedged partition: the earlier arrival
-		// already won this race.
-		g.drop(m)
-		return nil
-	}
-	e := g.r.e
 	g.done[m.idx] = true
-	if g.hedged[m.idx] {
-		if m.hedge {
-			e.st.hedgesWon.Inc()
-		} else {
-			e.st.hedgesLost.Inc()
-		}
-	}
-	if g.hedgeFor == m.idx {
-		g.hedgeFor, g.pendingErr = -1, nil
-	}
 	g.completed++
-	if m.dur > 0 {
-		g.completions = append(g.completions, m.dur)
-	}
 	g.doneRows[m.idx] = g.rowsByAttempt[m.attempt]
 	g.totalRows += g.doneRows[m.idx]
 	delete(g.rowsByAttempt, m.attempt)
 	g.sink.commit(m.idx, m.attempt, m.rows)
 	g.fillPartial(m)
-	switch {
-	case g.earlyStop && prefixHolds(g.done, g.doneRows, g.r.plan.rw.PushedLimit):
+	if g.earlyStop && prefixHolds(g.done, g.doneRows, g.r.plan.rw.PushedLimit) {
 		g.stopAtLimit()
-	case g.schedErr != nil && g.hedgeFor < 0 && g.completed < len(g.done):
-		// The twin settled its partition, but the schedule had already
-		// failed elsewhere.
-		return g.fail(g.schedErr)
-	default:
-		g.armHedge()
 	}
 	return nil
 }
@@ -296,72 +222,6 @@ func (g *gatherState) stopAtLimit() {
 	g.r.cancelWork()
 }
 
-// armHedge points the single hedge timer at the oldest attempt still in
-// flight, skipping partitions the gather has already settled.
-func (g *gatherState) armHedge() {
-	e := g.r.e
-	if e.opts.DisableHedging || e.adm.HedgingDisabled() || g.hedgeTimer != nil || g.hedgeFor >= 0 ||
-		len(g.completions) == 0 || g.completed >= len(g.done) {
-		return
-	}
-	if _, _, began, ok := g.r.sch.oldestRunning(g.done); ok {
-		g.aimHedge(began.Add(hedgeThreshold(g.completions)))
-	}
-}
-
-func (g *gatherState) aimHedge(at time.Time) {
-	g.hedgeTimer = time.NewTimer(time.Until(at))
-	g.hedgeC = g.hedgeTimer.C
-}
-
-func (g *gatherState) stopHedge() {
-	if g.hedgeTimer != nil {
-		g.hedgeTimer.Stop()
-	}
-}
-
-// hedgeDue fires with the hedge timer: if the oldest in-flight attempt is
-// past the straggler threshold, its partition gets one twin on the
-// least-loaded other live node — a single shot, first answer wins (safe
-// because every attempt reads the same pinned MVCC snapshot).
-func (g *gatherState) hedgeDue() {
-	r, e := g.r, g.r.e
-	g.hedgeTimer, g.hedgeC = nil, nil
-	if g.hedgeFor >= 0 || len(g.completions) == 0 {
-		return
-	}
-	idx, runner, began, ok := r.sch.oldestRunning(g.done)
-	if !ok {
-		return
-	}
-	if due := began.Add(hedgeThreshold(g.completions)); time.Now().Before(due) {
-		g.aimHedge(due) // the oldest attempt changed since the timer was set
-		return
-	}
-	alt := e.pickLeastLoaded(runner)
-	if alt == nil {
-		return
-	}
-	g.hedged[idx], g.hedgeFor = true, idx
-	e.st.hedges.Inc()
-	e.st.subQueries.Inc()
-	e.subs.Add(1)
-	go func() {
-		defer e.subs.Done()
-		r.attempt(alt, idx, hedgeAttempt, 0, nil)
-	}()
-}
-
-// scheduleFailed: some partition has no live untried node left (or every
-// worker retired with work pending), so the query cannot finish — unless
-// a twin still racing for the stuck partition settles it.
-func (g *gatherState) scheduleFailed() error {
-	if g.schedErr = g.r.sch.Err(); g.hedgeFor < 0 {
-		return g.fail(g.schedErr)
-	}
-	return nil
-}
-
 // fail is the verdict on a query that cannot finish: its own deadline or
 // cancellation abandons it, anything else fails it.
 func (g *gatherState) fail(cause error) error {
@@ -387,15 +247,6 @@ func prefixHolds(done []bool, rows []int64, k int64) bool {
 		}
 	}
 	return false
-}
-
-// hedgeThreshold computes the straggler cutoff (measured from the
-// attempt's claim): hedgeMultiplier × the median completion time so far,
-// floored at minHedgeDelay.
-func hedgeThreshold(completions []time.Duration) time.Duration {
-	sorted := slices.Clone(completions)
-	slices.Sort(sorted)
-	return max(hedgeMultiplier*sorted[len(sorted)/2], minHedgeDelay)
 }
 
 // memdbSink is the result composer (the paper's HSQLDB load, here

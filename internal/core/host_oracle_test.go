@@ -37,6 +37,10 @@ func TestOracleParallelismEquivalence(t *testing.T) {
 			}
 			out[name] = bitFingerprint(res)
 		}
+		// Fault-free, no partition is claimed or dispatched twice.
+		if st := s.eng.Snapshot(); st.SubQueries != st.AVPPartitions {
+			t.Errorf("GOMAXPROCS %d: %d sub-queries for %d partitions", procs, st.SubQueries, st.AVPPartitions)
+		}
 		return out
 	}
 	one, eight := answers(1), answers(8)

@@ -18,7 +18,6 @@ func TestOracleKeyPredicateSweep(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			opts := DefaultOptions()
-			opts.DisableHedging = true // a hedge twin would blur the page counts below
 			s := buildStack(t, n, opts)
 			lo, hi, err := s.eng.catalog.KeyDomain(s.db, "orders")
 			if err != nil {

@@ -107,7 +107,7 @@ func (p *NodeProcessor) acquire(ctx context.Context) (func(), error) {
 }
 
 // Inflight reports the number of statements currently holding a pooled
-// connection (the hedging dispatcher's load signal).
+// connection (a flight follower's load signal).
 func (p *NodeProcessor) Inflight() int { return len(p.pool) }
 
 // Kill simulates a node crash: subsequent requests report

@@ -226,8 +226,7 @@ func TestPreparedSubqueryRefusesBakedArguments(t *testing.T) {
 // subquery span says plan=reused.
 func TestPlansPerQueryAtMostClaimingWorkers(t *testing.T) {
 	opts := DefaultOptions()
-	opts.AVPGranularity = 4    // 16 partitions on 4 nodes: every worker claims several
-	opts.DisableHedging = true // a hedge plans afresh by design; nothing here is slow
+	opts.AVPGranularity = 4 // 16 partitions on 4 nodes: every worker claims several
 	s := buildStack(t, 4, opts)
 	defer s.ctl.Close()
 	defer s.eng.Close()

@@ -87,7 +87,6 @@ func TestPollWaitBacksOffAndHonoursContext(t *testing.T) {
 // clean error instead of hanging.
 func TestRetryTargetAlsoDead(t *testing.T) {
 	opts := DefaultOptions()
-	opts.DisableHedging = true
 	opts.QueryTimeout = 10 * time.Second
 	s := buildStack(t, 2, opts)
 	// Node 0 crashes mid-way through its first request; node 1 crashes
@@ -206,12 +205,11 @@ func TestBarrierHonoursQueryDeadline(t *testing.T) {
 	assertGateOpen(t, s, 999)
 }
 
-// TestDeadlineAbandonsStraggler: with hedging off, a straggling node
-// pins the query until its deadline, at which point the gather loop
+// TestDeadlineAbandonsStraggler: a straggling node pins the query until
+// its deadline, at which point the gather loop
 // abandons it instead of waiting out the injected latency.
 func TestDeadlineAbandonsStraggler(t *testing.T) {
 	opts := DefaultOptions()
-	opts.DisableHedging = true
 	opts.QueryTimeout = 30 * time.Millisecond
 	s := buildStack(t, 2, opts)
 	s.eng.Procs()[1].InjectFaults(fault.New(3).Slow(10*time.Second, 0))
@@ -229,42 +227,14 @@ func TestDeadlineAbandonsStraggler(t *testing.T) {
 	}
 }
 
-// TestHedgingRescuesStraggler: a straggling partition is speculatively
-// re-dispatched on a live node once it exceeds the hedge threshold; the
-// query returns the exact answer long before the straggler would have.
-func TestHedgingRescuesStraggler(t *testing.T) {
-	opts := DefaultOptions()
-	opts.QueryTimeout = 10 * time.Second
-	s := buildStack(t, 3, opts)
-	want := s.single(t, "select count(*) from orders")
-	s.eng.Procs()[2].InjectFaults(fault.New(5).Slow(2*time.Second, 0))
-
-	start := time.Now()
-	got, err := s.eng.RunSVP(context.Background(), mustSel(t, "select count(*) from orders"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not rescue the straggler: took %v", elapsed)
-	}
-	assertSameResult(t, "hedged count", got, want, false)
-	st := s.eng.Snapshot()
-	if st.Hedges < 1 || st.HedgesWon < 1 {
-		t.Errorf("hedge stats: %+v", st)
-	}
-	if st.SubQueries < 4 {
-		t.Errorf("hedge should add a sub-query: %d", st.SubQueries)
-	}
-}
-
 // TestChaosSeededResilience is the acceptance scenario: concurrent SVP
 // streams and a write stream run against a cluster with a straggler, a
 // flaky node and a node that crashes mid-query and self-heals — all
 // scripted deterministically by seeded injectors. Every successful query
 // must return the exact single-node answer within its deadline, the
-// resilience stats must show hedging and backoff retries, and the
-// crashed node must be probed, replayed from the write log and
-// re-admitted without any manual Recover call.
+// resilience stats must show backoff retries, and the crashed node must
+// be probed, replayed from the write log and re-admitted without any
+// manual Recover call.
 func TestChaosSeededResilience(t *testing.T) {
 	opts := DefaultOptions()
 	// Generous enough to absorb race-detector slowdown on top of the
@@ -370,18 +340,6 @@ func TestChaosSeededResilience(t *testing.T) {
 		}
 	}
 
-	// Guarantee at least one hedge: the 15ms straggler usually provokes
-	// one during the chaos phase, but under the race detector the median
-	// sub-query time can grow past it. Park an overwhelming straggler on
-	// node 1 and query until the gather loop hedges around it.
-	s.eng.Procs()[1].InjectFaults(fault.New(17).Slow(500*time.Millisecond, 0))
-	for i := 0; i < 5 && s.eng.Snapshot().Hedges == 0; i++ {
-		if _, err := s.ctl.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.eng.Procs()[1].InjectFaults(nil)
-
 	// Post-chaos, the recovered cluster still answers exactly.
 	got, err := s.ctl.Query(q)
 	if err != nil {
@@ -390,9 +348,6 @@ func TestChaosSeededResilience(t *testing.T) {
 	assertSameResult(t, "post-chaos Q6", got, want, false)
 
 	st := s.eng.Snapshot()
-	if st.Hedges < 1 {
-		t.Errorf("no hedges despite 15ms straggler: %+v", st)
-	}
 	if st.BackoffRetries < 1 {
 		t.Errorf("no backoff retries despite flaky node: %+v", st)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -25,7 +26,10 @@ const (
 // contiguous "home" block per worker, a worker claims from its own
 // block first and steals from the most-loaded remaining block only when
 // its home work is gone — with a balanced cluster the schedule
-// degenerates to the classic one-range-per-node SVP layout.
+// degenerates to the classic one-range-per-node SVP layout. A worker
+// the others would outrun parks and leaves the fresh queue to them (see
+// outrunLocked), so a slow node does not end the query with one last
+// partition of its own; it stays a requeue target all the while.
 //
 // The scheduler owns claim/steal/requeue bookkeeping only; partition
 // results never pass through it. All coordination is a single mutex
@@ -35,11 +39,16 @@ const (
 type fineScheduler struct {
 	mu     sync.Mutex
 	status []partStatus
-	runner []*NodeProcessor // claiming worker's proc, while running
-	start  []time.Time      // current attempt's claim time, while running
 	tried  []map[*NodeProcessor]bool
 	blocks [][]int // worker slot -> its home partition indices, ascending
 	owner  []int   // partition -> home worker slot
+	// busy and runs are each worker slot's pace: the time its successful
+	// claims took, and how many there were. parked marks slots that
+	// declined the fresh queue to faster workers, gone those that exited.
+	busy   []time.Duration
+	runs   []int
+	parked []bool
+	gone   []bool
 
 	pending int // partitions not yet done (queued + running)
 	workers int // worker goroutines still claiming
@@ -56,11 +65,13 @@ type fineScheduler struct {
 func newFineScheduler(m, nWorkers int) *fineScheduler {
 	s := &fineScheduler{
 		status:  make([]partStatus, m),
-		runner:  make([]*NodeProcessor, m),
-		start:   make([]time.Time, m),
 		tried:   make([]map[*NodeProcessor]bool, m),
 		blocks:  make([][]int, nWorkers),
 		owner:   make([]int, m),
+		busy:    make([]time.Duration, nWorkers),
+		runs:    make([]int, nWorkers),
+		parked:  make([]bool, nWorkers),
+		gone:    make([]bool, nWorkers),
 		pending: m,
 		workers: nWorkers,
 		failed:  make(chan struct{}),
@@ -88,8 +99,6 @@ func (s *fineScheduler) broadcast() {
 // claimLocked claims partition idx for p. Callers hold mu.
 func (s *fineScheduler) claimLocked(idx int, p *NodeProcessor) {
 	s.status[idx] = partRunning
-	s.runner[idx] = p
-	s.start[idx] = time.Now()
 	s.tried[idx][p] = true
 }
 
@@ -110,8 +119,9 @@ func (s *fineScheduler) preclaim(w int, p *NodeProcessor) int {
 
 // next claims up to maxRun partitions for worker w, preferring its home
 // block and stealing one from the most-loaded other block otherwise.
-// It parks until work appears (a requeue) or the queue settles. A nil
-// slice with a nil error means the worker is finished.
+// It parks until work appears (a requeue) or the queue settles, and
+// while the other workers would outrun it. A nil slice with a nil error
+// means the worker is finished.
 func (s *fineScheduler) next(ctx context.Context, w int, p *NodeProcessor, maxRun int) (idxs []int, stolen bool, err error) {
 	if maxRun < 1 {
 		maxRun = 1
@@ -122,31 +132,17 @@ func (s *fineScheduler) next(ctx context.Context, w int, p *NodeProcessor, maxRu
 			s.mu.Unlock()
 			return nil, false, nil
 		}
-		// Home block first: a run of unclaimed home partitions in index
-		// order (adjacent key ranges → sequential page access per node).
-		for _, idx := range s.blocks[w] {
-			if len(idxs) >= maxRun {
-				break
+		// A worker the others would outrun parks at once, so no other
+		// worker counts on it to drain the queue; a later pace, a requeue
+		// or an exit wakes it to decide again.
+		if s.parked[w] = s.outrunLocked(w); !s.parked[w] {
+			if idxs, stolen = s.pickLocked(w, p, maxRun); idxs != nil {
+				s.mu.Unlock()
+				return idxs, stolen, nil
 			}
-			if s.status[idx] == partQueued && !s.tried[idx][p] {
-				s.claimLocked(idx, p)
-				idxs = append(idxs, idx)
-			}
-		}
-		if len(idxs) > 0 {
-			s.mu.Unlock()
-			return idxs, false, nil
-		}
-		// Steal: one partition from the tail of the block with the most
-		// queued work — the straggler sheds from the far end of its range
-		// while it keeps working the near end.
-		if idx, ok := s.stealLocked(p); ok {
-			s.claimLocked(idx, p)
-			s.mu.Unlock()
-			return []int{idx}, true, nil
 		}
 		// Nothing claimable now, but running partitions may be requeued
-		// (a node crash) — park until the state changes.
+		// (a node crash) — wait until the state changes.
 		ch := s.wake
 		s.mu.Unlock()
 		select {
@@ -154,6 +150,75 @@ func (s *fineScheduler) next(ctx context.Context, w int, p *NodeProcessor, maxRu
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
+	}
+}
+
+// pickLocked claims w's next partitions: up to maxRun unclaimed home
+// partitions in index order (adjacent key ranges → sequential page
+// access per node), else one stolen from the tail of the block with the
+// most queued work — the straggler sheds from the far end of its range
+// while it keeps working the near end. Callers hold mu.
+func (s *fineScheduler) pickLocked(w int, p *NodeProcessor, maxRun int) (idxs []int, stolen bool) {
+	for _, idx := range s.blocks[w] {
+		if len(idxs) >= maxRun {
+			break
+		}
+		if s.status[idx] == partQueued && !s.tried[idx][p] {
+			s.claimLocked(idx, p)
+			idxs = append(idxs, idx)
+		}
+	}
+	if idxs != nil {
+		return idxs, false
+	}
+	if idx, ok := s.stealLocked(p); ok {
+		s.claimLocked(idx, p)
+		return []int{idx}, true
+	}
+	return nil, false
+}
+
+// outrunLocked reports whether worker w should park and leave the
+// queued partitions to the others: at the paces measured so far, the
+// other claiming workers — each first finishing the partition it runs —
+// would drain every queued partition before w finished one more, so a
+// claim by w would only become the query's tail. The last claiming
+// worker never parks this way. It holds only while fresh partitions
+// (never claimed) are queued and nothing else is: those any worker may
+// take, so parking never delays a partition a requeue left to w alone.
+// Callers hold mu.
+func (s *fineScheduler) outrunLocked(w int) bool {
+	if s.runs[w] == 0 {
+		return false
+	}
+	queued := 0
+	for idx, st := range s.status {
+		if st == partQueued {
+			if len(s.tried[idx]) > 0 {
+				return false
+			}
+			queued++
+		}
+	}
+	others, rate := 0, 0.0 // the others' partitions per nanosecond
+	for v := range s.blocks {
+		if v != w && !s.gone[v] && !s.parked[v] && s.runs[v] > 0 {
+			others++
+			rate += float64(s.runs[v]) / float64(s.busy[v])
+		}
+	}
+	return queued > 0 && others > 0 && float64(queued+others)/rate < float64(s.busy[w])/float64(s.runs[w])
+}
+
+// ran records that worker w answered a partition in d, and wakes the
+// parked workers to weigh the new pace.
+func (s *fineScheduler) ran(w int, d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.busy[w] += d
+	s.runs[w]++
+	if slices.Contains(s.parked, true) {
+		s.broadcast()
 	}
 }
 
@@ -186,8 +251,8 @@ func (s *fineScheduler) stealLocked(p *NodeProcessor) (int, bool) {
 
 // settle marks a partition answered: at dispatch when the partial cache
 // or another query's flight serves it, later by the first attempt that
-// streams it successfully (a worker's, a hedge twin's or a follower's).
-// Settling a settled partition is a no-op.
+// streams it successfully (a worker's or a follower's). Settling a
+// settled partition is a no-op.
 func (s *fineScheduler) settle(idx int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,7 +260,6 @@ func (s *fineScheduler) settle(idx int) {
 		return
 	}
 	s.status[idx] = partDone
-	s.runner[idx] = nil
 	s.pending--
 	if s.pending == 0 {
 		s.broadcast()
@@ -209,9 +273,6 @@ func (s *fineScheduler) settle(idx int) {
 func (s *fineScheduler) requeue(idx int, p *NodeProcessor, cause error, alive []*NodeProcessor) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.status[idx] != partRunning {
-		return true // a hedge already answered it
-	}
 	s.tried[idx][p] = true
 	s.lastErr = cause
 	candidates := false
@@ -226,7 +287,6 @@ func (s *fineScheduler) requeue(idx int, p *NodeProcessor, cause error, alive []
 		return false
 	}
 	s.status[idx] = partQueued
-	s.runner[idx] = nil
 	s.broadcast()
 	return true
 }
@@ -240,9 +300,11 @@ func (s *fineScheduler) workerGone(w int, alive []*NodeProcessor) {
 	defer s.mu.Unlock()
 	s.workers--
 	alive[w] = nil
+	s.gone[w] = true
 	if s.failure != nil || s.pending == 0 {
 		return
 	}
+	s.broadcast() // a parked worker claims on in w's place
 	// A queued partition whose remaining candidates all left is stuck
 	// even though other workers are still draining their own blocks.
 	for idx, st := range s.status {
@@ -292,22 +354,4 @@ func (s *fineScheduler) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.failure
-}
-
-// oldestRunning returns the running partition with the earliest claim
-// time, skipping those the gather already settled — the hedge
-// dispatcher's target.
-func (s *fineScheduler) oldestRunning(settled []bool) (idx int, runner *NodeProcessor, started time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx = -1
-	for i, st := range s.status {
-		if st != partRunning || settled[i] {
-			continue
-		}
-		if idx < 0 || s.start[i].Before(started) {
-			idx, runner, started = i, s.runner[i], s.start[i]
-		}
-	}
-	return idx, runner, started, idx >= 0
 }

@@ -54,14 +54,6 @@ func TestSinkComposesOncePerQuery(t *testing.T) {
 			sink.commit(1, 3, nil)
 			sink.commit(0, 2, nil)
 		}, []int64{1, 2, 4, 5, 7, 8}},
-		{"hedge twin wins after the original streamed", 2, func(t *testing.T, sink *memdbSink) {
-			feedSink(t, sink, 0, 1, keyRows(1, 2)) // the original, mid-stream
-			feedSink(t, sink, 0, 2, keyRows(1, 2, 3))
-			sink.commit(0, 2, nil) // the twin's fin arrives first
-			feedSink(t, sink, 1, 3, keyRows(6))
-			sink.commit(1, 3, nil)
-			sink.abort(0, 1, nil) // the loser reports in
-		}, []int64{1, 2, 3, 6}},
 		{"mid-stream abort at the first partition", 2, func(t *testing.T, sink *memdbSink) {
 			feedSink(t, sink, 0, 1, keyRows(1))
 			feedSink(t, sink, 1, 2, keyRows(6))
@@ -149,7 +141,7 @@ func TestSinkLimitEarlyStop(t *testing.T) {
 }
 
 // TestSinkReaggregates: the same histories' point for an aggregate
-// rewrite — the losing attempt's partial must not be summed in.
+// rewrite — an aborted attempt's partial must not be summed in.
 func TestSinkReaggregates(t *testing.T) {
 	s := buildStack(t, 1, DefaultOptions())
 	rw, err := PlanSVP(mustSel(t, "select count(*), sum(o_totalprice) from orders"), TPCHCatalog())
@@ -162,10 +154,10 @@ func TestSinkReaggregates(t *testing.T) {
 	sink := s.eng.newComposeSink(rw, 2, nil)
 	feedSink(t, sink, 1, 1, partial(5, 2.5))
 	sink.commit(1, 1, nil)
-	feedSink(t, sink, 0, 2, partial(3, 1.5)) // the original
-	feedSink(t, sink, 0, 3, partial(3, 1.5)) // its hedge twin
-	sink.commit(0, 3, nil)
+	feedSink(t, sink, 0, 2, partial(3, 1.5)) // streams, then its node dies
 	sink.abort(0, 2, nil)
+	feedSink(t, sink, 0, 3, partial(3, 1.5)) // the requeued attempt
+	sink.commit(0, 3, nil)
 	res, err := sink.finish(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,6 @@ type engineStats struct {
 	staleReads      statCounter
 	subQueryRetries statCounter
 	backoffRetries  statCounter
-	hedges          statCounter
-	hedgesWon       statCounter
-	hedgesLost      statCounter
 	deadlineAborts  statCounter
 
 	streamedBatches    statCounter
@@ -80,9 +77,6 @@ func (st *engineStats) wire(reg *obs.Registry) {
 	st.staleReads.m = reg.Counter(obs.MStaleReads)
 	st.subQueryRetries.m = reg.Counter(obs.MSubqueryRetries)
 	st.backoffRetries.m = reg.Counter(obs.MBackoffRetries)
-	st.hedges.m = reg.Counter(obs.MHedges)
-	st.hedgesWon.m = reg.Counter(obs.MHedgesWon)
-	st.hedgesLost.m = reg.Counter(obs.MHedgesLost)
 	st.deadlineAborts.m = reg.Counter(obs.MDeadlineAborts)
 	st.streamedBatches.m = reg.Counter(obs.MGatherBatches)
 	st.streamedRows.m = reg.Counter(obs.MGatherRows)
@@ -121,9 +115,6 @@ func (st *engineStats) snapshot() Stats {
 		MaxObservedStaleness: st.maxStaleness.Load(),
 		SubQueryRetries:      st.subQueryRetries.Load(),
 		BackoffRetries:       st.backoffRetries.Load(),
-		Hedges:               st.hedges.Load(),
-		HedgesWon:            st.hedgesWon.Load(),
-		HedgesLost:           st.hedgesLost.Load(),
 		DeadlineAborts:       st.deadlineAborts.Load(),
 		StreamedBatches:      st.streamedBatches.Load(),
 		StreamedRows:         st.streamedRows.Load(),

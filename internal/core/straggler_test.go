@@ -16,7 +16,8 @@ import (
 // onto the fast nodes, so the query finishes within 1.4× of the
 // no-straggler baseline; with the coarse one-range-per-node split
 // (granularity=1) the straggler's whole range stays pinned to it and
-// the query degrades ≥2.5×. Steal counters confirm the redistribution
+// the query degrades ≥2.5× (≈ 8×: stealing alone shapes both ratios, and
+// no partition runs twice). Steal counters confirm the redistribution
 // happened rather than the timing being luck.
 //
 // Methodology: every statement carries a constant injected base latency
@@ -56,7 +57,7 @@ func timedRuns(t *testing.T, s *stack, want int64, runs int) time.Duration {
 // additionally stretches node `slow` to factor× its natural duration.
 func slowAll(s *stack, slow int) {
 	for i, p := range s.eng.Procs() {
-		inj := fault.New(int64(100 + i)).Slow(stragglerBase, 0)
+		inj := fault.New(int64(100+i)).Slow(stragglerBase, 0)
 		if i == slow {
 			inj = inj.SlowFactor(stragglerFactor)
 		}
@@ -107,5 +108,62 @@ func TestStragglerChaosFineVsCoarse(t *testing.T) {
 	}
 	if fineSteals == 0 {
 		t.Error("no steals recorded: the fine schedule never redistributed the straggler's work")
+	}
+}
+
+// TestSlowWorkerParks: a worker the others would outrun parks while fresh
+// partitions are queued, and claims once the fast worker exits or turns
+// slow (a requeue: TestParkedWorkerTakesTheRequeue); the last never parks.
+func TestSlowWorkerParks(t *testing.T) {
+	slow := &NodeProcessor{}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a parked next returns at once
+	for _, wake := range []func(*fineScheduler){
+		func(s *fineScheduler) { s.workerGone(0, []*NodeProcessor{{}, slow}) },
+		func(s *fineScheduler) { s.ran(0, time.Second) },
+	} {
+		s := newFineScheduler(4, 2)
+		s.ran(0, time.Millisecond)
+		s.ran(1, 10*time.Millisecond)
+		if idxs, _, _ := s.next(ctx, 1, slow, 1); idxs != nil {
+			t.Fatalf("slow worker claimed %v beside the fast one", idxs)
+		}
+		parkedOn := s.wake
+		wake(s)
+		select {
+		case <-parkedOn:
+		default:
+			t.Fatal("the parked worker was not woken")
+		}
+		if idxs, _, _ := s.next(ctx, 1, slow, 1); len(idxs) != 1 {
+			t.Fatalf("woken worker claimed %v", idxs)
+		}
+	}
+	s := newFineScheduler(9, 3)
+	for w, d := range []time.Duration{1, 1, 20} {
+		s.ran(w, d*time.Millisecond)
+	}
+	if !s.outrunLocked(2) {
+		t.Fatal("worker 2 must park behind workers 0 and 1")
+	}
+	if s.parked[0], s.gone[1] = true, true; s.outrunLocked(2) {
+		t.Fatal("the last claiming worker parked")
+	}
+}
+
+// TestParkedWorkerTakesTheRequeue: on two nodes the slow one parks while
+// fresh partitions remain (node 0's n-th request waits (n-1)×80 ms, node
+// 1's 40 ms), then node 0 crashes after the work of its third, the last
+// partition; the parked worker runs it and the query answers exactly.
+func TestParkedWorkerTakesTheRequeue(t *testing.T) {
+	opts := DefaultOptions()
+	opts.AVPGranularity = 2 // 4 partitions: node 0 runs 0 and 1, then steals 3
+	s := buildStack(t, 2, opts)
+	want := s.single(t, stragglerQuery).Rows[0][0].I
+	s.eng.Procs()[0].InjectFaults(fault.New(1).Slow(0, 80*time.Millisecond).CrashMidQueryAt(3, 0))
+	s.eng.Procs()[1].InjectFaults(fault.New(2).Slow(40*time.Millisecond, 0))
+	timedRuns(t, s, want, 1) // fails on an error or a wrong count
+	if st := s.eng.Snapshot(); st.AVPRequeues != 1 || st.SubQueries != 5 {
+		t.Errorf("requeues %d, sub-queries %d; want 1 and 5", st.AVPRequeues, st.SubQueries)
 	}
 }

@@ -13,16 +13,15 @@ import (
 )
 
 // TestStreamingComposeOverlap is the incremental-gather acceptance test:
-// with one node scripted 500ms slow and hedging off, the gather must
-// take the full straggler latency, but the first partial batch — the
-// moment the composer starts consuming — must arrive long before that.
+// with one node scripted 500ms slow, the gather must take the full
+// straggler latency, but the first partial batch — the moment the
+// composer starts consuming — must arrive long before that.
 // Under the old materialized gather there was no first-batch event at
 // all until a whole partial completed; composition started only after
 // the last one.
 func TestStreamingComposeOverlap(t *testing.T) {
 	const lag = 500 * time.Millisecond
 	opts := DefaultOptions()
-	opts.DisableHedging = true
 	opts.QueryTimeout = 30 * time.Second
 	reg := obs.NewRegistry()
 	s := buildStackMetrics(t, 3, opts, reg)
@@ -76,7 +75,6 @@ func TestStreamingGatherBudgetOne(t *testing.T) {
 // exact global top-k.
 func TestLimitPushdownOrdered(t *testing.T) {
 	opts := DefaultOptions()
-	opts.DisableHedging = true // a hedge twin would double-count streamed rows
 	s := buildStack(t, 3, opts)
 	text := "select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey limit 10"
 	rw, err := PlanSVP(mustSel(t, text), TPCHCatalog())
@@ -111,7 +109,6 @@ func TestLimitPushdownOrdered(t *testing.T) {
 // remaining sub-queries.
 func TestLimitPushdownEarlyStop(t *testing.T) {
 	opts := DefaultOptions()
-	opts.DisableHedging = true
 	opts.QueryTimeout = 30 * time.Second
 	s := buildStack(t, 3, opts)
 	text := "select o_orderkey from orders limit 5"

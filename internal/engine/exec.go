@@ -45,10 +45,13 @@ const turnLength = time.Millisecond
 // Every SVP sub-query runs on its claim loop's goroutine, one loop per
 // node, and a cluster has more nodes than a small host has cores. Left to
 // the scheduler, a CPU-bound sub-query runs until it is preempted
-// (≈ 10 ms) while the loops it displaced wait — a wait the gather reads as
-// a straggler and hedges. Turns of turnLength keep every loop's partitions
-// moving; yielding after every batch instead cost ≈ 8 % of the CPU of an
-// OLAP query on a 2-vCPU host, in switches between the loops' working sets.
+// (≈ 10 ms) while the loops it displaced wait, and its loop goes on to
+// steal their home partitions: nodes lose the locality of their home
+// blocks. On a 2-vCPU host that raised the allocation of an OLAP query by
+// 3–6 % and cut the buffer-pool hit rate from 0.53 to 0.36. Turns of
+// turnLength keep every loop's partitions moving; yielding after every
+// batch instead cost ≈ 8 % of the CPU of an OLAP query, in switches
+// between the loops' working sets.
 func (ex *execCtx) yieldAfterTurn() {
 	now := time.Now()
 	switch {
@@ -203,9 +206,9 @@ func (r *filterRun) open(ex *execCtx, pred bexpr) {
 // and go again until out is full or the source is dry. Candidates never
 // outnumber the free slots, so nothing is ever held back between calls.
 // A cancelled context stops the scan before each gather: this is where a
-// killed or hedged-out query stops paying for rows. A gather that filled
-// its batch leaves the scan with more to do: there, a scan that has had
-// its turn yields.
+// killed or LIMIT-settled query stops paying for rows. A gather that
+// filled its batch leaves the scan with more to do: there, a scan that
+// has had its turn yields.
 func fillFiltered(ex *execCtx, src rowSource, flt *filterRun, out *sqltypes.Batch) error {
 	for {
 		if ex.ctx != nil {

@@ -52,10 +52,10 @@ func guardStatements() []guardStatement {
 // the pool — a winner's at Result.Release, once the server has encoded the
 // rows, a dropped or losing attempt's at its abort — and serves every
 // guard statement through the socket (proto.Serve and the database/sql
-// driver), then with a flaky node (attempts
-// retried after they streamed rows) and a straggler (hedged attempts that
-// lose). Every answer must equal the single node's (Node.Query): a row
-// read after its arena was let go reads as poison.
+// driver), then with a flaky node (attempts retried in place after they
+// streamed rows) and a node that crashes mid-stream (its attempt aborted,
+// the partition re-run elsewhere). Every answer must equal the single
+// node's (Node.Query): a row read after its arena was let go is poison.
 func TestResultArenasRetentionGuard(t *testing.T) {
 	engine.SetJoinTupleTest(true, false)
 	defer engine.SetJoinTupleTest(false, false)
@@ -71,7 +71,7 @@ func TestResultArenasRetentionGuard(t *testing.T) {
 		hit  func() bool
 	}{
 		{"retried", apuama.NewFaultInjector(3).FlakyEvery(3), func() bool { return c.Stats().BackoffRetries > 0 }},
-		{"hedged", apuama.NewFaultInjector(5).Slow(150*time.Millisecond, 0), func() bool { return c.Stats().Hedges > 0 }},
+		{"requeued", apuama.NewFaultInjector(5).CrashMidQueryAt(1, 0), func() bool { return c.Stats().AVPRequeues > 0 }},
 	}
 	for _, f := range faults {
 		if err := c.InjectFaults(2, f.inj); err != nil {
@@ -87,6 +87,9 @@ func TestResultArenasRetentionGuard(t *testing.T) {
 			}
 		}
 		if err := c.InjectFaults(2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RecoverNode(2); err != nil {
 			t.Fatal(err)
 		}
 		if !f.hit() {

@@ -32,9 +32,6 @@ const (
 	// Resilience (mirrors of PR 1's counters).
 	MSubqueryRetries  = "apuama_subquery_retries_total" // partition failovers
 	MBackoffRetries   = "apuama_backoff_retries_total"  // in-place transient retries (engine)
-	MHedges           = "apuama_hedges_total"
-	MHedgesWon        = "apuama_hedges_won_total"
-	MHedgesLost       = "apuama_hedges_lost_total"
 	MDeadlineAborts   = "apuama_deadline_aborts_total"
 	MBreakerTrips     = "apuama_breaker_trips_total"
 	MProbes           = "apuama_breaker_probes_total"
@@ -85,7 +82,7 @@ const (
 	MAdmissionQueued      = "apuama_admission_queued_total"          // queries that waited for a slot
 	MAdmissionShed        = "apuama_admission_shed_total"            // labeled {reason=queue-full|deadline|queue-timeout}
 	MAdmissionWait        = "apuama_admission_wait_seconds"          // queue wait before admission
-	MAdmissionBrownout    = "apuama_admission_brownout_level"        // gauge: degradation ladder level (0-3)
+	MAdmissionBrownout    = "apuama_admission_brownout_level"        // gauge: degradation ladder level (0-1)
 	MAdmissionMemReserved = "apuama_admission_memory_reserved_bytes" // gauge: bytes reserved against the budget
 	MAdmissionMemAborts   = "apuama_admission_memory_aborts_total"   // reservations aborted at the budget
 	MAdmissionSlowKills   = "apuama_admission_slow_kills_total"      // queries cancelled by the slow-query killer

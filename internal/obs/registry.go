@@ -6,7 +6,7 @@
 // The registry follows the instrumentation style of distributed OLAP
 // engines that attribute latency per pipeline stage: every phase of a
 // query's life gets its own duration histogram, and every resilience
-// event (retry, hedge, breaker trip, fallback) its own counter, so the
+// event (retry, requeue, breaker trip, fallback) its own counter, so the
 // paper's evaluation questions — per-node sub-query skew, composition
 // overhead, speedup — can be answered from a running cluster instead of
 // bespoke benchmark plumbing.

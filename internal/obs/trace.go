@@ -31,7 +31,7 @@ type Span struct {
 }
 
 // Attr is one key=value annotation on a span (node id, attempt number,
-// hedged flag, fallback reason, error).
+// stolen flag, fallback reason, error).
 type Attr struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`

@@ -12,8 +12,8 @@ import (
 // TestMetricsCoverage drives the full stack once and asserts the
 // registry exposes the whole observability vocabulary: at least 12
 // distinct metric names, spanning the query lifecycle (barrier,
-// dispatch, per-subquery, compose) and the resilience layer (hedge,
-// retry, breaker), and that the Prometheus exposition carries them.
+// dispatch, per-subquery, compose) and the resilience layer (retry,
+// breaker), and that the Prometheus exposition carries them.
 func TestMetricsCoverage(t *testing.T) {
 	c := openTest(t, Config{Nodes: 4})
 	defer c.Close()
@@ -37,7 +37,7 @@ func TestMetricsCoverage(t *testing.T) {
 	for _, want := range []string{
 		obs.MQueryDuration, obs.MBarrierWait, obs.MDispatch, obs.MGather,
 		obs.MCompose, obs.MSubqueryDuration, obs.MSVPQueries, obs.MSubqueries,
-		obs.MHedges, obs.MSubqueryRetries, obs.MBreakerTrips, obs.MPoolWait,
+		obs.MSubqueryRetries, obs.MBreakerTrips, obs.MPoolWait,
 		obs.MNodeInflight, obs.MComposedRows,
 	} {
 		if !have[want] {
@@ -72,9 +72,7 @@ func TestMetricsCoverage(t *testing.T) {
 // root span (their durations sum to within 10% of the total — the
 // apuama-bench --trace contract).
 func TestTracingThroughFacade(t *testing.T) {
-	// Hedging off: a straggler hedge under load adds a fifth subquery
-	// span, and this test pins the exact span count per query.
-	c := openTest(t, Config{Nodes: 4, Trace: true, Engine: EngineOptions{DisableHedging: true}})
+	c := openTest(t, Config{Nodes: 4, Trace: true})
 	defer c.Close()
 	for _, qn := range tpch.QueryNumbers {
 		if _, err := c.Query(tpch.MustQuery(qn)); err != nil {
