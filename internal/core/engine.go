@@ -404,31 +404,45 @@ type backendProxy struct {
 
 func (bp *backendProxy) ID() int { return bp.proc.node.ID() }
 
-// Query intercepts OLAP queries: eligible ones run with intra-query
-// parallelism across every node; everything else passes straight through
-// to this backend's node, untouched (OLTP is C-JDBC's business).
+// Query intercepts OLAP queries: one parse, then the route (both in the
+// plan span). Reads whose key bounds meet two or more virtual partitions run
+// with intra-query parallelism across every node; everything else passes
+// straight through to this backend's node, untouched (OLTP is C-JDBC's
+// business).
 func (bp *backendProxy) Query(ctx context.Context, sqlText string) (*engine.Result, error) {
-	if !bp.eng.opts.DisableSVP {
-		stmt, err := sql.Parse(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		if sel, ok := stmt.(*sql.SelectStmt); ok {
-			res, err := bp.eng.RunSVP(ctx, sel)
-			if err == nil {
-				return res, nil
-			}
-			if !errors.Is(err, ErrNotEligible) {
-				return nil, err
-			}
-			bp.eng.countFallback(err)
-			obs.SpanFrom(ctx).Annotate("svp_fallback", FallbackClass(err))
-		}
+	e, qspan := bp.eng, obs.SpanFrom(ctx)
+	span := qspan.Child("plan")
+	stmt, err := sql.Parse(sqlText)
+	if err != nil {
+		span.End()
+		return nil, err
 	}
-	bp.eng.st.passThrough.Inc()
-	span := obs.SpanFrom(ctx).Child("passthrough")
+	sel, isSelect := stmt.(*sql.SelectStmt)
+	if isSelect && !e.opts.DisableSVP {
+		rt, err := e.route(sel)
+		span.End()
+		var res *engine.Result
+		if err == nil {
+			res, err = e.runRouted(ctx, sel, rt)
+		}
+		if !errors.Is(err, ErrNotEligible) {
+			return res, err
+		}
+		class := FallbackClass(err)
+		e.countFallback(class)
+		qspan.Annotate("svp_fallback", class)
+	} else {
+		span.End()
+	}
+	e.st.passThrough.Inc()
+	span = qspan.Child("passthrough")
 	span.Annotate("node", strconv.Itoa(bp.proc.node.ID()))
-	res, err := bp.proc.Query(ctx, sqlText)
+	var res *engine.Result
+	if isSelect {
+		res, err = bp.proc.QueryStmt(ctx, sel)
+	} else {
+		res, err = bp.proc.Query(ctx, sqlText)
+	}
 	span.End()
 	return res, err
 }
@@ -464,14 +478,14 @@ func (bp *backendProxy) Set(st *sql.SetStmt) error {
 // Watermark reports the node's replication position for recovery.
 func (bp *backendProxy) Watermark() int64 { return bp.proc.node.Watermark() }
 
-func (e *Engine) countFallback(err error) {
-	class := FallbackClass(err)
-	e.st.fbMu.Lock()
-	e.st.fallbackReasons[class]++
-	e.st.fbMu.Unlock()
-	// Fallbacks are off the hot path; the labeled counter is resolved
-	// per event to keep the handle set bounded by FallbackClass.
-	e.m.reg.Counter(obs.Labeled(obs.MFallbacks, "reason", class)).Inc()
+// countFallback counts one pass-through under its class's pre-resolved
+// counter.
+func (e *Engine) countFallback(class string) {
+	c, ok := e.st.fallbacks[class]
+	if !ok {
+		c = e.st.fallbacks[ReasonOther]
+	}
+	c.Inc()
 }
 
 // RunSVP executes one query with Simple Virtual Partitioning, fronted
@@ -482,11 +496,21 @@ func (e *Engine) countFallback(err error) {
 // computed result is filled back keyed by the barrier snapshot it was
 // pinned to. Per-request control bits (cache.WithControl) can bypass
 // the cache or widen the staleness bound. ErrNotEligible means the
-// caller should fall back to pass-through.
+// caller should fall back to pass-through; the route decides that first,
+// before the cache, admission or the batching window see the query.
 func (e *Engine) RunSVP(ctx context.Context, sel *sql.SelectStmt) (*engine.Result, error) {
+	rt, err := e.route(sel)
+	if err != nil {
+		return nil, err
+	}
+	return e.runRouted(ctx, sel, rt)
+}
+
+// runRouted is RunSVP after the route: sel meets the partitions rt keeps.
+func (e *Engine) runRouted(ctx context.Context, sel *sql.SelectStmt, rt keyRoute) (*engine.Result, error) {
 	ctl := cache.ControlFrom(ctx)
 	if e.cache == nil || ctl.NoCache {
-		res, _, err := e.admitAndRun(ctx, sel, false)
+		res, _, err := e.admitAndRun(ctx, sel, rt, false)
 		return res, err
 	}
 	qspan := obs.SpanFrom(ctx)
@@ -515,7 +539,7 @@ func (e *Engine) RunSVP(ctx context.Context, sel *sql.SelectStmt) (*engine.Resul
 		if res, _, ok := e.cache.Peek(fp, epoch, maxStale); ok {
 			return res, nil
 		}
-		res, snapshot, err := e.admitAndRun(ctx, sel, true)
+		res, snapshot, err := e.admitAndRun(ctx, sel, rt, true)
 		if err == nil {
 			// The fill is keyed by the barrier snapshot the sub-queries
 			// were pinned to — the epoch the result is actually valid at
@@ -556,10 +580,10 @@ func (e *Engine) headEpoch() int64 {
 // version its fill; usePartial (set by the caching path only) serves warm
 // partitions from the partial cache and fills it with cold ones.
 // ErrNotEligible means the caller should fall back to pass-through.
-func (e *Engine) execSVP(ctx context.Context, sel *sql.SelectStmt, usePartial bool, resv *admission.Reservation) (*engine.Result, int64, error) {
+func (e *Engine) execSVP(ctx context.Context, sel *sql.SelectStmt, rt keyRoute, usePartial bool, resv *admission.Reservation) (*engine.Result, int64, error) {
 	qspan := obs.SpanFrom(ctx)
 	span := qspan.Child("plan")
-	plan, err := e.planQuery(sel)
+	plan, err := e.planQuery(sel, rt)
 	span.End()
 	if err != nil {
 		return nil, 0, err
@@ -595,35 +619,32 @@ func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Resu
 
 // queryPlan is the logical stage's output, fixed before any node is
 // touched: the rewrite, the sub-query template every attempt plans with
-// its partition's bounds as arguments, the fine virtual partitions
-// [v1, v2) — cut from the CONFIGURED node count, never from liveness, so
+// its partition's bounds as arguments, the virtual partitions [v1, v2) the
+// route kept — cut from the CONFIGURED node count, never from liveness, so
 // partial-cache keys stay stable across degree changes — and the
 // partial-cache key (zero when that cache is off).
 type queryPlan struct {
 	rw        *Rewrite
 	sub       *sql.SelectStmt
 	ranges    [][2]int64
-	keySpan   int64 // hi - lo + 1
+	keySpan   int64 // the keys the ranges cover
 	partialFP sql.Fingerprint
 }
 
 // planQuery is the logical stage, a pure function of the statement, the
-// catalog and the key domain: it consults no node and executes nothing.
-func (e *Engine) planQuery(sel *sql.SelectStmt) (queryPlan, error) {
+// catalog and the route: it consults no node and executes nothing.
+func (e *Engine) planQuery(sel *sql.SelectStmt, rt keyRoute) (queryPlan, error) {
 	rw, err := PlanSVP(sel, e.catalog)
 	if err != nil {
 		return queryPlan{}, err
 	}
-	lo, hi, err := e.catalog.KeyDomain(e.db, rw.Table)
-	if err != nil {
-		return queryPlan{}, notEligible(ReasonKeyDomain, "%v", err)
-	}
-	p := queryPlan{rw: rw, sub: rw.template(), keySpan: hi - lo + 1}
-	p.ranges = make([][2]int64, e.fineParts(p.keySpan))
+	p := queryPlan{rw: rw, sub: rw.template()}
+	p.ranges = make([][2]int64, rt.last-rt.first)
 	for i := range p.ranges {
-		v1, v2 := Partition(lo, hi, len(p.ranges), i)
+		v1, v2 := Partition(rt.lo, rt.hi, rt.n, rt.first+i)
 		p.ranges[i] = [2]int64{v1, v2}
 	}
+	p.keySpan = p.ranges[len(p.ranges)-1][1] - p.ranges[0][0]
 	switch {
 	case !e.cache.PartialEnabled():
 	case e.opts.MQO:

@@ -163,8 +163,8 @@ func (p *NodeProcessor) Ping(ctx context.Context) error {
 	return nil
 }
 
-// Query forwards a read-only statement unchanged (the pass-through path
-// for OLTP queries and SVP-ineligible OLAP queries).
+// Query forwards a statement other than a SELECT unchanged (EXPLAIN) to
+// the node, which parses it again.
 func (p *NodeProcessor) Query(ctx context.Context, sqlText string) (*engine.Result, error) {
 	after, err := p.begin(ctx)
 	if err != nil {
@@ -183,6 +183,61 @@ func (p *NodeProcessor) Query(ctx context.Context, sqlText string) (*engine.Resu
 		return nil, qerr
 	}
 	return res, nil
+}
+
+// QueryStmt is the pass-through path for OLTP reads and SVP-ineligible
+// queries: it runs the parsed SELECT unchanged at the node's current
+// snapshot. The result's rows are cut from a pooled arena and listed in a
+// pooled list, which its Release hands back (the wire server releases it
+// once the rows are encoded; a result never released leaves both to the
+// collector).
+func (p *NodeProcessor) QueryStmt(ctx context.Context, sel *sql.SelectStmt) (*engine.Result, error) {
+	after, err := p.begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	release, err := p.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	rows, list := engine.NewRowArena(), rowLists.Get().(*[]sqltypes.Row)
+	res, qerr := p.read(ctx, sel, rows, list)
+	if after != nil {
+		qerr = after(qerr)
+	}
+	free := func() {
+		rows.Release()
+		putRowList(list)
+	}
+	if qerr != nil {
+		free()
+		return nil, qerr
+	}
+	res.OnRelease(free)
+	return res, nil
+}
+
+// read drains sel at the node's current snapshot into list, its rows cut
+// from rows.
+func (p *NodeProcessor) read(ctx context.Context, sel *sql.SelectStmt, rows *engine.RowArena, list *[]sqltypes.Row) (*engine.Result, error) {
+	opts := engine.QueryOpts{Ctx: ctx}
+	cur, _, err := p.open(sel, nil, p.node.Watermark(), opts, nil, rows)
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	b := sqltypes.GetBatch()
+	defer sqltypes.PutBatch(b)
+	for {
+		if err := cur.Next(b); err != nil {
+			return nil, err
+		}
+		if b.Len() == 0 {
+			return &engine.Result{Cols: cur.Cols(), Rows: *list}, nil
+		}
+		*list = append(*list, b.Rows...)
+	}
 }
 
 // StreamAt runs the sub-query stmt, with args bound to its placeholders,

@@ -145,6 +145,7 @@ func (g *queryGen) generate() string {
 func TestSVPGeneratedQueriesProperty(t *testing.T) {
 	s := buildStack(t, 3, DefaultOptions())
 	g := &queryGen{r: rand.New(rand.NewSource(2024))}
+	var passedBy int64 // trials routed to one node so far
 	for trial := 0; trial < 60; trial++ {
 		q := g.generate()
 		want := s.single(t, q)
@@ -154,11 +155,23 @@ func TestSVPGeneratedQueriesProperty(t *testing.T) {
 		}
 		assertSameResult(t, fmt.Sprintf("trial %d: %s", trial, q), got, want, true)
 		// Every generated query targets a VP table: the engine must have
-		// used intra-query parallelism, not silently fallen back.
+		// used intra-query parallelism, not silently fallen back — unless
+		// its o_orderkey <= N bound meets one partition, which the route
+		// passes through.
 		st := s.eng.Snapshot()
-		if st.SVPQueries != int64(trial+1) {
-			t.Fatalf("trial %d fell back: %v\n%s", trial, st.FallbackReasons, q)
+		routed := st.FallbackReasons[ReasonOnePartition]
+		for class := range st.FallbackReasons {
+			if class != ReasonOnePartition {
+				t.Fatalf("trial %d fell back: %v\n%s", trial, st.FallbackReasons, q)
+			}
 		}
+		if st.SVPQueries+routed != int64(trial+1) {
+			t.Fatalf("trial %d: %d SVP queries and %d routed, want %d in all\n%s", trial, st.SVPQueries, routed, trial+1, q)
+		}
+		if routed > passedBy && !strings.Contains(q, "o_orderkey <= ") {
+			t.Fatalf("trial %d was routed to one node without a key bound that meets one partition\n%s", trial, q)
+		}
+		passedBy = routed
 	}
 }
 

@@ -73,7 +73,11 @@ func TestMQOFollowerFailoverTriesEveryLiveNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sql.SelectStmt)
-	plan, err := s.eng.planQuery(sel)
+	rt, err := s.eng.route(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.eng.planQuery(sel, rt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,14 +60,18 @@ type engineStats struct {
 	maxStaleness atomic.Int64
 	barrierWait  atomic.Int64 // nanoseconds
 
-	fbMu            sync.Mutex
-	fallbackReasons map[string]int64
+	// fallbacks is read-only after wire: reason class -> its counter,
+	// mirrored as apuama_svp_fallback_total{reason=...}.
+	fallbacks map[string]*statCounter
 }
 
 // wire connects each counter's mirror to the registry (nil reg leaves
 // the mirrors nil, i.e. engine-local counting only).
 func (st *engineStats) wire(reg *obs.Registry) {
-	st.fallbackReasons = map[string]int64{}
+	st.fallbacks = make(map[string]*statCounter, len(reasonClasses))
+	for _, class := range reasonClasses {
+		st.fallbacks[class] = &statCounter{m: reg.Counter(obs.Labeled(obs.MFallbacks, "reason", class))}
+	}
 	st.svpQueries.m = reg.Counter(obs.MSVPQueries)
 	st.passThrough.m = reg.Counter(obs.MPassThrough)
 	st.subQueries.m = reg.Counter(obs.MSubqueries)
@@ -131,11 +134,11 @@ func (st *engineStats) snapshot() Stats {
 		BarrierWaits:         time.Duration(st.barrierWait.Load()),
 		FallbackReasons:      map[string]int64{},
 	}
-	st.fbMu.Lock()
-	for k, v := range st.fallbackReasons {
-		s.FallbackReasons[k] = v
+	for class, c := range st.fallbacks {
+		if v := c.Load(); v > 0 {
+			s.FallbackReasons[class] = v
+		}
 	}
-	st.fbMu.Unlock()
 	return s
 }
 

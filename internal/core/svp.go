@@ -27,8 +27,17 @@ const (
 	ReasonOrderBy         = "order-by-not-in-select"
 	ReasonCompose         = "non-composable-expression"
 	ReasonKeyDomain       = "key-domain"
+	ReasonOnePartition    = "one-partition"
 	ReasonOther           = "other"
 )
+
+// reasonClasses lists every fallback class, each counted under its own
+// pre-resolved handle (engineStats.fallbacks).
+var reasonClasses = []string{
+	ReasonNoVPTable, ReasonSelectStar, ReasonDistinctAgg, ReasonNonDecomposable,
+	ReasonSubquery, ReasonOrderBy, ReasonCompose, ReasonKeyDomain,
+	ReasonOnePartition, ReasonOther,
+}
 
 // NotEligibleError carries the ineligibility class alongside the
 // human-readable detail. It unwraps to ErrNotEligible.
@@ -50,8 +59,18 @@ func notEligible(class, format string, args ...any) error {
 	}
 }
 
+// The ineligibility errors an OLTP read meets: preallocated, so a pass-through
+// formats nothing.
+var (
+	errNoVPTable    error = &NotEligibleError{Class: ReasonNoVPTable, msg: ErrNotEligible.Error() + ": no virtually partitioned table in FROM"}
+	errOnePartition error = &NotEligibleError{Class: ReasonOnePartition, msg: ErrNotEligible.Error() + ": the key bounds meet at most one virtual partition"}
+)
+
 // FallbackClass maps a fallback error to its stats bucket.
 func FallbackClass(err error) string {
+	if ne, ok := err.(*NotEligibleError); ok {
+		return ne.Class
+	}
 	var ne *NotEligibleError
 	if errors.As(err, &ne) {
 		return ne.Class
@@ -120,7 +139,7 @@ func PlanSVP(stmt *sql.SelectStmt, cat *Catalog) (*Rewrite, error) {
 		}
 	}
 	if len(refs) == 0 {
-		return nil, notEligible(ReasonNoVPTable, "no virtually partitioned table in FROM")
+		return nil, errNoVPTable
 	}
 	for _, it := range stmt.Items {
 		if it.Star {

@@ -34,7 +34,10 @@ type guardStatement struct {
 // guardStatements are the shapes whose rows a query hands to the gather:
 // the eight templates, a wide_fetch clustered-key range, a plain ORDER BY composed by memdb,
 // which stores the winners' partial rows by reference, and pushed-down
-// LIMITs — one stopping the gather early, one under ORDER BY.
+// LIMITs — one stopping the gather early, one under ORDER BY. A point
+// lookup and a range inside one partition (the key domain is [1, 1500],
+// cut into four) pass through to one node, whose rows come from a pooled
+// arena as well.
 func guardStatements() []guardStatement {
 	var out []guardStatement
 	for _, q := range []int{1, 3, 4, 5, 6, 12, 14, 21} {
@@ -45,6 +48,8 @@ func guardStatements() []guardStatement {
 		guardStatement{name: "order by", text: "select o_orderkey, o_orderdate, o_orderpriority from orders where o_orderkey < 4000 order by o_orderdate, o_orderkey", ordered: true},
 		guardStatement{name: "early limit", text: "select o_orderkey, o_clerk from orders limit 40", within: "select o_orderkey, o_clerk from orders"},
 		guardStatement{name: "order by limit", text: "select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey limit 25", ordered: true},
+		guardStatement{name: "point lookup", text: "select o_orderkey, o_custkey, o_totalprice, o_orderdate, o_comment from orders where o_orderkey = 1000"},
+		guardStatement{name: "one-partition range", text: "select l_orderkey, l_partkey, l_quantity, l_extendedprice, l_discount, l_shipdate, l_shipmode, l_comment from lineitem where l_orderkey >= 100 and l_orderkey < 300"},
 	)
 }
 
@@ -64,6 +69,9 @@ func TestResultArenasRetentionGuard(t *testing.T) {
 	answers := map[string][][]any{} // the node's, by statement
 	for _, st := range guardStatements() {
 		checkServed(t, st.name, db, nodes[0], st, answers)
+	}
+	if got := c.Stats().FallbackReasons["one-partition"]; got != 2 {
+		t.Fatalf("%d statements passed through as one-partition reads, want 2", got)
 	}
 	faults := []struct {
 		name string

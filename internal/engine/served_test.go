@@ -20,8 +20,9 @@ func servedRange(lo, hi int) string {
 }
 
 // servedCluster serves a four-node TPC-H cluster through the wire protocol
-// and dials a client to it.
-func servedCluster(tb testing.TB) *proto.Client {
+// and dials a client to it. The key domain is [1, 3000], cut into four
+// partitions of 750 keys.
+func servedCluster(tb testing.TB) (*proto.Client, *apuama.Cluster) {
 	tb.Helper()
 	cfg := apuama.Config{Nodes: 4, Cost: apuama.DefaultCost()}
 	cfg.Cost.RealSleep = false
@@ -46,7 +47,7 @@ func servedCluster(tb testing.TB) *proto.Client {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { cli.Close() })
-	return cli
+	return cli, c
 }
 
 // drainServed streams one query to its end and returns its row count.
@@ -67,32 +68,55 @@ func drainServed(tb testing.TB, cli *proto.Client, text string) int {
 	}
 }
 
-// TestServedRangeFetchBytesPerRow pins what a served range fetch — SVP
-// over four nodes, gathered, served by proto.Serve and streamed by a
-// proto.Client in the same process — allocates per row: the slope between
-// two row counts, so the per-query cost (planning fourteen partitions, the
-// streams) cancels. Result rows are cut from the attempts' pooled arenas
-// and go back once the server has encoded them, the client decodes into
-// pooled buffers and recycles frame payloads, so what is left per row is
-// the copy of its string contents and the pools' misses: about 60 B, where
-// fresh rows, row lists and frame payloads cost about 590 B.
+// TestServedRangeFetchBytesPerRow pins what a served range fetch — served
+// by proto.Serve and streamed by a proto.Client in the same process —
+// allocates per row: the slope between two row counts, so the per-query
+// cost (planning the partitions, the streams) cancels. It holds for a range
+// that meets two and four partitions (SVP over four nodes, gathered) and
+// for one inside a single partition, which passes through to one node.
+// Result rows are cut from pooled arenas and go back once the server has
+// encoded them, the client decodes into pooled buffers and recycles frame
+// payloads, so what is left per row is the copy of its string contents and
+// the pools' misses: about 60 B, where fresh rows, row lists and frame
+// payloads cost about 590 B.
 func TestServedRangeFetchBytesPerRow(t *testing.T) {
 	if engine.RaceEnabled {
 		t.Skip("sync.Pool drops buffers under the race detector")
 	}
-	cli := servedCluster(t)
-	var rows [2]int
-	var bytes [2]float64
-	for k, hi := range []int{1100, 4100} {
-		text := servedRange(100, hi)
-		rows[k] = drainServed(t, cli, text)
-		bytes[k] = engine.BytesPer(t, 20, func() { drainServed(t, cli, text) })
-		t.Logf("%d rows: %.0f B per fetch", rows[k], bytes[k])
-	}
-	perRow := (bytes[1] - bytes[0]) / float64(rows[1]-rows[0])
-	t.Logf("%.1f B per served row", perRow)
-	if perRow > 150 {
-		t.Fatalf("a served range fetch allocates %.1f B per row, want ≤ 150", perRow)
+	cli, c := servedCluster(t)
+	for _, path := range []struct {
+		name   string
+		his    [2]int
+		routed bool // the range meets one partition: every fetch passes through
+	}{
+		{"SVP", [2]int{1100, 4100}, false},
+		{"pass-through", [2]int{300, 700}, true},
+	} {
+		before, fetches := c.Stats().PassThrough, int64(0)
+		fetch := func(text string) int {
+			fetches++
+			return drainServed(t, cli, text)
+		}
+		var rows [2]int
+		var bytes [2]float64
+		for k, hi := range path.his {
+			text := servedRange(100, hi)
+			rows[k] = fetch(text)
+			bytes[k] = engine.BytesPer(t, 20, func() { fetch(text) })
+			t.Logf("%s, %d rows: %.0f B per fetch", path.name, rows[k], bytes[k])
+		}
+		perRow := (bytes[1] - bytes[0]) / float64(rows[1]-rows[0])
+		t.Logf("%s: %.1f B per served row", path.name, perRow)
+		if perRow > 150 {
+			t.Fatalf("a served range fetch (%s) allocates %.1f B per row, want ≤ 150", path.name, perRow)
+		}
+		want := int64(0)
+		if path.routed {
+			want = fetches
+		}
+		if got := c.Stats().PassThrough - before; got != want {
+			t.Fatalf("%s: %d of %d fetches passed through, want %d", path.name, got, fetches, want)
+		}
 	}
 }
 
@@ -100,7 +124,7 @@ func TestServedRangeFetchBytesPerRow(t *testing.T) {
 // columns — through proto.Serve to a streaming proto.Client on four nodes.
 // B/op is its figure: the gather's rows, the composition, the wire codec.
 func BenchmarkWideFetch(b *testing.B) {
-	cli := servedCluster(b)
+	cli, _ := servedCluster(b)
 	text := servedRange(100, 600)
 	b.ReportAllocs()
 	b.ResetTimer()
