@@ -33,16 +33,21 @@ race:
 # guard of kept join tuples and aggregate arenas, the planner invariant,
 # the pool audit of failed and cancelled opens (arena chunks and an
 # aggregate's table included), the prepared plan's
-# re-bind rule, its re-opens after a drain, an early close, an error and a
-# cancel, and ForceIndexScan staying inside its own query: they run inside
-# the first already; named, the gate stays visible if they are ever
-# renamed or filtered. The same line runs the controller's prepared ≡
-# fresh oracle over every TPC-H template and partition, its
-# refusals, the plans-per-query pin and ORDER BY's NULL placement through
-# SVP against one node, and the result arenas' retention guard (served
-# through the socket, poisoned at release and at abort). The third line runs
-# the allocation pins (the memdb composition's, a re-opened aggregate's and
-# a served range fetch's included) without the race
+# re-bind rule (filter slots of every kind included), the kernels' typed
+# lane by the column's declared kind, its re-opens after a drain, an early
+# close, an error and a cancel, and ForceIndexScan staying inside its own
+# query: they run inside the first already; named, the gate stays visible
+# if they are ever renamed or filtered. The same line runs the
+# controller's prepared ≡ fresh oracle over every TPC-H template and
+# partition and over seeded draws through a kept shape plan, its
+# refusals, the per-shape plan pin, partials never shared across a
+# shape's literals, shapes run with different literals from four
+# goroutines at once, ORDER BY's NULL placement through SVP against one
+# node, and the result arenas' retention guard (served through the
+# socket, poisoned at release and at abort). The third line runs the
+# allocation and plan-count pins (the kept memdb composition's, a
+# re-opened aggregate's, a served range fetch's and the per-shape plan
+# pin included) without the race
 # detector, under which sync.Pool drops buffers and the pins skip
 # themselves. Each pin measures at the -cpu it runs under and takes the
 # least of three logged rounds: a run the scheduler moves to another P
@@ -51,10 +56,10 @@ race:
 # repeated runs, cache, columnar, MQO, brownout, key predicates, the
 # GOMAXPROCS 1 ≡ 8 oracle) and the columnar sub-query check at GOMAXPROCS
 # 1, 2, 4 and 8: every answer must hold on any host.
-RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestPlansPerQueryAtMostClaimingWorkers|TestOrderByNullsMatchSingleNode|TestResultArenasRetentionGuard
+RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestKernelLaneFollowsTheColumnKind|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestShapePlansOncePerShape|TestShapeDrawsNeverSharePartials|TestShapePlansUnderConcurrentLiterals|TestOrderByNullsMatchSingleNode|TestResultArenasRetentionGuard
 RACE_CPU_PKGS := ./internal/engine/ ./internal/core/
-PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow
-PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow|TestShapePlansOncePerShape
+PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/ ./internal/core/
 ORACLE_RUN := TestOracle|TestSVPSubqueryScansSegments
 ORACLE_PKGS := ./internal/core/
 race-cpu:
@@ -135,7 +140,7 @@ fuzz-replay:
 # names a test fails before the long race run.
 tier1: suite-names vet staticcheck race race-cpu avp-suite columnar-suite mqo-suite fuzz-replay
 
-# Short live fuzzing of each of the eight targets (30s apiece) — a smoke
+# Short live fuzzing of each of the nine targets (30s apiece) — a smoke
 # pass, not a campaign; run the targets individually with -fuzztime for
 # longer. -run '^$' keeps the package's plain tests out of it: they are
 # `make test`'s job, and a red one would stop the fuzzing before it starts.
@@ -143,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz FuzzParseAll -fuzztime 30s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz FuzzParameterize -fuzztime 30s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzPartitionRanges -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSubplanFingerprint -fuzztime 30s ./internal/core/

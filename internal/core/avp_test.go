@@ -101,14 +101,14 @@ func TestTemplateAddsRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := rw.template().SQL()
+	text := rw.template(0).SQL()
 	for _, want := range []string{"o_orderkey >= $1", "o_orderkey < $2", "l_orderkey >= $3", "l_orderkey < $4"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("template lacks %q: %s", want, text)
 		}
 	}
-	if args := rw.rangeArgs(100, 200); len(args) != 4 || args[2].I != 100 || args[3].I != 200 {
-		t.Errorf("rangeArgs(100, 200) = %v", args)
+	if args := rw.appendRangeArgs(nil, 100, 200); len(args) != 4 || args[2].I != 100 || args[3].I != 200 {
+		t.Errorf("appendRangeArgs(nil, 100, 200) = %v", args)
 	}
 	sub := rw.SubQuery(0, 1, 100, 199).SQL()
 	if _, err := sql.ParseSelect(sub); err != nil {

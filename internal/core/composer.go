@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"apuama/internal/engine"
-	"apuama/internal/sql"
+	"apuama/internal/memdb"
 	"apuama/internal/sqltypes"
 )
 
@@ -15,37 +14,31 @@ import (
 const ctxCheckRows = 1024
 
 // composeRows loads the partial rows, part by part, into a composition
-// table that lives only for this call, and runs the composition query
-// over it, honouring ctx between chunks.
-func (e *Engine) composeRows(ctx context.Context, rw *Rewrite, parts [][]sqltypes.Row) (*engine.Result, error) {
-	ld := e.mem.NewLoader("svp", rw.PartialCols)
-	defer ld.Drop()
+// table the shape keeps that their column kinds fit and runs the
+// composition prepared over it, honouring ctx between chunks. The table
+// goes back to the shape truncated, holding no row.
+func (e *Engine) composeRows(ctx context.Context, sh *shape, parts [][]sqltypes.Row) (*engine.Result, error) {
+	kinds := memdb.InferKinds(len(sh.rw.PartialCols), parts...)
+	tb, err := sh.takeTable(e.mem, kinds)
+	if err != nil {
+		return nil, composerErr(err)
+	}
+	defer sh.putTable(tb)
 	for _, rows := range parts {
 		for len(rows) > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			chunk := rows[:min(len(rows), ctxCheckRows)]
-			if err := ld.Append(chunk); err != nil {
-				return nil, fmt.Errorf("composer: %w", err)
+			if err := tb.Load(chunk, kinds); err != nil {
+				return nil, composerErr(err)
 			}
 			rows = rows[len(chunk):]
 		}
 	}
-	name, err := ld.Finish()
+	res, err := tb.Compose()
 	if err != nil {
-		return nil, fmt.Errorf("composer: %w", err)
-	}
-	return e.composeLoaded(rw, name)
-}
-
-// composeLoaded runs the composition query over an already-loaded table.
-func (e *Engine) composeLoaded(rw *Rewrite, name string) (*engine.Result, error) {
-	compose := sql.CloneSelect(rw.Compose)
-	compose.From[0].Name = name
-	res, err := e.mem.QueryStmt(compose)
-	if err != nil {
-		return nil, fmt.Errorf("composer: %w", err)
+		return nil, composerErr(err)
 	}
 	return res, nil
 }

@@ -198,6 +198,10 @@ type Engine struct {
 	cache   *cache.Cache          // nil unless Options.Cache enables it
 	adm     *admission.Controller // nil unless Options.Admission enables it
 
+	// shapes keeps what SVP queries of one statement shape share: the
+	// rewrite, node plans and composition tables (shape.go).
+	shapes shapeCache
+
 	// st is the engine's counter block (atomic fields; see stats.go) and
 	// m the pre-resolved metric handles mirroring it into the registry.
 	st engineStats
@@ -618,41 +622,50 @@ func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Resu
 }
 
 // queryPlan is the logical stage's output, fixed before any node is
-// touched: the rewrite, the sub-query template every attempt plans with
-// its partition's bounds as arguments, the virtual partitions [v1, v2) the
-// route kept — cut from the CONFIGURED node count, never from liveness, so
-// partial-cache keys stay stable across degree changes — and the
-// partial-cache key (zero when that cache is off).
+// touched: the statement's shape with its rewrite and the sub-query
+// template every attempt plans with the query's own arguments and its
+// partition's bounds, the virtual partitions [v1, v2) the route kept — cut
+// from the CONFIGURED node count, never from liveness, so partial-cache
+// keys stay stable across degree changes — and the partial-cache key (zero
+// when that cache is off).
 type queryPlan struct {
+	shape     *shape
 	rw        *Rewrite
-	sub       *sql.SelectStmt
+	args      []sqltypes.Value // the query's own arguments (sql.Parameterize)
 	ranges    [][2]int64
 	keySpan   int64 // the keys the ranges cover
 	partialFP sql.Fingerprint
 }
 
-// planQuery is the logical stage, a pure function of the statement, the
-// catalog and the route: it consults no node and executes nothing.
+// planQuery is the logical stage, a function of the statement, the
+// catalog and the route: it consults no node and executes nothing. The
+// route and the result cache have read the statement as written; here its
+// WHERE literals become arguments, and the rewrite comes from the shape
+// cache, planned once per shape.
 func (e *Engine) planQuery(sel *sql.SelectStmt, rt keyRoute) (queryPlan, error) {
-	rw, err := PlanSVP(sel, e.catalog)
+	sh, args, err := e.shapeOf(sel)
 	if err != nil {
 		return queryPlan{}, err
 	}
-	p := queryPlan{rw: rw, sub: rw.template()}
+	rw := sh.rw
+	p := queryPlan{shape: sh, rw: rw, args: args}
 	p.ranges = make([][2]int64, rt.last-rt.first)
 	for i := range p.ranges {
 		v1, v2 := Partition(rt.lo, rt.hi, rt.n, rt.first+i)
 		p.ranges[i] = [2]int64{v1, v2}
 	}
 	p.keySpan = p.ranges[len(p.ranges)-1][1] - p.ranges[0][0]
+	// A partial is keyed on the partial as written — the shape with the
+	// query's arguments — so two queries of one shape with different
+	// literals never share a partial or a flight.
 	switch {
 	case !e.cache.PartialEnabled():
 	case e.opts.MQO:
 		// The canonical *sub-plan* form: overlapping decomposed sub-queries
 		// of syntactically different parents share partials and flights.
-		p.partialFP = sql.SubplanFingerprint(rw.Partial)
+		p.partialFP = sql.SubplanFingerprint(sql.Substitute(rw.Partial, args))
 	default:
-		p.partialFP = sql.FingerprintStmt(rw.Partial)
+		p.partialFP = sql.FingerprintStmt(sql.Substitute(rw.Partial, args))
 	}
 	return p, nil
 }
@@ -830,13 +843,15 @@ func (r *svpRun) abortFlights() {
 // partition, then home partitions in index order (adjacent key ranges),
 // then steals from the most-loaded block. Under AVP a claim run takes
 // several adjacent home partitions back-to-back, sized by the adaptive
-// chunk rule from the keys/second rate of the last run. The loop plans
-// its sub-query on its first claim and re-opens that plan with each later
-// claim's bounds (NodeProcessor.StreamAt).
+// chunk rule from the keys/second rate of the last run. The loop takes a
+// plan the shape kept on p, or plans its sub-query on its first claim,
+// re-opens that plan with each later claim's bounds
+// (NodeProcessor.StreamAt) and gives it back to the shape at the end.
 func (r *svpRun) work(w int, p *NodeProcessor, first int) {
 	defer r.e.subs.Done()
 	defer r.sch.workerGone(w, r.alive)
-	var prep *engine.Prepared
+	prep := r.plan.shape.takePlan(p)
+	defer func() { r.plan.shape.putPlan(p, prep) }()
 	var ast *avpState
 	if r.e.opts.Strategy == AVP {
 		ast = &avpState{size: max(r.plan.keySpan/(int64(len(r.procs))*avpInitialFraction), 1)}
@@ -992,14 +1007,15 @@ func (r *svpRun) attempt(p *NodeProcessor, idx int, kind attemptKind, try int, p
 	case followerAttempt:
 		sq.Annotate("follower", "true")
 	}
-	args := r.plan.rw.rangeArgs(r.plan.ranges[idx][0], r.plan.ranges[idx][1])
+	args := make([]sqltypes.Value, 0, len(r.plan.args)+2*len(r.plan.rw.VPRefs))
+	args = r.plan.rw.appendRangeArgs(append(args, r.plan.args...), r.plan.ranges[idx][0], r.plan.ranges[idx][1])
 	p.Node().Meter().Charge(r.e.net.Config().NetMessage)
 	var rows *engine.RowArena
 	if r.e.cache == nil {
 		rows = engine.NewRowArena()
 	}
 	t0 := time.Now()
-	reused, err := p.StreamAt(r.workCtx, r.plan.sub, args, r.snapshot, !r.e.opts.AllowSeqscan, prep, rows, func(b *sqltypes.Batch) error {
+	reused, err := p.StreamAt(r.workCtx, r.plan.shape.sub, args, r.snapshot, !r.e.opts.AllowSeqscan, prep, rows, func(b *sqltypes.Batch) error {
 		if !r.send(gatherMsg{idx: idx, attempt: id, batch: b}) {
 			return r.workCtx.Err()
 		}

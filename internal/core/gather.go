@@ -72,7 +72,7 @@ func (r *svpRun) gather(resv *admission.Reservation) (*memdbSink, error) {
 		rowsByAttempt: map[int64]int64{},
 		earlyStop:     rw.PushedLimit > 0 && len(rw.Compose.OrderBy) == 0 && !rw.Compose.Distinct,
 	}
-	g.sink = e.newComposeSink(rw, n, resv)
+	g.sink = e.newComposeSink(r.plan.shape, n, resv)
 	if r.src != nil {
 		g.keepRows = map[int64][]sqltypes.Row{}
 	}
@@ -256,9 +256,10 @@ func prefixHolds(done []bool, rows []int64, k int64) bool {
 // finish composes the winners once, in partition order (floating-point
 // composition is not associative across orderings, and LIMIT without
 // ORDER BY takes the leading rows). The committed prefix's winners are
-// loaded into one composition table that is dropped as soon as the
-// composition query has run over it, so no relation outlives its query
-// and an abandoned gather (error, deadline) never creates one.
+// loaded into a composition table the query's shape keeps, which is
+// truncated as soon as the composition query has run over it, so no row
+// outlives its query in memdb and an abandoned gather (error, deadline)
+// never loads one.
 //
 // All methods are called from the single gather goroutine; the sink needs
 // no locking. observe takes ownership of the batch and returns it to the
@@ -274,13 +275,10 @@ func prefixHolds(done []bool, rows []int64, k int64) bool {
 // cache may keep or share, is left to the garbage collector.
 type memdbSink struct {
 	e   *Engine
-	rw  *Rewrite
+	sh  *shape
 	res *admission.Reservation // memory-budget account for retained rows
 
-	// identity marks a composition that is the concatenation itself; the
-	// winners are then returned as they are, without a memdb round trip.
-	identity bool
-	pooled   bool // no cache is on: the result hands the rows' pooled memory back
+	pooled bool // no cache is on: the result hands the rows' pooled memory back
 
 	bufs      map[attemptKey]*[]sqltypes.Row // from rowLists
 	winner    []int64                        // each partition's committed attempt
@@ -304,13 +302,13 @@ type attemptKey struct {
 	attempt int64
 }
 
-// newComposeSink builds the sink for one query of n partitions. It
-// charges the rows it buffers against the query's admission reservation
-// (a nil reservation is a no-op, so it charges unconditionally).
-func (e *Engine) newComposeSink(rw *Rewrite, n int, res *admission.Reservation) *memdbSink {
+// newComposeSink builds the sink for one query of shape sh and n
+// partitions. It charges the rows it buffers against the query's
+// admission reservation (a nil reservation is a no-op, so it charges
+// unconditionally).
+func (e *Engine) newComposeSink(sh *shape, n int, res *admission.Reservation) *memdbSink {
 	return &memdbSink{
-		e: e, rw: rw, res: res,
-		identity:  identityCompose(rw),
+		e: e, sh: sh, res: res,
 		pooled:    e.cache == nil,
 		bufs:      map[attemptKey]*[]sqltypes.Row{},
 		winner:    make([]int64, n),
@@ -392,8 +390,8 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 			total += len(*l)
 		}
 	}
-	if !s.identity {
-		res, err := s.e.composeRows(ctx, s.rw, parts)
+	if !s.sh.identity { // the identity composition returns the winners without a memdb round trip
+		res, err := s.e.composeRows(ctx, s.sh, parts)
 		if err != nil {
 			s.releaseTo(nil, nil)
 			return nil, err
@@ -401,7 +399,7 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 		s.releaseTo(res, nil)
 		return res, nil
 	}
-	c := s.rw.Compose
+	c := s.sh.rw.Compose
 	res := &engine.Result{Cols: make([]string, len(c.Items))}
 	for i, it := range c.Items {
 		res.Cols[i] = itemName(it)

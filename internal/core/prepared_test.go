@@ -3,8 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"apuama/internal/cache"
 	"apuama/internal/costmodel"
 	"apuama/internal/engine"
 	"apuama/internal/obs"
@@ -134,12 +139,12 @@ func newSubqueryCase(t *testing.T, db *engine.Database, name, text string) subqu
 // partitions re-opened the worker's plan.
 func compareWorker(t *testing.T, fresh *engine.Node, worker *NodeProcessor, c subqueryCase, opts engine.QueryOpts) (reused int) {
 	t.Helper()
-	tmpl := c.rw.template()
+	tmpl := c.rw.template(0)
 	var prep *engine.Prepared
 	for i := 0; i < preparedParts; i++ {
 		v1, v2 := Partition(c.lo, c.hi, preparedParts, i)
 		want := runFresh(t, fresh, c.rw.SubQuery(i, preparedParts, c.lo, c.hi), opts)
-		got := runWorker(t, worker, tmpl, c.rw.rangeArgs(v1, v2), &prep, opts)
+		got := runWorker(t, worker, tmpl, c.rw.appendRangeArgs(nil, v1, v2), &prep, opts)
 		label := fmt.Sprintf("%s partition %d [%d, %d) force=%v (reused %v)", c.name, i, v1, v2, opts.ForceIndexScan, got.reused)
 		if got.rows != want.rows {
 			t.Errorf("%s: rows differ from the fresh plan's\ngot:\n%s\nwant:\n%s", label, got.rows, want.rows)
@@ -166,7 +171,9 @@ func compareWorker(t *testing.T, fresh *engine.Node, worker *NodeProcessor, c su
 // forbidden every partition after the first re-opens the plan; allowed,
 // only those whose range is as wide as the planned one may. A ninth
 // statement has an uncorrelated sub-query, which materializes once per
-// execution: a re-opened plan must run it again.
+// execution: a re-opened plan must run it again. Then the same holds for
+// a plan a shape keeps across queries: every template, parameterized, over
+// shapeDraws seeded draws of its parameters and every partition.
 func TestPreparedSubqueryMatchesFresh(t *testing.T) {
 	db := preparedDB(t)
 	fresh, worker := engine.NewNode(1, db), NewNodeProcessor(engine.NewNode(2, db), 1)
@@ -186,6 +193,71 @@ func TestPreparedSubqueryMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	for _, qn := range tpch.QueryNumbers {
+		for _, force := range []bool{true, false} {
+			reused := compareShapeDraws(t, db, fresh, worker, qn, engine.QueryOpts{ForceIndexScan: force})
+			if all := shapeDraws * preparedParts; force && reused != all-1 {
+				t.Errorf("Q%d, seqscan off: %d of %d sub-queries re-opened the kept plan", qn, reused, all-1)
+			}
+		}
+	}
+}
+
+// shapeDraws is how many seeded draws of a template's parameters the
+// kept-plan oracle runs.
+const shapeDraws = 20
+
+// compareShapeDraws runs shapeDraws draws of template qn through one
+// shape, as the controller does: the worker takes the plan the shape kept
+// on it, re-binds it to each partition's arguments — the draw's own, then
+// the range — or plans afresh, and gives it back after the draw. Every
+// partition must match the fresh plan of the literal statement: rows bit
+// for bit, modelled charge and EXPLAIN. It returns how many sub-queries
+// re-opened a kept or re-bound plan.
+func compareShapeDraws(t *testing.T, db *engine.Database, fresh *engine.Node, worker *NodeProcessor, qn int, opts engine.QueryOpts) (reused int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(qn)))
+	var sh *shape
+	var shapeText string
+	for d := 0; d < shapeDraws; d++ {
+		text, err := tpch.RandomQuery(qn, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := newSubqueryCase(t, db, fmt.Sprintf("Q%d draw %d", qn, d), text)
+		shaped, args := sql.Parameterize(mustSel(t, text), engine.FoldLiteral)
+		if sh == nil {
+			rw, err := PlanSVP(shaped, TPCHCatalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, shapeText = newShape(rw, len(args)), shaped.SQL()
+		} else if shaped.SQL() != shapeText {
+			t.Fatalf("Q%d draw %d has another shape\n%s\n%s", qn, d, shaped.SQL(), shapeText)
+		}
+		prep := sh.takePlan(worker)
+		for i := 0; i < preparedParts; i++ {
+			v1, v2 := Partition(lit.lo, lit.hi, preparedParts, i)
+			want := runFresh(t, fresh, lit.rw.SubQuery(i, preparedParts, lit.lo, lit.hi), opts)
+			all := sh.rw.appendRangeArgs(slices.Clone(args), v1, v2)
+			got := runWorker(t, worker, sh.sub, all, &prep, opts)
+			label := fmt.Sprintf("%s partition %d force=%v (reused %v)", lit.name, i, opts.ForceIndexScan, got.reused)
+			if got.rows != want.rows {
+				t.Errorf("%s: rows differ from the fresh plan's\ngot:\n%s\nwant:\n%s", label, got.rows, want.rows)
+			}
+			if got.charge != want.charge {
+				t.Errorf("%s: modelled charge %d ns, fresh plan %d", label, got.charge, want.charge)
+			}
+			if got.plan != want.plan {
+				t.Errorf("%s: EXPLAIN\n%s\nfresh plan\n%s", label, got.plan, want.plan)
+			}
+			if got.reused {
+				reused++
+			}
+		}
+		sh.putPlan(worker, prep)
+	}
+	return reused
 }
 
 // TestPreparedSubqueryRefusesBakedArguments: a plan whose arguments
@@ -219,54 +291,173 @@ func TestPreparedSubqueryRefusesBakedArguments(t *testing.T) {
 	db.SetMQO(false)
 }
 
-// TestPlansPerQueryAtMostClaimingWorkers: on a fault-free cluster each
-// node's claim loop plans its sub-query once and re-opens that plan for
-// every further partition it claims, so a query builds no more plans than
-// it has workers that claimed a partition. Each re-opened attempt's
-// subquery span says plan=reused.
-func TestPlansPerQueryAtMostClaimingWorkers(t *testing.T) {
+// TestShapePlansOncePerShape pins plan reuse across queries on a
+// write-free cluster: a second round of the eight templates and an
+// orders-only shape, every one with fresh parameters, builds no sub-query
+// plan — every subquery span re-opens a kept plan (plan=reused) — and no
+// composition table (memdb's created count holds). One write to lineitem
+// then re-plans only the shapes that read it: their claim loops plan once
+// each, and the orders-only shape still plans nothing.
+func TestShapePlansOncePerShape(t *testing.T) {
 	opts := DefaultOptions()
 	opts.AVPGranularity = 4 // 16 partitions on 4 nodes: every worker claims several
 	s := buildStack(t, 4, opts)
 	defer s.ctl.Close()
 	defer s.eng.Close()
-	tr := obs.NewTracer(len(tpch.QueryNumbers), 0)
-	for _, qn := range tpch.QueryNumbers {
-		q := tpch.MustQuery(qn)
-		sel, err := sql.ParseSelect(q)
-		if err != nil {
+	r := rand.New(rand.NewSource(39))
+	round := func(label string) map[string][2]int {
+		t.Helper()
+		texts := map[string]string{
+			"orders": fmt.Sprintf("select o_orderpriority, count(*) from orders where o_orderdate < date '199%d-06-01' group by o_orderpriority order by o_orderpriority", 3+r.Intn(5)),
+		}
+		for _, qn := range tpch.QueryNumbers {
+			text, err := tpch.RandomQuery(qn, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts[fmt.Sprintf("Q%d", qn)] = text
+		}
+		tr := obs.NewTracer(len(texts), 0)
+		for name, text := range texts {
+			root := tr.StartQuery(name)
+			res, err := s.eng.RunSVP(obs.WithSpan(context.Background(), root), mustSel(t, text))
+			root.End()
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, name, err)
+			}
+			assertSameResult(t, label+" "+name, res, s.single(t, text), false)
+		}
+		out := map[string][2]int{} // per query: plans built, claiming workers
+		for _, q := range tr.SlowLog() {
+			plans, workers := 0, map[string]bool{}
+			for _, c := range q.Children {
+				if c.Name == "subquery" {
+					workers[c.Attr("node")] = true
+					if c.Attr("plan") != "reused" {
+						plans++
+					}
+				}
+			}
+			out[q.Attr("sql")] = [2]int{plans, len(workers)}
+		}
+		if len(out) != len(texts) {
+			t.Fatalf("%s: the slow log holds %d queries, want %d", label, len(out), len(texts))
+		}
+		return out
+	}
+	first := round("first round")
+	for name, pw := range first {
+		if pw[0] == 0 || pw[0] > pw[1] {
+			t.Errorf("first round %s: %d plans for %d claiming workers", name, pw[0], pw[1])
+		}
+	}
+	_, created := s.eng.mem.Stats()
+	for name, pw := range round("second round") {
+		if pw[0] != 0 {
+			t.Errorf("second round %s: %d sub-query plans built, want 0", name, pw[0])
+		}
+	}
+	if _, again := s.eng.mem.Stats(); again != created {
+		t.Errorf("second round: memdb created %d composition tables, want 0", again-created)
+	}
+	if _, err := s.ctl.Exec("delete from lineitem where l_orderkey = 1"); err != nil {
+		t.Fatal(err)
+	}
+	for name, pw := range round("after a write") {
+		if name == "orders" && pw[0] != 0 {
+			t.Errorf("after a write to lineitem the orders-only shape built %d plans, want 0", pw[0])
+		}
+		if name != "orders" && (pw[0] == 0 || pw[0] > pw[1]) {
+			t.Errorf("after a write to lineitem %s built %d plans for %d claiming workers", name, pw[0], pw[1])
+		}
+	}
+}
+
+// TestShapeDrawsNeverSharePartials: with the partial cache on, and then
+// MQO's flights too, two draws of one shape with different literals never
+// share a partial or a flight — each answers its own statement — while the
+// first draw under another output name (a statement the result cache has
+// not seen, with the same partial) does hit the partials of its run.
+func TestShapeDrawsNeverSharePartials(t *testing.T) {
+	for _, mqo := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Cache = cache.Config{Entries: 64, MaxBytes: 16 << 20}
+		opts.MQO = mqo
+		s := buildStack(t, 4, opts)
+		a, b := tpch.Q6("1994-01-01", 0.06, 24), tpch.Q6("1995-01-01", 0.05, 25)
+		ctx := context.Background()
+		for _, text := range []string{a, b} {
+			res, err := s.eng.RunSVP(ctx, mustSel(t, text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, fmt.Sprintf("MQO %v: %s", mqo, text), res, s.single(t, text), false)
+		}
+		if st := s.eng.Snapshot(); st.CachePartialHits != 0 || st.CachePartialShares != 0 {
+			t.Errorf("MQO %v: two draws of one shape shared %d partials and %d flights", mqo, st.CachePartialHits, st.CachePartialShares)
+		}
+		if _, err := s.eng.RunSVP(ctx, mustSel(t, strings.Replace(a, "as revenue", "as renamed", 1))); err != nil {
 			t.Fatal(err)
 		}
-		root := tr.StartQuery(fmt.Sprintf("Q%d", qn))
-		res, err := s.eng.RunSVP(obs.WithSpan(context.Background(), root), sel)
-		root.End()
-		if err != nil {
-			t.Fatalf("Q%d: %v", qn, err)
+		if st := s.eng.Snapshot(); st.CachePartialHits == 0 {
+			t.Errorf("MQO %v: a repeated draw hit no partial; the cache is not on", mqo)
 		}
-		assertSameResult(t, fmt.Sprintf("Q%d", qn), res, s.single(t, q), false)
+		s.ctl.Close()
+		s.eng.Close()
 	}
-	log := tr.SlowLog()
-	if len(log) != len(tpch.QueryNumbers) {
-		t.Fatalf("slow log holds %d queries, want %d", len(log), len(tpch.QueryNumbers))
+}
+
+// TestShapePlansUnderConcurrentLiterals runs shapes with different
+// literals from four goroutines at once — each claim loop taking and
+// giving back the shapes' kept plans and tables beside the others — and
+// every answer must be the reference node's for its own statement. Run
+// under -race it checks the shapes' free lists.
+func TestShapePlansUnderConcurrentLiterals(t *testing.T) {
+	s := buildStack(t, 4, DefaultOptions())
+	defer s.ctl.Close()
+	defer s.eng.Close()
+	const clients, perClient = 4, 6
+	r := rand.New(rand.NewSource(4))
+	texts := make([][]string, clients)
+	want := map[string]*engine.Result{}
+	for c := range texts {
+		for i := 0; i < perClient; i++ {
+			text, err := tpch.RandomQuery([]int{1, 3, 6, 12, 14}[(c+i)%5], r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts[c] = append(texts[c], text)
+			want[text] = s.single(t, text)
+		}
 	}
-	for _, q := range log {
-		plans, reused, workers := 0, 0, map[string]bool{}
-		for _, c := range q.Children {
-			if c.Name != "subquery" {
-				continue
+	got := make([][]*engine.Result, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := range texts {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, text := range texts[c] {
+				sel, err := sql.ParseSelect(text)
+				if err == nil {
+					var res *engine.Result
+					if res, err = s.eng.RunSVP(context.Background(), sel); err == nil {
+						got[c] = append(got[c], res)
+						continue
+					}
+				}
+				errs[c] = err
+				return
 			}
-			workers[c.Attr("node")] = true
-			if c.Attr("plan") == "reused" {
-				reused++
-			} else {
-				plans++
-			}
+		}(c)
+	}
+	wg.Wait()
+	for c := range texts {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
 		}
-		if plans > len(workers) {
-			t.Errorf("%s: %d sub-query plans built for %d claiming workers", q.Attr("sql"), plans, len(workers))
-		}
-		if reused == 0 {
-			t.Errorf("%s: no subquery span re-opened its worker's plan (%d plans)", q.Attr("sql"), plans)
+		for i, text := range texts[c] {
+			assertSameResult(t, fmt.Sprintf("client %d query %d", c, i), got[c][i], want[text], false)
 		}
 	}
 }

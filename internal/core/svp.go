@@ -586,19 +586,20 @@ func (rw *Rewrite) SubQuery(i, n int, lo, hi int64) *sql.SelectStmt {
 	return rw.withRange(func(int) (sql.Expr, sql.Expr) { return intLit(v1), intLit(v2) })
 }
 
-// template is every sub-query at once: the partial template with the
-// range predicates over placeholders, reference k's bounds being $2k+1
-// and $2k+2. Planned with rangeArgs(v1, v2), it is SubQuery's statement
-// for [v1, v2).
-func (rw *Rewrite) template() *sql.SelectStmt {
+// template is every sub-query at once: the partial template — whose own
+// predicates read arguments $1 … $n — with the range predicates over the
+// placeholders that follow them, reference k's bounds being $n+2k+1 and
+// $n+2k+2. Planned with the partial's arguments followed by
+// appendRangeArgs' for [v1, v2), it is SubQuery's statement for [v1, v2).
+func (rw *Rewrite) template(n int) *sql.SelectStmt {
 	return rw.withRange(func(k int) (sql.Expr, sql.Expr) {
-		return &sql.Placeholder{N: 2*k + 1}, &sql.Placeholder{N: 2*k + 2}
+		return &sql.Placeholder{N: n + 2*k + 1}, &sql.Placeholder{N: n + 2*k + 2}
 	})
 }
 
-// rangeArgs returns the template's arguments for partition [v1, v2).
-func (rw *Rewrite) rangeArgs(v1, v2 int64) []sqltypes.Value {
-	args := make([]sqltypes.Value, 0, 2*len(rw.VPRefs))
+// appendRangeArgs appends the range arguments of partition [v1, v2) to
+// args, the partial's own arguments.
+func (rw *Rewrite) appendRangeArgs(args []sqltypes.Value, v1, v2 int64) []sqltypes.Value {
 	for range rw.VPRefs {
 		args = append(args, sqltypes.NewInt(v1), sqltypes.NewInt(v2))
 	}

@@ -35,9 +35,10 @@ func (sc *scope) withOutputs(outputs []colID) *scope {
 	return &c
 }
 
-// resolve maps a column reference to a position in the current layout.
-// The boolean reports local success; callers fall back to the outer scope.
-func (sc *scope) resolve(table, name string) (int, error, bool) {
+// resolve maps a column reference to a position in the current layout and
+// returns the column's declared kind. The boolean reports local success;
+// callers fall back to the outer scope.
+func (sc *scope) resolve(table, name string) (int, sqltypes.Kind, error, bool) {
 	var id colID
 	found := false
 	for t, tb := range sc.tables {
@@ -49,7 +50,7 @@ func (sc *scope) resolve(table, name string) (int, error, bool) {
 			continue
 		}
 		if found {
-			return 0, fmt.Errorf("ambiguous column %q", name), true
+			return 0, 0, fmt.Errorf("ambiguous column %q", name), true
 		}
 		id = colID{t: t, c: c}
 		found = true
@@ -58,23 +59,26 @@ func (sc *scope) resolve(table, name string) (int, error, bool) {
 		}
 	}
 	if !found {
-		return 0, nil, false
+		return 0, 0, nil, false
 	}
+	kind := sc.tables[id.t].rel.Schema.Cols[id.c].Kind
 	for pos, o := range sc.outputs {
 		if o == id {
-			return pos, nil, true
+			return pos, kind, nil, true
 		}
 	}
-	return 0, fmt.Errorf("column %s.%s is not available at this point in the plan", table, name), true
+	return 0, 0, fmt.Errorf("column %s.%s is not available at this point in the plan", table, name), true
 }
 
 // binder binds sql.Expr trees into bexpr trees. It needs the node for
 // planning nested sub-queries and the plan's inputs for placeholders; one
 // without either binds everything else (literalValue folds constants
-// through one).
+// through one). filter is set while it binds a scan's or a join's filter,
+// where a placeholder's literal is read only when a row is evaluated.
 type binder struct {
-	node *Node
-	in   *planInputs
+	node   *Node
+	in     *planInputs
+	filter bool
 }
 
 // bind resolves an expression in the given scope. Aggregate calls are
@@ -89,8 +93,14 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if b.in == nil || e.N < 1 || e.N > len(b.in.args) {
 			return nil, fmt.Errorf("no argument for placeholder %s", e.SQL())
 		}
-		b.in.spilled = true // the argument is now part of an expression, not a bound slot
-		return &litExpr{v: b.in.args[e.N-1]}, nil
+		lit := &litExpr{v: b.in.args[e.N-1]}
+		if b.filter {
+			slot := &b.in.slots[e.N-1]
+			slot.uses = append(slot.uses, lit)
+		} else {
+			b.in.spilled = true // the plan may read the argument's value, not only its kind
+		}
+		return lit, nil
 	case *sql.BinaryExpr:
 		l, err := b.bind(e.L, sc)
 		if err != nil {
@@ -100,12 +110,14 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		b.foldsArgument(e.L, e.R)
 		return foldConst(&binExpr{op: e.Op, l: l, r: r}, l, r), nil
 	case *sql.NegExpr:
 		x, err := b.bind(e.E, sc)
 		if err != nil {
 			return nil, err
 		}
+		b.foldsArgument(e.E)
 		return foldConst(&negExpr{e: x}, x), nil
 	case *sql.CompareExpr:
 		l, err := b.bind(e.L, sc)
@@ -274,20 +286,30 @@ func foldConst(e bexpr, operands ...bexpr) bexpr {
 	return &litExpr{v: v}
 }
 
+// foldsArgument spills the plan when a placeholder is an operand of
+// arithmetic, which foldConst may evaluate at plan time.
+func (b *binder) foldsArgument(operands ...sql.Expr) {
+	for _, o := range operands {
+		if _, ok := o.(*sql.Placeholder); ok && b.in != nil {
+			b.in.spilled = true
+		}
+	}
+}
+
 // bindColumn resolves a column locally, falling back to the enclosing
 // query: a reference to the outer query becomes a correlation parameter
 // of the subquery being bound (one level of correlation is supported,
 // which covers the TPC-H workload; see DESIGN.md).
 func (b *binder) bindColumn(e *sql.ColumnRef, sc *scope) (bexpr, error) {
-	pos, err, ok := sc.resolve(e.Table, e.Name)
+	pos, kind, err, ok := sc.resolve(e.Table, e.Name)
 	if err != nil {
 		return nil, err
 	}
 	if ok {
-		return &colExpr{pos: pos}, nil
+		return &colExpr{pos: pos, kind: kind}, nil
 	}
 	if sc.outer != nil && sc.params != nil {
-		opos, oerr, ook := sc.outer.resolve(e.Table, e.Name)
+		opos, _, oerr, ook := sc.outer.resolve(e.Table, e.Name)
 		if oerr != nil {
 			return nil, oerr
 		}

@@ -39,6 +39,11 @@ type Database struct {
 	// segments live on the shared relations, not per node.
 	columnar atomic.Bool
 	mqo      atomic.Bool
+
+	// version counts the changes a plan is a function of besides its
+	// relations' statistics: tables created and dropped, indexes added,
+	// the columnar and MQO planner switches flipped.
+	version atomic.Int64
 }
 
 // NewDatabase creates an empty database with the given cost model.
@@ -69,6 +74,7 @@ func (db *Database) CreateTable(st *sql.CreateTableStmt) (*storage.Relation, err
 		return nil, fmt.Errorf("table %q already exists", st.Name)
 	}
 	db.relations[st.Name] = rel
+	db.version.Add(1)
 	return rel, nil
 }
 
@@ -77,7 +83,10 @@ func (db *Database) CreateTable(st *sql.CreateTableStmt) (*storage.Relation, err
 // a name that does not exist is a no-op.
 func (db *Database) DropTable(name string) {
 	db.mu.Lock()
-	delete(db.relations, name)
+	if _, ok := db.relations[name]; ok {
+		delete(db.relations, name)
+		db.version.Add(1)
+	}
 	db.mu.Unlock()
 }
 
@@ -87,9 +96,17 @@ func (db *Database) CreateIndex(st *sql.CreateIndexStmt) error {
 	if err != nil {
 		return err
 	}
-	_, err = rel.AddIndex(st.Name, st.Columns, false, st.Clustered)
+	if _, err = rel.AddIndex(st.Name, st.Columns, false, st.Clustered); err == nil {
+		db.version.Add(1)
+	}
 	return err
 }
+
+// CatalogVersion is the catalog's version: it moves whenever a table is
+// created or dropped, an index is added or a planner switch (columnar,
+// MQO) is set, so a plan that recorded it can tell it was planned
+// against the catalog of today.
+func (db *Database) CatalogVersion() int64 { return db.version.Load() }
 
 // Relation looks up a table by name.
 func (db *Database) Relation(name string) (*storage.Relation, error) {
@@ -132,14 +149,20 @@ func (db *Database) Vacuum(horizon int64) int64 {
 
 // SetColumnar enables or disables columnar segment scans for every node
 // attached to this database.
-func (db *Database) SetColumnar(on bool) { db.columnar.Store(on) }
+func (db *Database) SetColumnar(on bool) {
+	db.columnar.Store(on)
+	db.version.Add(1)
+}
 
 // ColumnarEnabled reports whether columnar segment scans are enabled.
 func (db *Database) ColumnarEnabled() bool { return db.columnar.Load() }
 
 // SetMQO enables or disables cooperative shared scans (the multi-query
 // optimization layer) for every node attached to this database.
-func (db *Database) SetMQO(on bool) { db.mqo.Store(on) }
+func (db *Database) SetMQO(on bool) {
+	db.mqo.Store(on)
+	db.version.Add(1)
+}
 
 // MQOEnabled reports whether cooperative shared scans are enabled.
 func (db *Database) MQOEnabled() bool { return db.mqo.Load() }

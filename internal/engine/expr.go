@@ -23,8 +23,13 @@ type bexpr interface {
 	eval(ec *evalCtx) (sqltypes.Value, error)
 }
 
-// colExpr reads a position in the current tuple.
-type colExpr struct{ pos int }
+// colExpr reads a position in the current tuple. kind is the column's
+// declared kind where the binder resolved it to a table column
+// (KindNull: unknown); a filter kernel picks its typed lane by it.
+type colExpr struct {
+	pos  int
+	kind sqltypes.Kind
+}
 
 func (e *colExpr) eval(ec *evalCtx) (sqltypes.Value, error) { return ec.row[e.pos], nil }
 

@@ -212,7 +212,9 @@ func truthCanRaise(e bexpr) bool {
 // selKernelFor returns the selection-vector kernel of a conjunct, or nil
 // if it has none: `col op literal` (either way round), `col op col`,
 // `col [NOT] BETWEEN literal AND literal` and `col [NOT] IN (literals)`.
-// None of these can raise.
+// None of these can raise. A kernel holds its literals by pointer and
+// reads them each time it runs, so a prepared plan re-bound to new
+// arguments (Prepared.Rebind) filters by the new values.
 func selKernelFor(e bexpr) selKernel {
 	switch x := e.(type) {
 	case *cmpExpr:
@@ -227,29 +229,29 @@ func selKernelFor(e bexpr) selKernel {
 		case lcol && rcol:
 			return cmpColsKernel(x, lc.pos, rc.pos, cmpMask(x.code))
 		case lcol && rlit:
-			return cmpLitKernel(x, lc.pos, rl.v, cmpMask(x.code))
+			return cmpLitKernel(x, lc, rl, cmpMask(x.code))
 		case llit && rcol:
-			return cmpLitKernel(x, rc.pos, ll.v, flipMask(cmpMask(x.code)))
+			return cmpLitKernel(x, rc, ll, flipMask(cmpMask(x.code)))
 		}
 	case *betweenExpr:
 		c, ok := x.e.(*colExpr)
 		lo, lok := x.lo.(*litExpr)
 		hi, hok := x.hi.(*litExpr)
 		if ok && lok && hok {
-			return betweenKernel(x, c.pos, lo.v, hi.v)
+			return betweenKernel(x, c, lo, hi)
 		}
 	case *inListExpr:
 		c, ok := x.e.(*colExpr)
 		if !ok {
 			return nil
 		}
-		list := make([]sqltypes.Value, len(x.list))
+		list := make([]*litExpr, len(x.list))
 		for i, m := range x.list {
 			l, ok := m.(*litExpr)
 			if !ok {
 				return nil
 			}
-			list[i] = l.v
+			list[i] = l
 		}
 		return inListKernel(x, c.pos, list)
 	}
@@ -335,78 +337,98 @@ func outcomeString(a, b string) uint8 {
 	return 0
 }
 
-// cmpLitKernel is `col op literal`. The fast lane is a row whose column
-// has the literal's kind; sel[n] is written unconditionally and n advanced
-// by the verdict, so the loop carries no data-dependent branch.
-func cmpLitKernel(src boolExpr, pos int, lit sqltypes.Value, mask uint8) selKernel {
-	kind := lit.K
-	switch {
-	case intBacked(kind):
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == kind {
-					keep = int(mask >> outcomeInt(v.I, lit.I) & 1)
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
-			}
-			return sel[:n]
-		}
-	case kind == sqltypes.KindFloat:
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == sqltypes.KindFloat {
-					keep = int(mask >> outcomeFloat(v.F, lit.F) & 1)
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
-			}
-			return sel[:n]
-		}
-	case kind == sqltypes.KindString:
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == sqltypes.KindString {
-					keep = int(mask >> outcomeString(v.S, lit.S) & 1)
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
-			}
-			return sel[:n]
-		}
+// laneValue is the literal a `col op literal` kernel compares a column of
+// declared kind col with: the literal itself, or, for a float column, an
+// int literal a float64 holds exactly (|i| <= 2^53), widened — the value
+// sqltypes.Compare compares a float with it as. Its kind names the typed
+// lane: the rows of that kind take it, every other row the slow lane.
+func laneValue(col sqltypes.Kind, lit sqltypes.Value) sqltypes.Value {
+	if col == sqltypes.KindFloat && lit.K == sqltypes.KindInt && -1<<53 <= lit.I && lit.I <= 1<<53 {
+		return sqltypes.NewFloat(float64(lit.I))
 	}
-	return slowKernel(src)
+	return lit
 }
 
-// slowKernel runs a kernel-shaped conjunct whose literals have no typed
-// lane (a NULL literal, an interval, mixed kinds) row by row.
-func slowKernel(src boolExpr) selKernel {
+// cmpLitKernel is `col op literal`. The fast lane is a row whose column
+// has the lane's kind (laneValue, decided each run from the literal as it
+// is bound then); sel[n] is written unconditionally and n advanced by the
+// verdict, so the loop carries no data-dependent branch.
+func cmpLitKernel(src boolExpr, col *colExpr, lit *litExpr, mask uint8) selKernel {
+	pos, colKind := col.pos, col.kind
 	return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-		n := 0
-		for _, ri := range sel {
-			sel[n] = ri
-			n += slowLane(src, ec, rows[ri], ri, nul)
+		v := laneValue(colKind, lit.v)
+		switch {
+		case intBacked(v.K):
+			return cmpIntLane(src, ec, rows, sel, nul, pos, v, mask)
+		case v.K == sqltypes.KindFloat:
+			return cmpFloatLane(src, ec, rows, sel, nul, pos, v.F, mask)
+		case v.K == sqltypes.KindString:
+			return cmpStringLane(src, ec, rows, sel, nul, pos, v.S, mask)
 		}
-		return sel[:n]
+		return slowRows(src, ec, rows, sel, nul)
 	}
+}
+
+func cmpIntLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, lit sqltypes.Value, mask uint8) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == lit.K {
+			keep = int(mask >> outcomeInt(v.I, lit.I) & 1)
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
+}
+
+func cmpFloatLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, lit float64, mask uint8) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == sqltypes.KindFloat {
+			keep = int(mask >> outcomeFloat(v.F, lit) & 1)
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
+}
+
+func cmpStringLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, lit string, mask uint8) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == sqltypes.KindString {
+			keep = int(mask >> outcomeString(v.S, lit) & 1)
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
+}
+
+// slowRows runs a kernel-shaped conjunct whose literals have no typed
+// lane (a NULL literal, an interval, mixed kinds) row by row.
+func slowRows(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
+	n := 0
+	for _, ri := range sel {
+		sel[n] = ri
+		n += slowLane(src, ec, rows[ri], ri, nul)
+	}
+	return sel[:n]
 }
 
 // cmpColsKernel is `col op col`; the fast lane is two operands of one
@@ -437,122 +459,137 @@ func cmpColsKernel(src boolExpr, lpos, rpos int, mask uint8) selKernel {
 	}
 }
 
-// betweenKernel is `col [NOT] BETWEEN lo AND hi` over two literals of one
-// int-backed kind or two floats.
-func betweenKernel(src *betweenExpr, pos int, lo, hi sqltypes.Value) selKernel {
-	kind, not := lo.K, src.not
-	switch {
-	case hi.K != kind:
-	case intBacked(kind):
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == kind {
-					if (v.I >= lo.I && v.I <= hi.I) != not {
-						keep = 1
-					}
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
-			}
-			return sel[:n]
+// betweenKernel is `col [NOT] BETWEEN lo AND hi` over two literals whose
+// lane values (laneValue) are of one int-backed kind or both floats.
+func betweenKernel(src *betweenExpr, col *colExpr, lo, hi *litExpr) selKernel {
+	pos, colKind, not := col.pos, col.kind, src.not
+	return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
+		l, h := laneValue(colKind, lo.v), laneValue(colKind, hi.v)
+		switch {
+		case h.K != l.K:
+		case intBacked(l.K):
+			return betweenIntLane(src, ec, rows, sel, nul, pos, l, h, not)
+		case l.K == sqltypes.KindFloat:
+			return betweenFloatLane(src, ec, rows, sel, nul, pos, l.F, h.F, not)
 		}
-	case kind == sqltypes.KindFloat:
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == sqltypes.KindFloat {
-					// "not less than lo, not greater than hi": a NaN anywhere is inside.
-					if (!(v.F < lo.F) && !(v.F > hi.F)) != not {
-						keep = 1
-					}
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
-			}
-			return sel[:n]
-		}
+		return slowRows(src, ec, rows, sel, nul)
 	}
-	return slowKernel(src)
+}
+
+func betweenIntLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, lo, hi sqltypes.Value, not bool) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == lo.K {
+			if (v.I >= lo.I && v.I <= hi.I) != not {
+				keep = 1
+			}
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
+}
+
+func betweenFloatLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, lo, hi float64, not bool) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == sqltypes.KindFloat {
+			// "not less than lo, not greater than hi": a NaN anywhere is inside.
+			if (!(v.F < lo) && !(v.F > hi)) != not {
+				keep = 1
+			}
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
 }
 
 // inListKernel is `col [NOT] IN (literals)` over a list of strings or of
-// one int-backed kind (no NULL member: the fast lane has no NULL answer).
-func inListKernel(src *inListExpr, pos int, list []sqltypes.Value) selKernel {
-	if len(list) == 0 {
-		return slowKernel(src)
-	}
-	kind, not := list[0].K, src.not
-	for _, m := range list {
-		if m.K != kind {
-			return slowKernel(src)
+// one int-backed kind (no NULL member: the fast lane has no NULL answer),
+// as the members are bound when it runs.
+func inListKernel(src *inListExpr, pos int, list []*litExpr) selKernel {
+	not := src.not
+	return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
+		if len(list) == 0 {
+			return slowRows(src, ec, rows, sel, nul)
 		}
-	}
-	switch {
-	case kind == sqltypes.KindString:
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == sqltypes.KindString {
-					found := false
-					for i := range list {
-						if v.S == list[i].S {
-							found = true
-							break
-						}
-					}
-					if found != not {
-						keep = 1
-					}
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
+		kind := list[0].v.K
+		for _, m := range list {
+			if m.v.K != kind {
+				return slowRows(src, ec, rows, sel, nul)
 			}
-			return sel[:n]
 		}
-	case intBacked(kind):
-		return func(ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool) []int32 {
-			n := 0
-			for _, ri := range sel {
-				row := rows[ri]
-				v := &row[pos]
-				keep := 0
-				if v.K == kind {
-					found := false
-					for i := range list {
-						if v.I == list[i].I {
-							found = true
-							break
-						}
-					}
-					if found != not {
-						keep = 1
-					}
-				} else {
-					keep = slowLane(src, ec, row, ri, nul)
-				}
-				sel[n] = ri
-				n += keep
-			}
-			return sel[:n]
+		switch {
+		case kind == sqltypes.KindString:
+			return inStringLane(src, ec, rows, sel, nul, pos, list, not)
+		case intBacked(kind):
+			return inIntLane(src, ec, rows, sel, nul, pos, kind, list, not)
 		}
+		return slowRows(src, ec, rows, sel, nul)
 	}
-	return slowKernel(src)
+}
+
+func inStringLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, list []*litExpr, not bool) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == sqltypes.KindString {
+			found := false
+			for _, m := range list {
+				if v.S == m.v.S {
+					found = true
+					break
+				}
+			}
+			if found != not {
+				keep = 1
+			}
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
+}
+
+func inIntLane(src boolExpr, ec *evalCtx, rows []sqltypes.Row, sel []int32, nul []bool, pos int, kind sqltypes.Kind, list []*litExpr, not bool) []int32 {
+	n := 0
+	for _, ri := range sel {
+		row := rows[ri]
+		v := &row[pos]
+		keep := 0
+		if v.K == kind {
+			found := false
+			for _, m := range list {
+				if v.I == m.v.I {
+					found = true
+					break
+				}
+			}
+			if found != not {
+				keep = 1
+			}
+		} else {
+			keep = slowLane(src, ec, row, ri, nul)
+		}
+		sel[n] = ri
+		n += keep
+	}
+	return sel[:n]
 }
 
 // --- numeric kernels ---

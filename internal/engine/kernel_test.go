@@ -56,19 +56,44 @@ func (g *exprGen) cleanKind(c int) sqltypes.Kind {
 // literalFor draws a literal to compare column c with: usually of the
 // column's kind, sometimes of a kind that compares with it across
 // representations (an int against a float column, a date against an int),
-// sometimes anything (NULL, an interval, a string against a number).
+// sometimes anything (NULL, an interval, a string against a number), now
+// and then an int at or just past ±2^53 — the edge of the ints a float
+// column's lane widens — or a NULL.
 func (g *exprGen) literalFor(c int) *litExpr {
-	if g.r.Intn(5) == 0 {
+	switch g.r.Intn(10) {
+	case 0, 1:
 		return &litExpr{v: g.typedValue(c + 1 + g.r.Intn(3))}
+	case 2:
+		return &litExpr{v: sqltypes.NewInt(edgeInts[g.r.Intn(len(edgeInts))])}
+	case 3:
+		if g.r.Intn(3) == 0 {
+			return &litExpr{v: sqltypes.Null()}
+		}
 	}
 	return &litExpr{v: g.typedValue(c)}
+}
+
+// edgeInts are the ints around the largest a float64 holds exactly.
+var edgeInts = []int64{1 << 53, -1 << 53, 1<<53 + 1, -1<<53 - 1, 1<<53 - 1, math.MaxInt64, 2}
+
+// edgeFloats are floats at the same edge, which a row's float column
+// holds now and then.
+var edgeFloats = []float64{1 << 53, -1 << 53, 1<<53 + 2, -1<<53 - 2, 1<<53 - 1, 2}
+
+// column draws a column reference: mostly with its declared kind (the
+// clean kind of its position), now and then with none known.
+func (g *exprGen) column(c int) *colExpr {
+	if g.r.Intn(4) == 0 {
+		return &colExpr{pos: c}
+	}
+	return &colExpr{pos: c, kind: g.cleanKind(c)}
 }
 
 // kernelConjunct draws a conjunct of one of the shapes selKernelFor
 // compiles.
 func (g *exprGen) kernelConjunct() bexpr {
 	c := g.r.Intn(refRowWidth)
-	col := &colExpr{pos: c}
+	col := g.column(c)
 	ops := []string{"=", "<>", "<", "<=", ">", ">="}
 	switch g.r.Intn(6) {
 	case 0, 1:
@@ -149,6 +174,9 @@ func TestFilterKernelsMatchReference(t *testing.T) {
 		rows := make([]sqltypes.Row, g.r.Intn(25))
 		for j := range rows {
 			rows[j] = g.typedRow(clean)
+			if g.r.Intn(4) == 0 { // a float column at the edge of exact ints
+				rows[j][1+4*g.r.Intn(2)] = sqltypes.NewFloat(edgeFloats[g.r.Intn(len(edgeFloats))])
+			}
 		}
 		ex.params = []sqltypes.Value{g.value(), g.value()}
 
@@ -192,6 +220,55 @@ func TestFilterKernelsMatchReference(t *testing.T) {
 	if errs < cases/20 || empty < cases/20 || full < cases/100 || withKernels < cases/2 || nullCarried < cases/20 || reordered < cases/10 {
 		t.Fatalf("cases too skewed over %d: %d errors, %d empty and %d full selections, %d with kernels (%d carrying NULLs, %d beside general conjuncts)",
 			cases, errs, empty, full, withKernels, nullCarried, reordered)
+	}
+}
+
+// slowTruth is a conjunct whose every evaluation is counted: a kernel
+// built over it reaches it only through its slow lane.
+type slowTruth struct{ calls int }
+
+func (s *slowTruth) eval(ec *evalCtx) (sqltypes.Value, error) { return evalTruth(s, ec) }
+func (s *slowTruth) truth(*evalCtx) (tri, error) {
+	s.calls++
+	return triFalse, nil
+}
+
+// TestKernelLaneFollowsTheColumnKind: a kernel picks its typed lane by
+// the column's declared kind, reading the literal as it is bound when it
+// runs. Q6's l_quantity < 24 — a float column, an int literal — takes the
+// float lane on every float row; an int a float64 does not hold exactly,
+// a column of unknown kind and a literal of another family take the slow
+// lane; a literal re-bound between runs is read afresh.
+func TestKernelLaneFollowsTheColumnKind(t *testing.T) {
+	rows := []sqltypes.Row{{sqltypes.NewFloat(23.5)}, {sqltypes.NewFloat(24)}, {sqltypes.NewFloat(1 << 53)}, {sqltypes.Null()}}
+	float := &colExpr{pos: 0, kind: sqltypes.KindFloat}
+	ex := &execCtx{meter: costmodel.NewMeter(costmodel.TestConfig())}
+	for _, c := range []struct {
+		name      string
+		col       *colExpr
+		lit       sqltypes.Value
+		kept, via int // rows kept and rows decided by the slow lane
+	}{
+		{"an int literal against a float column", float, sqltypes.NewInt(24), 1, 1},
+		{"2^53 against a float column", float, sqltypes.NewInt(1 << 53), 2, 1},
+		{"past 2^53", float, sqltypes.NewInt(1<<53 + 1), 0, 4},
+		{"a column of unknown kind", &colExpr{pos: 0}, sqltypes.NewInt(24), 0, 4},
+		{"a float literal", float, sqltypes.NewFloat(24), 1, 1},
+		{"a string literal", float, sqltypes.NewString("24"), 0, 4},
+	} {
+		src := &slowTruth{}
+		lit := &litExpr{v: c.lit}
+		k := cmpLitKernel(src, c.col, lit, cmpMask(cmpLt))
+		sel := k(&evalCtx{ex: ex}, rows, []int32{0, 1, 2, 3}, nil)
+		if len(sel) != c.kept || src.calls != c.via {
+			t.Errorf("%s: kept %d rows with %d through the slow lane, want %d and %d", c.name, len(sel), src.calls, c.kept, c.via)
+		}
+	}
+	lit := &litExpr{v: sqltypes.NewInt(24)}
+	k := cmpLitKernel(&slowTruth{}, float, lit, cmpMask(cmpLt))
+	lit.v = sqltypes.NewInt(25)
+	if sel := k(&evalCtx{ex: ex}, rows, []int32{0, 1, 2, 3}, nil); len(sel) != 2 {
+		t.Errorf("a re-bound literal: kept %d rows, want 2", len(sel))
 	}
 }
 

@@ -552,7 +552,7 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 	cfg := nd.meter.Config()
 
 	var rids []storage.RowID
-	best, _ := chooseAccessPath(rel, filters, nameScope, nil)
+	best, _, _ := chooseAccessPath(rel, filters, nameScope, nil)
 	if best != nil && (best.selectivity <= 0.2 || !b.seqscan()) {
 		bounds, err := bindBounds(b, best, nameScope, false)
 		if err != nil {

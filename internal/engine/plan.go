@@ -79,6 +79,7 @@ func (n *Node) planFrom(fp *fromPlan, stmt *sql.SelectStmt, outer *scope, params
 		if err != nil {
 			return err
 		}
+		in.read(rel)
 		ref := tr.RefName()
 		for j := 0; j < i; j++ {
 			if tables[j].ref == ref {
@@ -359,9 +360,12 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 		rows = 1
 	}
 	sel := filterSelectivity(tb.rel, filters)
-	best, candidates := chooseAccessPath(tb.rel, filters, nameScope, b.in.args)
+	best, candidates, slotted := chooseAccessPath(tb.rel, filters, nameScope, b.in.args)
 	seqscan := b.seqscan()
 	useIndex := best != nil && (!seqscan || best.selectivity <= 0.2)
+	if slotted > 1 || slotted == 1 && !(useIndex && best.slotted) {
+		b.in.spilled = true // an argument's value weighed an access path that is not its bound slot
+	}
 	// A columnar scan replaces a sequential scan, or a clustered index
 	// range scan, whose relation is large enough.
 	columnar := n.db.ColumnarEnabled() && tb.rel.LiveRows() >= columnarMinRows && (!useIndex || best.index.Clustered)
@@ -374,6 +378,9 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	}
 	var few [8]bexpr // a point or range statement's conjuncts stay on the stack
 	bound := few[:0]
+	// A columnar scan's zone maps read its filter's literals at open: an
+	// argument there spills.
+	b.filter = !columnar
 	for i, f := range filters {
 		if implied != nil && !columnar && implied(i) {
 			bound = append(bound, nil)
@@ -381,10 +388,12 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 		}
 		bf, err := b.bind(f, scanScope)
 		if err != nil {
+			b.filter = false
 			return nil, err
 		}
 		bound = append(bound, bf)
 	}
+	b.filter = false
 	filter := conjunction(bound, nil)
 
 	var scanOp op
@@ -479,22 +488,25 @@ type accessPath struct {
 }
 
 // chooseAccessPath finds the most selective index range constrained by
-// the filters, and counts the indexes that offered one. Only the first
-// index column is range-matched (enough for virtual partitioning and
-// TPC-H predicates).
-func chooseAccessPath(rel *storage.Relation, filters []sql.Expr, sc *scope, args []sqltypes.Value) (best *accessPath, candidates int) {
+// the filters, and counts the indexes that offered one and those of them
+// a placeholder bounds. Only the first index column is range-matched
+// (enough for virtual partitioning and TPC-H predicates).
+func chooseAccessPath(rel *storage.Relation, filters []sql.Expr, sc *scope, args []sqltypes.Value) (best *accessPath, candidates, slotted int) {
 	for _, ix := range rel.Indexes() {
 		ap := buildPath(rel, ix, filters, sc, args)
 		if ap == nil {
 			continue
 		}
 		candidates++
+		if ap.slotted {
+			slotted++
+		}
 		if best == nil || ap.selectivity < best.selectivity ||
 			(ap.selectivity == best.selectivity && ap.index.Clustered && !best.index.Clustered) {
 			best = ap
 		}
 	}
-	return best, candidates
+	return best, candidates, slotted
 }
 
 // buildPath intersects the filters' bounds on the index's leading column.
@@ -790,6 +802,13 @@ func literalValue(e sql.Expr, args []sqltypes.Value) (sqltypes.Value, bool) {
 	return sqltypes.Null(), false
 }
 
+// FoldLiteral returns the value the planner binds a literal-only
+// expression to — a literal, or arithmetic over literals folded by the
+// evaluator (foldConst) — and false when it does not fold.
+// sql.Parameterize lifts operands through it, so an argument is bit for
+// bit the literal a plan of the statement as written would bind.
+func FoldLiteral(e sql.Expr) (sqltypes.Value, bool) { return literalValue(e, nil) }
+
 // bindBounds binds the access path's bound candidates (constants or
 // correlation parameters) for runtime evaluation. A placeholder's literal
 // becomes a bound slot of the plan (planInputs.bindSlots) when it is its
@@ -897,7 +916,9 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 			if !ok {
 				continue
 			}
+			b.filter = true
 			cond, err := b.bind(r.expr, nameScope.withOutputs(layout))
+			b.filter = false
 			if err != nil {
 				return err
 			}

@@ -5,36 +5,43 @@ import (
 
 	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
+	"apuama/internal/storage"
 )
 
 // A prepared plan is a SELECT planned once on a node and opened again for
 // each new vector of arguments to its placeholders ($1, $2, …) — the
 // paper's SVP sub-queries, which differ only in the two bounds of their
-// range predicate on the partitioning attribute. Planning reads an
-// argument as the literal it stands for, so a fresh plan is exactly the
-// plan of the statement with the literals written in. Re-binding the same
-// operator tree to other arguments is only sound where the arguments
-// reached nothing but bound slots: each placeholder the only candidate of
-// one side of one index scan's key bounds, which every open resolves
-// anew. Anywhere else — a filter, a projection, a compiled kernel, a
-// columnar or shared scan's filter, an intersection with another literal
-// bound, an equality, an empty range — its value is baked into the plan,
-// and the plan is spilled: it re-opens only with the arguments it was
-// planned with.
+// range predicate on the partitioning attribute and in the literals of
+// their template (the controller lifts those into arguments too, see
+// sql.Parameterize). Planning reads an argument as the literal it stands
+// for, so a fresh plan is exactly the plan of the statement with the
+// literals written in. Re-binding the same operator tree to other
+// arguments is only sound where only an argument's kind shaped the plan:
+// each placeholder either the only candidate of one side of one index
+// scan's key bounds, which every open resolves anew, or a literal of a
+// scan or join filter, which evaluation and the filter kernels read when
+// they run. Anywhere else — a projection, a folded expression, a
+// columnar or shared scan's filter and zone maps, an intersection with
+// another literal bound, an equality, an empty range, an access path it
+// weighed — its value is baked into the plan, and the plan is spilled: it
+// re-opens only with the arguments it was planned with.
+//
+// A plan is also a function of the catalog, the node's enable_seqscan
+// setting and its relations' statistics, which move with every write:
+// planInputs records the version and the write epochs it was planned
+// against, so a plan kept across queries can tell it is still the plan
+// Prepare would build (Prepared.Fresh).
 
 // planInputs is what a plan is a function of besides the statement, the
 // relations and their statistics: the arguments of its placeholders and
 // whether the query forbids sequential scans. The binder carries it, so a
 // query's own sub-plans plan under the same inputs; planning records in
-// it where the arguments went.
+// it where the arguments went and what it read.
 type planInputs struct {
-	args       []sqltypes.Value
-	forceIndex bool
-
-	// slots[i] is the literal $i+1 became as a bound slot; spilled is set
-	// when an argument reached anything else.
-	slots   []*litExpr
-	spilled bool
+	args []sqltypes.Value
+	// slots[i] is where $i+1 went; spilled is set when an argument
+	// reached anything but a slot.
+	slots []argSlot
 	// pairs are the index ranges bounded by two slots. A range's width
 	// (hi - lo, all rangeSelectivity reads of it) decided the access path
 	// where sequential scans were allowed or another index was a
@@ -44,6 +51,42 @@ type planInputs struct {
 	// subplans are the plan's sub-queries: an uncorrelated one
 	// materializes once per execution, so every open clears its cache.
 	subplans []*subplan
+
+	// version and seqscan are the catalog version and the node's
+	// enable_seqscan setting the plan was planned under; reads are the
+	// relations it read, each with its write epoch before planning read
+	// its statistics.
+	version  int64
+	reads    []relEpoch
+	readsBuf [2]relEpoch
+
+	forceIndex, spilled, seqscan bool
+}
+
+// argSlot is where one argument went: the literal it became as the bound
+// slot of an index range, or the literals it became in filters.
+type argSlot struct {
+	bound *litExpr
+	uses  []*litExpr
+}
+
+// relEpoch is a relation a plan read and its write epoch then.
+type relEpoch struct {
+	rel   *storage.Relation
+	epoch int64
+}
+
+// read records that planning reads rel, before it reads its statistics.
+func (in *planInputs) read(rel *storage.Relation) {
+	for _, r := range in.reads {
+		if r.rel == rel {
+			return
+		}
+	}
+	if in.reads == nil {
+		in.reads = in.readsBuf[:0]
+	}
+	in.reads = append(in.reads, relEpoch{rel: rel, epoch: rel.WriteEpoch()})
 }
 
 type slotPair struct {
@@ -83,10 +126,10 @@ func (in *planInputs) sideSlot(side []keyBound, bound []scanBound) (n int, ok bo
 		if kb.slot == 0 {
 			continue
 		}
-		if len(side) > 1 || in.slots[kb.slot-1] != nil {
+		if len(side) > 1 || in.slots[kb.slot-1].bound != nil {
 			return 0, false
 		}
-		in.slots[kb.slot-1] = bound[i].e.(*litExpr)
+		in.slots[kb.slot-1].bound = bound[i].e.(*litExpr)
 		return kb.slot, true
 	}
 	return 0, true
@@ -109,7 +152,10 @@ type Prepared struct {
 // Prepare plans sel with args bound to its placeholders, under the
 // planner input of opts: ForceIndexScan.
 func (nd *Node) Prepare(sel *sql.SelectStmt, args []sqltypes.Value, opts QueryOpts) (*Prepared, error) {
-	p := &Prepared{nd: nd, in: planInputs{args: slices.Clone(args), forceIndex: opts.ForceIndexScan, slots: make([]*litExpr, len(args))}}
+	p := &Prepared{nd: nd, in: planInputs{
+		args: slices.Clone(args), slots: make([]argSlot, len(args)),
+		version: nd.db.CatalogVersion(), forceIndex: opts.ForceIndexScan, seqscan: nd.EnableSeqscan(),
+	}}
 	root, cols, err := nd.planTop(sel, &p.in)
 	if err != nil {
 		return nil, err
@@ -118,20 +164,21 @@ func (nd *Node) Prepare(sel *sql.SelectStmt, args []sqltypes.Value, opts QueryOp
 	return p, nil
 }
 
-// Rebind writes args into the plan's bound slots and reports true when
-// the result is, by construction, the plan Prepare would build for args
-// under opts: nothing spilled, every argument a slot of the same kind that
-// orders transitively (so the bounds still imply the conjuncts left out of
-// the scan filter), no range turned empty, every width that chose an
-// access path kept and the same ForceIndexScan. Otherwise it changes
-// nothing and reports false.
+// Rebind writes args into the plan's slots and reports true when the
+// result is, by construction, the plan Prepare would build for args under
+// opts: nothing spilled, every argument of the kind it was planned with
+// and either a filter literal or a bound slot that orders transitively
+// (so the bounds still imply the conjuncts left out of the scan filter),
+// no range turned empty, every width that chose an access path kept and
+// the same ForceIndexScan. Otherwise it changes nothing and reports false.
 func (p *Prepared) Rebind(args []sqltypes.Value, opts QueryOpts) bool {
 	in := &p.in
 	if in.spilled || len(args) != len(in.args) || opts.ForceIndexScan != in.forceIndex {
 		return false
 	}
 	for i, v := range args {
-		if in.slots[i] == nil || v.K != in.args[i].K || !orderedLiteral(v) {
+		bound, filtered := in.slots[i].bound != nil, len(in.slots[i].uses) > 0
+		if bound == filtered || v.K != in.args[i].K || bound && !orderedLiteral(v) {
 			return false
 		}
 	}
@@ -144,10 +191,34 @@ func (p *Prepared) Rebind(args []sqltypes.Value, opts QueryOpts) bool {
 			return false
 		}
 	}
-	for i, slot := range in.slots {
-		slot.v = args[i]
+	for i, v := range args {
+		if b := in.slots[i].bound; b != nil {
+			b.v = v
+		}
+		for _, u := range in.slots[i].uses {
+			u.v = v
+		}
 	}
 	copy(in.args, args)
+	return true
+}
+
+// Fresh reports whether the plan may serve a later query as it stands:
+// nothing spilled, and the catalog version, the node's enable_seqscan
+// setting and the write epoch of every relation it read are still those
+// it was planned against. A plan kept across queries is then, by
+// construction, the plan Prepare would build now for any arguments Rebind
+// accepts.
+func (p *Prepared) Fresh() bool {
+	in := &p.in
+	if in.spilled || p.nd.db.CatalogVersion() != in.version || p.nd.EnableSeqscan() != in.seqscan {
+		return false
+	}
+	for _, r := range in.reads {
+		if r.rel.WriteEpoch() != r.epoch {
+			return false
+		}
+	}
 	return true
 }
 

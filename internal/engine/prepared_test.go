@@ -50,6 +50,9 @@ func drainPlan(p *Prepared, opts QueryOpts) (string, error) {
 func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 	_, nd := newTestDB(t, 200, 3)
 	const rangeSQL = "select count(*), sum(total) from orders where ok >= $1 and ok < $2"
+	const itemsRange = "select count(*), sum(price) from items where ok >= $1 and ok < $2"
+	i, f, s, d := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.NewDate
+	withRange := func(lo, hi int64, vs ...sqltypes.Value) []sqltypes.Value { return append(ints(lo, hi), vs...) }
 	const twoIndexes = "select count(*), sum(price) from items where ok >= $1 and ok < $2 and tag > 'A'"
 	for _, c := range []struct {
 		name            string
@@ -73,6 +76,37 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 		{"a projection", "select ok + $1 from orders where ok >= $1 and ok < $2", true, ints(10, 20), ints(30, 40), false},
 		{"one side, the other open", "select count(*) from orders where ok >= $1", true, ints(10), ints(30), true},
 		{"one side, the other a literal", "select count(*) from orders where ok >= $1 and ok < 100", true, ints(10), ints(30), false},
+
+		// A filter slot (what sql.Parameterize lifts) re-binds to any value
+		// of its kind: comparisons, BETWEEN and IN lists over ints, floats,
+		// dates and strings. Each has a case where the value must spill.
+		// The range stays, so only the filter's new value tells the
+		// answers apart.
+		{"cmp over an int", rangeSQL + " and cust < $3", true, withRange(10, 40, i(4)), withRange(10, 40, i(6)), true},
+		{"cmp over an int, re-bound to a float", rangeSQL + " and cust < $3", true, withRange(10, 40, i(4)), withRange(10, 40, f(6)), false},
+		{"cmp over a float", rangeSQL + " and total > $3", true, withRange(10, 40, f(150)), withRange(10, 40, f(355.5)), true},
+		{"cmp over a float, an int planned", rangeSQL + " and total > $3", true, withRange(10, 40, i(150)), withRange(10, 40, f(355.5)), false},
+		{"cmp over a date", rangeSQL + " and odate <= $3", true, withRange(10, 40, d(8015)), withRange(10, 40, d(8035)), true},
+		{"cmp over a date, re-bound to NULL", rangeSQL + " and odate <= $3", true, withRange(10, 40, d(8015)), withRange(10, 40, sqltypes.Null()), false},
+		{"cmp over a string", itemsRange + " and tag <> $3", true, withRange(10, 40, s("RED")), withRange(10, 40, s("NONE")), true},
+		{"cmp over a string on an indexed column", itemsRange + " and tag > $3", true, withRange(10, 40, s("GREEN")), withRange(10, 40, s("BLUE")), false},
+		{"between ints", rangeSQL + " and cust between $3 and $4", true, withRange(10, 40, i(2), i(4)), withRange(10, 40, i(3), i(7)), true},
+		{"between ints, one folded", rangeSQL + " and cust between $3 + 0 and $4", true, withRange(10, 40, i(2), i(4)), withRange(10, 40, i(3), i(7)), false},
+		{"between floats", rangeSQL + " and total between $3 and $4", true, withRange(10, 40, f(120), f(170)), withRange(10, 40, f(305), f(365)), true},
+		{"between floats, re-bound to an int", rangeSQL + " and total between $3 and $4", true, withRange(10, 40, f(120), f(170)), withRange(10, 40, f(305), i(365)), false},
+		{"between dates", rangeSQL + " and odate between $3 and $4", true, withRange(10, 40, d(8012), d(8016)), withRange(10, 40, d(8031), d(8038)), true},
+		{"between dates, re-bound to strings", rangeSQL + " and odate between $3 and $4", true, withRange(10, 40, d(8012), d(8016)), withRange(10, 40, s("a"), s("b")), false},
+		{"not between strings", itemsRange + " and tag not between $3 and $4", true, withRange(10, 40, s("A"), s("C")), withRange(10, 40, s("C"), s("H")), true},
+		{"between strings on an indexed column", itemsRange + " and tag between $3 and $4", true, withRange(10, 40, s("A"), s("C")), withRange(10, 40, s("C"), s("H")), false},
+		{"in ints", rangeSQL + " and cust in ($3, $4)", true, withRange(10, 40, i(2), i(5)), withRange(10, 40, i(1), i(3)), true},
+		{"in ints, re-bound to a date", rangeSQL + " and cust in ($3, $4)", true, withRange(10, 40, i(2), i(5)), withRange(10, 40, d(1), i(3)), false},
+		{"in floats", rangeSQL + " and total in ($3, $4)", true, withRange(10, 40, f(120), f(150)), withRange(10, 40, f(310), f(390)), true},
+		{"in floats, one also in a projection", "select total + $3 from orders where ok >= $1 and ok < $2 and total in ($3, $4)", true, withRange(10, 40, f(120), f(150)), withRange(10, 40, f(310), f(390)), false},
+		{"in dates", rangeSQL + " and odate in ($3, $4)", true, withRange(10, 40, d(8012), d(8015)), withRange(10, 40, d(8031), d(8036)), true},
+		{"in dates, re-bound to NULL", rangeSQL + " and odate in ($3, $4)", true, withRange(10, 40, d(8012), d(8015)), withRange(10, 40, d(8031), sqltypes.Null()), false},
+		{"in strings", itemsRange + " and tag in ($3, $4)", true, withRange(10, 40, s("RED"), s("BLUE")), withRange(10, 40, s("GREEN"), s("BLUE")), true},
+		{"in strings, re-bound to an int", itemsRange + " and tag in ($3, $4)", true, withRange(10, 40, s("RED"), s("BLUE")), withRange(10, 40, s("GREEN"), i(1)), false},
+		{"a filter slot under sequential scans", rangeSQL + " and cust < $3", false, withRange(10, 40, i(4)), withRange(10, 40, i(6)), true},
 	} {
 		sel := mustSelect(t, c.text)
 		opts := QueryOpts{ForceIndexScan: c.force}
@@ -94,6 +128,16 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 		fresh, err := nd.Prepare(sel, c.rebind, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(c.planned) > 2 {
+			planned, err := nd.Prepare(sel, c.planned, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _ := drainPlan(planned, opts)
+			if after, _ := drainPlan(fresh, opts); before == after {
+				t.Errorf("%s: the filter's two values answer alike; the case proves nothing", c.name)
+			}
 		}
 		if got, want := fmt.Sprint(p.Explain().Rows), fmt.Sprint(fresh.Explain().Rows); got != want {
 			t.Errorf("%s: re-bound plan\n%s\nfresh plan\n%s", c.name, got, want)
@@ -246,5 +290,54 @@ func TestForceIndexScanStaysInItsQuery(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("beside a forced cursor, DELETE charges %d ns, %d without", got, want)
+	}
+}
+
+// TestFreshUntilWhatItReadMoves: a plan kept across queries stays fresh
+// until something it was planned from moves — a write to a relation it
+// read (its statistics move with writes), an index added, the node's
+// enable_seqscan setting — and a write to a relation it did not read
+// leaves it fresh. A spilled plan is never fresh.
+func TestFreshUntilWhatItReadMoves(t *testing.T) {
+	_, nd := newTestDB(t, 200, 3)
+	prepare := func(text string, args ...sqltypes.Value) *Prepared {
+		t.Helper()
+		p, err := nd.Prepare(mustSelect(t, text), args, QueryOpts{ForceIndexScan: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const ordersOnly = "select count(*) from orders where ok >= $1 and ok < $2 and cust < $3"
+	p := prepare(ordersOnly, sqltypes.NewInt(10), sqltypes.NewInt(20), sqltypes.NewInt(3))
+	if !p.Fresh() {
+		t.Fatal("a plan is stale as soon as it is planned")
+	}
+	if _, err := nd.Exec("delete from items where ok = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Fresh() {
+		t.Error("a write to a relation the plan did not read made it stale")
+	}
+	if _, err := nd.Exec("delete from orders where ok = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if p.Fresh() {
+		t.Error("a write to a relation the plan read left it fresh")
+	}
+	p = prepare(ordersOnly, sqltypes.NewInt(10), sqltypes.NewInt(20), sqltypes.NewInt(3))
+	if _, err := nd.Exec("create index orders_cust on orders (cust)"); err != nil {
+		t.Fatal(err)
+	}
+	if p.Fresh() {
+		t.Error("a new index left the plan fresh")
+	}
+	p = prepare(ordersOnly, sqltypes.NewInt(10), sqltypes.NewInt(20), sqltypes.NewInt(3))
+	nd.Set("enable_seqscan", sqltypes.NewBool(false))
+	if p.Fresh() {
+		t.Error("another enable_seqscan left the plan fresh")
+	}
+	if p := prepare("select ok + $1 from orders where ok >= $2", sqltypes.NewInt(1), sqltypes.NewInt(5)); p.Fresh() {
+		t.Error("a spilled plan is fresh")
 	}
 }

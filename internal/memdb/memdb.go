@@ -1,7 +1,10 @@
 // Package memdb provides the fast in-memory composition database the
 // paper uses HSQLDB for: Apuama's Result Composer inserts each node's
 // partial result into a temporary table here and runs the composition
-// query (global re-aggregation, ordering, limiting) against it.
+// query (global re-aggregation, ordering, limiting) against it. The
+// controller keeps such a table and its prepared composition across the
+// queries of one statement shape (Table); Loader builds one for a single
+// composition.
 //
 // It is an instance of our own engine with a free cost model — an
 // in-memory database pays no simulated disk IO.
@@ -9,6 +12,7 @@ package memdb
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"apuama/internal/costmodel"
@@ -29,11 +33,11 @@ type MemDB struct {
 func New() *MemDB {
 	// Zero latencies: an in-memory database pays no IO whatever its pool
 	// holds. The pool only has to stay small — composition tables come
-	// and go with their queries, each on fresh page IDs, and an unbounded
-	// pool would remember every one of them forever. Pages are
-	// PostgreSQL-sized: a page's slot arrays are allocated whole when it
-	// is created, and most composition tables hold a few dozen partial
-	// rows, which one 8 KB page takes.
+	// and go, each on fresh page IDs, and an unbounded pool would
+	// remember every one of them forever. Pages are PostgreSQL-sized: a
+	// page's slot arrays are allocated whole when it is created (a kept
+	// Table reuses them), and most composition tables hold a few dozen
+	// partial rows, which one 8 KB page takes.
 	cfg := costmodel.Config{
 		PageSize:   8 * 1024,
 		CachePages: 1 << 10,
@@ -85,7 +89,7 @@ func (l *Loader) Append(rows []sqltypes.Row) error {
 	}
 	l.rows = append(l.rows, rows...)
 	if l.rel != nil && !l.widens(rows) {
-		return l.insert(rows)
+		return insert(l.rel, l.kinds, rows)
 	}
 	return l.rebuild()
 }
@@ -132,37 +136,47 @@ func (l *Loader) Rows() int { return len(l.rows) }
 // row and re-inserts them, dropping the narrower predecessor. Fresh names
 // keep concurrent compositions from colliding.
 func (l *Loader) rebuild() error {
-	if len(l.cols) == 0 {
-		return fmt.Errorf("memdb: result has no columns")
-	}
 	l.m.db.DropTable(l.name)
-	l.name = fmt.Sprintf("%s_%d", l.prefix, l.m.seq.Add(1))
-	l.kinds = inferKinds(len(l.cols), l.rows)
-	st := &sql.CreateTableStmt{Name: l.name}
-	for i, c := range l.cols {
-		st.Columns = append(st.Columns, sql.ColumnDef{Name: c, Type: l.kinds[i]})
-	}
-	rel, err := l.m.db.CreateTable(st)
+	l.kinds = InferKinds(len(l.cols), l.rows)
+	name, rel, err := l.m.create(l.prefix, l.cols, l.kinds)
 	if err != nil {
 		return err
 	}
-	l.rel = rel
-	return l.insert(l.rows)
+	l.name, l.rel = name, rel
+	return insert(l.rel, l.kinds, l.rows)
 }
 
-// insert stores the rows in the table. A row is retained by reference
-// already, so it is stored as it is unless a value must widen to its
-// column's kind; only then is it copied.
-func (l *Loader) insert(rows []sqltypes.Row) error {
+// create adds a table of the given columns and kinds under a fresh name.
+func (m *MemDB) create(prefix string, cols []string, kinds []sqltypes.Kind) (string, *storage.Relation, error) {
+	if len(cols) == 0 {
+		return "", nil, fmt.Errorf("memdb: result has no columns")
+	}
+	name := fmt.Sprintf("%s_%d", prefix, m.seq.Add(1))
+	st := &sql.CreateTableStmt{Name: name}
+	for i, c := range cols {
+		k := kinds[i]
+		if k == sqltypes.KindNull {
+			k = sqltypes.KindString // all-NULL column: any kind works
+		}
+		st.Columns = append(st.Columns, sql.ColumnDef{Name: c, Type: k})
+	}
+	rel, err := m.db.CreateTable(st)
+	return name, rel, err
+}
+
+// insert stores the rows in rel. A row is retained by reference already,
+// so it is stored as it is unless a value must widen to its column's
+// kind; only then is it copied.
+func insert(rel *storage.Relation, kinds []sqltypes.Kind, rows []sqltypes.Row) error {
 	for _, row := range rows {
-		if l.narrower(row) {
+		if narrower(row, kinds) {
 			conv := make(sqltypes.Row, len(row))
 			for i, v := range row {
-				conv[i] = widen(v, l.kinds[i])
+				conv[i] = widen(v, kinds[i])
 			}
 			row = conv
 		}
-		if _, err := l.rel.Insert(0, row); err != nil {
+		if _, err := rel.Insert(0, row); err != nil {
 			return err
 		}
 	}
@@ -170,17 +184,105 @@ func (l *Loader) insert(rows []sqltypes.Row) error {
 }
 
 // narrower reports whether some value of row widens to its column's kind.
-func (l *Loader) narrower(row sqltypes.Row) bool {
+func narrower(row sqltypes.Row, kinds []sqltypes.Kind) bool {
 	for i, v := range row {
-		if i < len(l.kinds) && v.K == sqltypes.KindInt && l.kinds[i] == sqltypes.KindFloat {
+		if i < len(kinds) && v.K == sqltypes.KindInt && kinds[i] == sqltypes.KindFloat {
 			return true
 		}
 	}
 	return false
 }
 
-// Stats reports how many tables the database holds right now and how
-// many it has ever created — the pair the leak tests assert on.
+// Table is a composition table kept across queries with its composition
+// query prepared over it: the Result Composer's HSQLDB temporary table and
+// PreparedStatement. Each query loads its partial rows, composes and
+// truncates, instead of creating, planning and dropping a table (Loader).
+// The table is in the database's catalog only while the composition is
+// planned; the plan holds it from then on, so nothing else can name it and
+// Stats never counts it as live. It belongs to one query at a time.
+//
+// A table is keyed on the column kinds it was prepared for (InferKinds,
+// where an all-NULL column's kind is unknown), and serves a load whose
+// kinds match them wherever both are known (Fits). A load widens its ints
+// by its own kinds, so the stored rows are those a table made for the
+// load would hold; and the composition's plan reads no kind and no
+// statistic of its table, so it is the plan of any rows loaded into it.
+type Table struct {
+	rel   *storage.Relation
+	kinds []sqltypes.Kind
+	plan  *engine.Prepared
+	nd    *engine.Node
+}
+
+// Prepare creates a composition table of the given columns and kinds and
+// plans compose over it, its FROM naming the table. The plan reads no
+// statistic of the table — one table, no index, no columnar scan in an
+// in-memory database — so the plan of the empty table is the plan of any
+// rows loaded into it.
+func (m *MemDB) Prepare(compose *sql.SelectStmt, cols []string, kinds []sqltypes.Kind) (*Table, error) {
+	name, rel, err := m.create("svp", cols, kinds)
+	if err != nil {
+		return nil, err
+	}
+	defer m.db.DropTable(name)
+	sel := sql.CloneSelect(compose)
+	sel.From[0].Name = name
+	plan, err := m.node.Prepare(sel, nil, engine.QueryOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return &Table{rel: rel, kinds: slices.Clone(kinds), plan: plan, nd: m.node}, nil
+}
+
+// Fits reports whether a load of the given kinds (InferKinds over every
+// row it loads) may use the table: each column's kinds agree wherever
+// both are known.
+func (t *Table) Fits(kinds []sqltypes.Kind) bool {
+	for i, k := range kinds {
+		if k != t.kinds[i] && k != sqltypes.KindNull && t.kinds[i] != sqltypes.KindNull {
+			return false
+		}
+	}
+	return len(kinds) == len(t.kinds)
+}
+
+// Load appends rows of a load whose kinds are kinds (InferKinds over
+// every row it loads, which the table Fits), widening an int in a float
+// column. The rows are retained by reference until Truncate.
+func (t *Table) Load(rows []sqltypes.Row, kinds []sqltypes.Kind) error {
+	return insert(t.rel, kinds, rows)
+}
+
+// Compose runs the prepared composition over the rows loaded so far. Its
+// result rows are the plan's own heap rows or loaded rows, never the
+// table's slots, so they outlive Truncate.
+func (t *Table) Compose() (*engine.Result, error) {
+	cur, err := t.plan.OpenAt(t.nd.Watermark(), engine.QueryOpts{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	res := &engine.Result{Cols: cur.Cols()}
+	b := sqltypes.GetBatch()
+	defer sqltypes.PutBatch(b)
+	for {
+		if err := cur.Next(b); err != nil {
+			return nil, err
+		}
+		if b.Len() == 0 {
+			return res, nil
+		}
+		res.Rows = append(res.Rows, b.Rows...)
+	}
+}
+
+// Truncate drops every loaded row, keeping the table's pages for the
+// next load: a kept table pins no partial row, and so no pooled arena.
+func (t *Table) Truncate() { t.rel.Truncate() }
+
+// Stats reports how many tables the database's catalog holds right now
+// and how many it has ever created (kept composition tables included) —
+// the pair the leak and reuse tests assert on.
 func (m *MemDB) Stats() (live int, created int64) {
 	return len(m.db.Relations()), m.seq.Load()
 }
@@ -195,26 +297,25 @@ func (m *MemDB) QueryStmt(sel *sql.SelectStmt) (*engine.Result, error) {
 	return m.node.QueryStmt(sel)
 }
 
-// inferKinds derives column kinds from data: the first non-null value
-// sets the kind; ints widen to float if any float appears.
-func inferKinds(n int, rows []sqltypes.Row) []sqltypes.Kind {
+// InferKinds derives the kinds of n columns from the rows of every part:
+// the first non-null value sets a column's kind; ints widen to float if
+// any float appears; an all-NULL column's kind is unknown (KindNull), and
+// a table creates it as a string column.
+func InferKinds(n int, parts ...[]sqltypes.Row) []sqltypes.Kind {
 	kinds := make([]sqltypes.Kind, n)
-	for _, row := range rows {
-		for i, v := range row {
-			if i >= n || v.IsNull() {
-				continue
+	for _, rows := range parts {
+		for _, row := range rows {
+			for i, v := range row {
+				if i >= n || v.IsNull() {
+					continue
+				}
+				switch {
+				case kinds[i] == sqltypes.KindNull:
+					kinds[i] = v.K
+				case kinds[i] == sqltypes.KindInt && v.K == sqltypes.KindFloat:
+					kinds[i] = sqltypes.KindFloat
+				}
 			}
-			switch {
-			case kinds[i] == sqltypes.KindNull:
-				kinds[i] = v.K
-			case kinds[i] == sqltypes.KindInt && v.K == sqltypes.KindFloat:
-				kinds[i] = sqltypes.KindFloat
-			}
-		}
-	}
-	for i := range kinds {
-		if kinds[i] == sqltypes.KindNull {
-			kinds[i] = sqltypes.KindString // all-NULL column: any kind works
 		}
 	}
 	return kinds

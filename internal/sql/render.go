@@ -16,6 +16,12 @@ import (
 // SQL renders the SELECT back to text.
 func (s *SelectStmt) SQL() string {
 	var b strings.Builder
+	writeSelect(&b, s)
+	return b.String()
+}
+
+// writeSelect renders s into b, its expressions into the same builder.
+func writeSelect(b *strings.Builder, s *SelectStmt) {
 	b.WriteString("select ")
 	if s.Distinct {
 		b.WriteString("distinct ")
@@ -28,7 +34,7 @@ func (s *SelectStmt) SQL() string {
 			b.WriteByte('*')
 			continue
 		}
-		b.WriteString(it.Expr.SQL())
+		writeExpr(b, it.Expr)
 		if it.Alias != "" {
 			b.WriteString(" as ")
 			b.WriteString(it.Alias)
@@ -47,7 +53,7 @@ func (s *SelectStmt) SQL() string {
 	}
 	if s.Where != nil {
 		b.WriteString(" where ")
-		b.WriteString(s.Where.SQL())
+		writeExpr(b, s.Where)
 	}
 	if len(s.GroupBy) > 0 {
 		b.WriteString(" group by ")
@@ -55,12 +61,12 @@ func (s *SelectStmt) SQL() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(e.SQL())
+			writeExpr(b, e)
 		}
 	}
 	if s.Having != nil {
 		b.WriteString(" having ")
-		b.WriteString(s.Having.SQL())
+		writeExpr(b, s.Having)
 	}
 	if len(s.OrderBy) > 0 {
 		b.WriteString(" order by ")
@@ -68,16 +74,16 @@ func (s *SelectStmt) SQL() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(o.Expr.SQL())
+			writeExpr(b, o.Expr)
 			if o.Desc {
 				b.WriteString(" desc")
 			}
 		}
 	}
 	if s.Limit != nil {
-		fmt.Fprintf(&b, " limit %d", *s.Limit)
+		b.WriteString(" limit ")
+		b.WriteString(strconv.FormatInt(*s.Limit, 10))
 	}
-	return b.String()
 }
 
 // SQL renders the INSERT back to text.
@@ -221,118 +227,164 @@ func renderValue(v sqltypes.Value) string {
 	}
 }
 
-// SQL renderers for expressions.
+// SQL renderers for expressions: each renders through writeExpr, so a
+// tree of any depth is written into one builder.
 
-func (e *ColumnRef) SQL() string {
-	if e.Table != "" {
-		return e.Table + "." + e.Name
-	}
-	return e.Name
-}
+func (e *ColumnRef) SQL() string    { return exprSQL(e) }
+func (e *Literal) SQL() string      { return renderValue(e.Val) }
+func (e *Placeholder) SQL() string  { return "$" + strconv.Itoa(e.N) }
+func (e *BinaryExpr) SQL() string   { return exprSQL(e) }
+func (e *CompareExpr) SQL() string  { return exprSQL(e) }
+func (e *AndExpr) SQL() string      { return exprSQL(e) }
+func (e *OrExpr) SQL() string       { return exprSQL(e) }
+func (e *NotExpr) SQL() string      { return exprSQL(e) }
+func (e *BetweenExpr) SQL() string  { return exprSQL(e) }
+func (e *InExpr) SQL() string       { return exprSQL(e) }
+func (e *LikeExpr) SQL() string     { return exprSQL(e) }
+func (e *IsNullExpr) SQL() string   { return exprSQL(e) }
+func (e *ExistsExpr) SQL() string   { return exprSQL(e) }
+func (e *SubqueryExpr) SQL() string { return exprSQL(e) }
+func (e *CaseExpr) SQL() string     { return exprSQL(e) }
+func (e *FuncExpr) SQL() string     { return exprSQL(e) }
+func (e *ExtractExpr) SQL() string  { return exprSQL(e) }
+func (e *NegExpr) SQL() string      { return exprSQL(e) }
 
-func (e *Literal) SQL() string { return renderValue(e.Val) }
-
-func (e *Placeholder) SQL() string { return "$" + strconv.Itoa(e.N) }
-
-func (e *BinaryExpr) SQL() string {
-	return "(" + e.L.SQL() + " " + string(e.Op) + " " + e.R.SQL() + ")"
-}
-
-func (e *CompareExpr) SQL() string {
-	return e.L.SQL() + " " + e.Op + " " + e.R.SQL()
-}
-
-func (e *AndExpr) SQL() string { return "(" + e.L.SQL() + " and " + e.R.SQL() + ")" }
-func (e *OrExpr) SQL() string  { return "(" + e.L.SQL() + " or " + e.R.SQL() + ")" }
-func (e *NotExpr) SQL() string { return "not (" + e.E.SQL() + ")" }
-
-func (e *BetweenExpr) SQL() string {
-	op := " between "
-	if e.Not {
-		op = " not between "
-	}
-	return e.E.SQL() + op + e.Lo.SQL() + " and " + e.Hi.SQL()
-}
-
-func (e *InExpr) SQL() string {
+func exprSQL(e Expr) string {
 	var b strings.Builder
-	b.WriteString(e.E.SQL())
-	if e.Not {
-		b.WriteString(" not")
-	}
-	b.WriteString(" in (")
-	if e.Sub != nil {
-		b.WriteString(e.Sub.SQL())
-	} else {
-		for i, x := range e.List {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(x.SQL())
+	writeExpr(&b, e)
+	return b.String()
+}
+
+// writeExpr renders e into b.
+func writeExpr(b *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case *ColumnRef:
+		if e.Table != "" {
+			b.WriteString(e.Table)
+			b.WriteByte('.')
 		}
+		b.WriteString(e.Name)
+	case *Literal:
+		b.WriteString(renderValue(e.Val))
+	case *Placeholder:
+		b.WriteByte('$')
+		b.WriteString(strconv.Itoa(e.N))
+	case *BinaryExpr:
+		b.WriteByte('(')
+		writeExpr(b, e.L)
+		b.WriteByte(' ')
+		b.WriteByte(e.Op)
+		b.WriteByte(' ')
+		writeExpr(b, e.R)
+		b.WriteByte(')')
+	case *CompareExpr:
+		writeExpr(b, e.L)
+		b.WriteByte(' ')
+		b.WriteString(e.Op)
+		b.WriteByte(' ')
+		writeExpr(b, e.R)
+	case *AndExpr:
+		writeJoined(b, "(", e.L, " and ", e.R, ")")
+	case *OrExpr:
+		writeJoined(b, "(", e.L, " or ", e.R, ")")
+	case *NotExpr:
+		b.WriteString("not (")
+		writeExpr(b, e.E)
+		b.WriteByte(')')
+	case *BetweenExpr:
+		writeExpr(b, e.E)
+		if e.Not {
+			b.WriteString(" not")
+		}
+		writeJoined(b, " between ", e.Lo, " and ", e.Hi, "")
+	case *InExpr:
+		writeExpr(b, e.E)
+		if e.Not {
+			b.WriteString(" not")
+		}
+		b.WriteString(" in (")
+		if e.Sub != nil {
+			writeSelect(b, e.Sub)
+		} else {
+			writeList(b, e.List)
+		}
+		b.WriteByte(')')
+	case *LikeExpr:
+		writeExpr(b, e.E)
+		if e.Not {
+			b.WriteString(" not")
+		}
+		b.WriteString(" like ")
+		writeExpr(b, e.Pattern)
+	case *IsNullExpr:
+		writeExpr(b, e.E)
+		if e.Not {
+			b.WriteString(" is not null")
+		} else {
+			b.WriteString(" is null")
+		}
+	case *ExistsExpr:
+		if e.Not {
+			b.WriteString("not ")
+		}
+		b.WriteString("exists (")
+		writeSelect(b, e.Sub)
+		b.WriteByte(')')
+	case *SubqueryExpr:
+		b.WriteByte('(')
+		writeSelect(b, e.Sub)
+		b.WriteByte(')')
+	case *CaseExpr:
+		b.WriteString("case")
+		for _, w := range e.Whens {
+			writeJoined(b, " when ", w.Cond, " then ", w.Then, "")
+		}
+		if e.Else != nil {
+			b.WriteString(" else ")
+			writeExpr(b, e.Else)
+		}
+		b.WriteString(" end")
+	case *FuncExpr:
+		b.WriteString(e.Name)
+		b.WriteByte('(')
+		switch {
+		case e.Star:
+			b.WriteByte('*')
+		case e.Distinct:
+			b.WriteString("distinct ")
+			fallthrough
+		default:
+			writeList(b, e.Args)
+		}
+		b.WriteByte(')')
+	case *ExtractExpr:
+		b.WriteString("extract(")
+		b.WriteString(e.Field)
+		b.WriteString(" from ")
+		writeExpr(b, e.E)
+		b.WriteByte(')')
+	case *NegExpr:
+		b.WriteString("-(")
+		writeExpr(b, e.E)
+		b.WriteByte(')')
 	}
-	b.WriteString(")")
-	return b.String()
 }
 
-func (e *LikeExpr) SQL() string {
-	op := " like "
-	if e.Not {
-		op = " not like "
-	}
-	return e.E.SQL() + op + e.Pattern.SQL()
+// writeJoined writes pre, l, mid, r, post.
+func writeJoined(b *strings.Builder, pre string, l Expr, mid string, r Expr, post string) {
+	b.WriteString(pre)
+	writeExpr(b, l)
+	b.WriteString(mid)
+	writeExpr(b, r)
+	b.WriteString(post)
 }
 
-func (e *IsNullExpr) SQL() string {
-	if e.Not {
-		return e.E.SQL() + " is not null"
+// writeList writes es separated by commas.
+func writeList(b *strings.Builder, es []Expr) {
+	for i, x := range es {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeExpr(b, x)
 	}
-	return e.E.SQL() + " is null"
 }
-
-func (e *ExistsExpr) SQL() string {
-	if e.Not {
-		return "not exists (" + e.Sub.SQL() + ")"
-	}
-	return "exists (" + e.Sub.SQL() + ")"
-}
-
-func (e *SubqueryExpr) SQL() string { return "(" + e.Sub.SQL() + ")" }
-
-func (e *CaseExpr) SQL() string {
-	var b strings.Builder
-	b.WriteString("case")
-	for _, w := range e.Whens {
-		b.WriteString(" when ")
-		b.WriteString(w.Cond.SQL())
-		b.WriteString(" then ")
-		b.WriteString(w.Then.SQL())
-	}
-	if e.Else != nil {
-		b.WriteString(" else ")
-		b.WriteString(e.Else.SQL())
-	}
-	b.WriteString(" end")
-	return b.String()
-}
-
-func (e *FuncExpr) SQL() string {
-	if e.Star {
-		return e.Name + "(*)"
-	}
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.SQL()
-	}
-	inner := strings.Join(args, ", ")
-	if e.Distinct {
-		inner = "distinct " + inner
-	}
-	return e.Name + "(" + inner + ")"
-}
-
-func (e *ExtractExpr) SQL() string {
-	return "extract(" + e.Field + " from " + e.E.SQL() + ")"
-}
-
-func (e *NegExpr) SQL() string { return "-(" + e.E.SQL() + ")" }

@@ -100,6 +100,13 @@ func (p *Page) append(row sqltypes.Row, width int, xmin int64) int32 {
 	return slot
 }
 
+// reset empties the page for reuse, dropping its rows.
+func (p *Page) reset() {
+	clear(p.rows[:p.n.Load()])
+	p.n.Store(0)
+	p.bytes = 0
+}
+
 // markDeleted sets xmax to writeID if the row is still live; it reports
 // whether this call performed the kill (false if already dead, which makes
 // replica-side replays idempotent).

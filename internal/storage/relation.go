@@ -59,7 +59,8 @@ type Relation struct {
 
 	mu       sync.RWMutex
 	pages    []*Page
-	pageCap  int // bytes per page
+	spare    []*Page // pages Truncate emptied, for the rows inserted next
+	pageCap  int     // bytes per page
 	indexes  []*Index
 	byName   map[string]*Index
 	liveRows atomic.Int64
@@ -180,6 +181,9 @@ func (r *Relation) Insert(writeID int64, row sqltypes.Row) (RowID, error) {
 	var p *Page
 	if n := len(r.pages); n > 0 && r.pages[n-1].hasRoom(width, r.pageCap) {
 		p = r.pages[n-1]
+	} else if n := len(r.spare); n > 0 {
+		p, r.spare = r.spare[n-1], r.spare[:n-1]
+		r.pages = append(r.pages, p)
 	} else {
 		p = newPage(r.pageCap)
 		r.pages = append(r.pages, p)
@@ -196,6 +200,28 @@ func (r *Relation) Insert(writeID int64, row sqltypes.Row) (RowID, error) {
 	r.updateStats(row)
 	r.bumpEpoch(writeID)
 	return rid, nil
+}
+
+// Truncate empties the relation and keeps its pages for the rows inserted
+// next. Every slot is cleared, so the relation references no row it held,
+// and the row count and column ranges start over. It is for a relation
+// without indexes that one goroutine owns outright — a composition table
+// kept across queries — since a concurrent scan would see its slots
+// vanish.
+func (r *Relation) Truncate() {
+	r.mu.Lock()
+	for _, p := range r.pages {
+		p.reset()
+	}
+	r.spare = append(r.spare, r.pages...)
+	clear(r.pages)
+	r.pages = r.pages[:0]
+	r.mu.Unlock()
+	r.liveRows.Store(0)
+	r.statsMu.Lock()
+	clear(r.colMin)
+	clear(r.colMax)
+	r.statsMu.Unlock()
 }
 
 // MarkDeleted kills the row as of writeID. It reports whether this call

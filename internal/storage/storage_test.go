@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,6 +65,46 @@ func TestRelationSchemaMismatch(t *testing.T) {
 	r := NewRelation("t", testSchema(), 512)
 	if _, err := r.Insert(0, sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
 		t.Fatal("expected error for short row")
+	}
+}
+
+// TestTruncateKeepsPagesNotRows: a truncated relation lists no page and
+// references no row it held, its statistics start over, and the rows
+// inserted next land on the pages it kept.
+func TestTruncateKeepsPagesNotRows(t *testing.T) {
+	r := NewRelation("t", testSchema(), 256)
+	for i := range 20 {
+		if _, err := r.Insert(0, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString("x"), sqltypes.NewFloat(1.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := append([]*Page(nil), r.PageSnapshot()...)
+	if len(pages) < 2 {
+		t.Fatalf("%d pages; the test wants several", len(pages))
+	}
+	r.Truncate()
+	if n := r.NumPages(); n != 0 || r.LiveRows() != 0 {
+		t.Fatalf("after Truncate: %d pages, %d live rows", n, r.LiveRows())
+	}
+	if lo, hi := r.ColRange(0); !lo.IsNull() || !hi.IsNull() {
+		t.Fatalf("after Truncate the range of id is [%v, %v]", lo, hi)
+	}
+	for _, p := range pages {
+		for _, row := range p.rows {
+			if row != nil {
+				t.Fatalf("page %d still references a row", p.ID)
+			}
+		}
+	}
+	rid, err := r.Insert(0, sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewString("y"), sqltypes.NewFloat(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := r.PageOf(rid); !slices.Contains(pages, p) || r.Fetch(rid)[0].I != 7 {
+		t.Fatalf("the next row went to page %d, not a kept one", p.ID)
+	}
+	if lo, _ := r.ColRange(0); lo.I != 7 || r.LiveRows() != 1 {
+		t.Fatalf("statistics after a new row: min %v, %d live rows", lo, r.LiveRows())
 	}
 }
 
