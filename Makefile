@@ -56,9 +56,9 @@ race:
 # repeated runs, cache, columnar, MQO, brownout, key predicates, the
 # GOMAXPROCS 1 ≡ 8 oracle) and the columnar sub-query check at GOMAXPROCS
 # 1, 2, 4 and 8: every answer must hold on any host.
-RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestKernelLaneFollowsTheColumnKind|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestShapePlansOncePerShape|TestShapeDrawsNeverSharePartials|TestShapePlansUnderConcurrentLiterals|TestOrderByNullsMatchSingleNode|TestResultArenasRetentionGuard
+RACE_CPU_RUN := TestFilterKernelsMatchReference|TestFilterOrderContract|TestKernelLaneFollowsTheColumnKind|TestNumericKernelsMatchReference|TestIntKeyJoinMatchesGenericTable|TestBatchBoundaries|TestKeptJoinTuplesRetentionGuard|TestReusedJoinTuplesPlannerInvariant|TestFailedOpenReleasesPooledBuffers|TestRebindOnlyWhereThePlanIsTheSame|TestPreparedPlanReopens|TestForceIndexScanStaysInItsQuery|TestPreparedSubqueryMatchesFresh|TestPreparedSubqueryRefusesBakedArguments|TestShapePlansOncePerShape|TestShapeDrawsNeverSharePartials|TestShapePlansUnderConcurrentLiterals|TestOrderByNullsMatchSingleNode|TestResultArenasRetentionGuard|TestPassThroughPlansUnderWrites
 RACE_CPU_PKGS := ./internal/engine/ ./internal/core/
-PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow|TestShapePlansOncePerShape
+PINS_RUN := TestJoinAggregateBytesPerProbeRow|TestJoinBuildBytesPerBuildRow|TestAggregateBytesPerGroup|TestExistsProbeAllocatesNothingPerOuterRow|TestBufferPoolFullMissAllocatesNothing|TestBufferPoolMatchesReferenceLRU|TestComposeSmallTableBytes|TestServedRangeFetchBytesPerRow|TestShapePlansOncePerShape|TestPointLookupKeepsItsPlan
 PINS_PKGS := ./internal/engine/ ./internal/storage/ ./internal/memdb/ ./internal/core/
 ORACLE_RUN := TestOracle|TestSVPSubqueryScansSegments
 ORACLE_PKGS := ./internal/core/

@@ -258,6 +258,9 @@ func (c *Cluster) QueryContext(ctx context.Context, sqlText string) (*Result, er
 	if err != nil {
 		sp.Annotate("error", err.Error())
 	}
+	// The reply phase, the way back from the last stage to here, ends
+	// with the query.
+	sp.Phase("reply")
 	sp.End()
 	return res, err
 }

@@ -28,15 +28,15 @@ import (
 //     against the cluster-wide budget.
 //
 // All three are no-ops when admission is disabled (e.adm == nil).
-func (e *Engine) admitAndRun(ctx context.Context, sel *sql.SelectStmt, rt keyRoute, usePartial bool) (*engine.Result, int64, error) {
+func (e *Engine) admitAndRun(ctx context.Context, plan queryPlan, usePartial bool) (*engine.Result, int64, error) {
 	// MQO batching window: hold briefly so a burst of overlapping
 	// queries enters the engine together and lands in one shared scan
 	// pass. Nil-safe, off when unconfigured, and off under brownout.
 	e.adm.BatchGate(ctx)
 	if e.adm == nil {
-		return e.execSVP(ctx, sel, rt, usePartial, nil)
+		return e.execSVP(ctx, plan, usePartial, nil)
 	}
-	w := queryWeight(sel)
+	w := queryWeight(plan.sel)
 	tk, err := e.adm.Acquire(ctx, w)
 	if err != nil {
 		return nil, 0, err
@@ -53,7 +53,7 @@ func (e *Engine) admitAndRun(ctx context.Context, sel *sql.SelectStmt, rt keyRou
 	defer finish()
 	res := e.adm.Reserve(ctx)
 	defer res.Release()
-	out, snap, err := e.execSVP(ctx, sel, rt, usePartial, res)
+	out, snap, err := e.execSVP(ctx, plan, usePartial, res)
 	if err != nil && errors.Is(context.Cause(ctx), admission.ErrSlowQuery) {
 		// The killer cancelled the query; surface the typed cause instead
 		// of the bare context error the abandoned gather reported.

@@ -251,6 +251,8 @@ type Stats struct {
 	CacheFlightCancels   int64 // singleflight followers cancelled mid-wait
 	CachePartialFills    int64 // partition results inserted into the partial cache
 	CachePartialShares   int64 // partitions joined onto an in-flight leader (MQO)
+	Shapes               int64 // statement shapes added to the shape cache (its misses)
+	ShapeEvictions       int64 // shapes the full shape cache evicted
 	SharedScanAttaches   int64 // consumers attached to a shared-scan coordinator
 	SharedScanSegments   int64 // segments physically scanned by shared-scan drivers
 	SharedScanDeliveries int64 // consumer-segments served from shared passes
@@ -408,42 +410,54 @@ type backendProxy struct {
 
 func (bp *backendProxy) ID() int { return bp.proc.node.ID() }
 
-// Query intercepts OLAP queries: one parse, then the route (both in the
-// plan span). Reads whose key bounds meet two or more virtual partitions run
-// with intra-query parallelism across every node; everything else passes
-// straight through to this backend's node, untouched (OLTP is C-JDBC's
-// business).
+// Query intercepts OLAP queries. Its plan stage (one plan span) parses
+// the statement and plans the SELECT (Engine.plan). Reads whose key
+// bounds meet two or more virtual partitions run with intra-query
+// parallelism across every node; everything else passes straight through
+// to this backend's node (OLTP is C-JDBC's business), a SELECT through a
+// plan its shape keeps there.
 func (bp *backendProxy) Query(ctx context.Context, sqlText string) (*engine.Result, error) {
 	e, qspan := bp.eng, obs.SpanFrom(ctx)
-	span := qspan.Child("plan")
+	span := qspan.Phase("plan")
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		span.End()
 		return nil, err
 	}
 	sel, isSelect := stmt.(*sql.SelectStmt)
-	if isSelect && !e.opts.DisableSVP {
-		rt, err := e.route(sel)
+	if !isSelect {
 		span.End()
-		var res *engine.Result
-		if err == nil {
-			res, err = e.runRouted(ctx, sel, rt)
-		}
-		if !errors.Is(err, ErrNotEligible) {
-			return res, err
-		}
+		return bp.passThrough(ctx, queryPlan{}, sqlText)
+	}
+	plan, err := e.plan(sel, !e.opts.DisableSVP)
+	if errors.Is(err, ErrNotEligible) {
+		// The reason the query passes through is the plan stage's last
+		// decision.
 		class := FallbackClass(err)
 		e.countFallback(class)
 		qspan.Annotate("svp_fallback", class)
-	} else {
-		span.End()
+		err = nil
 	}
-	e.st.passThrough.Inc()
-	span = qspan.Child("passthrough")
+	span.End()
+	switch {
+	case err != nil:
+		return nil, err
+	case plan.rw != nil:
+		return e.runPlanned(ctx, plan)
+	}
+	return bp.passThrough(ctx, plan, sqlText)
+}
+
+// passThrough runs the query on this backend's node: a planned SELECT
+// through its shape, anything else (EXPLAIN) as written.
+func (bp *backendProxy) passThrough(ctx context.Context, plan queryPlan, sqlText string) (*engine.Result, error) {
+	span := obs.SpanFrom(ctx).Phase("passthrough")
+	bp.eng.st.passThrough.Inc()
 	span.Annotate("node", strconv.Itoa(bp.proc.node.ID()))
 	var res *engine.Result
-	if isSelect {
-		res, err = bp.proc.QueryStmt(ctx, sel)
+	var err error
+	if plan.shape != nil {
+		res, err = bp.proc.QueryStmt(ctx, plan.shape, plan.sel, plan.args)
 	} else {
 		res, err = bp.proc.Query(ctx, sqlText)
 	}
@@ -500,25 +514,29 @@ func (e *Engine) countFallback(class string) {
 // computed result is filled back keyed by the barrier snapshot it was
 // pinned to. Per-request control bits (cache.WithControl) can bypass
 // the cache or widen the staleness bound. ErrNotEligible means the
-// caller should fall back to pass-through; the route decides that first,
-// before the cache, admission or the batching window see the query.
+// caller should fall back to pass-through; the plan stage decides that
+// first, before the cache, admission or the batching window see the
+// query. sel stays the caller's: the plan stage works on a copy.
 func (e *Engine) RunSVP(ctx context.Context, sel *sql.SelectStmt) (*engine.Result, error) {
-	rt, err := e.route(sel)
+	span := obs.SpanFrom(ctx).Phase("plan")
+	plan, err := e.plan(sql.CloneSelect(sel), true)
+	span.End()
 	if err != nil {
 		return nil, err
 	}
-	return e.runRouted(ctx, sel, rt)
+	return e.runPlanned(ctx, plan)
 }
 
-// runRouted is RunSVP after the route: sel meets the partitions rt keeps.
-func (e *Engine) runRouted(ctx context.Context, sel *sql.SelectStmt, rt keyRoute) (*engine.Result, error) {
+// runPlanned is RunSVP after the plan stage, for a plan the route sent to
+// SVP.
+func (e *Engine) runPlanned(ctx context.Context, plan queryPlan) (*engine.Result, error) {
 	ctl := cache.ControlFrom(ctx)
 	if e.cache == nil || ctl.NoCache {
-		res, _, err := e.admitAndRun(ctx, sel, rt, false)
+		res, _, err := e.admitAndRun(ctx, plan, false)
 		return res, err
 	}
 	qspan := obs.SpanFrom(ctx)
-	fp := sql.FingerprintStmt(sel)
+	fp := plan.fp
 	maxStale := e.cache.StaleBound(ctl)
 	// Brownout: under sustained saturation the degradation ladder raises
 	// the effective staleness bound, so more queries are absorbed by
@@ -543,7 +561,7 @@ func (e *Engine) runRouted(ctx context.Context, sel *sql.SelectStmt, rt keyRoute
 		if res, _, ok := e.cache.Peek(fp, epoch, maxStale); ok {
 			return res, nil
 		}
-		res, snapshot, err := e.admitAndRun(ctx, sel, rt, true)
+		res, snapshot, err := e.admitAndRun(ctx, plan, true)
 		if err == nil {
 			// The fill is keyed by the barrier snapshot the sub-queries
 			// were pinned to — the epoch the result is actually valid at
@@ -577,29 +595,21 @@ func (e *Engine) headEpoch() int64 {
 	return h
 }
 
-// execSVP runs one query through the controller's stages — plan →
+// execSVP runs one planned query through the controller's stages —
 // snapshot (span barrier-wait) → dispatch → gather → compose — each
-// opening its own span on the query span, so the phases tile the query.
-// The snapshot comes back with the result so the caching layer can
-// version its fill; usePartial (set by the caching path only) serves warm
-// partitions from the partial cache and fills it with cold ones.
-// ErrNotEligible means the caller should fall back to pass-through.
-func (e *Engine) execSVP(ctx context.Context, sel *sql.SelectStmt, rt keyRoute, usePartial bool, resv *admission.Reservation) (*engine.Result, int64, error) {
-	qspan := obs.SpanFrom(ctx)
-	span := qspan.Child("plan")
-	plan, err := e.planQuery(sel, rt)
-	span.End()
-	if err != nil {
-		return nil, 0, err
-	}
-	r := &svpRun{e: e, plan: plan, ctx: ctx, qspan: qspan}
+// opening its own span on the query span, so with the plan stage's span
+// the phases tile the query. The snapshot comes back with the result so
+// the caching layer can version its fill; usePartial (set by the caching
+// path only) serves warm partitions from the partial cache and fills it
+// with cold ones.
+func (e *Engine) execSVP(ctx context.Context, plan queryPlan, usePartial bool, resv *admission.Reservation) (*engine.Result, int64, error) {
+	r := &svpRun{e: e, plan: plan, ctx: ctx, qspan: obs.SpanFrom(ctx)}
 	res, err := r.run(usePartial, resv)
 	return res, r.snapshot, err
 }
 
 // run executes the plan. Retries and requeues live in dispatch
-// and gather only. It is its own frame so execSVP's stays small: a fresh
-// handler goroutine grows its stack on entering run, after the plan span.
+// and gather only.
 func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Result, error) {
 	if d := r.e.opts.QueryTimeout; d > 0 {
 		if _, ok := r.ctx.Deadline(); !ok {
@@ -621,34 +631,57 @@ func (r *svpRun) run(usePartial bool, resv *admission.Reservation) (*engine.Resu
 	return r.compose(sink)
 }
 
-// queryPlan is the logical stage's output, fixed before any node is
-// touched: the statement's shape with its rewrite and the sub-query
-// template every attempt plans with the query's own arguments and its
-// partition's bounds, the virtual partitions [v1, v2) the route kept — cut
-// from the CONFIGURED node count, never from liveness, so partial-cache
-// keys stay stable across degree changes — and the partial-cache key (zero
-// when that cache is off).
+// queryPlan is the plan stage's output, fixed before any node is touched:
+// the statement with its WHERE literals lifted (sel, the shape's text),
+// its shape and its own arguments, and the result-cache key of the
+// statement as written (zero when that cache is off). A query the route
+// sends to SVP also carries the shape's rewrite, the virtual partitions
+// [v1, v2) the route kept — cut from the CONFIGURED node count, never from
+// liveness, so partial-cache keys stay stable across degree changes — and
+// the partial-cache key (zero when that cache is off); rw is nil for a
+// query that passes through.
 type queryPlan struct {
-	shape     *shape
+	sel   *sql.SelectStmt
+	shape *shape
+	args  []sqltypes.Value // the query's own arguments (sql.Parameterize)
+	fp    sql.Fingerprint
+
 	rw        *Rewrite
-	args      []sqltypes.Value // the query's own arguments (sql.Parameterize)
 	ranges    [][2]int64
 	keySpan   int64 // the keys the ranges cover
 	partialFP sql.Fingerprint
 }
 
-// planQuery is the logical stage, a function of the statement, the
-// catalog and the route: it consults no node and executes nothing. The
-// route and the result cache have read the statement as written; here its
-// WHERE literals become arguments, and the rewrite comes from the shape
-// cache, planned once per shape.
-func (e *Engine) planQuery(sel *sql.SelectStmt, rt keyRoute) (queryPlan, error) {
-	sh, args, err := e.shapeOf(sel)
-	if err != nil {
-		return queryPlan{}, err
+// plan is the logical stage, a function of the statement, the catalog and
+// the key domain: it consults no node and executes nothing. The route and
+// the result-cache fingerprint read sel as written; then its WHERE
+// literals become arguments in place (sel is the caller's to give up) and
+// the shape cache supplies what is planned once per shape. With svp off
+// the statement passes through without a route. An ErrNotEligible error
+// carries the reason the query passes through, with the plan it passes
+// through with.
+func (e *Engine) plan(sel *sql.SelectStmt, svp bool) (queryPlan, error) {
+	var rt keyRoute
+	var err error
+	if svp {
+		rt, err = e.route(sel)
 	}
-	rw := sh.rw
-	p := queryPlan{shape: sh, rw: rw, args: args}
+	var fp sql.Fingerprint
+	if err == nil && e.cache != nil {
+		fp = sql.FingerprintStmt(sel)
+	}
+	args := sql.Parameterize(sel, engine.FoldLiteral)
+	p := queryPlan{sel: sel, shape: e.shapeOf(sel, len(args)), args: args, fp: fp}
+	if !svp {
+		return p, nil
+	}
+	if err == nil {
+		err = p.shape.svp(sel, e.catalog)
+	}
+	if err != nil {
+		return p, err
+	}
+	p.rw = p.shape.rw
 	p.ranges = make([][2]int64, rt.last-rt.first)
 	for i := range p.ranges {
 		v1, v2 := Partition(rt.lo, rt.hi, rt.n, rt.first+i)
@@ -663,9 +696,9 @@ func (e *Engine) planQuery(sel *sql.SelectStmt, rt keyRoute) (queryPlan, error) 
 	case e.opts.MQO:
 		// The canonical *sub-plan* form: overlapping decomposed sub-queries
 		// of syntactically different parents share partials and flights.
-		p.partialFP = sql.SubplanFingerprint(sql.Substitute(rw.Partial, args))
+		p.partialFP = sql.SubplanFingerprint(sql.Substitute(p.rw.Partial, args))
 	default:
-		p.partialFP = sql.FingerprintStmt(sql.Substitute(rw.Partial, args))
+		p.partialFP = sql.FingerprintStmt(sql.Substitute(p.rw.Partial, args))
 	}
 	return p, nil
 }
@@ -715,7 +748,7 @@ type partSource struct {
 // the lagging replica's snapshot without stalling updates.
 func (r *svpRun) takeSnapshot(resv *admission.Reservation) error {
 	e := r.e
-	span := r.qspan.Child("barrier-wait")
+	span := r.qspan.Phase("barrier-wait")
 	defer span.End()
 	// A crashed node drops out of the fan-out: the survivors cover the
 	// whole key domain (degraded intra-query parallelism, not failure).
@@ -759,7 +792,7 @@ func (r *svpRun) takeSnapshot(resv *admission.Reservation) error {
 // are unblocked."
 func (r *svpRun) dispatch(usePartial bool) {
 	e := r.e
-	span := r.qspan.Child("dispatch")
+	span := r.qspan.Phase("dispatch")
 	start := time.Now()
 	n, nParts := len(r.procs), len(r.plan.ranges)
 	r.workCtx, r.cancelWork = context.WithCancel(r.ctx)
@@ -850,8 +883,8 @@ func (r *svpRun) abortFlights() {
 func (r *svpRun) work(w int, p *NodeProcessor, first int) {
 	defer r.e.subs.Done()
 	defer r.sch.workerGone(w, r.alive)
-	prep := r.plan.shape.takePlan(p)
-	defer func() { r.plan.shape.putPlan(p, prep) }()
+	prep := r.plan.shape.take(planKey{p: p})
+	defer func() { r.plan.shape.put(planKey{p: p}, prep) }()
 	var ast *avpState
 	if r.e.opts.Strategy == AVP {
 		ast = &avpState{size: max(r.plan.keySpan/(int64(len(r.procs))*avpInitialFraction), 1)}
@@ -1062,7 +1095,7 @@ func (r *svpRun) send(m gatherMsg) bool {
 // compose is the last stage (span compose): the sink composes the
 // committed winners in partition order.
 func (r *svpRun) compose(sink *memdbSink) (*engine.Result, error) {
-	span := r.qspan.Child("compose")
+	span := r.qspan.Phase("compose")
 	defer span.End()
 	t0 := time.Now()
 	res, err := sink.finish(r.ctx)

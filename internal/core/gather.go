@@ -64,7 +64,7 @@ type gatherState struct {
 // prefix.
 func (r *svpRun) gather(resv *admission.Reservation) (*memdbSink, error) {
 	e, rw, n := r.e, r.plan.rw, len(r.plan.ranges)
-	span := r.qspan.Child("gather")
+	span := r.qspan.Phase("gather")
 	// End keeps the first duration: the explicit End on success wins.
 	defer span.End()
 	g := &gatherState{r: r, span: span, start: time.Now(),

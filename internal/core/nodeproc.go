@@ -186,12 +186,15 @@ func (p *NodeProcessor) Query(ctx context.Context, sqlText string) (*engine.Resu
 }
 
 // QueryStmt is the pass-through path for OLTP reads and SVP-ineligible
-// queries: it runs the parsed SELECT unchanged at the node's current
-// snapshot. The result's rows are cut from a pooled arena and listed in a
-// pooled list, which its Release hands back (the wire server releases it
-// once the rows are encoded; a result never released leaves both to the
-// collector).
-func (p *NodeProcessor) QueryStmt(ctx context.Context, sel *sql.SelectStmt) (*engine.Result, error) {
+// queries: it runs sel — a statement of shape sh, with args bound to its
+// placeholders — at the node's current snapshot, through a plan the shape
+// keeps on this node, like a JDBC PreparedStatement on its connection:
+// re-bound to args where it accepts them (Prepared.Rebind), and otherwise
+// planned afresh; either way given back to the shape. The result's rows
+// are cut from a pooled arena and listed in a pooled list, which its
+// Release hands back (the wire server releases it once the rows are
+// encoded; a result never released leaves both to the collector).
+func (p *NodeProcessor) QueryStmt(ctx context.Context, sh *shape, sel *sql.SelectStmt, args []sqltypes.Value) (*engine.Result, error) {
 	after, err := p.begin(ctx)
 	if err != nil {
 		return nil, err
@@ -202,7 +205,9 @@ func (p *NodeProcessor) QueryStmt(ctx context.Context, sel *sql.SelectStmt) (*en
 	}
 	defer release()
 	rows, list := engine.NewRowArena(), rowLists.Get().(*[]sqltypes.Row)
-	res, qerr := p.read(ctx, sel, rows, list)
+	prep := sh.take(planKey{p: p, pass: true})
+	res, qerr := p.read(ctx, sel, args, &prep, rows, list)
+	sh.put(planKey{p: p, pass: true}, prep)
 	if after != nil {
 		qerr = after(qerr)
 	}
@@ -218,11 +223,11 @@ func (p *NodeProcessor) QueryStmt(ctx context.Context, sel *sql.SelectStmt) (*en
 	return res, nil
 }
 
-// read drains sel at the node's current snapshot into list, its rows cut
-// from rows.
-func (p *NodeProcessor) read(ctx context.Context, sel *sql.SelectStmt, rows *engine.RowArena, list *[]sqltypes.Row) (*engine.Result, error) {
+// read drains sel with args at the node's current snapshot into list, its
+// rows cut from rows, through *prep (see open).
+func (p *NodeProcessor) read(ctx context.Context, sel *sql.SelectStmt, args []sqltypes.Value, prep **engine.Prepared, rows *engine.RowArena, list *[]sqltypes.Row) (*engine.Result, error) {
 	opts := engine.QueryOpts{Ctx: ctx}
-	cur, _, err := p.open(sel, nil, p.node.Watermark(), opts, nil, rows)
+	cur, _, err := p.open(sel, args, p.node.Watermark(), opts, prep, rows)
 	if err != nil {
 		return nil, err
 	}

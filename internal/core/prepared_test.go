@@ -203,6 +203,13 @@ func TestPreparedSubqueryMatchesFresh(t *testing.T) {
 	}
 }
 
+// shapeOfRewrite is a shape whose SVP side is rw, with nargs arguments.
+func shapeOfRewrite(rw *Rewrite, nargs int) *shape {
+	sh := &shape{nargs: nargs}
+	sh.svpOnce.Do(func() { sh.setRewrite(rw) })
+	return sh
+}
+
 // shapeDraws is how many seeded draws of a template's parameters the
 // kept-plan oracle runs.
 const shapeDraws = 20
@@ -225,17 +232,18 @@ func compareShapeDraws(t *testing.T, db *engine.Database, fresh *engine.Node, wo
 			t.Fatal(err)
 		}
 		lit := newSubqueryCase(t, db, fmt.Sprintf("Q%d draw %d", qn, d), text)
-		shaped, args := sql.Parameterize(mustSel(t, text), engine.FoldLiteral)
+		shaped := mustSel(t, text)
+		args := sql.Parameterize(shaped, engine.FoldLiteral)
 		if sh == nil {
 			rw, err := PlanSVP(shaped, TPCHCatalog())
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, shapeText = newShape(rw, len(args)), shaped.SQL()
+			sh, shapeText = shapeOfRewrite(rw, len(args)), shaped.SQL()
 		} else if shaped.SQL() != shapeText {
 			t.Fatalf("Q%d draw %d has another shape\n%s\n%s", qn, d, shaped.SQL(), shapeText)
 		}
-		prep := sh.takePlan(worker)
+		prep := sh.take(planKey{p: worker})
 		for i := 0; i < preparedParts; i++ {
 			v1, v2 := Partition(lit.lo, lit.hi, preparedParts, i)
 			want := runFresh(t, fresh, lit.rw.SubQuery(i, preparedParts, lit.lo, lit.hi), opts)
@@ -255,7 +263,7 @@ func compareShapeDraws(t *testing.T, db *engine.Database, fresh *engine.Node, wo
 				reused++
 			}
 		}
-		sh.putPlan(worker, prep)
+		sh.put(planKey{p: worker}, prep)
 	}
 	return reused
 }

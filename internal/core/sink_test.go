@@ -76,7 +76,7 @@ func TestSinkComposesOncePerQuery(t *testing.T) {
 		for _, h := range histories {
 			t.Run(sh.name+"/"+h.name, func(t *testing.T) {
 				s := buildStack(t, 1, DefaultOptions())
-				sink := s.eng.newComposeSink(newShape(rw, 0), h.n, nil)
+				sink := s.eng.newComposeSink(shapeOfRewrite(rw, 0), h.n, nil)
 				h.run(t, sink)
 				res, err := sink.finish(context.Background())
 				if err != nil {
@@ -114,7 +114,7 @@ func TestSinkLimitEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := s.eng.newComposeSink(newShape(rw, 0), 4, nil)
+	sink := s.eng.newComposeSink(shapeOfRewrite(rw, 0), 4, nil)
 	feedSink(t, sink, 3, 1, keyRows(30, 31, 32))
 	sink.commit(3, 1, nil)
 	feedSink(t, sink, 0, 2, keyRows(1, 2))
@@ -151,7 +151,7 @@ func TestSinkReaggregates(t *testing.T) {
 	partial := func(n int64, sum float64) []sqltypes.Row {
 		return []sqltypes.Row{{sqltypes.NewInt(n), sqltypes.NewFloat(sum)}}
 	}
-	sink := s.eng.newComposeSink(newShape(rw, 0), 2, nil)
+	sink := s.eng.newComposeSink(shapeOfRewrite(rw, 0), 2, nil)
 	feedSink(t, sink, 1, 1, partial(5, 2.5))
 	sink.commit(1, 1, nil)
 	feedSink(t, sink, 0, 2, partial(3, 1.5)) // streams, then its node dies

@@ -73,11 +73,7 @@ func TestMQOFollowerFailoverTriesEveryLiveNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sql.SelectStmt)
-	rt, err := s.eng.route(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.eng.planQuery(sel, rt)
+	plan, err := s.eng.plan(sql.CloneSelect(sel), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,9 @@ type engineStats struct {
 	cachePartialHits   statCounter
 	cachePartialMisses statCounter
 
+	shapes         statCounter
+	shapeEvictions statCounter
+
 	maxStaleness atomic.Int64
 	barrierWait  atomic.Int64 // nanoseconds
 
@@ -93,6 +96,8 @@ func (st *engineStats) wire(reg *obs.Registry) {
 	st.cacheShared.m = reg.Counter(obs.MCacheShared)
 	st.cachePartialHits.m = reg.Counter(obs.MCachePartialHits)
 	st.cachePartialMisses.m = reg.Counter(obs.MCachePartialMisses)
+	st.shapes.m = reg.Counter(obs.MShapes)
+	st.shapeEvictions.m = reg.Counter(obs.MShapeEvictions)
 }
 
 // observeStaleness records a freshness-mode read d writes behind the
@@ -131,6 +136,8 @@ func (st *engineStats) snapshot() Stats {
 		CacheShared:          st.cacheShared.Load(),
 		CachePartialHits:     st.cachePartialHits.Load(),
 		CachePartialMisses:   st.cachePartialMisses.Load(),
+		Shapes:               st.shapes.Load(),
+		ShapeEvictions:       st.shapeEvictions.Load(),
 		BarrierWaits:         time.Duration(st.barrierWait.Load()),
 		FallbackReasons:      map[string]int64{},
 	}

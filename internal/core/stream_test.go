@@ -196,7 +196,7 @@ func TestComposerHonoursDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := s.eng.newComposeSink(newShape(rw, 0), 1, nil)
+	sink := s.eng.newComposeSink(shapeOfRewrite(rw, 0), 1, nil)
 	feedSink(t, sink, 0, 1, s.single(t, rw.Partial.SQL()).Rows)
 	sink.commit(0, 1, nil)
 	if _, err := sink.finish(ctx); !errors.Is(err, context.Canceled) {

@@ -64,10 +64,11 @@ type planInputs struct {
 }
 
 // argSlot is where one argument went: the literal it became as the bound
-// slot of an index range, or the literals it became in filters.
+// slot of an index range — both bounds of a point range, `k = $n` — or
+// the literals it became in filters.
 type argSlot struct {
-	bound *litExpr
-	uses  []*litExpr
+	bound, point *litExpr
+	uses         []*litExpr
 }
 
 // relEpoch is a relation a plan read and its write epoch then.
@@ -104,8 +105,18 @@ func (b *binder) seqscan() bool {
 // bindSlots records the placeholders of an index range's bounds as slots:
 // each must be the only candidate of its side, and a placeholder on one
 // side needs one on the other unless that side is open and the width
-// decided nothing. Anything else spills.
+// decided nothing. An equality `k = $n` is both bounds of a point range,
+// one slot whose value no estimate reads (rangeSelectivity prices an
+// equality by the index alone). Anything else spills.
 func (in *planInputs) bindSlots(ap *accessPath, sb *scanBounds, widthDecides bool) {
+	if n := pointSlot(ap); n > 0 {
+		if s := &in.slots[n-1]; s.bound == nil {
+			s.bound, s.point = sb.lo[0].e.(*litExpr), sb.hi[0].e.(*litExpr)
+		} else {
+			in.spilled = true
+		}
+		return
+	}
 	lo, loOK := in.sideSlot(ap.lo, sb.lo)
 	hi, hiOK := in.sideSlot(ap.hi, sb.hi)
 	switch {
@@ -116,6 +127,19 @@ func (in *planInputs) bindSlots(ap *accessPath, sb *scanBounds, widthDecides boo
 	case lo > 0 && (widthDecides || len(sb.hi) > 0), hi > 0 && (widthDecides || len(sb.lo) > 0):
 		in.spilled = true
 	}
+}
+
+// pointSlot returns n when ap's only bounds are the two sides of one
+// equality with $n, and 0 otherwise.
+func pointSlot(ap *accessPath) int {
+	if len(ap.lo) != 1 || len(ap.hi) != 1 {
+		return 0
+	}
+	lo, hi := ap.lo[0], ap.hi[0]
+	if lo.slot == 0 || lo.slot != hi.slot || !lo.eq || !hi.eq {
+		return 0
+	}
+	return lo.slot
 }
 
 // sideSlot records one side's placeholder as a slot and returns its
@@ -170,7 +194,8 @@ func (nd *Node) Prepare(sel *sql.SelectStmt, args []sqltypes.Value, opts QueryOp
 // and either a filter literal or a bound slot that orders transitively
 // (so the bounds still imply the conjuncts left out of the scan filter),
 // no range turned empty, every width that chose an access path kept and
-// the same ForceIndexScan. Otherwise it changes nothing and reports false.
+// the same ForceIndexScan. A point slot's range [v, v] is never empty for
+// such a literal. Otherwise it changes nothing and reports false.
 func (p *Prepared) Rebind(args []sqltypes.Value, opts QueryOpts) bool {
 	in := &p.in
 	if in.spilled || len(args) != len(in.args) || opts.ForceIndexScan != in.forceIndex {
@@ -194,6 +219,9 @@ func (p *Prepared) Rebind(args []sqltypes.Value, opts QueryOpts) bool {
 	for i, v := range args {
 		if b := in.slots[i].bound; b != nil {
 			b.v = v
+		}
+		if pt := in.slots[i].point; pt != nil {
+			pt.v = v
 		}
 		for _, u := range in.slots[i].uses {
 			u.v = v
@@ -221,6 +249,10 @@ func (p *Prepared) Fresh() bool {
 	}
 	return true
 }
+
+// Spilled reports that an argument's value, not only its kind, shaped the
+// plan: it re-binds to no other arguments and is never fresh.
+func (p *Prepared) Spilled() bool { return p.in.spilled }
 
 // OpenAt opens the plan at an explicit snapshot (opts supplies the
 // cursor's context and batch size) and returns a cursor positioned before

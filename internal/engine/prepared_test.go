@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -49,6 +50,17 @@ func drainPlan(p *Prepared, opts QueryOpts) (string, error) {
 // refuses and stays as it was.
 func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 	_, nd := newTestDB(t, 200, 3)
+	// eqNode's orders also index total and odate, for point ranges over a
+	// float and a date; colNode's orders are large enough for a columnar
+	// scan.
+	_, eqNode := newTestDB(t, 200, 3)
+	for _, ddl := range []string{"create index orders_total on orders (total)", "create index orders_odate on orders (odate)"} {
+		if _, err := eqNode.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	colDB, colNode := newTestDB(t, 300, 1)
+	colDB.SetColumnar(true)
 	const rangeSQL = "select count(*), sum(total) from orders where ok >= $1 and ok < $2"
 	const itemsRange = "select count(*), sum(price) from items where ok >= $1 and ok < $2"
 	i, f, s, d := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.NewDate
@@ -60,56 +72,74 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 		force           bool
 		planned, rebind []sqltypes.Value
 		want            bool
+		nd              *Node // nil: nd
 	}{
-		{"a range as wide", rangeSQL, false, ints(10, 20), ints(30, 40), true},
-		{"a width that turns the scan sequential", rangeSQL, false, ints(10, 20), ints(1, 150), false},
-		{"any width with sequential scans off", rangeSQL, true, ints(10, 20), ints(1, 150), true},
-		{"an empty range", rangeSQL, true, ints(10, 20), ints(40, 30), false},
-		{"another kind", rangeSQL, true, ints(10, 20), []sqltypes.Value{sqltypes.NewFloat(30), sqltypes.NewFloat(40)}, false},
-		{"a NULL bound", rangeSQL, true, ints(10, 20), []sqltypes.Value{sqltypes.Null(), sqltypes.NewInt(40)}, false},
-		{"the width that chose between two indexes kept", twoIndexes, true, ints(10, 20), ints(30, 40), true},
-		{"the width that chose between two indexes changed", twoIndexes, true, ints(10, 20), ints(1, 190), false},
-		{"another index won", "select count(*) from items where ok >= $1 and ok < $2 and tag = 'RED'", true, ints(10, 20), ints(30, 40), false},
-		{"an equality", "select total from orders where ok = $1", true, ints(10), ints(30), false},
-		{"the query's own bound", "select count(*) from orders where ok >= $1 and ok < $2 and ok >= 15", true, ints(10, 20), ints(30, 40), false},
-		{"a filter", "select count(*) from orders where ok >= $1 and ok < $2 and total > $1", true, ints(10, 20), ints(30, 40), false},
-		{"a projection", "select ok + $1 from orders where ok >= $1 and ok < $2", true, ints(10, 20), ints(30, 40), false},
-		{"one side, the other open", "select count(*) from orders where ok >= $1", true, ints(10), ints(30), true},
-		{"one side, the other a literal", "select count(*) from orders where ok >= $1 and ok < 100", true, ints(10), ints(30), false},
+		{"a range as wide", rangeSQL, false, ints(10, 20), ints(30, 40), true, nil},
+		{"a width that turns the scan sequential", rangeSQL, false, ints(10, 20), ints(1, 150), false, nil},
+		{"any width with sequential scans off", rangeSQL, true, ints(10, 20), ints(1, 150), true, nil},
+		{"an empty range", rangeSQL, true, ints(10, 20), ints(40, 30), false, nil},
+		{"another kind", rangeSQL, true, ints(10, 20), []sqltypes.Value{sqltypes.NewFloat(30), sqltypes.NewFloat(40)}, false, nil},
+		{"a NULL bound", rangeSQL, true, ints(10, 20), []sqltypes.Value{sqltypes.Null(), sqltypes.NewInt(40)}, false, nil},
+		{"the width that chose between two indexes kept", twoIndexes, true, ints(10, 20), ints(30, 40), true, nil},
+		{"the width that chose between two indexes changed", twoIndexes, true, ints(10, 20), ints(1, 190), false, nil},
+		{"another index won", "select count(*) from items where ok >= $1 and ok < $2 and tag = 'RED'", true, ints(10, 20), ints(30, 40), false, nil},
+		// An equality on an indexed column is a point slot: both bounds of
+		// one range, re-bound to any ordered value of its kind.
+		{"an equality over an int", "select total from orders where ok = $1", true, ints(10), ints(30), true, nil},
+		{"an equality over an int, sequential scans allowed", "select total from orders where ok = $1", false, ints(10), ints(30), true, nil},
+		{"an equality over a float", "select ok from orders where total = $1", true, []sqltypes.Value{f(100)}, []sqltypes.Value{f(350)}, true, eqNode},
+		{"an equality over a date", "select ok, total from orders where odate = $1", true, []sqltypes.Value{d(8010)}, []sqltypes.Value{d(8020)}, true, eqNode},
+		{"an equality over a string", "select ok, ln from items where tag = $1", true, []sqltypes.Value{s("RED")}, []sqltypes.Value{s("BLUE")}, true, nil},
+		{"an equality in a join", "select o.total, i.price from orders o, items i where o.ok = i.ok and o.ok = $1", true, ints(10), ints(30), true, nil},
+		{"an equality re-bound to another kind", "select total from orders where ok = $1", true, ints(10), []sqltypes.Value{f(30)}, false, nil},
+		{"an equality over a string re-bound to an int", "select ok, ln from items where tag = $1", true, []sqltypes.Value{s("RED")}, ints(3), false, nil},
+		{"an equality over a date re-bound to NULL", "select ok from orders where odate = $1", true, []sqltypes.Value{d(8010)}, []sqltypes.Value{sqltypes.Null()}, false, eqNode},
+		{"an equality re-bound out of the exact-int domain", "select total from orders where ok = $1", true, ints(10), ints(1 << 60), false, nil},
+		{"an equality planned out of the exact-int domain", "select total from orders where ok = $1", true, ints(1 << 60), ints(10), false, nil},
+		{"an equality beside another bound", "select total from orders where ok = $1 and ok >= 5", true, ints(10), ints(30), false, nil},
+		{"an equality on an unindexed column, a filter", "select ok from orders where cust = $1", false, ints(3), ints(5), true, nil},
+		{"an equality on an unindexed column under a columnar scan", "select ok from orders where cust = $1", false, ints(3), ints(5), false, colNode},
+		{"an equality on an indexed column under a columnar scan", "select total from orders where ok = $1", false, ints(10), ints(30), false, colNode},
+		{"the query's own bound", "select count(*) from orders where ok >= $1 and ok < $2 and ok >= 15", true, ints(10, 20), ints(30, 40), false, nil},
+		{"a filter", "select count(*) from orders where ok >= $1 and ok < $2 and total > $1", true, ints(10, 20), ints(30, 40), false, nil},
+		{"a projection", "select ok + $1 from orders where ok >= $1 and ok < $2", true, ints(10, 20), ints(30, 40), false, nil},
+		{"one side, the other open", "select count(*) from orders where ok >= $1", true, ints(10), ints(30), true, nil},
+		{"one side, the other a literal", "select count(*) from orders where ok >= $1 and ok < 100", true, ints(10), ints(30), false, nil},
 
 		// A filter slot (what sql.Parameterize lifts) re-binds to any value
 		// of its kind: comparisons, BETWEEN and IN lists over ints, floats,
 		// dates and strings. Each has a case where the value must spill.
 		// The range stays, so only the filter's new value tells the
 		// answers apart.
-		{"cmp over an int", rangeSQL + " and cust < $3", true, withRange(10, 40, i(4)), withRange(10, 40, i(6)), true},
-		{"cmp over an int, re-bound to a float", rangeSQL + " and cust < $3", true, withRange(10, 40, i(4)), withRange(10, 40, f(6)), false},
-		{"cmp over a float", rangeSQL + " and total > $3", true, withRange(10, 40, f(150)), withRange(10, 40, f(355.5)), true},
-		{"cmp over a float, an int planned", rangeSQL + " and total > $3", true, withRange(10, 40, i(150)), withRange(10, 40, f(355.5)), false},
-		{"cmp over a date", rangeSQL + " and odate <= $3", true, withRange(10, 40, d(8015)), withRange(10, 40, d(8035)), true},
-		{"cmp over a date, re-bound to NULL", rangeSQL + " and odate <= $3", true, withRange(10, 40, d(8015)), withRange(10, 40, sqltypes.Null()), false},
-		{"cmp over a string", itemsRange + " and tag <> $3", true, withRange(10, 40, s("RED")), withRange(10, 40, s("NONE")), true},
-		{"cmp over a string on an indexed column", itemsRange + " and tag > $3", true, withRange(10, 40, s("GREEN")), withRange(10, 40, s("BLUE")), false},
-		{"between ints", rangeSQL + " and cust between $3 and $4", true, withRange(10, 40, i(2), i(4)), withRange(10, 40, i(3), i(7)), true},
-		{"between ints, one folded", rangeSQL + " and cust between $3 + 0 and $4", true, withRange(10, 40, i(2), i(4)), withRange(10, 40, i(3), i(7)), false},
-		{"between floats", rangeSQL + " and total between $3 and $4", true, withRange(10, 40, f(120), f(170)), withRange(10, 40, f(305), f(365)), true},
-		{"between floats, re-bound to an int", rangeSQL + " and total between $3 and $4", true, withRange(10, 40, f(120), f(170)), withRange(10, 40, f(305), i(365)), false},
-		{"between dates", rangeSQL + " and odate between $3 and $4", true, withRange(10, 40, d(8012), d(8016)), withRange(10, 40, d(8031), d(8038)), true},
-		{"between dates, re-bound to strings", rangeSQL + " and odate between $3 and $4", true, withRange(10, 40, d(8012), d(8016)), withRange(10, 40, s("a"), s("b")), false},
-		{"not between strings", itemsRange + " and tag not between $3 and $4", true, withRange(10, 40, s("A"), s("C")), withRange(10, 40, s("C"), s("H")), true},
-		{"between strings on an indexed column", itemsRange + " and tag between $3 and $4", true, withRange(10, 40, s("A"), s("C")), withRange(10, 40, s("C"), s("H")), false},
-		{"in ints", rangeSQL + " and cust in ($3, $4)", true, withRange(10, 40, i(2), i(5)), withRange(10, 40, i(1), i(3)), true},
-		{"in ints, re-bound to a date", rangeSQL + " and cust in ($3, $4)", true, withRange(10, 40, i(2), i(5)), withRange(10, 40, d(1), i(3)), false},
-		{"in floats", rangeSQL + " and total in ($3, $4)", true, withRange(10, 40, f(120), f(150)), withRange(10, 40, f(310), f(390)), true},
-		{"in floats, one also in a projection", "select total + $3 from orders where ok >= $1 and ok < $2 and total in ($3, $4)", true, withRange(10, 40, f(120), f(150)), withRange(10, 40, f(310), f(390)), false},
-		{"in dates", rangeSQL + " and odate in ($3, $4)", true, withRange(10, 40, d(8012), d(8015)), withRange(10, 40, d(8031), d(8036)), true},
-		{"in dates, re-bound to NULL", rangeSQL + " and odate in ($3, $4)", true, withRange(10, 40, d(8012), d(8015)), withRange(10, 40, d(8031), sqltypes.Null()), false},
-		{"in strings", itemsRange + " and tag in ($3, $4)", true, withRange(10, 40, s("RED"), s("BLUE")), withRange(10, 40, s("GREEN"), s("BLUE")), true},
-		{"in strings, re-bound to an int", itemsRange + " and tag in ($3, $4)", true, withRange(10, 40, s("RED"), s("BLUE")), withRange(10, 40, s("GREEN"), i(1)), false},
-		{"a filter slot under sequential scans", rangeSQL + " and cust < $3", false, withRange(10, 40, i(4)), withRange(10, 40, i(6)), true},
+		{"cmp over an int", rangeSQL + " and cust < $3", true, withRange(10, 40, i(4)), withRange(10, 40, i(6)), true, nil},
+		{"cmp over an int, re-bound to a float", rangeSQL + " and cust < $3", true, withRange(10, 40, i(4)), withRange(10, 40, f(6)), false, nil},
+		{"cmp over a float", rangeSQL + " and total > $3", true, withRange(10, 40, f(150)), withRange(10, 40, f(355.5)), true, nil},
+		{"cmp over a float, an int planned", rangeSQL + " and total > $3", true, withRange(10, 40, i(150)), withRange(10, 40, f(355.5)), false, nil},
+		{"cmp over a date", rangeSQL + " and odate <= $3", true, withRange(10, 40, d(8015)), withRange(10, 40, d(8035)), true, nil},
+		{"cmp over a date, re-bound to NULL", rangeSQL + " and odate <= $3", true, withRange(10, 40, d(8015)), withRange(10, 40, sqltypes.Null()), false, nil},
+		{"cmp over a string", itemsRange + " and tag <> $3", true, withRange(10, 40, s("RED")), withRange(10, 40, s("NONE")), true, nil},
+		{"cmp over a string on an indexed column", itemsRange + " and tag > $3", true, withRange(10, 40, s("GREEN")), withRange(10, 40, s("BLUE")), false, nil},
+		{"between ints", rangeSQL + " and cust between $3 and $4", true, withRange(10, 40, i(2), i(4)), withRange(10, 40, i(3), i(7)), true, nil},
+		{"between ints, one folded", rangeSQL + " and cust between $3 + 0 and $4", true, withRange(10, 40, i(2), i(4)), withRange(10, 40, i(3), i(7)), false, nil},
+		{"between floats", rangeSQL + " and total between $3 and $4", true, withRange(10, 40, f(120), f(170)), withRange(10, 40, f(305), f(365)), true, nil},
+		{"between floats, re-bound to an int", rangeSQL + " and total between $3 and $4", true, withRange(10, 40, f(120), f(170)), withRange(10, 40, f(305), i(365)), false, nil},
+		{"between dates", rangeSQL + " and odate between $3 and $4", true, withRange(10, 40, d(8012), d(8016)), withRange(10, 40, d(8031), d(8038)), true, nil},
+		{"between dates, re-bound to strings", rangeSQL + " and odate between $3 and $4", true, withRange(10, 40, d(8012), d(8016)), withRange(10, 40, s("a"), s("b")), false, nil},
+		{"not between strings", itemsRange + " and tag not between $3 and $4", true, withRange(10, 40, s("A"), s("C")), withRange(10, 40, s("C"), s("H")), true, nil},
+		{"between strings on an indexed column", itemsRange + " and tag between $3 and $4", true, withRange(10, 40, s("A"), s("C")), withRange(10, 40, s("C"), s("H")), false, nil},
+		{"in ints", rangeSQL + " and cust in ($3, $4)", true, withRange(10, 40, i(2), i(5)), withRange(10, 40, i(1), i(3)), true, nil},
+		{"in ints, re-bound to a date", rangeSQL + " and cust in ($3, $4)", true, withRange(10, 40, i(2), i(5)), withRange(10, 40, d(1), i(3)), false, nil},
+		{"in floats", rangeSQL + " and total in ($3, $4)", true, withRange(10, 40, f(120), f(150)), withRange(10, 40, f(310), f(390)), true, nil},
+		{"in floats, one also in a projection", "select total + $3 from orders where ok >= $1 and ok < $2 and total in ($3, $4)", true, withRange(10, 40, f(120), f(150)), withRange(10, 40, f(310), f(390)), false, nil},
+		{"in dates", rangeSQL + " and odate in ($3, $4)", true, withRange(10, 40, d(8012), d(8015)), withRange(10, 40, d(8031), d(8036)), true, nil},
+		{"in dates, re-bound to NULL", rangeSQL + " and odate in ($3, $4)", true, withRange(10, 40, d(8012), d(8015)), withRange(10, 40, d(8031), sqltypes.Null()), false, nil},
+		{"in strings", itemsRange + " and tag in ($3, $4)", true, withRange(10, 40, s("RED"), s("BLUE")), withRange(10, 40, s("GREEN"), s("BLUE")), true, nil},
+		{"in strings, re-bound to an int", itemsRange + " and tag in ($3, $4)", true, withRange(10, 40, s("RED"), s("BLUE")), withRange(10, 40, s("GREEN"), i(1)), false, nil},
+		{"a filter slot under sequential scans", rangeSQL + " and cust < $3", false, withRange(10, 40, i(4)), withRange(10, 40, i(6)), true, nil},
 	} {
 		sel := mustSelect(t, c.text)
 		opts := QueryOpts{ForceIndexScan: c.force}
+		nd := cmp.Or(c.nd, nd)
 		p, err := nd.Prepare(sel, c.planned, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -129,7 +159,7 @@ func TestRebindOnlyWhereThePlanIsTheSame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(c.planned) > 2 {
+		if len(c.planned) > 2 || len(c.planned) == 1 {
 			planned, err := nd.Prepare(sel, c.planned, opts)
 			if err != nil {
 				t.Fatal(err)

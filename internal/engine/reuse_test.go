@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,9 +199,14 @@ func bytesPerRun(t *testing.T, nd *Node, text string, runs int) float64 {
 	})
 }
 
-// bytesPer is bytesPerRun for any run.
+// bytesPer is bytesPerRun for any run. It holds the collector off while
+// it measures, so no round pays for pools a collection emptied — as
+// under a full suite's load, where one did in every round — and restores
+// it after; TotalAlloc still counts every allocation, so a buffer the
+// code stops giving back to its pool still shows.
 func bytesPer(t *testing.T, runs int, run func()) float64 {
 	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run()
 	var rounds [3]float64
 	for r := range rounds {

@@ -29,6 +29,10 @@ const (
 	MStaleReads    = "apuama_stale_reads_total"
 	MFallbacks     = "apuama_svp_fallback_total" // labeled {reason=...}
 
+	// Plan reuse (the shape cache, internal/core).
+	MShapes         = "apuama_shapes_total"          // statement shapes added to the shape cache
+	MShapeEvictions = "apuama_shape_evictions_total" // shapes evicted from the full cache
+
 	// Resilience (mirrors of PR 1's counters).
 	MSubqueryRetries  = "apuama_subquery_retries_total" // partition failovers
 	MBackoffRetries   = "apuama_backoff_retries_total"  // in-place transient retries (engine)

@@ -8,9 +8,10 @@ import (
 )
 
 // Span is one timed phase of a query's life. The root span is the query
-// itself; children are lifecycle phases (barrier-wait, dispatch,
-// subquery[i], gather, compose). Spans are created by Child, annotated
-// while running, and closed by End. All methods are safe on a nil
+// itself; its children are the lifecycle phases (plan, barrier-wait,
+// dispatch, gather, compose or passthrough, reply), opened by Phase, and
+// the concurrent subquery spans, opened by Child. Spans are annotated
+// while running and closed by End. All methods are safe on a nil
 // receiver, so tracing-off code paths cost one pointer check.
 //
 // Concurrency: a span's children are appended under the span's own
@@ -27,7 +28,11 @@ type Span struct {
 	children []*Span
 
 	// root bookkeeping (set on the query span only)
-	tracer *Tracer
+	tracer    *Tracer
+	phaseEnd  time.Time // where the last ended phase ended (zero: none yet)
+	lastPhase *Span     // the phase opened last
+
+	phaseOf *Span // the query span this phase tiles (nil: not a phase)
 }
 
 // Attr is one key=value annotation on a span (node id, attempt number,
@@ -49,6 +54,28 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
+// Phase opens the next lifecycle phase of a query span: a child that
+// starts where the previous phase ended, or where the query started for
+// the first one. The phases thus tile the query with no gap, and the time
+// between two stages (the controller choosing a replica, a goroutine
+// preempted or a GC pause on the way) is charged to the phase it delays
+// instead of to no phase. Returns nil when s is nil.
+func (s *Span) Phase(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	start := s.phaseEnd
+	if start.IsZero() {
+		start = s.start
+	}
+	c := &Span{name: name, start: start, phaseOf: s}
+	s.children = append(s.children, c)
+	s.lastPhase = c
+	s.mu.Unlock()
+	return c
+}
+
 // Annotate attaches a key=value pair to the span.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {
@@ -60,19 +87,33 @@ func (s *Span) Annotate(key, value string) {
 }
 
 // End closes the span, fixing its duration. Ending a span twice keeps
-// the first duration. Ending a root span hands it to its tracer's
+// the first duration. Ending a query span ends its last phase at the same
+// instant if that is still open, and hands the query to its tracer's
 // slow-query log.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.endAt(time.Now())
+}
+
+func (s *Span) endAt(now time.Time) {
 	s.mu.Lock()
-	if !s.ended {
+	first := !s.ended
+	if first {
 		s.ended = true
-		s.dur = time.Since(s.start)
+		s.dur = now.Sub(s.start)
 	}
-	tr := s.tracer
+	tr, q, last := s.tracer, s.phaseOf, s.lastPhase
 	s.mu.Unlock()
+	if first && q != nil {
+		q.mu.Lock()
+		q.phaseEnd = now
+		q.mu.Unlock()
+	}
+	if first && last != nil {
+		last.endAt(now)
+	}
 	if tr != nil {
 		tr.record(s)
 	}

@@ -134,3 +134,38 @@ func TestNilTracer(t *testing.T) {
 		t.Error("nil tracer slow log must be nil")
 	}
 }
+
+// TestPhasesTileTheQuery: the first phase opens where the query opened,
+// each next one where the previous ended, whatever ran between them, and
+// the phase still open ends with the query; a Child span (a sub-query)
+// moves no phase boundary.
+func TestPhasesTileTheQuery(t *testing.T) {
+	tr := NewTracer(1, 0)
+	root := tr.StartQuery("q")
+	time.Sleep(time.Millisecond)
+	plan := root.Phase("plan")
+	plan.End()
+	root.Child("subquery").End()
+	time.Sleep(time.Millisecond)
+	compose := root.Phase("compose")
+	compose.End()
+	root.Phase("reply")
+	time.Sleep(time.Millisecond)
+	root.End()
+	ss := tr.SlowLog()[0]
+	p, _ := ss.ChildNamed("plan")
+	c, _ := ss.ChildNamed("compose")
+	r, _ := ss.ChildNamed("reply")
+	if got, want := r.Start.Add(r.Duration), ss.Start.Add(ss.Duration); !got.Equal(want) {
+		t.Errorf("the phase open at the query's end ends at %v, the query at %v", got, want)
+	}
+	if !p.Start.Equal(ss.Start) {
+		t.Errorf("first phase starts at %v, query at %v", p.Start, ss.Start)
+	}
+	if !c.Start.Equal(p.Start.Add(p.Duration)) {
+		t.Errorf("compose starts at %v, plan ended at %v", c.Start, p.Start.Add(p.Duration))
+	}
+	if p.Duration < time.Millisecond || c.Duration < time.Millisecond {
+		t.Errorf("the time between phases was not charged: plan %v, compose %v", p.Duration, c.Duration)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -179,4 +180,68 @@ func TestServerCloseCancelsInflight(t *testing.T) {
 		t.Fatal("client query hung after server close")
 	}
 	close(h.block)
+}
+
+// TestBurstLeavesOneIdleWorker: a connection that once ran many streams
+// at the same time keeps at most one idle query worker once they are
+// done, and a later query on it reuses that worker.
+func TestBurstLeavesOneIdleWorker(t *testing.T) {
+	h := &fakeHandler{block: make(chan struct{})}
+	s, err := Serve("127.0.0.1:0", h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	close(h.block)
+	if _, err := c.Query("select rows 1"); err != nil {
+		t.Fatal(err)
+	}
+	// One idle worker now waits; let it settle.
+	time.Sleep(20 * time.Millisecond)
+	base := runtime.NumGoroutine()
+
+	h.mu.Lock()
+	h.block = make(chan struct{})
+	h.mu.Unlock()
+	const burst = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Query("select rows 2"); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	// Hold the burst until every stream runs on a worker of its own.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() < base+2*burst-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines with the burst held, want at least %d", runtime.NumGoroutine(), base+2*burst-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h.mu.Lock()
+	close(h.block)
+	h.mu.Unlock()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var n int
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if n = runtime.NumGoroutine(); n <= base {
+			break
+		}
+	}
+	if n > base {
+		t.Errorf("%d goroutines after the burst, %d before it: idle workers stayed", n, base)
+	}
 }

@@ -255,7 +255,19 @@ type binConn struct {
 	smu     sync.Mutex
 	streams map[uint32]*srvStream
 
-	qwg sync.WaitGroup
+	// jobs hands a query to the idle query worker of the connection, if
+	// idle is set (see queryWorker); qwg counts the workers and the exec
+	// goroutines.
+	jobs chan queryJob
+	idle atomic.Bool
+	qwg  sync.WaitGroup
+}
+
+// queryJob is one query frame for a query worker.
+type queryJob struct {
+	id uint32
+	st *srvStream
+	q  queryReq
 }
 
 // serveConn shakes hands — the deadline is armed before the first read,
@@ -287,6 +299,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		bw:  bufio.NewWriterSize(conn, 64<<10),
 		ctx: ctx, cancel: cancel,
 		streams: map[uint32]*srvStream{},
+		jobs:    make(chan queryJob),
 	}
 	defer cancel()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -312,8 +325,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			st.credits.Store(int64(q.credits))
 			s.st.streams.Add(1)
 			s.st.mStreams.Inc()
-			c.qwg.Add(1)
-			go c.runQuery(id, st, q)
+			c.startQuery(queryJob{id: id, st: st, q: q})
 		case fExec:
 			sqlText, err := decodeExec(payload)
 			if err != nil {
@@ -454,6 +466,40 @@ type encScratch struct {
 
 var encPool = sync.Pool{New: func() any { return new(encScratch) }}
 
+// startQuery hands job to an idle query worker, or starts one when none
+// is idle.
+func (c *binConn) startQuery(job queryJob) {
+	select {
+	case c.jobs <- job:
+	default:
+		c.qwg.Add(1)
+		go c.queryWorker(job)
+	}
+}
+
+// queryWorker runs job, then each query startQuery hands it while it is
+// the connection's idle worker, until the connection goes. A worker keeps
+// the stack its queries grew, so a stream of short queries does not grow a
+// fresh goroutine's stack for each one. At most one worker waits idle: one
+// that finishes while another waits returns, so a burst of concurrent
+// streams leaves no goroutines behind it.
+func (c *binConn) queryWorker(job queryJob) {
+	defer c.qwg.Done()
+	for {
+		c.runQuery(job.id, job.st, job.q)
+		job = queryJob{}
+		if !c.idle.CompareAndSwap(false, true) {
+			return
+		}
+		select {
+		case job = <-c.jobs:
+			c.idle.Store(false)
+		case <-c.ctx.Done():
+			return
+		}
+	}
+}
+
 // runQuery executes one query stream: header frame, credit-gated batch
 // frames, trailer. The block scratch buffer is reused across batches —
 // writeFrame copies into the connection's buffered writer before
@@ -461,7 +507,6 @@ var encPool = sync.Pool{New: func() any { return new(encScratch) }}
 // encoded — or the stream is cancelled or its connection fails — the
 // result's pooled memory goes back (Result.Release).
 func (c *binConn) runQuery(id uint32, st *srvStream, q queryReq) {
-	defer c.qwg.Done()
 	defer c.removeStream(id, st)
 	res, err := c.handleQuery(st.ctx, q)
 	if err != nil {

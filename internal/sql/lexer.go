@@ -43,27 +43,11 @@ var keywords = map[string]bool{
 	"true": true, "false": true, "to": true, "explain": true,
 }
 
-// lexer tokenizes a SQL string.
+// lexer tokenizes a SQL string on demand: the parser pulls one token at
+// a time through its lookahead window, so no token slice is built.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-// lex tokenizes the whole input eagerly; SQL statements are short enough
-// that a token slice is simpler and faster than a streaming scanner.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		l.toks = append(l.toks, tok)
-		if tok.kind == tokEOF {
-			return l.toks, nil
-		}
-	}
+	src string
+	pos int
 }
 
 func (l *lexer) next() (token, error) {
@@ -97,25 +81,32 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokParam, text: l.src[start+1 : l.pos], pos: start}, nil
 	case c == '\'':
-		var b strings.Builder
+		// The literal is copied out of the source, once: a string an
+		// INSERT stores must not pin the whole statement's text.
 		l.pos++
+		escaped := false
 		for {
 			if l.pos >= len(l.src) {
 				return token{}, fmt.Errorf("unterminated string literal at offset %d", start)
 			}
 			if l.src[l.pos] == '\'' {
 				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					b.WriteByte('\'')
+					escaped = true
 					l.pos += 2
 					continue
 				}
 				l.pos++
 				break
 			}
-			b.WriteByte(l.src[l.pos])
 			l.pos++
 		}
-		return token{kind: tokString, text: b.String(), pos: start}, nil
+		text := l.src[start+1 : l.pos-1]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		} else {
+			text = strings.Clone(text)
+		}
+		return token{kind: tokString, text: text, pos: start}, nil
 	case isIdentStart(c):
 		for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
 			l.pos++
@@ -142,7 +133,7 @@ func (l *lexer) next() (token, error) {
 		switch c {
 		case '(', ')', ',', '.', '=', '<', '>', '+', '-', '*', '/', ';':
 			l.pos++
-			return token{kind: tokSymbol, text: string(c), pos: start}, nil
+			return token{kind: tokSymbol, text: l.src[start:l.pos], pos: start}, nil
 		}
 		return token{}, fmt.Errorf("unexpected character %q at offset %d", c, start)
 	}

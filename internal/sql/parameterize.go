@@ -2,11 +2,13 @@ package sql
 
 import "apuama/internal/sqltypes"
 
-// Parameterize returns the shape of sel — a copy whose WHERE predicates
-// read their literal operands as placeholders $1 … $n, numbered in the
-// order they are met — and the n arguments that give the statement back
-// (Substitute). Two statements that differ only in those literals share a
-// shape, so whatever is planned from the shape serves both.
+// Parameterize turns sel into its shape — its WHERE predicates read
+// their literal operands as placeholders $1 … $n, numbered in the order
+// they are met — and returns the n arguments that give the statement back
+// (Substitute). It rewrites sel in place, so the caller must own it and
+// no longer need it as written (CloneSelect first otherwise). Two
+// statements that differ only in those literals share a shape, so
+// whatever is planned from the shape serves both.
 //
 // What is lifted: a literal-only operand (a literal, or arithmetic over
 // literals) of = <> < <= > >= whose other operand is not literal-only, the
@@ -18,21 +20,25 @@ import "apuama/internal/sqltypes"
 // Nothing else is: not LIMIT, the length of an IN list, interval units,
 // LIKE patterns, nor literals in the select list, CASE, aggregates, GROUP
 // BY, ORDER BY or HAVING. A statement that already has placeholders is
-// returned as a copy with no arguments.
-func Parameterize(sel *SelectStmt, fold func(Expr) (sqltypes.Value, bool)) (*SelectStmt, []sqltypes.Value) {
-	out := CloneSelect(sel)
+// left as it is, with no arguments.
+func Parameterize(sel *SelectStmt, fold func(Expr) (sqltypes.Value, bool)) []sqltypes.Value {
+	if hasPlaceholder(sel) {
+		return nil
+	}
+	p := parameterizer{fold: fold}
+	p.where(sel)
+	return p.args
+}
+
+// hasPlaceholder reports whether sel already reads a placeholder.
+func hasPlaceholder(sel *SelectStmt) bool {
 	has := false
-	WalkSelect(out, func(e Expr) bool {
+	WalkSelect(sel, func(e Expr) bool {
 		_, ok := e.(*Placeholder)
 		has = has || ok
 		return !has
 	})
-	if has {
-		return out, nil
-	}
-	p := parameterizer{fold: fold}
-	p.where(out)
-	return out, p.args
+	return has
 }
 
 // Substitute returns a copy of sel with every placeholder Parameterize

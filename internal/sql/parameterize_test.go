@@ -35,20 +35,26 @@ func FuzzParameterize(f *testing.F) {
 		if err != nil {
 			return
 		}
-		shape, args := sql.Parameterize(sel, nil)
+		shape, args := parameterize(sel, nil)
 		if got, want := sql.Substitute(shape, args).SQL(), sel.SQL(); got != want {
 			t.Fatalf("round trip of bare literals\ninput: %q\nshape: %s\ngot:   %s\nwant:  %s", src, shape.SQL(), got, want)
 		}
-		shape, args = sql.Parameterize(sel, engine.FoldLiteral)
+		shape, args = parameterize(sel, engine.FoldLiteral)
 		back := sql.Substitute(shape, args)
-		shape2, args2 := sql.Parameterize(back, engine.FoldLiteral)
+		shape2, args2 := parameterize(back, engine.FoldLiteral)
 		if shape2.SQL() != shape.SQL() || !sameValues(args, args2) {
 			t.Fatalf("not a fixed point\ninput: %q\nshape: %s %v\nagain: %s %v", src, shape.SQL(), args, shape2.SQL(), args2)
 		}
-		if again, _ := sql.Parameterize(shape, engine.FoldLiteral); again.SQL() != shape.SQL() {
+		if again, _ := parameterize(shape, engine.FoldLiteral); again.SQL() != shape.SQL() {
 			t.Fatalf("a shape lifts again\nshape: %s\nagain: %s", shape.SQL(), again.SQL())
 		}
 	})
+}
+
+// parameterize is sql.Parameterize on a copy of sel.
+func parameterize(sel *sql.SelectStmt, fold func(sql.Expr) (sqltypes.Value, bool)) (*sql.SelectStmt, []sqltypes.Value) {
+	shape := sql.CloneSelect(sel)
+	return shape, sql.Parameterize(shape, fold)
 }
 
 func sameValues(a, b []sqltypes.Value) bool {
@@ -83,7 +89,7 @@ func TestParameterizeLiftsOnlyPredicateOperands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.in, err)
 		}
-		shape, args := sql.Parameterize(sel, engine.FoldLiteral)
+		shape, args := parameterize(sel, engine.FoldLiteral)
 		if shape.SQL() != c.shape {
 			t.Errorf("%s\nshape %s\nwant  %s", c.in, shape.SQL(), c.shape)
 		}

@@ -10,27 +10,34 @@ import (
 
 // Parser is a hand-written recursive-descent parser with the usual
 // precedence ladder: OR < AND < NOT < predicates < additive <
-// multiplicative < unary < primary.
+// multiplicative < unary < primary. It pulls tokens from the lexer on
+// demand through a fixed window of two: peekAt(1) is its deepest
+// lookahead.
 type parser struct {
-	toks []token
-	pos  int
+	lx  lexer
+	win [2]token // win[:n] are the next tokens
+	n   int
+	// err is the lexer's first error; the window reads EOF from there on,
+	// and the statement fails with it (see lexErr).
+	err error
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lx: lexer{src: src}}
 	st, err := p.statement()
+	if err == nil {
+		p.eatSymbol(";")
+		if !p.atEOF() {
+			err = p.errorf("unexpected trailing input %q", p.peek().text)
+		}
+	}
+	if lerr := p.lexErr(); lerr != nil {
+		return nil, lerr
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.eatSymbol(";")
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
 	}
 	return st, nil
 }
@@ -50,23 +57,43 @@ func ParseSelect(src string) (*SelectStmt, error) {
 
 // ParseAll parses a semicolon-separated script.
 func ParseAll(src string) ([]Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lx: lexer{src: src}}
 	var out []Statement
-	for !p.atEOF() {
-		st, err := p.statement()
-		if err != nil {
-			return nil, err
+	var err error
+	for err == nil && !p.atEOF() {
+		var st Statement
+		if st, err = p.statement(); err != nil {
+			break
 		}
 		out = append(out, st)
 		if !p.eatSymbol(";") && !p.atEOF() {
-			return nil, p.errorf("expected ';' between statements")
+			err = p.errorf("expected ';' between statements")
 		}
 	}
+	if lerr := p.lexErr(); lerr != nil {
+		return nil, lerr
+	}
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// lexErr lexes what the parser has not read and returns the lexer's first
+// error in the whole input, so a statement with a lexical error fails
+// with it wherever the parser stopped — as when the input was lexed
+// before parsing.
+func (p *parser) lexErr() error {
+	for p.err == nil {
+		t, err := p.lx.next()
+		if err != nil {
+			p.err = err
+		}
+		if t.kind == tokEOF {
+			break
+		}
+	}
+	return p.err
 }
 
 func (p *parser) statement() (Statement, error) {
@@ -97,19 +124,37 @@ func (p *parser) statement() (Statement, error) {
 
 // --- token helpers ---
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-
-func (p *parser) peekAt(n int) token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1] // EOF
+// fill lexes into the window until it holds k tokens. After the lexer's
+// first error every token is EOF.
+func (p *parser) fill(k int) {
+	for p.n < k {
+		t, err := p.lx.next()
+		if err != nil {
+			p.err = err
+			p.lx.pos = len(p.lx.src)
+			t = token{kind: tokEOF, pos: p.lx.pos}
+		}
+		p.win[p.n] = t
+		p.n++
 	}
-	return p.toks[p.pos+n]
+}
+
+func (p *parser) peek() token {
+	p.fill(1)
+	return p.win[0]
+}
+
+// peekAt returns the token n ahead of the next one, n <= 1.
+func (p *parser) peekAt(n int) token {
+	p.fill(n + 1)
+	return p.win[n]
 }
 
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
+	t := p.peek()
 	if t.kind != tokEOF {
-		p.pos++
+		p.win[0] = p.win[1]
+		p.n--
 	}
 	return t
 }
@@ -123,7 +168,7 @@ func (p *parser) peekKeyword(kw string) bool {
 
 func (p *parser) eatKeyword(kw string) bool {
 	if p.peekKeyword(kw) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -143,7 +188,7 @@ func (p *parser) peekSymbol(s string) bool {
 
 func (p *parser) eatSymbol(s string) bool {
 	if p.peekSymbol(s) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -163,7 +208,7 @@ func (p *parser) ident() (string, error) {
 	if t.kind != tokIdent {
 		return "", p.errorf("expected identifier, got %q", t.text)
 	}
-	p.pos++
+	p.advance()
 	return t.text, nil
 }
 
@@ -281,7 +326,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		if t.kind != tokNumber {
 			return nil, p.errorf("expected number after limit, got %q", t.text)
 		}
-		p.pos++
+		p.advance()
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad limit %q", t.text)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"apuama/internal/sqltypes"
 )
@@ -13,76 +14,97 @@ import (
 // renderer must produce text that this package's parser accepts
 // (round-trip property, covered by tests).
 
+// textBuf is the byte buffer SELECTs and expressions render into.
+type textBuf []byte
+
+func (b *textBuf) writeString(s string) { *b = append(*b, s...) }
+func (b *textBuf) writeByte(c byte)     { *b = append(*b, c) }
+
+// textBufs holds the buffers SQL renders into before it copies the text
+// out, so a rendering makes one allocation.
+var textBufs = sync.Pool{New: func() any { return new(textBuf) }}
+
 // SQL renders the SELECT back to text.
 func (s *SelectStmt) SQL() string {
-	var b strings.Builder
-	writeSelect(&b, s)
-	return b.String()
+	b := textBufs.Get().(*textBuf)
+	*b = (*b)[:0]
+	writeSelect(b, s)
+	out := string(*b)
+	textBufs.Put(b)
+	return out
 }
 
-// writeSelect renders s into b, its expressions into the same builder.
-func writeSelect(b *strings.Builder, s *SelectStmt) {
-	b.WriteString("select ")
+// AppendSQL appends the text SQL returns to dst, so a caller that renders
+// into a buffer it reuses allocates nothing.
+func (s *SelectStmt) AppendSQL(dst []byte) []byte {
+	b := textBuf(dst)
+	writeSelect(&b, s)
+	return b
+}
+
+// writeSelect renders s into b, its expressions into the same buffer.
+func writeSelect(b *textBuf, s *SelectStmt) {
+	b.writeString("select ")
 	if s.Distinct {
-		b.WriteString("distinct ")
+		b.writeString("distinct ")
 	}
 	for i, it := range s.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			b.writeString(", ")
 		}
 		if it.Star {
-			b.WriteByte('*')
+			b.writeByte('*')
 			continue
 		}
 		writeExpr(b, it.Expr)
 		if it.Alias != "" {
-			b.WriteString(" as ")
-			b.WriteString(it.Alias)
+			b.writeString(" as ")
+			b.writeString(it.Alias)
 		}
 	}
-	b.WriteString(" from ")
+	b.writeString(" from ")
 	for i, t := range s.From {
 		if i > 0 {
-			b.WriteString(", ")
+			b.writeString(", ")
 		}
-		b.WriteString(t.Name)
+		b.writeString(t.Name)
 		if t.Alias != "" {
-			b.WriteByte(' ')
-			b.WriteString(t.Alias)
+			b.writeByte(' ')
+			b.writeString(t.Alias)
 		}
 	}
 	if s.Where != nil {
-		b.WriteString(" where ")
+		b.writeString(" where ")
 		writeExpr(b, s.Where)
 	}
 	if len(s.GroupBy) > 0 {
-		b.WriteString(" group by ")
+		b.writeString(" group by ")
 		for i, e := range s.GroupBy {
 			if i > 0 {
-				b.WriteString(", ")
+				b.writeString(", ")
 			}
 			writeExpr(b, e)
 		}
 	}
 	if s.Having != nil {
-		b.WriteString(" having ")
+		b.writeString(" having ")
 		writeExpr(b, s.Having)
 	}
 	if len(s.OrderBy) > 0 {
-		b.WriteString(" order by ")
+		b.writeString(" order by ")
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				b.WriteString(", ")
+				b.writeString(", ")
 			}
 			writeExpr(b, o.Expr)
 			if o.Desc {
-				b.WriteString(" desc")
+				b.writeString(" desc")
 			}
 		}
 	}
 	if s.Limit != nil {
-		b.WriteString(" limit ")
-		b.WriteString(strconv.FormatInt(*s.Limit, 10))
+		b.writeString(" limit ")
+		*b = strconv.AppendInt(*b, *s.Limit, 10)
 	}
 }
 
@@ -250,140 +272,143 @@ func (e *ExtractExpr) SQL() string  { return exprSQL(e) }
 func (e *NegExpr) SQL() string      { return exprSQL(e) }
 
 func exprSQL(e Expr) string {
-	var b strings.Builder
-	writeExpr(&b, e)
-	return b.String()
+	b := textBufs.Get().(*textBuf)
+	*b = (*b)[:0]
+	writeExpr(b, e)
+	out := string(*b)
+	textBufs.Put(b)
+	return out
 }
 
 // writeExpr renders e into b.
-func writeExpr(b *strings.Builder, e Expr) {
+func writeExpr(b *textBuf, e Expr) {
 	switch e := e.(type) {
 	case *ColumnRef:
 		if e.Table != "" {
-			b.WriteString(e.Table)
-			b.WriteByte('.')
+			b.writeString(e.Table)
+			b.writeByte('.')
 		}
-		b.WriteString(e.Name)
+		b.writeString(e.Name)
 	case *Literal:
-		b.WriteString(renderValue(e.Val))
+		b.writeString(renderValue(e.Val))
 	case *Placeholder:
-		b.WriteByte('$')
-		b.WriteString(strconv.Itoa(e.N))
+		b.writeByte('$')
+		*b = strconv.AppendInt(*b, int64(e.N), 10)
 	case *BinaryExpr:
-		b.WriteByte('(')
+		b.writeByte('(')
 		writeExpr(b, e.L)
-		b.WriteByte(' ')
-		b.WriteByte(e.Op)
-		b.WriteByte(' ')
+		b.writeByte(' ')
+		b.writeByte(e.Op)
+		b.writeByte(' ')
 		writeExpr(b, e.R)
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *CompareExpr:
 		writeExpr(b, e.L)
-		b.WriteByte(' ')
-		b.WriteString(e.Op)
-		b.WriteByte(' ')
+		b.writeByte(' ')
+		b.writeString(e.Op)
+		b.writeByte(' ')
 		writeExpr(b, e.R)
 	case *AndExpr:
 		writeJoined(b, "(", e.L, " and ", e.R, ")")
 	case *OrExpr:
 		writeJoined(b, "(", e.L, " or ", e.R, ")")
 	case *NotExpr:
-		b.WriteString("not (")
+		b.writeString("not (")
 		writeExpr(b, e.E)
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *BetweenExpr:
 		writeExpr(b, e.E)
 		if e.Not {
-			b.WriteString(" not")
+			b.writeString(" not")
 		}
 		writeJoined(b, " between ", e.Lo, " and ", e.Hi, "")
 	case *InExpr:
 		writeExpr(b, e.E)
 		if e.Not {
-			b.WriteString(" not")
+			b.writeString(" not")
 		}
-		b.WriteString(" in (")
+		b.writeString(" in (")
 		if e.Sub != nil {
 			writeSelect(b, e.Sub)
 		} else {
 			writeList(b, e.List)
 		}
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *LikeExpr:
 		writeExpr(b, e.E)
 		if e.Not {
-			b.WriteString(" not")
+			b.writeString(" not")
 		}
-		b.WriteString(" like ")
+		b.writeString(" like ")
 		writeExpr(b, e.Pattern)
 	case *IsNullExpr:
 		writeExpr(b, e.E)
 		if e.Not {
-			b.WriteString(" is not null")
+			b.writeString(" is not null")
 		} else {
-			b.WriteString(" is null")
+			b.writeString(" is null")
 		}
 	case *ExistsExpr:
 		if e.Not {
-			b.WriteString("not ")
+			b.writeString("not ")
 		}
-		b.WriteString("exists (")
+		b.writeString("exists (")
 		writeSelect(b, e.Sub)
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *SubqueryExpr:
-		b.WriteByte('(')
+		b.writeByte('(')
 		writeSelect(b, e.Sub)
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *CaseExpr:
-		b.WriteString("case")
+		b.writeString("case")
 		for _, w := range e.Whens {
 			writeJoined(b, " when ", w.Cond, " then ", w.Then, "")
 		}
 		if e.Else != nil {
-			b.WriteString(" else ")
+			b.writeString(" else ")
 			writeExpr(b, e.Else)
 		}
-		b.WriteString(" end")
+		b.writeString(" end")
 	case *FuncExpr:
-		b.WriteString(e.Name)
-		b.WriteByte('(')
+		b.writeString(e.Name)
+		b.writeByte('(')
 		switch {
 		case e.Star:
-			b.WriteByte('*')
+			b.writeByte('*')
 		case e.Distinct:
-			b.WriteString("distinct ")
+			b.writeString("distinct ")
 			fallthrough
 		default:
 			writeList(b, e.Args)
 		}
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *ExtractExpr:
-		b.WriteString("extract(")
-		b.WriteString(e.Field)
-		b.WriteString(" from ")
+		b.writeString("extract(")
+		b.writeString(e.Field)
+		b.writeString(" from ")
 		writeExpr(b, e.E)
-		b.WriteByte(')')
+		b.writeByte(')')
 	case *NegExpr:
-		b.WriteString("-(")
+		b.writeString("-(")
 		writeExpr(b, e.E)
-		b.WriteByte(')')
+		b.writeByte(')')
 	}
 }
 
 // writeJoined writes pre, l, mid, r, post.
-func writeJoined(b *strings.Builder, pre string, l Expr, mid string, r Expr, post string) {
-	b.WriteString(pre)
+func writeJoined(b *textBuf, pre string, l Expr, mid string, r Expr, post string) {
+	b.writeString(pre)
 	writeExpr(b, l)
-	b.WriteString(mid)
+	b.writeString(mid)
 	writeExpr(b, r)
-	b.WriteString(post)
+	b.writeString(post)
 }
 
 // writeList writes es separated by commas.
-func writeList(b *strings.Builder, es []Expr) {
+func writeList(b *textBuf, es []Expr) {
 	for i, x := range es {
 		if i > 0 {
-			b.WriteString(", ")
+			b.writeString(", ")
 		}
 		writeExpr(b, x)
 	}

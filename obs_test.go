@@ -68,9 +68,9 @@ func TestMetricsCoverage(t *testing.T) {
 }
 
 // TestTracingThroughFacade asserts the opt-in span tracer records a
-// full lifecycle tree per query and that the lifecycle phases tile the
-// root span (their durations sum to within 10% of the total — the
-// apuama-bench --trace contract).
+// full lifecycle tree per query and that the lifecycle phases, from the
+// plan to the reply to the caller, tile the root span (their durations
+// sum to within 10% of the total — the apuama-bench --trace contract).
 func TestTracingThroughFacade(t *testing.T) {
 	c := openTest(t, Config{Nodes: 4, Trace: true})
 	defer c.Close()
@@ -89,7 +89,7 @@ func TestTracingThroughFacade(t *testing.T) {
 		}
 		var explained time.Duration
 		var prev obs.SpanSnapshot
-		for i, ph := range []string{"plan", "barrier-wait", "dispatch", "gather", "compose"} {
+		for i, ph := range []string{"plan", "barrier-wait", "dispatch", "gather", "compose", "reply"} {
 			child, ok := tr.ChildNamed(ph)
 			if !ok {
 				t.Fatalf("trace %q missing phase %q", tr.Attr("sql")[:40], ph)
@@ -117,6 +117,54 @@ func TestTracingThroughFacade(t *testing.T) {
 		if explained < tr.Duration*9/10 {
 			t.Errorf("trace %q: phases explain %v of %v (< 90%%)",
 				tr.Attr("sql")[:40], explained, tr.Duration)
+		}
+	}
+}
+
+// TestTracePhasesAppearOnce: under one query root every phase span —
+// every child but the per-partition subquery spans — appears at most once,
+// whichever route the query takes: SVP, a pass-through point lookup or
+// narrow range, a fallback SVP refuses, or an EXPLAIN. A second span of a
+// name would read as unexplained time to ChildNamed, which finds the
+// first.
+func TestTracePhasesAppearOnce(t *testing.T) {
+	c := openTest(t, Config{Nodes: 4, Trace: true})
+	defer c.Close()
+	texts := []string{
+		"select o_totalprice, o_orderdate, o_orderstatus from orders where o_orderkey = 7",
+		"select o_totalprice, o_orderdate, o_orderstatus from orders where o_orderkey = 9",
+		"select count(*) from orders where o_orderkey >= 10 and o_orderkey < 14",
+		"select * from orders where o_orderkey < 3000",
+		"select n_name from nation where n_nationkey = 3",
+		"explain select count(*) from lineitem",
+	}
+	for _, qn := range tpch.QueryNumbers {
+		texts = append(texts, tpch.MustQuery(qn))
+	}
+	for _, text := range texts {
+		res, err := c.Query(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		res.Release()
+	}
+	log := c.SlowLog()
+	if len(log) != len(texts) {
+		t.Fatalf("slow log has %d traces, want %d", len(log), len(texts))
+	}
+	for _, tr := range log {
+		seen := map[string]bool{}
+		for _, child := range tr.Children {
+			if child.Name == "subquery" {
+				continue
+			}
+			if seen[child.Name] {
+				t.Errorf("trace %q has two %q phases", tr.Attr("sql"), child.Name)
+			}
+			seen[child.Name] = true
+		}
+		if !seen["plan"] {
+			t.Errorf("trace %q has no plan phase", tr.Attr("sql"))
 		}
 	}
 }
